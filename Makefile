@@ -15,7 +15,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race-verify the concurrent collector and everything that records into it,
-# plus internal/stats for the sharded null cache's lock/atomic discipline,
+# plus internal/stats for the sharded null store's lock discipline,
 # and the job service's manager/tenancy layers. The big concurrent load test
 # is skipped here because loadtest-smoke runs it race-enabled on its own.
 race:
@@ -40,7 +40,7 @@ bench:
 # One -race pass over the dense-audit benchmarks in both candidate-generation
 # modes: cheap enough for every check run, and it exercises the audit's
 # parallel precompute phase, dynamic row scheduler, zero-alloc pair kernel,
-# sorted-index window join, and shared Monte-Carlo null cache under the race
+# sorted-index window join, and Monte-Carlo null store under the race
 # detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'AuditDense/R=[0-9]+/(dense|indexed)' -benchtime 1x -race .

@@ -203,8 +203,8 @@ func BenchmarkFigure3TopPairs(b *testing.B) {
 // the sorted-index window join that prunes pairs before the gate cascade.
 // This is the audit's hot path at production partition resolutions;
 // `make bench-smoke` runs both variants under -race — exercising the dynamic
-// row scheduler, the interval-join candidate plan, and the shared
-// Monte-Carlo null cache — and cmd/lcsf-bench -audit-bench records the
+// row scheduler, the interval-join candidate plan, and the Monte-Carlo null
+// store — and cmd/lcsf-bench -audit-bench records the
 // trajectory in BENCH_audit.json.
 func BenchmarkAuditDense(b *testing.B) {
 	for _, r := range []int{100, 400} {

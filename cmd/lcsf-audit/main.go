@@ -216,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // printFunnel reports how the audit spent its work: the candidate index's
 // pruning (when the indexed plan ran), the gate cascade's per-phase exits,
-// and the shared Monte-Carlo null cache's traffic (when enabled).
+// and the Monte-Carlo null store's traffic.
 func printFunnel(w io.Writer, s obs.Snapshot) {
 	if total := s.Counter(obs.MAuditIndexPairsTotal); total > 0 {
 		emitted := s.Counter(obs.MAuditIndexWindowCandidates)
@@ -232,11 +232,9 @@ func printFunnel(w io.Writer, s obs.Snapshot) {
 		s.Counter(obs.MAuditCandidates),
 		s.Counter(obs.MAuditPrescreenSkips),
 		s.Counter(obs.MAuditFlagged))
-	fmt.Fprintf(w, "monte carlo: %d worlds simulated, %d adaptive early stops\n",
-		s.Counter(obs.MAuditMCWorlds), s.Counter(obs.MAuditMCEarlyStops))
+	fmt.Fprintf(w, "monte carlo: %d worlds simulated\n", s.Counter(obs.MAuditMCWorlds))
 	if hits, misses := s.Counter(obs.MMCNullCacheHits), s.Counter(obs.MMCNullCacheMisses); hits+misses > 0 {
-		fmt.Fprintf(w, "null cache: %d hits, %d misses (%.1f%% hit rate), %d evictions\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses),
-			s.Counter(obs.MMCNullCacheEvictions))
+		fmt.Fprintf(w, "null store: %d hits, %d samples filled (%.1f%% hit rate)\n",
+			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 }

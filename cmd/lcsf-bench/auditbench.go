@@ -31,9 +31,8 @@ const auditBenchMaxSize = 100000
 // at a given region count under DefaultConfig, the derived pair throughput,
 // and the candidate-generation statistics of one instrumented run — how many
 // pairs the window join emitted, the fraction of the full triangle pruned
-// before the gate cascade, the shared null cache's traffic, and the pre-warm
-// pass's funnel (keys filled before the sweep and the worlds simulated for
-// them). Workers records the sweep parallelism the row ran with so rows from
+// before the gate cascade, and the Monte-Carlo null store's traffic (misses
+// are the null samples filled). Workers records the sweep parallelism the row ran with so rows from
 // differently-sized machines are comparable.
 type auditBenchResult struct {
 	Regions     int     `json:"regions"`
@@ -52,7 +51,7 @@ type auditBenchResult struct {
 	// flat, not linear).
 	ScalingEfficiency float64 `json:"scaling_efficiency,omitempty"`
 	// PhaseSeconds is the instrumented run's wall-clock breakdown by
-	// pipeline phase (partition, index, prepare, prewarm, sweep, fdr).
+	// pipeline phase (partition, index, prepare, sweep, fdr).
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
 
 	CandidateGen     string  `json:"candidate_gen"`
@@ -62,8 +61,6 @@ type auditBenchResult struct {
 	CacheHits        int64   `json:"mc_null_cache_hits"`
 	CacheMisses      int64   `json:"mc_null_cache_misses"`
 	CacheHitRate     float64 `json:"mc_null_cache_hit_rate"`
-	PrewarmKeys      int64   `json:"mc_null_prewarm_keys"`
-	PrewarmWorlds    int64   `json:"mc_null_prewarm_worlds"`
 }
 
 type auditBenchFile struct {
@@ -124,8 +121,8 @@ func runAuditBench(regions int, cfg core.Config) (auditBenchResult, error) {
 	}
 
 	// One instrumented run (outside the timing loop) to record the candidate
-	// funnel: window emissions, pairs surviving to the cascade, the null
-	// cache's hit rate, and the pre-warm pass's coverage.
+	// funnel: window emissions, pairs surviving to the cascade, and the null
+	// store's hit rate.
 	col := obs.NewCollector(16)
 	icfg := cfg
 	icfg.Collector = col
@@ -147,14 +144,11 @@ func runAuditBench(regions int, cfg core.Config) (auditBenchResult, error) {
 	if lookups := res.CacheHits + res.CacheMisses; lookups > 0 {
 		res.CacheHitRate = float64(res.CacheHits) / float64(lookups)
 	}
-	res.PrewarmKeys = s.Counter(obs.MMCNullPrewarmKeys)
-	res.PrewarmWorlds = s.Counter(obs.MMCNullPrewarmWorlds)
 	res.PhaseSeconds = map[string]float64{}
 	for name, metric := range map[string]string{
 		"partition": obs.MAuditPhasePartitionSeconds,
 		"index":     obs.MAuditPhaseIndexSeconds,
 		"prepare":   obs.MAuditPhasePrepareSeconds,
-		"prewarm":   obs.MAuditPhasePrewarmSeconds,
 		"sweep":     obs.MAuditPhaseSweepSeconds,
 		"fdr":       obs.MAuditPhaseFDRSeconds,
 	} {
@@ -248,9 +242,9 @@ func writeAuditBench(path string, full bool) error {
 		if err != nil {
 			return fmt.Errorf("R=%d: %w", r, err)
 		}
-		fmt.Printf("audit-bench R=%d: %d pairs, %.3fs/op, %d allocs/op, %.0f pairs/sec (%s: %.1f%% pruned, cache hit rate %.1f%%, prewarm %d keys)\n",
+		fmt.Printf("audit-bench R=%d: %d pairs, %.3fs/op, %d allocs/op, %.0f pairs/sec (%s: %.1f%% pruned, null hit rate %.1f%%, %d nulls filled)\n",
 			r, res.Pairs, float64(res.NsPerOp)/1e9, res.AllocsPerOp, res.PairsPerSec,
-			res.CandidateGen, 100*res.PruningRatio, 100*res.CacheHitRate, res.PrewarmKeys)
+			res.CandidateGen, 100*res.PruningRatio, 100*res.CacheHitRate, res.CacheMisses)
 		out.Benchmarks = append(out.Benchmarks, res)
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,8 +41,7 @@ type Config struct {
 	// Benjamini–Hochberg control of the false-discovery rate at level FDR
 	// across all candidate pairs — an extension beyond the paper for
 	// auditors who need the flagged list itself to be mostly real
-	// discoveries. Exact (non-early-stopped) Monte-Carlo p-values are
-	// computed for every candidate, so FDR audits cost more.
+	// discoveries.
 	FDR float64
 	// MCWorlds is the number of Monte-Carlo "alternative worlds" (the
 	// paper's m).
@@ -63,16 +61,6 @@ type Config struct {
 	// CandidateGen constants. The flagged set is identical under every
 	// strategy — indexing only prunes pairs the gates provably reject.
 	CandidateGen CandidateGen
-	// MCNullCacheSize bounds the shared Monte-Carlo null-distribution cache
-	// in entries (sorted null samples, one per distinct (n1, n2,
-	// pooledPositives) signature; an entry costs ~8*MCWorlds bytes). Zero
-	// disables the cache and every simulated pair draws its own
-	// identity-seeded stream as before; negative values are rejected. With
-	// the cache, a pair's p-value is derived from the key-seeded shared
-	// sample instead — equally valid Monte-Carlo estimates of the same null,
-	// still deterministic in (input, Config), but numerically different
-	// p-values than the per-pair streams produce.
-	MCNullCacheSize int
 	// DeltaDirtyFallback tunes delta audits (see DeltaAuditor): when the
 	// dirty fraction of the region roster after an update batch exceeds it,
 	// the incremental rescore would approach a full sweep's cost with worse
@@ -172,10 +160,7 @@ func DefaultConfig() Config {
 		PrescreenTau:  2.0,
 		MCWorlds:      999,
 		MinRegionSize: 100,
-		// 2048 null samples at m=999 is ~16 MiB — ample for audits whose
-		// regions repeat count signatures, bounded for those that do not.
-		MCNullCacheSize: 2048,
-		Seed:            1,
+		Seed:          1,
 	}
 }
 
@@ -208,9 +193,6 @@ func (c Config) validate() error {
 	}
 	if c.PrescreenTau < 0 {
 		return fmt.Errorf("core: PrescreenTau %v < 0", c.PrescreenTau)
-	}
-	if c.MCNullCacheSize < 0 {
-		return fmt.Errorf("core: MCNullCacheSize %d < 0", c.MCNullCacheSize)
 	}
 	if c.DeltaDirtyFallback < 0 || c.DeltaDirtyFallback > 1 {
 		return fmt.Errorf("core: DeltaDirtyFallback %v outside [0,1]", c.DeltaDirtyFallback)
@@ -286,8 +268,8 @@ func (r *Result) Top(k int) []UnfairPair {
 // (sorted income samples for the rank tests, moments and shares for the
 // rest), so the steady-state pair loop runs allocation-free merge kernels
 // instead of re-sorting samples per pair. The audit is deterministic in
-// (p, cfg): each pair's Monte-Carlo stream is seeded from the pair's
-// identity and the final ordering is fixed by a total sort, so results do
+// (p, cfg): each pair's Monte-Carlo null sample is seeded from its count
+// signature and the final ordering is fixed by a total sort, so results do
 // not depend on goroutine scheduling.
 func Audit(p *partition.Partitioning, cfg Config) (*Result, error) {
 	return AuditContext(context.Background(), p, cfg)
@@ -295,18 +277,18 @@ func Audit(p *partition.Partitioning, cfg Config) (*Result, error) {
 
 // auditHooks are the engine extension points the delta auditor drives:
 // keepAll retains every candidate (not just flagged pairs) so the caller can
-// seed its pair cache, and nullCache substitutes a caller-owned Monte-Carlo
-// null cache so amortized entries survive across audits. Both are
-// result-neutral: keepAll only widens what is returned alongside the result,
-// and a PairNullCache's p-values are bit-identical regardless of which cache
-// instance (or prior fill state) serves them.
+// seed its pair cache, and nulls substitutes a caller-owned Monte-Carlo null
+// store so filled samples survive across audits. Both are result-neutral:
+// keepAll only widens what is returned alongside the result, and a
+// NullStore's p-values are bit-identical regardless of which store instance
+// (or prior fill state) serves them.
 type auditHooks struct {
-	keepAll   bool
-	nullCache *stats.PairNullCache
+	keepAll bool
+	nulls   *stats.NullStore
 	// shard/shards, when shards > 1, restrict the sweep's outer-row slots
 	// to slice shard of shards equal slices (see shard.go). Every other
-	// phase — partitioning, indexing, precompute, prewarm — is unchanged,
-	// so a shard's per-pair results are bit-identical to the batch run's.
+	// phase — partitioning, indexing, precompute — is unchanged, so a
+	// shard's per-pair results are bit-identical to the batch run's.
 	shard, shards int
 }
 
@@ -385,8 +367,8 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		regions[i] = &p.Regions[idx]
 	}
 	run := newAuditRunner(cfg, regions)
-	if hooks.nullCache != nil {
-		run.nullCache = hooks.nullCache
+	if hooks.nulls != nil {
+		run.nulls = hooks.nulls
 	}
 	col.ObserveSeconds(obs.MAuditPhasePartitionSeconds, now().Sub(start))
 
@@ -455,28 +437,12 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	run.buildFastPath()
 	col.ObserveSeconds(obs.MAuditPhasePrepareSeconds, now().Sub(prepPhaseStart))
 
-	// Pre-warm the shared null cache: materialize every (n1, n2, pooled)
-	// signature the sweep could miss on BEFORE the pair loop, so workers
-	// almost never simulate inline. Entries are key-seeded, so a prewarmed
-	// cache answers bit-identically to a cold one. The prewarm barrier is
-	// also the freeze point: the cache's fill state is snapshotted into a
-	// read-only flat index (stats.FrozenNullCache) that sweep workers probe
-	// lock-free; keys born later (a delta repair, a capacity overflow) fall
-	// through to the live cache, bit-identically.
-	prewarmStart := now()
-	run.prewarmNullCache(ctx, workers, col, now)
-	run.frozen = run.nullCache.Freeze()
-	col.ObserveSeconds(obs.MAuditPhasePrewarmSeconds, now().Sub(prewarmStart))
-	if err := ctx.Err(); err != nil {
-		return canceled(err)
-	}
-
 	// Phase 2: the pair sweep. Workers claim outer-loop probe rows through
 	// the work-stealing rowScheduler — deterministic dynamic scheduling:
-	// which worker scores a pair never affects its result (per-pair
-	// Monte-Carlo seeds are identity-derived, shared null-cache entries are
-	// key-seeded, per-worker state is score-neutral scratch), and the final
-	// sort fixes the ordering, so the schedule only shapes wall time. Each
+	// which worker scores a pair never affects its result (null samples are
+	// key-seeded whoever fills them, per-worker state is score-neutral
+	// scratch), and the final sort fixes the ordering, so the schedule only
+	// shapes wall time. Each
 	// worker starts on a contiguous span of rows and steals only when its
 	// span drains, so consecutive claims keep overlapping partner windows
 	// cache-resident; steals are counted in per-worker padded shards and
@@ -513,10 +479,9 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			if col != nil {
 				shardStart = now()
 			}
-			// Per-worker reusable state: one RNG reseeded per pair (so the
-			// Monte-Carlo stream stays a function of pair identity alone)
-			// and one Scratch — the steady-state loop allocates nothing.
-			rng := stats.NewRNG(0)
+			// Per-worker reusable state: one Scratch, which also takes the
+			// null samples the full store cannot keep — the steady-state loop
+			// allocates nothing.
 			var sc Scratch
 			sinceCheck := 0
 			probe := 0
@@ -542,9 +507,9 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 				var pr UnfairPair
 				var ok bool
 				if useFast {
-					pr, ok = run.fastAuditPair(probe, jj, &sh.tally, rng, keepScores, indexed)
+					pr, ok = run.fastAuditPair(probe, jj, &sh.tally, &sc, keepScores, indexed)
 				} else {
-					pr, ok = run.auditPair(probe, jj, &sh.tally, &sc, rng)
+					pr, ok = run.auditPair(probe, jj, &sh.tally, &sc)
 				}
 				if ok {
 					sh.candidates++
@@ -620,20 +585,12 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	res.Pairs = finalizePairsWorkers(&cfg, fdr, res.Pairs, workers)
 	col.ObserveSeconds(obs.MAuditPhaseFDRSeconds, now().Sub(fdrStart))
 
-	tally.publish(col, res)
+	tally.publish(col, res, cfg.MCWorlds)
 	if indexed {
 		n := int64(len(run.regions))
 		col.Count(obs.MAuditIndexPairsTotal, n*(n-1)/2)
 		col.Count(obs.MAuditIndexWindowCandidates, tally.windowCandidates)
 		col.Count(obs.MAuditIndexBoundsRejections, tally.boundsRejections)
-	}
-	if run.nullCache != nil {
-		hits, misses, evictions := run.nullCache.Stats()
-		// Frozen-snapshot hits are hits of the same cache contents served
-		// lock-free; the published hit count is the sum of both paths.
-		col.Count(obs.MMCNullCacheHits, hits+tally.frozenHits)
-		col.Count(obs.MMCNullCacheMisses, misses)
-		col.Count(obs.MMCNullCacheEvictions, evictions)
 	}
 	elapsed := now().Sub(start)
 	col.ObserveSeconds(obs.MAuditSeconds, elapsed)
@@ -719,9 +676,8 @@ type pairTally struct {
 	etaFastPath    int64 // dissimilar pairs exiting via the Eta outcome fast path
 	simRejections  int64 // passed dissimilarity and Eta, failed similarity
 	prescreenSkips int64 // candidates below PrescreenTau, simulation skipped
-	mcWorlds       int64 // Monte-Carlo worlds actually simulated
-	mcEarlyStops   int64 // adaptive estimates that stopped early
-	frozenHits     int64 // null-cache hits served by the frozen snapshot
+	nullHits       int64 // null-store lookups answered by a stored sample
+	nullFills      int64 // null-store lookups that simulated a sample
 
 	// Indexed-plan counters (zero under a dense plan): pairs emitted by the
 	// window join, and emitted pairs the O(1) summary bounds (metric Bounds
@@ -737,23 +693,24 @@ func (t *pairTally) add(o *pairTally) {
 	t.simRejections += o.simRejections
 	t.etaFastPath += o.etaFastPath
 	t.prescreenSkips += o.prescreenSkips
-	t.mcWorlds += o.mcWorlds
-	t.mcEarlyStops += o.mcEarlyStops
-	t.frozenHits += o.frozenHits
+	t.nullHits += o.nullHits
+	t.nullFills += o.nullFills
 	t.windowCandidates += o.windowCandidates
 	t.boundsRejections += o.boundsRejections
 }
 
 // publish pushes the merged tally plus the result-level counts into the
-// collector (no-op when col is nil).
-func (t *pairTally) publish(col *obs.Collector, res *Result) {
+// collector (no-op when col is nil). worlds is Config.MCWorlds, the worlds
+// each filled null sample simulated.
+func (t *pairTally) publish(col *obs.Collector, res *Result, worlds int) {
 	col.Count(obs.MAuditPairsScanned, t.scanned)
 	col.Count(obs.MAuditDissRejections, t.dissRejections)
 	col.Count(obs.MAuditSimRejections, t.simRejections)
 	col.Count(obs.MAuditEtaFastPath, t.etaFastPath)
 	col.Count(obs.MAuditPrescreenSkips, t.prescreenSkips)
-	col.Count(obs.MAuditMCWorlds, t.mcWorlds)
-	col.Count(obs.MAuditMCEarlyStops, t.mcEarlyStops)
+	col.Count(obs.MAuditMCWorlds, t.nullFills*int64(worlds))
+	col.Count(obs.MMCNullCacheHits, t.nullHits)
+	col.Count(obs.MMCNullCacheMisses, t.nullFills)
 	col.Count(obs.MAuditCandidates, int64(res.Candidates))
 	col.Count(obs.MAuditFlagged, int64(len(res.Pairs)))
 }
@@ -761,21 +718,16 @@ func (t *pairTally) publish(col *obs.Collector, res *Result) {
 // auditRunner carries one audit's immutable sweep state: the configuration,
 // the eligible regions (indexed by position in the eligible list, matching
 // the prepared scorers' caches), the two gate scorers, the candidate plan,
-// and the optional shared Monte-Carlo null cache.
+// and the Monte-Carlo null store.
 type auditRunner struct {
 	cfg       Config
 	fdr       bool
 	regions   []*partition.Region
 	sim, diss preparedScorer
 
-	// nullCache, when non-nil, answers Monte-Carlo p-values from shared
-	// key-seeded null samples instead of per-pair streams.
-	nullCache *stats.PairNullCache
-	// frozen is the nullCache's read-only snapshot, taken at the prewarm
-	// barrier. Sweep workers probe it first — lock-free, allocation-free —
-	// and fall through to the live cache on a miss; both paths answer
-	// bit-identically because entries are key-seeded.
-	frozen *stats.FrozenNullCache
+	// nulls answers Monte-Carlo p-values from key-seeded null samples
+	// shared by every pair with the same count signature.
+	nulls *stats.NullStore
 
 	// Index state, populated by buildIndex (zero-valued under a dense plan):
 	// the summary index itself (retained so the delta auditor can repair it
@@ -824,8 +776,8 @@ type auditRunner struct {
 var runnerPool sync.Pool
 
 // newAuditRunner assembles the sweep state shared by AuditContext and the
-// kernel tests: prepared scorers for both gate metrics and, when configured,
-// the null cache. The candidate plan starts dense; AuditContext calls
+// kernel tests: prepared scorers for both gate metrics and a fresh null
+// store. The candidate plan starts dense; AuditContext calls
 // buildIndex to upgrade it unless CandidateDense is forced. The runner comes
 // from runnerPool when one is available; recycled arenas are resized and
 // rewritten by beginPrepare/prepare before any read.
@@ -850,12 +802,10 @@ func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
 	}
 	run.sim.soa, run.sim.state = simSoa, simState
 	run.diss.soa, run.diss.state = dissSoa, dissState
-	if cfg.MCNullCacheSize > 0 {
-		// The null cache is NOT pooled: its fill state feeds the prewarm
-		// funnel counters, which must not depend on what ran earlier in the
-		// process (entry values are key-seeded and would be identical).
-		run.nullCache = stats.NewPairNullCache(cfg.Seed, cfg.MCWorlds, cfg.MCNullCacheSize)
-	}
+	// The null store is NOT pooled: its fill state feeds the hit/miss
+	// counters, which must not depend on what ran earlier in the process
+	// (samples are key-seeded and would be identical).
+	run.nulls = stats.NewNullStore(cfg.Seed, cfg.MCWorlds)
 	return run
 }
 
@@ -958,100 +908,6 @@ func (ar *auditRunner) pairHint() int64 {
 	return n * n
 }
 
-// prewarmSigPairLimit bounds the pre-warm pass's signature-pair scan; above
-// it the scan itself would rival the simulations it saves, so the sweep
-// falls back to inline fills (results are identical either way — entries are
-// key-seeded).
-const prewarmSigPairLimit = 1 << 22
-
-// prewarmNullCache materializes the shared null cache's entries before the
-// pair sweep. A pair's cache key depends only on the two regions' count
-// signatures (N, Positives), so the distinct-signature product — far smaller
-// than the pair set — covers every key the candidate plan's pairs can
-// request. Signature pairs inside the Eta band are screened out with the
-// sweep's own rate comparison (such pairs exit the cascade before the cache),
-// and fills stop at the cache's capacity, where further fills could only
-// evict each other. Entries are key-seeded, so a prewarmed cache answers the
-// sweep bit-identically to a cold one; only the hit/miss split moves.
-func (ar *auditRunner) prewarmNullCache(ctx context.Context, workers int, col *obs.Collector, now func() time.Time) {
-	cache := ar.nullCache
-	if cache == nil || ar.cfg.MCWorlds <= 0 || len(ar.regions) < 2 {
-		return
-	}
-	start := now()
-	type sig struct{ n, pos int }
-	mult := make(map[sig]int, len(ar.regions))
-	sigs := make([]sig, 0, len(ar.regions))
-	for _, r := range ar.regions {
-		s := sig{n: r.N, pos: r.Positives}
-		if mult[s] == 0 {
-			sigs = append(sigs, s)
-		}
-		mult[s]++
-	}
-	if int64(len(sigs))*int64(len(sigs)) > prewarmSigPairLimit {
-		return
-	}
-	// Deterministic fill order: the capacity cutoff must not depend on map
-	// iteration order (fills themselves are order-independent).
-	sort.Slice(sigs, func(i, j int) bool {
-		if sigs[i].n != sigs[j].n {
-			return sigs[i].n < sigs[j].n
-		}
-		return sigs[i].pos < sigs[j].pos
-	})
-
-	eta := ar.cfg.Eta
-	capacity := int64(cache.Capacity())
-	var filled atomic.Int64
-	var nextSig atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sinceCheck := 0
-			for {
-				i := int(nextSig.Add(1)) - 1
-				if i >= len(sigs) || ctx.Err() != nil || filled.Load() >= capacity {
-					return
-				}
-				a := sigs[i]
-				ra := float64(a.pos) / float64(a.n)
-				for j := i; j < len(sigs); j++ {
-					sinceCheck++
-					if sinceCheck >= cancelCheckInterval {
-						sinceCheck = 0
-						if ctx.Err() != nil {
-							return
-						}
-					}
-					if j == i && mult[a] < 2 {
-						continue // a signature pairs with itself only when two regions share it
-					}
-					b := sigs[j]
-					if eta > 0 {
-						rb := float64(b.pos) / float64(b.n)
-						if math.Abs(ra-rb) <= eta {
-							continue // the Eta fast path exits before the cache
-						}
-					}
-					if cache.Prewarm(a.n, b.n, a.pos+b.pos) {
-						if filled.Add(1) >= capacity {
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	keys := filled.Load()
-	col.Count(obs.MMCNullPrewarmKeys, keys)
-	col.Count(obs.MMCNullPrewarmWorlds, keys*int64(ar.cfg.MCWorlds))
-	col.ObserveSeconds(obs.MMCNullPrewarmSeconds, now().Sub(start))
-}
-
 // summaryReject applies the O(1) summary-level filters to an emitted
 // candidate: the exact Eta interval and each prunable gate's Bounds. True
 // means the exact cascade would certainly reject the pair, so it is skipped
@@ -1085,9 +941,8 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // auditPair applies the gate cascade — dissimilarity, the Eta outcome fast
 // path, similarity — and, for candidates, the Monte-Carlo LRT. ii and jj are
 // positions in the eligible list. ok reports whether the pair was a candidate
-// (passed every gate). Under FDR control the Monte-Carlo p-value is computed
-// without early stopping (required for control over the candidate set). Each
-// phase's outcome is tallied into t for the observability layer.
+// (passed every gate). Each phase's outcome is tallied into t for the
+// observability layer.
 //
 // The Eta check runs before the similarity test because it is O(1) on
 // already-aggregated rates while the rank test is O(n_a+n_b) even against
@@ -1098,13 +953,13 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // attribution of doubly-failing pairs moves between buckets.
 //
 // This is the audit's steady-state kernel and it must not heap-allocate:
-// per-pair Monte-Carlo streams reseed the per-worker rng in place
-// (bit-identical to a fresh generator), the simulator loop is closure-free,
-// and prepared metrics score against caches built in the precompute phase.
-// TestAuditPairKernelZeroAlloc pins the property.
+// p-values are binary searches over stored null samples (or fills into the
+// worker's Scratch past the store's bound), and prepared metrics score
+// against caches built in the precompute phase. TestAuditPairKernelZeroAlloc
+// pins the property.
 //
 //lint:hotpath
-func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, rng *stats.RNG) (UnfairPair, bool) {
+func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch) (UnfairPair, bool) {
 	a, b := ar.regions[ii], ar.regions[jj]
 	cfg := &ar.cfg
 	t.scanned++
@@ -1125,7 +980,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, rng *sta
 	}
 
 	tau := ar.pairLRT(ii, jj, a, b)
-	pval := ar.pairPValue(a, b, tau, t, rng)
+	pval := ar.pairPValue(a, b, tau, t, sc)
 
 	pr := UnfairPair{
 		I: a.Index, J: b.Index,
@@ -1144,57 +999,28 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, rng *sta
 }
 
 // pairPValue resolves a candidate pair's p-value — the cascade's final step,
-// shared by auditPair and fastAuditPair so the two kernels cannot drift. The
-// prescreen, cache, FDR, and adaptive Monte-Carlo branches are tried in the
-// fixed order the determinism battery pins; the shared-cache branch probes
-// the frozen snapshot first (lock-free) and falls back to the live cache,
-// which answers bit-identically for any resident key.
+// shared by auditPair and fastAuditPair so the two kernels cannot drift.
+// Candidates at or below PrescreenTau take the asymptotic p-value; every
+// other candidate is answered from the null store, which keeps one
+// key-seeded sorted sample per count signature; a lookup is tallied as a
+// fill (the simulation effort actually spent) or a hit.
 //
 //lint:hotpath
-func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, rng *stats.RNG) float64 {
+func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *Scratch) float64 {
 	cfg := &ar.cfg
-	switch {
-	case cfg.PrescreenTau > 0 && tau <= cfg.PrescreenTau:
+	if cfg.PrescreenTau > 0 && tau <= cfg.PrescreenTau {
 		// Asymptotically tau ~ chi-square(1) under H0, so tau <= the default
 		// PrescreenTau of 2 corresponds to p ~ 0.157, far above any usable
 		// Alpha; the pair is a candidate but cannot be significant. Record
 		// the asymptotic p-value and skip the simulation.
 		t.prescreenSkips++
 		return stats.ChiSquareSF(math.Max(tau, 0), 1)
-	case ar.nullCache != nil:
-		// The shared null cache: one key-seeded sorted sample per count
-		// signature, p by binary search. Worlds are tallied once per fresh
-		// signature — the effort actually spent.
-		if p, ok := ar.frozen.PValue(a.N, b.N, a.Positives+b.Positives, tau); ok {
-			t.frozenHits++
-			return p
-		}
-		pval, hit := ar.nullCache.PValue(a.N, b.N, a.Positives+b.Positives, tau)
-		if !hit {
-			t.mcWorlds += int64(cfg.MCWorlds)
-		}
-		return pval
-	case ar.fdr:
-		pooled := float64(a.Positives+b.Positives) / float64(a.N+b.N)
-		rng.Seed(pairSeed(cfg.Seed, a.Index, b.Index))
-		t.mcWorlds += int64(cfg.MCWorlds)
-		return stats.PairMonteCarloP(rng, tau, cfg.MCWorlds, a.N, b.N, pooled)
-	default:
-		pooled := float64(a.Positives+b.Positives) / float64(a.N+b.N)
-		rng.Seed(pairSeed(cfg.Seed, a.Index, b.Index))
-		pval, _, st := stats.AdaptivePairMonteCarloPStats(rng, tau, cfg.MCWorlds, cfg.Alpha, a.N, b.N, pooled)
-		t.mcWorlds += int64(st.Worlds)
-		if st.EarlyStopped {
-			t.mcEarlyStops++
-		}
-		return pval
 	}
-}
-
-// pairSeed derives a deterministic per-pair Monte-Carlo seed.
-func pairSeed(seed uint64, i, j int) uint64 {
-	h := seed ^ 0xA11D17
-	h = h*0x100000001b3 ^ uint64(i)
-	h = h*0x100000001b3 ^ uint64(j)
-	return h
+	p, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.buf)
+	if filled {
+		t.nullFills++
+	} else {
+		t.nullHits++
+	}
+	return p
 }

@@ -112,46 +112,43 @@ func TestCandidatePlanEnumeratesWindowSets(t *testing.T) {
 }
 
 // TestAuditIndexedDenseEquivalence is the headline equivalence claim: forcing
-// CandidateDense and CandidateIndexed on the same input and Config (same
-// cache setting on both sides) yields byte-identical results — pairs, counts,
-// ordering — across worker counts and both flagging modes.
+// CandidateDense and CandidateIndexed on the same input and Config yields
+// byte-identical results — pairs, counts, ordering — across worker counts
+// and both flagging modes.
 func TestAuditIndexedDenseEquivalence(t *testing.T) {
 	p := manyRegions(t)
 	for _, fdr := range []float64{0, 0.10} {
-		for _, cache := range []int{0, 2048} {
-			cfg := DefaultConfig()
-			cfg.Alpha = 0.05
-			cfg.MCWorlds = 199
-			cfg.FDR = fdr
-			cfg.MCNullCacheSize = cache
+		cfg := DefaultConfig()
+		cfg.Alpha = 0.05
+		cfg.MCWorlds = 199
+		cfg.FDR = fdr
 
-			cfg.CandidateGen = CandidateDense
-			cfg.Workers = 1
-			dense, err := Audit(p, cfg)
+		cfg.CandidateGen = CandidateDense
+		cfg.Workers = 1
+		dense, err := Audit(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dense.Pairs) == 0 || dense.Candidates == 0 {
+			t.Fatalf("fdr=%v: fixture produced no work", fdr)
+		}
+		want := auditBytes(t, dense)
+
+		cfg.CandidateGen = CandidateIndexed
+		for _, workers := range []int{1, 2, 3, 8} {
+			cfg.Workers = workers
+			indexed, err := Audit(p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(dense.Pairs) == 0 || dense.Candidates == 0 {
-				t.Fatalf("fdr=%v cache=%d: fixture produced no work", fdr, cache)
+			if got := auditBytes(t, indexed); !bytes.Equal(got, want) {
+				t.Fatalf("fdr=%v workers=%d: indexed diverged from dense\n got %s\nwant %s",
+					fdr, workers, got, want)
 			}
-			want := auditBytes(t, dense)
-
-			cfg.CandidateGen = CandidateIndexed
-			for _, workers := range []int{1, 2, 3, 8} {
-				cfg.Workers = workers
-				indexed, err := Audit(p, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := auditBytes(t, indexed); !bytes.Equal(got, want) {
-					t.Fatalf("fdr=%v cache=%d workers=%d: indexed diverged from dense\n got %s\nwant %s",
-						fdr, cache, workers, got, want)
-				}
-				if indexed.Candidates != dense.Candidates || indexed.EligibleRegions != dense.EligibleRegions {
-					t.Fatalf("fdr=%v cache=%d workers=%d: counts diverged: %d/%d candidates, %d/%d eligible",
-						fdr, cache, workers, indexed.Candidates, dense.Candidates,
-						indexed.EligibleRegions, dense.EligibleRegions)
-				}
+			if indexed.Candidates != dense.Candidates || indexed.EligibleRegions != dense.EligibleRegions {
+				t.Fatalf("fdr=%v workers=%d: counts diverged: %d/%d candidates, %d/%d eligible",
+					fdr, workers, indexed.Candidates, dense.Candidates,
+					indexed.EligibleRegions, dense.EligibleRegions)
 			}
 		}
 	}
@@ -256,58 +253,6 @@ func TestAuditCandidateSupersetQuick(t *testing.T) {
 	}
 	if totalPruned == 0 {
 		t.Fatal("no trial pruned a pair; the superset property is vacuous")
-	}
-}
-
-// TestAuditCachedVsPerPairTolerance quantifies the documented numeric change
-// the shared null cache introduces: cached and per-pair p-values are
-// different Monte-Carlo estimates of the same null, so at m = 999 the flagged
-// sets must coincide on this fixture and matched pairs' p-values must agree
-// within Monte-Carlo tolerance.
-func TestAuditCachedVsPerPairTolerance(t *testing.T) {
-	p := manyRegions(t)
-	cfg := DefaultConfig()
-	cfg.Alpha = 0.05
-	cfg.MCWorlds = 999
-
-	cfg.MCNullCacheSize = 0
-	perPair, err := Audit(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MCNullCacheSize = 2048
-	cached, err := Audit(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(perPair.Pairs) == 0 {
-		t.Fatal("fixture flagged nothing")
-	}
-	byKey := func(res *Result) map[[2]int]UnfairPair {
-		m := make(map[[2]int]UnfairPair, len(res.Pairs))
-		for _, pr := range res.Pairs {
-			m[[2]int{pr.I, pr.J}] = pr
-		}
-		return m
-	}
-	pp, cc := byKey(perPair), byKey(cached)
-	if len(pp) != len(cc) {
-		t.Fatalf("flagged sets diverged: %d per-pair vs %d cached", len(pp), len(cc))
-	}
-	// 4 standard errors of an MC p-estimate at m=999 near p=0.05, plus slack.
-	const tol = 0.03
-	for k, a := range pp {
-		b, ok := cc[k]
-		if !ok {
-			t.Fatalf("pair %v flagged per-pair but not cached", k)
-		}
-		if a.Tau != b.Tau || a.SimScore != b.SimScore || a.DissScore != b.DissScore {
-			t.Fatalf("pair %v: non-MC fields diverged: %+v vs %+v", k, a, b)
-		}
-		if math.Abs(a.P-b.P) > tol {
-			t.Errorf("pair %v: |p_perpair - p_cached| = |%v - %v| > %v", k, a.P, b.P, tol)
-		}
 	}
 }
 

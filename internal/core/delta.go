@@ -37,9 +37,9 @@ import (
 //     multiset, so Result.Pairs can be reassembled from a cache filled
 //     across many incremental passes (finalizePairs).
 //
-// The Monte-Carlo null cache persists across audits (its p-values are
-// key-seeded, bit-identical whatever the cache's fill state), so unchanged
-// count signatures keep their amortized entries across deltas.
+// The Monte-Carlo null store persists across audits (its p-values are
+// key-seeded, bit-identical whatever the store's fill state), so unchanged
+// count signatures keep their filled samples across deltas.
 //
 // A DeltaAuditor is not safe for concurrent use; callers serialize updates
 // (through the DeltaPartitioning) and Audit calls. The incremental rescore is
@@ -50,9 +50,9 @@ type DeltaAuditor struct {
 	cfg Config
 	dp  *partition.DeltaPartitioning
 
-	// nullCache is the persistent shared Monte-Carlo null cache (nil when
-	// disabled); fallback full sweeps are pointed at it too.
-	nullCache *stats.PairNullCache
+	// nulls is the persistent Monte-Carlo null store; fallback full sweeps
+	// are pointed at it too.
+	nulls *stats.NullStore
 
 	inited   bool
 	run      *auditRunner // batch-engine state, repaired incrementally
@@ -124,9 +124,7 @@ func NewDeltaAuditor(dp *partition.DeltaPartitioning, cfg Config) (*DeltaAuditor
 		cfg:        cfg,
 		dp:         dp,
 		candidates: make(map[pairLabelKey]UnfairPair),
-	}
-	if cfg.MCNullCacheSize > 0 {
-		da.nullCache = stats.NewPairNullCache(cfg.Seed, cfg.MCWorlds, cfg.MCNullCacheSize)
+		nulls:      stats.NewNullStore(cfg.Seed, cfg.MCWorlds),
 	}
 	return da, nil
 }
@@ -207,7 +205,7 @@ func (da *DeltaAuditor) Audit(ctx context.Context) (*Result, DeltaStats, error) 
 // eligible positions, prepared caches, summary index, plan, and the complete
 // candidate set.
 func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partitioning, dirty []int) (*Result, DeltaStats, error) {
-	res, run, cands, err := auditEngine(ctx, snap, da.cfg, auditHooks{keepAll: true, nullCache: da.nullCache})
+	res, run, cands, err := auditEngine(ctx, snap, da.cfg, auditHooks{keepAll: true, nulls: da.nulls})
 	if err != nil {
 		return nil, DeltaStats{}, err
 	}
@@ -252,7 +250,7 @@ func (da *DeltaAuditor) rebuildState(snap *partition.Partitioning, newEligible [
 		regions[i] = &snap.Regions[idx]
 	}
 	run := newAuditRunner(da.cfg, regions)
-	run.nullCache = da.nullCache
+	run.nulls = da.nulls
 	if da.cfg.CandidateGen != CandidateDense {
 		run.buildIndex()
 	}
@@ -315,9 +313,8 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	// window in both directions; a pair with two dirty endpoints is scored
 	// once, at the smaller position (skipping it at the larger is sound —
 	// either window is an individually sufficient rejection certificate).
-	// Positions are normalized ascending before scoring so the pair's
-	// Monte-Carlo identity (pairSeed over labels, null-cache count keys)
-	// matches the cold sweep's exactly.
+	// Positions are normalized ascending before scoring so every pair is
+	// scored in the cold sweep's orientation.
 	dirtySet := make(map[int]bool, len(dirty))
 	dirtyPos := make([]int, 0, len(dirty))
 	for _, lbl := range dirty {
@@ -332,7 +329,6 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 		isDirtyPos[p] = true
 	}
 
-	rng := stats.NewRNG(0)
 	var sc Scratch
 	var tally pairTally
 	var rescored []UnfairPair
@@ -362,7 +358,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 				return true
 			}
 			st.RescoredPairs++
-			if pr, isCand := run.auditPair(ii, jj, &tally, &sc, rng); isCand {
+			if pr, isCand := run.auditPair(ii, jj, &tally, &sc); isCand {
 				rescored = append(rescored, pr)
 			}
 			return true

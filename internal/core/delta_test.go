@@ -189,7 +189,6 @@ func TestDeltaAuditorMatchesBatchQuick(t *testing.T) {
 		cfg.MinRegionSize = 40
 		cfg.Seed = uint64(trial + 1)
 		cfg.CandidateGen = gens[trial%len(gens)]
-		cfg.MCNullCacheSize = []int{0, 1024}[trial%2]
 		cfg.Workers = []int{1, 4}[trial%2]
 		if trial%3 == 0 {
 			cfg.FDR = 0.1

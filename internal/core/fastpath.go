@@ -68,7 +68,7 @@ func (ar *auditRunner) buildFastPath() {
 // mirrors the keepScores condition).
 //
 //lint:hotpath
-func (ar *auditRunner) fastAuditPair(ii, jj int, t *pairTally, rng *stats.RNG, keepScores, preGated bool) (UnfairPair, bool) {
+func (ar *auditRunner) fastAuditPair(ii, jj int, t *pairTally, sc *Scratch, keepScores, preGated bool) (UnfairPair, bool) {
 	a, b := ar.regions[ii], ar.regions[jj]
 	cfg := &ar.cfg
 	t.scanned++
@@ -128,7 +128,7 @@ func (ar *auditRunner) fastAuditPair(ii, jj int, t *pairTally, rng *stats.RNG, k
 	}
 
 	tau := ar.pairLRT(ii, jj, a, b)
-	pval := ar.pairPValue(a, b, tau, t, rng)
+	pval := ar.pairPValue(a, b, tau, t, sc)
 
 	pr := UnfairPair{
 		I: a.Index, J: b.Index,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lcsf/internal/partition"
-	"lcsf/internal/stats"
 )
 
 // newFastPathRunner builds a runner over the fixture with the rank-index
@@ -51,41 +50,41 @@ func comparePair(t *testing.T, ctx string, fast, exact UnfairPair, fastOK, exact
 // fast cascade's claim is not "statistically equivalent" but "the same
 // decision procedure executed lazily": gate verdicts replay the exact
 // threshold comparisons through verified |z| bands, deferred scores resolve
-// through the same kernels, and the Monte-Carlo stream is a function of pair
-// identity alone — so any divergence, in any field, is a bug.
+// through the same kernels, and the Monte-Carlo null sample is a function of
+// the pair's count signature alone — so any divergence, in any field, is a
+// bug.
 func TestFastPathMatchesExact(t *testing.T) {
 	p := makeCascadeFixture(t)
 	for _, tc := range []struct {
 		name       string
 		keepScores bool
-		cache      int
+		fullStore  bool // null store filled to its bound: every sample lands in scratch
 	}{
-		{"keepScores", true, 0},
-		{"lazyScores", false, 0},
-		{"nullCache", true, 4096},
+		{"keepScores", true, false},
+		{"lazyScores", false, false},
+		{"nullCache", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MinRegionSize = 10
 			cfg.MCWorlds = 199
-			cfg.MCNullCacheSize = tc.cache
 
-			// Two runners, not one: the null cache is stateful, and a shared
-			// instance would let the first sweep warm it for the second,
+			// Two runners, not one: the null store is stateful, and a shared
+			// instance would let the first sweep fill it for the second,
 			// skewing the world tallies without any kernel divergence.
 			fastRun := newFastPathRunner(t, p, cfg)
 			exactRun := newFastPathRunner(t, p, cfg)
-			if tc.cache > 0 {
-				fastRun.frozen = fastRun.nullCache.Freeze()
+			if tc.fullStore {
+				fillNullStore(t, fastRun.nulls)
+				fillNullStore(t, exactRun.nulls)
 			}
 			var fastTally, exactTally pairTally
-			fastRNG, exactRNG := stats.NewRNG(0), stats.NewRNG(0)
-			var sc Scratch
+			var fastSc, exactSc Scratch
 			candidates := 0
 			for ii := range fastRun.regions {
 				for jj := ii + 1; jj < len(fastRun.regions); jj++ {
-					fast, fok := fastRun.fastAuditPair(ii, jj, &fastTally, fastRNG, tc.keepScores, false)
-					exact, eok := exactRun.auditPair(ii, jj, &exactTally, &sc, exactRNG)
+					fast, fok := fastRun.fastAuditPair(ii, jj, &fastTally, &fastSc, tc.keepScores, false)
+					exact, eok := exactRun.auditPair(ii, jj, &exactTally, &exactSc)
 					if !tc.keepScores && fok {
 						// The lazy kernel only materializes scores for pairs
 						// its caller would append; mirror the engine's filter
@@ -121,7 +120,6 @@ func TestFastPathPreGatedMatches(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinRegionSize = 10
 	cfg.MCWorlds = 199
-	cfg.MCNullCacheSize = 0
 
 	run := newFastPathRunner(t, p, cfg)
 	run.buildIndex()
@@ -130,14 +128,14 @@ func TestFastPathPreGatedMatches(t *testing.T) {
 	}
 	checked := 0
 	var ungatedTally, preTally, scratch pairTally
-	ungatedRNG, preRNG := stats.NewRNG(0), stats.NewRNG(0)
+	var sc Scratch
 	for ii := range run.regions {
 		for jj := ii + 1; jj < len(run.regions); jj++ {
 			if run.summaryReject(ii, jj, &scratch) {
 				continue
 			}
-			full, fok := run.fastAuditPair(ii, jj, &ungatedTally, ungatedRNG, true, false)
-			pre, pok := run.fastAuditPair(ii, jj, &preTally, preRNG, true, true)
+			full, fok := run.fastAuditPair(ii, jj, &ungatedTally, &sc, true, false)
+			pre, pok := run.fastAuditPair(ii, jj, &preTally, &sc, true, true)
 			comparePair(t, "preGated", pre, full, pok, fok)
 			checked++
 		}

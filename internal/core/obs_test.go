@@ -18,12 +18,10 @@ func TestAuditRecordsPhaseCounters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha = 0.05
 	cfg.MCWorlds = 199
-	// Pin the classic dense sweep with per-pair Monte-Carlo streams: this
-	// test asserts the full-triangle scan count and the adaptive early-stop
-	// counter, both of which the indexed plan and the shared null cache
-	// legitimately change (see TestAuditIndexedFunnelCounters).
+	// Pin the classic dense sweep: this test asserts the full-triangle scan
+	// count, which the indexed plan legitimately changes (see
+	// TestAuditIndexedFunnelCounters).
 	cfg.CandidateGen = CandidateDense
-	cfg.MCNullCacheSize = 0
 	col := newTestCollector()
 	cfg.Collector = col
 
@@ -61,7 +59,7 @@ func TestAuditRecordsPhaseCounters(t *testing.T) {
 
 	for _, name := range []string{
 		obs.MAuditDissRejections, obs.MAuditSimRejections,
-		obs.MAuditEtaFastPath, obs.MAuditMCWorlds, obs.MAuditMCEarlyStops,
+		obs.MAuditEtaFastPath, obs.MAuditMCWorlds,
 	} {
 		if s.Counter(name) == 0 {
 			t.Errorf("counter %s = 0; fixture should exercise every phase", name)
@@ -150,12 +148,10 @@ func TestAuditIndexedFunnelCounters(t *testing.T) {
 	}
 }
 
-// TestAuditNullCacheCounters pins the shared-cache accounting under the
-// pre-warm pass: every simulated candidate answers exactly one cache lookup,
-// the pre-warm funnel (mc.null_prewarm.{keys,worlds,seconds}) balances —
-// worlds == keys x MCWorlds, keys within capacity — and a complete pre-warm
-// leaves the sweep with zero misses, zero inline worlds, and zero early
-// stops.
+// TestAuditNullCacheCounters pins the null store's accounting: every
+// simulated candidate answers exactly one store lookup, each distinct count
+// signature is filled once (misses) and spends exactly MCWorlds worlds, and
+// the retired pre-warm metrics stay unrecorded.
 func TestAuditNullCacheCounters(t *testing.T) {
 	p := manyRegions(t)
 	cfg := DefaultConfig()
@@ -174,55 +170,35 @@ func TestAuditNullCacheCounters(t *testing.T) {
 	misses := s.Counter(obs.MMCNullCacheMisses)
 	simulated := int64(res.Candidates) - s.Counter(obs.MAuditPrescreenSkips)
 	if hits+misses != simulated {
-		t.Errorf("cache lookups = %d hits + %d misses, want %d simulated candidates", hits, misses, simulated)
+		t.Errorf("store lookups = %d hits + %d misses, want %d simulated candidates", hits, misses, simulated)
 	}
-	prewarmKeys := s.Counter(obs.MMCNullPrewarmKeys)
-	prewarmWorlds := s.Counter(obs.MMCNullPrewarmWorlds)
-	if prewarmKeys <= 0 || prewarmKeys > int64(cfg.MCNullCacheSize) {
-		t.Errorf("prewarm keys = %d outside (0, capacity %d]", prewarmKeys, cfg.MCNullCacheSize)
+	if misses <= 0 || misses > simulated {
+		t.Errorf("misses = %d outside (0, %d simulated candidates]", misses, simulated)
 	}
-	if want := prewarmKeys * int64(cfg.MCWorlds); prewarmWorlds != want {
-		t.Errorf("prewarm worlds = %d, want keys x m = %d", prewarmWorlds, want)
+	if got, want := s.Counter(obs.MAuditMCWorlds), misses*int64(cfg.MCWorlds); got != want {
+		t.Errorf("mc worlds = %d, want misses x m = %d", got, want)
 	}
-	if h := s.Histograms[obs.MMCNullPrewarmSeconds]; h.Count != 1 {
-		t.Errorf("mc.null_prewarm.seconds histogram = %+v, want one observation", h)
+	for _, name := range []string{obs.MMCNullPrewarmKeys, obs.MMCNullPrewarmWorlds} {
+		if _, ok := s.Counters[name]; ok {
+			t.Errorf("retired counter %s was recorded", name)
+		}
 	}
-	// The pre-warm's signature product covers every key a sweep pair can
-	// request, and its Eta screen is the sweep's own rate comparison, so a
-	// pass that hit neither the capacity cutoff nor the signature limit
-	// leaves nothing to simulate inline.
-	if misses != 0 {
-		t.Errorf("misses = %d after a complete pre-warm, want 0", misses)
-	}
-	if hits != simulated {
-		t.Errorf("hits = %d, want every one of %d simulated candidates", hits, simulated)
-	}
-	if got := s.Counter(obs.MAuditMCWorlds); got != 0 {
-		t.Errorf("inline mc worlds = %d after pre-warm, want 0", got)
-	}
-	if s.Counter(obs.MAuditMCEarlyStops) != 0 {
-		t.Errorf("cached audit recorded %d early stops; the cache path never stops early",
-			s.Counter(obs.MAuditMCEarlyStops))
-	}
-	if s.Counter(obs.MMCNullCacheEvictions) != 0 {
-		t.Errorf("default-sized cache evicted %d entries on a 12-region audit",
-			s.Counter(obs.MMCNullCacheEvictions))
+	for _, name := range []string{obs.MMCNullPrewarmSeconds, obs.MAuditPhasePrewarmSeconds} {
+		if _, ok := s.Histograms[name]; ok {
+			t.Errorf("retired histogram %s was recorded", name)
+		}
 	}
 }
 
-// TestAuditFDRWorldsExact asserts the FDR path counts full (non-adaptive)
-// Monte-Carlo streams: every simulated candidate spends exactly MCWorlds
-// worlds and no early stops are recorded.
+// TestAuditFDRWorldsExact asserts FDR audits draw their p-values from the
+// same null store as Alpha audits: simulation effort is counted once per
+// filled sample, never per candidate.
 func TestAuditFDRWorldsExact(t *testing.T) {
 	p := manyRegions(t)
 	cfg := DefaultConfig()
 	cfg.Alpha = 0.05
 	cfg.FDR = 0.10
 	cfg.MCWorlds = 99
-	// Per-pair streams only: with the shared null cache, worlds are counted
-	// once per fresh count signature rather than once per simulated pair
-	// (see TestAuditNullCacheCounters).
-	cfg.MCNullCacheSize = 0
 	col := newTestCollector()
 	cfg.Collector = col
 
@@ -230,14 +206,13 @@ func TestAuditFDRWorldsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := col.Snapshot()
-	if s.Counter(obs.MAuditMCEarlyStops) != 0 {
-		t.Errorf("FDR audit recorded %d early stops; exact p-values must not stop early",
-			s.Counter(obs.MAuditMCEarlyStops))
-	}
 	simulated := s.Counter(obs.MAuditCandidates) - s.Counter(obs.MAuditPrescreenSkips)
-	if got, want := s.Counter(obs.MAuditMCWorlds), simulated*int64(cfg.MCWorlds); got != want {
-		t.Errorf("mc worlds = %d, want %d (= %d simulated candidates x %d)",
-			got, want, simulated, cfg.MCWorlds)
+	misses := s.Counter(obs.MMCNullCacheMisses)
+	if hits := s.Counter(obs.MMCNullCacheHits); hits+misses != simulated {
+		t.Errorf("store lookups = %d hits + %d misses, want %d simulated candidates", hits, misses, simulated)
+	}
+	if got, want := s.Counter(obs.MAuditMCWorlds), misses*int64(cfg.MCWorlds); got != want {
+		t.Errorf("mc worlds = %d, want %d (= %d filled samples x %d)", got, want, misses, cfg.MCWorlds)
 	}
 }
 
@@ -346,7 +321,6 @@ func TestAuditPhaseSecondsInvariant(t *testing.T) {
 		obs.MAuditPhasePartitionSeconds,
 		obs.MAuditPhaseIndexSeconds,
 		obs.MAuditPhasePrepareSeconds,
-		obs.MAuditPhasePrewarmSeconds,
 		obs.MAuditPhaseSweepSeconds,
 		obs.MAuditPhaseFDRSeconds,
 	}

@@ -16,16 +16,16 @@ type PreparedRegion any
 // Scratch is per-worker scratch space threaded through ScorePrepared so
 // metrics that need a temporary buffer can reuse one allocation across the
 // whole pair sweep instead of allocating per pair. The built-in metrics score
-// directly against their caches and never touch it; it exists for custom
-// PreparedMetric implementations. A Scratch is not safe for concurrent use —
-// the audit gives each worker its own.
+// directly against their caches and never touch it; the engine itself uses
+// it for Monte-Carlo null samples its null store cannot keep. A Scratch is
+// not safe for concurrent use — the audit gives each worker its own.
 type Scratch struct {
 	buf []float64
 }
 
 // Float64s returns a length-n float64 slice backed by the scratch's reusable
 // buffer, growing it when needed. Contents are unspecified; the slice is only
-// valid until the next Float64s call.
+// valid until the next Float64s call or the end of the current pair.
 func (s *Scratch) Float64s(n int) []float64 {
 	if cap(s.buf) < n {
 		s.buf = make([]float64, n)

@@ -79,38 +79,47 @@ func newTestRunner(t testing.TB, p *partition.Partitioning, cfg Config) *auditRu
 }
 
 // sweep runs the kernel over every pair, accumulating into tally.
-func (ar *auditRunner) sweep(tally *pairTally, sc *Scratch, rng *stats.RNG) {
+func (ar *auditRunner) sweep(tally *pairTally, sc *Scratch) {
 	for ii := range ar.regions {
 		for jj := ii + 1; jj < len(ar.regions); jj++ {
-			ar.auditPair(ii, jj, tally, sc, rng)
+			ar.auditPair(ii, jj, tally, sc)
 		}
 	}
+}
+
+// fillNullStore fills s to its bound with cheap keys (n1 = 0 draws nothing),
+// so every later lookup of a new key takes the past-bound scratch path.
+func fillNullStore(t testing.TB, s *stats.NullStore) {
+	t.Helper()
+	var scratch []float64
+	for k := 1 << 20; k < 1<<20+1<<16; k++ {
+		s.PValue(0, k, 0, 0, &scratch)
+		if _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
+			return // the store declined to keep k: it is full
+		}
+	}
+	t.Fatal("null store never reached its bound")
 }
 
 // TestAuditPairKernelZeroAlloc pins the perf contract of the steady-state
 // pair loop: once the precompute phase has built the per-region caches,
 // auditPair performs zero heap allocations on every cascade path —
 // dissimilarity rejection, Eta fast-path exit, similarity rejection,
-// prescreen skip, and full Monte-Carlo simulation (both the adaptive and the
-// exact/FDR variant).
+// prescreen skip, and the null-store p-value, both answered from a stored
+// sample and, past the store's bound, from a fill into the worker's Scratch.
 func TestAuditPairKernelZeroAlloc(t *testing.T) {
 	p := makeCascadeFixture(t)
 	cfg := DefaultConfig()
 	cfg.MinRegionSize = 10
 	cfg.MCWorlds = 199
-	// The per-pair adaptive and FDR-exact streams are the paths under test
-	// here; the shared cache (which shadows both under DefaultConfig) gets its
-	// own runner below.
-	cfg.MCNullCacheSize = 0
 
 	run := newTestRunner(t, p, cfg)
-	rng := stats.NewRNG(0)
 	var sc Scratch
 
 	// The fixture must actually cover every cascade exit, or the zero-alloc
 	// sweep below proves less than it claims.
 	var cover pairTally
-	run.sweep(&cover, &sc, rng)
+	run.sweep(&cover, &sc)
 	for _, c := range []struct {
 		name string
 		n    int64
@@ -119,35 +128,33 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 		{"etaFastPath", cover.etaFastPath},
 		{"simRejections", cover.simRejections},
 		{"prescreenSkips", cover.prescreenSkips},
-		{"mcWorlds", cover.mcWorlds},
+		{"nullFills", cover.nullFills},
 	} {
 		if c.n == 0 {
 			t.Fatalf("fixture does not exercise %s; kernel coverage incomplete", c.name)
 		}
 	}
 
-	fdrCfg := cfg
-	fdrCfg.FDR = 0.10
-	fdrRun := newTestRunner(t, p, fdrCfg)
-
-	// The cached path: AllocsPerRun's warm-up invocation populates the cache
-	// entries, so the measured sweeps answer every p-value from the hit path,
-	// which must also be allocation-free (read-lock, binary search, atomics).
-	cachedCfg := cfg
-	cachedCfg.MCNullCacheSize = 2048
-	cachedRun := newTestRunner(t, p, cachedCfg)
+	fullRun := newTestRunner(t, p, cfg)
+	fillNullStore(t, fullRun.nulls)
+	var fullSc Scratch
+	var full pairTally
+	fullRun.sweep(&full, &fullSc)
+	if full.nullHits != 0 || full.nullFills != cover.nullFills+cover.nullHits {
+		t.Fatalf("full store: %d hits, %d fills; want every lookup filled into scratch", full.nullHits, full.nullFills)
+	}
 
 	for _, tc := range []struct {
 		name string
 		run  *auditRunner
+		sc   *Scratch
 	}{
-		{"adaptive", run},
-		{"fdr-exact", fdrRun},
-		{"null-cache-hit", cachedRun},
+		{"null-store-hit", run, &sc},
+		{"null-store-past-bound", fullRun, &fullSc},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			var tally pairTally
-			tc.run.sweep(&tally, &sc, rng)
+			tc.run.sweep(&tally, tc.sc)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: auditPair sweep allocates %.1f times per run, want 0", tc.name, allocs)

@@ -18,10 +18,9 @@ import (
 //     one outer row (its probe row), so a partition of the outer rows is a
 //     partition of the pair space — no pair is scored twice or dropped.
 //   - Per-pair determinism. Every per-pair field is a pure function of
-//     (pair identity, Config, partitioning): Monte-Carlo streams are seeded
-//     from the pair's region indices, shared null-cache entries are seeded
-//     from their count signature (so a shard-private cache answers
-//     bit-identically to the batch run's cache), and the gate cascade reads
+//     (pair identity, Config, partitioning): null samples are seeded from
+//     their count signature (so a shard-private null store answers
+//     bit-identically to the batch run's store), and the gate cascade reads
 //     only the two regions' data.
 //   - Order-free flagging. finalizePairs flags by value thresholds alone —
 //     Alpha per pair, or Benjamini–Hochberg over the p-value multiset — and
@@ -52,7 +51,7 @@ type ShardResult struct {
 // equal slices of the outer-row space and returns the shard's candidates.
 // The union of a complete shard set reproduces the batch audit exactly (see
 // MergeShards). Each call is self-contained — it builds its own prepared
-// caches and null cache — so shards can run concurrently, in any order, on
+// caches and null store — so shards can run concurrently, in any order, on
 // any worker, or (behind a remote runner) on another process entirely.
 func AuditShard(ctx context.Context, p *partition.Partitioning, cfg Config, shard, shards int) (*ShardResult, error) {
 	if shards < 1 {

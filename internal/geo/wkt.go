@@ -43,84 +43,3 @@ func (pg Polygon) MarshalWKT() string {
 }
 
 func fmtCoord(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// ParseWKTPoint parses "POINT (x y)" (case-insensitive, whitespace-tolerant).
-func ParseWKTPoint(s string) (Point, error) {
-	body, err := wktBody(s, "POINT")
-	if err != nil {
-		return Point{}, err
-	}
-	p, err := parseCoordPair(body)
-	if err != nil {
-		return Point{}, fmt.Errorf("geo: parsing WKT point %q: %w", s, err)
-	}
-	return p, nil
-}
-
-// ParseWKTPolygon parses "POLYGON ((x y, x y, ...))" with a single outer
-// ring. The closing vertex (equal to the first) is removed if present, since
-// Polygon treats rings as implicitly closed. "POLYGON EMPTY" parses to the
-// zero Polygon.
-func ParseWKTPolygon(s string) (Polygon, error) {
-	trimmed := strings.TrimSpace(s)
-	if strings.EqualFold(trimmed, "POLYGON EMPTY") {
-		return Polygon{}, nil
-	}
-	body, err := wktBody(s, "POLYGON")
-	if err != nil {
-		return Polygon{}, err
-	}
-	body = strings.TrimSpace(body)
-	if !strings.HasPrefix(body, "(") || !strings.HasSuffix(body, ")") {
-		return Polygon{}, fmt.Errorf("geo: WKT polygon %q: missing ring parentheses", s)
-	}
-	inner := body[1 : len(body)-1]
-	if strings.ContainsAny(inner, "()") {
-		return Polygon{}, fmt.Errorf("geo: WKT polygon %q: only single-ring polygons are supported", s)
-	}
-	parts := strings.Split(inner, ",")
-	ring := make([]Point, 0, len(parts))
-	for _, part := range parts {
-		p, err := parseCoordPair(part)
-		if err != nil {
-			return Polygon{}, fmt.Errorf("geo: parsing WKT polygon %q: %w", s, err)
-		}
-		ring = append(ring, p)
-	}
-	if len(ring) >= 2 && ring[0] == ring[len(ring)-1] {
-		ring = ring[:len(ring)-1]
-	}
-	if len(ring) < 3 {
-		return Polygon{}, fmt.Errorf("geo: WKT polygon %q has fewer than 3 distinct vertices", s)
-	}
-	return Polygon{Ring: ring}, nil
-}
-
-// wktBody strips "TAG ( ... )" and returns the inner text.
-func wktBody(s, tag string) (string, error) {
-	t := strings.TrimSpace(s)
-	if len(t) < len(tag) || !strings.EqualFold(t[:len(tag)], tag) {
-		return "", fmt.Errorf("geo: WKT %q: expected %s", s, tag)
-	}
-	t = strings.TrimSpace(t[len(tag):])
-	if !strings.HasPrefix(t, "(") || !strings.HasSuffix(t, ")") {
-		return "", fmt.Errorf("geo: WKT %q: missing parentheses", s)
-	}
-	return t[1 : len(t)-1], nil
-}
-
-func parseCoordPair(s string) (Point, error) {
-	fields := strings.Fields(strings.TrimSpace(s))
-	if len(fields) != 2 {
-		return Point{}, fmt.Errorf("coordinate pair %q must have two fields", s)
-	}
-	x, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return Point{}, err
-	}
-	y, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{X: x, Y: y}, nil
-}

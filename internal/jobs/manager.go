@@ -31,7 +31,7 @@ type Config struct {
 	QueueDepth int
 	// ShardsPerJob is how many slices each job's candidate-pair space is
 	// cut into. More shards mean finer pool interleaving between jobs and
-	// lower per-shard memory, at the cost of repeating the prepare/prewarm
+	// lower per-shard memory, at the cost of repeating the index/prepare
 	// phases per slice. 0 means 4; 1 disables sharding.
 	ShardsPerJob int
 	// JobTimeout bounds one job's total execution (all attempts included);
@@ -615,7 +615,10 @@ func (m *Manager) runAttempt(ctx context.Context, j *job) (*partition.Partitioni
 	wg.Wait()
 	for s := 0; s < shards; s++ {
 		if errs[s] != nil {
-			return nil, nil, errs[s]
+			// Report what stopped the attempt — the first shard failure or
+			// the job's own cancellation — not the context error a sibling
+			// shard returned because of it.
+			return nil, nil, context.Cause(actx)
 		}
 	}
 	res, err := core.MergeShards(j.req.Audit, results)

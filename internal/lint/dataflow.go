@@ -18,7 +18,7 @@ import (
 // treated as clean (taint does not flow through the heap), and values
 // produced by unresolved non-source calls are clean if their arguments are.
 // Both keep the analysis precise on the repo's seed-plumbing idiom —
-// Config.Seed fields, pairSeed/nullCacheSeed derivations — while still
+// Config.Seed fields, nullCacheSeed derivations — while still
 // catching direct and transitive wall-clock, global-state, and
 // iteration-order flows.
 

@@ -70,10 +70,7 @@ func TestHotPathAllocAgreesWithZeroAllocTest(t *testing.T) {
 		"lcsf/internal/core.(auditRunner).fastAuditPair",
 		"lcsf/internal/core.(auditRunner).pairPValue",
 		"lcsf/internal/core.(auditRunner).summaryReject",
-		"lcsf/internal/stats.PairMonteCarloP",
-		"lcsf/internal/stats.AdaptivePairMonteCarloPStats",
-		"lcsf/internal/stats.(PairNullCache).PValue",
-		"lcsf/internal/stats.(FrozenNullCache).PValue",
+		"lcsf/internal/stats.(NullStore).PValue",
 		"lcsf/internal/stats.CrossBoundsCoarse",
 		"lcsf/internal/obs.(ShardedCounter).Add",
 	} {

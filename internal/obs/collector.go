@@ -16,7 +16,6 @@ const (
 	MAuditCandidates     = "audit.candidates"
 	MAuditPrescreenSkips = "audit.mc.prescreen_tau_skips"
 	MAuditMCWorlds       = "audit.mc.worlds"
-	MAuditMCEarlyStops   = "audit.mc.early_stops"
 	MAuditFlagged        = "audit.pairs_flagged"
 	MAuditCanceled       = "audit.canceled"
 	// MAuditPreparedRegions counts per-region metric caches built by the
@@ -52,18 +51,17 @@ const (
 	MAuditDeltaRescored      = "audit.delta.rescored_pairs"
 	MAuditDeltaRescoredCands = "audit.delta.rescored_candidates"
 
-	// Shared Monte-Carlo null-distribution cache (internal/stats): lookups
-	// served by an existing sorted null sample, lookups that simulated a
-	// fresh one, and entries evicted by the per-shard LRU.
-	MMCNullCacheHits      = "mc.null_cache_hits"
-	MMCNullCacheMisses    = "mc.null_cache_misses"
-	MMCNullCacheEvictions = "mc.null_cache_evictions"
+	// Monte-Carlo null store (internal/core, stats.NullStore): misses count
+	// the null samples the sweep simulated, hits every other simulated-path
+	// lookup, so hits + misses == candidates - prescreen_tau_skips and
+	// audit.mc.worlds == misses x Config.MCWorlds.
+	MMCNullCacheHits   = "mc.null_cache_hits"
+	MMCNullCacheMisses = "mc.null_cache_misses"
 
-	// Null-cache pre-warm funnel: distinct count signatures filled before the
-	// pair sweep (keys), the Monte-Carlo worlds those fills simulated
-	// (worlds == keys x Config.MCWorlds), and the pass's wall time. Sweep-side
-	// hit/miss counters are untouched by the pre-warm, so after a complete
-	// pass (no capacity cutoff) the sweep records zero misses.
+	// MMCNullPrewarmKeys and MMCNullPrewarmWorlds are no longer recorded:
+	// the engine has no pre-warm pass, and null samples are filled inside
+	// the sweep phase (counted by MMCNullCacheMisses). The names stay
+	// declared for callers that still read them; they read zero.
 	MMCNullPrewarmKeys   = "mc.null_prewarm.keys"
 	MMCNullPrewarmWorlds = "mc.null_prewarm.worlds"
 
@@ -79,10 +77,12 @@ const (
 	// Per-phase wall times of one batch audit, one observation per run:
 	// eligible-region selection and runner assembly (partition), summary-index
 	// and candidate-plan construction (index), the parallel per-region metric
-	// precompute (prepare), the null-cache pre-warm including the frozen
-	// snapshot (prewarm), the pair sweep (sweep), and result finalization —
-	// filtering, Benjamini–Hochberg when configured, and the canonical sort
-	// (fdr). Their sum tracks MAuditSeconds up to inter-phase glue.
+	// precompute (prepare), the pair sweep including its null-sample fills
+	// (sweep), and result finalization — filtering, Benjamini–Hochberg when
+	// configured, and the canonical sort (fdr). Their sum tracks
+	// MAuditSeconds up to inter-phase glue. MAuditPhasePrewarmSeconds is no
+	// longer recorded (there is no pre-warm phase); the name stays declared
+	// for callers that still read it, and reads as an empty histogram.
 	MAuditPhasePartitionSeconds = "audit.phase_seconds.partition"
 	MAuditPhaseIndexSeconds     = "audit.phase_seconds.index"
 	MAuditPhasePrepareSeconds   = "audit.phase_seconds.prepare"
@@ -93,7 +93,7 @@ const (
 	// that builds per-region metric caches before the pair sweep.
 	MAuditPrepareSeconds = "audit.prepare_seconds"
 	MAuditShardSeconds   = "audit.shard_seconds"
-	// MMCNullPrewarmSeconds is the wall time of the null-cache pre-warm pass.
+	// MMCNullPrewarmSeconds is no longer recorded, like MMCNullPrewarmKeys.
 	MMCNullPrewarmSeconds = "mc.null_prewarm.seconds"
 	// MAuditDeltaSeconds is the wall time of one delta audit (incremental or
 	// fallen back to a full sweep), update application excluded.

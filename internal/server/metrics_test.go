@@ -42,7 +42,7 @@ func getMetrics(t *testing.T, srv http.Handler) metricsDoc {
 
 // TestMetricsAfterAudit is the acceptance check for the observability layer:
 // after one POST /audit, the /metrics snapshot must show non-zero audit
-// counters — candidates, gate rejections, Monte-Carlo worlds, early stops —
+// counters — candidates, gate rejections, Monte-Carlo worlds, null fills —
 // plus the request-level metrics the middleware records.
 func TestMetricsAfterAudit(t *testing.T) {
 	srv := New(Config{})
@@ -59,14 +59,12 @@ func TestMetricsAfterAudit(t *testing.T) {
 		t.Fatalf("POST /audit = %d: %s", rec.Code, rec.Body.String())
 	}
 
-	// The default config audits with the indexed candidate plan and the
-	// shared null cache: pairs the gates provably reject are pruned before
-	// the cascade (so the window/bounds counters fire instead of the
-	// dissimilarity/Eta cascade counters), cached p-values never stop early
-	// (so mc.early_stops stays zero by design), and the pre-warm pass
-	// materializes every count signature before the sweep (so the Monte-Carlo
-	// effort lands in mc.null_prewarm.* while the sweep's inline mc.worlds
-	// and cache misses stay zero by design).
+	// The default config audits with the indexed candidate plan: pairs the
+	// gates provably reject are pruned before the cascade (so the
+	// window/bounds counters fire instead of the dissimilarity/Eta cascade
+	// counters), and every simulated candidate is answered by the null
+	// store, which fills each count signature once (misses, mc.worlds); hits
+	// need two candidates sharing a signature, so they may stay zero here.
 	doc := getMetrics(t, srv)
 	for _, name := range []string{
 		obs.MAuditRuns,
@@ -78,9 +76,8 @@ func TestMetricsAfterAudit(t *testing.T) {
 		obs.MAuditIndexPairsTotal,
 		obs.MAuditIndexWindowCandidates,
 		obs.MAuditIndexBoundsRejections,
-		obs.MMCNullCacheHits,
-		obs.MMCNullPrewarmKeys,
-		obs.MMCNullPrewarmWorlds,
+		obs.MMCNullCacheMisses,
+		obs.MAuditMCWorlds,
 		obs.MHTTPRequests,
 	} {
 		if doc.Counters[name] == 0 {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -92,40 +93,6 @@ func TestMannWhitneyFromCrossDegenerate(t *testing.T) {
 	}
 }
 
-// TestMannWhitneyCrossGateExtremeEpsilon exercises the bisected
-// constructor's short-circuit arms above the exhaustive limit: an epsilon
-// above 1 admits no cross value (even the centered, maximal-P one), and an
-// epsilon of 0 admits the full band without any bisection.
-func TestMannWhitneyCrossGateExtremeEpsilon(t *testing.T) {
-	n1, n2 := 100, 100 // total 10000 > mwGateExhaustiveLimit
-	g, ok := NewMannWhitneyCrossGate(n1, n2, 1.5)
-	if !ok {
-		t.Fatal("epsilon > 1 should still yield a trustworthy (empty) band")
-	}
-	if g.Lo <= g.Hi {
-		t.Fatalf("epsilon > 1: band [%d,%d] is non-empty", g.Lo, g.Hi)
-	}
-	g, ok = NewMannWhitneyCrossGate(n1, n2, 0)
-	if !ok {
-		t.Fatal("epsilon 0 should yield a trustworthy band")
-	}
-	if g.Lo != 0 || g.Hi != n1*n2 {
-		t.Fatalf("epsilon 0: band [%d,%d], want [0,%d]", g.Lo, g.Hi, n1*n2)
-	}
-	if !g.Contains(0) || !g.Contains(n1*n2) {
-		t.Fatal("full band must contain both extremes")
-	}
-}
-
-// TestPairNullCacheWorlds pins the Worlds accessor against the constructor
-// argument (the delta engine uses it to rebuild compatible caches).
-func TestPairNullCacheWorlds(t *testing.T) {
-	c := NewPairNullCache(8, 99, 16)
-	if got := c.Worlds(); got != 99 {
-		t.Fatalf("Worlds() = %d, want 99", got)
-	}
-}
-
 // TestRNGBernoulli sanity-checks the Bernoulli helper's edge probabilities
 // and that an intermediate p produces both outcomes deterministically for a
 // fixed seed.
@@ -148,4 +115,47 @@ func TestRNGBernoulli(t *testing.T) {
 	if trues == 0 || trues == 1000 {
 		t.Fatalf("Bernoulli(0.5): %d/1000 true — degenerate stream", trues)
 	}
+}
+
+// TestCrossBounds checks on random distinct samples that the bound interval
+// contains the exact cross count, on healthy and degenerate (single-bucket)
+// grids alike.
+func TestCrossBounds(t *testing.T) {
+	rng := NewRNG(7)
+	for trial := 0; trial < 200; trial++ {
+		buckets := []int{1, 8, 256, 2048}[trial%4]
+		grid, ok := NewRankGrid(0, 1, buckets)
+		if !ok {
+			t.Fatal("grid refused")
+		}
+		n1, n2 := 1+int(rng.Uint64()%50), 1+int(rng.Uint64()%50)
+		xs := distinctSorted(rng, n1)
+		ys := distinctSorted(rng, n2)
+		var a, b RankedSample
+		FillRankedSample(grid, xs, &a)
+		FillRankedSample(grid, ys, &b)
+		lo, hi := CrossBounds(&a, &b)
+		cross := CrossCountNoTies(&a, &b)
+		if cross < lo || cross > hi {
+			t.Fatalf("trial %d: cross %d outside bounds [%d,%d]", trial, cross, lo, hi)
+		}
+		if lo < 0 || hi > n1*n2 {
+			t.Fatalf("trial %d: bounds [%d,%d] outside [0,%d]", trial, lo, hi, n1*n2)
+		}
+	}
+}
+
+// distinctSorted draws n distinct uniform values in ascending order.
+func distinctSorted(rng *RNG, n int) []float64 {
+	seen := map[float64]bool{}
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		v := rng.Float64()
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	sort.Float64s(out)
+	return out
 }

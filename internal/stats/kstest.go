@@ -15,7 +15,7 @@ type KSResult struct {
 // come from the same continuous distribution. It is offered as an
 // alternative similarity metric to the Mann–Whitney U test — sensitive to
 // any distributional difference (spread, shape), not only location shifts.
-// Empty samples give P = NaN.
+// Empty samples and samples holding a NaN give P = NaN.
 //
 // KolmogorovSmirnov sorts copies of both samples and delegates to
 // KolmogorovSmirnovSorted; callers that compare one sample against many
@@ -34,11 +34,14 @@ func KolmogorovSmirnov(xs, ys []float64) KSResult {
 // KolmogorovSmirnovSorted is KolmogorovSmirnov for samples already sorted
 // ascending: a single merge pass over the two empirical CDFs — O(n1+n2)
 // time, zero allocations — with results bit-identical to KolmogorovSmirnov
-// on the same data. Inputs that are not sorted ascending yield unspecified
-// results.
+// on the same data. A sample holding a NaN yields the NaN result, like an
+// empty one: sorted ascending means as sort.Float64s and slices.Sort order
+// values, NaNs first, so the check is O(1). Inputs that are not sorted
+// ascending yield unspecified results, but the call still terminates: every
+// merge step consumes at least one element or returns.
 func KolmogorovSmirnovSorted(xs, ys []float64) KSResult {
 	n1, n2 := len(xs), len(ys)
-	if n1 == 0 || n2 == 0 {
+	if n1 == 0 || n2 == 0 || math.IsNaN(xs[0]) || math.IsNaN(ys[0]) {
 		return KSResult{D: math.NaN(), P: math.NaN()}
 	}
 
@@ -46,11 +49,15 @@ func KolmogorovSmirnovSorted(xs, ys []float64) KSResult {
 	i, j := 0, 0
 	for i < n1 && j < n2 {
 		v := math.Min(xs[i], ys[j])
+		i0, j0 := i, j
 		for i < n1 && xs[i] <= v {
 			i++
 		}
 		for j < n2 && ys[j] <= v {
 			j++
+		}
+		if i == i0 && j == j0 {
+			return KSResult{D: math.NaN(), P: math.NaN()} // v is an unsorted NaN
 		}
 		f1 := float64(i) / float64(n1)
 		f2 := float64(j) / float64(n2)
@@ -75,13 +82,13 @@ func KolmogorovSmirnovSorted(xs, ys []float64) KSResult {
 // visits exactly this sequence of (i, j) checkpoints and evaluates the same
 // division and comparison expressions.
 //
-// Empty samples return the NaN result with ok=true, matching
-// KolmogorovSmirnovSorted.
+// Empty samples and samples led by a NaN return the NaN result with ok=true,
+// matching KolmogorovSmirnovSorted.
 //
 //lint:hotpath
 func KolmogorovSmirnovSortedNoTies(xs, ys []float64) (res KSResult, ok bool) {
 	n1, n2 := len(xs), len(ys)
-	if n1 == 0 || n2 == 0 {
+	if n1 == 0 || n2 == 0 || math.IsNaN(xs[0]) || math.IsNaN(ys[0]) {
 		return KSResult{D: math.NaN(), P: math.NaN()}, true
 	}
 	var d float64

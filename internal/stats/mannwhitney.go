@@ -19,8 +19,8 @@ type MannWhitneyResult struct {
 // distributions: a large p-value means the samples are statistically
 // indistinguishable.
 //
-// When either sample is empty the result has P = NaN; callers treat such
-// pairs as non-comparable.
+// When either sample is empty or holds a NaN the result has P = NaN; callers
+// treat such pairs as non-comparable.
 //
 // MannWhitneyU sorts copies of both samples and delegates to
 // MannWhitneyUSorted; a caller that tests one sample against many others
@@ -28,7 +28,7 @@ type MannWhitneyResult struct {
 // audit engine's PreparedMetric path does exactly this).
 func MannWhitneyU(xs, ys []float64) MannWhitneyResult {
 	if len(xs) == 0 || len(ys) == 0 {
-		return MannWhitneyResult{U: math.NaN(), Z: math.NaN(), P: math.NaN()}
+		return mannWhitneyNaN
 	}
 	a := append([]float64(nil), xs...)
 	b := append([]float64(nil), ys...)
@@ -45,11 +45,15 @@ func MannWhitneyU(xs, ys []float64) MannWhitneyResult {
 // products of exactly-representable multiples of one half, so neither
 // accumulation order nor multiply-versus-repeated-add changes a bit).
 //
-// Inputs that are not sorted ascending yield unspecified results.
+// A sample holding a NaN yields the NaN result, like an empty one. Sorted
+// ascending means as sort.Float64s and slices.Sort order values, NaNs first,
+// so the check is O(1); on inputs that are not sorted the results are
+// unspecified, but the call still terminates: every merge step consumes at
+// least one element or returns.
 func MannWhitneyUSorted(xs, ys []float64) MannWhitneyResult {
 	n1, n2 := len(xs), len(ys)
-	if n1 == 0 || n2 == 0 {
-		return MannWhitneyResult{U: math.NaN(), Z: math.NaN(), P: math.NaN()}
+	if n1 == 0 || n2 == 0 || math.IsNaN(xs[0]) || math.IsNaN(ys[0]) {
+		return mannWhitneyNaN
 	}
 
 	// Walk both samples in lockstep, grouping ties across the union and
@@ -79,6 +83,9 @@ func MannWhitneyUSorted(xs, ys []float64) MannWhitneyResult {
 			cy++
 		}
 		t := cx + cy
+		if t == 0 {
+			return mannWhitneyNaN // v is a NaN, equal to nothing: an unsorted NaN
+		}
 		midRank := float64(2*consumed+t+1) / 2 // ranks are 1-based
 		rankSum1 += float64(cx) * midRank
 		if t > 1 {
@@ -119,14 +126,14 @@ func MannWhitneySeparatedP(n1, n2 int) float64 {
 // the rank sum is the exact integer n1(n1+1)/2 + #{x > y}, which the general
 // kernel accumulates in exact float64 steps with a zero tie term.
 //
-// Empty samples return the NaN result with ok=true, matching
-// MannWhitneyUSorted.
+// Empty samples and samples led by a NaN return the NaN result with ok=true,
+// matching MannWhitneyUSorted.
 //
 //lint:hotpath
 func MannWhitneyUSortedNoTies(xs, ys []float64) (res MannWhitneyResult, ok bool) {
 	n1, n2 := len(xs), len(ys)
-	if n1 == 0 || n2 == 0 {
-		return MannWhitneyResult{U: math.NaN(), Z: math.NaN(), P: math.NaN()}, true
+	if n1 == 0 || n2 == 0 || math.IsNaN(xs[0]) || math.IsNaN(ys[0]) {
+		return mannWhitneyNaN, true
 	}
 	// cross counts #{(x, y) : x > y}. Each consumed y sees all still-pending
 	// xs above it; the branchless advance keeps the loop's only data-dependent
@@ -148,6 +155,10 @@ func MannWhitneyUSortedNoTies(xs, ys []float64) (res MannWhitneyResult, ok bool)
 	}
 	return MannWhitneyFromCross(cross, n1, n2), true
 }
+
+// mannWhitneyNaN is the result for samples the test cannot rank: empty, or
+// holding a NaN.
+var mannWhitneyNaN = MannWhitneyResult{U: math.NaN(), Z: math.NaN(), P: math.NaN()}
 
 // mannWhitneyFromRankSum finishes the test from the first sample's rank sum
 // and the tie-correction term: the U statistic, the tie-corrected normal

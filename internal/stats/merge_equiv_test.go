@@ -152,9 +152,8 @@ func TestWelchTFromMomentsMatchesRaw(t *testing.T) {
 }
 
 // TestPairMonteCarloMatchesClosure verifies the allocation-free Monte-Carlo
-// entry points consume the identical RNG stream as the closure-based
-// originals: same seed, same p-value, same significance decision, same effort
-// stats.
+// entry point consumes the identical RNG stream as the closure-based
+// original: same seed, same p-value.
 func TestPairMonteCarloMatchesClosure(t *testing.T) {
 	const n1, n2 = 180, 240
 	const pooled = 0.57
@@ -169,15 +168,6 @@ func TestPairMonteCarloMatchesClosure(t *testing.T) {
 		got := PairMonteCarloP(b, observed, m, n1, n2, pooled)
 		if got != want {
 			t.Fatalf("trial %d: PairMonteCarloP = %v, closure %v", trial, got, want)
-		}
-
-		a = NewRNG(seed)
-		b = NewRNG(seed)
-		wp, ws, wst := AdaptiveMonteCarloPStats(observed, m, 0.05, PairNullSimulator(a, n1, n2, pooled))
-		gp, gs, gst := AdaptivePairMonteCarloPStats(b, observed, m, 0.05, n1, n2, pooled)
-		if gp != wp || gs != ws || gst != wst {
-			t.Fatalf("trial %d: adaptive pair MC (%v %v %+v) != closure (%v %v %+v)",
-				trial, gp, gs, gst, wp, ws, wst)
 		}
 	}
 }

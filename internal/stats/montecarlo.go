@@ -27,9 +27,8 @@ func MonteCarloP(observed float64, m int, simulate func() float64) float64 {
 }
 
 // MCStats reports the simulation effort one Monte-Carlo p-value estimate
-// actually spent — the observability hook behind the audit engine's
-// mc.worlds and mc.early_stops counters. It carries no statistical content;
-// discarding it never changes a decision.
+// actually spent. It carries no statistical content; discarding it never
+// changes a decision.
 type MCStats struct {
 	// Worlds is the number of alternative worlds simulated (<= the requested
 	// m when early stopping triggered).
@@ -77,8 +76,8 @@ func AdaptiveMonteCarloPStats(observed float64, m int, alpha float64, simulate f
 // pairNullDraw simulates one world of the paper's pairwise null hypothesis:
 // both regions' positive counts drawn from Binomial(n, pooledRate), scored by
 // the pairwise likelihood-ratio statistic. It is the body of
-// PairNullSimulator's closure, shared so the allocation-free entry points
-// below produce the identical stream.
+// PairNullSimulator's closure, shared so the allocation-free entry point
+// below produces the identical stream.
 func pairNullDraw(rng *RNG, n1, n2 int, pooledRate float64) float64 {
 	k1 := rng.Binomial(n1, pooledRate)
 	k2 := rng.Binomial(n2, pooledRate)
@@ -86,16 +85,14 @@ func pairNullDraw(rng *RNG, n1, n2 int, pooledRate float64) float64 {
 }
 
 // PairMonteCarloP is MonteCarloP specialized to the pairwise null of
-// PairNullSimulator, taking the generator and null parameters directly so a
-// hot loop can reuse one per-worker RNG (reseeded per pair with RNG.Seed)
-// without allocating a simulator closure. The stream and the returned
-// p-value are identical to
+// PairNullSimulator, taking the generator and null parameters directly
+// instead of a simulator closure. The stream and the returned p-value are
+// identical to
 //
 //	MonteCarloP(observed, m, PairNullSimulator(rng, n1, n2, pooledRate))
 //
-// with an equivalently seeded generator.
-//
-//lint:hotpath
+// with an equivalently seeded generator. NullCacheReferenceP builds its
+// uncached oracle on it.
 func PairMonteCarloP(rng *RNG, observed float64, m, n1, n2 int, pooledRate float64) float64 {
 	if m <= 0 {
 		return 1
@@ -107,33 +104,6 @@ func PairMonteCarloP(rng *RNG, observed float64, m, n1, n2 int, pooledRate float
 		}
 	}
 	return float64(1+geq) / float64(m+1)
-}
-
-// AdaptivePairMonteCarloPStats is AdaptiveMonteCarloPStats specialized to the
-// pairwise null, allocation-free like PairMonteCarloP. The stream, p-value,
-// significance decision, and effort stats are identical to
-//
-//	AdaptiveMonteCarloPStats(observed, m, alpha, PairNullSimulator(rng, n1, n2, pooledRate))
-//
-// with an equivalently seeded generator.
-//
-//lint:hotpath
-func AdaptivePairMonteCarloPStats(rng *RNG, observed float64, m int, alpha float64, n1, n2 int, pooledRate float64) (p float64, significant bool, st MCStats) {
-	if m <= 0 {
-		return 1, false, MCStats{}
-	}
-	cut := alpha * float64(m+1)
-	geq := 0
-	for i := 0; i < m; i++ {
-		if pairNullDraw(rng, n1, n2, pooledRate) >= observed {
-			geq++
-			if float64(1+geq) > cut {
-				return float64(1+geq) / float64(m+1), false, MCStats{Worlds: i + 1, EarlyStopped: true}
-			}
-		}
-	}
-	p = float64(1+geq) / float64(m+1)
-	return p, p <= alpha, MCStats{Worlds: m}
 }
 
 // PairNullSimulator returns a closure that simulates the paper's pairwise

@@ -7,174 +7,140 @@ import (
 	"sync/atomic"
 )
 
-// PairNullCache memoizes sorted Monte-Carlo null samples of the pairwise
-// likelihood-ratio statistic. The null distribution of PairLRT depends only on
-// the integer triple (n1, n2, pooledPositives) — both regions' counts are
-// drawn from Binomial(n, pooledPositives/(n1+n2)) — so audits over universes
-// with repeated count signatures can share one simulation per signature and
-// answer each pair's p-value by binary search instead of re-simulating m
-// worlds.
+// NullStore holds sorted Monte-Carlo null samples of the pairwise
+// likelihood-ratio statistic, one per count signature. The null distribution
+// of PairLRT depends only on the integer triple (n1, n2, pooledPositives) —
+// both regions' counts are drawn from Binomial(n, pooledPositives/(n1+n2)) —
+// so every candidate pair sharing a signature shares one simulation, and each
+// pair's p-value is a binary search instead of m fresh worlds.
 //
-// Determinism: each entry's simulation stream is seeded purely from the cache
+// Determinism: each sample is FillPairNull's, seeded purely from the store
 // seed and the normalized key, so the sample — and every p-value derived from
 // it — is a function of (seed, worlds, key) alone, independent of which
-// goroutine populates the entry, of arrival order, and of eviction history.
-// The cache is safe for concurrent use.
+// goroutine fills it, of arrival order, and of whether the store kept it.
 //
-// Capacity is bounded: entries beyond the configured size evict the least
-// recently used entry of their shard (approximate LRU — recency ticks are
-// process-wide, eviction is per-shard). A re-simulated entry reproduces the
-// evicted one exactly, so eviction affects cost, never values.
-type PairNullCache struct {
-	seed     uint64
-	worlds   int
-	perShard int
+// A sample is filled the first time a lookup asks for it and is never
+// evicted. The store keeps at most nullStoreMax samples; past that bound a
+// lookup of a new key fills the caller's scratch buffer, answers from it, and
+// keeps nothing. The store is safe for concurrent use: lookups of stored keys
+// take one shard read lock and touch no shared counters.
+type NullStore struct {
+	seed   uint64
+	worlds int
+	stored atomic.Int64 // samples kept, at most nullStoreMax
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	tick      atomic.Uint64
-
-	shards [nullCacheShards]nullCacheShard
+	shards [nullStoreShards]nullStoreShard
 }
 
-// nullCacheShards spreads lock contention; must be a power of two.
-const nullCacheShards = 16
+// nullStoreMax bounds the samples a store keeps: 2048 samples at the
+// paper's m = 999 is ~16 MiB, above the distinct signatures a full-volume
+// LAR audit needs and bounded for audits whose regions never repeat one.
+const nullStoreMax = 2048
 
-type nullCacheShard struct {
+// nullStoreShards spreads lock contention; must be a power of two.
+const nullStoreShards = 16
+
+type nullStoreShard struct {
 	mu      sync.RWMutex
-	entries map[pairNullKey]*nullCacheEntry //lint:guardedby mu
-	// keys mirrors the map's key set in insertion order so eviction scans a
-	// slice rather than ranging over the map (map iteration order is
-	// nondeterministic; the victim choice must not be).
-	keys []pairNullKey //lint:guardedby mu
+	entries map[pairNullKey]*nullEntry //lint:guardedby mu
 }
 
-// pairNullKey is the normalized cache key: n1 <= n2 (the null is symmetric in
+// pairNullKey is the normalized store key: n1 <= n2 (the null is symmetric in
 // the two regions' sizes given the pooled count).
 type pairNullKey struct {
 	n1, n2          int
 	pooledPositives int
 }
 
-type nullCacheEntry struct {
-	once     sync.Once
-	sorted   []float64 // ascending null statistics, length = worlds
-	lastUsed atomic.Uint64
+type nullEntry struct {
+	once   sync.Once
+	sorted []float64 // ascending null statistics, length = worlds
 }
 
-// NewPairNullCache returns a cache producing worlds-long null samples seeded
-// from seed. maxEntries bounds the number of retained keys (values below the
-// shard count are raised to it so every shard can hold at least one entry).
-func NewPairNullCache(seed uint64, worlds, maxEntries int) *PairNullCache {
-	if maxEntries < nullCacheShards {
-		maxEntries = nullCacheShards
+// NewNullStore returns an empty store producing worlds-long null samples
+// seeded from seed.
+func NewNullStore(seed uint64, worlds int) *NullStore {
+	s := &NullStore{seed: seed, worlds: worlds}
+	for i := range s.shards {
+		s.shards[i].entries = make(map[pairNullKey]*nullEntry) //lint:locksafe-ok constructor: no concurrent access before the store is returned
 	}
-	c := &PairNullCache{
-		seed:     seed,
-		worlds:   worlds,
-		perShard: (maxEntries + nullCacheShards - 1) / nullCacheShards,
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[pairNullKey]*nullCacheEntry) //lint:locksafe-ok constructor: no concurrent access before the cache is returned
-	}
-	return c
-}
-
-// Worlds returns the per-entry sample length m.
-func (c *PairNullCache) Worlds() int { return c.worlds }
-
-// Stats reports cumulative cache traffic: lookups answered by an existing
-// entry, lookups that simulated a fresh one, and entries evicted.
-func (c *PairNullCache) Stats() (hits, misses, evictions int64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
+	return s
 }
 
 // PValue returns the add-one Monte-Carlo p-value of an observed statistic
-// against the cached null sample for (n1, n2, pooledPositives), simulating
-// the sample on first use:
+// against the null sample for (n1, n2, pooledPositives):
 //
 //	p = (1 + #{tau_null >= observed}) / (m + 1)
 //
 // — the same estimator as MonteCarloP, with the count answered by binary
-// search over the sorted sample. hit reports whether the entry already
-// existed (false exactly once per key per residency in the cache). The
-// returned p is deterministic in (seed, worlds, key, observed) either way.
+// search over the sorted sample. filled reports whether this call simulated
+// the sample: true exactly once per stored key, and on every lookup of a key
+// the full store could not keep, which is filled into *scratch (grown to m
+// when shorter). The returned p is deterministic in (seed, worlds, key,
+// observed) either way.
 //
 //lint:hotpath
-func (c *PairNullCache) PValue(n1, n2, pooledPositives int, observed float64) (p float64, hit bool) {
-	if c.worlds <= 0 {
+func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, scratch *[]float64) (p float64, filled bool) {
+	if s.worlds <= 0 {
 		return 1, false
 	}
 	if n1 > n2 {
 		n1, n2 = n2, n1
 	}
 	key := pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
-	e, hit := c.lookupOrInsert(key)
-	e.once.Do(func() { e.sorted = c.simulate(key) }) //lint:hotpathalloc-ok one simulation per key residency, amortized over all hits
-	e.lastUsed.Store(c.tick.Add(1))
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+	sh := &s.shards[nullKeyHash(key)&(nullStoreShards-1)]
+	sh.mu.RLock()
+	e := sh.entries[key]
+	sh.mu.RUnlock()
+	if e == nil {
+		if e = s.insert(sh, key); e == nil {
+			if cap(*scratch) < s.worlds {
+				*scratch = make([]float64, s.worlds) //lint:hotpathalloc-ok grows the caller's scratch once, reused by every later overflow fill
+			}
+			buf := (*scratch)[:s.worlds]
+			FillPairNull(buf, s.seed, n1, n2, pooledPositives)
+			return exceedanceP(buf, observed), true
+		}
 	}
-	idx := sort.SearchFloat64s(e.sorted, observed) // first index with value >= observed
-	geq := len(e.sorted) - idx
-	return float64(1+geq) / float64(len(e.sorted)+1), hit
+	e.once.Do(func() { //lint:hotpathalloc-ok one simulation per stored key, amortized over all later lookups
+		e.sorted = make([]float64, s.worlds)
+		FillPairNull(e.sorted, s.seed, n1, n2, pooledPositives)
+		filled = true
+	})
+	return exceedanceP(e.sorted, observed), filled
 }
 
-// lookupOrInsert finds the entry for key, inserting an empty one (and
-// possibly evicting its shard's least-recently-used entry) when absent.
-// Exactly one caller per key residency observes hit == false.
-func (c *PairNullCache) lookupOrInsert(key pairNullKey) (e *nullCacheEntry, hit bool) { //lint:hotpathalloc-ok insert/evict is once per key residency, amortized
-	sh := &c.shards[nullKeyHash(key)&(nullCacheShards-1)]
-	sh.mu.RLock()
-	e = sh.entries[key]
-	sh.mu.RUnlock()
-	if e != nil {
-		return e, true
-	}
+// insert adds an empty entry for key unless another goroutine already did,
+// returning nil when the store is full.
+func (s *NullStore) insert(sh *nullStoreShard, key pairNullKey) *nullEntry { //lint:hotpathalloc-ok once per stored key, amortized
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e = sh.entries[key]; e != nil {
-		return e, true // another goroutine inserted between the locks
+	if e := sh.entries[key]; e != nil {
+		return e
 	}
-	if len(sh.keys) >= c.perShard {
-		victim := 0
-		oldest := sh.entries[sh.keys[0]].lastUsed.Load()
-		for i := 1; i < len(sh.keys); i++ {
-			if used := sh.entries[sh.keys[i]].lastUsed.Load(); used < oldest {
-				victim, oldest = i, used
-			}
-		}
-		delete(sh.entries, sh.keys[victim])
-		sh.keys[victim] = sh.keys[len(sh.keys)-1]
-		sh.keys = sh.keys[:len(sh.keys)-1]
-		c.evictions.Add(1)
+	if s.stored.Add(1) > nullStoreMax {
+		s.stored.Add(-1)
+		return nil
 	}
-	e = &nullCacheEntry{}
+	e := &nullEntry{}
 	sh.entries[key] = e
-	sh.keys = append(sh.keys, key)
-	return e, false
+	return e
 }
 
-// simulate draws the key's null sample with a generator seeded from
-// (cache seed, key) alone and sorts it ascending for binary search.
-func (c *PairNullCache) simulate(key pairNullKey) []float64 {
-	out := make([]float64, c.worlds)
-	FillPairNull(out, c.seed, key.n1, key.n2, key.pooledPositives)
-	return out
+// exceedanceP is the add-one estimator over an ascending null sample.
+func exceedanceP(sorted []float64, observed float64) float64 {
+	idx := sort.SearchFloat64s(sorted, observed) // first index with value >= observed
+	return float64(1+len(sorted)-idx) / float64(len(sorted)+1)
 }
 
 // FillPairNull fills dst with the sorted null sample of the pairwise LRT
-// statistic for the key (n1, n2, pooledPositives) under cache seed — one
+// statistic for the key (n1, n2, pooledPositives) under store seed — one
 // world per element of dst, drawn in a single batched pass and sorted
-// ascending. It is the allocation-free core of PairNullCache.simulate: a
-// cache constructed with this seed and worlds == len(dst) holds exactly this
-// sample for the key, so pre-warm passes can fill reusable buffers and p-value
-// consumers stay bit-identical whether the entry was simulated inline,
-// pre-warmed, or re-simulated after eviction. The key is normalized
-// (n1 <= n2) exactly as the cache normalizes it.
+// ascending. It is the allocation-free core of NullStore: a store
+// constructed with this seed and worlds == len(dst) answers every lookup of
+// the key from exactly this sample, whether it keeps the sample or fills a
+// caller's scratch buffer past its bound. The key is normalized (n1 <= n2)
+// exactly as the store normalizes it.
 func FillPairNull(dst []float64, seed uint64, n1, n2, pooledPositives int) {
 	if len(dst) == 0 {
 		return
@@ -252,148 +218,12 @@ func fillPairNullTabled(dst []float64, rng *RNG, n1, n2 int, pooledRate float64)
 	}
 }
 
-// Prewarm materializes the entry for (n1, n2, pooledPositives) without
-// recording a hit or a miss, returning true when this call simulated a fresh
-// entry and false when the entry already existed. The pre-warm pass runs
-// before the pair sweep, so sweep-side hit/miss counters keep describing
-// sweep traffic; entries created here are byte-identical to entries the sweep
-// would have created (simulation streams depend only on seed and key).
-func (c *PairNullCache) Prewarm(n1, n2, pooledPositives int) (filled bool) {
-	if c.worlds <= 0 {
-		return false
-	}
-	if n1 > n2 {
-		n1, n2 = n2, n1
-	}
-	key := pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
-	e, hit := c.lookupOrInsert(key)
-	e.once.Do(func() { e.sorted = c.simulate(key) })
-	e.lastUsed.Store(c.tick.Add(1))
-	return !hit
-}
-
-// Capacity returns the maximum number of entries the cache retains before
-// evicting (the configured bound rounded up to a multiple of the shard
-// count). Pre-warm passes stop filling at this bound: past it, fills would
-// only evict each other.
-func (c *PairNullCache) Capacity() int {
-	return c.perShard * nullCacheShards
-}
-
-// FrozenNullCache is a read-only flat snapshot of a PairNullCache: every
-// resident entry's key and sorted null sample, laid out for binary search.
-// Lookups take no locks and touch no shared mutable state — no recency tick,
-// no hit/miss atomics — so a full worker fan-out reads it contention-free.
-// The audit engine freezes the cache after the pre-warm barrier (when every
-// signature the sweep can request is already resident) and serves sweep
-// lookups from the snapshot; keys absent from it (capacity cutoff, or keys
-// born after the freeze under delta updates) fall back to the live cache,
-// which answers bit-identically because entries are key-seeded.
-type FrozenNullCache struct {
-	keys    []pairNullKey // ascending by (n1, n2, pooledPositives)
-	samples [][]float64   // samples[i] is keys[i]'s ascending null sample
-}
-
-// Freeze snapshots the cache's current entries into a FrozenNullCache. The
-// caller must ensure no fill is in flight (the audit engine freezes after the
-// pre-warm phase's barrier); concurrent lookups on the live cache remain
-// safe during and after the freeze, and the live cache is unaffected — the
-// snapshot shares the immutable sorted samples, so later evictions cost
-// memory (the snapshot keeps its reference) but never correctness. A nil or
-// disabled cache freezes to nil, which every FrozenNullCache method treats
-// as an always-miss.
-func (c *PairNullCache) Freeze() *FrozenNullCache {
-	if c == nil || c.worlds <= 0 {
-		return nil
-	}
-	f := &FrozenNullCache{}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for _, key := range sh.keys {
-			e := sh.entries[key]
-			// Entries are filled by their inserter immediately after insertion;
-			// the Do is a barrier-free safety net that also publishes e.sorted
-			// to this goroutine.
-			e.once.Do(func() { e.sorted = c.simulate(key) })
-			f.keys = append(f.keys, key)
-			f.samples = append(f.samples, e.sorted)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Sort(frozenByKey{f})
-	return f
-}
-
-// frozenByKey sorts the snapshot's parallel slices by normalized key so
-// lookups can binary-search.
-type frozenByKey struct{ f *FrozenNullCache }
-
-func (s frozenByKey) Len() int { return len(s.f.keys) }
-func (s frozenByKey) Less(i, j int) bool {
-	a, b := s.f.keys[i], s.f.keys[j]
-	if a.n1 != b.n1 {
-		return a.n1 < b.n1
-	}
-	if a.n2 != b.n2 {
-		return a.n2 < b.n2
-	}
-	return a.pooledPositives < b.pooledPositives
-}
-func (s frozenByKey) Swap(i, j int) {
-	s.f.keys[i], s.f.keys[j] = s.f.keys[j], s.f.keys[i]
-	s.f.samples[i], s.f.samples[j] = s.f.samples[j], s.f.samples[i]
-}
-
-// Len returns the number of frozen entries.
-func (f *FrozenNullCache) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.keys)
-}
-
-// PValue answers the same add-one Monte-Carlo estimate PairNullCache.PValue
-// computes for a resident key — the identical sorted sample through the
-// identical arithmetic, so the two paths cannot drift — and ok=false when the
-// key is not in the snapshot (the caller falls back to the live cache). It
-// performs no writes of any kind: safe for any number of concurrent readers,
-// zero allocations, zero atomics.
-//
-//lint:hotpath
-func (f *FrozenNullCache) PValue(n1, n2, pooledPositives int, observed float64) (p float64, ok bool) {
-	if f == nil {
-		return 0, false
-	}
-	if n1 > n2 {
-		n1, n2 = n2, n1
-	}
-	key := pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
-	lo, hi := 0, len(f.keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		k := f.keys[mid]
-		if k.n1 < key.n1 || (k.n1 == key.n1 && (k.n2 < key.n2 || (k.n2 == key.n2 && k.pooledPositives < key.pooledPositives))) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(f.keys) || f.keys[lo] != key {
-		return 0, false
-	}
-	sorted := f.samples[lo]
-	idx := sort.SearchFloat64s(sorted, observed) // first index with value >= observed
-	geq := len(sorted) - idx
-	return float64(1+geq) / float64(len(sorted)+1), true
-}
-
-// NullCacheReferenceP computes, with no cache at all, the p-value a
-// PairNullCache constructed with the same seed and worlds returns for the
-// key (n1, n2, pooledPositives) at the observed statistic. It re-derives the
+// NullCacheReferenceP computes, with no store at all, the p-value a
+// NullStore constructed with the same seed and worlds returns for the key
+// (n1, n2, pooledPositives) at the observed statistic. It re-derives the
 // key-seeded stream and counts exceedances directly, so it is the oracle the
-// verification harness fuzzes PairNullCache against: cached, evicted, and
-// re-simulated lookups must all be bit-identical to this uncached reference.
+// verification harness fuzzes NullStore against: stored and past-bound
+// lookups must both be bit-identical to this reference.
 func NullCacheReferenceP(seed uint64, worlds, n1, n2, pooledPositives int, observed float64) float64 {
 	if worlds <= 0 {
 		return 1
@@ -407,10 +237,8 @@ func NullCacheReferenceP(seed uint64, worlds, n1, n2, pooledPositives int, obser
 	return PairMonteCarloP(rng, observed, worlds, key.n1, key.n2, pooledRate)
 }
 
-// nullCacheSeed derives an entry's RNG seed from the cache seed and the
-// normalized key — an FNV-style mix over the three key integers, salted
-// differently from the audit engine's per-pair seed derivation so the cached
-// and per-pair streams never alias.
+// nullCacheSeed derives a sample's RNG seed from the store seed and the
+// normalized key — an FNV-style mix over the three key integers.
 func nullCacheSeed(seed uint64, key pairNullKey) uint64 {
 	h := seed ^ 0x9E2AC4F1D7
 	h = h*0x100000001b3 ^ uint64(key.n1)

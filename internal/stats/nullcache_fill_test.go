@@ -6,11 +6,12 @@ import (
 )
 
 // TestFillPairNullMatchesCacheEntry asserts a batched fill reproduces, byte
-// for byte, the p-values a cache produces for the same (seed, worlds, key) —
+// for byte, the p-values a store produces for the same (seed, worlds, key) —
 // and that both agree with the uncached reference oracle.
 func TestFillPairNullMatchesCacheEntry(t *testing.T) {
 	const seed, worlds = 0xF111ED, 257
-	cache := NewPairNullCache(seed, worlds, 64)
+	store := NewNullStore(seed, worlds)
+	var scratch []float64
 	buf := make([]float64, worlds)
 	cases := []struct{ n1, n2, pos int }{
 		{120, 340, 55}, {340, 120, 55}, {1, 1, 0}, {200, 200, 400}, {77, 1000, 300},
@@ -23,68 +24,24 @@ func TestFillPairNullMatchesCacheEntry(t *testing.T) {
 		for _, observed := range []float64{0, 0.5, 2, 10, buf[0], buf[worlds-1], buf[worlds/2]} {
 			idx := sort.SearchFloat64s(buf, observed)
 			want := float64(1+worlds-idx) / float64(worlds+1)
-			got, _ := cache.PValue(c.n1, c.n2, c.pos, observed)
+			got, _ := store.PValue(c.n1, c.n2, c.pos, observed, &scratch)
 			if got != want {
-				t.Fatalf("key (%d,%d,%d) obs %v: cache p=%v, FillPairNull p=%v", c.n1, c.n2, c.pos, observed, got, want)
+				t.Fatalf("key (%d,%d,%d) obs %v: store p=%v, FillPairNull p=%v", c.n1, c.n2, c.pos, observed, got, want)
 			}
 			if ref := NullCacheReferenceP(seed, worlds, c.n1, c.n2, c.pos, observed); got != ref {
-				t.Fatalf("key (%d,%d,%d) obs %v: cache p=%v, reference p=%v", c.n1, c.n2, c.pos, observed, got, ref)
+				t.Fatalf("key (%d,%d,%d) obs %v: store p=%v, reference p=%v", c.n1, c.n2, c.pos, observed, got, ref)
 			}
 		}
 	}
 }
 
 // TestFillPairNullZeroAlloc pins the batched fill path at zero allocations:
-// the whole point of the pre-warm buffer design is that steady-state fills
-// reuse caller memory.
+// past the store's bound, fills reuse the caller's scratch memory.
 func TestFillPairNullZeroAlloc(t *testing.T) {
 	buf := make([]float64, 999)
 	if n := testing.AllocsPerRun(20, func() {
 		FillPairNull(buf, 0xA110C, 150, 220, 91)
 	}); n != 0 {
 		t.Fatalf("FillPairNull allocates %.1f per run, want 0", n)
-	}
-}
-
-// TestPrewarmIsHitMissNeutral verifies Prewarm materializes entries without
-// touching the sweep-facing hit/miss counters, that subsequent PValue calls
-// on prewarmed keys are hits with unchanged values, and that Capacity
-// reflects the rounded-up entry bound.
-func TestPrewarmIsHitMissNeutral(t *testing.T) {
-	const seed, worlds = 0xBEE5, 99
-	warm := NewPairNullCache(seed, worlds, 64)
-	cold := NewPairNullCache(seed, worlds, 64)
-
-	if !warm.Prewarm(80, 120, 40) {
-		t.Fatal("first Prewarm of a key should fill")
-	}
-	if warm.Prewarm(120, 80, 40) {
-		t.Fatal("Prewarm of a normalized-duplicate key should not refill")
-	}
-	if h, m, e := warm.Stats(); h != 0 || m != 0 || e != 0 {
-		t.Fatalf("Prewarm moved stats: hits=%d misses=%d evictions=%d", h, m, e)
-	}
-
-	pw, hit := warm.PValue(80, 120, 40, 1.25)
-	if !hit {
-		t.Fatal("PValue after Prewarm should hit")
-	}
-	pc, hit := cold.PValue(80, 120, 40, 1.25)
-	if hit {
-		t.Fatal("cold PValue should miss")
-	}
-	if pw != pc {
-		t.Fatalf("prewarmed p=%v differs from cold p=%v", pw, pc)
-	}
-
-	if got := warm.Capacity(); got != 64 {
-		t.Fatalf("Capacity()=%d, want 64", got)
-	}
-	small := NewPairNullCache(seed, worlds, 3)
-	if got := small.Capacity(); got != nullCacheShards {
-		t.Fatalf("small cache Capacity()=%d, want %d", got, nullCacheShards)
-	}
-	if zero := NewPairNullCache(seed, 0, 8); zero.Prewarm(10, 10, 5) {
-		t.Fatal("zero-worlds cache must not claim to fill")
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// TestPairNullCachePValueMatchesEstimator asserts the cache's binary-search
+// TestPairNullCachePValueMatchesEstimator asserts the store's binary-search
 // p-value is exactly MonteCarloP's add-one estimator over the same key-seeded
-// stream: the cache changes where the null sample lives, not what it is.
+// stream: the store changes where the null sample lives, not what it is.
 func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 	const seed, worlds = 42, 499
-	c := NewPairNullCache(seed, worlds, 64)
+	s := NewNullStore(seed, worlds)
+	var scratch []float64
 	for _, tc := range []struct {
 		n1, n2, pooled int
 		observed       float64
@@ -23,7 +24,7 @@ func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 		{500, 120, 77, 1.3}, // normalized to the previous key
 		{50, 50, 5, 0.0},
 	} {
-		got, _ := c.PValue(tc.n1, tc.n2, tc.pooled, tc.observed)
+		got, _ := s.PValue(tc.n1, tc.n2, tc.pooled, tc.observed, &scratch)
 		n1, n2 := tc.n1, tc.n2
 		if n1 > n2 {
 			n1, n2 = n2, n1
@@ -38,10 +39,10 @@ func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 	}
 }
 
-// TestPairNullCacheDeterministicConcurrent hammers one cache from many
-// goroutines and asserts every answer matches a serial reference cache: entry
-// values must not depend on which goroutine simulates them or on arrival
-// order.
+// TestPairNullCacheDeterministicConcurrent hammers one store from many
+// goroutines and asserts every answer matches a serial reference store, and
+// that each key is filled exactly once: sample values must not depend on
+// which goroutine simulates them or on arrival order.
 func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 	const seed, worlds = 7, 199
 	keys := []struct{ n1, n2, pooled int }{
@@ -50,28 +51,37 @@ func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 	}
 	taus := []float64{0.1, 0.7, 1.5, 3.0, 6.0}
 
-	ref := NewPairNullCache(seed, worlds, 64)
+	ref := NewNullStore(seed, worlds)
+	var scratch []float64
 	want := map[[4]float64]float64{}
 	for _, k := range keys {
 		for _, tau := range taus {
-			p, _ := ref.PValue(k.n1, k.n2, k.pooled, tau)
+			p, _ := ref.PValue(k.n1, k.n2, k.pooled, tau, &scratch)
 			want[[4]float64{float64(k.n1), float64(k.n2), float64(k.pooled), tau}] = p
 		}
 	}
 
-	c := NewPairNullCache(seed, worlds, 64)
+	s := NewNullStore(seed, worlds)
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	fills := 0
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var scratch []float64
 			// Each goroutine walks the keys from a different starting offset,
 			// so insertion races cover every key.
 			for i := range keys {
 				k := keys[(i+g)%len(keys)]
 				for _, tau := range taus {
-					p, _ := c.PValue(k.n1, k.n2, k.pooled, tau)
+					p, filled := s.PValue(k.n1, k.n2, k.pooled, tau, &scratch)
+					if filled {
+						mu.Lock()
+						fills++
+						mu.Unlock()
+					}
 					if p != want[[4]float64{float64(k.n1), float64(k.n2), float64(k.pooled), tau}] {
 						errs <- "concurrent p-value diverged from serial reference"
 					}
@@ -84,50 +94,63 @@ func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
+	if fills != len(keys) {
+		t.Errorf("%d fills for %d keys, want exactly one per key", fills, len(keys))
+	}
 }
 
-// TestPairNullCacheStatsAccounting checks the hit/miss contract — exactly one
-// miss per key residency — and that eviction under a tiny capacity both
-// counts and re-simulates evicted entries to identical values.
+// TestPairNullCacheStatsAccounting checks the fill contract: one fill per
+// stored key, none on later lookups, and past the store's bound a fill on
+// every lookup of an unkept key — into the caller's scratch, with the value
+// the reference computes — while kept keys still answer without a fill.
 func TestPairNullCacheStatsAccounting(t *testing.T) {
-	c := NewPairNullCache(3, 99, 16) // 16 entries -> one per shard
-	if p1, hit := c.PValue(300, 300, 150, 1.0); hit {
-		t.Error("first lookup reported a hit")
-	} else if p2, hit2 := c.PValue(300, 300, 150, 1.0); !hit2 || p2 != p1 {
-		t.Errorf("second lookup: hit=%v p=%v, want hit with p=%v", hit2, p2, p1)
+	const seed, worlds = 3, 99
+	s := NewNullStore(seed, worlds)
+	var scratch []float64
+	p1, filled := s.PValue(300, 300, 150, 1.0, &scratch)
+	if !filled {
+		t.Error("first lookup did not fill")
 	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats after two lookups = (%d hits, %d misses), want (1, 1)", hits, misses)
+	if p2, again := s.PValue(300, 300, 150, 1.0, &scratch); again || p2 != p1 {
+		t.Errorf("second lookup: filled=%v p=%v, want no fill with p=%v", again, p2, p1)
+	}
+	if scratch != nil {
+		t.Error("a stored fill used the caller's scratch")
 	}
 
-	// Flood with distinct keys: with one slot per shard, collisions must
-	// evict. Record each key's p-value on first contact, then replay — every
-	// re-simulated entry must reproduce the original exactly.
-	first := map[int]float64{}
-	for k := 0; k < 64; k++ {
-		p, _ := c.PValue(200+k, 300, 100+k, 2.0)
-		first[k] = p
+	// Fill the store to its bound with cheap keys (n1 = 0 draws nothing).
+	for k := 1; s.stored.Load() < nullStoreMax; k++ {
+		s.PValue(0, k, 0, 0, &scratch)
 	}
-	_, _, evictions := c.Stats()
-	if evictions == 0 {
-		t.Fatal("64 keys through 16 slots caused no evictions")
-	}
-	for k := 0; k < 64; k++ {
-		if p, _ := c.PValue(200+k, 300, 100+k, 2.0); p != first[k] {
-			t.Errorf("key %d: p after eviction churn = %v, want original %v", k, p, first[k])
+	for k := 0; k < 3; k++ {
+		want := NullCacheReferenceP(seed, worlds, 200+k, 300, 100+k, 2.0)
+		for rep := 0; rep < 2; rep++ {
+			p, filled := s.PValue(200+k, 300, 100+k, 2.0, &scratch)
+			if !filled || p != want {
+				t.Errorf("past-bound key %d lookup %d: (p=%v, filled=%v), want (%v, true)", k, rep, p, filled, want)
+			}
 		}
 	}
+	if len(scratch) != worlds {
+		t.Errorf("past-bound fills left a %d-long scratch, want %d", len(scratch), worlds)
+	}
+	if got := s.stored.Load(); got != nullStoreMax {
+		t.Errorf("store keeps %d samples past its bound of %d", got, nullStoreMax)
+	}
+	if p, filled := s.PValue(300, 300, 150, 1.0, &scratch); filled || p != p1 {
+		t.Errorf("stored key after the bound: (p=%v, filled=%v), want (%v, false)", p, filled, p1)
+	}
 }
 
-// TestPairNullCacheSeedLiveness asserts the cache seed actually reaches the
+// TestPairNullCacheSeedLiveness asserts the store seed actually reaches the
 // simulation streams: across several seeds, some mid-distribution p-value
 // must differ (an extreme tau would pin p at 1/(m+1) under every seed and
 // prove nothing).
 func TestPairNullCacheSeedLiveness(t *testing.T) {
 	var ps []float64
+	var scratch []float64
 	for seed := uint64(1); seed <= 4; seed++ {
-		c := NewPairNullCache(seed, 199, 16)
-		p, _ := c.PValue(300, 300, 180, 1.0) // tau = 1: well inside the null bulk
+		p, _ := NewNullStore(seed, 199).PValue(300, 300, 180, 1.0, &scratch) // tau = 1: well inside the null bulk
 		ps = append(ps, p)
 	}
 	for _, p := range ps[1:] {
@@ -135,15 +158,15 @@ func TestPairNullCacheSeedLiveness(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("p-values identical across seeds %v; cache seeding looks dead", ps)
+	t.Fatalf("p-values identical across seeds %v; store seeding looks dead", ps)
 }
 
-// TestPairNullCacheDisabledWorlds pins the degenerate contract: a cache built
-// with zero worlds answers p = 1, never a hit.
+// TestPairNullCacheDisabledWorlds pins the degenerate contract: a store built
+// with zero worlds answers p = 1 and never fills.
 func TestPairNullCacheDisabledWorlds(t *testing.T) {
-	c := NewPairNullCache(1, 0, 16)
-	if p, hit := c.PValue(10, 10, 5, 3.0); p != 1 || hit {
-		t.Errorf("zero-world cache answered (%v, %v), want (1, false)", p, hit)
+	var scratch []float64
+	if p, filled := NewNullStore(1, 0).PValue(10, 10, 5, 3.0, &scratch); p != 1 || filled {
+		t.Errorf("zero-world store answered (%v, %v), want (1, false)", p, filled)
 	}
 }
 

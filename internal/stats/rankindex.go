@@ -318,7 +318,7 @@ func CrossCountNoTies(a, b *RankedSample) int {
 // bucket) element pairs — a few buckets' worth on a healthy grid — and the
 // pass streams only the partner's bucket ids (4 bytes/element against the
 // exact kernel's 12), so a caller that can decide its predicate from the
-// interval (see MannWhitneyCrossGate.DecideRange) skips the exact kernel and
+// interval (see TwoSidedPGEGate.DecideRange) skips the exact kernel and
 // most of its memory traffic. Valid for any samples on a shared grid, ties or
 // not (the interval brackets the no-ties cross count the exact kernels
 // compute).

@@ -84,41 +84,59 @@ func FuzzWelchTFromMoments(f *testing.F) {
 	})
 }
 
-// FuzzPairNullCache drives one cache through interleaved lookups over a
-// cluster of related keys — twice, with a capacity small enough to force
-// evictions — and checks every returned p-value against the uncached
-// reference. Hits, misses, evicted-and-resimulated entries: all must be
-// bit-identical to replaying the key-seeded stream from scratch.
+// FuzzPairNullCache drives one null store through lookups over a cluster of
+// related keys, fills the store to its bound, then repeats the lookups
+// alongside a shifted cluster, and checks every returned p-value against the
+// uncached reference. First fills, stored hits, and past-bound fills into
+// the caller's scratch must all be bit-identical to replaying the
+// key-seeded stream from scratch.
 func FuzzPairNullCache(f *testing.F) {
 	f.Add(uint64(1), 33, 40, 25, 12, 1.5, 8)
 	f.Add(uint64(99), 7, 3, 3, 6, 0.0, 0)
 	f.Add(uint64(2), 50, 120, 80, 55, -2.25, 40)
-	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed float64, entries int) {
+	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed float64, shift int) {
 		worlds = 1 + absRem(worlds, 64)
 		n1 = 1 + absRem(n1, 200)
 		n2 = 1 + absRem(n2, 200)
 		pooled = absRem(pooled, n1+n2+1)
-		entries = absRem(entries, 64)
+		shift = absRem(shift, 64)
 		if math.IsNaN(observed) {
-			// The cache counts exceedances by binary search, the reference by
+			// The store counts exceedances by binary search, the reference by
 			// streaming >= comparison; NaN is unordered under both but lands
 			// on opposite sides, and no audit statistic is NaN.
 			observed = 0
 		}
-		c := stats.NewPairNullCache(seed, worlds, entries)
-		for round := 0; round < 2; round++ {
-			for k := 0; k < 24; k++ {
-				kn1 := 1 + (n1+k)%200
-				kn2 := 1 + (n2+7*k)%200
-				kp := (pooled + k) % (kn1 + kn2 + 1)
-				obs := observed + float64(k)*0.125
-				got, _ := c.PValue(kn1, kn2, kp, obs)
-				want := stats.NullCacheReferenceP(seed, worlds, kn1, kn2, kp, obs)
-				if got != want {
-					t.Fatalf("round %d key (%d,%d,%d) obs %v: cache p = %v, uncached reference = %v",
-						round, kn1, kn2, kp, obs, got, want)
-				}
+		s := stats.NewNullStore(seed, worlds)
+		var scratch []float64
+		check := func(round, k int) {
+			kn1 := 1 + (n1+k)%200
+			kn2 := 1 + (n2+7*k)%200
+			kp := (pooled + k) % (kn1 + kn2 + 1)
+			obs := observed + float64(k)*0.125
+			got, _ := s.PValue(kn1, kn2, kp, obs, &scratch)
+			want := stats.NullCacheReferenceP(seed, worlds, kn1, kn2, kp, obs)
+			if got != want {
+				t.Fatalf("round %d key (%d,%d,%d) obs %v: store p = %v, uncached reference = %v",
+					round, kn1, kn2, kp, obs, got, want)
 			}
+		}
+		for k := 0; k < 24; k++ {
+			check(0, k)
+		}
+		// Fill the store to its bound with keys that draw nothing (n1 = 0):
+		// the bound is reached when a fresh key is filled on a repeat lookup.
+		for k := 1 << 20; ; k++ {
+			s.PValue(0, k, 0, 0, &scratch)
+			if _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
+				break
+			}
+			if k > 1<<20+1<<16 {
+				t.Fatal("null store never reached its bound")
+			}
+		}
+		for k := 0; k < 24; k++ {
+			check(1, k)       // stored before the bound: a hit
+			check(1, k+shift) // shifted: past the bound unless it overlaps
 		}
 	})
 }

@@ -56,8 +56,6 @@ type goldenFunnel struct {
 	MCWorlds         int64
 	Flagged          int64
 	NullCacheMisses  int64
-	PrewarmKeys      int64
-	PrewarmWorlds    int64
 	IndexPairsTotal  int64
 	WindowCandidates int64
 	BoundsRejections int64
@@ -83,8 +81,6 @@ func collectFunnel(s obs.Snapshot) goldenFunnel {
 		MCWorlds:         s.Counter(obs.MAuditMCWorlds),
 		Flagged:          s.Counter(obs.MAuditFlagged),
 		NullCacheMisses:  s.Counter(obs.MMCNullCacheMisses),
-		PrewarmKeys:      s.Counter(obs.MMCNullPrewarmKeys),
-		PrewarmWorlds:    s.Counter(obs.MMCNullPrewarmWorlds),
 		IndexPairsTotal:  s.Counter(obs.MAuditIndexPairsTotal),
 		WindowCandidates: s.Counter(obs.MAuditIndexWindowCandidates),
 		BoundsRejections: s.Counter(obs.MAuditIndexBoundsRejections),

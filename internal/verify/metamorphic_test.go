@@ -9,14 +9,13 @@ import (
 )
 
 // engineCase is one point in the engine-configuration matrix the metamorphic
-// oracles sweep: worker count × candidate plan × null cache. The paper's
-// robustness claim is about the audit's *answer*, so the answer must not
-// depend on any of these execution choices.
+// oracles sweep: worker count × candidate plan. The paper's robustness claim
+// is about the audit's *answer*, so the answer must not depend on any of
+// these execution choices.
 type engineCase struct {
 	name    string
 	workers int
 	gen     core.CandidateGen
-	cache   int
 }
 
 func engineCases() []engineCase {
@@ -26,17 +25,11 @@ func engineCases() []engineCase {
 			name string
 			gen  core.CandidateGen
 		}{{"dense", core.CandidateDense}, {"indexed", core.CandidateIndexed}} {
-			for _, c := range []struct {
-				name string
-				size int
-			}{{"cache", 4096}, {"nocache", 0}} {
-				out = append(out, engineCase{
-					name:    fmt.Sprintf("w%d-%s-%s", w, g.name, c.name),
-					workers: w,
-					gen:     g.gen,
-					cache:   c.size,
-				})
-			}
+			out = append(out, engineCase{
+				name:    fmt.Sprintf("w%d-%s-cache", w, g.name),
+				workers: w,
+				gen:     g.gen,
+			})
 		}
 	}
 	return out
@@ -46,13 +39,11 @@ func engineCases() []engineCase {
 // paper defaults with a reduced Monte-Carlo budget (the oracles run dozens of
 // audits) and a region floor matched to the scenario's density.
 //
-// Two settings are deliberately tuned so that exact set-invariance is
-// assertable at all. The null cache and the per-pair streams are both valid
-// Monte-Carlo estimators of the same null but draw different streams (the
-// cache keys its stream by count signature, the per-pair path by region
-// identity — and relabeling changes region identity), so a candidate whose
-// true p-value sits near Alpha could legitimately flip between configs.
-// The oracle config removes that fuzziness instead of tolerating it:
+// Two settings are deliberately tuned so that exact set-invariance does not
+// hinge on Monte-Carlo noise at the threshold: a candidate whose true
+// p-value sits near Alpha could legitimately flip under any change to the
+// null sample it is scored against. The oracle config removes that
+// fuzziness instead of tolerating it:
 //
 //   - PrescreenTau 28 routes every candidate with tau <= 28 to the exact
 //     asymptotic chi-square(1) p-value — deterministic, identical under every
@@ -60,7 +51,7 @@ func engineCases() []engineCase {
 //   - Alpha = 1/(MCWorlds+1) means a simulated pair (tau > 28, asymptotic
 //     p < 1.3e-7) is flagged iff zero null draws reach tau. A null draw
 //     reaching 28 has probability ~1.2e-7 per world, so the Monte-Carlo
-//     decision agrees across streams except with vanishing probability —
+//     decision agrees across null samples except with vanishing probability —
 //     and the fixed seeds below are verified to sit in the agreeing bulk.
 //
 // A regression that perturbs any gate, aggregate, or p-value path still
@@ -75,7 +66,6 @@ func metamorphicConfig(ec engineCase) core.Config {
 	cfg.Seed = 7
 	cfg.Workers = ec.workers
 	cfg.CandidateGen = ec.gen
-	cfg.MCNullCacheSize = ec.cache
 	return cfg
 }
 

@@ -5,8 +5,8 @@
 //
 //   - Differential fuzzing (fuzz_test.go): the stats kernels behind the
 //     audit's hot paths — the sorted-merge Mann–Whitney and
-//     Kolmogorov–Smirnov kernels, moment-based Welch, the shared Monte-Carlo
-//     null cache, the normal CDF/quantile pair, and Benjamini–Hochberg — are
+//     Kolmogorov–Smirnov kernels, moment-based Welch, the Monte-Carlo null
+//     store, the normal CDF/quantile pair, and Benjamini–Hochberg — are
 //     fuzzed against naive reference implementations that share none of
 //     their optimizations. Seed corpora live under testdata/fuzz; `make
 //     fuzz-smoke` gives every target a bounded budget in CI.
@@ -18,7 +18,7 @@
 //     shuffles, split-and-remerge label compositions, within-cell coordinate
 //     jitter, protected-group complement — and the flagged pair set (modulo
 //     relabeling) must be invariant, across worker counts, dense/indexed
-//     candidate plans, and null cache on/off.
+//     and candidate plans.
 //
 //   - Golden end-to-end audits (golden_test.go): canonical scenarios whose
 //     full audit report — flagged pairs, p-values, schedule-independent
