@@ -953,8 +953,8 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // attribution of doubly-failing pairs moves between buckets.
 //
 // This is the audit's steady-state kernel and it must not heap-allocate:
-// p-values are binary searches over stored null samples (or fills into the
-// worker's Scratch past the store's bound), and prepared metrics score
+// p-values are counts or binary searches over stored null samples (or fills
+// into the worker's Scratch past the store's bound), and prepared metrics score
 // against caches built in the precompute phase. TestAuditPairKernelZeroAlloc
 // pins the property.
 //
@@ -1002,8 +1002,9 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch) (UnfairP
 // shared by auditPair and fastAuditPair so the two kernels cannot drift.
 // Candidates at or below PrescreenTau take the asymptotic p-value; every
 // other candidate is answered from the null store, which keeps one
-// key-seeded sorted sample per count signature; a lookup is tallied as a
-// fill (the simulation effort actually spent) or a hit.
+// key-seeded sample per count signature (counted on its first lookup,
+// sorted for binary search on its second); a lookup is tallied as a fill
+// (the simulation effort actually spent) or a hit.
 //
 //lint:hotpath
 func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *Scratch) float64 {

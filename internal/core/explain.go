@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"lcsf/internal/partition"
 )
@@ -51,14 +50,8 @@ func Explain(a, b *partition.Region, bins int) Explanation {
 	}
 
 	// Equal-count bin edges over the pooled incomes.
-	pooled := make([]float64, 0, len(ia)+len(ib))
-	pooled = append(pooled, ia...)
-	pooled = append(pooled, ib...)
-	sort.Float64s(pooled)
 	edges := make([]float64, bins-1)
-	for k := 1; k < bins; k++ {
-		edges[k-1] = pooled[k*len(pooled)/bins]
-	}
+	pooledOrderStats(edges, a.SortedIncomeSample(), b.SortedIncomeSample(), bins)
 	binOf := func(x float64) int {
 		// First edge strictly greater than x.
 		lo, hi := 0, len(edges)
@@ -115,6 +108,39 @@ func Explain(a, b *partition.Region, bins int) Explanation {
 		Residual:        obs - explained,
 		Bins:            bins,
 	}
+}
+
+// pooledOrderStats sets edges[k-1] to the element at index k*n/bins of the
+// pooled sample, n = len(sa)+len(sb), read off a merge of the two ascending
+// samples instead of sorting their concatenation. The merge orders values as
+// sort.Float64s does (NaN first), so each edge is the value a sorted pooled
+// copy holds at that index, up to the ties (±0, NaN payloads) that compare
+// alike in every bin lookup.
+func pooledOrderStats(edges, sa, sb []float64, bins int) {
+	n := len(sa) + len(sb)
+	i, j := 0, 0 // merged so far: sa[:i] and sb[:j]
+	takeA := func() bool {
+		return j == len(sb) || (i < len(sa) && !float64Less(sb[j], sa[i]))
+	}
+	for k := range edges {
+		for target := (k + 1) * n / bins; i+j < target; {
+			if takeA() {
+				i++
+			} else {
+				j++
+			}
+		}
+		if takeA() {
+			edges[k] = sa[i]
+		} else {
+			edges[k] = sb[j]
+		}
+	}
+}
+
+// float64Less is sort.Float64s's order: ascending, NaN before every number.
+func float64Less(x, y float64) bool {
+	return x < y || (math.IsNaN(x) && !math.IsNaN(y))
 }
 
 // ExplainPair decomposes the gap of an UnfairPair within its partitioning,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -160,4 +161,146 @@ func TestExplainedFractionClamps(t *testing.T) {
 	if f := (Explanation{ObservedGap: 0.1, IncomeExplained: -0.05}).ExplainedFraction(); f != 0 {
 		t.Errorf("counter-explained should clamp to 0, got %v", f)
 	}
+}
+
+// explainPooledSort is Explain as it was before the bin edges were merged
+// from the regions' cached sorted samples: it copies and sorts the pooled
+// incomes. TestExplainMatchesPooledSort holds Explain to it.
+func explainPooledSort(a, b *partition.Region, bins int) Explanation {
+	ia, oa := a.IncomeSample(), a.OutcomeSample()
+	ib, ob := b.IncomeSample(), b.OutcomeSample()
+	if len(ia) == 0 || len(ib) == 0 {
+		return Explanation{}
+	}
+	if bins <= 0 {
+		bins = DefaultExplainBins
+	}
+	if max := (len(ia) + len(ib)) / 8; bins > max {
+		bins = max
+	}
+	if bins < 1 {
+		bins = 1
+	}
+	pooled := make([]float64, 0, len(ia)+len(ib))
+	pooled = append(pooled, ia...)
+	pooled = append(pooled, ib...)
+	sort.Float64s(pooled)
+	edges := make([]float64, bins-1)
+	for k := 1; k < bins; k++ {
+		edges[k-1] = pooled[k*len(pooled)/bins]
+	}
+	binOf := func(x float64) int {
+		lo, hi := 0, len(edges)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if edges[mid] <= x {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	binPos := make([]int, bins)
+	binN := make([]int, bins)
+	aShare := make([]float64, bins)
+	bShare := make([]float64, bins)
+	accumulate := func(incomes []float64, outcomes []bool, share []float64) float64 {
+		positives := 0
+		for i, x := range incomes {
+			k := binOf(x)
+			binN[k]++
+			share[k]++
+			if outcomes[i] {
+				binPos[k]++
+				positives++
+			}
+		}
+		for k := range share {
+			share[k] /= float64(len(incomes))
+		}
+		return float64(positives) / float64(len(incomes))
+	}
+	rateA := accumulate(ia, oa, aShare)
+	rateB := accumulate(ib, ob, bShare)
+	var expA, expB float64
+	for k := 0; k < bins; k++ {
+		if binN[k] == 0 {
+			continue
+		}
+		rate := float64(binPos[k]) / float64(binN[k])
+		expA += aShare[k] * rate
+		expB += bShare[k] * rate
+	}
+	obs := rateB - rateA
+	explained := expB - expA
+	return Explanation{ObservedGap: obs, IncomeExplained: explained, Residual: obs - explained, Bins: bins}
+}
+
+// TestExplainMatchesPooledSort asserts the merged bin edges give an
+// Explanation bit-identical to sorting the pooled incomes, and edges the
+// sorted pooled copy holds at the same indexes, across unequal region
+// sizes, heavy ties (±0 included), the bins > pooled/8 clamp, and NaN and
+// infinite incomes.
+func TestExplainMatchesPooledSort(t *testing.T) {
+	incomeOf := map[string]func(rng *stats.RNG) float64{
+		"continuous": func(rng *stats.RNG) float64 { return 50000 + 15000*rng.NormFloat64() },
+		"ties": func(rng *stats.RNG) float64 {
+			return [...]float64{math.Copysign(0, -1), 0, 1, 1, 2, 40000}[rng.Intn(6)]
+		},
+		"nan": func(rng *stats.RNG) float64 {
+			switch rng.Intn(5) {
+			case 0:
+				return math.NaN()
+			case 1:
+				return math.Inf(1)
+			case 2:
+				return math.Inf(-1)
+			}
+			return float64(rng.Intn(4))
+		},
+	}
+	for name, income := range incomeOf {
+		for _, sizes := range [][2]int{{300, 300}, {40, 700}, {9, 15}, {1, 7}, {3, 3}} {
+			rng := stats.NewRNG(uint64(sizes[0]*1000 + sizes[1]))
+			var obs []partition.Observation
+			for region, n := range sizes {
+				for i := 0; i < n; i++ {
+					obs = append(obs, partition.Observation{
+						Loc:      geo.Pt(float64(region)+0.5, 0.5),
+						Positive: rng.Bernoulli(0.4),
+						Income:   income(rng),
+					})
+				}
+			}
+			grid := geo.NewGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(2, 1)), 2, 1)
+			p := partition.ByGrid(grid, obs, partition.Options{Seed: 9, IncomeSampleCap: 2000})
+			a, b := &p.Regions[0], &p.Regions[1]
+			for _, bins := range []int{0, 1, 2, 7, 10, 50, 1000} {
+				got, want := Explain(a, b, bins), explainPooledSort(a, b, bins)
+				if !explanationBitsEqual(got, want) {
+					t.Errorf("%s sizes %v bins %d: merged %+v, pooled sort %+v", name, sizes, bins, got, want)
+				}
+				if got.Bins < 2 {
+					continue
+				}
+				pooled := append(append([]float64(nil), a.IncomeSample()...), b.IncomeSample()...)
+				sort.Float64s(pooled)
+				edges := make([]float64, got.Bins-1)
+				pooledOrderStats(edges, a.SortedIncomeSample(), b.SortedIncomeSample(), got.Bins)
+				for k, e := range edges {
+					w := pooled[(k+1)*len(pooled)/got.Bins]
+					if !(e == w || math.IsNaN(e) && math.IsNaN(w)) {
+						t.Errorf("%s sizes %v bins %d edge %d: merged %v, pooled sort %v", name, sizes, bins, k, e, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+func explanationBitsEqual(x, y Explanation) bool {
+	same := func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }
+	return x.Bins == y.Bins && same(x.ObservedGap, y.ObservedGap) &&
+		same(x.IncomeExplained, y.IncomeExplained) && same(x.Residual, y.Residual)
 }

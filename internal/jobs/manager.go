@@ -249,6 +249,9 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	}
 	m.seq++
 	j.id = fmt.Sprintf("job-%08d", m.seq)
+	// Snapshot before the send: once queued, a dispatcher may start the job
+	// at once, and the caller must see it as submitted (queued).
+	snap := m.snapshot(j)
 	select {
 	case m.queue <- j:
 	default:
@@ -271,7 +274,7 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 		"tenant": j.tenant,
 		"shards": j.shards,
 	})
-	return m.snapshot(j), nil
+	return snap, nil
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention limit.

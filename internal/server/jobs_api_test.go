@@ -245,6 +245,44 @@ func TestNonFiniteParamsRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteLARRejected is the regression test for NaN/Inf values in a
+// LAR body: strconv.ParseFloat accepts them, so ingest must refuse them with
+// a 400 naming the row and column, on the synchronous, GeoJSON and async
+// routes alike, and answer promptly instead of auditing.
+func TestNonFiniteLARRejected(t *testing.T) {
+	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 1}, nil)
+	const header = "id,lon,lat,tract,income,minority,action\n"
+	const good = "1,-100,40,0,50000,false,1\n2,-90,35,0,61000,true,3\n"
+	bodies := []struct {
+		name, body, want string
+	}{
+		{"nan income", header + good + "3,-95,38,0,NaN,false,1\n", `row 2 column "income"`},
+		{"plus inf lon", header + good + "3,+Inf,38,0,52000,false,1\n", `row 2 column "lon"`},
+		{"minus inf lat", header + "1,-100,-Inf,0,50000,false,1\n" + good, `row 0 column "lat"`},
+	}
+	for _, route := range []string{"/audit", "/audit/geojson", "/jobs"} {
+		for _, b := range bodies {
+			done := make(chan *httptest.ResponseRecorder, 1)
+			go func() { done <- do(srv, "POST", route, bytes.NewReader([]byte(b.body)), nil) }()
+			var rec *httptest.ResponseRecorder
+			select {
+			case rec = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s %s: no response within 30s", route, b.name)
+			}
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: status = %d, want 400 (%s)", route, b.name, rec.Code, rec.Body.String())
+				continue
+			}
+			var e map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil ||
+				!strings.Contains(e["error"], b.want) || !strings.Contains(e["error"], "non-finite") {
+				t.Errorf("%s %s: error = %q, want it to name %s as non-finite", route, b.name, e["error"], b.want)
+			}
+		}
+	}
+}
+
 // failingWriter errors on every body write, simulating a client that hung up
 // after headers went out.
 type failingWriter struct {

@@ -3,12 +3,25 @@ package stats
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestPairNullCachePValueMatchesEstimator asserts the store's binary-search
-// p-value is exactly MonteCarloP's add-one estimator over the same key-seeded
-// stream: the store changes where the null sample lives, not what it is.
+// nullLookupKeys and nullLookupObserved span the store's lookup paths: keys
+// below and above the old 2048-individual table bound (windows off zero and
+// draws outside them included), and observed values inside the null bulk,
+// in both tails, and at NaN and ±Inf.
+var (
+	nullLookupKeys = []struct{ n1, n2, pos int }{
+		{300, 300, 180}, {500, 120, 77}, {1, 1, 0}, {200, 200, 400},
+		{1500, 1400, 900}, {3000, 5000, 40}, {1 << 20, 1 << 20, 1 << 20},
+	}
+	nullLookupObserved = []float64{0, 0.4, 1.5, 6, 40, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+)
+
+// TestPairNullCachePValueMatchesEstimator asserts the store's p-value is
+// exactly MonteCarloP's add-one estimator over the same key-seeded stream:
+// the store changes where the null sample lives, not what it is.
 func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 	const seed, worlds = 42, 499
 	s := NewNullStore(seed, worlds)
@@ -39,63 +52,50 @@ func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 	}
 }
 
-// TestPairNullCacheDeterministicConcurrent hammers one store from many
-// goroutines and asserts every answer matches a serial reference store, and
-// that each key is filled exactly once: sample values must not depend on
-// which goroutine simulates them or on arrival order.
+// TestPairNullCacheDeterministicConcurrent releases many goroutines at once
+// onto a fresh store, so the first lookup of each key races with its repeats
+// (and its sort with their searches), and asserts every answer is the
+// uncached reference p-value and each key is filled exactly once: sample
+// values must not depend on which goroutine simulates them or on arrival
+// order. Run under -race it also pins the fill-then-sort handoff.
 func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
-	const seed, worlds = 7, 199
-	keys := []struct{ n1, n2, pooled int }{
-		{300, 300, 100}, {300, 300, 200}, {250, 310, 150},
-		{100, 100, 50}, {400, 200, 333}, {80, 90, 60},
-	}
-	taus := []float64{0.1, 0.7, 1.5, 3.0, 6.0}
-
-	ref := NewNullStore(seed, worlds)
-	var scratch []float64
-	want := map[[4]float64]float64{}
-	for _, k := range keys {
-		for _, tau := range taus {
-			p, _ := ref.PValue(k.n1, k.n2, k.pooled, tau, &scratch)
-			want[[4]float64{float64(k.n1), float64(k.n2), float64(k.pooled), tau}] = p
+	const seed, worlds, goroutines = 0xC0F1257, 99, 8
+	want := map[[2]int]float64{}
+	for ki, k := range nullLookupKeys {
+		for oi, obs := range nullLookupObserved {
+			want[[2]int{ki, oi}] = NullCacheReferenceP(seed, worlds, k.n1, k.n2, k.pos, obs)
 		}
 	}
-
 	s := NewNullStore(seed, worlds)
+	start := make(chan struct{})
+	var fills atomic.Int64
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	fills := 0
-	errs := make(chan string, 64)
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			var scratch []float64
-			// Each goroutine walks the keys from a different starting offset,
-			// so insertion races cover every key.
-			for i := range keys {
-				k := keys[(i+g)%len(keys)]
-				for _, tau := range taus {
-					p, filled := s.PValue(k.n1, k.n2, k.pooled, tau, &scratch)
+			<-start
+			for i := range nullLookupKeys {
+				ki := (i + g) % len(nullLookupKeys)
+				k := nullLookupKeys[ki]
+				for j := range nullLookupObserved {
+					oi := (j + g) % len(nullLookupObserved)
+					p, filled := s.PValue(k.n1, k.n2, k.pos, nullLookupObserved[oi], &scratch)
 					if filled {
-						mu.Lock()
-						fills++
-						mu.Unlock()
+						fills.Add(1)
 					}
-					if p != want[[4]float64{float64(k.n1), float64(k.n2), float64(k.pooled), tau}] {
-						errs <- "concurrent p-value diverged from serial reference"
+					if w := want[[2]int{ki, oi}]; p != w {
+						t.Errorf("goroutine %d key %v obs %v: p=%v, want %v", g, k, nullLookupObserved[oi], p, w)
 					}
 				}
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if fills != len(keys) {
-		t.Errorf("%d fills for %d keys, want exactly one per key", fills, len(keys))
+	if got := fills.Load(); got != int64(len(nullLookupKeys)) {
+		t.Errorf("%d fills for %d keys, want exactly one per key", got, len(nullLookupKeys))
 	}
 }
 
@@ -139,6 +139,49 @@ func TestPairNullCacheStatsAccounting(t *testing.T) {
 	}
 	if p, filled := s.PValue(300, 300, 150, 1.0, &scratch); filled || p != p1 {
 		t.Errorf("stored key after the bound: (p=%v, filled=%v), want (%v, false)", p, filled, p1)
+	}
+}
+
+// TestNullStoreLookupPathsMatchReference drives every key through each of
+// the store's answers — the filling lookup's linear count, the repeat
+// lookup's sort-then-search, later searches, and past-bound fills into the
+// caller's scratch — and asserts each is bit-identical to the uncached
+// NullCacheReferenceP, for every observed value including NaN and ±Inf.
+func TestNullStoreLookupPathsMatchReference(t *testing.T) {
+	const seed, worlds = 0x5EA2C4, 99
+	s := NewNullStore(seed, worlds)
+	var scratch []float64
+	check := func(path string, k struct{ n1, n2, pos int }, obs float64, wantFilled bool) {
+		t.Helper()
+		p, filled := s.PValue(k.n1, k.n2, k.pos, obs, &scratch)
+		want := NullCacheReferenceP(seed, worlds, k.n1, k.n2, k.pos, obs)
+		if p != want || filled != wantFilled {
+			t.Errorf("%s key %v obs %v: (p=%v, filled=%v), want (%v, %v)", path, k, obs, p, filled, want, wantFilled)
+		}
+	}
+	for _, obs := range nullLookupObserved {
+		s = NewNullStore(seed, worlds)
+		for _, k := range nullLookupKeys {
+			check("first", k, obs, true)
+			check("repeat", k, obs, false)
+		}
+	}
+	for _, k := range nullLookupKeys {
+		for _, obs := range nullLookupObserved {
+			check("later", k, obs, false)
+		}
+	}
+
+	// Fill the store to its bound with cheap keys (n1 = 0 draws nothing):
+	// every lookup of a new key now fills the caller's scratch.
+	for k := 1; s.stored.Load() < nullStoreMax; k++ {
+		s.PValue(0, k, 0, 0, &scratch)
+	}
+	for _, k := range nullLookupKeys {
+		k.pos++
+		for _, obs := range nullLookupObserved {
+			check("past-bound", k, obs, true)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // fairness framework: a deterministic random number generator, descriptive
 // statistics, the normal distribution, the Mann–Whitney U test, the
 // two-proportion z-test, binomial likelihoods and likelihood-ratio
-// statistics, Monte-Carlo significance testing, and reservoir sampling.
+// statistics, and Monte-Carlo significance testing.
 //
 // Everything is built from scratch on the standard library so experiments are
 // reproducible bit-for-bit from a seed.

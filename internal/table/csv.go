@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -56,7 +57,8 @@ func (t *Table) WriteCSVFile(path string) error {
 // ReadCSV reads a CSV stream with a header row into a new table. The schema
 // gives the expected columns; the header must contain every schema column
 // (extra CSV columns are ignored), in any order. Values failing to parse as
-// the declared type produce an error naming the row and column.
+// the declared type, and NaN or infinite values in a Float64 column, produce
+// an error naming the row (counted from 0, after the header) and column.
 func ReadCSV(r io.Reader, schema Schema) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -101,6 +103,9 @@ func ReadCSV(r io.Reader, schema Schema) (*Table, error) {
 				v, err := strconv.ParseFloat(raw, 64)
 				if err != nil {
 					return nil, fmt.Errorf("table: row %d column %q: %w", row, f.Name, err)
+				}
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("table: row %d column %q: non-finite value %q", row, f.Name, raw)
 				}
 				t.cols[i].floats = append(t.cols[i].floats, v)
 			case String:

@@ -220,6 +220,27 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsNonFinite asserts every spelling strconv.ParseFloat
+// accepts for NaN or an infinity is refused in a Float64 column, with an
+// error naming the row and column, while finite values around it parse.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	for _, raw := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-Infinity"} {
+		in := "id,income,race,approved\n1,1.5,x,true\n2," + raw + ",y,false\n"
+		_, err := ReadCSV(strings.NewReader(in), sampleSchema())
+		if err == nil {
+			t.Errorf("income %q: accepted, want an error", raw)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `row 1 column "income"`) || !strings.Contains(msg, "non-finite") {
+			t.Errorf("income %q: error %q does not name row 1, the column and the cause", raw, msg)
+		}
+	}
+	ok := "id,income,race,approved\n1,-0,x,true\n2,1e308,y,false\n3,-4.5e-320,z,true\n"
+	if _, err := ReadCSV(strings.NewReader(ok), sampleSchema()); err != nil {
+		t.Errorf("finite extremes rejected: %v", err)
+	}
+}
+
 func TestCSVQuotedStrings(t *testing.T) {
 	tb := New(Schema{{Name: "s", Type: String}})
 	if err := tb.AppendRow(`with,comma and "quotes"`); err != nil {

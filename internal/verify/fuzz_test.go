@@ -87,25 +87,26 @@ func FuzzWelchTFromMoments(f *testing.F) {
 // FuzzPairNullCache drives one null store through lookups over a cluster of
 // related keys, fills the store to its bound, then repeats the lookups
 // alongside a shifted cluster, and checks every returned p-value against the
-// uncached reference. First fills, stored hits, and past-bound fills into
-// the caller's scratch must all be bit-identical to replaying the
-// key-seeded stream from scratch.
+// uncached reference. First fills (answered by a linear count), stored hits
+// (answered by binary search over the sample, sorted on the first of them),
+// and past-bound fills into the caller's scratch must all be bit-identical
+// to replaying the key-seeded stream from scratch.
 func FuzzPairNullCache(f *testing.F) {
 	f.Add(uint64(1), 33, 40, 25, 12, 1.5, 8)
 	f.Add(uint64(99), 7, 3, 3, 6, 0.0, 0)
 	f.Add(uint64(2), 50, 120, 80, 55, -2.25, 40)
+	f.Add(uint64(4), 20, 90, 90, 70, math.NaN(), 3)
+	f.Add(uint64(5), 20, 90, 90, 70, math.Inf(1), 3)
+	f.Add(uint64(6), 20, 90, 90, 70, math.Inf(-1), 3)
 	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed float64, shift int) {
 		worlds = 1 + absRem(worlds, 64)
 		n1 = 1 + absRem(n1, 200)
 		n2 = 1 + absRem(n2, 200)
 		pooled = absRem(pooled, n1+n2+1)
 		shift = absRem(shift, 64)
-		if math.IsNaN(observed) {
-			// The store counts exceedances by binary search, the reference by
-			// streaming >= comparison; NaN is unordered under both but lands
-			// on opposite sides, and no audit statistic is NaN.
-			observed = 0
-		}
+		// observed stays as fuzzed: NaN exceeds no null statistic under the
+		// filling lookup's count, the repeat lookup's binary search and the
+		// reference's streaming >= alike, and ±Inf must agree too.
 		s := stats.NewNullStore(seed, worlds)
 		var scratch []float64
 		check := func(round, k int) {
@@ -143,23 +144,43 @@ func FuzzPairNullCache(f *testing.F) {
 
 // FuzzFillPairNull differentially fuzzes the batched null-cache fill against
 // the uncached oracle: the p-value derived from a FillPairNull buffer by
-// binary search must be bit-identical to NullCacheReferenceP for every
-// (seed, worlds, key, observed) — across both fill paths (the lazily-tabled
-// log kernel for keys with n1+n2 within the table bound and the direct
-// per-world fallback above it), both key orientations, and degenerate pooled
-// counts (0 and n1+n2).
+// binary search, and a fresh store's first (linear-count) and repeat
+// (binary-search) lookups of the key, must be bit-identical to
+// NullCacheReferenceP for every (seed, worlds, key, observed), NaN and ±Inf
+// observations included — across region sizes whose tables cover every
+// count and sizes past 2048 whose tables are windows off zero, with draws
+// outside the windows on the largest keys, both key orientations, and
+// degenerate pooled counts (0 and n1+n2).
 func FuzzFillPairNull(f *testing.F) {
 	f.Add(uint64(7), 33, 40, 25, 12, 1.5)
 	f.Add(uint64(0xF111ED), 64, 1, 1, 0, 0.0)
-	f.Add(uint64(3), 16, 1500, 1400, 900, 2.0) // n1+n2 above the table bound
+	f.Add(uint64(3), 16, 1500, 1400, 900, 2.0) // n1+n2 above 2048
 	f.Add(uint64(5), 48, 300, 300, 372, -1.0)
+	f.Add(uint64(8), 40, 2999, 4999, 40, 0.5)             // pooled rate near 0
+	f.Add(uint64(9), 40, 2999, 4999, 7990, 0.5)           // pooled rate near 1
+	f.Add(uint64(10), 8, 1<<20-1, 1<<20-1, 1<<20, 1.0)    // rate 0.5: draws leave the windows
+	f.Add(uint64(11), 24, 120, 80, 55, math.NaN())        // NaN observation
+	f.Add(uint64(12), 24, 2999, 4999, 4000, math.Inf(1))  // +Inf observation
+	f.Add(uint64(13), 24, 2999, 4999, 4000, math.Inf(-1)) // -Inf observation
 	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed float64) {
-		worlds = 1 + absRem(worlds, 96)
-		n1 = 1 + absRem(n1, 1600)
-		n2 = 1 + absRem(n2, 1600)
+		n1 = 1 + absRem(n1, 1<<21)
+		n2 = 1 + absRem(n2, 1<<21)
 		pooled = absRem(pooled, n1+n2+1)
-		if math.IsNaN(observed) {
-			observed = 0 // NaN is unordered; no audit statistic is NaN
+		// A binomial draw at a mean below 30 sums one Bernoulli per
+		// individual, so keys of millions of individuals get few worlds.
+		if n1+n2 > 1<<16 {
+			worlds = 1 + absRem(worlds, 8)
+		} else {
+			worlds = 1 + absRem(worlds, 96)
+		}
+		want := stats.NullCacheReferenceP(seed, worlds, n1, n2, pooled, observed)
+		s := stats.NewNullStore(seed, worlds)
+		var scratch []float64
+		for _, lookup := range []string{"first", "repeat"} {
+			if got, _ := s.PValue(n1, n2, pooled, observed, &scratch); got != want {
+				t.Fatalf("key (%d,%d,%d) worlds=%d obs %v: %s store lookup p = %v, uncached reference = %v",
+					n1, n2, pooled, worlds, observed, lookup, got, want)
+			}
 		}
 		buf := make([]float64, worlds)
 		stats.FillPairNull(buf, seed, n1, n2, pooled)
@@ -167,9 +188,7 @@ func FuzzFillPairNull(f *testing.F) {
 			t.Fatalf("FillPairNull(%d,%d,%d) buffer not sorted", n1, n2, pooled)
 		}
 		idx := sort.SearchFloat64s(buf, observed)
-		got := float64(1+worlds-idx) / float64(worlds+1)
-		want := stats.NullCacheReferenceP(seed, worlds, n1, n2, pooled, observed)
-		if got != want {
+		if got := float64(1+worlds-idx) / float64(worlds+1); got != want {
 			t.Fatalf("key (%d,%d,%d) worlds=%d obs %v: batched fill p = %v, uncached reference = %v",
 				n1, n2, pooled, worlds, observed, got, want)
 		}
