@@ -38,12 +38,13 @@ bench:
 	$(GO) test -run '^$$' -bench . $(BENCHFLAGS) .
 
 # One -race pass over the dense-audit benchmarks in both candidate-generation
-# modes: cheap enough for every check run, and it exercises the audit's
-# parallel precompute phase, dynamic row scheduler, zero-alloc pair kernel,
-# sorted-index window join, and Monte-Carlo null store under the race
-# detector.
+# modes and over one incremental delta re-audit: cheap enough for every check
+# run, and it exercises the audit's parallel precompute phase, dynamic row
+# scheduler, zero-alloc pair kernel, sorted-index window join, Monte-Carlo
+# null store, and the delta auditor's rescore and ordered-cache commit under
+# the race detector.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'AuditDense/R=[0-9]+/(dense|indexed)' -benchtime 1x -race .
+	$(GO) test -run '^$$' -bench 'AuditDense/R=[0-9]+/(dense|indexed)|DeltaAudit' -benchtime 1x -race .
 
 # CI perf-regression gate: re-run the dense-audit benchmark at the committed
 # trajectory's reference row — matched by region count AND worker count so

@@ -28,6 +28,8 @@ const deltaBenchBatch = 30
 // deltaBenchResult is one row of the delta trajectory in BENCH_audit.json.
 type deltaBenchResult struct {
 	Regions int `json:"regions"`
+	// CPUs is the machine's logical CPU count when the row was recorded.
+	CPUs int `json:"cpus"`
 	// BatchUpdates is the updates per benchmark batch (deletes + reinserts).
 	BatchUpdates int `json:"batch_updates"`
 	// UpdatesPerSec is the partition-maintenance throughput: canonical-order
@@ -103,7 +105,7 @@ func runDeltaBench(regions int) (deltaBenchResult, error) {
 	}
 
 	// Re-audit latency: one single-region batch plus one incremental audit.
-	res := deltaBenchResult{Regions: regions, BatchUpdates: 2 * deltaBenchBatch}
+	res := deltaBenchResult{Regions: regions, CPUs: runtime.NumCPU(), BatchUpdates: 2 * deltaBenchBatch}
 	var last core.DeltaStats
 	del := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -131,6 +131,14 @@ func (c Config) collector() *obs.Collector {
 	return defaultCollector.Load()
 }
 
+// workers resolves Config.Workers: 0 (or less) means GOMAXPROCS.
+func (c Config) workers() int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
 // clock resolves the audit's time source, defaulting to time.Now. All
 // wall-clock reads in this package go through it (enforced by the
 // nodeterminism analyzer's empty allowlist).
@@ -331,10 +339,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	eligible := p.NonEmpty(cfg.MinRegionSize)
 	res := &Result{EligibleRegions: len(eligible), GlobalRate: p.GlobalRate()}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.workers()
 	// Clamp to the number of eligible outer-loop rows: more workers than
 	// rows would idle, and zero rows still needs one worker slot so the
 	// shard bookkeeping below stays uniform.
@@ -603,13 +608,8 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	return res, run, candidates, nil
 }
 
-// finalizePairs turns a collected pair list into Result.Pairs: under FDR it
-// keeps the Benjamini–Hochberg rejections, otherwise the pairs at or below
-// Alpha, then fixes the canonical order. It filters in place. Both filters
-// are pure value thresholds (BH's rejection mask depends only on the p-value
-// multiset), so the outcome is independent of the input order — which is what
-// lets the delta auditor assemble the same Result from a pair cache that was
-// filled across many incremental audits.
+// finalizePairs turns a collected pair list into Result.Pairs: flagPairs
+// filters it in place, then the canonical sort fixes the order.
 func finalizePairs(cfg *Config, fdr bool, pairs []UnfairPair) []UnfairPair {
 	return finalizePairsWorkers(cfg, fdr, pairs, 1)
 }
@@ -621,35 +621,44 @@ func finalizePairs(cfg *Config, fdr bool, pairs []UnfairPair) []UnfairPair {
 // strict total order) — so the result is byte-identical at every worker
 // count.
 func finalizePairsWorkers(cfg *Config, fdr bool, pairs []UnfairPair, workers int) []UnfairPair {
-	if fdr {
-		pvals := make([]float64, len(pairs))
-		for i, pr := range pairs {
-			pvals[i] = pr.P
-		}
-		keep := stats.BenjaminiHochbergWorkers(pvals, cfg.FDR, workers)
-		kept := pairs[:0]
-		for i, pr := range pairs {
-			if keep[i] {
-				kept = append(kept, pr)
-			}
-		}
-		pairs = kept
-	} else {
-		kept := pairs[:0]
-		for _, pr := range pairs {
-			if pr.P <= cfg.Alpha {
-				kept = append(kept, pr)
-			}
-		}
-		pairs = kept
-	}
+	pairs = flagPairs(cfg, fdr, pairs[:0], pairs, workers)
 	sortUnfairPairs(pairs, workers)
 	return pairs
 }
 
+// flagPairs appends to dst the pairs of src the audit flags: under FDR the
+// Benjamini–Hochberg rejections, otherwise the pairs at or below Alpha. It
+// keeps src's order, and dst may be src[:0] to filter in place. Both filters
+// are pure value thresholds (BH's rejection mask depends only on the p-value
+// multiset), so which pairs are flagged never depends on src's order — which
+// is what lets the delta auditor flag from a pair cache filled across many
+// incremental audits.
+func flagPairs(cfg *Config, fdr bool, dst, src []UnfairPair, workers int) []UnfairPair {
+	if fdr {
+		pvals := make([]float64, len(src))
+		for i := range src {
+			pvals[i] = src[i].P
+		}
+		keep := stats.BenjaminiHochbergWorkers(pvals, cfg.FDR, workers)
+		for i := range src {
+			if keep[i] {
+				dst = append(dst, src[i])
+			}
+		}
+		return dst
+	}
+	for i := range src {
+		if src[i].P <= cfg.Alpha {
+			dst = append(dst, src[i])
+		}
+	}
+	return dst
+}
+
 // lessUnfair is the canonical result order: most unfair first (largest
 // likelihood-ratio statistic), ties by smaller p-value, then region labels.
-func lessUnfair(a, b UnfairPair) bool {
+// It takes pointers so sorts and merges compare pairs in place.
+func lessUnfair(a, b *UnfairPair) bool {
 	if a.Tau != b.Tau { //lint:floateq-ok deterministic-tie-break
 		return a.Tau > b.Tau
 	}

@@ -35,17 +35,18 @@ import (
 //   - Order-free flagging: per-pair Alpha is a value threshold and
 //     Benjamini–Hochberg's rejection mask depends only on the p-value
 //     multiset, so Result.Pairs can be reassembled from a cache filled
-//     across many incremental passes (finalizePairs).
+//     across many incremental passes (flagPairs). The cache is kept in the
+//     canonical lessUnfair order, so reassembly is a filter, not a sort.
 //
 // The Monte-Carlo null store persists across audits (its p-values are
 // key-seeded, bit-identical whatever the store's fill state), so unchanged
 // count signatures keep their filled samples across deltas.
 //
 // A DeltaAuditor is not safe for concurrent use; callers serialize updates
-// (through the DeltaPartitioning) and Audit calls. The incremental rescore is
-// single-goroutine — its work is proportional to the dirty neighborhood, not
-// the region count — while fallback full sweeps use the batch engine's
-// parallelism under Config.Workers.
+// (through the DeltaPartitioning) and Audit calls. The incremental pass is
+// single-goroutine — it re-scores only the dirty neighborhood, then makes one
+// linear, sort-free pass over the ordered pair cache — while fallback full
+// sweeps use the batch engine's parallelism under Config.Workers.
 type DeltaAuditor struct {
 	cfg Config
 	dp  *partition.DeltaPartitioning
@@ -60,20 +61,12 @@ type DeltaAuditor struct {
 	posOf    map[int]int  // label -> position in run.regions
 	useIndex bool         // the plan under cfg is indexed (static per Config)
 
-	// candidates caches every pair that passed the exact gate cascade, keyed
-	// by normalized region labels — label keys survive eligibility churn,
-	// which only remaps positions.
-	candidates map[pairLabelKey]UnfairPair
-}
-
-// pairLabelKey identifies a candidate pair by region labels, A < B.
-type pairLabelKey struct{ a, b int }
-
-func labelKey(pr UnfairPair) pairLabelKey {
-	if pr.I < pr.J {
-		return pairLabelKey{a: pr.I, b: pr.J}
-	}
-	return pairLabelKey{a: pr.J, b: pr.I}
+	// candidates caches every pair that passed the exact gate cascade, in
+	// canonical lessUnfair order. Pairs name their regions by label, which
+	// survives eligibility churn (churn only remaps positions). spare is the
+	// buffer the next commit merges into; the two swap on every commit.
+	candidates []UnfairPair
+	spare      []UnfairPair
 }
 
 // DeltaStats is one delta audit's funnel: what the update stream dirtied,
@@ -121,10 +114,9 @@ func NewDeltaAuditor(dp *partition.DeltaPartitioning, cfg Config) (*DeltaAuditor
 		return nil, err
 	}
 	da := &DeltaAuditor{
-		cfg:        cfg,
-		dp:         dp,
-		candidates: make(map[pairLabelKey]UnfairPair),
-		nulls:      stats.NewNullStore(cfg.Seed, cfg.MCWorlds),
+		cfg:   cfg,
+		dp:    dp,
+		nulls: stats.NewNullStore(cfg.Seed, cfg.MCWorlds),
 	}
 	return da, nil
 }
@@ -203,7 +195,7 @@ func (da *DeltaAuditor) Audit(ctx context.Context) (*Result, DeltaStats, error) 
 
 // fullSweep runs the batch engine with the keepAll hook and adopts its state:
 // eligible positions, prepared caches, summary index, plan, and the complete
-// candidate set.
+// candidate set, sorted once into the cache's canonical order.
 func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partitioning, dirty []int) (*Result, DeltaStats, error) {
 	res, run, cands, err := auditEngine(ctx, snap, da.cfg, auditHooks{keepAll: true, nulls: da.nulls})
 	if err != nil {
@@ -218,10 +210,8 @@ func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partition
 	old := da.run
 	da.adopt(run)
 	recycleRunner(old)
-	da.candidates = make(map[pairLabelKey]UnfairPair, len(cands))
-	for _, pr := range cands {
-		da.candidates[labelKey(pr)] = pr
-	}
+	sortUnfairPairs(cands, da.cfg.workers())
+	da.candidates, da.spare = cands, da.candidates[:0]
 	da.inited = true
 	return res, st, nil
 }
@@ -240,9 +230,9 @@ func (da *DeltaAuditor) adopt(run *auditRunner) {
 }
 
 // rebuildState reassembles positions, prepared caches, and the summary index
-// for a changed eligible set. The pair cache is untouched: its label keys
-// remain valid, and which cached pairs must go is decided by dirty labels,
-// not positions. Region preparation here is cheap relative to a sweep — the
+// for a changed eligible set. The pair cache is untouched: its pairs carry
+// labels, not positions, and which cached pairs must go is decided by dirty
+// labels. Region preparation here is cheap relative to a sweep — the
 // delta partition layer hands out pre-sorted samples.
 func (da *DeltaAuditor) rebuildState(snap *partition.Partitioning, newEligible []int) {
 	regions := make([]*partition.Region, len(newEligible))
@@ -315,19 +305,15 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	// either window is an individually sufficient rejection certificate).
 	// Positions are normalized ascending before scoring so every pair is
 	// scored in the cold sweep's orientation.
-	dirtySet := make(map[int]bool, len(dirty))
+	isDirty := make([]bool, len(snap.Regions)) // by region label
 	dirtyPos := make([]int, 0, len(dirty))
 	for _, lbl := range dirty {
-		dirtySet[lbl] = true
+		isDirty[lbl] = true
 		if pos, ok := da.posOf[lbl]; ok {
 			dirtyPos = append(dirtyPos, pos)
 		}
 	}
 	sort.Ints(dirtyPos)
-	isDirtyPos := make([]bool, len(run.regions))
-	for _, p := range dirtyPos {
-		isDirtyPos[p] = true
-	}
 
 	var sc Scratch
 	var tally pairTally
@@ -345,7 +331,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 					return false
 				}
 			}
-			if isDirtyPos[j] && j < probe {
+			if j < probe && isDirty[run.regions[j].Index] {
 				return true // already scored while probing j
 			}
 			st.WindowCandidates++
@@ -368,35 +354,26 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 		}
 	}
 
-	// Commit: drop every cached pair touching a dirty region (by label), then
-	// install the rescored candidates. Every rescored pair has a dirty
-	// endpoint, so the two steps cannot collide.
-	for key := range da.candidates {
-		if dirtySet[key.a] || dirtySet[key.b] {
-			delete(da.candidates, key)
-			st.InvalidatedPairs++
-		}
-	}
-	st.ReusedPairs = len(da.candidates)
-	for _, pr := range rescored {
-		da.candidates[labelKey(pr)] = pr
-	}
+	// Commit: one merge pass drops every cached pair touching a dirty region
+	// (by label) and splices in the rescored candidates, keeping the cache
+	// in canonical order. Every rescored pair has a dirty endpoint, so the
+	// two steps cannot collide.
+	sortUnfairPairs(rescored, 1)
+	merged, dropped := spliceUnfairPairs(da.spare[:0], da.candidates, rescored, isDirty)
+	st.InvalidatedPairs = dropped
+	st.ReusedPairs = len(da.candidates) - dropped
 	st.RescoredCandidates = len(rescored)
+	da.candidates, da.spare = merged, da.candidates
 
-	// Reassemble the result from the cache; finalizePairs applies the same
-	// order-free flagging (Alpha or Benjamini–Hochberg) and canonical sort
-	// as the batch engine.
+	// Reassemble the result: the same order-free flagging as the batch
+	// engine (Alpha or Benjamini–Hochberg), filtered out of the ordered
+	// cache into a fresh slice the caller owns.
 	res := &Result{
 		EligibleRegions: len(da.eligible),
 		GlobalRate:      snap.GlobalRate(),
 		Candidates:      len(da.candidates),
+		Pairs:           flagPairs(cfg, cfg.FDR > 0, []UnfairPair{}, da.candidates, 1),
 	}
-	pairs := make([]UnfairPair, 0, len(da.candidates))
-	for _, pr := range da.candidates {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool { return lessUnfair(pairs[i], pairs[j]) })
-	res.Pairs = finalizePairs(cfg, cfg.FDR > 0, pairs)
 	return res, st, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -508,6 +509,125 @@ func TestDeltaConfigValidation(t *testing.T) {
 		}
 		if _, err := Audit(u.dp.Snapshot(), cfg); err == nil {
 			t.Errorf("batch audit accepted DeltaDirtyFallback=%v", bad)
+		}
+	}
+}
+
+// requireCacheInvariant checks the delta auditor's pair cache against its
+// definition: strictly lessUnfair-ordered, and equal pair for pair to the
+// canonically sorted complete candidate set of a cold batch sweep of the
+// universe — every candidate, not only the flagged ones.
+func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *deltaUniverse) {
+	t.Helper()
+	got := da.candidates
+	for i := 1; i < len(got); i++ {
+		if !lessUnfair(&got[i-1], &got[i]) {
+			t.Fatalf("%s: cache out of order at %d:\n %+v\n %+v", label, i, got[i-1], got[i])
+		}
+	}
+	cold := partition.NewDeltaByGrid(u.grid, u.live, u.opts)
+	_, run, want, err := auditEngine(context.Background(), cold.Snapshot(), da.cfg, auditHooks{keepAll: true})
+	recycleRunner(run)
+	if err != nil {
+		t.Fatalf("%s: cold sweep: %v", label, err)
+	}
+	sortUnfairPairs(want, 1)
+	if len(got) != len(want) {
+		t.Fatalf("%s: cache holds %d pairs, cold sweep has %d candidates", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: cache pair %d differs:\n got %+v\nwant %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestDeltaCandidateCacheInvariant drives a seeded update stream — localized
+// churn, a region crossing MinRegionSize both ways, and a widespread batch
+// that trips the dirty-fraction fallback — under both flagging rules, and
+// checks the ordered cache after every pass. Each result's Pairs is then
+// scribbled over, and a pass with no updates must still match the cold
+// audit: the result must not alias the cache.
+func TestDeltaCandidateCacheInvariant(t *testing.T) {
+	for _, fdr := range []float64{0, 0.1} {
+		rng := stats.NewRNG(52207)
+		u := newDeltaUniverse(rng, 24, partition.Options{Seed: 31, IncomeSampleCap: 64})
+		floorCell, minN := u.sparsestCell()
+		cfg := DefaultConfig()
+		cfg.Alpha = 0.05
+		cfg.MCWorlds = 199
+		cfg.FDR = fdr
+		cfg.MinRegionSize = minN + 20 // the sparsest cell starts below the floor
+		da, err := NewDeltaAuditor(u.dp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var grown []partition.Observation
+		steps := []struct {
+			name  string
+			apply func()
+		}{
+			{"seed", func() {}},
+			{"churn", func() { u.mutateCell(t, rng, 3, 12) }},
+			{"grow past floor", func() {
+				for i := 0; i < 40; i++ {
+					o := randomCellObs(rng, floorCell, 0.3, 0.8, 51_000)
+					grown = append(grown, o)
+					u.dp.Insert(o)
+					u.live = append(u.live, o)
+				}
+			}},
+			{"churn", func() { u.mutateCell(t, rng, 7, 10) }},
+			{"shrink below floor", func() {
+				for _, o := range grown {
+					if _, err := u.dp.Delete(o); err != nil {
+						t.Fatal(err)
+					}
+					for k := range u.live {
+						if u.live[k] == o {
+							u.live[k] = u.live[len(u.live)-1]
+							u.live = u.live[:len(u.live)-1]
+							break
+						}
+					}
+				}
+			}},
+			{"widespread", func() { u.mutate(t, rng, 120) }},
+			{"churn", func() { u.mutateCell(t, rng, 1, 9) }},
+		}
+		sawFull, sawChurn := false, false
+		for si, step := range steps {
+			label := fmt.Sprintf("fdr=%v step %d (%s)", fdr, si, step.name)
+			before := len(da.eligible)
+			step.apply()
+			res, st, err := da.Audit(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if si > 0 && st.FullSweep {
+				sawFull = true
+			}
+			if si > 0 && !st.FullSweep && len(da.eligible) != before {
+				sawChurn = true
+			}
+			requireFunnel(t, label, res, st)
+			requireCacheInvariant(t, label, da, u)
+			want := u.coldResult(t, cfg)
+			requireSameResult(t, label, res, want)
+
+			for i := range res.Pairs {
+				res.Pairs[i] = UnfairPair{I: -1, J: -1, Tau: math.Inf(1)}
+			}
+			res.Pairs = append(res.Pairs[:cap(res.Pairs)], UnfairPair{})
+			again, _, err := da.Audit(context.Background())
+			if err != nil {
+				t.Fatalf("%s: idle pass: %v", label, err)
+			}
+			requireSameResult(t, label+" after scribbling the result", again, want)
+		}
+		if !sawFull || !sawChurn {
+			t.Fatalf("fdr=%v: stream exercised fallback=%v eligibility churn=%v; want both", fdr, sawFull, sawChurn)
 		}
 	}
 }

@@ -9,17 +9,25 @@ import (
 // sequential; mirrors stats.ParallelSortFloat64s's threshold rationale.
 const pairSortThreshold = 1 << 12
 
+// byUnfair sorts pairs in lessUnfair order, comparing and swapping them in
+// place.
+type byUnfair []UnfairPair
+
+func (p byUnfair) Len() int           { return len(p) }
+func (p byUnfair) Less(i, j int) bool { return lessUnfair(&p[i], &p[j]) }
+func (p byUnfair) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+
 // sortUnfairPairs sorts pairs into the canonical result order (lessUnfair)
 // using up to workers goroutines: equal segments sorted independently, then
 // pairwise parallel merge rounds through one auxiliary buffer. lessUnfair is
 // a strict total order over distinct pairs (ties fall through to the unique
 // (I, J) identity), so every correct sort produces the identical permutation
-// — the parallel result is byte-identical to sort.Slice's, which is what
-// keeps the FDR phase inside the audit's determinism guarantee.
+// — the parallel result is byte-identical to a sequential sort's, which is
+// what keeps the FDR phase inside the audit's determinism guarantee.
 func sortUnfairPairs(pairs []UnfairPair, workers int) {
 	n := len(pairs)
 	if workers <= 1 || n < pairSortThreshold {
-		sort.Slice(pairs, func(i, j int) bool { return lessUnfair(pairs[i], pairs[j]) })
+		sort.Sort(byUnfair(pairs))
 		return
 	}
 	if workers > n {
@@ -35,8 +43,7 @@ func sortUnfairPairs(pairs []UnfairPair, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			seg := pairs[lo:hi]
-			sort.Slice(seg, func(i, j int) bool { return lessUnfair(seg[i], seg[j]) })
+			sort.Sort(byUnfair(pairs[lo:hi]))
 		}(bounds[i], bounds[i+1])
 	}
 	wg.Wait()
@@ -80,7 +87,7 @@ func sortUnfairPairs(pairs []UnfairPair, workers int) {
 func mergeUnfairPairs(dst, a, b []UnfairPair) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if lessUnfair(b[j], a[i]) {
+		if lessUnfair(&b[j], &a[i]) {
 			dst[k] = b[j]
 			j++
 		} else {
@@ -91,4 +98,39 @@ func mergeUnfairPairs(dst, a, b []UnfairPair) {
 	}
 	copy(dst[k:], a[i:])
 	copy(dst[k+len(a)-i:], b[j:])
+}
+
+// spliceUnfairPairs is the delta auditor's cache commit: it appends to dst
+// the lessUnfair-ordered cache minus every pair with an endpoint label
+// marked in dirty, merged with the lessUnfair-ordered add, and returns the
+// result with the number of cache pairs dropped. One pass: each added pair's
+// place in the cache is a binary search, and the runs of clean cache pairs
+// between those places are copied in bulk. Every added pair must have a
+// dirty endpoint, so no cache pair it could equal survives the drop.
+func spliceUnfairPairs(dst, cache, add []UnfairPair, dirty []bool) ([]UnfairPair, int) {
+	dropped := 0
+	i := 0
+	for k := 0; k <= len(add); k++ {
+		end := len(cache)
+		if k < len(add) {
+			a := &add[k]
+			end = i + sort.Search(len(cache)-i, func(n int) bool { return lessUnfair(a, &cache[i+n]) })
+		}
+		for i < end {
+			j := i
+			for j < end && !dirty[cache[j].I] && !dirty[cache[j].J] {
+				j++
+			}
+			dst = append(dst, cache[i:j]...)
+			for j < end && (dirty[cache[j].I] || dirty[cache[j].J]) {
+				j++
+				dropped++
+			}
+			i = j
+		}
+		if k < len(add) {
+			dst = append(dst, add[k])
+		}
+	}
+	return dst, dropped
 }

@@ -34,7 +34,7 @@ func TestSortUnfairPairsMatchesSequential(t *testing.T) {
 	for _, n := range []int{0, 1, 100, pairSortThreshold, pairSortThreshold*3 + 17} {
 		base := randomUnfairPairs(rng, n)
 		want := append([]UnfairPair(nil), base...)
-		sort.Slice(want, func(i, j int) bool { return lessUnfair(want[i], want[j]) })
+		sort.Slice(want, func(i, j int) bool { return lessUnfair(&want[i], &want[j]) })
 		for _, workers := range []int{1, 2, 3, 4, 5, 8} {
 			got := append([]UnfairPair(nil), base...)
 			sortUnfairPairs(got, workers)
@@ -53,7 +53,7 @@ func TestSortUnfairPairsMatchesSequential(t *testing.T) {
 func TestMergeUnfairPairs(t *testing.T) {
 	rng := stats.NewRNG(0x4E26E)
 	sortRun := func(run []UnfairPair) {
-		sort.Slice(run, func(i, j int) bool { return lessUnfair(run[i], run[j]) })
+		sort.Slice(run, func(i, j int) bool { return lessUnfair(&run[i], &run[j]) })
 	}
 	for trial := 0; trial < 50; trial++ {
 		na, nb := int(rng.Uint64()%20), int(rng.Uint64()%20)
@@ -68,6 +68,57 @@ func TestMergeUnfairPairs(t *testing.T) {
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("trial %d (na=%d nb=%d): index %d: got %+v want %+v", trial, na, nb, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSpliceUnfairPairs checks the delta cache commit against its
+// definition — drop every pair with a dirty endpoint, append the added
+// pairs, sort — over random caches, dirty masks (none, some, all) and added
+// runs that land before, between and after the cache's pairs.
+func TestSpliceUnfairPairs(t *testing.T) {
+	rng := stats.NewRNG(0x5B11CE)
+	const labels = 500
+	for trial := 0; trial < 200; trial++ {
+		cache := randomUnfairPairs(rng, int(rng.Uint64()%300))
+		sort.Slice(cache, func(i, j int) bool { return lessUnfair(&cache[i], &cache[j]) })
+		dirty := make([]bool, labels)
+		var dirtyLabels []int
+		for l := range dirty {
+			if trial%10 != 9 && rng.Uint64()%uint64(1+trial%40) == 0 {
+				dirty[l] = true
+				dirtyLabels = append(dirtyLabels, l)
+			}
+		}
+		var add []UnfairPair
+		if len(dirtyLabels) > 0 {
+			add = randomUnfairPairs(rng, int(rng.Uint64()%40))
+			for i := range add {
+				add[i].I = dirtyLabels[rng.Intn(len(dirtyLabels))]
+			}
+			sort.Slice(add, func(i, j int) bool { return lessUnfair(&add[i], &add[j]) })
+		}
+		var want []UnfairPair
+		wantDropped := 0
+		for _, pr := range cache {
+			if dirty[pr.I] || dirty[pr.J] {
+				wantDropped++
+				continue
+			}
+			want = append(want, pr)
+		}
+		want = append(want, add...)
+		sort.Slice(want, func(i, j int) bool { return lessUnfair(&want[i], &want[j]) })
+
+		got, dropped := spliceUnfairPairs(nil, cache, add, dirty)
+		if dropped != wantDropped || len(got) != len(want) {
+			t.Fatalf("trial %d: got %d pairs (%d dropped), want %d (%d dropped)",
+				trial, len(got), dropped, len(want), wantDropped)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: index %d: got %+v want %+v", trial, i, got[i], want[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
 	"lcsf/internal/partition"
 	"lcsf/internal/stats"
@@ -131,12 +132,34 @@ func emptyWindow(dim PruneDim) PruneWindow {
 	return PruneWindow{Dim: dim, Lo: 1, Hi: -1, Inside: true}
 }
 
+// zCritMemo is conservativeZCrit's last evaluation. Every probe of a plan
+// build asks for the same threshold, so the bisection runs once per
+// threshold rather than once per probe; the function is pure, so a memo hit
+// is bit-identical to recomputing.
+var zCritMemo atomic.Pointer[zCritEntry]
+
+type zCritEntry struct {
+	deltaBits uint64
+	z         float64
+}
+
 // conservativeZCrit returns a z value that is at most the exact two-sided
 // critical value z* = min{z : TwoSidedP(z) <= delta}, by binary search with
 // the invariant TwoSidedP(lo) >= delta (hence lo <= z*). Using an
 // under-estimate of z* keeps the derived minimum passing gap an
 // under-estimate, which is the sound direction for an excluded band.
 func conservativeZCrit(delta float64) float64 {
+	bits := math.Float64bits(delta)
+	if m := zCritMemo.Load(); m != nil && m.deltaBits == bits {
+		return m.z
+	}
+	z := bisectZCrit(delta)
+	zCritMemo.Store(&zCritEntry{deltaBits: bits, z: z})
+	return z
+}
+
+// bisectZCrit is conservativeZCrit without the memo.
+func bisectZCrit(delta float64) float64 {
 	if delta >= 1 {
 		return 0
 	}

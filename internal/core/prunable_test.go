@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -172,6 +173,13 @@ func TestConservativeCriticalValues(t *testing.T) {
 		z := conservativeZCrit(delta)
 		if p := stats.TwoSidedP(z); p < delta {
 			t.Errorf("conservativeZCrit(%v) = %v overshoots: TwoSidedP = %v < delta", delta, z, p)
+		}
+		// The memo must answer repeat and interleaved thresholds with the
+		// bisection's exact bits.
+		for _, d := range []float64{delta, 0.05, delta} {
+			if got, want := conservativeZCrit(d), bisectZCrit(d); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("conservativeZCrit(%v) = %v, bisection gives %v", d, got, want)
+			}
 		}
 	}
 	for _, eps := range []float64{1e-6, 1e-3, 0.05} {

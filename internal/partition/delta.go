@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"lcsf/internal/geo"
@@ -167,7 +166,7 @@ func (d *DeltaPartitioning) locate(p geo.Point) int {
 // it falls outside the partitioned space (or carries a non-finite income,
 // which the canonical order cannot place) and was dropped.
 func (d *DeltaPartitioning) Insert(o Observation) int {
-	if math.IsNaN(o.Income) || math.IsInf(o.Income, 0) {
+	if !o.placeable() {
 		return -1
 	}
 	idx := d.locate(o.Loc)
@@ -204,7 +203,7 @@ func (d *DeltaPartitioning) Insert(o Observation) int {
 // returns -1 with no error, and a missing observation returns an error with
 // the state unchanged.
 func (d *DeltaPartitioning) Delete(o Observation) (int, error) {
-	if math.IsNaN(o.Income) || math.IsInf(o.Income, 0) {
+	if !o.placeable() {
 		return -1, nil
 	}
 	idx := d.locate(o.Loc)

@@ -253,6 +253,56 @@ func TestDeltaDropsNonFinite(t *testing.T) {
 	}
 }
 
+// TestBatchAndDeltaDropNonFinite: the batch partitioners and the delta
+// layer share one admission rule, so on records with NaN and ±Inf incomes
+// ByGrid/ByAssign and their delta counterparts agree on every region count
+// and on the totals, and none of them keeps a non-finite income.
+func TestBatchAndDeltaDropNonFinite(t *testing.T) {
+	rng := stats.NewRNG(17)
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	obs := make([]Observation, 300)
+	nonFinite := 0
+	for i := range obs {
+		obs[i] = randomObs(rng)
+		if i%7 == 0 {
+			obs[i].Income = bad[(i/7)%len(bad)]
+			nonFinite++
+		}
+	}
+	opts := Options{Seed: 3, IncomeSampleCap: 16}
+	grid := testGrid()
+	assign := func(p geo.Point) int {
+		idx, _ := grid.CellIndex(p)
+		return idx
+	}
+	cases := []struct {
+		name         string
+		batch, delta *Partitioning
+	}{
+		{"grid", ByGrid(grid, obs, opts), NewDeltaByGrid(grid, obs, opts).Snapshot()},
+		{"assign", ByAssign(grid.NumCells(), assign, obs, opts), NewDeltaByAssign(grid.NumCells(), assign, obs, opts).Snapshot()},
+	}
+	for _, c := range cases {
+		b, d := c.batch, c.delta
+		if b.TotalN != len(obs)-nonFinite || d.TotalN != b.TotalN || d.TotalPositives != b.TotalPositives {
+			t.Fatalf("%s: totals batch (%d,%d) delta (%d,%d), want N=%d",
+				c.name, b.TotalN, b.TotalPositives, d.TotalN, d.TotalPositives, len(obs)-nonFinite)
+		}
+		for i := range b.Regions {
+			g, w := &b.Regions[i], &d.Regions[i]
+			if g.N != w.N || g.Positives != w.Positives || g.Protected != w.Protected {
+				t.Fatalf("%s: region %d counts differ: batch (%d,%d,%d) delta (%d,%d,%d)",
+					c.name, i, g.N, g.Positives, g.Protected, w.N, w.Positives, w.Protected)
+			}
+			for _, v := range g.IncomeSample() {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: batch region %d kept income %v", c.name, i, v)
+				}
+			}
+		}
+	}
+}
+
 // TestSummaryIndexUpdateRegion: after mutating regions, repairing the index
 // with UpdateRegion is bit-identical to rebuilding it from scratch —
 // summaries, every dimension order, and the envelope stats.

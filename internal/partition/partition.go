@@ -11,6 +11,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -27,6 +28,15 @@ type Observation struct {
 	Positive  bool
 	Protected bool
 	Income    float64
+}
+
+// placeable reports whether an observation can enter a partitioning: its
+// income must be finite, because every rank kernel and the delta layer's
+// canonical sample order need a totally ordered value. ByGrid, ByAssign and
+// the DeltaPartitioning insert and delete paths all drop what fails it, so
+// batch and delta partitionings of the same records agree.
+func (o Observation) placeable() bool {
+	return !math.IsNaN(o.Income) && !math.IsInf(o.Income, 0)
 }
 
 // Region holds the aggregates of one partition.
@@ -182,7 +192,7 @@ func (o Options) cap() int {
 
 // ByGrid aggregates the observations into the cells of grid. Observations
 // outside the grid bounds are dropped (they are also outside the audited
-// region R).
+// region R), and so are observations with a non-finite income.
 func ByGrid(grid geo.Grid, obs []Observation, opts Options) *Partitioning {
 	p := &Partitioning{Grid: grid, Regions: make([]Region, grid.NumCells())}
 	rng := stats.NewRNG(opts.Seed ^ 0x9A9717)
@@ -192,6 +202,9 @@ func ByGrid(grid geo.Grid, obs []Observation, opts Options) *Partitioning {
 		p.Regions[i].Bounds = grid.CellBounds(i)
 	}
 	for _, o := range obs {
+		if !o.placeable() {
+			continue
+		}
 		idx, ok := grid.CellIndex(o.Loc)
 		if !ok {
 			continue
@@ -203,10 +216,11 @@ func ByGrid(grid geo.Grid, obs []Observation, opts Options) *Partitioning {
 
 // ByAssign aggregates the observations into numCells regions using an
 // arbitrary assignment function: assign returns the region index for an
-// observation, or a negative value to drop it. This is the entry point for
-// adversarially redrawn partitionings in the MAUP experiments. It panics if
-// assign returns an index >= numCells, which is a programming error in the
-// caller's partition definition.
+// observation, or a negative value to drop it; observations with a
+// non-finite income are dropped before assign sees them. This is the entry
+// point for adversarially redrawn partitionings in the MAUP experiments. It
+// panics if assign returns an index >= numCells, which is a programming error
+// in the caller's partition definition.
 func ByAssign(numCells int, assign func(geo.Point) int, obs []Observation, opts Options) *Partitioning {
 	p := &Partitioning{Regions: make([]Region, numCells)}
 	rng := stats.NewRNG(opts.Seed ^ 0x9A9717)
@@ -216,6 +230,9 @@ func ByAssign(numCells int, assign func(geo.Point) int, obs []Observation, opts 
 		p.Regions[i].Bounds = geo.EmptyBBox()
 	}
 	for _, o := range obs {
+		if !o.placeable() {
+			continue
+		}
 		idx := assign(o.Loc)
 		if idx < 0 {
 			continue

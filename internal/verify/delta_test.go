@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"lcsf/internal/core"
@@ -182,67 +183,95 @@ func requireIdenticalResults(t *testing.T, label string, got, want *core.Result)
 }
 
 // TestDeltaMatchesBatch is the delta-vs-batch metamorphic oracle: for every
-// engine configuration and every seeded update stream, auditing through the
-// incremental delta engine after each batch must end byte-identical — same
-// flagged set, same per-pair p-values — to a cold batch audit of the final
-// snapshot. DeltaDirtyFallback is pinned to 1 so the incremental path runs
-// regardless of how widely a batch's dirty set spreads; the fallback policy
-// itself is covered in internal/core.
+// engine configuration, both flagging rules (per-pair Alpha and
+// Benjamini–Hochberg at FDR 0.1) and every seeded update stream, auditing
+// through the incremental delta engine after each batch must end
+// byte-identical — same flagged set, same per-pair p-values — to a cold
+// batch audit of the final snapshot. DeltaDirtyFallback is pinned to 1 so the
+// incremental path runs regardless of how widely a batch's dirty set
+// spreads; the fallback policy itself is covered in internal/core. The two
+// flagging rules run in lockstep over the same batches, and at least one
+// incremental pass must flag different sets under them: otherwise an
+// incremental pass that ignored Config.FDR would pass unnoticed.
 func TestDeltaMatchesBatch(t *testing.T) {
 	scen := NewScenario(stats.NewRNG(42), deltaScenarioConfig())
 	streams := deltaStreams(stats.NewRNG(99), scen)
+	fdrAxis := []float64{0, 0.1}
 
+	type lane struct {
+		cfg     core.Config
+		dp      *partition.DeltaPartitioning
+		da      *core.DeltaAuditor
+		seedRes *core.Result
+		res     *core.Result
+		reused  int
+	}
 	for _, ec := range engineCases() {
 		t.Run(ec.name, func(t *testing.T) {
-			cfg := metamorphicConfig(ec)
-			cfg.DeltaDirtyFallback = 1
-
+			rulesDiffer := 0
 			for _, stream := range streams {
-				dp := partition.NewDeltaByAssign(scen.NumCells, scen.Assign, stream.initial, scen.Opts)
-				da, err := core.NewDeltaAuditor(dp, cfg)
-				if err != nil {
-					t.Fatalf("%s: NewDeltaAuditor: %v", stream.name, err)
-				}
-				seedRes, seedSt, err := da.Audit(context.Background())
-				if err != nil {
-					t.Fatalf("%s: seed audit: %v", stream.name, err)
-				}
-				if !seedSt.FullSweep {
-					t.Fatalf("%s: seed audit did not run a full sweep", stream.name)
-				}
-
-				var res *core.Result
-				reused := 0
-				for bi, b := range stream.batches {
-					if err := dp.Apply(b); err != nil {
-						t.Fatalf("%s: apply batch %d: %v", stream.name, bi, err)
-					}
-					var st core.DeltaStats
-					res, st, err = da.Audit(context.Background())
+				lanes := make([]*lane, len(fdrAxis))
+				for i, fdr := range fdrAxis {
+					cfg := metamorphicConfig(ec)
+					cfg.DeltaDirtyFallback = 1
+					cfg.FDR = fdr
+					dp := partition.NewDeltaByAssign(scen.NumCells, scen.Assign, stream.initial, scen.Opts)
+					da, err := core.NewDeltaAuditor(dp, cfg)
 					if err != nil {
-						t.Fatalf("%s: delta audit %d: %v", stream.name, bi, err)
+						t.Fatalf("%s fdr=%v: NewDeltaAuditor: %v", stream.name, fdr, err)
 					}
-					if st.FullSweep {
-						t.Fatalf("%s: batch %d fell back to a full sweep with fallback pinned to 1", stream.name, bi)
+					seedRes, seedSt, err := da.Audit(context.Background())
+					if err != nil {
+						t.Fatalf("%s fdr=%v: seed audit: %v", stream.name, fdr, err)
 					}
-					reused += st.ReusedPairs
-				}
-				if reused == 0 {
-					t.Errorf("%s: no incremental pass reused any cached pair; the workload exercises nothing incremental", stream.name)
+					if !seedSt.FullSweep {
+						t.Fatalf("%s fdr=%v: seed audit did not run a full sweep", stream.name, fdr)
+					}
+					lanes[i] = &lane{cfg: cfg, dp: dp, da: da, seedRes: seedRes}
 				}
 
-				cold := partition.NewDeltaByAssign(scen.NumCells, scen.Assign, finalObs(t, stream), scen.Opts)
-				want, err := core.Audit(cold.Snapshot(), cfg)
-				if err != nil {
-					t.Fatalf("%s: cold audit: %v", stream.name, err)
+				for bi, b := range stream.batches {
+					for _, l := range lanes {
+						if err := l.dp.Apply(b); err != nil {
+							t.Fatalf("%s fdr=%v: apply batch %d: %v", stream.name, l.cfg.FDR, bi, err)
+						}
+						res, st, err := l.da.Audit(context.Background())
+						if err != nil {
+							t.Fatalf("%s fdr=%v: delta audit %d: %v", stream.name, l.cfg.FDR, bi, err)
+						}
+						if st.FullSweep {
+							t.Fatalf("%s fdr=%v: batch %d fell back to a full sweep with fallback pinned to 1", stream.name, l.cfg.FDR, bi)
+						}
+						l.res = res
+						l.reused += st.ReusedPairs
+					}
+					if !EqualFlagged(FlaggedSet(lanes[0].res, nil), FlaggedSet(lanes[1].res, nil)) {
+						rulesDiffer++
+					}
 				}
-				if len(want.Pairs) == 0 {
-					t.Fatalf("%s: cold audit flags nothing; the oracle is vacuous — regenerate the scenario", stream.name)
+
+				final := finalObs(t, stream)
+				for _, l := range lanes {
+					label := fmt.Sprintf("%s fdr=%v", stream.name, l.cfg.FDR)
+					if l.reused == 0 {
+						t.Errorf("%s: no incremental pass reused any cached pair; the workload exercises nothing incremental", label)
+					}
+					cold := partition.NewDeltaByAssign(scen.NumCells, scen.Assign, final, scen.Opts)
+					want, err := core.Audit(cold.Snapshot(), l.cfg)
+					if err != nil {
+						t.Fatalf("%s: cold audit: %v", label, err)
+					}
+					if len(want.Pairs) == 0 {
+						t.Fatalf("%s: cold audit flags nothing; the oracle is vacuous — regenerate the scenario", label)
+					}
+					requireIdenticalResults(t, label, l.res, want)
+					if stream.identityFinal {
+						requireIdenticalResults(t, label+" round trip", l.res, l.seedRes)
+					}
 				}
-				requireIdenticalResults(t, stream.name, res, want)
-				if stream.identityFinal {
-					requireIdenticalResults(t, stream.name+" round trip", res, seedRes)
-				}
+			}
+			if rulesDiffer == 0 {
+				t.Error("Alpha and Benjamini–Hochberg flagged the same set on every incremental pass; the FDR axis is vacuous")
 			}
 		})
 	}
