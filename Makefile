@@ -38,13 +38,14 @@ bench:
 	$(GO) test -run '^$$' -bench . $(BENCHFLAGS) .
 
 # One -race pass over the dense-audit benchmarks in both candidate-generation
-# modes and over one incremental delta re-audit: cheap enough for every check
-# run, and it exercises the audit's parallel precompute phase, dynamic row
-# scheduler, zero-alloc pair kernel, sorted-index window join, Monte-Carlo
-# null store, and the delta auditor's rescore and ordered-cache commit under
-# the race detector.
+# modes, over one incremental delta re-audit, and over one full-volume LAR
+# CSV read: cheap enough for every check run, and it exercises the audit's
+# parallel precompute phase, dynamic row scheduler, zero-alloc pair kernel,
+# sorted-index window join, Monte-Carlo null store, the delta auditor's
+# rescore and ordered-cache commit, and the CSV reader's byte-level path
+# under the race detector.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'AuditDense/R=[0-9]+/(dense|indexed)|DeltaAudit' -benchtime 1x -race .
+	$(GO) test -run '^$$' -bench 'AuditDense/R=[0-9]+/(dense|indexed)|DeltaAudit|ReadCSV' -benchtime 1x -race .
 
 # CI perf-regression gate: re-run the dense-audit benchmark at the committed
 # trajectory's reference row — matched by region count AND worker count so
@@ -81,16 +82,31 @@ examples-smoke:
 		LCSF_EXAMPLE_FAST=1 $(GO) run ./$$d >/dev/null || exit 1; \
 	done
 
-# A bounded pass of every differential fuzz target in internal/verify: each
-# target first replays its checked-in corpus, then mutates for FUZZTIME.
-# The go tool accepts one -fuzz pattern per invocation, hence the loop.
+# A bounded pass of every fuzz target: each first replays its checked-in
+# corpus, then mutates for FUZZTIME. FUZZ_TARGETS pairs each target with its
+# package, because the go tool accepts one -fuzz pattern and one package per
+# invocation. internal/verify's targets are differential checks of the
+# audit kernels; internal/table's pin the CSV reader and its number parsers
+# to encoding/csv and strconv; FuzzIngestAudit takes arbitrary CSV bytes
+# through the service's ingest into an audit under a wall-time bound.
 FUZZTIME ?= 4s
+FUZZ_TARGETS = \
+	FuzzMannWhitneySorted:./internal/verify \
+	FuzzKolmogorovSmirnovSorted:./internal/verify \
+	FuzzWelchTFromMoments:./internal/verify \
+	FuzzPairNullCache:./internal/verify \
+	FuzzFillPairNull:./internal/verify \
+	FuzzNormalRoundTrip:./internal/verify \
+	FuzzFDR:./internal/verify \
+	FuzzDeltaPartition:./internal/verify \
+	FuzzReadCSV:./internal/table \
+	FuzzParseNumber:./internal/table \
+	FuzzIngestAudit:./internal/server
 fuzz-smoke:
-	@for t in FuzzMannWhitneySorted FuzzKolmogorovSmirnovSorted \
-		FuzzWelchTFromMoments FuzzPairNullCache FuzzFillPairNull \
-		FuzzNormalRoundTrip FuzzFDR FuzzDeltaPartition; do \
-		echo "fuzz $$t"; \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/verify || exit 1; \
+	@for tp in $(FUZZ_TARGETS); do \
+		t=$${tp%%:*}; p=$${tp#*:}; \
+		echo "fuzz $$t ($$p)"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$p || exit 1; \
 	done
 
 # Statement-coverage gate over the numerical heart of the framework. The

@@ -99,6 +99,11 @@ const (
 	// fallen back to a full sweep), update application excluded.
 	MAuditDeltaSeconds = "audit.delta.seconds"
 
+	// MIngestDroppedNonDecisioned counts LAR rows the service's ingest
+	// parsed and then dropped because their action is neither approved nor
+	// denied (internal/server, every LAR route).
+	MIngestDroppedNonDecisioned = "ingest.dropped.non_decisioned"
+
 	// HTTP-service metrics (internal/server).
 	MHTTPRequests       = "http.requests"
 	MHTTPCanceled       = "http.canceled"

@@ -283,6 +283,27 @@ func TestNonFiniteLARRejected(t *testing.T) {
 	}
 }
 
+// TestNonDecisionedDropsCounted sends a LAR with k rows that are neither
+// approved nor denied to every LAR route and checks that
+// ingest.dropped.non_decisioned rises by k each time.
+func TestNonDecisionedDropsCounted(t *testing.T) {
+	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 1}, nil)
+	const k = 3
+	body := "id,lon,lat,tract,income,minority,action\n" +
+		"1,-100,40,0,50000,false,1\n2,-90,35,0,61000,true,3\n" +
+		"3,-95,38,0,52000,false,2\n4,-95,38,0,52000,true,4\n5,-91,36,0,48000,false,5\n"
+	for _, route := range []string{"/audit", "/audit/geojson", "/jobs"} {
+		before := getMetrics(t, srv).Counters[obs.MIngestDroppedNonDecisioned]
+		rec := do(srv, "POST", route, bytes.NewReader([]byte(body)), nil)
+		if rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: status %d: %s", route, rec.Code, rec.Body.String())
+		}
+		if got := getMetrics(t, srv).Counters[obs.MIngestDroppedNonDecisioned] - before; got != k {
+			t.Errorf("%s: %s rose by %d, want %d", route, obs.MIngestDroppedNonDecisioned, got, k)
+		}
+	}
+}
+
 // failingWriter errors on every body write, simulating a client that hung up
 // after headers went out.
 type failingWriter struct {

@@ -157,7 +157,9 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // readLAR reads a LAR CSV body into decisioned observations, writing the
 // error response itself when the body is oversized, malformed, or empty.
-// Shared by the synchronous audit routes and the async job submission.
+// Shared by the synchronous audit routes and the async job submission. The
+// rows it drops as non-decisioned are counted in
+// obs.MIngestDroppedNonDecisioned.
 func readLAR(w http.ResponseWriter, r *http.Request, cfg Config, reqID string) ([]partition.Observation, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, cfg.MaxBodyBytes)
 	tbl, err := table.ReadCSV(r.Body, hmda.Schema())
@@ -173,7 +175,9 @@ func readLAR(w http.ResponseWriter, r *http.Request, cfg Config, reqID string) (
 		httpError(w, http.StatusBadRequest, "parsing LAR CSV: %v", err)
 		return nil, false
 	}
-	obsv := hmda.ToObservations(hmda.FromTable(tbl))
+	recs := hmda.FromTable(tbl)
+	obsv := hmda.ToObservations(recs)
+	cfg.Collector.Count(obs.MIngestDroppedNonDecisioned, int64(len(recs)-len(obsv)))
 	if len(obsv) == 0 {
 		httpError(w, http.StatusBadRequest, "no decisioned (approved/denied) records in input")
 		return nil, false

@@ -157,17 +157,26 @@ func TestMethodRouting(t *testing.T) {
 	}
 }
 
+// TestBodyLimit cuts the body inside the first row, right after the
+// header, and inside the last row, on the sync and the async route: every
+// cut must answer 413 with a JSON error payload.
 func TestBodyLimit(t *testing.T) {
-	srv := New(Config{MaxBodyBytes: 64})
-	req := httptest.NewRequest("POST", "/audit", larBody(t, 1000, 0.1))
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body = %d, want 413", rec.Code)
-	}
-	var e map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
-		t.Errorf("413 must carry a JSON error payload: %s", rec.Body.String())
+	body := larBody(t, 1000, 0.1).Bytes()
+	afterHeader := bytes.IndexByte(body, '\n') + 1
+	for _, limit := range []int{64, afterHeader, len(body) - 5} {
+		srv := New(Config{MaxBodyBytes: int64(limit)})
+		for _, route := range []string{"/audit", "/jobs"} {
+			req := httptest.NewRequest("POST", route, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s with limit %d: status %d, want 413", route, limit, rec.Code)
+			}
+			var e map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+				t.Errorf("%s with limit %d: 413 must carry a JSON error payload: %s", route, limit, rec.Body.String())
+			}
+		}
 	}
 }
 

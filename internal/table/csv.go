@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 )
@@ -52,76 +51,6 @@ func (t *Table) WriteCSVFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadCSV reads a CSV stream with a header row into a new table. The schema
-// gives the expected columns; the header must contain every schema column
-// (extra CSV columns are ignored), in any order. Values failing to parse as
-// the declared type, and NaN or infinite values in a Float64 column, produce
-// an error naming the row (counted from 0, after the header) and column.
-func ReadCSV(r io.Reader, schema Schema) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("table: reading header: %w", err)
-	}
-	colPos := make([]int, len(schema))
-	for i, f := range schema {
-		colPos[i] = -1
-		for j, h := range header {
-			if h == f.Name {
-				colPos[i] = j
-				break
-			}
-		}
-		if colPos[i] < 0 {
-			return nil, fmt.Errorf("table: CSV missing column %q", f.Name)
-		}
-	}
-
-	t := New(schema)
-	row := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("table: reading row %d: %w", row, err)
-		}
-		for i, f := range schema {
-			raw := rec[colPos[i]]
-			switch f.Type {
-			case Int64:
-				v, err := strconv.ParseInt(raw, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("table: row %d column %q: %w", row, f.Name, err)
-				}
-				t.cols[i].ints = append(t.cols[i].ints, v)
-			case Float64:
-				v, err := strconv.ParseFloat(raw, 64)
-				if err != nil {
-					return nil, fmt.Errorf("table: row %d column %q: %w", row, f.Name, err)
-				}
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("table: row %d column %q: non-finite value %q", row, f.Name, raw)
-				}
-				t.cols[i].floats = append(t.cols[i].floats, v)
-			case String:
-				t.cols[i].strings = append(t.cols[i].strings, raw)
-			case Bool:
-				v, err := strconv.ParseBool(raw)
-				if err != nil {
-					return nil, fmt.Errorf("table: row %d column %q: %w", row, f.Name, err)
-				}
-				t.cols[i].bools = append(t.cols[i].bools, v)
-			}
-		}
-		t.rows++
-		row++
-	}
-	return t, nil
 }
 
 // ReadCSVFile reads the named CSV file into a new table.
