@@ -92,6 +92,7 @@ examples-smoke:
 FUZZTIME ?= 4s
 FUZZ_TARGETS = \
 	FuzzMannWhitneySorted:./internal/verify \
+	FuzzMannWhitneyBucketed:./internal/verify \
 	FuzzKolmogorovSmirnovSorted:./internal/verify \
 	FuzzWelchTFromMoments:./internal/verify \
 	FuzzPairNullCache:./internal/verify \

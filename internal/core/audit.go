@@ -383,10 +383,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	// summarization, the per-dimension sorts, and the window fills all
 	// parallelized with deterministic merges. Indexed and dense plans yield
 	// the identical flagged set — windows and summary bounds only skip pairs
-	// the exact gates provably reject. The plan is built before the
-	// precompute phase so finishPrepare can weigh its expected pair volume
-	// when deciding global analyses (the plan depends only on region
-	// summaries, never on prepared caches).
+	// the exact gates provably reject.
 	indexStart := now()
 	if cfg.CandidateGen != CandidateDense {
 		run.buildIndexWorkers(workers)
@@ -426,9 +423,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		if err := ctx.Err(); err != nil {
 			return canceled(err)
 		}
-		hint := run.pairHint()
-		run.sim.finishPrepare(hint)
-		run.diss.finishPrepare(hint)
 		preparedMetrics := 0
 		if run.sim.prepared != nil {
 			preparedMetrics++
@@ -439,7 +433,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		col.Count(obs.MAuditPreparedRegions, int64(preparedMetrics*len(run.regions)))
 		col.ObserveSeconds(obs.MAuditPrepareSeconds, now().Sub(prepStart))
 	}
-	run.buildFastPath()
 	col.ObserveSeconds(obs.MAuditPhasePrepareSeconds, now().Sub(prepPhaseStart))
 
 	// Phase 2: the pair sweep. Workers claim outer-loop probe rows through
@@ -470,6 +463,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	sched := newRowScheduler(slotHi-slotLo, workers)
 	steals := obs.NewShardedCounter(workers)
 	keepScores := run.fdr || hooks.keepAll
+	preGated := run.preGated()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -494,7 +488,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			// the current probe, polling for cancellation and filtering
 			// indexed candidates through the O(1) summary bounds before the
 			// exact cascade. Returning false aborts the enumeration.
-			useFast := run.fastOK
 			visit := func(jj int) bool {
 				sinceCheck++
 				if sinceCheck >= cancelCheckInterval {
@@ -509,14 +502,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 						return true
 					}
 				}
-				var pr UnfairPair
-				var ok bool
-				if useFast {
-					pr, ok = run.fastAuditPair(probe, jj, &sh.tally, &sc, keepScores, indexed)
-				} else {
-					pr, ok = run.auditPair(probe, jj, &sh.tally, &sc)
-				}
-				if ok {
+				if pr, ok := run.auditPair(probe, jj, &sh.tally, &sc, keepScores, preGated); ok {
 					sh.candidates++
 					if keepScores || pr.P <= cfg.Alpha {
 						sh.pairs = append(sh.pairs, pr)
@@ -679,11 +665,15 @@ func lessUnfair(a, b *UnfairPair) bool {
 // candidates. etaFastPath therefore counts dissimilar pairs whose outcomes
 // already match within Eta — including pairs the similarity gate was never
 // consulted on, since the O(1) fast path runs before the expensive rank test.
+// Every pair reaching the similarity gate is also counted in exactly one of
+// simBounded and simExact, by how its verdict was settled.
 type pairTally struct {
 	scanned        int64 // pairs reaching the gate cascade
 	dissRejections int64 // failed the dissimilarity gate
 	etaFastPath    int64 // dissimilar pairs exiting via the Eta outcome fast path
 	simRejections  int64 // passed dissimilarity and Eta, failed similarity
+	simBounded     int64 // similarity verdicts settled without the pair's score
+	simExact       int64 // similarity verdicts that computed the pair's score
 	prescreenSkips int64 // candidates below PrescreenTau, simulation skipped
 	nullHits       int64 // null-store lookups answered by a stored sample
 	nullFills      int64 // null-store lookups that simulated a sample
@@ -701,6 +691,8 @@ func (t *pairTally) add(o *pairTally) {
 	t.dissRejections += o.dissRejections
 	t.simRejections += o.simRejections
 	t.etaFastPath += o.etaFastPath
+	t.simBounded += o.simBounded
+	t.simExact += o.simExact
 	t.prescreenSkips += o.prescreenSkips
 	t.nullHits += o.nullHits
 	t.nullFills += o.nullFills
@@ -716,6 +708,8 @@ func (t *pairTally) publish(col *obs.Collector, res *Result, worlds int) {
 	col.Count(obs.MAuditDissRejections, t.dissRejections)
 	col.Count(obs.MAuditSimRejections, t.simRejections)
 	col.Count(obs.MAuditEtaFastPath, t.etaFastPath)
+	col.Count(obs.MAuditSimBounded, t.simBounded)
+	col.Count(obs.MAuditSimExact, t.simExact)
 	col.Count(obs.MAuditPrescreenSkips, t.prescreenSkips)
 	col.Count(obs.MAuditMCWorlds, t.nullFills*int64(worlds))
 	col.Count(obs.MMCNullCacheHits, t.nullHits)
@@ -749,19 +743,6 @@ type auditRunner struct {
 	dissB     PrunableMetric
 	simB      PrunableMetric
 	plan      *candidatePlan
-
-	// zGate, when zGateFast is set, replays ZScoreDissimilarity's Bounds by
-	// a |z| band compare instead of an erfc per window candidate — the same
-	// decision bit-for-bit (see stats.TwoSidedPGate).
-	zGate     stats.TwoSidedPGate
-	zGateFast bool
-
-	// Fast-cascade state (fastpath.go): when fastOK is set the sweep
-	// dispatches pairs to fastAuditPair, which decides the similarity gate
-	// from cross-count bounds against epsGate — the Epsilon threshold in
-	// |z| space — and defers exact scores to retained pairs.
-	epsGate stats.TwoSidedPGEGate
-	fastOK  bool
 
 	// pairBufs are the sweep's per-worker flagged-pair buffers, pooled with
 	// the runner so steady-state audits append into recycled capacity.
@@ -803,8 +784,8 @@ func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
 		cfg:      cfg,
 		fdr:      cfg.FDR > 0,
 		regions:  regions,
-		sim:      newPreparedScorer(cfg.Similarity),
-		diss:     newPreparedScorer(cfg.Dissimilarity),
+		sim:      newPreparedScorer(cfg.Similarity, cfg.Epsilon),
+		diss:     newPreparedScorer(cfg.Dissimilarity, cfg.Delta),
 		plan:     &candidatePlan{},
 		laLL:     laLL,
 		pairBufs: pairBufs,
@@ -863,11 +844,6 @@ func (ar *auditRunner) buildIndexWorkers(workers int) {
 	ar.env = &ix.Stats
 	ar.dissB, _ = ar.cfg.Dissimilarity.(PrunableMetric)
 	ar.simB, _ = ar.cfg.Similarity.(PrunableMetric)
-	switch ar.cfg.Dissimilarity.(type) {
-	case ZScoreDissimilarity, *ZScoreDissimilarity:
-		ar.zGate = stats.NewTwoSidedPGate(ar.cfg.Delta)
-		ar.zGateFast = true
-	}
 }
 
 // fillLogLik computes every region's cached alternative-hypothesis
@@ -905,16 +881,13 @@ func (ar *auditRunner) pairLRT(ii, jj int, a, b *partition.Region) float64 {
 	return stats.LogLikRatio(l0, ar.laLL[ii]+ar.laLL[jj])
 }
 
-// pairHint estimates the sweep's pair volume — ordered candidate emissions
-// under an indexed plan, the full ordered square under a dense one — for
-// prepare-time decisions that trade a global precomputation against per-pair
-// savings (the Mann–Whitney global-distinct scan).
-func (ar *auditRunner) pairHint() int64 {
-	if ar.plan != nil && ar.plan.indexed {
-		return ar.plan.estimated
-	}
-	n := int64(len(ar.regions))
-	return n * n
+// preGated reports whether summaryReject replays the dissimilarity and Eta
+// gates exactly, so pairs it admits may skip them (see auditPair). It holds
+// under an indexed plan with the z-test dissimilarity gate: the summary
+// replay consumes the same integers and the same float64 rates the cascade
+// would (see partition.Summarize), through the same |z| band.
+func (ar *auditRunner) preGated() bool {
+	return ar.plan.indexed && ar.diss.kind == kindZScore
 }
 
 // summaryReject applies the O(1) summary-level filters to an emitted
@@ -929,10 +902,10 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 		t.boundsRejections++
 		return true
 	}
-	if ar.zGateFast {
+	if ar.diss.kind == kindZScore {
 		// ZScoreDissimilarity.Bounds replays the gate exactly; the band
 		// compare is the same decision without the per-candidate erfc.
-		if !ar.zGate.LE(stats.TwoProportionZStat(sa.Protected, sa.N, sb.Protected, sb.N)) {
+		if !ar.diss.zBand.LE(stats.TwoProportionZStat(sa.Protected, sa.N, sb.Protected, sb.N)) {
 			t.boundsRejections++
 			return true
 		}
@@ -951,7 +924,7 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // path, similarity — and, for candidates, the Monte-Carlo LRT. ii and jj are
 // positions in the eligible list. ok reports whether the pair was a candidate
 // (passed every gate). Each phase's outcome is tallied into t for the
-// observability layer.
+// observability layer. Batch sweeps, shards, and delta rescoring all run it.
 //
 // The Eta check runs before the similarity test because it is O(1) on
 // already-aggregated rates while the rank test is O(n_a+n_b) even against
@@ -961,6 +934,20 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // the flagged set — and hence the audit result — unchanged; only the tally
 // attribution of doubly-failing pairs moves between buckets.
 //
+// Each gate decides its verdict before any score (preparedScorer.verdict):
+// the z-test through its verified |z| band, Mann–Whitney through bracketed
+// |z| intervals, with the exact kernel only for pairs the brackets leave
+// open. SimScore and DissScore are materialized only for retained pairs —
+// keepScores, or a p-value at or below Alpha — which is the caller's append
+// filter; other returned candidates carry zero scores and must not be
+// published.
+//
+// preGated asserts the caller already ran summaryReject on this pair and
+// that it replays the dissimilarity and Eta gates exactly (see
+// auditRunner.preGated): a surviving pair is guaranteed to pass both checks,
+// so the cascade skips them — no decision or tally can change, the
+// increments it skips are provably zero.
+//
 // This is the audit's steady-state kernel and it must not heap-allocate:
 // p-values are counts or binary searches over stored null samples (or fills
 // into the worker's Scratch past the store's bound), and prepared metrics score
@@ -968,22 +955,31 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // pins the property.
 //
 //lint:hotpath
-func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch) (UnfairPair, bool) {
+func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScores, preGated bool) (UnfairPair, bool) {
 	a, b := ar.regions[ii], ar.regions[jj]
 	cfg := &ar.cfg
 	t.scanned++
-	diss := ar.diss.score(ii, jj, a, b, sc)
-	if !cfg.Dissimilarity.Pass(diss, cfg.Delta) {
-		t.dissRejections++
-		return UnfairPair{}, false
+	var diss float64
+	dissScored := false
+	if !preGated {
+		var pass bool
+		pass, diss, dissScored = ar.diss.verdict(ii, jj, a, b, sc)
+		if !pass {
+			t.dissRejections++
+			return UnfairPair{}, false
+		}
+		if cfg.Eta > 0 && math.Abs(a.PositiveRate()-b.PositiveRate()) <= cfg.Eta {
+			t.etaFastPath++
+			return UnfairPair{}, false
+		}
 	}
-	rateA, rateB := a.PositiveRate(), b.PositiveRate()
-	if cfg.Eta > 0 && math.Abs(rateA-rateB) <= cfg.Eta {
-		t.etaFastPath++
-		return UnfairPair{}, false
+	pass, sim, simScored := ar.sim.verdict(ii, jj, a, b, sc)
+	if simScored {
+		t.simExact++
+	} else {
+		t.simBounded++
 	}
-	sim := ar.sim.score(ii, jj, a, b, sc)
-	if !cfg.Similarity.Pass(sim, cfg.Epsilon) {
+	if !pass {
 		t.simRejections++
 		return UnfairPair{}, false
 	}
@@ -993,10 +989,18 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch) (UnfairP
 
 	pr := UnfairPair{
 		I: a.Index, J: b.Index,
-		SimScore: sim, DissScore: diss,
-		RateI: rateA, RateJ: rateB,
+		RateI: a.PositiveRate(), RateJ: b.PositiveRate(),
 		SharedI: a.ProtectedShare(), SharedJ: b.ProtectedShare(),
 		Tau: tau, P: pval,
+	}
+	if keepScores || pval <= cfg.Alpha {
+		if !simScored {
+			sim = ar.sim.score(ii, jj, a, b, sc)
+		}
+		if !dissScored {
+			diss = ar.diss.score(ii, jj, a, b, sc)
+		}
+		pr.SimScore, pr.DissScore = sim, diss
 	}
 	// Orient the pair so I is the disadvantaged region.
 	if pr.RateI > pr.RateJ {
@@ -1007,8 +1011,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch) (UnfairP
 	return pr, true
 }
 
-// pairPValue resolves a candidate pair's p-value — the cascade's final step,
-// shared by auditPair and fastAuditPair so the two kernels cannot drift.
+// pairPValue resolves a candidate pair's p-value — the cascade's final step.
 // Candidates at or below PrescreenTau take the asymptotic p-value; every
 // other candidate is answered from the null store, which keeps one
 // key-seeded sample per count signature (counted on its first lookup,

@@ -207,9 +207,6 @@ func TestAuditCandidateSupersetQuick(t *testing.T) {
 			run.sim.prepare(i, run.regions[i])
 			run.diss.prepare(i, run.regions[i])
 		}
-		hint := run.pairHint()
-		run.sim.finishPrepare(hint)
-		run.diss.finishPrepare(hint)
 		if !run.plan.indexed {
 			t.Fatalf("trial %d: plan not indexed despite prunable metrics", trial)
 		}

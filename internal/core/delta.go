@@ -250,9 +250,6 @@ func (da *DeltaAuditor) rebuildState(snap *partition.Partitioning, newEligible [
 		run.sim.prepare(i, r)
 		run.diss.prepare(i, r)
 	}
-	hint := run.pairHint()
-	run.sim.finishPrepare(hint)
-	run.diss.finishPrepare(hint)
 	run.fillLogLik()
 	old := da.run
 	da.adopt(run)
@@ -317,6 +314,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 
 	var sc Scratch
 	var tally pairTally
+	preGated := run.preGated()
 	var rescored []UnfairPair
 	sinceCheck := 0
 	var ctxErr error
@@ -344,7 +342,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 				return true
 			}
 			st.RescoredPairs++
-			if pr, isCand := run.auditPair(ii, jj, &tally, &sc); isCand {
+			if pr, isCand := run.auditPair(ii, jj, &tally, &sc, true, preGated); isCand {
 				rescored = append(rescored, pr)
 			}
 			return true

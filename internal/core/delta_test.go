@@ -631,3 +631,61 @@ func TestDeltaCandidateCacheInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaHugeIncomeMatchesBatch pins the rank grid's clamp for repaired
+// values far outside its span. The delta auditor keeps the grid it was
+// built on, so incomes inserted later may lie beyond it; (v-Lo)*Scale then
+// exceeds the int range, and a conversion that wrapped instead of clamping
+// would drop those values into bucket 0, break bucket monotonicity, and
+// corrupt every Mann–Whitney statistic of the region. The delta re-audit
+// must stay byte-identical to a batch audit of the same snapshot, whose grid
+// spans the new values. A near-1 Alpha flags almost every candidate, so
+// their scores are compared too.
+func TestDeltaHugeIncomeMatchesBatch(t *testing.T) {
+	const cells, perCell = 12, 60
+	rng := stats.NewRNG(1025)
+	var data []partition.Observation
+	for c := 0; c < cells; c++ {
+		share := 0.15
+		if c%2 == 1 {
+			share = 0.8
+		}
+		for i := 0; i < perCell; i++ {
+			data = append(data, randomCellObs(rng, c, 0.3+0.04*float64(c), share, 40_000+2_000*float64(c)+8_000*rng.NormFloat64()))
+		}
+	}
+	grid := geo.NewGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(cells, 1)), cells, 1)
+	u := &deltaUniverse{grid: grid, opts: partition.Options{Seed: 3}, live: data}
+	u.dp = partition.NewDeltaByGrid(grid, data, u.opts)
+
+	cfg := DefaultConfig()
+	cfg.Alpha = 0.999
+	cfg.MCWorlds = 99
+	cfg.MinRegionSize = 10
+	cfg.DeltaDirtyFallback = 1 // force the incremental path
+	da, err := NewDeltaAuditor(u.dp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := da.Audit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 40; k++ {
+		o := randomCellObs(rng, 0, 0.3, 0.5, 0)
+		o.Income = 1e25 * (1 + float64(k)*1e-6) // distinct, far above the grid
+		u.dp.Insert(o)
+		u.live = append(u.live, o)
+	}
+	res, st, err := da.Audit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FullSweep {
+		t.Fatal("re-audit fell back to a full sweep with fallback pinned to 1")
+	}
+	want := u.coldResult(t, cfg)
+	if want.Candidates == 0 {
+		t.Fatal("batch audit has no candidates; the comparison proves nothing")
+	}
+	requireSameResult(t, "delta vs batch after huge incomes", res, want)
+}

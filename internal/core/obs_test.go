@@ -56,6 +56,7 @@ func TestAuditRecordsPhaseCounters(t *testing.T) {
 	if accounted != scanned {
 		t.Errorf("phase counters don't partition the scan: %d accounted of %d scanned", accounted, scanned)
 	}
+	requireSimilaritySettled(t, s)
 
 	for _, name := range []string{
 		obs.MAuditDissRejections, obs.MAuditSimRejections,
@@ -138,6 +139,7 @@ func TestAuditIndexedFunnelCounters(t *testing.T) {
 	if accounted != scanned {
 		t.Errorf("cascade counters don't partition the scan: %d accounted of %d scanned", accounted, scanned)
 	}
+	requireSimilaritySettled(t, s)
 
 	evs := col.Events().Recent(0)
 	if len(evs) != 2 {
@@ -145,6 +147,22 @@ func TestAuditIndexedFunnelCounters(t *testing.T) {
 	}
 	if gen := evs[1].Fields["candidate_gen"]; gen != "indexed" {
 		t.Errorf("audit.finish candidate_gen = %v, want indexed", gen)
+	}
+}
+
+// requireSimilaritySettled asserts the similarity gate's settlement split:
+// every pair reaching the gate — scanned, minus dissimilarity rejections and
+// Eta exits — is counted once as settled from bounds or by its exact score,
+// and the default Mann–Whitney gate settles some pairs from bounds alone.
+func requireSimilaritySettled(t *testing.T, s obs.Snapshot) {
+	t.Helper()
+	bounded, exact := s.Counter(obs.MAuditSimBounded), s.Counter(obs.MAuditSimExact)
+	reached := s.Counter(obs.MAuditPairsScanned) - s.Counter(obs.MAuditDissRejections) - s.Counter(obs.MAuditEtaFastPath)
+	if bounded+exact != reached {
+		t.Errorf("similarity gate settled %d bounded + %d exact, want the %d pairs reaching it", bounded, exact, reached)
+	}
+	if bounded == 0 {
+		t.Error("no similarity verdict settled from bounds; fixture should exercise the brackets")
 	}
 }
 

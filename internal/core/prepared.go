@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"lcsf/internal/partition"
 	"lcsf/internal/stats"
@@ -308,31 +307,21 @@ func rankBucketsFor(regions int) int {
 //     so regrowing one region can never clobber a neighbor's segment).
 //   - The rank grid is fixed for the scorer's lifetime. Repaired values
 //     outside its span clamp into the edge buckets, which keeps the bucket
-//     map monotone — the only property the cross-count kernels need.
-//   - allDistinct is a one-way latch: it is established once by
-//     finishPrepare's global scan and cleared (never re-established) by any
-//     repair, since a repair could introduce a duplicate across regions.
-//     Clearing it only changes which kernel computes the identical result.
+//     map monotone — the only property the cross-rank kernels need.
 type soaState struct {
 	// Sample-backed metrics (Mann–Whitney, Kolmogorov–Smirnov).
 	samples     [][]float64
 	sampleArena []float64
-	distinct    []bool // per-region strictly-increasing flag
+	distinct    []bool // Kolmogorov–Smirnov: per-region strictly-increasing flag
 
 	// Mann–Whitney rank-index state (see stats/rankindex.go).
-	grid        stats.RankGrid
-	gridOK      bool
-	ranked      []stats.RankedSample
-	keyArena    []uint64
-	bukArena    []int32
-	preArena    []int32
-	preCArena   []int32
-	allDistinct bool
-
-	// finishPrepare's global-distinct scan scratch: per-bucket scatter
-	// offsets and the gathered-key buffer, reused across audits.
-	scanCnt []int32
-	scanBuf []uint64
+	grid      stats.RankGrid
+	gridOK    bool
+	ranked    []stats.RankedSample
+	keyArena  []uint64
+	bukArena  []int32
+	preArena  []int32
+	preCArena []int32
 
 	// Scalar-state metrics.
 	moments []sampleMoments // Welch
@@ -341,25 +330,38 @@ type soaState struct {
 	shares  []float64       // StatParity, DisparateImpact
 }
 
-// preparedScorer binds one gate's metric to its scoring path: an SoA fast
-// path for the built-in metrics, the boxed PreparedRegion path for custom
-// PreparedMetric implementations, or the generic per-pair Score fallback.
-// All per-region state is indexed by position in the audit's eligible-region
-// list. The lifecycle is beginPrepare (layout) → prepare per region (fill,
-// concurrency-safe across distinct positions) → finishPrepare (global
-// analyses that need every region).
+// preparedScorer binds one gate's metric and threshold to its scoring path:
+// an SoA fast path for the built-in metrics, the boxed PreparedRegion path
+// for custom PreparedMetric implementations, or the generic per-pair Score
+// fallback. All per-region state is indexed by position in the audit's
+// eligible-region list. The lifecycle is beginPrepare (layout) → prepare per
+// region (fill, concurrency-safe across distinct positions).
 type preparedScorer struct {
-	metric   PairMetric
-	prepared PreparedMetric // non-nil on the prepared paths (generic or SoA)
-	kind     metricKind
-	state    []PreparedRegion // kindGeneric only
-	soa      soaState
+	metric    PairMetric
+	prepared  PreparedMetric // non-nil on the prepared paths (generic or SoA)
+	kind      metricKind
+	threshold float64
+	state     []PreparedRegion // kindGeneric only
+	soa       soaState
+
+	// The verified |z| bands that replay Pass(score, threshold) without the
+	// erfc (see stats.TwoSidedPGate / stats.TwoSidedPGEGate): zBand for
+	// kindZScore (p <= threshold), pBand for kindMannWhitney
+	// (p >= threshold).
+	zBand stats.TwoSidedPGate
+	pBand stats.TwoSidedPGEGate
 }
 
-func newPreparedScorer(m PairMetric) preparedScorer {
-	ps := preparedScorer{metric: m, kind: metricKindOf(m)}
+func newPreparedScorer(m PairMetric, threshold float64) preparedScorer {
+	ps := preparedScorer{metric: m, kind: metricKindOf(m), threshold: threshold}
 	if pm, ok := m.(PreparedMetric); ok {
 		ps.prepared = pm
+	}
+	switch ps.kind {
+	case kindZScore:
+		ps.zBand = stats.NewTwoSidedPGate(threshold)
+	case kindMannWhitney:
+		ps.pBand = stats.NewTwoSidedPGEGate(threshold)
 	}
 	return ps
 }
@@ -379,7 +381,6 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 			total += len(r.IncomeSample())
 		}
 		ps.soa.samples = growSlice(ps.soa.samples, n)
-		ps.soa.distinct = growSlice(ps.soa.distinct, n)
 		ps.soa.sampleArena = growSlice(ps.soa.sampleArena, total)
 		off := 0
 		for i, r := range regions {
@@ -389,6 +390,8 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 		}
 		if ps.kind == kindMannWhitney {
 			ps.soa.layoutRankIndex(regions, total)
+		} else {
+			ps.soa.distinct = growSlice(ps.soa.distinct, n)
 		}
 	case kindWelch:
 		ps.soa.moments = growSlice(ps.soa.moments, n)
@@ -406,7 +409,7 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 // layoutRankIndex builds the shared value grid over every region's raw
 // sample and carves the rank-index arenas into per-region views. A degenerate
 // span (all values equal, or non-finite) leaves gridOK false and the scorer
-// on the merge kernels.
+// on the merge kernel.
 func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
 	n := len(regions)
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -422,7 +425,6 @@ func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
 	}
 	buckets := rankBucketsFor(n)
 	s.grid, s.gridOK = stats.NewRankGrid(lo, hi, buckets)
-	s.allDistinct = false
 	if !s.gridOK {
 		return
 	}
@@ -466,9 +468,6 @@ func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 		copy(view, r.SortedIncomeSample())
 		if ps.soa.gridOK {
 			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
-			ps.soa.distinct[i] = ps.soa.ranked[i].Distinct
-		} else {
-			ps.soa.distinct[i] = stats.StrictlyIncreasing(view)
 		}
 	case kindKolmogorovSmirnov:
 		view := ps.soa.samples[i]
@@ -487,81 +486,10 @@ func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 	}
 }
 
-// finishPrepare runs after every region is prepared. For Mann–Whitney it
-// decides the no-ties dispatch level: when every region is individually
-// duplicate-free AND a global scan proves no value occurs twice anywhere,
-// the sweep uses the check-free cross kernel. A duplicate can only colocate
-// in one grid bucket (equal values share a bucket by construction), so the
-// scan scatters every key into its bucket's segment off the per-region
-// prefix tables — one counting pass and one linear pass — and sorts each
-// small segment instead of the whole key universe. It only runs when the
-// plan expects enough pairs (pairHint, counting ordered candidate emissions)
-// to amortize it; skipping it is always safe — the tie-checking kernel
-// computes identical results.
-func (ps *preparedScorer) finishPrepare(pairHint int64) {
-	if ps.kind != kindMannWhitney || !ps.soa.gridOK {
-		return
-	}
-	ps.soa.allDistinct = false
-	for _, d := range ps.soa.distinct {
-		if !d {
-			return
-		}
-	}
-	total := len(ps.soa.sampleArena)
-	if total == 0 || pairHint < int64(total) {
-		return
-	}
-	soa := &ps.soa
-	buckets := soa.grid.Buckets
-	cnt := growSlice(soa.scanCnt, buckets+1)
-	soa.scanCnt = cnt
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for i := range soa.ranked {
-		rs := &soa.ranked[i]
-		for _, b := range rs.Buk {
-			cnt[b+1]++
-		}
-	}
-	for b := 0; b < buckets; b++ {
-		cnt[b+1] += cnt[b]
-	}
-	buf := growSlice(soa.scanBuf, total)
-	soa.scanBuf = buf
-	for i := range soa.ranked {
-		rs := &soa.ranked[i]
-		for t := 0; t < rs.N; t++ {
-			b := rs.Buk[t]
-			buf[cnt[b]] = rs.Keys[t]
-			cnt[b]++
-		}
-	}
-	// After the scatter cnt[b] is bucket b's END offset; segments sort and
-	// dup-scan independently (duplicates cannot straddle buckets).
-	start := 0
-	for b := 0; b < buckets; b++ {
-		end := int(cnt[b])
-		if end-start > 1 {
-			seg := buf[start:end]
-			slices.Sort(seg)
-			for k := 1; k < len(seg); k++ {
-				if seg[k] == seg[k-1] {
-					return
-				}
-			}
-		}
-		start = end
-	}
-	ps.soa.allDistinct = true
-}
-
 // repair rebuilds position i's state after the delta auditor replaced or
 // mutated its region in place. Same-length samples refill the arena views;
 // length changes fall back to standalone slices for that region (three-index
-// views make this safe). Any repair drops the global no-ties latch — the
-// tie-checking kernel takes over, bit-identically.
+// views make this safe).
 func (ps *preparedScorer) repair(i int, r *partition.Region) {
 	switch ps.kind {
 	case kindMannWhitney, kindKolmogorovSmirnov:
@@ -573,16 +501,60 @@ func (ps *preparedScorer) repair(i int, r *partition.Region) {
 		}
 		view := ps.soa.samples[i]
 		copy(view, sorted)
-		if ps.kind == kindMannWhitney && ps.soa.gridOK {
-			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
-			ps.soa.distinct[i] = ps.soa.ranked[i].Distinct
-			ps.soa.allDistinct = false
-		} else {
+		if ps.kind == kindKolmogorovSmirnov {
 			ps.soa.distinct[i] = stats.StrictlyIncreasing(view)
+		} else if ps.soa.gridOK {
+			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
 		}
 	default:
 		ps.prepare(i, r)
 	}
+}
+
+// verdict decides the gate for the pair at eligible positions (i, j):
+// whether Pass(score, threshold) holds, and the score itself when deciding
+// needed it (scored). The z-test replays its threshold through the verified
+// |z| band and Mann–Whitney brackets its |z| from prefix tables, so neither
+// computes a score for a pair it settles; every other kind scores the pair.
+// The verdict is always Pass's, bit for bit.
+//
+//lint:hotpath
+func (ps *preparedScorer) verdict(i, j int, a, b *partition.Region, sc *Scratch) (pass bool, score float64, scored bool) {
+	switch ps.kind {
+	case kindZScore:
+		ga, gb := ps.soa.counts[i], ps.soa.counts[j]
+		return ps.zBand.LE(stats.TwoProportionZStat(ga.protected, ga.n, gb.protected, gb.n)), 0, false
+	case kindMannWhitney:
+		if ps.soa.gridOK {
+			if pass, decided := ps.soa.mannWhitneyBracket(i, j, &ps.pBand); decided {
+				return pass, 0, false
+			}
+		}
+	}
+	score = ps.score(i, j, a, b, sc)
+	return ps.metric.Pass(score, ps.threshold), score, true
+}
+
+// mannWhitneyBracket tries to settle TwoSidedP(z) >= threshold for a
+// Mann–Whitney pair from bounds alone: the coarse digest bracket first, the
+// per-element bucket bracket when that one touches the band's guard region,
+// each mapped to a |z| interval by stats.MannWhitneyAbsZRange. decided is
+// false when neither interval settles the comparison.
+//
+//lint:hotpath
+func (s *soaState) mannWhitneyBracket(i, j int, band *stats.TwoSidedPGEGate) (pass, decided bool) {
+	ra, rb := &s.ranked[i], &s.ranked[j]
+	lo, hi := stats.CrossBoundsCoarse(ra, rb)
+	if azMin, azMax, ok := stats.MannWhitneyAbsZRange(lo, hi, ra, rb); ok {
+		if pass, decided = band.DecideRange(azMin, azMax); decided {
+			return pass, true
+		}
+	}
+	lo, hi = stats.CrossBounds(ra, rb)
+	if azMin, azMax, ok := stats.MannWhitneyAbsZRange(lo, hi, ra, rb); ok {
+		return band.DecideRange(azMin, azMax)
+	}
+	return false, false
 }
 
 // score returns the metric's value for the pair at eligible positions (i, j)
@@ -620,33 +592,18 @@ func (ps *preparedScorer) score(i, j int, a, b *partition.Region, sc *Scratch) f
 	return ps.metric.Score(a, b) //lint:hotpathalloc-ok cold fallback for metrics without a prepared form
 }
 
-// mannWhitneyP dispatches a Mann–Whitney pair to the cheapest kernel whose
-// preconditions hold, every one bit-identical on its domain:
-//
-//	globally distinct        → check-free bucketed cross kernel
-//	both regions distinct    → tie-checking bucketed cross kernel
-//	                           (general merge on a detected cross tie)
-//	no grid / any duplicates → general tie-aware merge
+// mannWhitneyP is the Mann–Whitney p-value of a pair: the exact bucketed
+// kernel when the rank grid exists and its sums stay exact, the merge
+// otherwise — bit-identical either way.
 //
 //lint:hotpath
 func (s *soaState) mannWhitneyP(i, j int) float64 {
-	xs, ys := s.samples[i], s.samples[j]
 	if s.gridOK {
 		ra, rb := &s.ranked[i], &s.ranked[j]
-		if s.allDistinct {
-			return stats.MannWhitneyFromCross(stats.CrossCountNoTies(ra, rb), ra.N, rb.N).P
-		}
-		if s.distinct[i] && s.distinct[j] {
-			if cross, ok := stats.CrossCount(ra, rb); ok {
-				return stats.MannWhitneyFromCross(cross, ra.N, rb.N).P
-			}
-		}
-		return stats.MannWhitneyUSorted(xs, ys).P
-	}
-	if s.distinct[i] && s.distinct[j] {
-		if res, ok := stats.MannWhitneyUSortedNoTies(xs, ys); ok {
+		twoU, ties := stats.CrossCount(ra, rb)
+		if res, ok := stats.MannWhitneyFromCross(twoU, ties, ra.N, rb.N); ok {
 			return res.P
 		}
 	}
-	return stats.MannWhitneyUSorted(xs, ys).P
+	return stats.MannWhitneyUSorted(s.samples[i], s.samples[j]).P
 }

@@ -28,6 +28,19 @@ import (
 // and (3,4) are candidates that reach the Monte-Carlo test.
 func makeCascadeFixture(t testing.TB) *partition.Partitioning {
 	t.Helper()
+	return cascadeFixture(false)
+}
+
+// makeTiedCascadeFixture is makeCascadeFixture with every income rounded to
+// whole thousands and floored at 12,000, the shape of real HMDA incomes:
+// ties within and across regions abound, so the Mann–Whitney gate runs its
+// tie-aware brackets and kernel.
+func makeTiedCascadeFixture(t testing.TB) *partition.Partitioning {
+	t.Helper()
+	return cascadeFixture(true)
+}
+
+func cascadeFixture(tied bool) *partition.Partitioning {
 	const perRegion = 200
 	rng := stats.NewRNG(77)
 	var obs []partition.Observation
@@ -38,6 +51,9 @@ func makeCascadeFixture(t testing.TB) *partition.Partitioning {
 			income := 45000 + 8000*rng.NormFloat64()
 			if rich {
 				income = 150000 + 20000*rng.NormFloat64()
+			}
+			if tied {
+				income = math.Max(12000, math.Round(income/1000)*1000)
 			}
 			obs = append(obs, partition.Observation{
 				Loc:       geo.Pt(x, 0.5),
@@ -72,9 +88,6 @@ func newTestRunner(t testing.TB, p *partition.Partitioning, cfg Config) *auditRu
 		run.sim.prepare(i, run.regions[i])
 		run.diss.prepare(i, run.regions[i])
 	}
-	hint := run.pairHint()
-	run.sim.finishPrepare(hint)
-	run.diss.finishPrepare(hint)
 	return run
 }
 
@@ -82,7 +95,7 @@ func newTestRunner(t testing.TB, p *partition.Partitioning, cfg Config) *auditRu
 func (ar *auditRunner) sweep(tally *pairTally, sc *Scratch) {
 	for ii := range ar.regions {
 		for jj := ii + 1; jj < len(ar.regions); jj++ {
-			ar.auditPair(ii, jj, tally, sc)
+			ar.auditPair(ii, jj, tally, sc, true, false)
 		}
 	}
 }
@@ -107,57 +120,61 @@ func fillNullStore(t testing.TB, s *stats.NullStore) {
 // dissimilarity rejection, Eta fast-path exit, similarity rejection,
 // prescreen skip, and the null-store p-value, both answered from a stored
 // sample and, past the store's bound, from a fill into the worker's Scratch.
+// It runs on the cascade fixture and on its tied twin, whose similarity gate
+// takes the tie-aware brackets and exact bucketed kernel.
 func TestAuditPairKernelZeroAlloc(t *testing.T) {
-	p := makeCascadeFixture(t)
-	cfg := DefaultConfig()
-	cfg.MinRegionSize = 10
-	cfg.MCWorlds = 199
+	for _, fx := range kernelFixtures(t) {
+		p := fx.p
+		cfg := DefaultConfig()
+		cfg.MinRegionSize = 10
+		cfg.MCWorlds = 199
 
-	run := newTestRunner(t, p, cfg)
-	var sc Scratch
+		run := newTestRunner(t, p, cfg)
+		var sc Scratch
 
-	// The fixture must actually cover every cascade exit, or the zero-alloc
-	// sweep below proves less than it claims.
-	var cover pairTally
-	run.sweep(&cover, &sc)
-	for _, c := range []struct {
-		name string
-		n    int64
-	}{
-		{"dissRejections", cover.dissRejections},
-		{"etaFastPath", cover.etaFastPath},
-		{"simRejections", cover.simRejections},
-		{"prescreenSkips", cover.prescreenSkips},
-		{"nullFills", cover.nullFills},
-	} {
-		if c.n == 0 {
-			t.Fatalf("fixture does not exercise %s; kernel coverage incomplete", c.name)
+		// The fixture must actually cover every cascade exit, or the
+		// zero-alloc sweep below proves less than it claims.
+		var cover pairTally
+		run.sweep(&cover, &sc)
+		for _, c := range []struct {
+			name string
+			n    int64
+		}{
+			{"dissRejections", cover.dissRejections},
+			{"etaFastPath", cover.etaFastPath},
+			{"simRejections", cover.simRejections},
+			{"prescreenSkips", cover.prescreenSkips},
+			{"nullFills", cover.nullFills},
+		} {
+			if c.n == 0 {
+				t.Fatalf("%s fixture does not exercise %s; kernel coverage incomplete", fx.name, c.name)
+			}
 		}
-	}
 
-	fullRun := newTestRunner(t, p, cfg)
-	fillNullStore(t, fullRun.nulls)
-	var fullSc Scratch
-	var full pairTally
-	fullRun.sweep(&full, &fullSc)
-	if full.nullHits != 0 || full.nullFills != cover.nullFills+cover.nullHits {
-		t.Fatalf("full store: %d hits, %d fills; want every lookup filled into scratch", full.nullHits, full.nullFills)
-	}
+		fullRun := newTestRunner(t, p, cfg)
+		fillNullStore(t, fullRun.nulls)
+		var fullSc Scratch
+		var full pairTally
+		fullRun.sweep(&full, &fullSc)
+		if full.nullHits != 0 || full.nullFills != cover.nullFills+cover.nullHits {
+			t.Fatalf("%s full store: %d hits, %d fills; want every lookup filled into scratch", fx.name, full.nullHits, full.nullFills)
+		}
 
-	for _, tc := range []struct {
-		name string
-		run  *auditRunner
-		sc   *Scratch
-	}{
-		{"null-store-hit", run, &sc},
-		{"null-store-past-bound", fullRun, &fullSc},
-	} {
-		allocs := testing.AllocsPerRun(5, func() {
-			var tally pairTally
-			tc.run.sweep(&tally, tc.sc)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: auditPair sweep allocates %.1f times per run, want 0", tc.name, allocs)
+		for _, tc := range []struct {
+			name string
+			run  *auditRunner
+			sc   *Scratch
+		}{
+			{"null-store-hit", run, &sc},
+			{"null-store-past-bound", fullRun, &fullSc},
+		} {
+			allocs := testing.AllocsPerRun(5, func() {
+				var tally pairTally
+				tc.run.sweep(&tally, tc.sc)
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: auditPair sweep allocates %.1f times per run, want 0", fx.name, tc.name, allocs)
+			}
 		}
 	}
 }

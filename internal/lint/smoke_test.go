@@ -67,7 +67,7 @@ func TestHotPathAllocAgreesWithZeroAllocTest(t *testing.T) {
 	// The kernel path exercised by TestAuditPairKernelZeroAlloc.
 	for _, key := range []string{
 		"lcsf/internal/core.(auditRunner).auditPair",
-		"lcsf/internal/core.(auditRunner).fastAuditPair",
+		"lcsf/internal/stats.CrossCount",
 		"lcsf/internal/core.(auditRunner).pairPValue",
 		"lcsf/internal/core.(auditRunner).summaryReject",
 		"lcsf/internal/stats.(NullStore).PValue",

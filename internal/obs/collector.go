@@ -13,6 +13,13 @@ const (
 	MAuditDissRejections = "audit.gate.dissimilarity_rejections"
 	MAuditSimRejections  = "audit.gate.similarity_rejections"
 	MAuditEtaFastPath    = "audit.gate.eta_fastpath_exits"
+	// MAuditSimBounded and MAuditSimExact split the pairs reaching the
+	// similarity gate by how its verdict was settled: from bounds alone
+	// (Mann–Whitney's bracketed |z| intervals) or by computing the pair's
+	// score (bounded + exact == pairs_scanned − dissimilarity_rejections −
+	// eta_fastpath_exits).
+	MAuditSimBounded     = "audit.gate.similarity_bounded"
+	MAuditSimExact       = "audit.gate.similarity_exact"
 	MAuditCandidates     = "audit.candidates"
 	MAuditPrescreenSkips = "audit.mc.prescreen_tau_skips"
 	MAuditMCWorlds       = "audit.mc.worlds"

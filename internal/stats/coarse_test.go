@@ -7,10 +7,10 @@ import (
 )
 
 // TestCrossBoundsCoarseContainsExact pins the coarse digest's soundness
-// contract: for same-grid distinct samples the group-resolution interval
-// always contains the fine bucket-resolution interval, which contains the
-// exact cross count — so a verdict decided from the coarse interval alone is
-// always the exact verdict.
+// contract: for same-grid samples the group-resolution interval always
+// contains the fine bucket-resolution interval, which contains the exact
+// U — so a verdict decided from the coarse interval alone is always the
+// exact verdict. Every fourth trial is tie-heavy.
 func TestCrossBoundsCoarseContainsExact(t *testing.T) {
 	rng := NewRNG(0xC0A25E)
 	for trial := 0; trial < 300; trial++ {
@@ -22,16 +22,19 @@ func TestCrossBoundsCoarseContainsExact(t *testing.T) {
 		n1, n2 := 1+int(rng.Uint64()%60), 1+int(rng.Uint64()%60)
 		xs := distinctSorted(rng, n1)
 		ys := distinctSorted(rng, n2)
+		if trial%4 == 3 {
+			xs, ys = quarterSorted(xs), quarterSorted(ys)
+		}
 		var a, b RankedSample
 		FillRankedSample(grid, xs, &a)
 		FillRankedSample(grid, ys, &b)
 
 		cLo, cHi := CrossBoundsCoarse(&a, &b)
 		fLo, fHi := CrossBounds(&a, &b)
-		cross := CrossCountNoTies(&a, &b)
-		if !(cLo <= fLo && fLo <= cross && cross <= fHi && fHi <= cHi) {
-			t.Fatalf("trial %d (buckets=%d): want coarse [%d,%d] ⊇ fine [%d,%d] ∋ exact %d",
-				trial, buckets, cLo, cHi, fLo, fHi, cross)
+		twoU, _ := CrossCount(&a, &b)
+		if !(cLo <= fLo && 2*int64(fLo) <= twoU && twoU <= 2*int64(fHi) && fHi <= cHi) {
+			t.Fatalf("trial %d (buckets=%d): want coarse [%d,%d] ⊇ fine [%d,%d] ∋ exact U %g",
+				trial, buckets, cLo, cHi, fLo, fHi, float64(twoU)/2)
 		}
 		if cLo < 0 || cHi > n1*n2 {
 			t.Fatalf("trial %d: coarse bounds [%d,%d] outside [0,%d]", trial, cLo, cHi, n1*n2)
@@ -86,9 +89,9 @@ func TestCoarseGroupsClamp(t *testing.T) {
 // everywhere, matching MannWhitneyUSorted's treatment of empty samples.
 func TestMannWhitneyFromCrossDegenerate(t *testing.T) {
 	for _, tc := range []struct{ n1, n2 int }{{0, 5}, {5, 0}, {0, 0}} {
-		r := MannWhitneyFromCross(0, tc.n1, tc.n2)
-		if !math.IsNaN(r.U) || !math.IsNaN(r.Z) || !math.IsNaN(r.P) {
-			t.Fatalf("MannWhitneyFromCross(0, %d, %d) = %+v, want all NaN", tc.n1, tc.n2, r)
+		r, ok := MannWhitneyFromCross(0, 0, tc.n1, tc.n2)
+		if !ok || !math.IsNaN(r.U) || !math.IsNaN(r.Z) || !math.IsNaN(r.P) {
+			t.Fatalf("MannWhitneyFromCross(0, 0, %d, %d) = %+v, %v; want all NaN", tc.n1, tc.n2, r, ok)
 		}
 	}
 }
@@ -117,9 +120,9 @@ func TestRNGBernoulli(t *testing.T) {
 	}
 }
 
-// TestCrossBounds checks on random distinct samples that the bound interval
-// contains the exact cross count, on healthy and degenerate (single-bucket)
-// grids alike.
+// TestCrossBounds checks on random samples, distinct and tie-heavy, that the
+// bound interval contains the exact U, on healthy and degenerate
+// (single-bucket) grids alike.
 func TestCrossBounds(t *testing.T) {
 	rng := NewRNG(7)
 	for trial := 0; trial < 200; trial++ {
@@ -131,18 +134,30 @@ func TestCrossBounds(t *testing.T) {
 		n1, n2 := 1+int(rng.Uint64()%50), 1+int(rng.Uint64()%50)
 		xs := distinctSorted(rng, n1)
 		ys := distinctSorted(rng, n2)
+		if trial%2 == 1 {
+			xs, ys = quarterSorted(xs), quarterSorted(ys)
+		}
 		var a, b RankedSample
 		FillRankedSample(grid, xs, &a)
 		FillRankedSample(grid, ys, &b)
 		lo, hi := CrossBounds(&a, &b)
-		cross := CrossCountNoTies(&a, &b)
-		if cross < lo || cross > hi {
-			t.Fatalf("trial %d: cross %d outside bounds [%d,%d]", trial, cross, lo, hi)
+		if twoU, _ := CrossCount(&a, &b); twoU < 2*int64(lo) || twoU > 2*int64(hi) {
+			t.Fatalf("trial %d: U %g outside bounds [%d,%d]", trial, float64(twoU)/2, lo, hi)
 		}
 		if lo < 0 || hi > n1*n2 {
 			t.Fatalf("trial %d: bounds [%d,%d] outside [0,%d]", trial, lo, hi, n1*n2)
 		}
 	}
+}
+
+// quarterSorted rounds a sorted sample in [0, 1) onto a grid of quarters,
+// keeping it sorted: ties within and across samples abound.
+func quarterSorted(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, v := range xs {
+		out[i] = math.Floor(v*4) / 4
+	}
+	return out
 }
 
 // distinctSorted draws n distinct uniform values in ascending order.

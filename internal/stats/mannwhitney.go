@@ -115,78 +115,34 @@ func MannWhitneySeparatedP(n1, n2 int) float64 {
 	return mannWhitneyFromRankSum(rankSum1, 0, n1, n2).P
 }
 
-// MannWhitneyUSortedNoTies is the no-ties specialization of
-// MannWhitneyUSorted: a branch-light single-advance merge for samples that
-// are each strictly increasing. The caller must guarantee neither sample
-// contains a duplicate value (within-sample ties change the tie-correction
-// term and are NOT detected here); cross-sample ties ARE detected, and the
-// function returns ok=false — with an unspecified result — so the caller can
-// fall back to the general tie-aware kernel. When ok is true the result is
-// bit-identical to MannWhitneyUSorted on the same data: with no ties anywhere
-// the rank sum is the exact integer n1(n1+1)/2 + #{x > y}, which the general
-// kernel accumulates in exact float64 steps with a zero tie term.
-//
-// Empty samples and samples led by a NaN return the NaN result with ok=true,
-// matching MannWhitneyUSorted.
-//
-//lint:hotpath
-func MannWhitneyUSortedNoTies(xs, ys []float64) (res MannWhitneyResult, ok bool) {
-	n1, n2 := len(xs), len(ys)
-	if n1 == 0 || n2 == 0 || math.IsNaN(xs[0]) || math.IsNaN(ys[0]) {
-		return mannWhitneyNaN, true
-	}
-	// cross counts #{(x, y) : x > y}. Each consumed y sees all still-pending
-	// xs above it; the branchless advance keeps the loop's only data-dependent
-	// branch the rare cross-tie check.
-	cross := 0
-	i, j := 0, 0
-	for i < n1 && j < n2 {
-		x, y := xs[i], ys[j]
-		if x == y { //lint:floateq-ok cross-tie-detection
-			return MannWhitneyResult{}, false
-		}
-		yl := 0
-		if y < x {
-			yl = 1
-		}
-		cross += yl * (n1 - i)
-		j += yl
-		i += 1 - yl
-	}
-	return MannWhitneyFromCross(cross, n1, n2), true
-}
-
 // mannWhitneyNaN is the result for samples the test cannot rank: empty, or
 // holding a NaN.
 var mannWhitneyNaN = MannWhitneyResult{U: math.NaN(), Z: math.NaN(), P: math.NaN()}
 
 // mannWhitneyFromRankSum finishes the test from the first sample's rank sum
 // and the tie-correction term: the U statistic, the tie-corrected normal
-// approximation with continuity correction, and the two-sided p-value.
+// approximation with continuity correction, and the two-sided p-value. Its
+// z is composed of mannWhitneyDiff and mannWhitneySigma2, the two monotone
+// halves MannWhitneyAbsZRange evaluates at a bracket's corners — sharing
+// them is what makes those corners bound this z exactly.
 func mannWhitneyFromRankSum(rankSum1, tieTerm float64, n1, n2 int) MannWhitneyResult {
-	u1, z, degenerate := mannWhitneyZFromRankSum(rankSum1, tieTerm, n1, n2)
-	if degenerate {
+	u1, diff := mannWhitneyDiff(rankSum1, n1, n2)
+	sigma2 := mannWhitneySigma2(tieTerm, n1, n2)
+	if sigma2 <= 0 {
 		// All observations tied: the samples are indistinguishable.
 		return MannWhitneyResult{U: u1, Z: 0, P: 1}
 	}
+	z := diff / math.Sqrt(sigma2)
 	return MannWhitneyResult{U: u1, Z: z, P: TwoSidedP(z)}
 }
 
-// mannWhitneyZFromRankSum is the statistic half of mannWhitneyFromRankSum:
-// the U statistic and the tie- and continuity-corrected z, without the erfc.
-// Sharing this helper is what keeps MannWhitneyZNoTies bit-identical to the
-// full test's Z — both run the exact same float operations in the same order.
-func mannWhitneyZFromRankSum(rankSum1, tieTerm float64, n1, n2 int) (u1, z float64, degenerate bool) {
+// mannWhitneyDiff returns the U statistic and its continuity-corrected
+// distance from the mean n1*n2/2 — nondecreasing in rankSum1.
+func mannWhitneyDiff(rankSum1 float64, n1, n2 int) (u1, diff float64) {
 	fn1, fn2 := float64(n1), float64(n2)
 	u1 = rankSum1 - fn1*(fn1+1)/2
-	mu := fn1 * fn2 / 2
-	n := fn1 + fn2
-	sigma2 := fn1 * fn2 / 12 * ((n + 1) - tieTerm/(n*(n-1)))
-	if sigma2 <= 0 {
-		return u1, 0, true
-	}
+	diff = u1 - fn1*fn2/2
 	// Continuity correction toward the mean.
-	diff := u1 - mu
 	switch {
 	case diff > 0.5:
 		diff -= 0.5
@@ -195,26 +151,13 @@ func mannWhitneyZFromRankSum(rankSum1, tieTerm float64, n1, n2 int) (u1, z float
 	default:
 		diff = 0
 	}
-	return u1, diff / math.Sqrt(sigma2), false
+	return u1, diff
 }
 
-// MannWhitneyZNoTies returns MannWhitneyFromCross(cross, n1, n2).Z without
-// computing the p-value — the statistic alone, bit-identical to the full
-// test's Z (both call mannWhitneyZFromRankSum on the same inputs). The audit's
-// fast similarity gate maps cross-count bounds into |z| space with it and
-// decides most pairs against a verified critical band, skipping both the
-// exact cross count and the erfc. Empty samples return NaN, matching
-// MannWhitneyFromCross.
-//
-//lint:hotpath
-func MannWhitneyZNoTies(cross, n1, n2 int) float64 {
-	if n1 == 0 || n2 == 0 {
-		return math.NaN()
-	}
-	rankSum1 := float64(n1)*float64(n1+1)/2 + float64(cross)
-	_, z, degenerate := mannWhitneyZFromRankSum(rankSum1, 0, n1, n2)
-	if degenerate {
-		return 0
-	}
-	return z
+// mannWhitneySigma2 returns the tie-corrected variance of U — nonincreasing
+// in tieTerm.
+func mannWhitneySigma2(tieTerm float64, n1, n2 int) float64 {
+	fn1, fn2 := float64(n1), float64(n2)
+	n := fn1 + fn2
+	return fn1 * fn2 / 12 * ((n + 1) - tieTerm/(n*(n-1)))
 }

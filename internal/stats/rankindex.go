@@ -3,13 +3,13 @@ package stats
 import "math"
 
 // This file is the bucketed cross-rank kernel behind the audit engine's
-// no-ties Mann–Whitney fast path. The classic merge kernel walks two sorted
+// Mann–Whitney similarity gate. The classic merge kernel walks two sorted
 // samples with a loop-carried dependency — each step's branch (or select)
 // waits on the previous step's loads — which caps it near ten cycles per
 // element on data the branch predictor cannot memorize. The bucket kernel
 // removes the dependency: values become order-preserving integer keys at
 // prepare time, every region is summarized by per-bucket prefix counts on a
-// shared equi-width grid, and a pair's cross count becomes an independent
+// shared equi-width grid, and a pair's rank statistic becomes an independent
 // per-element lookup
 //
 //	#{x < y}  =  Pre[bucket(y)]  +  #{x in bucket(y) : x < y}
@@ -23,8 +23,10 @@ import "math"
 //
 // Exactness does not depend on the grid: any monotone bucketing (including
 // values clamped to the edge buckets) keeps bucket(x) < bucket(y) ⇒ x < y
-// and x == y ⇒ same bucket, so the prefix-plus-correction count equals the
-// exact cross count and tie detection inspects exactly the candidate bucket.
+// and x == y ⇒ same bucket, so the prefix-plus-correction count is exact and
+// ties are found by inspecting exactly the candidate bucket. The same two
+// facts make the prefix tables alone bracket U = #{x > y} + ½#{x = y} (see
+// CrossBounds) and the pooled tie term (see MannWhitneyAbsZRange).
 
 // OrderedKey maps a float64 to a uint64 that preserves <, ==, and > for all
 // finite and infinite values: the IEEE-754 bit pattern with the sign bit
@@ -75,22 +77,26 @@ func NewRankGrid(lo, hi float64, buckets int) (RankGrid, bool) {
 
 // Bucket returns v's grid bucket, clamped to [0, Buckets-1]. Clamping keeps
 // the mapping monotone for values outside the grid's span (delta updates can
-// introduce them), which is all the cross-count kernels require.
+// introduce them), which is all the cross-rank kernels require. The clamp
+// happens in float64, before the conversion: converting a float beyond the
+// int range is implementation-defined in Go (amd64 yields the minimum int),
+// which would drop a huge value into bucket 0. NaN lands in bucket 0.
 func (g RankGrid) Bucket(v float64) int {
-	b := int((v - g.Lo) * g.Scale)
-	if b < 0 {
-		b = 0
+	f := (v - g.Lo) * g.Scale
+	if !(f > 0) {
+		return 0
 	}
-	if b >= g.Buckets {
-		b = g.Buckets - 1
+	if f >= float64(g.Buckets) {
+		return g.Buckets - 1
 	}
-	return b
+	return int(f)
 }
 
 // RankedSample is one sorted sample prepared for the bucketed cross-rank
-// kernels: ordered keys (sentinel-padded), per-element bucket ids, and the
-// grid's prefix counts. The audit engine backs these slices with shared
-// flat arenas indexed by region ordinal (see core's SoA layout).
+// kernels: ordered keys (sentinel-padded), per-element bucket ids, the
+// grid's prefix counts, and the sample's own tie structure. The audit engine
+// backs these slices with shared flat arenas indexed by region ordinal (see
+// core's SoA layout).
 type RankedSample struct {
 	// Keys holds the N ordered keys ascending, padded with two ^uint64(0)
 	// sentinels so the kernels' fixed two-slot probes never read out of
@@ -108,9 +114,12 @@ type RankedSample struct {
 	PreC []int32
 	// N is the sample size.
 	N int
-	// Distinct reports the sample is strictly increasing (no within-sample
-	// duplicate values) — a precondition of the no-ties kernels.
-	Distinct bool
+	// Ties is the sample's own tie term Σ(t³−t) over its runs of equal
+	// values, and MaxRun its longest run (1 when every value is distinct,
+	// 0 when the sample is empty). A pair's pooled tie term adds the two
+	// samples' Ties to a cross term bounded through MaxRun.
+	Ties   int64
+	MaxRun int
 }
 
 // FillRankedSample builds rs from a sorted sample on grid g, reusing rs's
@@ -141,19 +150,26 @@ func FillRankedSample(g RankGrid, sorted []float64, rs *RankedSample) {
 	for i := range rs.Pre {
 		rs.Pre[i] = 0
 	}
-	distinct := true
+	var ties int64
+	maxRun, run := 0, 0
 	var prev uint64
 	for i, v := range sorted {
 		k := OrderedKey(v)
 		if i > 0 && k == prev {
-			distinct = false
+			run++
+		} else {
+			ties += runTies(run)
+			run = 1
 		}
+		maxRun = max(maxRun, run)
 		prev = k
 		rs.Keys[i] = k
 		b := g.Bucket(v)
 		rs.Buk[i] = int32(b)
 		rs.Pre[b+1]++
 	}
+	rs.Ties = ties + runTies(run)
+	rs.MaxRun = maxRun
 	rs.Keys[n] = ^uint64(0)
 	rs.Keys[n+1] = ^uint64(0)
 	for b := 0; b < g.Buckets; b++ {
@@ -162,12 +178,18 @@ func FillRankedSample(g RankGrid, sorted []float64, rs *RankedSample) {
 	for gi := 0; gi <= groups; gi++ {
 		rs.PreC[gi] = rs.Pre[gi*g.Buckets/groups]
 	}
-	rs.Distinct = distinct
+}
+
+// runTies is one run's contribution t³−t to a tie term.
+func runTies(t int) int64 {
+	r := int64(t)
+	return r*r*r - r
 }
 
 // StrictlyIncreasing reports whether a sorted sample has no duplicate values
-// — the within-sample half of the no-ties precondition. (-0.0 and +0.0 count
-// as duplicates, matching the tie-grouping of the general rank kernels.)
+// — the precondition of the Kolmogorov–Smirnov no-ties kernel. (-0.0 and
+// +0.0 count as duplicates, matching the tie-grouping of the general rank
+// kernels.)
 func StrictlyIncreasing(sorted []float64) bool {
 	for i := 1; i < len(sorted); i++ {
 		if !(sorted[i-1] < sorted[i]) {
@@ -177,151 +199,91 @@ func StrictlyIncreasing(sorted []float64) bool {
 	return true
 }
 
-// CrossCount returns #{(x, y) : x > y} over a's and b's elements, and
-// ok=false when some x equals some y (a cross-sample tie), in which case
-// cross is meaningless and the caller must use the general tie-aware kernel.
-// Both samples must be individually strictly increasing (Distinct) and built
-// on the same grid; within-sample duplicates are NOT detected here and would
-// silently corrupt the tie-correction term downstream.
+// CrossCount is the exact bucketed Mann–Whitney kernel: it returns twice the
+// U statistic of a against b, 2U = 2#{x > y} + #{x = y}, and the pair's
+// pooled tie term Σ(t³−t) over the runs of equal values in the union — the
+// two integers MannWhitneyUSorted accumulates as floats. Both samples must
+// be built on the same grid.
 //
-// The loop is branch-light by construction: per element, two prefix loads,
-// two branchless slot probes, and a spill loop whose guard is false for all
-// but the rare overfull bucket.
+// Per partner element y the kernel counts #{x < y} and #{x = y} inside y's
+// bucket: two branchless slot probes plus a spill loop whose guard is false
+// for all but overfull buckets. A partner value tied with a is consumed with
+// its whole run of r equal elements, probed once. The pooled tie term
+// expands per value held cx times by a and cy times by b as
+// (cx+cy)³−(cx+cy) = (cx³−cx) + (cy³−cy) + 3·cx·cy·(cx+cy): the first two
+// parts are the samples' own Ties, and the run adds the third.
 //
 //lint:hotpath
-func CrossCount(a, b *RankedSample) (cross int, ok bool) {
+func CrossCount(a, b *RankedSample) (twoU, ties int64) {
 	n1, n2 := a.N, b.N
+	ties = a.Ties + b.Ties
 	if n1 == 0 || n2 == 0 {
-		return 0, true
+		return 0, ties
 	}
 	xk := a.Keys
 	pre := a.Pre
 	yb := b.Buk
 	yk := b.Keys
-	less := 0
-	tied := false
+	twoLess, cross := 0, 0 // Σ_y 2#{x<y} + #{x=y}; Σ cx·cy·(cx+cy)
 	for t := 0; t < n2; t++ {
+		y := yk[t]
 		bb := yb[t]
 		p0 := int(pre[bb])
 		p1 := int(pre[bb+1])
-		y := yk[t]
 		x0 := xk[p0]
 		x1 := xk[p0+1]
-		l := p0
+		less := p0
 		if x0 < y {
-			l++
+			less++
 		}
 		if x1 < y {
-			l++
+			less++
 		}
-		if x0 == y || x1 == y {
-			tied = true
+		eq := 0
+		if x0 == y {
+			eq++
+		}
+		if x1 == y {
+			eq++
 		}
 		if p1-p0 > 2 {
 			for k := p0 + 2; k < p1; k++ {
 				x := xk[k]
 				if x < y {
-					l++
+					less++
 				} else if x == y {
-					tied = true
+					eq++
 				}
 			}
 		}
-		less += l
+		if eq == 0 {
+			twoLess += 2 * less
+			continue
+		}
+		run := 1
+		for t+1 < n2 && yk[t+1] == y {
+			t++
+			run++
+		}
+		twoLess += run * (2*less + eq)
+		cross += eq * run * (eq + run)
 	}
-	return n1*n2 - less, !tied
+	return 2*int64(n1)*int64(n2) - int64(twoLess), ties + 3*int64(cross)
 }
 
-// CrossCountNoTies is CrossCount without tie detection, for callers that
-// have verified no value occurs twice anywhere in the compared universe
-// (the audit engine's global-distinct prepare check). With that guarantee
-// the equality probes can never fire, so the kernel drops them.
-//
-//lint:hotpath
-func CrossCountNoTies(a, b *RankedSample) int {
-	n1, n2 := a.N, b.N
-	if n1 == 0 || n2 == 0 {
-		return 0
-	}
-	xk := a.Keys
-	pre := a.Pre
-	yb := b.Buk
-	yk := b.Keys
-	le0, le1 := 0, 0
-	t := 0
-	for ; t+2 <= n2; t += 2 {
-		b0, b1 := yb[t], yb[t+1]
-		y0, y1 := yk[t], yk[t+1]
-		p00, p01 := int(pre[b0]), int(pre[b0+1])
-		p10, p11 := int(pre[b1]), int(pre[b1+1])
-		l := p00
-		if xk[p00] < y0 {
-			l++
-		}
-		if xk[p00+1] < y0 {
-			l++
-		}
-		le0 += l
-		l = p10
-		if xk[p10] < y1 {
-			l++
-		}
-		if xk[p10+1] < y1 {
-			l++
-		}
-		le1 += l
-		if p01-p00 > 2 {
-			for k := p00 + 2; k < p01; k++ {
-				if xk[k] < y0 {
-					le0++
-				}
-			}
-		}
-		if p11-p10 > 2 {
-			for k := p10 + 2; k < p11; k++ {
-				if xk[k] < y1 {
-					le1++
-				}
-			}
-		}
-	}
-	for ; t < n2; t++ {
-		bb := yb[t]
-		p0 := int(pre[bb])
-		p1 := int(pre[bb+1])
-		y := yk[t]
-		l := p0
-		if xk[p0] < y {
-			l++
-		}
-		if xk[p0+1] < y {
-			l++
-		}
-		if p1-p0 > 2 {
-			for k := p0 + 2; k < p1; k++ {
-				if xk[k] < y {
-					l++
-				}
-			}
-		}
-		le0 += l
-	}
-	return n1*n2 - (le0 + le1)
-}
-
-// CrossBounds returns a certain interval [lo, hi] containing the exact cross
-// count #{(x, y) : x > y} of the pair, from prefix loads alone: for a partner
-// element y in bucket b, the probe's elements in earlier buckets (Pre[b]) are
-// certainly below y and those in later buckets certainly not, so summing
-// Pre[b] and Pre[b+1] over the partner's elements brackets #{x < y} without
-// touching the keys. The interval's width is the number of colocated (same
-// bucket) element pairs — a few buckets' worth on a healthy grid — and the
-// pass streams only the partner's bucket ids (4 bytes/element against the
-// exact kernel's 12), so a caller that can decide its predicate from the
-// interval (see TwoSidedPGEGate.DecideRange) skips the exact kernel and
-// most of its memory traffic. Valid for any samples on a shared grid, ties or
-// not (the interval brackets the no-ties cross count the exact kernels
-// compute).
+// CrossBounds returns a certain interval [lo, hi] containing the pair's
+// U = #{x > y} + ½#{x = y}, from prefix loads alone: for a partner element y
+// in bucket b, the probe's elements in earlier buckets (Pre[b]) are
+// certainly below y and those in later buckets certainly above it, so
+// #{x < y} + ½#{x = y} lies between Pre[b] and Pre[b+1] without touching the
+// keys (equal values share a bucket). The interval's width is the number of
+// colocated (same bucket) element pairs — a bound on the tied pairs, and a
+// few buckets' worth on a healthy grid — and the pass streams only the
+// partner's bucket ids (4 bytes/element against the exact kernel's 12), so a
+// caller that can decide its predicate from the interval (see
+// MannWhitneyAbsZRange and TwoSidedPGEGate.DecideRange) skips the exact
+// kernel and most of its memory traffic. Valid for any samples on a shared
+// grid, ties or not.
 //
 //lint:hotpath
 func CrossBounds(a, b *RankedSample) (lo, hi int) {
@@ -375,11 +337,11 @@ func CoarseGroups(buckets int) int {
 // so the whole bracket is a histogram product over G groups, touching ~one
 // cache line per sample instead of the partner's per-element bucket ids. The
 // interval is wider than CrossBounds' (it brackets by group colocation, a
-// superset of bucket colocation) but still certainly contains the exact
-// no-ties cross count, so a caller that can decide its predicate from this
-// interval (the common case — see the fast audit cascade) skips both the
-// per-element bounds pass and the exact kernel. Both samples must be built on
-// the same grid (equal-length PreC tables).
+// superset of bucket colocation) but still certainly contains U, so a caller
+// that can decide its predicate from this interval (the common case — see
+// the audit's similarity gate) skips both the per-element bounds pass and the
+// exact kernel. Both samples must be built on the same grid (equal-length
+// PreC tables).
 //
 //lint:hotpath
 func CrossBoundsCoarse(a, b *RankedSample) (lo, hi int) {
@@ -402,20 +364,79 @@ func CrossBoundsCoarse(a, b *RankedSample) (lo, hi int) {
 	return total - he, total - le
 }
 
-// MannWhitneyFromCross finishes the no-ties Mann–Whitney U test from an
-// exact cross count #{(x, y) : x > y} for sample sizes n1 (the x side) and
-// n2. With no ties anywhere, the first sample's rank sum is exactly
-// n1(n1+1)/2 + cross — an integer well inside float64's exact range for any
-// in-memory sample — so the result is bit-identical to MannWhitneyUSorted on
-// the same data: the general kernel accumulates the same integer rank sum in
-// exact float64 steps and finishes through the same arithmetic with a zero
-// tie term.
+// exactFloatLimit is 2^53: integers below it, and multiples of one half
+// below half of it, are exact float64 values.
+const exactFloatLimit = 1 << 53
+
+// MannWhitneyFromCross finishes the Mann–Whitney U test from CrossCount's
+// integers for sample sizes n1 (the x side) and n2. The first sample's rank
+// sum is n1(n1+1)/2 + U, so twice it is an integer; while that and the tie
+// term stay below 2^53 the result is bit-identical to MannWhitneyUSorted on
+// the same data, whose float accumulation of the same half-integer rank sum
+// and integer tie term is then exact. ok is false past that bound — the
+// caller must run MannWhitneyUSorted. Empty samples give the NaN result with
+// ok true.
 //
 //lint:hotpath
-func MannWhitneyFromCross(cross, n1, n2 int) MannWhitneyResult {
+func MannWhitneyFromCross(twoU, ties int64, n1, n2 int) (MannWhitneyResult, bool) {
 	if n1 == 0 || n2 == 0 {
-		return MannWhitneyResult{U: math.NaN(), Z: math.NaN(), P: math.NaN()}
+		return mannWhitneyNaN, true
 	}
-	rankSum1 := float64(n1)*float64(n1+1)/2 + float64(cross)
-	return mannWhitneyFromRankSum(rankSum1, 0, n1, n2)
+	twoR1 := int64(n1)*int64(n1+1) + twoU
+	if twoR1 >= exactFloatLimit || ties >= exactFloatLimit {
+		return MannWhitneyResult{}, false
+	}
+	return mannWhitneyFromRankSum(float64(twoR1)/2, float64(ties), n1, n2), true
+}
+
+// MannWhitneyAbsZRange maps a bracket [lo, hi] on the pair's U (from
+// CrossBounds or CrossBoundsCoarse) to a closed interval certain to contain
+// the |Z| that MannWhitneyFromCross — and so MannWhitneyUSorted — computes.
+//
+// The pooled tie term T is bracketed too. Every tied cross pair is a
+// colocated pair, so there are at most hi−lo of them, and the cross part
+// 3Σ cx·cy(cx+cy) of T is at most 3(MaxRun_a+MaxRun_b)·(hi−lo); hence
+// T ∈ [Ties_a+Ties_b, Ties_a+Ties_b + 3(MaxRun_a+MaxRun_b)(hi−lo)]. The
+// corners run the same float arithmetic as the exact test, and every IEEE
+// operation in it is monotone: the continuity-corrected distance from the
+// mean is monotone in the rank sum, and σ² is nonincreasing in T. So |Z| is
+// at least the nearest rank-sum corner's distance (zero when the bracket
+// straddles the mean) over σ at the smallest T, and at most the farther
+// corner's distance over σ at the largest T — bounds on the computed value,
+// not an approximation of it.
+//
+// ok is false when the interval cannot be certified: an empty sample, a σ²
+// corner at or below zero (the exact test may be degenerate), or a sum at or
+// past 2^53 (the exact kernel would not be exact).
+//
+//lint:hotpath
+func MannWhitneyAbsZRange(lo, hi int, a, b *RankedSample) (azMin, azMax float64, ok bool) {
+	n1, n2 := a.N, b.N
+	if n1 == 0 || n2 == 0 {
+		return 0, 0, false
+	}
+	tieLo := a.Ties + b.Ties
+	width, run := int64(hi-lo), int64(a.MaxRun+b.MaxRun)
+	if float64(tieLo)+3*float64(run)*float64(width) >= exactFloatLimit {
+		return 0, 0, false
+	}
+	tieHi := tieLo + 3*run*width
+	base := int64(n1) * int64(n1+1)
+	if tieHi >= exactFloatLimit || base+2*int64(hi) >= exactFloatLimit {
+		return 0, 0, false
+	}
+	sigma2Hi := mannWhitneySigma2(float64(tieHi), n1, n2)
+	if sigma2Hi <= 0 {
+		return 0, 0, false
+	}
+	_, dLo := mannWhitneyDiff(float64(base+2*int64(lo))/2, n1, n2)
+	_, dHi := mannWhitneyDiff(float64(base+2*int64(hi))/2, n1, n2)
+	dLo, dHi = math.Abs(dLo), math.Abs(dHi)
+	dMin, dMax := min(dLo, dHi), max(dLo, dHi)
+	if total := n1 * n2; 2*lo <= total && 2*hi >= total {
+		dMin = 0 // U can sit on the mean
+	}
+	azMin = dMin / math.Sqrt(mannWhitneySigma2(float64(tieLo), n1, n2))
+	azMax = dMax / math.Sqrt(sigma2Hi)
+	return azMin, azMax, true
 }

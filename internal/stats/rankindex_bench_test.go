@@ -34,29 +34,15 @@ func sortFloats(xs []float64) {
 	}
 }
 
-func BenchmarkCrossCountNoTies(b *testing.B) {
+func BenchmarkCrossCount(b *testing.B) {
 	_, ptr := benchRankedSet(b, 64, 300)
 	b.ResetTimer()
-	sink := 0
+	var sink int64
 	for i := 0; i < b.N; i++ {
 		a := ptr[i%64]
 		c := ptr[(i*7+3)%64]
-		sink += CrossCountNoTies(a, c)
-	}
-	if sink == -1 {
-		b.Fatal("sink")
-	}
-}
-
-func BenchmarkCrossCountTieChecking(b *testing.B) {
-	_, ptr := benchRankedSet(b, 64, 300)
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		a := ptr[i%64]
-		c := ptr[(i*7+3)%64]
-		cr, _ := CrossCount(a, c)
-		sink += cr
+		twoU, ties := CrossCount(a, c)
+		sink += twoU + ties
 	}
 	if sink == -1 {
 		b.Fatal("sink")

@@ -194,7 +194,19 @@ func requireIdenticalResults(t *testing.T, label string, got, want *core.Result)
 // incremental pass must flag different sets under them: otherwise an
 // incremental pass that ignored Config.FDR would pass unnoticed.
 func TestDeltaMatchesBatch(t *testing.T) {
-	scen := NewScenario(stats.NewRNG(42), deltaScenarioConfig())
+	runDeltaOracle(t, NewScenario(stats.NewRNG(42), deltaScenarioConfig()))
+}
+
+// TestDeltaMatchesBatchTiedIncomes runs the delta-vs-batch oracle on the
+// whole-thousand income variant of the same scenario, where every region's
+// income sample is full of ties and the repaired regions' Mann–Whitney
+// statistics run the tie-aware brackets and exact kernel.
+func TestDeltaMatchesBatchTiedIncomes(t *testing.T) {
+	runDeltaOracle(t, NewScenario(stats.NewRNG(42), deltaScenarioConfig()).WholeThousandIncomes())
+}
+
+// runDeltaOracle is the body of the delta-vs-batch oracle over one scenario.
+func runDeltaOracle(t *testing.T, scen *Scenario) {
 	streams := deltaStreams(stats.NewRNG(99), scen)
 	fdrAxis := []float64{0, 0.1}
 

@@ -49,6 +49,63 @@ func FuzzMannWhitneySorted(f *testing.F) {
 	})
 }
 
+// FuzzMannWhitneyBucketed pins the audit's Mann–Whitney similarity path on
+// tie-heavy quarter-integer samples sharing one rank grid, whose bucket
+// count and span are fuzzed too (a narrow span clamps values into the edge
+// buckets). The exact bucketed kernel — CrossCount finished by
+// MannWhitneyFromCross — must equal MannWhitneyUSorted bit for bit, and the
+// |z| intervals MannWhitneyAbsZRange certifies from the coarse and the fine
+// bracket must contain the exact |Z|.
+func FuzzMannWhitneyBucketed(f *testing.F) {
+	f.Add([]byte("AAABBBCCC"), []byte("ABCABC"), uint16(2048), false)
+	f.Add([]byte("aaaa"), []byte("zzzz"), uint16(64), false)
+	f.Add([]byte("mmmmnnnn"), []byte("mmnn"), uint16(7), true)
+	f.Add([]byte("m"), []byte("m"), uint16(1), false)
+	f.Add([]byte{}, []byte("xy"), uint16(2048), true)
+	f.Fuzz(func(t *testing.T, a, b []byte, buckets uint16, narrow bool) {
+		xs := sortedSampleFromBytes(a, maxFuzzSample)
+		ys := sortedSampleFromBytes(b, maxFuzzSample)
+		lo, hi := -32.0, 31.75 // sampleFromBytes' full range
+		if narrow {
+			lo, hi = -4, 4
+		}
+		grid, ok := stats.NewRankGrid(lo, hi, 1+int(buckets)%stats.RankGridBuckets)
+		if !ok {
+			t.Fatalf("grid [%v, %v] refused", lo, hi)
+		}
+		var ra, rb stats.RankedSample
+		stats.FillRankedSample(grid, xs, &ra)
+		stats.FillRankedSample(grid, ys, &rb)
+
+		want := stats.MannWhitneyUSorted(xs, ys)
+		twoU, ties := stats.CrossCount(&ra, &rb)
+		got, exact := stats.MannWhitneyFromCross(twoU, ties, ra.N, rb.N)
+		if !exact {
+			t.Fatalf("sums of %d+%d elements reported past 2^53", ra.N, rb.N)
+		}
+		if !floatEq(got.U, want.U) || !floatEq(got.Z, want.Z) || !floatEq(got.P, want.P) {
+			t.Fatalf("bucketed kernel(%v, %v) = %+v, MannWhitneyUSorted = %+v", xs, ys, got, want)
+		}
+		az := math.Abs(want.Z)
+		for _, bracket := range [][2]int{coarseBracket(&ra, &rb), fineBracket(&ra, &rb)} {
+			azMin, azMax, ok := stats.MannWhitneyAbsZRange(bracket[0], bracket[1], &ra, &rb)
+			if ok && !(azMin <= az && az <= azMax) {
+				t.Fatalf("|Z| = %v outside certified [%v, %v] from bracket %v (xs=%v ys=%v)", az, azMin, azMax, bracket, xs, ys)
+			}
+		}
+	})
+}
+
+func coarseBracket(a, b *stats.RankedSample) [2]int {
+	lo, hi := stats.CrossBoundsCoarse(a, b)
+	return [2]int{lo, hi}
+}
+
+func fineBracket(a, b *stats.RankedSample) [2]int {
+	lo, hi := stats.CrossBounds(a, b)
+	return [2]int{lo, hi}
+}
+
 func FuzzKolmogorovSmirnovSorted(f *testing.F) {
 	f.Add([]byte("AAABBBCCC"), []byte("ABCABC"))
 	f.Add([]byte("aaaa"), []byte("zzzz"))

@@ -16,8 +16,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden snapshots under testdata/golden")
 
-// The golden layer snapshots two canonical audits — a small and a medium
-// scenario — as JSON files under testdata/golden. The snapshot holds the full
+// The golden layer snapshots three canonical audits — a small and a medium
+// scenario, and the small one's whole-thousand income variant — as JSON files under testdata/golden. The snapshot holds the full
 // flagged-pair report at full float precision plus every funnel counter that
 // is schedule-independent (gate tallies, candidate counts, Monte-Carlo world
 // totals, null-cache misses — but not hits/timings, which depend on worker
@@ -92,6 +92,7 @@ type goldenCase struct {
 	name string
 	seed uint64
 	scfg ScenarioConfig
+	tied bool // audit the scenario's WholeThousandIncomes variant
 	cfg  func() core.Config
 }
 
@@ -128,6 +129,19 @@ func goldenCases() []goldenCase {
 				return cfg
 			},
 		},
+		{
+			name: "tied",
+			seed: 2024,
+			scfg: DefaultScenarioConfig(),
+			tied: true,
+			cfg: func() core.Config {
+				cfg := core.DefaultConfig()
+				cfg.MCWorlds = 199
+				cfg.MinRegionSize = 60
+				cfg.Seed = 7
+				return cfg
+			},
+		},
 	}
 }
 
@@ -148,6 +162,9 @@ func goldenAudit(t *testing.T, s *Scenario, cfg core.Config, gen core.CandidateG
 func buildReport(t *testing.T, gc goldenCase) goldenReport {
 	t.Helper()
 	s := NewScenario(stats.NewRNG(gc.seed), gc.scfg)
+	if gc.tied {
+		s = s.WholeThousandIncomes()
+	}
 
 	dres, dfunnel := goldenAudit(t, s, gc.cfg(), core.CandidateDense)
 	ires, ifunnel := goldenAudit(t, s, gc.cfg(), core.CandidateIndexed)

@@ -239,6 +239,20 @@ func (s *Scenario) ProtectedSwapped() *Scenario {
 	return c
 }
 
+// WholeThousandIncomes rounds every income to whole thousands, keeping the
+// generator's 12,000 floor — the shape of real HMDA incomes, which are
+// reported in thousands. Ties within and across regions abound, the regime
+// the Mann–Whitney gate's tie-aware brackets and exact kernel must get
+// right; the base scenario's incomes are untouched.
+func (s *Scenario) WholeThousandIncomes() *Scenario {
+	c := s.clone()
+	c.Obs = append([]partition.Observation(nil), s.Obs...)
+	for i := range c.Obs {
+		c.Obs[i].Income = math.Max(12000, math.Round(c.Obs[i].Income/1000)*1000)
+	}
+	return c
+}
+
 // WithWidenedGap flips up to maxFlips negative outcomes to positive in
 // region label j — the advantaged side of a flagged pair — widening the
 // pair's outcome gap while leaving incomes and group labels untouched. The
