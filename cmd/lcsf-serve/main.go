@@ -48,12 +48,10 @@ func main() {
 		reqTimeout = flag.Duration("request-timeout", 2*time.Minute, "per-request handling timeout (0 disables)")
 		quietReqs  = flag.Bool("quiet", false, "suppress the per-request log line (metrics still collected)")
 
-		jobsWorkers   = flag.Int("jobs-workers", 0, "audit shard executor pool size (0 = GOMAXPROCS)")
+		jobsWorkers   = flag.Int("jobs-workers", 0, "global bound on audit-engine workers, split evenly across running jobs (0 = GOMAXPROCS)")
 		jobsQueue     = flag.Int("jobs-queue", 64, "pending-job queue depth; beyond it submissions get 429")
-		jobsShards    = flag.Int("jobs-shards", 4, "shards per job's candidate-pair space")
-		jobsActive    = flag.Int("jobs-active", 0, "jobs coordinated concurrently (0 = workers/2)")
+		jobsActive    = flag.Int("jobs-active", 0, "jobs running concurrently (0 = workers/2)")
 		jobTimeout    = flag.Duration("job-timeout", 10*time.Minute, "per-job execution timeout (0 disables)")
-		jobsRetries   = flag.Int("jobs-retries", 2, "retries for transiently failed jobs")
 		jobsRetention = flag.Int("jobs-retention", 1024, "finished jobs (and their reports) retained for fetching")
 
 		apiKeys      = flag.String("api-keys", "", "comma-separated key=tenant pairs; empty leaves the service open")
@@ -108,17 +106,12 @@ func main() {
 		Workers:        *jobsWorkers,
 		MaxActiveJobs:  *jobsActive,
 		QueueDepth:     *jobsQueue,
-		ShardsPerJob:   *jobsShards,
 		JobTimeout:     *jobTimeout,
-		MaxRetries:     *jobsRetries,
 		RetentionLimit: *jobsRetention,
 		Collector:      col,
 	}
 	if *jobTimeout == 0 {
 		jcfg.JobTimeout = -1 // Config treats 0 as "default"; negative disables.
-	}
-	if *jobsRetries == 0 {
-		jcfg.MaxRetries = -1
 	}
 	if reg != nil {
 		jcfg.OnTerminal = func(s jobs.Snapshot) {

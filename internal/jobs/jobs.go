@@ -1,13 +1,12 @@
 // Package jobs turns the LC-SF audit into an asynchronous, supervised job
 // service: callers submit a parsed LAR plus audit parameters and get a job
-// ID back immediately, then poll status (with live progress from the audit
-// engine's own obs counters) and fetch the finished JSON or GeoJSON report.
-// A coordinator shards each job's candidate-pair space across a bounded
-// worker pool behind the Runner interface — in-process today, a process or
-// node boundary tomorrow — and reassembles the exact batch result with
-// core.MergeShards, so the job layer adds robustness (bounded queue with
-// backpressure, per-job timeouts, panic isolation, retry with exponential
-// backoff, graceful drain) without costing a single bit of determinism.
+// ID back immediately, then poll status and fetch the finished JSON or
+// GeoJSON report. Each job is one core.AuditContext call run by one of a
+// bounded set of dispatchers, at that dispatcher's share of the manager's
+// engine-worker bound, so a job's report is the synchronous route's report
+// byte for byte. The job layer adds the service's robustness: a bounded
+// queue with backpressure, per-job timeouts, cancellation, panic isolation
+// and graceful drain.
 package jobs
 
 import (
@@ -24,9 +23,9 @@ import (
 // State is a job's lifecycle position. Transitions form a DAG:
 //
 //	queued -> running -> done
-//	       \          -> failed   (error, timeout, retries exhausted)
+//	       \          -> failed   (error, timeout, panic)
 //	        \         -> canceled (DELETE, or forced shutdown)
-//	         -> canceled          (DELETE while still queued)
+//	         -> canceled          (DELETE or forced shutdown while still queued)
 //
 // Terminal states never change again.
 type State string
@@ -47,7 +46,8 @@ func (s State) Terminal() bool {
 // Request is one audit job's input: the decisioned observations, the grid
 // to partition them on, the fully resolved audit configuration, and the
 // output format. The manager owns the observation slice after Submit
-// succeeds (it is released when the job reaches a terminal state).
+// succeeds (it is released when the job reaches a terminal state). The
+// manager overrides Audit.Workers with the job's share of its worker bound.
 type Request struct {
 	// Tenant attributes the job for isolation, per-tenant metrics, and
 	// budget charging; "" is the anonymous tenant.
@@ -60,12 +60,11 @@ type Request struct {
 	GeoJSON bool
 }
 
-// Progress is a running job's position, derived from the job's private obs
-// collector (the audit engine publishes its funnel counters there after
-// each shard) plus the coordinator's shard bookkeeping.
+// Progress is a job's audit funnel, read from the job's private obs
+// collector. The engine publishes these counters when the audit finishes,
+// so they read zero while the job runs and hold the final tallies once it
+// is done.
 type Progress struct {
-	ShardsDone   int   `json:"shards_done"`
-	ShardsTotal  int   `json:"shards_total"`
 	PairsScanned int64 `json:"pairs_scanned"`
 	Candidates   int64 `json:"candidates"`
 	Flagged      int64 `json:"flagged"`
@@ -81,11 +80,8 @@ type Snapshot struct {
 	SubmittedAt time.Time `json:"submitted_at"`
 	StartedAt   time.Time `json:"started_at,omitempty"`
 	FinishedAt  time.Time `json:"finished_at,omitempty"`
-	// Attempts counts executions started, 1 on the first run; >1 means
-	// transient failures were retried.
-	Attempts int      `json:"attempts,omitempty"`
-	Error    string   `json:"error,omitempty"`
-	Progress Progress `json:"progress"`
+	Error       string    `json:"error,omitempty"`
+	Progress    Progress  `json:"progress"`
 	// ResultBytes is the finished report's size; 0 until done.
 	ResultBytes int `json:"result_bytes,omitempty"`
 }
@@ -99,51 +95,24 @@ var (
 	ErrDraining = errors.New("jobs: manager draining")
 )
 
-// transientErr marks an error as worth retrying.
-type transientErr struct{ err error }
-
-func (e transientErr) Error() string   { return e.err.Error() }
-func (e transientErr) Unwrap() error   { return e.err }
-func (e transientErr) Transient() bool { return true }
-
-// MarkTransient wraps err so IsTransient reports true; the manager retries
-// shard attempts that fail transiently (with exponential backoff) up to
-// Config.MaxRetries before declaring the job failed. nil stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientErr{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) is marked
-// transient.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
 // job is the manager's internal record. Mutable fields are guarded by mu;
 // the identity fields and the per-job collector are set once at submit.
 type job struct {
 	id      string
 	tenant  string
 	geojson bool
-	shards  int
 	col     *obs.Collector
 
 	mu        sync.Mutex
 	req       Request // Obs released at terminal
 	state     State
 	errText   string
-	attempts  int
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 	cancel    func(error) // non-nil while running
 	cancelReq bool
 	terminal  bool
-	shardDone int
 	result    []byte
 	ctype     string
 }

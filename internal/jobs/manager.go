@@ -18,49 +18,32 @@ import (
 // Config parameterizes a Manager. The zero value works: every field has a
 // serviceable default.
 type Config struct {
-	// Workers sizes the shard-executor pool — the global bound on audit
-	// shards running at once, across all jobs. 0 means GOMAXPROCS.
+	// Workers is the global bound on audit-engine workers across all jobs:
+	// each running job's audit gets max(1, Workers/MaxActiveJobs) of them,
+	// so the bound holds whenever MaxActiveJobs <= Workers. 0 means
+	// GOMAXPROCS.
 	Workers int
-	// MaxActiveJobs bounds jobs being coordinated concurrently (each holds
-	// its input data and fans shards into the shared pool). 0 means
-	// max(1, Workers/2).
+	// MaxActiveJobs bounds jobs running concurrently, each holding its
+	// input data and its share of Workers. 0 means max(1, Workers/2).
 	MaxActiveJobs int
 	// QueueDepth bounds the pending-job queue; submissions beyond it are
 	// rejected with ErrQueueFull (HTTP 429 + Retry-After upstream). 0
 	// means 64.
 	QueueDepth int
-	// ShardsPerJob is how many slices each job's candidate-pair space is
-	// cut into. More shards mean finer pool interleaving between jobs and
-	// lower per-shard memory, at the cost of repeating the index/prepare
-	// phases per slice. 0 means 4; 1 disables sharding.
-	ShardsPerJob int
-	// JobTimeout bounds one job's total execution (all attempts included);
-	// expiry fails the job. 0 means 10 minutes; negative disables.
+	// JobTimeout bounds one job's execution; expiry fails the job. 0 means
+	// 10 minutes; negative disables.
 	JobTimeout time.Duration
-	// MaxRetries is how many times a transiently failed attempt (see
-	// MarkTransient) is re-run before the job fails. 0 means 2; negative
-	// disables retries.
-	MaxRetries int
-	// RetryBaseDelay is the first backoff; attempt k waits
-	// RetryBaseDelay << (k-1). 0 means 100ms.
-	RetryBaseDelay time.Duration
 	// RetentionLimit bounds how many jobs (including finished ones, whose
 	// reports are held for fetching) the manager remembers; the oldest
 	// terminal jobs are evicted first. 0 means 1024.
 	RetentionLimit int
-	// Runner executes shards; nil means the in-process engine.
-	Runner Runner
 	// Collector receives the jobs.* service counters, gauges, and events.
 	// Nil means a fresh private collector.
 	Collector *obs.Collector
-	// Clock supplies timestamps (submit/start/finish, backoff bookkeeping);
-	// nil means time.Now. Injectable so lifecycle tests run on a fake
-	// clock, mirroring core.Config.Clock.
+	// Clock supplies the submit/start/finish timestamps; nil means
+	// time.Now. Injectable so lifecycle tests run on a fake clock,
+	// mirroring core.Config.Clock.
 	Clock func() time.Time
-	// Sleep waits out retry backoff; nil means a timer honoring ctx.
-	// Injectable so retry tests assert the exponential schedule without
-	// real delays.
-	Sleep func(ctx context.Context, d time.Duration) error
 	// OnTerminal, when non-nil, observes every job reaching a terminal
 	// state — the hook the tenancy layer uses to release the tenant's job
 	// slot and charge its compute budget with the job's measured pairs.
@@ -73,35 +56,18 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxActiveJobs <= 0 {
-		c.MaxActiveJobs = c.Workers / 2
-		if c.MaxActiveJobs < 1 {
-			c.MaxActiveJobs = 1
-		}
+		c.MaxActiveJobs = max(1, c.Workers/2)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.ShardsPerJob <= 0 {
-		c.ShardsPerJob = 4
 	}
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 10 * time.Minute
 	} else if c.JobTimeout < 0 {
 		c.JobTimeout = 0
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 100 * time.Millisecond
-	}
 	if c.RetentionLimit <= 0 {
 		c.RetentionLimit = 1024
-	}
-	if c.Runner == nil {
-		c.Runner = InProcess{}
 	}
 	if c.Collector == nil {
 		c.Collector = obs.NewCollector(0)
@@ -109,44 +75,30 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.Sleep == nil {
-		c.Sleep = sleepCtx
-	}
 	return c
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	}
-}
-
-// Cancellation causes, distinguished so finalize can tell a user cancel
+// Cancellation causes, distinguished so terminalStateFor can tell a user cancel
 // (-> canceled) from a timeout (-> failed).
 var (
 	errCancelRequested = errors.New("jobs: canceled by request")
 	errShutdown        = errors.New("jobs: manager shut down")
 )
 
+// auditFunc runs one job's audit; core.AuditContext outside tests.
+type auditFunc func(context.Context, *partition.Partitioning, core.Config) (*core.Result, error)
+
 // Manager owns the job lifecycle: a bounded queue feeding MaxActiveJobs
-// coordinator goroutines, which fan each job's shards into a pool of
-// Workers shard executors and merge the results deterministically.
+// dispatcher goroutines, each running one job's audit at a time.
 type Manager struct {
-	cfg  Config
-	col  *obs.Collector
-	root context.Context
-	stop context.CancelCauseFunc
+	cfg   Config
+	col   *obs.Collector
+	audit auditFunc
+	root  context.Context
+	stop  context.CancelCauseFunc
 
-	queue chan *job
-	tasks chan func()
-
+	queue  chan *job
 	dispWG sync.WaitGroup
-	poolWG sync.WaitGroup
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -155,28 +107,25 @@ type Manager struct {
 	draining bool
 }
 
-// NewManager starts a manager's coordinator and pool goroutines; pair it
-// with Shutdown.
+// NewManager starts a manager's dispatcher goroutines; pair it with
+// Shutdown.
 func NewManager(cfg Config) *Manager {
+	return newManager(cfg, core.AuditContext)
+}
+
+// newManager is NewManager with the audit call injected, so tests can
+// stand a fake in for the engine.
+func newManager(cfg Config, audit auditFunc) *Manager {
 	cfg = cfg.withDefaults()
 	root, stop := context.WithCancelCause(context.Background())
 	m := &Manager{
 		cfg:   cfg,
 		col:   cfg.Collector,
+		audit: audit,
 		root:  root,
 		stop:  stop,
 		queue: make(chan *job, cfg.QueueDepth),
-		tasks: make(chan func()),
 		jobs:  make(map[string]*job),
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		m.poolWG.Add(1)
-		go func() {
-			defer m.poolWG.Done()
-			for task := range m.tasks {
-				task()
-			}
-		}()
 	}
 	for d := 0; d < cfg.MaxActiveJobs; d++ {
 		m.dispWG.Add(1)
@@ -227,15 +176,9 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	if len(req.Obs) == 0 {
 		return Snapshot{}, fmt.Errorf("jobs: empty observation set")
 	}
-	if req.Audit.Workers <= 0 {
-		// Within a shard the engine runs single-threaded by default; the
-		// job layer's parallelism is the shard fan-out itself.
-		req.Audit.Workers = 1
-	}
 	j := &job{
 		tenant:  req.Tenant,
 		geojson: req.GeoJSON,
-		shards:  m.cfg.ShardsPerJob,
 		col:     obs.NewCollector(16),
 		req:     req,
 		state:   StateQueued,
@@ -272,7 +215,6 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	m.col.AddGauge(obs.MJobsQueueDepth, 1)
 	m.col.Event("jobs.submitted", j.id, "job queued", map[string]any{
 		"tenant": j.tenant,
-		"shards": j.shards,
 	})
 	return snap, nil
 }
@@ -374,7 +316,8 @@ func (m *Manager) Cancel(id string) (Snapshot, bool) {
 
 // Shutdown drains the manager: no new submissions are accepted, queued and
 // running jobs are given until ctx expires to finish, then anything still
-// running is canceled (terminal state canceled) and the pool is torn down.
+// running is canceled (terminal state canceled) and anything still queued
+// is canceled without starting.
 // Shutdown returns nil on a clean drain, ctx.Err() on a forced one.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
@@ -390,8 +333,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		m.dispWG.Wait()
-		close(m.tasks)
-		m.poolWG.Wait()
 		close(done)
 	}()
 	select {
@@ -423,11 +364,8 @@ func (m *Manager) snapshot(j *job) Snapshot {
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
-		Attempts:    j.attempts,
 		Error:       j.errText,
 		Progress: Progress{
-			ShardsDone:   j.shardDone,
-			ShardsTotal:  j.shards,
 			PairsScanned: counters[obs.MAuditPairsScanned],
 			Candidates:   counters[obs.MAuditCandidates],
 			Flagged:      counters[obs.MAuditFlagged],
@@ -472,26 +410,31 @@ func (m *Manager) finalize(j *job, state State, err error) {
 	m.col.ObserveSeconds(obs.MJobsTenantSecondsPrefix+tenantLabel, elapsed)
 	snap := m.snapshot(j)
 	m.col.Event("jobs.finish", j.id, "job "+string(state), map[string]any{
-		"tenant":   j.tenant,
-		"state":    string(state),
-		"attempts": snap.Attempts,
-		"error":    snap.Error,
-		"seconds":  elapsed.Seconds(),
+		"tenant":  j.tenant,
+		"state":   string(state),
+		"error":   snap.Error,
+		"seconds": elapsed.Seconds(),
 	})
 	if m.cfg.OnTerminal != nil {
 		m.cfg.OnTerminal(snap)
 	}
 }
 
-// runJob is one coordinator's handling of one dequeued job: attempt (with
-// retry/backoff), merge, render, finalize. Any panic escaping the
-// coordinator itself is converted to a failed job, so a poisoned input can
-// never take the dispatcher down.
+// runJob is one dispatcher's handling of one dequeued job: partition, one
+// audit at the job's share of Workers, render, finalize. Any panic is
+// converted to a failed job, so a poisoned input can never take the
+// dispatcher down.
 func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != StateQueued {
 		// Canceled while waiting in the queue; finalize already ran.
 		j.mu.Unlock()
+		return
+	}
+	if m.root.Err() != nil {
+		// A forced shutdown left this job queued: cancel it unstarted.
+		j.mu.Unlock()
+		m.finalize(j, StateCanceled, context.Cause(m.root))
 		return
 	}
 	j.state = StateRunning
@@ -500,10 +443,9 @@ func (m *Manager) runJob(j *job) {
 	j.cancel = cancel
 	j.mu.Unlock()
 	defer cancel(nil)
-	runCtx := ctx
-	var tcancel context.CancelFunc
 	if m.cfg.JobTimeout > 0 {
-		runCtx, tcancel = context.WithTimeout(ctx, m.cfg.JobTimeout)
+		var tcancel context.CancelFunc
+		ctx, tcancel = context.WithTimeout(ctx, m.cfg.JobTimeout)
 		defer tcancel()
 	}
 
@@ -511,40 +453,23 @@ func (m *Manager) runJob(j *job) {
 	defer m.col.AddGauge(obs.MJobsRunning, -1)
 	defer func() {
 		if p := recover(); p != nil {
-			m.finalize(j, StateFailed, fmt.Errorf("jobs: coordinator panic: %v", p))
+			m.finalize(j, StateFailed, fmt.Errorf("jobs: audit panic: %v", p))
 		}
 	}()
 
-	var res *core.Result
-	var part *partition.Partitioning
-	for attempt := 1; ; attempt++ {
-		j.mu.Lock()
-		j.attempts = attempt
-		j.shardDone = 0
-		j.mu.Unlock()
-		var err error
-		part, res, err = m.runAttempt(runCtx, j)
-		if err == nil {
-			break
+	acfg := j.req.Audit
+	acfg.Collector = j.col
+	acfg.Workers = max(1, m.cfg.Workers/m.cfg.MaxActiveJobs)
+	part := partition.ByGrid(j.req.Grid, j.req.Obs, partition.Options{Seed: acfg.Seed})
+	res, err := m.audit(ctx, part, acfg)
+	if err != nil {
+		if cause := context.Cause(ctx); cause != nil {
+			// Report what stopped the audit, not the engine's ctx.Err().
+			err = cause
 		}
-		if IsTransient(err) && attempt <= m.cfg.MaxRetries && runCtx.Err() == nil {
-			m.col.Inc(obs.MJobsRetried)
-			delay := m.cfg.RetryBaseDelay << (attempt - 1)
-			m.col.Event("jobs.retry", j.id, "transient failure, backing off", map[string]any{
-				"attempt":    attempt,
-				"backoff_ms": delay.Milliseconds(),
-				"error":      err.Error(),
-			})
-			if serr := m.cfg.Sleep(runCtx, delay); serr == nil {
-				continue
-			}
-			// Backoff interrupted by cancel/timeout; fall through to the
-			// terminal classification with the interrupt's cause.
-		}
-		m.finalize(j, terminalStateFor(runCtx, err), err)
+		m.finalize(j, terminalStateFor(err), err)
 		return
 	}
-
 	data, ctype, err := renderReport(part, j, res)
 	if err != nil {
 		m.finalize(j, StateFailed, err)
@@ -557,81 +482,16 @@ func (m *Manager) runJob(j *job) {
 	m.finalize(j, StateDone, nil)
 }
 
-// terminalStateFor classifies a failed attempt: a user cancel or shutdown
-// is canceled, everything else (timeouts included) is failed.
-func terminalStateFor(ctx context.Context, err error) State {
-	cause := context.Cause(ctx)
-	if errors.Is(cause, errCancelRequested) || errors.Is(cause, errShutdown) ||
-		errors.Is(err, errCancelRequested) || errors.Is(err, errShutdown) {
+// terminalStateFor classifies a failed audit: a user cancel or shutdown is
+// canceled, everything else (timeouts included) is failed.
+func terminalStateFor(err error) State {
+	if errors.Is(err, errCancelRequested) || errors.Is(err, errShutdown) {
 		return StateCanceled
 	}
 	return StateFailed
 }
 
-// runAttempt executes one full pass over the job: partition once, fan the
-// shard slices into the executor pool, and merge. The first shard error
-// cancels its siblings; a panicking shard is converted to an error (the
-// pool worker survives).
-func (m *Manager) runAttempt(ctx context.Context, j *job) (*partition.Partitioning, *core.Result, error) {
-	acfg := j.req.Audit
-	acfg.Collector = j.col
-	part := partition.ByGrid(j.req.Grid, j.req.Obs, partition.Options{Seed: acfg.Seed})
-
-	shards := j.shards
-	results := make([]*core.ShardResult, shards)
-	errs := make([]error, shards)
-	actx, acancel := context.WithCancelCause(ctx)
-	defer acancel(nil)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[s] = fmt.Errorf("jobs: shard %d/%d panicked: %v", s, shards, p)
-					acancel(errs[s])
-				}
-			}()
-			if actx.Err() != nil {
-				errs[s] = context.Cause(actx)
-				return
-			}
-			sr, err := m.cfg.Runner.RunShard(actx, ShardSpec{
-				Part:   part,
-				Config: acfg,
-				Shard:  s,
-				Shards: shards,
-			})
-			if err != nil {
-				errs[s] = err
-				acancel(err)
-				return
-			}
-			results[s] = sr
-			j.mu.Lock()
-			j.shardDone++
-			j.mu.Unlock()
-		}
-		m.tasks <- task
-	}
-	wg.Wait()
-	for s := 0; s < shards; s++ {
-		if errs[s] != nil {
-			// Report what stopped the attempt — the first shard failure or
-			// the job's own cancellation — not the context error a sibling
-			// shard returned because of it.
-			return nil, nil, context.Cause(actx)
-		}
-	}
-	res, err := core.MergeShards(j.req.Audit, results)
-	if err != nil {
-		return nil, nil, err
-	}
-	return part, res, nil
-}
-
-// renderReport serializes the merged result in the job's requested format.
+// renderReport serializes the audit result in the job's requested format.
 func renderReport(part *partition.Partitioning, j *job, res *core.Result) ([]byte, string, error) {
 	if j.geojson {
 		data, err := report.GeoJSON(part, j.req.Grid, res)

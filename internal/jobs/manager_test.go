@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"lcsf/internal/obs"
 	"lcsf/internal/partition"
 	"lcsf/internal/report"
+	"lcsf/internal/stats"
 )
 
 // testRequest builds a small but non-trivial job request: a few thousand
@@ -55,6 +55,19 @@ func waitTerminal(t *testing.T, m *Manager, id string) Snapshot {
 	return Snapshot{}
 }
 
+// jobCollector returns a job's private collector, where its audit publishes
+// the engine's counters.
+func jobCollector(t *testing.T, m *Manager, id string) *obs.Collector {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	if !ok {
+		t.Fatalf("job %s not retained", id)
+	}
+	return j.col
+}
+
 func shutdownClean(t *testing.T, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -74,7 +87,7 @@ func TestJobLifecycle(t *testing.T) {
 		now = now.Add(time.Millisecond)
 		return now
 	}
-	m := NewManager(Config{Workers: 4, ShardsPerJob: 3, Clock: clock})
+	m := NewManager(Config{Workers: 4, Clock: clock})
 	defer shutdownClean(t, m)
 
 	req := testRequest(t)
@@ -93,11 +106,8 @@ func TestJobLifecycle(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("state = %s (error %q)", final.State, final.Error)
 	}
-	if final.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", final.Attempts)
-	}
-	if final.Progress.ShardsDone != 3 || final.Progress.ShardsTotal != 3 {
-		t.Errorf("progress = %+v", final.Progress)
+	if runs := jobCollector(t, m, snap.ID).Snapshot().Counters[obs.MAuditRuns]; runs != 1 {
+		t.Errorf("audit.runs = %d, want one audit per job", runs)
 	}
 	if final.Progress.PairsScanned == 0 {
 		t.Error("no pairs scanned recorded")
@@ -114,8 +124,9 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("Result: ok=%v ctype=%q len=%d", ok, ctype, len(data))
 	}
 
-	// The async sharded result must be byte-identical to the synchronous
-	// single-process audit of the same request.
+	// The async result, audited with the job's share of Workers, must be
+	// byte-identical to a synchronous single-worker audit of the same
+	// request.
 	req2 := testRequest(t)
 	req2.Audit.Workers = 1
 	part := partition.ByGrid(req2.Grid, req2.Obs, partition.Options{Seed: req2.Audit.Seed})
@@ -140,7 +151,7 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 func TestJobGeoJSONFormat(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardsPerJob: 2})
+	m := NewManager(Config{Workers: 2})
 	defer shutdownClean(t, m)
 	req := testRequest(t)
 	req.GeoJSON = true
@@ -169,36 +180,33 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// gateRunner blocks every shard until released, then delegates to the real
-// engine. It honors context cancellation while gated.
-type gateRunner struct {
-	started chan struct{} // one receive per shard that reached the gate
-	release chan struct{} // close to let all shards proceed
+// gateAudit blocks every audit until released, then runs the real engine.
+// It honors context cancellation while gated.
+type gateAudit struct {
+	started chan struct{} // one receive per audit that reached the gate
+	release chan struct{} // close to let all audits proceed
 }
 
-func newGateRunner() *gateRunner {
-	return &gateRunner{started: make(chan struct{}, 64), release: make(chan struct{})}
+func newGateAudit() *gateAudit {
+	return &gateAudit{started: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
-func (g *gateRunner) RunShard(ctx context.Context, spec ShardSpec) (*core.ShardResult, error) {
+func (g *gateAudit) audit(ctx context.Context, part *partition.Partitioning, cfg core.Config) (*core.Result, error) {
 	g.started <- struct{}{}
 	select {
 	case <-g.release:
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
 	}
-	return InProcess{}.RunShard(ctx, spec)
+	return core.AuditContext(ctx, part, cfg)
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	gate := newGateRunner()
-	m := NewManager(Config{
-		Workers: 1, MaxActiveJobs: 1, QueueDepth: 1, ShardsPerJob: 1,
-		Runner: gate,
-	})
+	gate := newGateAudit()
+	m := newManager(Config{Workers: 1, MaxActiveJobs: 1, QueueDepth: 1}, gate.audit)
 	defer shutdownClean(t, m)
 
-	a, err := m.Submit(testRequest(t)) // dequeued by the coordinator, blocked at the gate
+	a, err := m.Submit(testRequest(t)) // dequeued by the dispatcher, blocked at the gate
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +232,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	gate := newGateRunner()
-	m := NewManager(Config{
-		Workers: 1, MaxActiveJobs: 1, QueueDepth: 4, ShardsPerJob: 1,
-		Runner: gate,
-	})
+	gate := newGateAudit()
+	m := newManager(Config{Workers: 1, MaxActiveJobs: 1, QueueDepth: 4}, gate.audit)
 	a, err := m.Submit(testRequest(t))
 	if err != nil {
 		t.Fatal(err)
@@ -247,21 +252,21 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Errorf("job a = %s", final.State)
 	}
 	// The canceled job must never run.
-	if final, _ := m.Get(b.ID); final.State != StateCanceled || final.Attempts != 0 {
-		t.Errorf("job b = %s attempts=%d", final.State, final.Attempts)
+	if final, _ := m.Get(b.ID); final.State != StateCanceled || !final.StartedAt.IsZero() {
+		t.Errorf("job b = %s started=%v", final.State, final.StartedAt)
 	}
 	shutdownClean(t, m)
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	gate := newGateRunner()
-	m := NewManager(Config{Workers: 1, ShardsPerJob: 1, Runner: gate})
+	gate := newGateAudit()
+	m := newManager(Config{Workers: 1}, gate.audit)
 	defer shutdownClean(t, m)
 	a, err := m.Submit(testRequest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-gate.started // the shard is gated: the job is running
+	<-gate.started // the audit is gated: the job is running
 	if _, ok := m.Cancel(a.ID); !ok {
 		t.Fatal("cancel running returned !ok")
 	}
@@ -282,23 +287,15 @@ func TestCancelUnknownJob(t *testing.T) {
 	}
 }
 
-// panicRunner panics on the first shard it sees, then delegates.
-type panicRunner struct {
-	once sync.Once
-	hit  bool
-}
-
-func (p *panicRunner) RunShard(ctx context.Context, spec ShardSpec) (*core.ShardResult, error) {
-	var boom bool
-	p.once.Do(func() { boom = true; p.hit = true })
-	if boom {
-		panic("poisoned shard")
+func TestAuditPanicFailsJobNotDispatcher(t *testing.T) {
+	var once sync.Once
+	audit := func(ctx context.Context, part *partition.Partitioning, cfg core.Config) (*core.Result, error) {
+		once.Do(func() { panic("poisoned audit") })
+		return core.AuditContext(ctx, part, cfg)
 	}
-	return InProcess{}.RunShard(ctx, spec)
-}
-
-func TestShardPanicFailsJobNotPool(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardsPerJob: 2, Runner: &panicRunner{}})
+	// One dispatcher, so the job after the panic runs on the dispatcher
+	// that recovered it.
+	m := newManager(Config{Workers: 1, MaxActiveJobs: 1}, audit)
 	defer shutdownClean(t, m)
 
 	a, err := m.Submit(testRequest(t))
@@ -306,11 +303,10 @@ func TestShardPanicFailsJobNotPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := waitTerminal(t, m, a.ID)
-	if final.State != StateFailed || !strings.Contains(final.Error, "panicked") {
+	if final.State != StateFailed || !strings.Contains(final.Error, "poisoned audit") {
 		t.Fatalf("state = %s error = %q", final.State, final.Error)
 	}
 
-	// The pool worker that hosted the panic must survive to run new jobs.
 	b, err := m.Submit(testRequest(t))
 	if err != nil {
 		t.Fatal(err)
@@ -322,104 +318,14 @@ func TestShardPanicFailsJobNotPool(t *testing.T) {
 	if counters[obs.MJobsFailed] != 1 || counters[obs.MJobsCompleted] != 1 {
 		t.Errorf("failed=%d completed=%d", counters[obs.MJobsFailed], counters[obs.MJobsCompleted])
 	}
-}
-
-// flakyRunner fails the first failures shard executions with a transient
-// error, then delegates.
-type flakyRunner struct {
-	mu       sync.Mutex
-	failures int
-}
-
-func (f *flakyRunner) RunShard(ctx context.Context, spec ShardSpec) (*core.ShardResult, error) {
-	f.mu.Lock()
-	fail := f.failures > 0
-	if fail {
-		f.failures--
-	}
-	f.mu.Unlock()
-	if fail {
-		return nil, MarkTransient(fmt.Errorf("shard %d: simulated transient fault", spec.Shard))
-	}
-	return InProcess{}.RunShard(ctx, spec)
-}
-
-func TestTransientRetryWithBackoff(t *testing.T) {
-	var sleepMu sync.Mutex
-	var slept []time.Duration
-	m := NewManager(Config{
-		Workers: 2, ShardsPerJob: 2,
-		Runner:         &flakyRunner{failures: 2},
-		MaxRetries:     3,
-		RetryBaseDelay: 40 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			sleepMu.Lock()
-			slept = append(slept, d)
-			sleepMu.Unlock()
-			return nil
-		},
-	})
-	defer shutdownClean(t, m)
-
-	a, err := m.Submit(testRequest(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, m, a.ID)
-	if final.State != StateDone {
-		t.Fatalf("state = %s (%s)", final.State, final.Error)
-	}
-	// Two transient shard failures can burn at most two attempts (the first
-	// failure cancels its sibling, the retry re-runs both shards and one
-	// fails again); the exponential schedule must hold regardless.
-	sleepMu.Lock()
-	defer sleepMu.Unlock()
-	if len(slept) == 0 || len(slept) > 3 {
-		t.Fatalf("backoff sleeps = %v", slept)
-	}
-	for i, d := range slept {
-		want := 40 * time.Millisecond << i
-		if d != want {
-			t.Errorf("backoff %d = %v, want %v", i, d, want)
-		}
-	}
-	if final.Attempts != len(slept)+1 {
-		t.Errorf("attempts = %d with %d backoffs", final.Attempts, len(slept))
-	}
-	counters := m.Collector().Snapshot().Counters
-	if counters[obs.MJobsRetried] != int64(len(slept)) {
-		t.Errorf("jobs.retried = %d, want %d", counters[obs.MJobsRetried], len(slept))
-	}
-}
-
-func TestRetriesExhaustedFailsJob(t *testing.T) {
-	m := NewManager(Config{
-		Workers: 1, ShardsPerJob: 1,
-		Runner:     &flakyRunner{failures: 100},
-		MaxRetries: 2,
-		Sleep:      func(ctx context.Context, d time.Duration) error { return nil },
-	})
-	defer shutdownClean(t, m)
-	a, err := m.Submit(testRequest(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, m, a.ID)
-	if final.State != StateFailed || !strings.Contains(final.Error, "transient") {
-		t.Fatalf("state = %s error = %q", final.State, final.Error)
-	}
-	if final.Attempts != 3 { // 1 + MaxRetries
-		t.Errorf("attempts = %d, want 3", final.Attempts)
+	if gauges := m.Collector().Snapshot().Gauges; gauges[obs.MJobsRunning] != 0 {
+		t.Errorf("jobs.running = %v after both jobs ended", gauges[obs.MJobsRunning])
 	}
 }
 
 func TestJobTimeout(t *testing.T) {
-	gate := newGateRunner() // never released: the job hangs until the timeout
-	m := NewManager(Config{
-		Workers: 1, ShardsPerJob: 1,
-		Runner:     gate,
-		JobTimeout: 50 * time.Millisecond,
-	})
+	gate := newGateAudit() // never released: the job hangs until the timeout
+	m := newManager(Config{Workers: 1, JobTimeout: 50 * time.Millisecond}, gate.audit)
 	defer shutdownClean(t, m)
 	a, err := m.Submit(testRequest(t))
 	if err != nil {
@@ -435,7 +341,7 @@ func TestJobTimeout(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
-	m := NewManager(Config{Workers: 4, MaxActiveJobs: 2, ShardsPerJob: 2})
+	m := NewManager(Config{Workers: 4, MaxActiveJobs: 2})
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
 		snap, err := m.Submit(testRequest(t))
@@ -464,13 +370,22 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestForcedShutdownCancelsRunning(t *testing.T) {
-	gate := newGateRunner() // never released
-	m := NewManager(Config{Workers: 1, ShardsPerJob: 1, Runner: gate})
+	gate := newGateAudit() // never released
+	m := newManager(Config{Workers: 1, MaxActiveJobs: 1}, gate.audit)
 	a, err := m.Submit(testRequest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-gate.started
+	// Two more jobs wait in the queue behind the blocked one.
+	var queued []string
+	for i := 0; i < 2; i++ {
+		snap, err := m.Submit(testRequest(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, snap.ID)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := m.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -480,10 +395,21 @@ func TestForcedShutdownCancelsRunning(t *testing.T) {
 	if !ok || snap.State != StateCanceled {
 		t.Errorf("job after forced shutdown: ok=%v state=%s", ok, snap.State)
 	}
+	// The queued jobs are canceled without ever starting.
+	for _, id := range queued {
+		snap, ok := m.Get(id)
+		if !ok || snap.State != StateCanceled || !snap.StartedAt.IsZero() {
+			t.Errorf("queued job %s after forced shutdown: ok=%v state=%s started=%v",
+				id, ok, snap.State, snap.StartedAt)
+		}
+	}
+	if n := len(gate.started); n != 0 {
+		t.Errorf("%d queued jobs reached the audit after a forced shutdown", n)
+	}
 }
 
 func TestListAndRetention(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardsPerJob: 1, RetentionLimit: 2})
+	m := NewManager(Config{Workers: 2, RetentionLimit: 2})
 	defer shutdownClean(t, m)
 	var last string
 	for i := 0; i < 4; i++ {
@@ -512,7 +438,7 @@ func TestTerminalHookFires(t *testing.T) {
 	var mu sync.Mutex
 	var seen []Snapshot
 	m := NewManager(Config{
-		Workers: 2, ShardsPerJob: 2,
+		Workers: 2,
 		OnTerminal: func(s Snapshot) {
 			mu.Lock()
 			seen = append(seen, s)
@@ -534,5 +460,117 @@ func TestTerminalHookFires(t *testing.T) {
 	}
 	if seen[0].Progress.PairsScanned == 0 {
 		t.Error("hook snapshot missing compute usage")
+	}
+}
+
+// TestJobWorkerShare pins the engine workers a job's audit receives: its
+// share of the manager's Workers bound, whatever the request asked for,
+// through exactly one audit call per job.
+func TestJobWorkerShare(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{Workers: 8, MaxActiveJobs: 4}, 2},
+		{Config{Workers: 2}, 2}, // MaxActiveJobs defaults to Workers/2 = 1
+		{Config{Workers: 1}, 1},
+		{Config{Workers: 2, MaxActiveJobs: 4}, 1},
+	}
+	for _, c := range cases {
+		var mu sync.Mutex
+		var got []int
+		audit := func(ctx context.Context, part *partition.Partitioning, cfg core.Config) (*core.Result, error) {
+			mu.Lock()
+			got = append(got, cfg.Workers)
+			mu.Unlock()
+			return core.AuditContext(ctx, part, cfg)
+		}
+		m := newManager(c.cfg, audit)
+		for _, reqWorkers := range []int{0, 64} {
+			req := testRequest(t)
+			req.Audit.Workers = reqWorkers
+			snap, err := m.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final := waitTerminal(t, m, snap.ID); final.State != StateDone {
+				t.Fatalf("%+v: state = %s (%s)", c.cfg, final.State, final.Error)
+			}
+		}
+		shutdownClean(t, m)
+		if len(got) != 2 || got[0] != c.want || got[1] != c.want {
+			t.Errorf("Workers=%d MaxActiveJobs=%d: audits ran with workers %v, want one call per job at %d",
+				c.cfg.Workers, c.cfg.MaxActiveJobs, got, c.want)
+		}
+	}
+}
+
+// denseRequest lays out regions one-row grid cells of pop applications
+// each, protected shares alternating 0.2/0.8, under an exhaustive pair
+// plan: an audit of regions² / 2 pairs. At 6,000 regions of 30 that is 18M
+// pairs, about 3 s on one engine worker of a 2-vCPU x86-64 host.
+func denseRequest(regions, pop int) Request {
+	rng := stats.NewRNG(17)
+	obsv := make([]partition.Observation, 0, regions*pop)
+	for cell := 0; cell < regions; cell++ {
+		protected := 0.2 + 0.6*float64(cell%2)
+		for i := 0; i < pop; i++ {
+			obsv = append(obsv, partition.Observation{
+				Loc:       geo.Pt(float64(cell)+0.5, 0.5),
+				Positive:  rng.Bernoulli(0.62),
+				Protected: rng.Bernoulli(protected),
+				Income:    60000 + 12000*rng.NormFloat64(),
+			})
+		}
+	}
+	acfg := core.DefaultConfig()
+	acfg.MinRegionSize = pop
+	acfg.CandidateGen = core.CandidateDense
+	return Request{
+		Obs:   obsv,
+		Grid:  geo.NewGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(float64(regions), 1)), regions, 1),
+		Audit: acfg,
+	}
+}
+
+// TestCancelStopsRealEngine cancels a job whose audit on the real engine
+// would take seconds, and demands the engine stop within a second: on the
+// jobs path, cancellation bounds CPU.
+func TestCancelStopsRealEngine(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	defer shutdownClean(t, m)
+	snap, err := m.Submit(denseRequest(6000, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := jobCollector(t, m, snap.ID)
+	// Wait for the engine itself to start: audit.runs counts audit starts.
+	deadline := time.Now().Add(30 * time.Second)
+	for col.Snapshot().Counters[obs.MAuditRuns] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("audit never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	canceled := time.Now()
+	if _, ok := m.Cancel(snap.ID); !ok {
+		t.Fatal("cancel returned !ok")
+	}
+	var final Snapshot
+	for {
+		final, _ = m.Get(snap.ID)
+		if final.State.Terminal() || time.Since(canceled) > time.Second {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if final.State != StateCanceled {
+		t.Fatalf("state %s %v after cancel, want canceled within 1s", final.State, time.Since(canceled))
+	}
+	if n := col.Snapshot().Counters[obs.MAuditCanceled]; n != 1 {
+		t.Errorf("audit.canceled = %d, want 1", n)
+	}
+	if n := col.Snapshot().Counters[obs.MAuditPairsScanned]; n != 0 {
+		t.Errorf("audit.pairs_scanned = %d: the canceled audit published a finished funnel", n)
 	}
 }
