@@ -86,7 +86,7 @@ examples-smoke:
 # corpus, then mutates for FUZZTIME. FUZZ_TARGETS pairs each target with its
 # package, because the go tool accepts one -fuzz pattern and one package per
 # invocation. internal/verify's targets are differential checks of the
-# audit kernels; internal/table's pin the CSV reader and its number parsers
+# audit kernels and the binomial sampler; internal/table's pin the CSV reader and its number parsers
 # to encoding/csv and strconv; FuzzIngestAudit takes arbitrary CSV bytes
 # through the service's ingest into an audit under a wall-time bound.
 FUZZTIME ?= 4s
@@ -97,6 +97,7 @@ FUZZ_TARGETS = \
 	FuzzWelchTFromMoments:./internal/verify \
 	FuzzPairNullCache:./internal/verify \
 	FuzzFillPairNull:./internal/verify \
+	FuzzBinomialSampler:./internal/verify \
 	FuzzNormalRoundTrip:./internal/verify \
 	FuzzFDR:./internal/verify \
 	FuzzDeltaPartition:./internal/verify \

@@ -151,6 +151,18 @@ func (c Config) clock() func() time.Time {
 	return time.Now
 }
 
+// nullCut is the flag threshold the null store answers exactly at or below:
+// FDR's q when FDR is on, else Alpha. Under FDR only p-values <= q can be
+// Benjamini–Hochberg rejections (the step-up bound k*q/M never exceeds q),
+// so every p-value above the cut may be the store's canonical above-cut
+// value without changing a flag.
+func (c Config) nullCut() float64 {
+	if c.FDR > 0 {
+		return c.FDR
+	}
+	return c.Alpha
+}
+
 // DefaultConfig returns the configuration of the paper's mortgage
 // experiments: Mann–Whitney similarity and z-score dissimilarity, both at
 // the strict 0.001 threshold, an outcome-similarity threshold Eta of five
@@ -328,7 +340,8 @@ func AuditContext(ctx context.Context, p *partition.Partitioning, cfg Config) (*
 // auditor's cold start. It additionally returns the assembled runner (so an
 // incremental caller can adopt its prepared caches and summary index) and,
 // under hooks.keepAll, the complete candidate list with exact per-pair
-// fields — the content Result.Pairs is filtered from.
+// fields — the content Result.Pairs is filtered from. Only a P above the
+// flag cut is not exact: it is the null store's canonical above-cut value.
 func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hooks auditHooks) (*Result, *auditRunner, []UnfairPair, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, nil, err
@@ -576,7 +589,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	res.Pairs = finalizePairsWorkers(&cfg, fdr, res.Pairs, workers)
 	col.ObserveSeconds(obs.MAuditPhaseFDRSeconds, now().Sub(fdrStart))
 
-	tally.publish(col, res, cfg.MCWorlds)
+	tally.publish(col, res)
 	if indexed {
 		n := int64(len(run.regions))
 		col.Count(obs.MAuditIndexPairsTotal, n*(n-1)/2)
@@ -675,8 +688,9 @@ type pairTally struct {
 	simBounded     int64 // similarity verdicts settled without the pair's score
 	simExact       int64 // similarity verdicts that computed the pair's score
 	prescreenSkips int64 // candidates below PrescreenTau, simulation skipped
-	nullHits       int64 // null-store lookups answered by a stored sample
-	nullFills      int64 // null-store lookups that simulated a sample
+	nullHits       int64 // null-store lookups after a key's first
+	nullFills      int64 // null-store first lookups of a key
+	nullWorlds     int64 // Monte-Carlo worlds the null-store lookups drew
 
 	// Indexed-plan counters (zero under a dense plan): pairs emitted by the
 	// window join, and emitted pairs the O(1) summary bounds (metric Bounds
@@ -696,14 +710,14 @@ func (t *pairTally) add(o *pairTally) {
 	t.prescreenSkips += o.prescreenSkips
 	t.nullHits += o.nullHits
 	t.nullFills += o.nullFills
+	t.nullWorlds += o.nullWorlds
 	t.windowCandidates += o.windowCandidates
 	t.boundsRejections += o.boundsRejections
 }
 
 // publish pushes the merged tally plus the result-level counts into the
-// collector (no-op when col is nil). worlds is Config.MCWorlds, the worlds
-// each filled null sample simulated.
-func (t *pairTally) publish(col *obs.Collector, res *Result, worlds int) {
+// collector (no-op when col is nil).
+func (t *pairTally) publish(col *obs.Collector, res *Result) {
 	col.Count(obs.MAuditPairsScanned, t.scanned)
 	col.Count(obs.MAuditDissRejections, t.dissRejections)
 	col.Count(obs.MAuditSimRejections, t.simRejections)
@@ -711,7 +725,7 @@ func (t *pairTally) publish(col *obs.Collector, res *Result, worlds int) {
 	col.Count(obs.MAuditSimBounded, t.simBounded)
 	col.Count(obs.MAuditSimExact, t.simExact)
 	col.Count(obs.MAuditPrescreenSkips, t.prescreenSkips)
-	col.Count(obs.MAuditMCWorlds, t.nullFills*int64(worlds))
+	col.Count(obs.MAuditMCWorlds, t.nullWorlds)
 	col.Count(obs.MMCNullCacheHits, t.nullHits)
 	col.Count(obs.MMCNullCacheMisses, t.nullFills)
 	col.Count(obs.MAuditCandidates, int64(res.Candidates))
@@ -795,7 +809,7 @@ func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
 	// The null store is NOT pooled: its fill state feeds the hit/miss
 	// counters, which must not depend on what ran earlier in the process
 	// (samples are key-seeded and would be identical).
-	run.nulls = stats.NewNullStore(cfg.Seed, cfg.MCWorlds)
+	run.nulls = stats.NewNullStore(cfg.Seed, cfg.MCWorlds, cfg.nullCut())
 	return run
 }
 
@@ -1014,9 +1028,10 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 // pairPValue resolves a candidate pair's p-value — the cascade's final step.
 // Candidates at or below PrescreenTau take the asymptotic p-value; every
 // other candidate is answered from the null store, which keeps one
-// key-seeded sample per count signature (counted on its first lookup,
-// sorted for binary search on its second); a lookup is tallied as a fill
-// (the simulation effort actually spent) or a hit.
+// key-seeded sample per count signature (drawn on its first lookup only
+// until the verdict is forced, completed and sorted for binary search on its
+// second); a lookup is tallied as a fill (a key's first) or a hit, and the
+// worlds it drew are added to the simulation effort.
 //
 //lint:hotpath
 func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *Scratch) float64 {
@@ -1029,7 +1044,8 @@ func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTa
 		t.prescreenSkips++
 		return stats.ChiSquareSF(math.Max(tau, 0), 1)
 	}
-	p, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.buf)
+	p, drawn, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.buf)
+	t.nullWorlds += int64(drawn)
 	if filled {
 		t.nullFills++
 	} else {

@@ -40,7 +40,9 @@ import (
 //
 // The Monte-Carlo null store persists across audits (its p-values are
 // key-seeded, bit-identical whatever the store's fill state), so unchanged
-// count signatures keep their filled samples across deltas.
+// count signatures keep their filled samples across deltas. Cached
+// unflagged candidates carry the store's canonical above-cut p-value, which
+// no later pass can flag, exactly as the cold sweep's would.
 //
 // A DeltaAuditor is not safe for concurrent use; callers serialize updates
 // (through the DeltaPartitioning) and Audit calls. The incremental pass is
@@ -116,7 +118,7 @@ func NewDeltaAuditor(dp *partition.DeltaPartitioning, cfg Config) (*DeltaAuditor
 	da := &DeltaAuditor{
 		cfg:   cfg,
 		dp:    dp,
-		nulls: stats.NewNullStore(cfg.Seed, cfg.MCWorlds),
+		nulls: stats.NewNullStore(cfg.Seed, cfg.MCWorlds, cfg.nullCut()),
 	}
 	return da, nil
 }

@@ -168,69 +168,93 @@ func requireSimilaritySettled(t *testing.T, s obs.Snapshot) {
 
 // TestAuditNullCacheCounters pins the null store's accounting: every
 // simulated candidate answers exactly one store lookup, each distinct count
-// signature is filled once (misses) and spends exactly MCWorlds worlds, and
-// the retired pre-warm metrics stay unrecorded.
+// signature's first lookup is counted once (misses), the worlds drawn never
+// exceed misses x MCWorlds — and stay below it at Alpha 0.05, where first
+// lookups of unflaggable pairs stop early, but reach it at an Alpha no first
+// lookup can stop before its last world — and the retired pre-warm metrics
+// stay unrecorded.
 func TestAuditNullCacheCounters(t *testing.T) {
 	p := manyRegions(t)
-	cfg := DefaultConfig()
-	cfg.Alpha = 0.05
-	cfg.MCWorlds = 99
-	col := newTestCollector()
-	cfg.Collector = col
+	for _, alpha := range []float64{0.05, 0.999} {
+		cfg := DefaultConfig()
+		cfg.Alpha = alpha
+		cfg.MCWorlds = 99
+		col := newTestCollector()
+		cfg.Collector = col
 
-	res, err := Audit(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := col.Snapshot()
-
-	hits := s.Counter(obs.MMCNullCacheHits)
-	misses := s.Counter(obs.MMCNullCacheMisses)
-	simulated := int64(res.Candidates) - s.Counter(obs.MAuditPrescreenSkips)
-	if hits+misses != simulated {
-		t.Errorf("store lookups = %d hits + %d misses, want %d simulated candidates", hits, misses, simulated)
-	}
-	if misses <= 0 || misses > simulated {
-		t.Errorf("misses = %d outside (0, %d simulated candidates]", misses, simulated)
-	}
-	if got, want := s.Counter(obs.MAuditMCWorlds), misses*int64(cfg.MCWorlds); got != want {
-		t.Errorf("mc worlds = %d, want misses x m = %d", got, want)
-	}
-	for _, name := range []string{obs.MMCNullPrewarmKeys, obs.MMCNullPrewarmWorlds} {
-		if _, ok := s.Counters[name]; ok {
-			t.Errorf("retired counter %s was recorded", name)
+		res, err := Audit(p, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, name := range []string{obs.MMCNullPrewarmSeconds, obs.MAuditPhasePrewarmSeconds} {
-		if _, ok := s.Histograms[name]; ok {
-			t.Errorf("retired histogram %s was recorded", name)
+		s := col.Snapshot()
+
+		hits := s.Counter(obs.MMCNullCacheHits)
+		misses := s.Counter(obs.MMCNullCacheMisses)
+		simulated := int64(res.Candidates) - s.Counter(obs.MAuditPrescreenSkips)
+		if hits+misses != simulated {
+			t.Errorf("alpha %v: store lookups = %d hits + %d misses, want %d simulated candidates", alpha, hits, misses, simulated)
+		}
+		if misses <= 0 || misses > simulated {
+			t.Errorf("alpha %v: misses = %d outside (0, %d simulated candidates]", alpha, misses, simulated)
+		}
+		worlds, bound := s.Counter(obs.MAuditMCWorlds), misses*int64(cfg.MCWorlds)
+		// At alpha 0.999 only a count of all 99 worlds proves p > alpha, so
+		// every first lookup draws all of them.
+		if full := alpha > 0.99; worlds > bound || (worlds == bound) != full {
+			t.Errorf("alpha %v: mc worlds = %d against misses x m = %d; want equality %v", alpha, worlds, bound, full)
+		}
+		for _, name := range []string{obs.MMCNullPrewarmKeys, obs.MMCNullPrewarmWorlds} {
+			if _, ok := s.Counters[name]; ok {
+				t.Errorf("retired counter %s was recorded", name)
+			}
+		}
+		for _, name := range []string{obs.MMCNullPrewarmSeconds, obs.MAuditPhasePrewarmSeconds} {
+			if _, ok := s.Histograms[name]; ok {
+				t.Errorf("retired histogram %s was recorded", name)
+			}
 		}
 	}
 }
 
 // TestAuditFDRWorldsExact asserts FDR audits draw their p-values from the
-// same null store as Alpha audits: simulation effort is counted once per
-// filled sample, never per candidate.
+// same null store as Alpha audits — one first lookup per count signature,
+// never more than MCWorlds worlds each — and that the worlds drawn, although
+// first lookups stop at the q cut, are the same count across worker counts
+// and candidate plans: a key looked up twice always ends at m worlds, and a
+// key looked up once stops at a point fixed by its one observation.
 func TestAuditFDRWorldsExact(t *testing.T) {
 	p := manyRegions(t)
-	cfg := DefaultConfig()
-	cfg.Alpha = 0.05
-	cfg.FDR = 0.10
-	cfg.MCWorlds = 99
-	col := newTestCollector()
-	cfg.Collector = col
+	var first int64 = -1
+	for _, gen := range []CandidateGen{CandidateDense, CandidateIndexed} {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.Alpha = 0.05
+			cfg.FDR = 0.10
+			cfg.MCWorlds = 99
+			cfg.CandidateGen = gen
+			cfg.Workers = workers
+			col := newTestCollector()
+			cfg.Collector = col
 
-	if _, err := Audit(p, cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := col.Snapshot()
-	simulated := s.Counter(obs.MAuditCandidates) - s.Counter(obs.MAuditPrescreenSkips)
-	misses := s.Counter(obs.MMCNullCacheMisses)
-	if hits := s.Counter(obs.MMCNullCacheHits); hits+misses != simulated {
-		t.Errorf("store lookups = %d hits + %d misses, want %d simulated candidates", hits, misses, simulated)
-	}
-	if got, want := s.Counter(obs.MAuditMCWorlds), misses*int64(cfg.MCWorlds); got != want {
-		t.Errorf("mc worlds = %d, want %d (= %d filled samples x %d)", got, want, misses, cfg.MCWorlds)
+			if _, err := Audit(p, cfg); err != nil {
+				t.Fatal(err)
+			}
+			s := col.Snapshot()
+			simulated := s.Counter(obs.MAuditCandidates) - s.Counter(obs.MAuditPrescreenSkips)
+			misses := s.Counter(obs.MMCNullCacheMisses)
+			if hits := s.Counter(obs.MMCNullCacheHits); hits+misses != simulated {
+				t.Errorf("gen %v workers %d: store lookups = %d hits + %d misses, want %d simulated candidates", gen, workers, hits, misses, simulated)
+			}
+			worlds := s.Counter(obs.MAuditMCWorlds)
+			if worlds > misses*int64(cfg.MCWorlds) || worlds <= 0 {
+				t.Errorf("gen %v workers %d: mc worlds = %d, want in (0, %d] (= %d first lookups x %d)", gen, workers, worlds, misses*int64(cfg.MCWorlds), misses, cfg.MCWorlds)
+			}
+			if first < 0 {
+				first = worlds
+			} else if worlds != first {
+				t.Errorf("gen %v workers %d: mc worlds = %d, first run drew %d", gen, workers, worlds, first)
+			}
+		}
 	}
 }
 

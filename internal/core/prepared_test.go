@@ -107,7 +107,7 @@ func fillNullStore(t testing.TB, s *stats.NullStore) {
 	var scratch []float64
 	for k := 1 << 20; k < 1<<20+1<<16; k++ {
 		s.PValue(0, k, 0, 0, &scratch)
-		if _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
+		if _, _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
 			return // the store declined to keep k: it is full
 		}
 	}

@@ -32,7 +32,9 @@ import (
 
 // ShardResult is one shard's share of an audit: every candidate pair whose
 // probe row falls in the shard's slice of the outer-row space, with exact
-// scores, plus the result-level fields every shard agrees on.
+// scores, plus the result-level fields every shard agrees on. A candidate's
+// P is exact when it is at or below the flag cut (Alpha, or FDR's q) and the
+// null store's canonical above-cut value otherwise, which flags alike.
 type ShardResult struct {
 	// Shard and Shards identify the slice: this result covers outer-row
 	// slots [Shard*n/Shards, (Shard+1)*n/Shards) of an n-row audit.

@@ -19,7 +19,7 @@ import (
 // interleaving depends on scheduling, so results stop being reproducible in
 // the seed. The fix is explicit per-shard derivation — rng.Split(), or
 // stats.NewRNG with a seed derived from the shard identity (see
-// stats.FillPairNull, which seeds each null sample from its key).
+// stats.NullStore, which seeds each null sample from its key).
 var RNGDiscipline = &Analyzer{
 	Name: "rngdiscipline",
 	Doc: "forbid capturing one stats.RNG in multiple goroutine-spawning closures; " +

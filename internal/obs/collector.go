@@ -59,9 +59,12 @@ const (
 	MAuditDeltaRescoredCands = "audit.delta.rescored_candidates"
 
 	// Monte-Carlo null store (internal/core, stats.NullStore): misses count
-	// the null samples the sweep simulated, hits every other simulated-path
-	// lookup, so hits + misses == candidates - prescreen_tau_skips and
-	// audit.mc.worlds == misses x Config.MCWorlds.
+	// each key's first lookup, hits every other simulated-path lookup, so
+	// hits + misses == candidates - prescreen_tau_skips. audit.mc.worlds
+	// sums the worlds actually drawn — first lookups stop once the count
+	// proves p above the flag cut, and a key's second lookup draws the rest
+	// — so audit.mc.worlds <= misses x Config.MCWorlds, with equality when
+	// no first lookup stopped early.
 	MMCNullCacheHits   = "mc.null_cache_hits"
 	MMCNullCacheMisses = "mc.null_cache_misses"
 

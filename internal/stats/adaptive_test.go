@@ -67,3 +67,30 @@ func TestAdaptiveEdgeCases(t *testing.T) {
 		t.Errorf("early stop did not trigger: %d calls", calls)
 	}
 }
+
+// TestAdaptiveStopsOnFlagPredicate is the regression test for a stop rule
+// that was not the flag predicate: at m = 199 and alpha = 0.145, alpha*(m+1)
+// rounds to 28.999999999999996, so the old test 1+geq > alpha*(m+1) stopped
+// at 28 exceedances and reported significant=false for p = 29/200 = 0.145,
+// which MonteCarloP's p <= alpha flags. The stop now comes only at the count
+// mcStopCount proves unflaggable.
+func TestAdaptiveStopsOnFlagPredicate(t *testing.T) {
+	const m, alpha = 199, 0.145
+	calls := 0
+	simulate := func() float64 { // 28 worlds at or above the observed 0.5
+		calls++
+		if calls <= 28 {
+			return 1
+		}
+		return 0
+	}
+	p, sig, st := AdaptiveMonteCarloPStats(0.5, m, alpha, simulate)
+	calls = 0
+	want := MonteCarloP(0.5, m, simulate)
+	if p != want || sig != (want <= alpha) {
+		t.Fatalf("adaptive (p=%v, significant=%v), MonteCarloP p=%v flags %v", p, sig, want, want <= alpha)
+	}
+	if !sig || st.EarlyStopped || st.Worlds != m {
+		t.Fatalf("significant p=%v: significant=%v stats %+v, want a full run", p, sig, st)
+	}
+}

@@ -40,9 +40,10 @@ type MCStats struct {
 
 // AdaptiveMonteCarloP is MonteCarloP with early stopping for clearly
 // non-significant observations: once the number of simulated statistics
-// meeting or exceeding the observed one guarantees p > alpha — i.e. geq+1 >
-// alpha*(m+1) — no further simulation can change the significance decision,
-// and the function returns a conservative lower bound on p.
+// meeting or exceeding the observed one guarantees p > alpha — the count
+// reaching mcStopCount(m, alpha), the rule NullStore stops on — no further
+// simulation can change the significance decision, and the function returns
+// a conservative lower bound on p.
 //
 // The returned significant flag is identical to MonteCarloP's p <= alpha
 // decision with the same generator, and p is exact whenever significant is
@@ -59,12 +60,12 @@ func AdaptiveMonteCarloPStats(observed float64, m int, alpha float64, simulate f
 	if m <= 0 {
 		return 1, false, MCStats{}
 	}
-	cut := alpha * float64(m+1)
+	stop := mcStopCount(m, alpha)
 	geq := 0
 	for i := 0; i < m; i++ {
 		if simulate() >= observed {
 			geq++
-			if float64(1+geq) > cut {
+			if geq >= stop {
 				return float64(1+geq) / float64(m+1), false, MCStats{Worlds: i + 1, EarlyStopped: true}
 			}
 		}

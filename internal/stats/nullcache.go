@@ -14,25 +14,30 @@ import (
 // every candidate pair sharing a signature shares one simulation, and each
 // pair's p-value is a count over one stored sample instead of m fresh worlds.
 //
-// Determinism: each sample is the key-seeded fill FillPairNull sorts, seeded
-// purely from the store seed and the normalized key, so the sample — and
-// every p-value derived from it — is a function of (seed, worlds, key)
-// alone, independent of which goroutine fills it, of arrival order, and of
-// whether the store kept it.
+// Only p-values at or below the store's cut — the audit's flag threshold —
+// are ever observable, so the store simulates only the worlds a verdict
+// needs. A key's first lookup draws worlds in stream order until its
+// exceedance count proves p > cut, and answers either the exact p or the
+// one canonical above-cut value (1+stop)/(m+1). The entry keeps its stream
+// position; the key's second lookup draws the remaining worlds and sorts
+// the sample, and that lookup and every later one binary-search it. Every
+// lookup, whatever its order, answers the exact add-one p-value when it is
+// at most cut and the canonical value otherwise.
 //
-// A sample is filled the first time a lookup asks for it and is never
-// evicted. The filling lookup counts exceedances linearly over the unsorted
-// sample; the sample is sorted in place only when a second lookup of the key
-// arrives, and that lookup and every later one binary-search it. Most
-// signatures of a one-shot audit are looked up once, so most samples are
-// never sorted. The store keeps at most nullStoreMax samples; past that
-// bound a lookup of a new key fills the caller's scratch buffer, answers
-// from it by count, and keeps nothing. The store is safe for concurrent use:
-// lookups of stored keys take one shard read lock and touch no shared
-// counters.
+// Determinism: each sample is seeded purely from the store seed and the
+// normalized key, so the sample — and every p-value derived from it — is a
+// function of (seed, worlds, cut, key) alone, independent of which goroutine
+// fills it, of arrival order, and of whether the store kept it.
+//
+// Samples are never evicted. The store keeps at most nullStoreMax samples;
+// past that bound a lookup of a new key fills the caller's scratch buffer,
+// answers from it by count (stopping at the cut as a first lookup does), and
+// keeps nothing. The store is safe for concurrent use: lookups of stored
+// keys take one shard read lock and touch no shared counters.
 type NullStore struct {
 	seed   uint64
 	worlds int
+	stop   int          // exceedances proving p > cut: mcStopCount(worlds, cut)
 	stored atomic.Int64 // samples kept, at most nullStoreMax
 
 	shards [nullStoreShards]nullStoreShard
@@ -59,19 +64,40 @@ type pairNullKey struct {
 }
 
 type nullEntry struct {
-	fillOnce sync.Once // fills sample and answers the filling lookup by count
-	sortOnce sync.Once // sorts sample in place for the second lookup on
-	sample   []float64 // null statistics, length = worlds; ascending once sortOnce ran
+	fillOnce     sync.Once // draws the first lookup's prefix and answers it by count
+	completeOnce sync.Once // draws the remaining worlds and sorts, for the second lookup on
+	rng          RNG       // the key's stream, positioned after the prefix
+	drawn        int       // worlds the first lookup drew
+	sample       []float64 // length worlds; [:drawn] in stream order, all of it ascending once completeOnce ran
 }
 
 // NewNullStore returns an empty store producing worlds-long null samples
-// seeded from seed.
-func NewNullStore(seed uint64, worlds int) *NullStore {
-	s := &NullStore{seed: seed, worlds: worlds}
+// seeded from seed, answering exactly only the p-values at or below cut
+// (a cut of 1 or more answers every p-value exactly).
+func NewNullStore(seed uint64, worlds int, cut float64) *NullStore {
+	s := &NullStore{seed: seed, worlds: worlds, stop: mcStopCount(worlds, cut)}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[pairNullKey]*nullEntry) //lint:locksafe-ok constructor: no concurrent access before the store is returned
 	}
 	return s
+}
+
+// mcStopCount returns the least exceedance count g in [0, m] whose add-one
+// p-value (1+g)/(m+1) exceeds cut — the flag predicate p <= cut negated —
+// or m+1 when no count does. The p-value is nondecreasing in g, so g
+// exceedances among any prefix of the m worlds prove p > cut exactly when
+// g >= mcStopCount(m, cut).
+func mcStopCount(m int, cut float64) int {
+	lo, hi := 0, m+1
+	for lo < hi {
+		g := int(uint(lo+hi) >> 1)
+		if float64(1+g)/float64(m+1) > cut {
+			hi = g
+		} else {
+			lo = g + 1
+		}
+	}
+	return lo
 }
 
 // PValue returns the add-one Monte-Carlo p-value of an observed statistic
@@ -79,21 +105,25 @@ func NewNullStore(seed uint64, worlds int) *NullStore {
 //
 //	p = (1 + #{tau_null >= observed}) / (m + 1)
 //
-// — the same estimator as MonteCarloP. The lookup that fills a sample
-// answers by a linear count over it; later lookups of a stored key answer by
-// binary search over the sample, sorted once on the first of them. Both
+// — the same estimator as MonteCarloP — when that p is at most the store's
+// cut, and the canonical above-cut value (1+stop)/(m+1) otherwise. The
+// first lookup of a key answers by a linear count over the worlds it draws;
+// later lookups answer by binary search over the completed sample. Both
 // count the same elements for every observed value, NaN and ±Inf included
 // (NaN exceeds nothing, and sort.Float64s places NaN statistics first,
 // where no search lands), so p does not depend on which lookup came first.
-// filled reports whether this call simulated the sample: true exactly once
-// per stored key, and on every lookup of a key the full store could not
-// keep, which is filled into *scratch (grown to m when shorter). The
-// returned p is deterministic in (seed, worlds, key, observed) either way.
+//
+// drawn is the number of worlds this call simulated: the first lookup's
+// prefix, the second lookup's completion, and zero after. filled reports
+// whether this call was the key's first lookup: true exactly once per
+// stored key, and on every lookup of a key the full store could not keep,
+// which is filled into *scratch (grown to m when shorter). The returned p
+// is deterministic in (seed, worlds, cut, key, observed) either way.
 //
 //lint:hotpath
-func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, scratch *[]float64) (p float64, filled bool) {
+func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, scratch *[]float64) (p float64, drawn int, filled bool) {
 	if s.worlds <= 0 {
-		return 1, false
+		return 1, 0, false
 	}
 	key := newPairNullKey(n1, n2, pooledPositives)
 	sh := &s.shards[nullKeyHash(key)&(nullStoreShards-1)]
@@ -105,23 +135,38 @@ func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, scratc
 			if cap(*scratch) < s.worlds {
 				*scratch = make([]float64, s.worlds) //lint:hotpathalloc-ok grows the caller's scratch once, reused by every later overflow fill
 			}
-			buf := (*scratch)[:s.worlds]
-			fillPairNull(buf, s.seed, key)
-			return countP(buf, observed), true
+			var rng RNG
+			rng.Seed(nullCacheSeed(s.seed, key))
+			drawn, geq := fillNull((*scratch)[:s.worlds], &rng, key, observed, s.stop)
+			return s.estimate(geq), drawn, true
 		}
 	}
-	e.fillOnce.Do(func() { //lint:hotpathalloc-ok one simulation per stored key, amortized over all later lookups
+	e.fillOnce.Do(func() { //lint:hotpathalloc-ok one prefix per stored key, amortized over all later lookups
 		e.sample = make([]float64, s.worlds)
-		fillPairNull(e.sample, s.seed, key)
-		p, filled = countP(e.sample, observed), true
+		e.rng.Seed(nullCacheSeed(s.seed, key))
+		var geq int
+		e.drawn, geq = fillNull(e.sample, &e.rng, key, observed, s.stop)
+		p, drawn, filled = s.estimate(geq), e.drawn, true
 	})
 	if filled {
-		return p, true
+		return p, drawn, true
 	}
-	e.sortOnce.Do(func() { //lint:hotpathalloc-ok one sort per stored key, on its second lookup; later lookups skip it
+	e.completeOnce.Do(func() { //lint:hotpathalloc-ok one completion per stored key, on its second lookup; later lookups skip it
+		drawn, _ = fillNull(e.sample[e.drawn:], &e.rng, key, 0, math.MaxInt)
 		sort.Float64s(e.sample)
 	})
-	return exceedanceP(e.sample, observed), false
+	idx := sort.SearchFloat64s(e.sample, observed) // first index with value >= observed
+	return s.estimate(s.worlds - idx), drawn, false
+}
+
+// estimate is the add-one estimator for geq exceedances among the store's
+// worlds, with every count that proves p > cut answered by the canonical
+// value.
+func (s *NullStore) estimate(geq int) float64 {
+	if geq > s.stop {
+		geq = s.stop
+	}
+	return float64(1+geq) / float64(s.worlds+1)
 }
 
 // insert adds an empty entry for key unless another goroutine already did,
@@ -141,24 +186,6 @@ func (s *NullStore) insert(sh *nullStoreShard, key pairNullKey) *nullEntry { //l
 	return e
 }
 
-// countP is the add-one estimator over a null sample in any order, counting
-// exceedances the way MonteCarloP does.
-func countP(sample []float64, observed float64) float64 {
-	geq := 0
-	for _, v := range sample {
-		if v >= observed {
-			geq++
-		}
-	}
-	return float64(1+geq) / float64(len(sample)+1)
-}
-
-// exceedanceP is the add-one estimator over an ascending null sample.
-func exceedanceP(sorted []float64, observed float64) float64 {
-	idx := sort.SearchFloat64s(sorted, observed) // first index with value >= observed
-	return float64(1+len(sorted)-idx) / float64(len(sorted)+1)
-}
-
 // newPairNullKey normalizes a key so n1 <= n2.
 func newPairNullKey(n1, n2, pooledPositives int) pairNullKey {
 	if n1 > n2 {
@@ -167,84 +194,84 @@ func newPairNullKey(n1, n2, pooledPositives int) pairNullKey {
 	return pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
 }
 
-// FillPairNull fills dst with the sorted null sample of the pairwise LRT
-// statistic for the key (n1, n2, pooledPositives) under store seed — one
-// world per element of dst, drawn in a single batched pass and sorted
-// ascending. It is the allocation-free core of NullStore: a store
-// constructed with this seed and worlds == len(dst) answers every lookup of
-// the key from exactly these values, whether it keeps them or fills a
-// caller's scratch buffer past its bound. The key is normalized (n1 <= n2)
-// exactly as the store normalizes it.
-func FillPairNull(dst []float64, seed uint64, n1, n2, pooledPositives int) {
-	fillPairNull(dst, seed, newPairNullKey(n1, n2, pooledPositives))
-	sort.Float64s(dst)
-}
-
-// fillPairNull is FillPairNull without the sort: dst holds the worlds in
-// stream order.
-func fillPairNull(dst []float64, seed uint64, key pairNullKey) {
-	if len(dst) == 0 {
-		return
-	}
-	if key.n1 <= 0 {
-		// PairLRT scores every world of an empty region 0, whatever is drawn.
-		clear(dst)
-		return
-	}
-	var rng RNG
-	rng.Seed(nullCacheSeed(seed, key))
-	pooledRate := float64(key.pooledPositives) / float64(key.n1+key.n2)
-	fillPairNullTabled(dst, &rng, key.n1, key.n2, pooledRate)
-}
-
-// nullTableSize is the entry count of each of fillPairNullTabled's tables.
-const nullTableSize = 2049
-
-// fillPairNullTabled is fillPairNull's inner loop. Within one fill the
-// region sizes are fixed, so every logarithm PairLRT evaluates is a function
-// of the drawn counts alone: the alternative-hypothesis terms depend only on
-// k1 (respectively k2), and the null terms only on the pooled sum s = k1+k2.
-// The tables memoize those values lazily — each entry is computed by the
-// exact expression PairLRT uses, and the statistic is assembled with the
-// same operations in the same order, so every world is bit-identical to
-// pairNullDraw's; only repeated math.Log evaluations are saved (the draws
+// fillNull draws null worlds of the pairwise LRT statistic for key into dst
+// in stream order, continuing rng — the key-seeded stream, at any position —
+// and counting the worlds whose statistic is >= observed. It stops before
+// drawing a world once that count reaches stop, returning the worlds drawn
+// and the count; math.MaxInt never stops. Every world is bit-identical to
+// pairNullDraw's on the same stream.
+//
+// Within one fill the region sizes are fixed, so every logarithm PairLRT
+// evaluates is a function of the drawn counts alone: the
+// alternative-hypothesis terms depend only on k1 (respectively k2), and the
+// null terms only on the pooled sum s = k1+k2. The tables memoize those
+// values lazily — each entry is computed by the exact expression PairLRT
+// uses, and the statistic is assembled with the same operations in the same
+// order, so only repeated math.Log evaluations are saved (the draws
 // concentrate around the binomial mean, so a fill of m worlds touches far
 // fewer than m distinct entries). Each table covers a window of
 // nullTableSize counts around its binomial mean — all of [0, n] when that
 // fits — and a draw outside the window is computed directly by the same
-// expression. The tables live on the stack, keeping the fill
-// allocation-free.
-func fillPairNullTabled(dst []float64, rng *RNG, n1, n2 int, pooledRate float64) {
+// expression. The tables and both binomial samplers live on the stack,
+// keeping the fill allocation-free.
+func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop int) (drawn, geq int) {
+	n1, n2 := key.n1, key.n2
+	if n1 <= 0 {
+		// PairLRT scores every world of an empty region 0, whatever is drawn.
+		for drawn = range dst {
+			if geq >= stop {
+				return drawn, geq
+			}
+			dst[drawn] = 0
+			if 0 >= observed {
+				geq++
+			}
+		}
+		return len(dst), geq
+	}
 	n := n1 + n2
+	pooledRate := float64(key.pooledPositives) / float64(n)
+	b1, b2 := newBinomialSampler(n1, pooledRate), newBinomialSampler(n2, pooledRate)
 	var la1, la2 altLogTable // MaxBernoulliLogLik(k, n1|n2)
 	var ls pooledLogTable    // Log(pooled), Log(1-pooled) by s
 	la1.lo = nullTableLo(n1, pooledRate)
 	la2.lo = nullTableLo(n2, pooledRate)
 	ls.lo = nullTableLo(n, pooledRate)
-	for i := range dst {
-		k1 := rng.Binomial(n1, pooledRate)
-		k2 := rng.Binomial(n2, pooledRate)
+	for drawn = range dst {
+		if geq >= stop {
+			return drawn, geq
+		}
+		k1 := b1.draw(rng)
+		k2 := b2.draw(rng)
 		lp, lq := ls.at(k1+k2, n)
 		// BernoulliLogLik(k, n, rho) with rho in (0,1) guaranteed whenever a
 		// guarded term is taken: k > 0 implies s > 0 and n-k > 0 implies
 		// s < n, so the -Inf branches are unreachable and each term reduces
 		// to the same guarded multiply-adds, from the same zero value.
-		var b1, b2 float64
+		var l1, l2 float64
 		if k1 > 0 {
-			b1 = float64(k1) * lp
+			l1 = float64(k1) * lp
 		}
 		if n1-k1 > 0 {
-			b1 += float64(n1-k1) * lq
+			l1 += float64(n1-k1) * lq
 		}
 		if k2 > 0 {
-			b2 = float64(k2) * lp
+			l2 = float64(k2) * lp
 		}
 		if n2-k2 > 0 {
-			b2 += float64(n2-k2) * lq
+			l2 += float64(n2-k2) * lq
 		}
-		dst[i] = LogLikRatio(b1+b2, la1.at(k1, n1)+la2.at(k2, n2))
+		v := LogLikRatio(l1+l2, la1.at(k1, n1)+la2.at(k2, n2))
+		dst[drawn] = v
+		if v >= observed {
+			geq++
+		}
 	}
+	return len(dst), geq
 }
+
+// nullTableSize is the entry count of each of fillNull's tables.
+const nullTableSize = 2049
 
 // nullTableLo places a table window of nullTableSize counts for draws from
 // Binomial(n, rate): at 0 when [0, n] fits, else centred on the mean and
@@ -308,19 +335,25 @@ func pooledLogs(s, n int) (lp, lq float64) {
 }
 
 // NullCacheReferenceP computes, with no store at all, the p-value a
-// NullStore constructed with the same seed and worlds returns for the key
-// (n1, n2, pooledPositives) at the observed statistic. It re-derives the
-// key-seeded stream and counts exceedances directly, so it is the oracle the
-// verification harness fuzzes NullStore against: stored and past-bound
-// lookups must both be bit-identical to this reference.
-func NullCacheReferenceP(seed uint64, worlds, n1, n2, pooledPositives int, observed float64) float64 {
+// NullStore constructed with the same seed, worlds and cut returns for the
+// key (n1, n2, pooledPositives) at the observed statistic. It re-derives the
+// key-seeded stream, counts exceedances over all worlds directly, and
+// replaces a p-value above cut by the canonical (1+stop)/(m+1), so it is
+// the oracle the verification harness fuzzes NullStore against: first,
+// completing, stored and past-bound lookups must all be bit-identical to
+// this reference.
+func NullCacheReferenceP(seed uint64, worlds, n1, n2, pooledPositives int, observed, cut float64) float64 {
 	if worlds <= 0 {
 		return 1
 	}
 	key := newPairNullKey(n1, n2, pooledPositives)
 	rng := NewRNG(nullCacheSeed(seed, key))
 	pooledRate := float64(key.pooledPositives) / float64(key.n1+key.n2)
-	return PairMonteCarloP(rng, observed, worlds, key.n1, key.n2, pooledRate)
+	p := PairMonteCarloP(rng, observed, worlds, key.n1, key.n2, pooledRate)
+	if p > cut {
+		return float64(1+mcStopCount(worlds, cut)) / float64(worlds+1)
+	}
+	return p
 }
 
 // nullCacheSeed derives a sample's RNG seed from the store seed and the

@@ -24,7 +24,7 @@ var (
 // the store changes where the null sample lives, not what it is.
 func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 	const seed, worlds = 42, 499
-	s := NewNullStore(seed, worlds)
+	s := NewNullStore(seed, worlds, 1)
 	var scratch []float64
 	for _, tc := range []struct {
 		n1, n2, pooled int
@@ -37,7 +37,7 @@ func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 		{500, 120, 77, 1.3}, // normalized to the previous key
 		{50, 50, 5, 0.0},
 	} {
-		got, _ := s.PValue(tc.n1, tc.n2, tc.pooled, tc.observed, &scratch)
+		got, _, _ := s.PValue(tc.n1, tc.n2, tc.pooled, tc.observed, &scratch)
 		n1, n2 := tc.n1, tc.n2
 		if n1 > n2 {
 			n1, n2 = n2, n1
@@ -54,48 +54,56 @@ func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 
 // TestPairNullCacheDeterministicConcurrent releases many goroutines at once
 // onto a fresh store, so the first lookup of each key races with its repeats
-// (and its sort with their searches), and asserts every answer is the
-// uncached reference p-value and each key is filled exactly once: sample
-// values must not depend on which goroutine simulates them or on arrival
-// order. Run under -race it also pins the fill-then-sort handoff.
+// — and its completion with their searches — and asserts every answer is the
+// uncached reference p-value, each key is filled exactly once, and each key
+// draws exactly m worlds in total: sample values must not depend on which
+// goroutine simulates them or on arrival order. It runs at a cut that never
+// stops a first lookup and at cuts that stop most of them. Run under -race
+// it also pins the prefix-then-completion handoff.
 func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 	const seed, worlds, goroutines = 0xC0F1257, 99, 8
-	want := map[[2]int]float64{}
-	for ki, k := range nullLookupKeys {
-		for oi, obs := range nullLookupObserved {
-			want[[2]int{ki, oi}] = NullCacheReferenceP(seed, worlds, k.n1, k.n2, k.pos, obs)
+	for _, cut := range []float64{1, 0.05, 0.3} {
+		want := map[[2]int]float64{}
+		for ki, k := range nullLookupKeys {
+			for oi, obs := range nullLookupObserved {
+				want[[2]int{ki, oi}] = NullCacheReferenceP(seed, worlds, k.n1, k.n2, k.pos, obs, cut)
+			}
 		}
-	}
-	s := NewNullStore(seed, worlds)
-	start := make(chan struct{})
-	var fills atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var scratch []float64
-			<-start
-			for i := range nullLookupKeys {
-				ki := (i + g) % len(nullLookupKeys)
-				k := nullLookupKeys[ki]
-				for j := range nullLookupObserved {
-					oi := (j + g) % len(nullLookupObserved)
-					p, filled := s.PValue(k.n1, k.n2, k.pos, nullLookupObserved[oi], &scratch)
-					if filled {
-						fills.Add(1)
-					}
-					if w := want[[2]int{ki, oi}]; p != w {
-						t.Errorf("goroutine %d key %v obs %v: p=%v, want %v", g, k, nullLookupObserved[oi], p, w)
+		s := NewNullStore(seed, worlds, cut)
+		start := make(chan struct{})
+		var fills, drawn atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var scratch []float64
+				<-start
+				for i := range nullLookupKeys {
+					ki := (i + g) % len(nullLookupKeys)
+					k := nullLookupKeys[ki]
+					for j := range nullLookupObserved {
+						oi := (j + g) % len(nullLookupObserved)
+						p, n, filled := s.PValue(k.n1, k.n2, k.pos, nullLookupObserved[oi], &scratch)
+						drawn.Add(int64(n))
+						if filled {
+							fills.Add(1)
+						}
+						if w := want[[2]int{ki, oi}]; p != w {
+							t.Errorf("cut %v goroutine %d key %v obs %v: p=%v, want %v", cut, g, k, nullLookupObserved[oi], p, w)
+						}
 					}
 				}
-			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	if got := fills.Load(); got != int64(len(nullLookupKeys)) {
-		t.Errorf("%d fills for %d keys, want exactly one per key", got, len(nullLookupKeys))
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if got := fills.Load(); got != int64(len(nullLookupKeys)) {
+			t.Errorf("cut %v: %d fills for %d keys, want exactly one per key", cut, got, len(nullLookupKeys))
+		}
+		if got := drawn.Load(); got != int64(len(nullLookupKeys)*worlds) {
+			t.Errorf("cut %v: %d worlds drawn for %d keys looked up repeatedly, want %d each", cut, got, len(nullLookupKeys), worlds)
+		}
 	}
 }
 
@@ -105,29 +113,28 @@ func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 // the reference computes — while kept keys still answer without a fill.
 func TestPairNullCacheStatsAccounting(t *testing.T) {
 	const seed, worlds = 3, 99
-	s := NewNullStore(seed, worlds)
+	s := NewNullStore(seed, worlds, 1)
 	var scratch []float64
-	p1, filled := s.PValue(300, 300, 150, 1.0, &scratch)
-	if !filled {
-		t.Error("first lookup did not fill")
+	p1, n, filled := s.PValue(300, 300, 150, 1.0, &scratch)
+	if !filled || n != worlds {
+		t.Errorf("first lookup: filled=%v drew %d worlds, want a fill of all %d at cut 1", filled, n, worlds)
 	}
-	if p2, again := s.PValue(300, 300, 150, 1.0, &scratch); again || p2 != p1 {
-		t.Errorf("second lookup: filled=%v p=%v, want no fill with p=%v", again, p2, p1)
+	if p2, n, again := s.PValue(300, 300, 150, 1.0, &scratch); again || n != 0 || p2 != p1 {
+		t.Errorf("second lookup: filled=%v drew %d p=%v, want no fill, no worlds, p=%v", again, n, p2, p1)
 	}
 	if scratch != nil {
 		t.Error("a stored fill used the caller's scratch")
 	}
-
 	// Fill the store to its bound with cheap keys (n1 = 0 draws nothing).
 	for k := 1; s.stored.Load() < nullStoreMax; k++ {
 		s.PValue(0, k, 0, 0, &scratch)
 	}
 	for k := 0; k < 3; k++ {
-		want := NullCacheReferenceP(seed, worlds, 200+k, 300, 100+k, 2.0)
+		want := NullCacheReferenceP(seed, worlds, 200+k, 300, 100+k, 2.0, 1)
 		for rep := 0; rep < 2; rep++ {
-			p, filled := s.PValue(200+k, 300, 100+k, 2.0, &scratch)
-			if !filled || p != want {
-				t.Errorf("past-bound key %d lookup %d: (p=%v, filled=%v), want (%v, true)", k, rep, p, filled, want)
+			p, n, filled := s.PValue(200+k, 300, 100+k, 2.0, &scratch)
+			if !filled || n != worlds || p != want {
+				t.Errorf("past-bound key %d lookup %d: (p=%v, filled=%v, drew %d), want (%v, true, %d)", k, rep, p, filled, n, want, worlds)
 			}
 		}
 	}
@@ -137,50 +144,119 @@ func TestPairNullCacheStatsAccounting(t *testing.T) {
 	if got := s.stored.Load(); got != nullStoreMax {
 		t.Errorf("store keeps %d samples past its bound of %d", got, nullStoreMax)
 	}
-	if p, filled := s.PValue(300, 300, 150, 1.0, &scratch); filled || p != p1 {
+	if p, _, filled := s.PValue(300, 300, 150, 1.0, &scratch); filled || p != p1 {
 		t.Errorf("stored key after the bound: (p=%v, filled=%v), want (%v, false)", p, filled, p1)
 	}
 }
 
-// TestNullStoreLookupPathsMatchReference drives every key through each of
-// the store's answers — the filling lookup's linear count, the repeat
-// lookup's sort-then-search, later searches, and past-bound fills into the
-// caller's scratch — and asserts each is bit-identical to the uncached
-// NullCacheReferenceP, for every observed value including NaN and ±Inf.
-func TestNullStoreLookupPathsMatchReference(t *testing.T) {
-	const seed, worlds = 0x5EA2C4, 99
-	s := NewNullStore(seed, worlds)
+// TestNullStoreEarlyStop pins the early stop: a first lookup whose p-value
+// is above the cut draws only the worlds that prove it and answers the
+// canonical above-cut value; the key's second lookup draws the rest, so the
+// two together draw exactly m; the lookups after draw nothing; and the same
+// lookups in the opposite order answer the same values. A first lookup whose
+// p-value is at or below the cut draws all m worlds and answers it exactly.
+func TestNullStoreEarlyStop(t *testing.T) {
+	const seed, worlds, cut = 0xE2, 999, 0.05
+	canonical := float64(1+mcStopCount(worlds, cut)) / float64(worlds+1)
+	if canonical <= cut {
+		t.Fatalf("canonical above-cut value %v is not above the cut %v", canonical, cut)
+	}
 	var scratch []float64
-	check := func(path string, k struct{ n1, n2, pos int }, obs float64, wantFilled bool) {
-		t.Helper()
-		p, filled := s.PValue(k.n1, k.n2, k.pos, obs, &scratch)
-		want := NullCacheReferenceP(seed, worlds, k.n1, k.n2, k.pos, obs)
-		if p != want || filled != wantFilled {
-			t.Errorf("%s key %v obs %v: (p=%v, filled=%v), want (%v, %v)", path, k, obs, p, filled, want, wantFilled)
-		}
+	const n1, n2, pos = 300, 300, 180
+	const bulk, tail = 0.5, 40.0 // inside the null bulk; beyond every world
+	s := NewNullStore(seed, worlds, cut)
+	p, n, filled := s.PValue(n1, n2, pos, bulk, &scratch)
+	if !filled || p != canonical || n >= worlds/2 {
+		t.Fatalf("first lookup in the bulk: (p=%v, drew %d, filled=%v), want (%v, far fewer than %d, true)", p, n, filled, canonical, worlds)
 	}
-	for _, obs := range nullLookupObserved {
-		s = NewNullStore(seed, worlds)
-		for _, k := range nullLookupKeys {
-			check("first", k, obs, true)
-			check("repeat", k, obs, false)
-		}
+	first := n
+	p, n, filled = s.PValue(n1, n2, pos, tail, &scratch)
+	if filled || first+n != worlds || p != 1/float64(worlds+1) {
+		t.Fatalf("completing lookup: (p=%v, drew %d, filled=%v), want (%v, %d, false)", p, n, filled, 1/float64(worlds+1), worlds-first)
 	}
-	for _, k := range nullLookupKeys {
-		for _, obs := range nullLookupObserved {
-			check("later", k, obs, false)
-		}
+	if p, n, _ = s.PValue(n1, n2, pos, bulk, &scratch); p != canonical || n != 0 {
+		t.Fatalf("later lookup: (p=%v, drew %d), want (%v, 0)", p, n, canonical)
 	}
 
-	// Fill the store to its bound with cheap keys (n1 = 0 draws nothing):
-	// every lookup of a new key now fills the caller's scratch.
-	for k := 1; s.stored.Load() < nullStoreMax; k++ {
-		s.PValue(0, k, 0, 0, &scratch)
+	r := NewNullStore(seed, worlds, cut)
+	if p, n, _ = r.PValue(n1, n2, pos, tail, &scratch); p != 1/float64(worlds+1) || n != worlds {
+		t.Fatalf("first lookup in the tail: (p=%v, drew %d), want (%v, %d)", p, n, 1/float64(worlds+1), worlds)
 	}
-	for _, k := range nullLookupKeys {
-		k.pos++
+	if p, n, _ = r.PValue(n1, n2, pos, bulk, &scratch); p != canonical || n != 0 {
+		t.Fatalf("reversed order, bulk lookup: (p=%v, drew %d), want (%v, 0)", p, n, canonical)
+	}
+}
+
+// TestMCStopCountIsFlagPredicate pins mcStopCount to the flag predicate it
+// negates: for every m and every alpha on a 0.001 grid, a count g proves
+// p > alpha exactly when its add-one p-value fails p <= alpha.
+func TestMCStopCountIsFlagPredicate(t *testing.T) {
+	for _, m := range []int{19, 99, 199, 499, 999, 1999, 4999, 9999} {
+		for a := 1; a < 1000; a++ {
+			alpha := float64(a) / 1000
+			stop := mcStopCount(m, alpha)
+			for g := 0; g <= m; g++ {
+				flagged := float64(1+g)/float64(m+1) <= alpha
+				if (g >= stop) == flagged {
+					t.Fatalf("m=%d alpha=%v g=%d: stop count %d disagrees with p <= alpha (%v)", m, alpha, g, stop, flagged)
+				}
+			}
+		}
+	}
+	for _, cut := range []float64{1, 2, math.Inf(1), math.NaN()} {
+		if got := mcStopCount(999, cut); got != 1000 {
+			t.Errorf("mcStopCount(999, %v) = %d, want 1000 (never stop)", cut, got)
+		}
+	}
+	for _, cut := range []float64{0, -1, 1e-4, math.Inf(-1)} {
+		if got := mcStopCount(999, cut); got != 0 {
+			t.Errorf("mcStopCount(999, %v) = %d, want 0 (no count is flaggable)", cut, got)
+		}
+	}
+}
+
+// TestNullStoreLookupPathsMatchReference drives every key through each of
+// the store's answers — the first lookup's (possibly stopped) linear count,
+// the completing lookup's sort-then-search, later searches, and past-bound
+// fills into the caller's scratch — and asserts each is bit-identical to the
+// uncached NullCacheReferenceP at the store's cut, for every observed value
+// including NaN and ±Inf.
+func TestNullStoreLookupPathsMatchReference(t *testing.T) {
+	const seed, worlds = 0x5EA2C4, 99
+	for _, cut := range []float64{1, 0.01, 0.2} {
+		var s *NullStore
+		var scratch []float64
+		check := func(path string, k struct{ n1, n2, pos int }, obs float64, wantFilled bool) {
+			t.Helper()
+			p, _, filled := s.PValue(k.n1, k.n2, k.pos, obs, &scratch)
+			want := NullCacheReferenceP(seed, worlds, k.n1, k.n2, k.pos, obs, cut)
+			if p != want || filled != wantFilled {
+				t.Errorf("cut %v %s key %v obs %v: (p=%v, filled=%v), want (%v, %v)", cut, path, k, obs, p, filled, want, wantFilled)
+			}
+		}
 		for _, obs := range nullLookupObserved {
-			check("past-bound", k, obs, true)
+			s = NewNullStore(seed, worlds, cut)
+			for _, k := range nullLookupKeys {
+				check("first", k, obs, true)
+				check("repeat", k, obs, false)
+			}
+		}
+		for _, k := range nullLookupKeys {
+			for _, obs := range nullLookupObserved {
+				check("later", k, obs, false)
+			}
+		}
+
+		// Fill the store to its bound with cheap keys (n1 = 0 draws
+		// nothing): every lookup of a new key now fills the caller's scratch.
+		for k := 1; s.stored.Load() < nullStoreMax; k++ {
+			s.PValue(0, k, 0, 0, &scratch)
+		}
+		for _, k := range nullLookupKeys {
+			k.pos++
+			for _, obs := range nullLookupObserved {
+				check("past-bound", k, obs, true)
+			}
 		}
 	}
 }
@@ -193,7 +269,7 @@ func TestPairNullCacheSeedLiveness(t *testing.T) {
 	var ps []float64
 	var scratch []float64
 	for seed := uint64(1); seed <= 4; seed++ {
-		p, _ := NewNullStore(seed, 199).PValue(300, 300, 180, 1.0, &scratch) // tau = 1: well inside the null bulk
+		p, _, _ := NewNullStore(seed, 199, 1).PValue(300, 300, 180, 1.0, &scratch) // tau = 1: well inside the null bulk
 		ps = append(ps, p)
 	}
 	for _, p := range ps[1:] {
@@ -208,8 +284,8 @@ func TestPairNullCacheSeedLiveness(t *testing.T) {
 // with zero worlds answers p = 1 and never fills.
 func TestPairNullCacheDisabledWorlds(t *testing.T) {
 	var scratch []float64
-	if p, filled := NewNullStore(1, 0).PValue(10, 10, 5, 3.0, &scratch); p != 1 || filled {
-		t.Errorf("zero-world store answered (%v, %v), want (1, false)", p, filled)
+	if p, n, filled := NewNullStore(1, 0, 1).PValue(10, 10, 5, 3.0, &scratch); p != 1 || n != 0 || filled {
+		t.Errorf("zero-world store answered (%v, %d, %v), want (1, 0, false)", p, n, filled)
 	}
 }
 

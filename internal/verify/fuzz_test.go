@@ -3,7 +3,6 @@ package verify
 import (
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -141,51 +140,68 @@ func FuzzWelchTFromMoments(f *testing.F) {
 	})
 }
 
-// FuzzPairNullCache drives one null store through lookups over a cluster of
-// related keys, fills the store to its bound, then repeats the lookups
-// alongside a shifted cluster, and checks every returned p-value against the
-// uncached reference. First fills (answered by a linear count), stored hits
-// (answered by binary search over the sample, sorted on the first of them),
-// and past-bound fills into the caller's scratch must all be bit-identical
-// to replaying the key-seeded stream from scratch.
+// FuzzPairNullCache drives null stores at a fuzzed cut through lookups over
+// a cluster of related keys, fills one to its bound, then repeats the
+// lookups alongside a shifted cluster, and checks every returned p-value
+// against the uncached reference at that cut. First lookups (answered by a
+// linear count over the worlds drawn until the cut is proved exceeded),
+// second lookups (which complete and sort the sample), later repeats (binary
+// search) and past-bound fills into the caller's scratch must all be
+// bit-identical to replaying the key-seeded stream from scratch, and two
+// stores doing the same lookups in opposite orders must answer alike. The
+// cut is used as fuzzed — NaN, ±Inf and values outside (0, 1) included —
+// and the seeds run it at 1, where no lookup stops.
 func FuzzPairNullCache(f *testing.F) {
-	f.Add(uint64(1), 33, 40, 25, 12, 1.5, 8)
-	f.Add(uint64(99), 7, 3, 3, 6, 0.0, 0)
-	f.Add(uint64(2), 50, 120, 80, 55, -2.25, 40)
-	f.Add(uint64(4), 20, 90, 90, 70, math.NaN(), 3)
-	f.Add(uint64(5), 20, 90, 90, 70, math.Inf(1), 3)
-	f.Add(uint64(6), 20, 90, 90, 70, math.Inf(-1), 3)
-	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed float64, shift int) {
+	f.Add(uint64(1), 33, 40, 25, 12, 1.5, 8, 1.0)
+	f.Add(uint64(99), 7, 3, 3, 6, 0.0, 0, 0.05)
+	f.Add(uint64(2), 50, 120, 80, 55, -2.25, 40, 0.01)
+	f.Add(uint64(4), 20, 90, 90, 70, math.NaN(), 3, 0.2)
+	f.Add(uint64(5), 20, 90, 90, 70, math.Inf(1), 3, 0.3)
+	f.Add(uint64(6), 20, 90, 90, 70, math.Inf(-1), 3, 0.05)
+	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed float64, shift int, cut float64) {
 		worlds = 1 + absRem(worlds, 64)
 		n1 = 1 + absRem(n1, 200)
 		n2 = 1 + absRem(n2, 200)
 		pooled = absRem(pooled, n1+n2+1)
 		shift = absRem(shift, 64)
 		// observed stays as fuzzed: NaN exceeds no null statistic under the
-		// filling lookup's count, the repeat lookup's binary search and the
+		// first lookup's count, the later lookups' binary search and the
 		// reference's streaming >= alike, and ±Inf must agree too.
-		s := stats.NewNullStore(seed, worlds)
 		var scratch []float64
-		check := func(round, k int) {
+		lookup := func(s *stats.NullStore, round, k int) float64 {
 			kn1 := 1 + (n1+k)%200
 			kn2 := 1 + (n2+7*k)%200
 			kp := (pooled + k) % (kn1 + kn2 + 1)
-			obs := observed + float64(k)*0.125
-			got, _ := s.PValue(kn1, kn2, kp, obs, &scratch)
-			want := stats.NullCacheReferenceP(seed, worlds, kn1, kn2, kp, obs)
+			obs := observed + float64(k)*0.125 + float64(round%2)*1.5
+			got, _, _ := s.PValue(kn1, kn2, kp, obs, &scratch)
+			want := stats.NullCacheReferenceP(seed, worlds, kn1, kn2, kp, obs, cut)
 			if got != want {
-				t.Fatalf("round %d key (%d,%d,%d) obs %v: store p = %v, uncached reference = %v",
-					round, kn1, kn2, kp, obs, got, want)
+				t.Fatalf("cut %v round %d key (%d,%d,%d) obs %v: store p = %v, uncached reference = %v",
+					cut, round, kn1, kn2, kp, obs, got, want)
 			}
+			return got
+		}
+		s := stats.NewNullStore(seed, worlds, cut)
+		r := stats.NewNullStore(seed, worlds, cut)
+		var first [2][24]float64
+		for k := 0; k < 24; k++ {
+			first[0][k] = lookup(s, 0, k) // s: round-0 lookups first
+			first[1][k] = lookup(r, 1, k) // r: round-1 lookups first
 		}
 		for k := 0; k < 24; k++ {
-			check(0, k)
+			// Each store's second lookup of a key completes its sample.
+			if p := lookup(s, 1, k); p != first[1][k] {
+				t.Fatalf("key %d: round-1 lookup p = %v second, %v first", k, p, first[1][k])
+			}
+			if p := lookup(r, 0, k); p != first[0][k] {
+				t.Fatalf("key %d: round-0 lookup p = %v second, %v first", k, p, first[0][k])
+			}
 		}
-		// Fill the store to its bound with keys that draw nothing (n1 = 0):
-		// the bound is reached when a fresh key is filled on a repeat lookup.
+		// Fill s to its bound with keys that draw nothing (n1 = 0): the
+		// bound is reached when a fresh key is filled on a repeat lookup.
 		for k := 1 << 20; ; k++ {
 			s.PValue(0, k, 0, 0, &scratch)
-			if _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
+			if _, _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
 				break
 			}
 			if k > 1<<20+1<<16 {
@@ -193,33 +209,35 @@ func FuzzPairNullCache(f *testing.F) {
 			}
 		}
 		for k := 0; k < 24; k++ {
-			check(1, k)       // stored before the bound: a hit
-			check(1, k+shift) // shifted: past the bound unless it overlaps
+			lookup(s, 2, k)       // stored before the bound: a later hit
+			lookup(s, 2, k+shift) // shifted: past the bound unless it overlaps
 		}
 	})
 }
 
-// FuzzFillPairNull differentially fuzzes the batched null-cache fill against
-// the uncached oracle: the p-value derived from a FillPairNull buffer by
-// binary search, and a fresh store's first (linear-count) and repeat
-// (binary-search) lookups of the key, must be bit-identical to
-// NullCacheReferenceP for every (seed, worlds, key, observed), NaN and ±Inf
-// observations included — across region sizes whose tables cover every
-// count and sizes past 2048 whose tables are windows off zero, with draws
-// outside the windows on the largest keys, both key orientations, and
-// degenerate pooled counts (0 and n1+n2).
+// FuzzFillPairNull differentially fuzzes the store's resumable fill against
+// the uncached oracle at a fuzzed cut: a fresh store's first lookup (drawn
+// until the cut is proved exceeded, answered by a linear count), its second
+// (completed and sorted, answered by binary search) and a repeat must be
+// bit-identical to NullCacheReferenceP for every (seed, worlds, key,
+// observed), NaN and ±Inf observations included — across region sizes whose
+// tables cover every count and sizes past 2048 whose tables are windows off
+// zero, with draws outside the windows on the largest keys, both key
+// orientations, and degenerate pooled counts (0 and n1+n2). The first two
+// lookups together draw exactly the m worlds, and an exact answer at or
+// below the cut is only ever given after all m.
 func FuzzFillPairNull(f *testing.F) {
-	f.Add(uint64(7), 33, 40, 25, 12, 1.5)
-	f.Add(uint64(0xF111ED), 64, 1, 1, 0, 0.0)
-	f.Add(uint64(3), 16, 1500, 1400, 900, 2.0) // n1+n2 above 2048
-	f.Add(uint64(5), 48, 300, 300, 372, -1.0)
-	f.Add(uint64(8), 40, 2999, 4999, 40, 0.5)             // pooled rate near 0
-	f.Add(uint64(9), 40, 2999, 4999, 7990, 0.5)           // pooled rate near 1
-	f.Add(uint64(10), 8, 1<<20-1, 1<<20-1, 1<<20, 1.0)    // rate 0.5: draws leave the windows
-	f.Add(uint64(11), 24, 120, 80, 55, math.NaN())        // NaN observation
-	f.Add(uint64(12), 24, 2999, 4999, 4000, math.Inf(1))  // +Inf observation
-	f.Add(uint64(13), 24, 2999, 4999, 4000, math.Inf(-1)) // -Inf observation
-	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed float64) {
+	f.Add(uint64(7), 33, 40, 25, 12, 1.5, 1.0)
+	f.Add(uint64(0xF111ED), 64, 1, 1, 0, 0.0, 0.05)
+	f.Add(uint64(3), 16, 1500, 1400, 900, 2.0, 0.01) // n1+n2 above 2048
+	f.Add(uint64(5), 48, 300, 300, 372, -1.0, 0.2)
+	f.Add(uint64(8), 40, 2999, 4999, 40, 0.5, 0.3)             // pooled rate near 0
+	f.Add(uint64(9), 40, 2999, 4999, 7990, 0.5, 1.0)           // pooled rate near 1
+	f.Add(uint64(10), 8, 1<<20-1, 1<<20-1, 1<<20, 1.0, 0.05)   // rate 0.5: draws leave the windows
+	f.Add(uint64(11), 24, 120, 80, 55, math.NaN(), 0.05)       // NaN observation
+	f.Add(uint64(12), 24, 2999, 4999, 4000, math.Inf(1), 0.01) // +Inf observation
+	f.Add(uint64(13), 24, 2999, 4999, 4000, math.Inf(-1), 0.2) // -Inf observation
+	f.Fuzz(func(t *testing.T, seed uint64, worlds, n1, n2, pooled int, observed, cut float64) {
 		n1 = 1 + absRem(n1, 1<<21)
 		n2 = 1 + absRem(n2, 1<<21)
 		pooled = absRem(pooled, n1+n2+1)
@@ -230,29 +248,68 @@ func FuzzFillPairNull(f *testing.F) {
 		} else {
 			worlds = 1 + absRem(worlds, 96)
 		}
-		want := stats.NullCacheReferenceP(seed, worlds, n1, n2, pooled, observed)
-		s := stats.NewNullStore(seed, worlds)
+		want := stats.NullCacheReferenceP(seed, worlds, n1, n2, pooled, observed, cut)
 		var scratch []float64
-		for _, lookup := range []string{"first", "repeat"} {
-			if got, _ := s.PValue(n1, n2, pooled, observed, &scratch); got != want {
-				t.Fatalf("key (%d,%d,%d) worlds=%d obs %v: %s store lookup p = %v, uncached reference = %v",
-					n1, n2, pooled, worlds, observed, lookup, got, want)
+		for _, orient := range [][2]int{{n1, n2}, {n2, n1}} {
+			s := stats.NewNullStore(seed, worlds, cut)
+			total := 0
+			for _, lookup := range []string{"first", "completing", "repeat"} {
+				got, drawn, _ := s.PValue(orient[0], orient[1], pooled, observed, &scratch)
+				if got != want {
+					t.Fatalf("cut %v key (%d,%d,%d) worlds=%d obs %v: %s store lookup p = %v, uncached reference = %v",
+						cut, orient[0], orient[1], pooled, worlds, observed, lookup, got, want)
+				}
+				if lookup == "first" && got <= cut && drawn != worlds {
+					t.Fatalf("cut %v key (%d,%d,%d): exact first answer %v after %d of %d worlds", cut, orient[0], orient[1], pooled, got, drawn, worlds)
+				}
+				total += drawn
+			}
+			if total != worlds {
+				t.Fatalf("cut %v key (%d,%d,%d): lookups drew %d worlds in total, want %d", cut, orient[0], orient[1], pooled, total, worlds)
 			}
 		}
-		buf := make([]float64, worlds)
-		stats.FillPairNull(buf, seed, n1, n2, pooled)
-		if !sort.Float64sAreSorted(buf) {
-			t.Fatalf("FillPairNull(%d,%d,%d) buffer not sorted", n1, n2, pooled)
-		}
-		idx := sort.SearchFloat64s(buf, observed)
-		if got := float64(1+worlds-idx) / float64(worlds+1); got != want {
-			t.Fatalf("key (%d,%d,%d) worlds=%d obs %v: batched fill p = %v, uncached reference = %v",
-				n1, n2, pooled, worlds, observed, got, want)
-		}
-		swapped := make([]float64, worlds)
-		stats.FillPairNull(swapped, seed, n2, n1, pooled)
-		if !reflect.DeepEqual(buf, swapped) {
-			t.Fatalf("key (%d,%d,%d): swapped orientation filled a different sample", n1, n2, pooled)
+	})
+}
+
+// FuzzBinomialSampler differentially fuzzes RNG.Binomial — the binomial
+// sampler that brackets the polar factor from a table instead of taking its
+// logarithm — against refBinomial, the transcription that always takes it:
+// every draw must return the same int and leave the generator in the same
+// state, for n in [0, 2^21] and any p, 0, 1, 0.5, NaN and ±ε included, across
+// the Bernoulli/normal boundaries at n = 64/65 and mean = 30.
+func FuzzBinomialSampler(f *testing.F) {
+	eps := math.SmallestNonzeroFloat64
+	f.Add(uint64(1), 1000, 0.3, 64)
+	f.Add(uint64(2), 64, 0.6, 16)      // n = 64: Bernoulli
+	f.Add(uint64(3), 65, 0.47, 16)     // n = 65, mean 30.55: normal
+	f.Add(uint64(4), 65, 0.45, 16)     // n = 65, mean 29.25: Bernoulli
+	f.Add(uint64(5), 1000, 0.03, 16)   // mean at 30
+	f.Add(uint64(6), 300, 0.1, 16)     // mean 30.000000000000004
+	f.Add(uint64(7), 1000, 0.0299, 16) // mean just below 30
+	f.Add(uint64(8), 4000, 0.7, 64)    // flipped, normal
+	f.Add(uint64(9), 1<<21, 0.5, 8)
+	f.Add(uint64(10), 1<<21, 1e-6, 4) // mean 2.1: Bernoulli over 2^21 trials
+	f.Add(uint64(11), 500, 0.0, 4)
+	f.Add(uint64(12), 500, 1.0, 4)
+	f.Add(uint64(13), 500, math.NaN(), 4)
+	f.Add(uint64(14), 50, math.NaN(), 4)
+	f.Add(uint64(15), 500, eps, 2)
+	f.Add(uint64(16), 500, -eps, 2)
+	f.Add(uint64(17), 500, 1-eps, 2)
+	f.Add(uint64(18), 0, 0.5, 2)
+	f.Fuzz(func(t *testing.T, seed uint64, n int, p float64, draws int) {
+		n = absRem(n, 1<<21+1)
+		// Keep the Bernoulli path's one draw per trial to a few million.
+		draws = 1 + absRem(draws, max(1, min(256, (1<<22)/(n+1))))
+		got, want := stats.NewRNG(seed), stats.NewRNG(seed)
+		for i := 0; i < draws; i++ {
+			k, ref := got.Binomial(n, p), refBinomial(want, n, p)
+			if k != ref {
+				t.Fatalf("seed %d Binomial(%d, %v) draw %d = %d, transcription %d", seed, n, p, i, k, ref)
+			}
+			if *got != *want {
+				t.Fatalf("seed %d Binomial(%d, %v) draw %d left the generator at a different state", seed, n, p, i)
+			}
 		}
 	})
 }

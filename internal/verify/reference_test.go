@@ -241,3 +241,51 @@ func floatEq(a, b float64) bool {
 	}
 	return a == b
 }
+
+// refBinomial transcribes the binomial draw RNG.Binomial defines, as it was
+// written before the per-(n, p) sampler: the symmetry flip by recursion,
+// Bernoulli summation through Float64 for small n or mean, and the normal
+// approximation through refNormFloat64, rounded and clamped to [0, n].
+func refBinomial(r *stats.RNG, n int, p float64) int {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	if p > 0.5 {
+		return n - refBinomial(r, n, 1-p)
+	}
+	mean := float64(n) * p
+	if n <= 64 || mean < 30 {
+		k := 0
+		for i := 0; i < n; i++ {
+			if r.Float64() < p {
+				k++
+			}
+		}
+		return k
+	}
+	sd := math.Sqrt(mean * (1 - p))
+	k := int(math.Round(mean + sd*refNormFloat64(r)))
+	if k < 0 {
+		k = 0
+	}
+	if k > n {
+		k = n
+	}
+	return k
+}
+
+// refNormFloat64 is the polar Box–Muller variate, one value per accepted
+// pair, with its logarithm evaluated on every draw.
+func refNormFloat64(r *stats.RNG) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
