@@ -67,9 +67,12 @@ bench-gate:
 # Project-specific static analysis (see internal/lint and README's "Static
 # analysis" section): determinism, RNG discipline, float safety, nil-safe
 # observability, unchecked errors, plus the dataflow analyzers — hot-path
-# allocation, seed provenance, lock discipline, cancellation polling.
+# allocation, seed provenance, lock discipline, cancellation polling — and
+# deadexport, which flags internal exports no production code uses. The
+# perfbench module is loaded read-only, through its own go.mod, as a caller
+# of the internal packages; without it deadexport stays silent.
 lint:
-	$(GO) run ./cmd/lcsf-lint ./...
+	$(GO) run ./cmd/lcsf-lint ./... ./perfbench/...
 
 # Build and run every example at reduced size (LCSF_EXAMPLE_FAST, see
 # examples/internal/exenv) so example drift against the library API fails

@@ -385,14 +385,19 @@ func BenchmarkAblationAdaptiveMC(b *testing.B) {
 	n1, n2, rate := 500, 600, 0.62
 	rng := stats.NewRNG(9)
 	obsStat := stats.PairLRT(rng.Binomial(n1, rate), n1, rng.Binomial(n2, rate), n2)
+	simulate := func() float64 {
+		return stats.PairLRT(rng.Binomial(n1, rate), n1, rng.Binomial(n2, rate), n2)
+	}
+	// At alpha 1 no exceedance count can prove p > alpha, so the estimator
+	// draws all m worlds: the exact p-value.
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			stats.MonteCarloP(obsStat, 999, stats.PairNullSimulator(rng, n1, n2, rate))
+			stats.AdaptiveMonteCarloP(obsStat, 999, 1, simulate)
 		}
 	})
 	b.Run("adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			stats.AdaptiveMonteCarloP(obsStat, 999, 0.01, stats.PairNullSimulator(rng, n1, n2, rate))
+			stats.AdaptiveMonteCarloP(obsStat, 999, 0.01, simulate)
 		}
 	})
 }

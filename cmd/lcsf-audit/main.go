@@ -224,13 +224,12 @@ func printFunnel(w io.Writer, s obs.Snapshot) {
 			emitted, total, 100*float64(total-emitted)/float64(total),
 			s.Counter(obs.MAuditIndexBoundsRejections))
 	}
-	fmt.Fprintf(w, "gate funnel: %d scanned -> %d dissimilarity rejects, %d eta fast-path exits, %d similarity rejects -> %d candidates (%d prescreen skips) -> %d flagged\n",
+	fmt.Fprintf(w, "gate funnel: %d scanned -> %d dissimilarity rejects, %d eta fast-path exits, %d similarity rejects -> %d candidates -> %d flagged\n",
 		s.Counter(obs.MAuditPairsScanned),
 		s.Counter(obs.MAuditDissRejections),
 		s.Counter(obs.MAuditEtaFastPath),
 		s.Counter(obs.MAuditSimRejections),
 		s.Counter(obs.MAuditCandidates),
-		s.Counter(obs.MAuditPrescreenSkips),
 		s.Counter(obs.MAuditFlagged))
 	fmt.Fprintf(w, "monte carlo: %d worlds simulated\n", s.Counter(obs.MAuditMCWorlds))
 	if hits, misses := s.Counter(obs.MMCNullCacheHits), s.Counter(obs.MMCNullCacheMisses); hits+misses > 0 {

@@ -1,8 +1,11 @@
 // Command lcsf-lint is the project's static-analysis multichecker. It runs
 // the internal/lint analyzer suite — determinism, RNG discipline, float
 // safety, nil-safe observability, unchecked errors, hot-path allocation,
-// seed provenance, lock discipline, and cancellation polling — over the
-// packages matching its arguments (default ./...).
+// seed provenance, lock discipline, cancellation polling, and dead internal
+// exports — over the packages matching its arguments (default ./...). A
+// pattern naming a nested module, such as ./perfbench/..., loads that
+// module read-only as a caller of this one's internal packages: deadexport
+// reports only when the run covers every package that may import them.
 //
 // Usage:
 //

@@ -49,14 +49,6 @@ type Config struct {
 	// MinRegionSize excludes regions with fewer individuals from every
 	// comparison; tiny regions carry no statistical signal.
 	MinRegionSize int
-	// Alpha is the significance level; see the field above. PrescreenTau is
-	// the likelihood-ratio statistic below which a candidate pair is never
-	// significant at practical Alpha levels and the Monte-Carlo simulation
-	// is skipped in favor of the asymptotic chi-square(1) p-value (tau = 2
-	// corresponds to an asymptotic p of ~0.157, far above any usable Alpha).
-	// Zero disables the prescreen and every candidate is simulated; negative
-	// values are rejected by validation.
-	PrescreenTau float64
 	// CandidateGen selects the pair-enumeration strategy; see the
 	// CandidateGen constants. The flagged set is identical under every
 	// strategy — indexing only prunes pairs the gates provably reject.
@@ -177,7 +169,6 @@ func DefaultConfig() Config {
 		Delta:         0.001,
 		Eta:           0.05,
 		Alpha:         0.01,
-		PrescreenTau:  2.0,
 		MCWorlds:      999,
 		MinRegionSize: 100,
 		Seed:          1,
@@ -210,9 +201,6 @@ func (c Config) validate() error {
 	}
 	if c.MinRegionSize < 1 {
 		return fmt.Errorf("core: MinRegionSize %d < 1", c.MinRegionSize)
-	}
-	if c.PrescreenTau < 0 {
-		return fmt.Errorf("core: PrescreenTau %v < 0", c.PrescreenTau)
 	}
 	if c.DeltaDirtyFallback < 0 || c.DeltaDirtyFallback > 1 {
 		return fmt.Errorf("core: DeltaDirtyFallback %v outside [0,1]", c.DeltaDirtyFallback)
@@ -687,7 +675,6 @@ type pairTally struct {
 	simRejections  int64 // passed dissimilarity and Eta, failed similarity
 	simBounded     int64 // similarity verdicts settled without the pair's score
 	simExact       int64 // similarity verdicts that computed the pair's score
-	prescreenSkips int64 // candidates below PrescreenTau, simulation skipped
 	nullHits       int64 // null-store lookups after a key's first
 	nullFills      int64 // null-store first lookups of a key
 	nullWorlds     int64 // Monte-Carlo worlds the null-store lookups drew
@@ -707,7 +694,6 @@ func (t *pairTally) add(o *pairTally) {
 	t.etaFastPath += o.etaFastPath
 	t.simBounded += o.simBounded
 	t.simExact += o.simExact
-	t.prescreenSkips += o.prescreenSkips
 	t.nullHits += o.nullHits
 	t.nullFills += o.nullFills
 	t.nullWorlds += o.nullWorlds
@@ -724,7 +710,6 @@ func (t *pairTally) publish(col *obs.Collector, res *Result) {
 	col.Count(obs.MAuditEtaFastPath, t.etaFastPath)
 	col.Count(obs.MAuditSimBounded, t.simBounded)
 	col.Count(obs.MAuditSimExact, t.simExact)
-	col.Count(obs.MAuditPrescreenSkips, t.prescreenSkips)
 	col.Count(obs.MAuditMCWorlds, t.nullWorlds)
 	col.Count(obs.MMCNullCacheHits, t.nullHits)
 	col.Count(obs.MMCNullCacheMisses, t.nullFills)
@@ -1026,8 +1011,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 }
 
 // pairPValue resolves a candidate pair's p-value — the cascade's final step.
-// Candidates at or below PrescreenTau take the asymptotic p-value; every
-// other candidate is answered from the null store, which keeps one
+// Every candidate is answered from the null store, which keeps one
 // key-seeded sample per count signature (drawn on its first lookup only
 // until the verdict is forced, completed and sorted for binary search on its
 // second); a lookup is tallied as a fill (a key's first) or a hit, and the
@@ -1035,15 +1019,6 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 //
 //lint:hotpath
 func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *Scratch) float64 {
-	cfg := &ar.cfg
-	if cfg.PrescreenTau > 0 && tau <= cfg.PrescreenTau {
-		// Asymptotically tau ~ chi-square(1) under H0, so tau <= the default
-		// PrescreenTau of 2 corresponds to p ~ 0.157, far above any usable
-		// Alpha; the pair is a candidate but cannot be significant. Record
-		// the asymptotic p-value and skip the simulation.
-		t.prescreenSkips++
-		return stats.ChiSquareSF(math.Max(tau, 0), 1)
-	}
 	p, drawn, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.buf)
 	t.nullWorlds += int64(drawn)
 	if filled {

@@ -136,7 +136,6 @@ func TestAuditConfigValidation(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.MCWorlds = 0; return c }(),
 		func() Config { c := DefaultConfig(); c.MinRegionSize = 0; return c }(),
 		func() Config { c := DefaultConfig(); c.Similarity = nil; return c }(),
-		func() Config { c := DefaultConfig(); c.PrescreenTau = -0.5; return c }(),
 		func() Config { c := DefaultConfig(); c.CandidateGen = CandidateGen(99); return c }(),
 		func() Config {
 			// CandidateIndexed with no window or bound provider: both metrics

@@ -65,7 +65,7 @@ func TestCandidatePlanEnumeratesWindowSets(t *testing.T) {
 			}
 			want := map[int]bool{}
 			for j := i + 1; j < n; j++ {
-				if !pl.hasWindow[i] || pl.windows[i].Admits(keyOf[j]) {
+				if !pl.hasWindow[i] || pl.windows[i].admits(keyOf[j]) {
 					want[j] = true
 				}
 			}
@@ -91,7 +91,7 @@ func TestCandidatePlanEnumeratesWindowSets(t *testing.T) {
 			if pl.hasWindow[i] {
 				admitted := 0
 				for j := 0; j < n; j++ {
-					if pl.windows[i].Admits(keyOf[j]) {
+					if pl.windows[i].admits(keyOf[j]) {
 						admitted++
 					}
 				}

@@ -110,9 +110,15 @@ func (u *deltaUniverse) mutateCell(t *testing.T, rng *stats.RNG, cell, nOps int)
 // sparsestCell returns the cell with the fewest live entries (ties to the
 // lowest index), for fixtures that need a region near the eligibility floor.
 func (u *deltaUniverse) sparsestCell() (cell, n int) {
+	counts := make([]int, u.grid.NumCells())
+	for _, o := range u.live {
+		if c, ok := u.grid.CellIndex(o.Loc); ok {
+			counts[c]++
+		}
+	}
 	n = -1
-	for c := 0; c < u.grid.NumCells(); c++ {
-		if k := u.dp.NumEntries(c); n < 0 || k < n {
+	for c, k := range counts {
+		if n < 0 || k < n {
 			cell, n = c, k
 		}
 	}

@@ -131,7 +131,6 @@ func TestAuditSeedChangesMonteCarlo(t *testing.T) {
 	// p-values — the ones a seed actually moves — reach the result.
 	cfg.Alpha = 0.99
 	cfg.Eta = 0
-	cfg.PrescreenTau = 0
 
 	cfg.Seed = 1
 	a1, err := Audit(p, cfg)

@@ -190,12 +190,12 @@ func TestAuditNullCacheCounters(t *testing.T) {
 
 		hits := s.Counter(obs.MMCNullCacheHits)
 		misses := s.Counter(obs.MMCNullCacheMisses)
-		simulated := int64(res.Candidates) - s.Counter(obs.MAuditPrescreenSkips)
-		if hits+misses != simulated {
-			t.Errorf("alpha %v: store lookups = %d hits + %d misses, want %d simulated candidates", alpha, hits, misses, simulated)
+		candidates := int64(res.Candidates)
+		if hits+misses != candidates {
+			t.Errorf("alpha %v: store lookups = %d hits + %d misses, want %d candidates", alpha, hits, misses, candidates)
 		}
-		if misses <= 0 || misses > simulated {
-			t.Errorf("alpha %v: misses = %d outside (0, %d simulated candidates]", alpha, misses, simulated)
+		if misses <= 0 || misses > candidates {
+			t.Errorf("alpha %v: misses = %d outside (0, %d candidates]", alpha, misses, candidates)
 		}
 		worlds, bound := s.Counter(obs.MAuditMCWorlds), misses*int64(cfg.MCWorlds)
 		// At alpha 0.999 only a count of all 99 worlds proves p > alpha, so
@@ -208,10 +208,8 @@ func TestAuditNullCacheCounters(t *testing.T) {
 				t.Errorf("retired counter %s was recorded", name)
 			}
 		}
-		for _, name := range []string{obs.MMCNullPrewarmSeconds, obs.MAuditPhasePrewarmSeconds} {
-			if _, ok := s.Histograms[name]; ok {
-				t.Errorf("retired histogram %s was recorded", name)
-			}
+		if _, ok := s.Histograms[obs.MAuditPhasePrewarmSeconds]; ok {
+			t.Errorf("retired histogram %s was recorded", obs.MAuditPhasePrewarmSeconds)
 		}
 	}
 }
@@ -240,10 +238,10 @@ func TestAuditFDRWorldsExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := col.Snapshot()
-			simulated := s.Counter(obs.MAuditCandidates) - s.Counter(obs.MAuditPrescreenSkips)
+			candidates := s.Counter(obs.MAuditCandidates)
 			misses := s.Counter(obs.MMCNullCacheMisses)
-			if hits := s.Counter(obs.MMCNullCacheHits); hits+misses != simulated {
-				t.Errorf("gen %v workers %d: store lookups = %d hits + %d misses, want %d simulated candidates", gen, workers, hits, misses, simulated)
+			if hits := s.Counter(obs.MMCNullCacheHits); hits+misses != candidates {
+				t.Errorf("gen %v workers %d: store lookups = %d hits + %d misses, want %d candidates", gen, workers, hits, misses, candidates)
 			}
 			worlds := s.Counter(obs.MAuditMCWorlds)
 			if worlds > misses*int64(cfg.MCWorlds) || worlds <= 0 {

@@ -22,16 +22,6 @@ type Scratch struct {
 	buf []float64
 }
 
-// Float64s returns a length-n float64 slice backed by the scratch's reusable
-// buffer, growing it when needed. Contents are unspecified; the slice is only
-// valid until the next Float64s call or the end of the current pair.
-func (s *Scratch) Float64s(n int) []float64 {
-	if cap(s.buf) < n {
-		s.buf = make([]float64, n)
-	}
-	return s.buf[:n]
-}
-
 // PreparedMetric is an optional extension of PairMetric for metrics whose
 // pair score can be split into per-region precomputation and a cheap pair
 // combination. The audit engine detects it with a type assertion: when a

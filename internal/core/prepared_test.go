@@ -23,9 +23,8 @@ import (
 //
 // (0,3) and the 10%-vs-10% pairs fail the dissimilarity gate; (1,3) and
 // (2,3) exit via the Eta fast path (rate gaps 0 and 0.02); (0,2) fails the
-// similarity gate (poor vs rich); (0,4) is a candidate with rate gap 0.06
-// whose likelihood ratio sits below prescreenTau (simulation skipped); (0,1)
-// and (3,4) are candidates that reach the Monte-Carlo test.
+// similarity gate (poor vs rich); (0,1), (0,4) and (3,4) are candidates
+// that reach the Monte-Carlo test.
 func makeCascadeFixture(t testing.TB) *partition.Partitioning {
 	t.Helper()
 	return cascadeFixture(false)
@@ -117,8 +116,8 @@ func fillNullStore(t testing.TB, s *stats.NullStore) {
 // TestAuditPairKernelZeroAlloc pins the perf contract of the steady-state
 // pair loop: once the precompute phase has built the per-region caches,
 // auditPair performs zero heap allocations on every cascade path —
-// dissimilarity rejection, Eta fast-path exit, similarity rejection,
-// prescreen skip, and the null-store p-value, both answered from a stored
+// dissimilarity rejection, Eta fast-path exit, similarity rejection, and
+// the null-store p-value, both answered from a stored
 // sample and, past the store's bound, from a fill into the worker's Scratch.
 // It runs on the cascade fixture and on its tied twin, whose similarity gate
 // takes the tie-aware brackets and exact bucketed kernel.
@@ -143,7 +142,6 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 			{"dissRejections", cover.dissRejections},
 			{"etaFastPath", cover.etaFastPath},
 			{"simRejections", cover.simRejections},
-			{"prescreenSkips", cover.prescreenSkips},
 			{"nullFills", cover.nullFills},
 		} {
 			if c.n == 0 {
@@ -175,6 +173,46 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s %s: auditPair sweep allocates %.1f times per run, want 0", fx.name, tc.name, allocs)
 			}
+		}
+	}
+}
+
+// TestEveryCandidateTakesNullStoreP pins the paper's calibration at a
+// permissive cut: at alpha 0.2, which POST /audit accepts, every candidate's
+// p-value — its likelihood ratio small or large — is the Monte-Carlo p its
+// count signature draws from the null store, never an asymptotic stand-in.
+// The cascade fixture's (0,4) candidate has tau below 2, where an asymptotic
+// chi-square(1) p would sit near 0.16 and be flagged at this alpha.
+func TestEveryCandidateTakesNullStoreP(t *testing.T) {
+	for _, fx := range kernelFixtures(t) {
+		cfg := DefaultConfig()
+		cfg.MinRegionSize = 10
+		cfg.MCWorlds = 199
+		cfg.Alpha = 0.2
+		run := newTestRunner(t, fx.p, cfg)
+		ref := stats.NewNullStore(cfg.Seed, cfg.MCWorlds, cfg.nullCut())
+		var sc Scratch
+		var tally pairTally
+		var buf []float64
+		lowTau := 0
+		for ii := range run.regions {
+			for jj := ii + 1; jj < len(run.regions); jj++ {
+				pr, ok := run.auditPair(ii, jj, &tally, &sc, true, false)
+				if !ok {
+					continue
+				}
+				a, b := run.regions[ii], run.regions[jj]
+				want, _, _ := ref.PValue(a.N, b.N, a.Positives+b.Positives, pr.Tau, &buf)
+				if math.Float64bits(pr.P) != math.Float64bits(want) {
+					t.Errorf("%s pair (%d,%d) tau %v: p = %v, want the null store's %v", fx.name, a.Index, b.Index, pr.Tau, pr.P, want)
+				}
+				if pr.Tau <= 2 {
+					lowTau++
+				}
+			}
+		}
+		if lowTau == 0 {
+			t.Errorf("%s fixture has no candidate with tau <= 2; the check proves less than it claims", fx.name)
 		}
 	}
 }

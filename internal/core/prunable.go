@@ -39,12 +39,10 @@ import (
 // PruneDim names the summary dimension a PruneWindow constrains.
 type PruneDim int
 
+// The zero PruneDim names no dimension.
 const (
-	// PruneNone means the metric offers no window for this probe; the
-	// engine falls back to scanning the probe's full row.
-	PruneNone PruneDim = iota
 	// PruneProtectedShare windows the partner's protected-group share.
-	PruneProtectedShare
+	PruneProtectedShare PruneDim = iota + 1
 	// PrunePositiveRate windows the partner's local positive rate.
 	PrunePositiveRate
 	// PruneIncomeMean windows the partner's mean sampled income.
@@ -76,18 +74,6 @@ type PruneWindow struct {
 	Dim    PruneDim
 	Lo, Hi float64
 	Inside bool
-}
-
-// Admits reports whether a partner key survives the window. NaN keys are
-// never admitted; callers must only consult windows on dimensions where a
-// NaN key already implies gate failure (true for every window construction
-// in this package: income-mean windows come from metrics that reject empty
-// samples, and share/rate keys of eligible regions are always finite).
-func (w PruneWindow) Admits(key float64) bool {
-	if w.Inside {
-		return key >= w.Lo && key <= w.Hi
-	}
-	return key <= w.Lo || key >= w.Hi
 }
 
 // PrunableMetric extends PairMetric with sound summary-based pruning. Both

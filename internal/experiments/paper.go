@@ -5,10 +5,6 @@ import "lcsf/internal/core"
 // The paper's published numbers, kept here so every experiment can print
 // paper-vs-measured and EXPERIMENTS.md can be generated mechanically.
 
-// PaperGlobalApprovalRate is the Bank of America global positive rate
-// (Section 5.1.2).
-const PaperGlobalApprovalRate = 0.62
-
 // PaperDisparateImpactBoA is the global disparate impact measured on the
 // Bank of America data (Section 5.1.1).
 const PaperDisparateImpactBoA = 0.962038

@@ -58,30 +58,3 @@ func StatisticalParityGap(a, b GroupOutcomes) float64 {
 	}
 	return math.Abs(ra - rb)
 }
-
-// ConfusionByGroup holds one group's outcome counts split by the true label,
-// for metrics that require ground truth.
-type ConfusionByGroup struct {
-	TruePositives  int // predicted positive, truly positive
-	FalseNegatives int // predicted negative, truly positive
-}
-
-// TruePositiveRate returns TP / (TP + FN), or NaN when the group has no true
-// positives.
-func (c ConfusionByGroup) TruePositiveRate() float64 {
-	den := c.TruePositives + c.FalseNegatives
-	if den == 0 {
-		return math.NaN()
-	}
-	return float64(c.TruePositives) / float64(den)
-}
-
-// EqualOpportunityGap returns the absolute difference of the groups' true
-// positive rates; equal opportunity holds when the gap is zero.
-func EqualOpportunityGap(a, b ConfusionByGroup) float64 {
-	ra, rb := a.TruePositiveRate(), b.TruePositiveRate()
-	if math.IsNaN(ra) || math.IsNaN(rb) {
-		return math.NaN()
-	}
-	return math.Abs(ra - rb)
-}

@@ -49,17 +49,6 @@ func TestStatisticalParityGap(t *testing.T) {
 	}
 }
 
-func TestEqualOpportunityGap(t *testing.T) {
-	a := ConfusionByGroup{TruePositives: 90, FalseNegatives: 10}
-	b := ConfusionByGroup{TruePositives: 70, FalseNegatives: 30}
-	if got := EqualOpportunityGap(a, b); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("EO gap = %v, want 0.2", got)
-	}
-	if !math.IsNaN(EqualOpportunityGap(a, ConfusionByGroup{})) {
-		t.Error("empty confusion should be NaN")
-	}
-}
-
 func TestRate(t *testing.T) {
 	if got := (GroupOutcomes{Positives: 3, Total: 4}).Rate(); got != 0.75 {
 		t.Errorf("Rate = %v", got)

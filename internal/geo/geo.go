@@ -147,13 +147,3 @@ var ContinentalUS = BBox{
 	Min: Point{X: -124.8, Y: 24.4},
 	Max: Point{X: -66.9, Y: 49.4},
 }
-
-// BoundsOf returns the bounding box of the given points, or an empty box when
-// the slice is empty.
-func BoundsOf(pts []Point) BBox {
-	b := EmptyBBox()
-	for _, p := range pts {
-		b = b.Extend(p)
-	}
-	return b
-}

@@ -132,17 +132,6 @@ func TestEuclideanTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestBoundsOf(t *testing.T) {
-	pts := []Point{Pt(3, 1), Pt(-2, 7), Pt(0, 0)}
-	b := BoundsOf(pts)
-	if b.Min != Pt(-2, 0) || b.Max != Pt(3, 7) {
-		t.Errorf("BoundsOf = %v", b)
-	}
-	if !BoundsOf(nil).IsEmpty() {
-		t.Error("BoundsOf(nil) should be empty")
-	}
-}
-
 func TestContinentalUSSanity(t *testing.T) {
 	if ContinentalUS.IsEmpty() {
 		t.Fatal("ContinentalUS empty")

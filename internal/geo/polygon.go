@@ -1,7 +1,5 @@
 package geo
 
-import "math"
-
 // Polygon is a simple polygon given by its ring of vertices. The ring may be
 // open (last vertex != first); containment treats it as implicitly closed.
 // Vertex order may be clockwise or counter-clockwise.
@@ -19,91 +17,4 @@ func NewRect(b BBox) Polygon {
 		b.Max,
 		{X: b.Min.X, Y: b.Max.Y},
 	}}
-}
-
-// Bounds returns the bounding box of the polygon.
-func (pg Polygon) Bounds() BBox { return BoundsOf(pg.Ring) }
-
-// Contains reports whether p lies strictly inside or on the boundary of the
-// polygon, using the even-odd ray-casting rule with an explicit edge test so
-// boundary points are reported as contained.
-func (pg Polygon) Contains(p Point) bool {
-	n := len(pg.Ring)
-	if n < 3 {
-		return false
-	}
-	inside := false
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		a, b := pg.Ring[j], pg.Ring[i]
-		if onSegment(p, a, b) {
-			return true
-		}
-		if (a.Y > p.Y) != (b.Y > p.Y) {
-			xCross := a.X + (p.Y-a.Y)*(b.X-a.X)/(b.Y-a.Y)
-			if p.X < xCross {
-				inside = !inside
-			}
-		}
-	}
-	return inside
-}
-
-// Area returns the absolute planar area of the polygon via the shoelace
-// formula.
-func (pg Polygon) Area() float64 {
-	n := len(pg.Ring)
-	if n < 3 {
-		return 0
-	}
-	sum := 0.0
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		a, b := pg.Ring[j], pg.Ring[i]
-		sum += a.X*b.Y - b.X*a.Y
-	}
-	return math.Abs(sum) / 2
-}
-
-// Centroid returns the planar centroid of the polygon. For degenerate
-// polygons (fewer than three vertices or zero area) it falls back to the mean
-// of the vertices.
-func (pg Polygon) Centroid() Point {
-	n := len(pg.Ring)
-	if n == 0 {
-		return Point{}
-	}
-	var cx, cy, area float64
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		a, b := pg.Ring[j], pg.Ring[i]
-		cross := a.X*b.Y - b.X*a.Y
-		area += cross
-		cx += (a.X + b.X) * cross
-		cy += (a.Y + b.Y) * cross
-	}
-	if math.Abs(area) < 1e-12 {
-		var sx, sy float64
-		for _, p := range pg.Ring {
-			sx += p.X
-			sy += p.Y
-		}
-		return Point{X: sx / float64(n), Y: sy / float64(n)}
-	}
-	area /= 2
-	return Point{X: cx / (6 * area), Y: cy / (6 * area)}
-}
-
-// onSegment reports whether p lies on the closed segment ab, within a small
-// tolerance scaled to the segment size.
-func onSegment(p, a, b Point) bool {
-	const eps = 1e-12
-	cross := (b.X-a.X)*(p.Y-a.Y) - (b.Y-a.Y)*(p.X-a.X)
-	scale := math.Max(1, math.Max(math.Abs(b.X-a.X), math.Abs(b.Y-a.Y)))
-	if math.Abs(cross) > eps*scale {
-		return false
-	}
-	dot := (p.X-a.X)*(b.X-a.X) + (p.Y-a.Y)*(b.Y-a.Y)
-	if dot < -eps {
-		return false
-	}
-	sq := (b.X-a.X)*(b.X-a.X) + (b.Y-a.Y)*(b.Y-a.Y)
-	return dot <= sq+eps
 }

@@ -102,17 +102,6 @@ func BuildRTree(boxes []BBox, ids []int) *RTree {
 	return t
 }
 
-// Len returns the number of indexed boxes.
-func (t *RTree) Len() int { return len(t.leaves) }
-
-// Bounds returns the bounding box of all indexed boxes.
-func (t *RTree) Bounds() BBox {
-	if t.root < 0 {
-		return EmptyBBox()
-	}
-	return t.nodes[t.root].box
-}
-
 // QueryPoint appends to dst the ids of all boxes containing p (closed
 // containment) and returns the extended slice. Passing a reused dst slice
 // avoids allocation in hot join loops.
@@ -138,34 +127,6 @@ func (t *RTree) queryPoint(n int, p Point, dst []int) []int {
 	}
 	for _, c := range node.children {
 		dst = t.queryPoint(c, p, dst)
-	}
-	return dst
-}
-
-// QueryBox appends to dst the ids of all boxes intersecting q and returns the
-// extended slice.
-func (t *RTree) QueryBox(q BBox, dst []int) []int {
-	if t.root < 0 {
-		return dst
-	}
-	return t.queryBox(t.root, q, dst)
-}
-
-func (t *RTree) queryBox(n int, q BBox, dst []int) []int {
-	node := &t.nodes[n]
-	if !node.box.Intersects(q) {
-		return dst
-	}
-	if node.leaf {
-		for _, e := range node.children {
-			if t.leaves[e].box.Intersects(q) {
-				dst = append(dst, t.leaves[e].id)
-			}
-		}
-		return dst
-	}
-	for _, c := range node.children {
-		dst = t.queryBox(c, q, dst)
 	}
 	return dst
 }

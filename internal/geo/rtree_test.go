@@ -8,17 +8,11 @@ import (
 
 func TestRTreeEmpty(t *testing.T) {
 	tr := BuildRTree(nil, nil)
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d", tr.Len())
+	if len(tr.leaves) != 0 {
+		t.Fatalf("%d leaves", len(tr.leaves))
 	}
 	if got := tr.QueryPoint(Pt(0, 0), nil); len(got) != 0 {
 		t.Errorf("QueryPoint on empty tree = %v", got)
-	}
-	if got := tr.QueryBox(NewBBox(Pt(0, 0), Pt(1, 1)), nil); len(got) != 0 {
-		t.Errorf("QueryBox on empty tree = %v", got)
-	}
-	if !tr.Bounds().IsEmpty() {
-		t.Error("empty tree bounds should be empty")
 	}
 }
 
@@ -81,27 +75,6 @@ func TestRTreeMatchesLinearScanPointQueries(t *testing.T) {
 		sort.Ints(got)
 		if !equalInts(got, want) {
 			t.Fatalf("QueryPoint(%v): got %v, want %v", p, got, want)
-		}
-	}
-}
-
-func TestRTreeMatchesLinearScanBoxQueries(t *testing.T) {
-	boxes := buildRandomBoxes(500, 3)
-	tr := BuildRTree(boxes, nil)
-	rng := rand.New(rand.NewSource(4))
-	for q := 0; q < 100; q++ {
-		x, y := rng.Float64()*100, rng.Float64()*100
-		window := NewBBox(Pt(x, y), Pt(x+rng.Float64()*10, y+rng.Float64()*10))
-		var want []int
-		for i, b := range boxes {
-			if b.Intersects(window) {
-				want = append(want, i)
-			}
-		}
-		got := tr.QueryBox(window, nil)
-		sort.Ints(got)
-		if !equalInts(got, want) {
-			t.Fatalf("QueryBox(%v): got %v, want %v", window, got, want)
 		}
 	}
 }

@@ -12,24 +12,6 @@ func TestWKTPointMarshal(t *testing.T) {
 	}
 }
 
-func TestWKTPolygonMarshal(t *testing.T) {
-	// An open ring is closed on output; a closed ring is not closed twice.
-	open := NewRect(NewBBox(Pt(0, 0), Pt(2, 1)))
-	if s := open.MarshalWKT(); s != "POLYGON ((0 0, 2 0, 2 1, 0 1, 0 0))" {
-		t.Errorf("open ring WKT = %q", s)
-	}
-	closed := Polygon{Ring: []Point{Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(0, 0)}}
-	if s := closed.MarshalWKT(); s != "POLYGON ((0 0, 1 0, 0 1, 0 0))" {
-		t.Errorf("closed ring WKT = %q", s)
-	}
-}
-
-func TestWKTPolygonEmpty(t *testing.T) {
-	if got := (Polygon{}).MarshalWKT(); got != "POLYGON EMPTY" {
-		t.Errorf("empty WKT = %q", got)
-	}
-}
-
 func TestGeoJSONPointRoundTrip(t *testing.T) {
 	p := Pt(-87.63, 41.88)
 	data, err := json.Marshal(p)

@@ -38,11 +38,6 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
 // Request is one audit job's input: the decisioned observations, the grid
 // to partition them on, the fully resolved audit configuration, and the
 // output format. The manager owns the observation slice after Submit

@@ -140,10 +140,6 @@ func newManager(cfg Config, audit auditFunc) *Manager {
 	return m
 }
 
-// Collector exposes the manager's metrics sink (useful when the manager
-// created its own).
-func (m *Manager) Collector() *obs.Collector { return m.col }
-
 // TryAdmit is the cheap backpressure gate: it reports whether a submission
 // would be accepted right now, WITHOUT the caller first paying to parse a
 // request body. A false result is counted as a rejected submission (it is

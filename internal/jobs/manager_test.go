@@ -46,7 +46,7 @@ func waitTerminal(t *testing.T, m *Manager, id string) Snapshot {
 		if !ok {
 			t.Fatalf("job %s disappeared", id)
 		}
-		if snap.State.Terminal() {
+		if terminal(snap.State) {
 			return snap
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -143,7 +143,7 @@ func TestJobLifecycle(t *testing.T) {
 			len(data), want.Len())
 	}
 
-	counters := m.Collector().Snapshot().Counters
+	counters := m.col.Snapshot().Counters
 	if counters[obs.MJobsSubmitted] != 1 || counters[obs.MJobsCompleted] != 1 {
 		t.Errorf("counters: submitted=%d completed=%d",
 			counters[obs.MJobsSubmitted], counters[obs.MJobsCompleted])
@@ -218,7 +218,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if _, err := m.Submit(testRequest(t)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
-	counters := m.Collector().Snapshot().Counters
+	counters := m.col.Snapshot().Counters
 	if counters[obs.MJobsRejected] != 1 {
 		t.Errorf("jobs.rejected = %d, want 1", counters[obs.MJobsRejected])
 	}
@@ -314,11 +314,11 @@ func TestAuditPanicFailsJobNotDispatcher(t *testing.T) {
 	if final := waitTerminal(t, m, b.ID); final.State != StateDone {
 		t.Errorf("job after panic = %s (%s)", final.State, final.Error)
 	}
-	counters := m.Collector().Snapshot().Counters
+	counters := m.col.Snapshot().Counters
 	if counters[obs.MJobsFailed] != 1 || counters[obs.MJobsCompleted] != 1 {
 		t.Errorf("failed=%d completed=%d", counters[obs.MJobsFailed], counters[obs.MJobsCompleted])
 	}
-	if gauges := m.Collector().Snapshot().Gauges; gauges[obs.MJobsRunning] != 0 {
+	if gauges := m.col.Snapshot().Gauges; gauges[obs.MJobsRunning] != 0 {
 		t.Errorf("jobs.running = %v after both jobs ended", gauges[obs.MJobsRunning])
 	}
 }
@@ -559,7 +559,7 @@ func TestCancelStopsRealEngine(t *testing.T) {
 	var final Snapshot
 	for {
 		final, _ = m.Get(snap.ID)
-		if final.State.Terminal() || time.Since(canceled) > time.Second {
+		if terminal(final.State) || time.Since(canceled) > time.Second {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -573,4 +573,9 @@ func TestCancelStopsRealEngine(t *testing.T) {
 	if n := col.Snapshot().Counters[obs.MAuditPairsScanned]; n != 0 {
 		t.Errorf("audit.pairs_scanned = %d: the canceled audit published a finished funnel", n)
 	}
+}
+
+// terminal reports whether a job state is final.
+func terminal(s State) bool {
+	return s == StateDone || s == StateFailed || s == StateCanceled
 }

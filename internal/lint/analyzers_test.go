@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"strings"
 	"testing"
 
 	"lcsf/internal/lint"
@@ -67,6 +68,48 @@ func TestCtxPoll(t *testing.T) {
 	linttest.Run(t, lint.CtxPoll, "testdata/src/ctxpoll", "lcsf/internal/core/fixture")
 }
 
+// TestDeadExport runs deadexport over a fixture module: an internal package
+// whose exports are used by tests only, by the module's binary, through the
+// root package's alias, through fmt.Stringer, or not at all, plus a
+// test-support package.
+func TestDeadExport(t *testing.T) {
+	linttest.Run(t, lint.DeadExport, "testdata/src/deadexport", "lcsf/lintfixture/deadexport")
+}
+
+// TestDeadExportSilentOnPartialRun drops the fixture's binary from the run:
+// a run that misses part of the module cannot see every caller, so
+// deadexport must report nothing at all — not even the exports no package
+// uses — while the whole fixture does produce findings.
+func TestDeadExportSilentOnPartialRun(t *testing.T) {
+	pkgs, err := lint.CheckDir("testdata/src/deadexport", "lcsf/lintfixture/deadexport")
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := lint.Run(pkgs, []*lint.Analyzer{lint.DeadExport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole) == 0 {
+		t.Fatal("the whole fixture produced no findings; the partial-run check is vacuous")
+	}
+	var partial []*lint.Package
+	for _, pkg := range pkgs {
+		if !strings.HasSuffix(pkg.Path, "/cmd/tool") {
+			partial = append(partial, pkg)
+		}
+	}
+	if len(partial) != len(pkgs)-1 {
+		t.Fatalf("fixture has no cmd/tool package among %d", len(pkgs))
+	}
+	diags, err := lint.Run(partial, []*lint.Analyzer{lint.DeadExport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("deadexport reported on a partial run: %s", d)
+	}
+}
+
 // TestScopedAnalyzersIgnoreOutOfScopePackages rechecks the nodeterminism and
 // nilsafeobs fixtures under neutral import paths: every violation in them
 // must go unreported, because path scoping is what keeps the hot-path rules
@@ -81,11 +124,11 @@ func TestScopedAnalyzersIgnoreOutOfScopePackages(t *testing.T) {
 		{lint.CtxPoll, "testdata/src/ctxpoll"},
 	}
 	for _, tc := range cases {
-		pkg, err := lint.CheckDir(tc.dir, "lcsf/examples/fixture")
+		pkgs, err := lint.CheckDir(tc.dir, "lcsf/examples/fixture")
 		if err != nil {
 			t.Fatalf("loading %s: %v", tc.dir, err)
 		}
-		diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{tc.analyzer})
+		diags, err := lint.Run(pkgs, []*lint.Analyzer{tc.analyzer})
 		if err != nil {
 			t.Fatalf("running %s: %v", tc.analyzer.Name, err)
 		}
@@ -100,7 +143,7 @@ func TestScopedAnalyzersIgnoreOutOfScopePackages(t *testing.T) {
 func TestAllAnalyzersRegistered(t *testing.T) {
 	want := []string{
 		"nodeterminism", "rngdiscipline", "floateq", "nilsafeobs", "errcheck",
-		"hotpathalloc", "seedtaint", "locksafe", "ctxpoll",
+		"hotpathalloc", "seedtaint", "locksafe", "ctxpoll", "deadexport",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

@@ -4,7 +4,8 @@
 // bit-reproducible, so the invariants that tests assert (no wall-clock or
 // global-RNG reads in hot paths, no shared RNG streams across goroutines, no
 // exact float comparisons, nil-safe observability, checked errors) are also
-// enforced here as compiler-adjacent checks.
+// enforced here as compiler-adjacent checks, as is the rule that no internal
+// export lives on for its tests alone.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic — but is built entirely on the standard library
@@ -49,8 +50,9 @@ type Pass struct {
 	// definitions, and selections for the package.
 	Info *types.Info
 	// Prog is the whole-program view over every package in this Run
-	// invocation; interprocedural analyzers (hotpathalloc, seedtaint,
-	// ctxpoll) resolve calls and reachability through it.
+	// invocation, Nested ones included; interprocedural analyzers
+	// (hotpathalloc, seedtaint, ctxpoll) resolve calls and reachability
+	// through it, and deadexport collects uses across it.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -78,13 +80,17 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Check, d.Message)
 }
 
-// Run applies each analyzer to each package and returns every diagnostic,
+// Run applies each analyzer to each package not marked Nested (nested
+// packages still join the whole-program view) and returns every diagnostic,
 // sorted by file, line, column, then analyzer name so output is stable across
 // runs regardless of map or goroutine ordering anywhere upstream.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
+		if pkg.Nested {
+			continue
+		}
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
@@ -117,8 +123,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // All returns the full analyzer suite in a stable order: the five
-// syntax/types-level analyzers from PR 2, then the four dataflow analyzers
-// built on the CFG + callgraph layer.
+// syntax/types-level analyzers, the four dataflow analyzers built on the
+// CFG + callgraph layer, then the whole-program deadexport.
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoDeterminism,
@@ -130,5 +136,6 @@ func All() []*Analyzer {
 		SeedTaint,
 		LockSafe,
 		CtxPoll,
+		DeadExport,
 	}
 }

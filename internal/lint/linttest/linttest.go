@@ -35,20 +35,23 @@ var (
 	wantNoneRE    = regexp.MustCompile(`//\s*want:none\b`)
 )
 
-// Run typechecks the fixture directory dir under the import path pkgPath and
-// applies the analyzer, comparing diagnostics to // want comments. pkgPath
-// matters: path-scoped analyzers (nodeterminism, nilsafeobs) only fire when
-// it lands in their scope.
+// Run typechecks the fixture tree dir under the import path pkgPath (see
+// lint.CheckDir) and applies the analyzer, comparing diagnostics to // want
+// comments in every package of the tree. pkgPath matters: path-scoped
+// analyzers (nodeterminism, nilsafeobs) only fire when it lands in their
+// scope.
 func Run(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
 	t.Helper()
-	pkg, err := lint.CheckDir(dir, pkgPath)
+	pkgs, err := lint.CheckDir(dir, pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture %s has type errors: %v", dir, terr)
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			t.Errorf("fixture %s has type errors: %v", dir, terr)
+		}
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
@@ -65,29 +68,31 @@ func Run(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
 		line int
 	}
 	nones := map[noneKey]bool{}
-	for _, file := range pkg.Files {
-		for _, group := range file.Comments {
-			for _, c := range group.List {
-				if wantNoneRE.MatchString(c.Text) {
-					pos := pkg.Fset.Position(c.Pos())
-					nones[noneKey{pos.Filename, pos.Line}] = true
-					continue
-				}
-				m := wantRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				for _, pm := range wantPatternRE.FindAllStringSubmatch(m[1], -1) {
-					pattern := pm[1]
-					if pattern == "" {
-						pattern = pm[2]
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, group := range file.Comments {
+				for _, c := range group.List {
+					if wantNoneRE.MatchString(c.Text) {
+						pos := pkg.Fset.Position(c.Pos())
+						nones[noneKey{pos.Filename, pos.Line}] = true
+						continue
 					}
-					re, err := regexp.Compile(pattern)
-					if err != nil {
-						t.Fatalf("bad want pattern %q: %v", pattern, err)
+					m := wantRE.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
 					}
-					pos := pkg.Fset.Position(c.Pos())
-					wants = append(wants, &want{file: pos.Filename, line: pos.Line, pattern: re})
+					for _, pm := range wantPatternRE.FindAllStringSubmatch(m[1], -1) {
+						pattern := pm[1]
+						if pattern == "" {
+							pattern = pm[2]
+						}
+						re, err := regexp.Compile(pattern)
+						if err != nil {
+							t.Fatalf("bad want pattern %q: %v", pattern, err)
+						}
+						pos := pkg.Fset.Position(c.Pos())
+						wants = append(wants, &want{file: pos.Filename, line: pos.Line, pattern: re})
+					}
 				}
 			}
 		}

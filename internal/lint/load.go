@@ -10,9 +10,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 )
@@ -30,6 +32,16 @@ type Package struct {
 	// partially typed packages still surface most findings — but the
 	// multichecker reports them so a broken tree is never silently "clean".
 	TypeErrors []error
+	// ModuleTree lists the import path of every package in the module tree
+	// the package was loaded from: its module's packages plus those of the
+	// modules nested in the module's directory, which may import its
+	// internal packages. A whole-program analysis has seen every possible
+	// caller of the package only when the run loaded all of them.
+	ModuleTree []string
+	// Nested marks a package loaded from a module nested in the one lint
+	// runs in. Its files are callers for whole-program analyzers, but no
+	// analyzer makes a pass over it: the nested module keeps its own rules.
+	Nested bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader consumes.
@@ -46,28 +58,108 @@ type listedPackage struct {
 // files, and typechecks them against compiler export data. Test files are
 // excluded by design: the analyzers enforce production-code invariants, and
 // several (floateq, errcheck) deliberately exempt tests.
+//
+// A relative pattern that names a directory of a nested module (one with
+// its own go.mod, such as "./perfbench/...") is listed and typechecked from
+// that module, read-only through its own go.mod, and its packages are
+// marked Nested.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(dir, patterns)
+	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := newExportDataImporter(dir, fset)
-	var pkgs []*Package
-	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
-			continue
+	var modDirs []string
+	byMod := map[string][]string{}
+	for _, pat := range patterns {
+		modDir, modPat := moduleDir(dir), pat
+		if strings.HasPrefix(pat, ".") {
+			target := filepath.Join(dir, pat)
+			modDir = moduleDir(strings.TrimSuffix(target, string(filepath.Separator)+"..."))
+			rel, err := filepath.Rel(modDir, target)
+			if err != nil {
+				return nil, fmt.Errorf("lint: pattern %s: %v", pat, err)
+			}
+			modPat = "./" + filepath.ToSlash(rel)
 		}
-		pkg, err := checkPackage(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
+		if _, ok := byMod[modDir]; !ok {
+			modDirs = append(modDirs, modDir)
+		}
+		byMod[modDir] = append(byMod[modDir], modPat)
+	}
+	fset := token.NewFileSet()
+	var pkgs []*Package
+	home := moduleDir(dir)
+	for _, modDir := range modDirs {
+		listed, err := goList(modDir, byMod[modDir])
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		tree, err := moduleTree(modDir)
+		if err != nil {
+			return nil, err
+		}
+		imp := newExportDataImporter(modDir, fset)
+		for _, lp := range listed {
+			if len(lp.GoFiles) == 0 {
+				continue
+			}
+			pkg, err := checkPackage(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
+			if err != nil {
+				return nil, err
+			}
+			pkg.ModuleTree = tree
+			pkg.Nested = modDir != home
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
+}
+
+// moduleDir returns the nearest directory at or above the absolute path dir
+// holding a go.mod, or dir itself when there is none (the go command then
+// reports the error).
+func moduleDir(dir string) string {
+	for d := dir; ; d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d
+		}
+		if filepath.Dir(d) == d {
+			return dir
+		}
+	}
+}
+
+// moduleTree lists the packages with non-test Go files of the module rooted
+// at modDir and of every module nested below it. Directories the go command
+// ignores (testdata, and names starting with "." or "_") are not searched.
+func moduleTree(modDir string) ([]string, error) {
+	var tree []string
+	err := filepath.WalkDir(modDir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != modDir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err != nil {
+			return nil
+		}
+		cmd := exec.Command("go", "list", "-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}", "./...")
+		cmd.Dir = path
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			return fmt.Errorf("lint: go list ./... in %s: %v\n%s", path, err, stderr.String())
+		}
+		tree = append(tree, strings.Fields(stdout.String())...)
+		return nil
+	})
+	return tree, err
 }
 
 // goList runs `go list -json` and decodes the JSON stream.
@@ -102,28 +194,99 @@ func decodeGoList(r io.Reader) ([]listedPackage, error) {
 	return out, nil
 }
 
-// CheckDir parses and typechecks a single directory of Go files as the
-// package path pkgPath. It is the entry point the fixture test harness uses:
-// fixture directories live under testdata (invisible to the go tool) and are
-// checked under a caller-chosen path so path-scoped analyzers can be
-// exercised.
-func CheckDir(dir, pkgPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// CheckDir parses and typechecks a fixture tree: the directory dir as the
+// package pkgPath and each subdirectory holding Go files as pkgPath/<rel>.
+// It is the entry point the fixture test harness uses: fixture directories
+// live under testdata (invisible to the go tool) and are checked under a
+// caller-chosen path so path-scoped analyzers can be exercised. Imports
+// among the tree's packages resolve to their source-checked packages, all
+// others through export data, and the tree counts as one whole module
+// (each package's ModuleTree lists them all). Packages are returned sorted
+// by import path.
+func CheckDir(dir, pkgPath string) ([]*Package, error) {
+	dirs := map[string]string{}    // import path -> directory
+	files := map[string][]string{} // import path -> file names
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		rel, err := filepath.Rel(dir, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		ip := pkgPath
+		if rel != "." {
+			ip += "/" + filepath.ToSlash(rel)
+		}
+		dirs[ip] = filepath.Dir(path)
+		files[ip] = append(files[ip], d.Name())
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
+	if len(dirs) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
+	tree := make([]string, 0, len(dirs))
+	for ip := range dirs {
+		tree = append(tree, ip)
+	}
+	sort.Strings(tree)
+
 	fset := token.NewFileSet()
-	imp := newExportDataImporter(dir, fset)
-	return checkPackage(fset, imp, pkgPath, dir, files)
+	imp := &treeImporter{fallback: newExportDataImporter(dir, fset), checked: map[string]*types.Package{}}
+	byPath := map[string]*Package{}
+	var check func(ip string) error
+	check = func(ip string) error {
+		if _, ok := byPath[ip]; ok {
+			return nil
+		}
+		byPath[ip] = nil // cycle guard; the go tool rejects cycles anyway
+		for _, name := range files[ip] {
+			f, err := parser.ParseFile(fset, filepath.Join(dirs[ip], name), nil, parser.ImportsOnly)
+			if err != nil {
+				return fmt.Errorf("lint: parsing %s: %v", filepath.Join(dirs[ip], name), err)
+			}
+			for _, spec := range f.Imports {
+				if dep := strings.Trim(spec.Path.Value, "`\""); dirs[dep] != "" {
+					if err := check(dep); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		pkg, err := checkPackage(fset, imp, ip, dirs[ip], files[ip])
+		if err != nil {
+			return err
+		}
+		pkg.ModuleTree = tree
+		imp.checked[ip] = pkg.Types
+		byPath[ip] = pkg
+		return nil
+	}
+	pkgs := make([]*Package, 0, len(tree))
+	for _, ip := range tree {
+		if err := check(ip); err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, byPath[ip])
+	}
+	return pkgs, nil
+}
+
+// treeImporter resolves a fixture tree's own packages to their
+// source-checked types and everything else through export data.
+type treeImporter struct {
+	fallback types.Importer
+	checked  map[string]*types.Package
+}
+
+func (t *treeImporter) Import(path string) (*types.Package, error) {
+	if p := t.checked[path]; p != nil {
+		return p, nil
+	}
+	return t.fallback.Import(path)
 }
 
 // checkPackage parses and typechecks one package's files.

@@ -141,10 +141,11 @@ func TestCheckDirMissingImportIsSoft(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := CheckDir(dir, "x/y")
+	pkgs, err := CheckDir(dir, "x/y")
 	if err != nil {
 		t.Fatalf("CheckDir returned a hard error for a missing import: %v", err)
 	}
+	pkg := pkgs[0]
 	if len(pkg.TypeErrors) == 0 {
 		t.Error("missing export data produced no TypeErrors")
 	}

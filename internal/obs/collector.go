@@ -18,13 +18,12 @@ const (
 	// (Mann–Whitney's bracketed |z| intervals) or by computing the pair's
 	// score (bounded + exact == pairs_scanned − dissimilarity_rejections −
 	// eta_fastpath_exits).
-	MAuditSimBounded     = "audit.gate.similarity_bounded"
-	MAuditSimExact       = "audit.gate.similarity_exact"
-	MAuditCandidates     = "audit.candidates"
-	MAuditPrescreenSkips = "audit.mc.prescreen_tau_skips"
-	MAuditMCWorlds       = "audit.mc.worlds"
-	MAuditFlagged        = "audit.pairs_flagged"
-	MAuditCanceled       = "audit.canceled"
+	MAuditSimBounded = "audit.gate.similarity_bounded"
+	MAuditSimExact   = "audit.gate.similarity_exact"
+	MAuditCandidates = "audit.candidates"
+	MAuditMCWorlds   = "audit.mc.worlds"
+	MAuditFlagged    = "audit.pairs_flagged"
+	MAuditCanceled   = "audit.canceled"
 	// MAuditPreparedRegions counts per-region metric caches built by the
 	// audit's precompute phase (one per eligible region per metric
 	// implementing core.PreparedMetric).
@@ -59,8 +58,8 @@ const (
 	MAuditDeltaRescoredCands = "audit.delta.rescored_candidates"
 
 	// Monte-Carlo null store (internal/core, stats.NullStore): misses count
-	// each key's first lookup, hits every other simulated-path lookup, so
-	// hits + misses == candidates - prescreen_tau_skips. audit.mc.worlds
+	// each key's first lookup, hits every other lookup, so
+	// hits + misses == candidates. audit.mc.worlds
 	// sums the worlds actually drawn — first lookups stop once the count
 	// proves p above the flag cut, and a key's second lookup draws the rest
 	// — so audit.mc.worlds <= misses x Config.MCWorlds, with equality when
@@ -103,8 +102,6 @@ const (
 	// that builds per-region metric caches before the pair sweep.
 	MAuditPrepareSeconds = "audit.prepare_seconds"
 	MAuditShardSeconds   = "audit.shard_seconds"
-	// MMCNullPrewarmSeconds is no longer recorded, like MMCNullPrewarmKeys.
-	MMCNullPrewarmSeconds = "mc.null_prewarm.seconds"
 	// MAuditDeltaSeconds is the wall time of one delta audit (incremental or
 	// fallen back to a full sweep), update application excluded.
 	MAuditDeltaSeconds = "audit.delta.seconds"
@@ -211,13 +208,6 @@ func (c *Collector) Count(name string, n int64) {
 // Inc adds one to the named counter.
 func (c *Collector) Inc(name string) { c.Count(name, 1) }
 
-// SetGauge stores v in the named gauge.
-func (c *Collector) SetGauge(name string, v float64) {
-	if c != nil {
-		c.metrics.Gauge(name).Set(v)
-	}
-}
-
 // AddGauge adjusts the named gauge by delta.
 func (c *Collector) AddGauge(name string, delta float64) {
 	if c != nil {
@@ -238,14 +228,6 @@ func (c *Collector) ObserveSeconds(name string, d time.Duration) {
 func (c *Collector) ObserveBytes(name string, n int64) {
 	if c != nil {
 		c.metrics.Histogram(name, BytesBuckets).Observe(float64(n))
-	}
-}
-
-// Observe records v in the named histogram with explicit bounds (first
-// registration of the name wins).
-func (c *Collector) Observe(name string, bounds []float64, v float64) {
-	if c != nil {
-		c.metrics.Histogram(name, bounds).Observe(v)
 	}
 }
 

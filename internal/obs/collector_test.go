@@ -14,11 +14,9 @@ func TestNilCollector(t *testing.T) {
 	var c *Collector
 	c.Count(MAuditRuns, 1)
 	c.Inc(MAuditCandidates)
-	c.SetGauge(MHTTPInFlight, 1)
 	c.AddGauge(MHTTPInFlight, -1)
 	c.ObserveSeconds(MAuditSeconds, time.Second)
 	c.ObserveBytes(MHTTPBodyBytes, 1024)
-	c.Observe("x", []float64{1}, 0.5)
 	c.Event("audit.start", "", "msg", nil)
 	if c.Events() != nil {
 		t.Error("nil collector must expose nil event log")
@@ -36,7 +34,7 @@ func TestCollectorRecordsAndSnapshots(t *testing.T) {
 	c := NewCollector(16)
 	c.Inc(MAuditRuns)
 	c.Count(MAuditMCWorlds, 999)
-	c.SetGauge(MHTTPInFlight, 3)
+	c.AddGauge(MHTTPInFlight, 3)
 	c.ObserveSeconds(MAuditSeconds, 50*time.Millisecond)
 	c.ObserveBytes(MHTTPBodyBytes, 2048)
 	c.Event("audit.finish", "req-9", "done", map[string]any{"pairs": 2})

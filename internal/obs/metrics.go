@@ -30,9 +30,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -40,9 +37,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the gauge by delta (atomic read-modify-write).
 func (g *Gauge) Add(delta float64) {

@@ -10,7 +10,7 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(41)
 	c.Add(-5) // ignored: counters are monotone
 	c.Add(0)  // ignored
@@ -21,7 +21,7 @@ func TestCounter(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(2.5)
+	g.Add(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Errorf("Value = %v", got)
 	}
@@ -70,7 +70,7 @@ func TestHistogramUnsortedDuplicateBounds(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("audit.runs").Add(3)
-	r.Gauge("http.in_flight").Set(2)
+	r.Gauge("http.in_flight").Add(2)
 	r.Histogram("lat", []float64{0.1}).Observe(5) // overflow bucket -> +Inf bound
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
@@ -115,8 +115,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				r.Counter("shared").Inc()
-				r.Counter("own-" + string(rune('a'+w))).Inc()
+				r.Counter("shared").Add(1)
+				r.Counter("own-" + string(rune('a'+w))).Add(1)
 				r.Gauge("g").Add(1)
 				r.Histogram("h", SecondsBuckets).Observe(float64(i) / 1000)
 				if i%100 == 0 {

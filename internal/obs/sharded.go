@@ -10,7 +10,7 @@ const shardedCounterPad = 64
 // ShardedCounter is a contention-free counter for phase-scoped parallel work:
 // each worker owns one cache-line-padded shard it alone writes, and the total
 // is folded once when the phase ends. Shard writes are atomic so a concurrent
-// Total (a progress probe, or the race detector) reads coherent values, but a
+// reader (the race detector) sees coherent values, but a
 // shard never sees CAS contention — its writer is the only mutator.
 //
 // The zero value is not usable; construct with NewShardedCounter.
@@ -39,16 +39,6 @@ func NewShardedCounter(workers int) *ShardedCounter {
 //lint:hotpath
 func (c *ShardedCounter) Add(worker int, delta int64) {
 	c.shards[worker].n.Add(delta)
-}
-
-// Total folds every shard. Safe to call concurrently with Add; the result is
-// exact once all writers have quiesced (the phase-end flush point).
-func (c *ShardedCounter) Total() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].n.Load()
-	}
-	return t
 }
 
 // FlushTo publishes the folded total to the collector under metric and

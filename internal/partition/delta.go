@@ -27,8 +27,8 @@ import (
 // delta-vs-batch oracle in internal/verify pins down.
 //
 // Cold-batch comparisons must therefore build their reference snapshot with
-// NewDeltaByGrid/NewDeltaByAssign over the final observation multiset, not
-// with ByGrid/ByAssign (whose reservoirs are a different — order-sensitive —
+// NewDeltaByGrid over the final observation multiset, not with
+// ByGrid/ByAssign (whose reservoirs are a different — order-sensitive —
 // sampling design for the static pipeline).
 
 // deltaEntry is one retained observation in a region's canonical multiset.
@@ -40,7 +40,7 @@ type deltaEntry struct {
 }
 
 // entryOf converts an observation; the location is retained so deletes can
-// match exactly and assign-mode bounds can be recomputed.
+// match exactly.
 func entryOf(o Observation) deltaEntry {
 	return deltaEntry{income: o.Income, positive: o.Positive, protected: o.Protected, loc: o.Loc}
 }
@@ -89,12 +89,10 @@ type DeltaPartitioning struct {
 	part    Partitioning
 	entries [][]deltaEntry // canonical sorted multiset per region
 
-	seed   uint64
-	capN   int
-	grid   *geo.Grid           // grid mode: fixed cell bounds and membership
-	assign func(geo.Point) int // assign mode: arbitrary membership
-	stale  map[int]struct{}    // regions whose sample/bounds need a refresh
-	dirty  map[int]struct{}    // regions updated since the last ClearDirty
+	seed  uint64
+	capN  int
+	stale map[int]struct{} // regions whose sample needs a refresh
+	dirty map[int]struct{} // regions updated since the last ClearDirty
 }
 
 // NewDeltaByGrid builds a delta-capable partitioning over grid cells.
@@ -104,7 +102,6 @@ func NewDeltaByGrid(grid geo.Grid, obs []Observation, opts Options) *DeltaPartit
 		part:  Partitioning{Grid: grid, Regions: make([]Region, grid.NumCells())},
 		seed:  opts.Seed,
 		capN:  opts.cap(),
-		grid:  &grid,
 		stale: make(map[int]struct{}),
 		dirty: make(map[int]struct{}),
 	}
@@ -119,45 +116,11 @@ func NewDeltaByGrid(grid geo.Grid, obs []Observation, opts Options) *DeltaPartit
 	return d
 }
 
-// NewDeltaByAssign builds a delta-capable partitioning over an arbitrary
-// assignment, mirroring ByAssign: negative assignments drop the observation,
-// out-of-range assignments panic, and region bounds are the extent of the
-// observations currently present.
-func NewDeltaByAssign(numCells int, assign func(geo.Point) int, obs []Observation, opts Options) *DeltaPartitioning {
-	d := &DeltaPartitioning{
-		part:   Partitioning{Regions: make([]Region, numCells)},
-		seed:   opts.Seed,
-		capN:   opts.cap(),
-		assign: assign,
-		stale:  make(map[int]struct{}),
-		dirty:  make(map[int]struct{}),
-	}
-	d.entries = make([][]deltaEntry, numCells)
-	for i := range d.part.Regions {
-		d.part.Regions[i].Index = i
-		d.part.Regions[i].Bounds = geo.EmptyBBox()
-	}
-	for _, o := range obs {
-		d.Insert(o)
-	}
-	return d
-}
-
-// locate maps a location to its region, or -1 for out-of-scope.
+// locate maps a location to its grid cell, or -1 outside the grid.
 func (d *DeltaPartitioning) locate(p geo.Point) int {
-	if d.grid != nil {
-		idx, ok := d.grid.CellIndex(p)
-		if !ok {
-			return -1
-		}
-		return idx
-	}
-	idx := d.assign(p)
-	if idx < 0 {
+	idx, ok := d.part.Grid.CellIndex(p)
+	if !ok {
 		return -1
-	}
-	if idx >= len(d.part.Regions) {
-		panic(fmt.Sprintf("partition: assign returned %d for %d cells", idx, len(d.part.Regions)))
 	}
 	return idx
 }
@@ -293,12 +256,12 @@ func (d *DeltaPartitioning) ClearDirty() {
 	}
 }
 
-// Snapshot refreshes every stale region's derived state (income sample,
-// sorted-sample cache, assign-mode bounds) and returns the partitioning. The
-// returned value is owned by the DeltaPartitioning and is valid until the
-// next update; the snapshot is bit-identical to the one a fresh
-// NewDeltaByGrid/NewDeltaByAssign over the current observation multiset would
-// produce, regardless of the update history that led here.
+// Snapshot refreshes every stale region's derived state (income sample and
+// sorted-sample cache) and returns the partitioning. The returned value is
+// owned by the DeltaPartitioning and is valid until the next update; the
+// snapshot is bit-identical to the one a fresh NewDeltaByGrid over the
+// current observation multiset would produce, regardless of the update
+// history that led here.
 func (d *DeltaPartitioning) Snapshot() *Partitioning {
 	if len(d.stale) > 0 {
 		refresh := make([]int, 0, len(d.stale))
@@ -314,18 +277,10 @@ func (d *DeltaPartitioning) Snapshot() *Partitioning {
 	return &d.part
 }
 
-// refreshRegion rebuilds one region's sample and (in assign mode) bounds from
-// its canonical multiset.
+// refreshRegion rebuilds one region's sample from its canonical multiset.
 func (d *DeltaPartitioning) refreshRegion(idx int) {
 	r := &d.part.Regions[idx]
 	es := d.entries[idx]
-	if d.assign != nil {
-		b := geo.EmptyBBox()
-		for _, e := range es {
-			b = b.Extend(e.loc)
-		}
-		r.Bounds = b
-	}
 	if len(es) == 0 {
 		r.sample = nil
 		return
@@ -377,10 +332,4 @@ func (d *DeltaPartitioning) refreshRegion(idx int) {
 		sorted:     incomes,
 		sortedSeen: len(es),
 	}
-}
-
-// NumEntries returns the number of retained observations in one region —
-// test and bench introspection.
-func (d *DeltaPartitioning) NumEntries(idx int) int {
-	return len(d.entries[idx])
 }

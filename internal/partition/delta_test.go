@@ -213,29 +213,6 @@ func TestDeltaDirtyTracking(t *testing.T) {
 	}
 }
 
-// TestDeltaByAssignBounds: assign-mode bounds track the surviving
-// observations (shrinking after deletes), matching a cold rebuild.
-func TestDeltaByAssignBounds(t *testing.T) {
-	opts := Options{Seed: 6, IncomeSampleCap: 8}
-	assign := func(p geo.Point) int {
-		if p.X < 0 {
-			return -1
-		}
-		return 0
-	}
-	near := Observation{Loc: geo.Pt(1, 1), Income: 20000}
-	far := Observation{Loc: geo.Pt(100, 100), Income: 25000}
-	dp := NewDeltaByAssign(1, assign, []Observation{near, far}, opts)
-	if _, err := dp.Delete(far); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	cold := NewDeltaByAssign(1, assign, []Observation{near}, opts)
-	requireEqualSnapshots(t, dp.Snapshot(), cold.Snapshot())
-	if b := dp.Snapshot().Regions[0].Bounds; b.Max.X > 1 {
-		t.Fatalf("bounds did not shrink after delete: %v", b)
-	}
-}
-
 // TestDeltaDropsNonFinite: non-finite incomes cannot be placed in the
 // canonical order and are dropped symmetrically by Insert and Delete.
 func TestDeltaDropsNonFinite(t *testing.T) {
@@ -271,16 +248,11 @@ func TestBatchAndDeltaDropNonFinite(t *testing.T) {
 	}
 	opts := Options{Seed: 3, IncomeSampleCap: 16}
 	grid := testGrid()
-	assign := func(p geo.Point) int {
-		idx, _ := grid.CellIndex(p)
-		return idx
-	}
 	cases := []struct {
 		name         string
 		batch, delta *Partitioning
 	}{
 		{"grid", ByGrid(grid, obs, opts), NewDeltaByGrid(grid, obs, opts).Snapshot()},
-		{"assign", ByAssign(grid.NumCells(), assign, obs, opts), NewDeltaByAssign(grid.NumCells(), assign, obs, opts).Snapshot()},
 	}
 	for _, c := range cases {
 		b, d := c.batch, c.delta
@@ -321,7 +293,7 @@ func TestSummaryIndexUpdateRegion(t *testing.T) {
 	for i := range snap.Regions {
 		regions[i] = &snap.Regions[i]
 	}
-	ix := NewSummaryIndex(regions)
+	ix := NewSummaryIndexWorkers(regions, 1)
 
 	// Mutate a few regions through the delta layer, then repair.
 	for step := 0; step < 40; step++ {
@@ -344,7 +316,7 @@ func TestSummaryIndexUpdateRegion(t *testing.T) {
 		ix.UpdateRegion(pos, &snap.Regions[pos])
 	}
 
-	fresh := NewSummaryIndex(regions)
+	fresh := NewSummaryIndexWorkers(regions, 1)
 	if ix.Stats != fresh.Stats {
 		t.Fatalf("stats differ after UpdateRegion: got %+v want %+v", ix.Stats, fresh.Stats)
 	}

@@ -124,14 +124,10 @@ func summaryKey(s *RegionSummary, d SummaryDim) float64 {
 	}
 }
 
-// NewSummaryIndex summarizes every region and builds the sorted orders.
-func NewSummaryIndex(regions []*Region) *SummaryIndex {
-	return NewSummaryIndexWorkers(regions, 1)
-}
-
-// NewSummaryIndexWorkers is NewSummaryIndex with the per-region summarize
-// pass and the per-dimension sort construction spread across up to workers
-// goroutines. The result is identical to the sequential build for any worker
+// NewSummaryIndexWorkers summarizes every region and builds the sorted
+// orders, with the per-region summarize pass and the per-dimension sort
+// construction spread across up to workers goroutines. The result is
+// identical to the sequential build for any worker
 // count: summaries land at their region's position regardless of which worker
 // computed them, the envelope merges per-chunk partial envelopes with
 // order-independent max/min folds, and each dimension's order is sorted by a
@@ -244,7 +240,8 @@ func (o *dimOrder) Swap(i, j int) {
 
 // UpdateRegion replaces the summary at position pos with a fresh digest of r
 // and repairs every sorted order and the envelope stats, leaving the index
-// bit-identical to NewSummaryIndex over the updated region set. The repair is
+// bit-identical to a fresh NewSummaryIndexWorkers over the updated region
+// set. The repair is
 // O(R) per call (linear removal plus an envelope rescan) — cheap against the
 // audit work a dirty region triggers, and idempotent, so a retried delta
 // audit can re-apply it safely.

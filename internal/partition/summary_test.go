@@ -92,7 +92,7 @@ func TestSummaryIndexOrders(t *testing.T) {
 	for i := range p.Regions {
 		regions[i] = &p.Regions[i]
 	}
-	ix := NewSummaryIndex(regions)
+	ix := NewSummaryIndexWorkers(regions, 1)
 	if len(ix.Summaries) != len(regions) {
 		t.Fatalf("summaries = %d, want %d", len(ix.Summaries), len(regions))
 	}
@@ -147,7 +147,7 @@ func TestSummaryStatsEnvelope(t *testing.T) {
 	for i := range p.Regions {
 		regions[i] = &p.Regions[i]
 	}
-	ix := NewSummaryIndex(regions)
+	ix := NewSummaryIndexWorkers(regions, 1)
 
 	wantMaxN, wantMinSample, wantSE2 := 0, 0, 0.0
 	for i := range ix.Summaries {

@@ -143,7 +143,7 @@ func TestJobServiceLoad(t *testing.T) {
 					fail("status body: %v", err)
 					return
 				}
-				if snap.State.Terminal() {
+				if terminalState(snap.State) {
 					if snap.State != jobs.StateDone {
 						fail("job %s = %s (%s)", id, snap.State, snap.Error)
 						return

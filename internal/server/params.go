@@ -23,7 +23,8 @@ const maxGridCells = 1_000_000
 
 // parseAuditParams resolves the audit query parameters against a base
 // configuration: cols/rows (grid resolution, default 100x50), ethical=1
-// (switches to core.EthicalConfig), the float thresholds epsilon, delta,
+// (applies core.EthicalConfig's Epsilon, Delta and Eta on top of the base,
+// whose other settings stand), the float thresholds epsilon, delta,
 // eta, alpha, the integer min_region, and seed. Floats must be finite —
 // NaN and ±Inf parse as valid float64s but would poison every downstream
 // comparison, so they are rejected here with the same 400 a malformed
@@ -31,7 +32,8 @@ const maxGridCells = 1_000_000
 func parseAuditParams(q url.Values, base core.Config) (auditParams, error) {
 	p := auditParams{Cols: 100, Rows: 50, Audit: base}
 	if q.Get("ethical") == "1" {
-		p.Audit = core.EthicalConfig()
+		e := core.EthicalConfig()
+		p.Audit.Epsilon, p.Audit.Delta, p.Audit.Eta = e.Epsilon, e.Delta, e.Eta
 	}
 	var paramErr error
 	getInt := func(name string, dst *int) {

@@ -9,8 +9,12 @@ import (
 	"testing"
 
 	"lcsf/internal/census"
+	"lcsf/internal/core"
+	"lcsf/internal/geo"
 	"lcsf/internal/hmda"
+	"lcsf/internal/partition"
 	"lcsf/internal/report"
+	"lcsf/internal/table"
 )
 
 // larBody renders a synthetic LAR as the CSV a client would post.
@@ -180,12 +184,41 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestEthicalFlag asserts ethical=1 applies the ethical use case's
+// thresholds on top of the operator's base configuration: the report equals
+// core.Audit run on the base with only Epsilon, Delta and Eta taken from
+// core.EthicalConfig, so the base's Monte-Carlo budget, region floor and
+// FDR level survive the flag.
 func TestEthicalFlag(t *testing.T) {
-	srv := newTestServer()
-	req := httptest.NewRequest("POST", "/audit?cols=20&rows=10&ethical=1", larBody(t, 20000, 0.15))
+	base := cheapAudit()
+	base.FDR = 0.1
+	srv := New(Config{Audit: base})
+	body := larBody(t, 20000, 0.15).Bytes()
+	req := httptest.NewRequest("POST", "/audit?cols=20&rows=10&ethical=1", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+
+	want := base
+	ethical := core.EthicalConfig()
+	want.Epsilon, want.Delta, want.Eta = ethical.Epsilon, ethical.Delta, ethical.Eta
+	tbl, err := table.ReadCSV(bytes.NewReader(body), hmda.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := geo.NewGrid(geo.ContinentalUS, 20, 10)
+	part := partition.ByGrid(grid, hmda.ToObservations(hmda.FromTable(tbl)), partition.Options{Seed: want.Seed})
+	res, err := core.Audit(part, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBody bytes.Buffer
+	if err := report.Build(part, grid, res).WriteJSON(&wantBody); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), wantBody.Bytes()) {
+		t.Errorf("ethical=1 report differs from core.Audit on the base config with the ethical thresholds:\n got %.300s\nwant %.300s", rec.Body.String(), wantBody.String())
 	}
 }

@@ -74,29 +74,6 @@ func PairLRT(p1, n1, p2, n2 int) float64 {
 	return LogLikRatio(l0, la)
 }
 
-// CompositionLogLik returns the log of the composition terms of the paper's
-// Equations 4 and 5 for one region: the Bernoulli likelihood of observing
-// nG members of the protected group and nV members of the non-protected group
-// among the region's n individuals, each at its maximum-likelihood share.
-func CompositionLogLik(nG, nV, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	// Equation 4 uses exponent n(r_i) on the protected share; we follow the
-	// standard Bernoulli form with exponent nG (the count observed), which is
-	// the form under which the expression is a likelihood.
-	return MaxBernoulliLogLik(nG, n) + MaxBernoulliLogLik(nV, n)
-}
-
-// PairAlternativeLogLik returns the full log-likelihood of the paper's
-// alternative hypothesis (Equation 6) for a pair of regions: the product of
-// each region's outcome likelihood at its own rate (Equation 3) and its
-// group-composition terms (Equations 4 and 5).
-func PairAlternativeLogLik(p1, n1, nG1, nV1, p2, n2, nG2, nV2 int) float64 {
-	return MaxBernoulliLogLik(p1, n1) + CompositionLogLik(nG1, nV1, n1) +
-		MaxBernoulliLogLik(p2, n2) + CompositionLogLik(nG2, nV2, n2)
-}
-
 // RegionVsOutsideLRT computes the likelihood-ratio statistic of Sacharidis et
 // al. for one region against everything outside it. p, n are the region's
 // positives and count; P, N are the global totals (Equations 1 and 2 of the

@@ -109,26 +109,6 @@ func TestPairLRTMatchesChiSquareScale(t *testing.T) {
 	}
 }
 
-func TestCompositionLogLik(t *testing.T) {
-	if got := CompositionLogLik(0, 0, 0); got != 0 {
-		t.Errorf("empty region composition = %v, want 0", got)
-	}
-	// nG=30, nV=70, n=100: MaxBernoulli(30,100) + MaxBernoulli(70,100).
-	want := MaxBernoulliLogLik(30, 100) + MaxBernoulliLogLik(70, 100)
-	if got := CompositionLogLik(30, 70, 100); !almostEq(got, want, 1e-12) {
-		t.Errorf("CompositionLogLik = %v, want %v", got, want)
-	}
-}
-
-func TestPairAlternativeLogLikDecomposes(t *testing.T) {
-	got := PairAlternativeLogLik(40, 100, 30, 70, 60, 120, 50, 70)
-	want := MaxBernoulliLogLik(40, 100) + CompositionLogLik(30, 70, 100) +
-		MaxBernoulliLogLik(60, 120) + CompositionLogLik(50, 70, 120)
-	if !almostEq(got, want, 1e-12) {
-		t.Errorf("PairAlternativeLogLik = %v, want %v", got, want)
-	}
-}
-
 func TestRegionVsOutsideLRT(t *testing.T) {
 	// Region exactly at the global rate: statistic 0.
 	if got := RegionVsOutsideLRT(62, 100, 620, 1000); !almostEq(got, 0, 1e-9) {
@@ -143,5 +123,27 @@ func TestRegionVsOutsideLRT(t *testing.T) {
 	}
 	if got := RegionVsOutsideLRT(10, 100, 10, 100); got != 0 {
 		t.Errorf("region covering all data should be 0, got %v", got)
+	}
+}
+
+// The pairwise likelihood-ratio statistic should follow its chi-square(1)
+// asymptotics at large counts under the null, whose survival function is
+// P(|Z| > sqrt(tau)) = 2*NormalSF(sqrt(tau)).
+func TestPairLRTAsymptoticallyChiSquare(t *testing.T) {
+	rng := NewRNG(77)
+	n := 5000
+	rate := 0.6
+	var below95 int
+	trials := 400
+	for i := 0; i < trials; i++ {
+		k1, k2 := rng.Binomial(n, rate), rng.Binomial(n, rate)
+		tau := PairLRT(k1, n, k2, n)
+		if 2*NormalSF(math.Sqrt(tau)) > 0.05 {
+			below95++
+		}
+	}
+	frac := float64(below95) / float64(trials)
+	if frac < 0.90 || frac > 0.99 {
+		t.Errorf("null taus within chi-square 95%% band: %v, want ~0.95", frac)
 	}
 }

@@ -46,9 +46,6 @@ func SampleVariance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median of xs without modifying it, or NaN when empty.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
@@ -69,48 +66,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MinMax returns the minimum and maximum of xs, or (NaN, NaN) when empty.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Summary holds the descriptive statistics of one sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Q25    float64
-	Median float64
-	Q75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	lo, hi := MinMax(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    lo,
-		Q25:    Quantile(xs, 0.25),
-		Median: Median(xs),
-		Q75:    Quantile(xs, 0.75),
-		Max:    hi,
-	}
 }

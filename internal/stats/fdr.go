@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// BenjaminiHochberg applies the Benjamini–Hochberg step-up procedure to a
-// set of p-values, returning a boolean per input reporting whether that
+// BenjaminiHochbergWorkers applies the Benjamini–Hochberg step-up procedure
+// to a set of p-values, returning a boolean per input reporting whether that
 // hypothesis is rejected at false-discovery rate q.
 //
 // The LC-SF audit tests thousands of region pairs; the paper controls each
@@ -15,14 +15,10 @@ import (
 // not the share of false discoveries among the flagged pairs. FDR control is
 // offered as an extension (Config.FDR in the core package) for auditors who
 // need the flagged list itself to be mostly real.
-func BenjaminiHochberg(pvalues []float64, q float64) []bool {
-	return BenjaminiHochbergWorkers(pvalues, q, 1)
-}
-
-// BenjaminiHochbergWorkers is BenjaminiHochberg with the sort and the marking
-// pass parallelized across up to workers goroutines; every worker count
-// (including 1, which runs fully sequentially) produces the identical
-// rejection mask. Two structural facts make that cheap:
+//
+// The sort and the marking pass run across up to workers goroutines; every
+// worker count (including 1, which runs fully sequentially) produces the
+// identical rejection mask. Two structural facts make that cheap:
 //
 //   - The step-up rejection set is a pure value threshold: the cut k* is a
 //     function of the sorted p-value multiset alone, and a tie group can

@@ -5,7 +5,21 @@ import (
 	"testing"
 )
 
-// TestTwoSidedPGEGate checks the GE gate against direct evaluation for every
+// ge reports TwoSidedP(z) >= alpha through the gate's verified band,
+// evaluating TwoSidedP only inside it: the point form of DecideRange, which
+// lets the test probe the band itself.
+func (g TwoSidedPGEGate) ge(z float64) bool {
+	az := math.Abs(z)
+	if az <= g.passLo {
+		return true
+	}
+	if az >= g.failHi {
+		return false
+	}
+	return TwoSidedP(az) >= g.alpha
+}
+
+// TestTwoSidedPGEGate checks the gate's band against direct evaluation for every
 // decision it can make, including adversarial alphas that ARE reachable
 // p-values (boundary equality matters: the gate answers >=, not >).
 func TestTwoSidedPGEGate(t *testing.T) {
@@ -38,14 +52,14 @@ func TestTwoSidedPGEGate(t *testing.T) {
 		}
 		for _, z := range zs {
 			want := TwoSidedP(z) >= alpha
-			if got := g.GE(z); got != want {
-				t.Fatalf("alpha=%g: GE(%g) = %v, want %v", alpha, z, got, want)
+			if got := g.ge(z); got != want {
+				t.Fatalf("alpha=%g: ge(%g) = %v, want %v", alpha, z, got, want)
 			}
-			if got := g.GE(-z); got != want {
-				t.Fatalf("alpha=%g: GE(%g) = %v, want %v (sign symmetry)", alpha, -z, got, want)
+			if got := g.ge(-z); got != want {
+				t.Fatalf("alpha=%g: ge(%g) = %v, want %v (sign symmetry)", alpha, -z, got, want)
 			}
 		}
-		if g.GE(math.NaN()) {
+		if g.ge(math.NaN()) {
 			t.Fatalf("alpha=%g: NaN z passed", alpha)
 		}
 	}

@@ -105,7 +105,7 @@ func mcStopCount(m int, cut float64) int {
 //
 //	p = (1 + #{tau_null >= observed}) / (m + 1)
 //
-// — the same estimator as MonteCarloP — when that p is at most the store's
+// — the paper's add-one estimator — when that p is at most the store's
 // cut, and the canonical above-cut value (1+stop)/(m+1) otherwise. The
 // first lookup of a key answers by a linear count over the worlds it draws;
 // later lookups answer by binary search over the completed sample. Both
@@ -198,8 +198,9 @@ func newPairNullKey(n1, n2, pooledPositives int) pairNullKey {
 // in stream order, continuing rng — the key-seeded stream, at any position —
 // and counting the worlds whose statistic is >= observed. It stops before
 // drawing a world once that count reaches stop, returning the worlds drawn
-// and the count; math.MaxInt never stops. Every world is bit-identical to
-// pairNullDraw's on the same stream.
+// and the count; math.MaxInt never stops. Every world is bit-identical to a
+// direct draw on the same stream: both counts from RNG.Binomial at the
+// pooled rate, scored by PairLRT.
 //
 // Within one fill the region sizes are fixed, so every logarithm PairLRT
 // evaluates is a function of the drawn counts alone: the
@@ -332,28 +333,6 @@ func (t *pooledLogTable) at(s, n int) (lp, lq float64) {
 func pooledLogs(s, n int) (lp, lq float64) {
 	rho := float64(s) / float64(n)
 	return math.Log(rho), math.Log(1 - rho)
-}
-
-// NullCacheReferenceP computes, with no store at all, the p-value a
-// NullStore constructed with the same seed, worlds and cut returns for the
-// key (n1, n2, pooledPositives) at the observed statistic. It re-derives the
-// key-seeded stream, counts exceedances over all worlds directly, and
-// replaces a p-value above cut by the canonical (1+stop)/(m+1), so it is
-// the oracle the verification harness fuzzes NullStore against: first,
-// completing, stored and past-bound lookups must all be bit-identical to
-// this reference.
-func NullCacheReferenceP(seed uint64, worlds, n1, n2, pooledPositives int, observed, cut float64) float64 {
-	if worlds <= 0 {
-		return 1
-	}
-	key := newPairNullKey(n1, n2, pooledPositives)
-	rng := NewRNG(nullCacheSeed(seed, key))
-	pooledRate := float64(key.pooledPositives) / float64(key.n1+key.n2)
-	p := PairMonteCarloP(rng, observed, worlds, key.n1, key.n2, pooledRate)
-	if p > cut {
-		return float64(1+mcStopCount(worlds, cut)) / float64(worlds+1)
-	}
-	return p
 }
 
 // nullCacheSeed derives a sample's RNG seed from the store seed and the

@@ -45,14 +45,3 @@ func TwoProportionZStat(k1, n1, k2, n2 int) float64 {
 	se := math.Sqrt(pooled * (1 - pooled) * (1/float64(n1) + 1/float64(n2)))
 	return (p1 - p2) / se
 }
-
-// OneProportionZ tests H0: the success probability underlying k/n equals p0.
-func OneProportionZ(k, n int, p0 float64) TwoProportionZResult {
-	if n <= 0 || p0 <= 0 || p0 >= 1 {
-		return TwoProportionZResult{Z: math.NaN(), P: math.NaN()}
-	}
-	phat := float64(k) / float64(n)
-	se := math.Sqrt(p0 * (1 - p0) / float64(n))
-	z := (phat - p0) / se
-	return TwoProportionZResult{Z: z, P: TwoSidedP(z)}
-}

@@ -50,18 +50,3 @@ func TestTwoProportionZDetectsLargeGap(t *testing.T) {
 		t.Errorf("huge gap p = %v, want tiny", res.P)
 	}
 }
-
-func TestOneProportionZ(t *testing.T) {
-	// phat = 0.7 vs p0 = 0.62, n = 400: z = 0.08/sqrt(0.62*0.38/400).
-	res := OneProportionZ(280, 400, 0.62)
-	want := 0.08 / math.Sqrt(0.62*0.38/400)
-	if !almostEq(res.Z, want, 1e-9) {
-		t.Errorf("z = %v, want %v", res.Z, want)
-	}
-	if r := OneProportionZ(10, 0, 0.5); !math.IsNaN(r.P) {
-		t.Errorf("n=0 should be NaN")
-	}
-	if r := OneProportionZ(10, 20, 0); !math.IsNaN(r.P) {
-		t.Errorf("p0=0 should be NaN")
-	}
-}

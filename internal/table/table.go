@@ -11,7 +11,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Type enumerates the column types the engine supports.
@@ -69,19 +68,6 @@ type column struct {
 	bools   []bool
 }
 
-func (c *column) length(t Type) int {
-	switch t {
-	case Int64:
-		return len(c.ints)
-	case Float64:
-		return len(c.floats)
-	case String:
-		return len(c.strings)
-	default:
-		return len(c.bools)
-	}
-}
-
 // Table is an immutable-schema, append-only columnar table.
 type Table struct {
 	schema Schema
@@ -102,14 +88,8 @@ func New(schema Schema) *Table {
 	return &Table{schema: append(Schema(nil), schema...), cols: make([]column, len(schema))}
 }
 
-// Schema returns the table's schema. The caller must not modify it.
-func (t *Table) Schema() Schema { return t.schema }
-
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.rows }
-
-// NumCols returns the number of columns.
-func (t *Table) NumCols() int { return len(t.schema) }
 
 // mustCol returns the index of the named column with the given type, and
 // panics otherwise: column access by wrong name or type is a programming
@@ -177,130 +157,4 @@ func (t *Table) AppendRow(vals ...any) error {
 	}
 	t.rows++
 	return nil
-}
-
-// Value returns the value at (row, col) as an any. It panics on out-of-range
-// indices.
-func (t *Table) Value(row, col int) any {
-	if row < 0 || row >= t.rows || col < 0 || col >= len(t.schema) {
-		panic(fmt.Sprintf("table: Value(%d,%d) out of range %dx%d", row, col, t.rows, len(t.schema)))
-	}
-	switch t.schema[col].Type {
-	case Int64:
-		return t.cols[col].ints[row]
-	case Float64:
-		return t.cols[col].floats[row]
-	case String:
-		return t.cols[col].strings[row]
-	default:
-		return t.cols[col].bools[row]
-	}
-}
-
-// appendFrom copies row r of src into t; schemas must match.
-func (t *Table) appendFrom(src *Table, r int) {
-	for i := range t.schema {
-		switch t.schema[i].Type {
-		case Int64:
-			t.cols[i].ints = append(t.cols[i].ints, src.cols[i].ints[r])
-		case Float64:
-			t.cols[i].floats = append(t.cols[i].floats, src.cols[i].floats[r])
-		case String:
-			t.cols[i].strings = append(t.cols[i].strings, src.cols[i].strings[r])
-		case Bool:
-			t.cols[i].bools = append(t.cols[i].bools, src.cols[i].bools[r])
-		}
-	}
-	t.rows++
-}
-
-// Filter returns a new table containing the rows for which keep returns true.
-func (t *Table) Filter(keep func(row int) bool) *Table {
-	out := New(t.schema)
-	for r := 0; r < t.rows; r++ {
-		if keep(r) {
-			out.appendFrom(t, r)
-		}
-	}
-	return out
-}
-
-// Select returns a new table with only the named columns, in the given order.
-// It panics when a column does not exist.
-func (t *Table) Select(names ...string) *Table {
-	schema := make(Schema, len(names))
-	srcIdx := make([]int, len(names))
-	for i, name := range names {
-		j := t.schema.ColumnIndex(name)
-		if j < 0 {
-			panic(fmt.Sprintf("table: no column %q", name))
-		}
-		schema[i] = t.schema[j]
-		srcIdx[i] = j
-	}
-	out := New(schema)
-	out.rows = t.rows
-	for i, j := range srcIdx {
-		switch schema[i].Type {
-		case Int64:
-			out.cols[i].ints = append([]int64(nil), t.cols[j].ints...)
-		case Float64:
-			out.cols[i].floats = append([]float64(nil), t.cols[j].floats...)
-		case String:
-			out.cols[i].strings = append([]string(nil), t.cols[j].strings...)
-		case Bool:
-			out.cols[i].bools = append([]bool(nil), t.cols[j].bools...)
-		}
-	}
-	return out
-}
-
-// SortByFloat returns a new table sorted ascending by the named float64
-// column (descending when desc is true). The sort is stable.
-func (t *Table) SortByFloat(name string, desc bool) *Table {
-	col := t.Floats(name)
-	idx := make([]int, t.rows)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if desc {
-			return col[idx[a]] > col[idx[b]]
-		}
-		return col[idx[a]] < col[idx[b]]
-	})
-	out := New(t.schema)
-	for _, r := range idx {
-		out.appendFrom(t, r)
-	}
-	return out
-}
-
-// GroupCountsByString returns, for each distinct value of the named string
-// column, the number of rows holding it.
-func (t *Table) GroupCountsByString(name string) map[string]int {
-	col := t.Strings(name)
-	out := make(map[string]int)
-	for _, v := range col {
-		out[v]++
-	}
-	return out
-}
-
-// MeanByGroup returns the mean of the float64 column valueCol within each
-// distinct value of the string column groupCol.
-func (t *Table) MeanByGroup(groupCol, valueCol string) map[string]float64 {
-	groups := t.Strings(groupCol)
-	vals := t.Floats(valueCol)
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	for i, g := range groups {
-		sums[g] += vals[i]
-		counts[g]++
-	}
-	out := make(map[string]float64, len(sums))
-	for g, s := range sums {
-		out[g] = s / float64(counts[g])
-	}
-	return out
 }

@@ -37,10 +37,25 @@ func sampleTable(t *testing.T) *Table {
 	return tb
 }
 
+// cell returns the value at (row, col) as an any, for cell-by-cell
+// comparisons of whole tables.
+func cell(t *Table, row, col int) any {
+	switch t.schema[col].Type {
+	case Int64:
+		return t.cols[col].ints[row]
+	case Float64:
+		return t.cols[col].floats[row]
+	case String:
+		return t.cols[col].strings[row]
+	default:
+		return t.cols[col].bools[row]
+	}
+}
+
 func TestAppendAndAccess(t *testing.T) {
 	tb := sampleTable(t)
-	if tb.NumRows() != 5 || tb.NumCols() != 4 {
-		t.Fatalf("dims = %dx%d", tb.NumRows(), tb.NumCols())
+	if tb.NumRows() != 5 || len(tb.schema) != 4 {
+		t.Fatalf("dims = %dx%d", tb.NumRows(), len(tb.schema))
 	}
 	if got := tb.Int64s("id")[2]; got != 3 {
 		t.Errorf("id[2] = %d", got)
@@ -54,8 +69,8 @@ func TestAppendAndAccess(t *testing.T) {
 	if got := tb.Bools("approved")[4]; got {
 		t.Errorf("approved[4] = %v", got)
 	}
-	if got := tb.Value(3, 1); got.(float64) != 39000 {
-		t.Errorf("Value(3,1) = %v", got)
+	if got := cell(tb, 3, 1); got.(float64) != 39000 {
+		t.Errorf("cell(3,1) = %v", got)
 	}
 }
 
@@ -91,7 +106,6 @@ func TestWrongColumnAccessPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { tb.Floats("nope") },
 		func() { tb.Floats("race") }, // wrong type
-		func() { tb.Select("id", "nope") },
 	} {
 		func() {
 			defer func() {
@@ -101,72 +115,6 @@ func TestWrongColumnAccessPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestFilter(t *testing.T) {
-	tb := sampleTable(t)
-	approved := tb.Bools("approved")
-	out := tb.Filter(func(r int) bool { return approved[r] })
-	if out.NumRows() != 3 {
-		t.Fatalf("filtered rows = %d, want 3", out.NumRows())
-	}
-	for _, v := range out.Bools("approved") {
-		if !v {
-			t.Error("filter kept a non-approved row")
-		}
-	}
-	// Original unchanged.
-	if tb.NumRows() != 5 {
-		t.Error("filter mutated source")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	tb := sampleTable(t)
-	out := tb.Select("race", "id")
-	if out.NumCols() != 2 || out.NumRows() != 5 {
-		t.Fatalf("select dims = %dx%d", out.NumRows(), out.NumCols())
-	}
-	if out.Schema()[0].Name != "race" || out.Schema()[1].Name != "id" {
-		t.Errorf("select order wrong: %v", out.Schema())
-	}
-	if out.Strings("race")[0] != "white" || out.Int64s("id")[4] != 5 {
-		t.Error("select copied wrong data")
-	}
-}
-
-func TestSortByFloat(t *testing.T) {
-	tb := sampleTable(t)
-	asc := tb.SortByFloat("income", false)
-	incomes := asc.Floats("income")
-	for i := 1; i < len(incomes); i++ {
-		if incomes[i-1] > incomes[i] {
-			t.Fatalf("not ascending: %v", incomes)
-		}
-	}
-	desc := tb.SortByFloat("income", true)
-	if desc.Floats("income")[0] != 71000 {
-		t.Errorf("descending first = %v", desc.Floats("income")[0])
-	}
-	// Row integrity: id follows income.
-	if asc.Int64s("id")[0] != 4 {
-		t.Errorf("row integrity broken: id[0] = %d, want 4", asc.Int64s("id")[0])
-	}
-}
-
-func TestGroupCountsAndMeans(t *testing.T) {
-	tb := sampleTable(t)
-	counts := tb.GroupCountsByString("race")
-	if counts["white"] != 2 || counts["black"] != 2 || counts["asian"] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-	means := tb.MeanByGroup("race", "income")
-	if means["white"] != 60500 {
-		t.Errorf("white mean = %v, want 60500", means["white"])
-	}
-	if means["black"] != 53500 {
-		t.Errorf("black mean = %v, want 53500", means["black"])
 	}
 }
 
@@ -184,9 +132,9 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip rows = %d, want %d", back.NumRows(), tb.NumRows())
 	}
 	for r := 0; r < tb.NumRows(); r++ {
-		for c := 0; c < tb.NumCols(); c++ {
-			if tb.Value(r, c) != back.Value(r, c) {
-				t.Errorf("cell (%d,%d): %v != %v", r, c, tb.Value(r, c), back.Value(r, c))
+		for c := 0; c < len(tb.schema); c++ {
+			if cell(tb, r, c) != cell(back, r, c) {
+				t.Errorf("cell (%d,%d): %v != %v", r, c, cell(tb, r, c), cell(back, r, c))
 			}
 		}
 	}
@@ -250,7 +198,7 @@ func TestCSVQuotedStrings(t *testing.T) {
 	if err := tb.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(strings.NewReader(buf.String()), tb.Schema())
+	back, err := ReadCSV(strings.NewReader(buf.String()), tb.schema)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,6 @@ type Log struct {
 	mu     sync.Mutex
 	w      io.Writer
 	closer io.Closer
-	lines  uint64
 }
 
 // OpenLog opens (creating if needed) an append-only log file. Appends from
@@ -46,9 +45,6 @@ func OpenLog(path string) (*Log, error) {
 	}
 	return &Log{w: f, closer: f}, nil
 }
-
-// NewLog returns a log appending to w (tests pass a buffer).
-func NewLog(w io.Writer) *Log { return &Log{w: w} }
 
 // Record appends one entry as a JSON line.
 func (l *Log) Record(e Entry) error {
@@ -65,18 +61,7 @@ func (l *Log) Record(e Entry) error {
 	if _, err := l.w.Write(data); err != nil {
 		return fmt.Errorf("tenant: appending audit entry: %w", err)
 	}
-	l.lines++
 	return nil
-}
-
-// Lines reports how many entries this process appended.
-func (l *Log) Lines() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lines
 }
 
 // Close flushes and closes the underlying file (a no-op for writer-backed

@@ -108,6 +108,8 @@ func (r *Registry) AddKey(key, tenantName string) {
 }
 
 // SetLimits overrides the default limits for one tenant.
+//
+//lint:deadexport-ok the server's tenancy tests give one tenant its own limits; lcsf-serve configures only the defaults
 func (r *Registry) SetLimits(tenantName string, l Limits) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -231,25 +233,4 @@ func (r *Registry) finish(tenantName string, computeUnits float64) {
 		st.refill(r.clock())
 		st.budget -= computeUnits
 	}
-}
-
-// BudgetRemaining reports the tenant's current compute balance (refilled to
-// now); +Inf when budgeting is disabled. Exposed for tests and operator
-// introspection.
-func (r *Registry) BudgetRemaining(tenantName string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.tenant(tenantName)
-	if st.limits.ComputeBudget <= 0 {
-		return math.Inf(1)
-	}
-	st.refill(r.clock())
-	return st.budget
-}
-
-// ActiveJobs reports the tenant's queued-or-running job count.
-func (r *Registry) ActiveJobs(tenantName string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tenant(tenantName).active
 }

@@ -152,7 +152,7 @@ func TestJobLimit(t *testing.T) {
 	if err := r.AdmitJob("acme"); err != nil {
 		t.Errorf("admit after release = %v", err)
 	}
-	if got := r.ActiveJobs("acme"); got != 2 {
+	if got := activeJobs(r, "acme"); got != 2 {
 		t.Errorf("active = %d, want 2", got)
 	}
 }
@@ -166,7 +166,7 @@ func TestComputeBudgetPostPaidAndRefill(t *testing.T) {
 	}
 	// Post-paid: the charge may overshoot the balance.
 	r.FinishJob("acme", 1500)
-	if got := r.BudgetRemaining("acme"); got != -500 {
+	if got := budgetRemaining(r, "acme"); got != -500 {
 		t.Errorf("balance = %v, want -500", got)
 	}
 	if err := r.AdmitJob("acme"); !errors.Is(err, ErrBudget) {
@@ -175,7 +175,7 @@ func TestComputeBudgetPostPaidAndRefill(t *testing.T) {
 
 	// Refill restores admission once the balance is positive again.
 	clock.Advance(6 * time.Second) // -500 + 600 = 100
-	if got := r.BudgetRemaining("acme"); math.Abs(got-100) > 1e-9 {
+	if got := budgetRemaining(r, "acme"); math.Abs(got-100) > 1e-9 {
 		t.Errorf("balance after refill = %v, want 100", got)
 	}
 	if err := r.AdmitJob("acme"); err != nil {
@@ -185,7 +185,7 @@ func TestComputeBudgetPostPaidAndRefill(t *testing.T) {
 
 	// Refill caps at the configured budget.
 	clock.Advance(time.Hour)
-	if got := r.BudgetRemaining("acme"); got != 1000 {
+	if got := budgetRemaining(r, "acme"); got != 1000 {
 		t.Errorf("balance after long idle = %v, want cap 1000", got)
 	}
 
@@ -197,7 +197,7 @@ func TestComputeBudgetPostPaidAndRefill(t *testing.T) {
 
 func TestBudgetDisabled(t *testing.T) {
 	r := NewRegistry(Limits{}, newFakeClock().Now)
-	if got := r.BudgetRemaining("acme"); !math.IsInf(got, 1) {
+	if got := budgetRemaining(r, "acme"); !math.IsInf(got, 1) {
 		t.Errorf("disabled budget remaining = %v, want +Inf", got)
 	}
 	r.FinishJob("acme", 1e12)
@@ -235,9 +235,6 @@ func TestAuditLogRecordAndReopen(t *testing.T) {
 	}
 	if err := l.Record(e); err != nil {
 		t.Fatal(err)
-	}
-	if l.Lines() != 1 {
-		t.Errorf("lines = %d", l.Lines())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -279,9 +276,6 @@ func TestAuditLogNilSafe(t *testing.T) {
 	if err := l.Record(Entry{}); err != nil {
 		t.Error(err)
 	}
-	if l.Lines() != 0 {
-		t.Error("nil log counted lines")
-	}
 	if err := l.Close(); err != nil {
 		t.Error(err)
 	}
@@ -289,7 +283,7 @@ func TestAuditLogNilSafe(t *testing.T) {
 
 func TestAuditLogConcurrentAppends(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(&syncBuffer{buf: &buf})
+	l := &Log{w: &syncBuffer{buf: &buf}}
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
@@ -303,10 +297,11 @@ func TestAuditLogConcurrentAppends(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Lines() != 200 {
-		t.Errorf("lines = %d, want 200", l.Lines())
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 200 {
+		t.Errorf("lines = %d, want 200", len(lines))
 	}
-	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	for i, line := range lines {
 		var e Entry
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("line %d corrupt: %v", i, err)
@@ -325,4 +320,24 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.Write(p)
+}
+
+// activeJobs reports a tenant's queued-or-running job count.
+func activeJobs(r *Registry, tenantName string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tenant(tenantName).active
+}
+
+// budgetRemaining reports a tenant's compute balance refilled to now, +Inf
+// when budgeting is disabled.
+func budgetRemaining(r *Registry, tenantName string) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.tenant(tenantName)
+	if st.limits.ComputeBudget <= 0 {
+		return math.Inf(1)
+	}
+	st.refill(r.clock())
+	return st.budget
 }

@@ -227,7 +227,7 @@ func runDeltaOracle(t *testing.T, scen *Scenario) {
 					cfg := metamorphicConfig(ec)
 					cfg.DeltaDirtyFallback = 1
 					cfg.FDR = fdr
-					dp := partition.NewDeltaByAssign(scen.NumCells, scen.Assign, stream.initial, scen.Opts)
+					dp := partition.NewDeltaByGrid(scen.Grid, stream.initial, scen.Opts)
 					da, err := core.NewDeltaAuditor(dp, cfg)
 					if err != nil {
 						t.Fatalf("%s fdr=%v: NewDeltaAuditor: %v", stream.name, fdr, err)
@@ -268,7 +268,7 @@ func runDeltaOracle(t *testing.T, scen *Scenario) {
 					if l.reused == 0 {
 						t.Errorf("%s: no incremental pass reused any cached pair; the workload exercises nothing incremental", label)
 					}
-					cold := partition.NewDeltaByAssign(scen.NumCells, scen.Assign, final, scen.Opts)
+					cold := partition.NewDeltaByGrid(scen.Grid, final, scen.Opts)
 					want, err := core.Audit(cold.Snapshot(), l.cfg)
 					if err != nil {
 						t.Fatalf("%s: cold audit: %v", label, err)

@@ -174,7 +174,7 @@ func FuzzPairNullCache(f *testing.F) {
 			kp := (pooled + k) % (kn1 + kn2 + 1)
 			obs := observed + float64(k)*0.125 + float64(round%2)*1.5
 			got, _, _ := s.PValue(kn1, kn2, kp, obs, &scratch)
-			want := stats.NullCacheReferenceP(seed, worlds, kn1, kn2, kp, obs, cut)
+			want := refNullStoreP(seed, worlds, kn1, kn2, kp, obs, cut)
 			if got != want {
 				t.Fatalf("cut %v round %d key (%d,%d,%d) obs %v: store p = %v, uncached reference = %v",
 					cut, round, kn1, kn2, kp, obs, got, want)
@@ -219,7 +219,7 @@ func FuzzPairNullCache(f *testing.F) {
 // the uncached oracle at a fuzzed cut: a fresh store's first lookup (drawn
 // until the cut is proved exceeded, answered by a linear count), its second
 // (completed and sorted, answered by binary search) and a repeat must be
-// bit-identical to NullCacheReferenceP for every (seed, worlds, key,
+// bit-identical to refNullStoreP for every (seed, worlds, key,
 // observed), NaN and ±Inf observations included — across region sizes whose
 // tables cover every count and sizes past 2048 whose tables are windows off
 // zero, with draws outside the windows on the largest keys, both key
@@ -248,7 +248,7 @@ func FuzzFillPairNull(f *testing.F) {
 		} else {
 			worlds = 1 + absRem(worlds, 96)
 		}
-		want := stats.NullCacheReferenceP(seed, worlds, n1, n2, pooled, observed, cut)
+		want := refNullStoreP(seed, worlds, n1, n2, pooled, observed, cut)
 		var scratch []float64
 		for _, orient := range [][2]int{{n1, n2}, {n2, n1}} {
 			s := stats.NewNullStore(seed, worlds, cut)
@@ -327,7 +327,7 @@ func FuzzNormalRoundTrip(f *testing.F) {
 		if !(p > 0 && p < 1) {
 			t.Skip()
 		}
-		z := stats.NormalQuantile(p)
+		z := NormalQuantile(p)
 		if math.IsNaN(z) || math.IsInf(z, 0) {
 			t.Fatalf("NormalQuantile(%v) = %v, want finite", p, z)
 		}
@@ -360,7 +360,7 @@ func FuzzFDR(f *testing.F) {
 		for i, b := range data {
 			pvalues[i] = float64(b) / 255
 		}
-		got := stats.BenjaminiHochberg(pvalues, q)
+		got := stats.BenjaminiHochbergWorkers(pvalues, q, 1)
 		want := refBenjaminiHochberg(pvalues, q)
 		if len(got) != len(want) {
 			t.Fatalf("BenjaminiHochberg length %d, reference %d", len(got), len(want))
@@ -396,7 +396,7 @@ func FuzzDeltaPartition(f *testing.F) {
 		for i := range snap.Regions {
 			ptrs[i] = &snap.Regions[i]
 		}
-		ix := partition.NewSummaryIndex(ptrs)
+		ix := partition.NewSummaryIndexWorkers(ptrs, 1)
 
 		// live mirrors the surviving multiset; deletes pick a live entry, so
 		// every delete targets an observation that is actually present.
@@ -459,7 +459,7 @@ func FuzzDeltaPartition(f *testing.F) {
 			}
 		}
 
-		fresh := partition.NewSummaryIndex(ptrs)
+		fresh := partition.NewSummaryIndexWorkers(ptrs, 1)
 		for i := range fresh.Summaries {
 			if !summaryBitsEqual(&ix.Summaries[i], &fresh.Summaries[i]) {
 				t.Fatalf("summary %d diverged:\n incremental %+v\n fresh       %+v",

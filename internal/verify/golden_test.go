@@ -52,7 +52,6 @@ type goldenFunnel struct {
 	EtaFastPath      int64
 	SimRejections    int64
 	Candidates       int64
-	PrescreenSkips   int64
 	MCWorlds         int64
 	Flagged          int64
 	NullCacheMisses  int64
@@ -77,7 +76,6 @@ func collectFunnel(s obs.Snapshot) goldenFunnel {
 		EtaFastPath:      s.Counter(obs.MAuditEtaFastPath),
 		SimRejections:    s.Counter(obs.MAuditSimRejections),
 		Candidates:       s.Counter(obs.MAuditCandidates),
-		PrescreenSkips:   s.Counter(obs.MAuditPrescreenSkips),
 		MCWorlds:         s.Counter(obs.MAuditMCWorlds),
 		Flagged:          s.Counter(obs.MAuditFlagged),
 		NullCacheMisses:  s.Counter(obs.MMCNullCacheMisses),

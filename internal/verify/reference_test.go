@@ -210,6 +210,47 @@ func refBenjaminiHochberg(pvalues []float64, q float64) []bool {
 	return out
 }
 
+// refNullStoreP re-derives, with no store at all, the p-value a
+// stats.NullStore built with the same seed, worlds and cut returns for the
+// key (n1, n2, pooledPositives) at the observed statistic: it orders the
+// key's sizes, seeds the key's stream by the store's documented FNV-style
+// mix, streams all m worlds of the pairwise null (both counts drawn at the
+// pooled rate, scored by PairLRT) counting those at or above observed, and
+// replaces a p above cut by the canonical (1+stop)/(m+1), stop being the
+// least count whose add-one p exceeds cut. First, completing, stored and
+// past-bound lookups must all be bit-identical to it.
+func refNullStoreP(seed uint64, worlds, n1, n2, pooledPositives int, observed, cut float64) float64 {
+	if worlds <= 0 {
+		return 1
+	}
+	if n1 > n2 {
+		n1, n2 = n2, n1
+	}
+	h := seed ^ 0x9E2AC4F1D7
+	h = h*0x100000001b3 ^ uint64(n1)
+	h = h*0x100000001b3 ^ uint64(n2)
+	h = h*0x100000001b3 ^ uint64(pooledPositives)
+	rng := stats.NewRNG(h)
+	rate := float64(pooledPositives) / float64(n1+n2)
+	geq := 0
+	for i := 0; i < worlds; i++ {
+		k1 := rng.Binomial(n1, rate)
+		k2 := rng.Binomial(n2, rate)
+		if stats.PairLRT(k1, n1, k2, n2) >= observed {
+			geq++
+		}
+	}
+	m1 := float64(worlds + 1)
+	if p := float64(1+geq) / m1; p <= cut {
+		return p
+	}
+	stop := 0
+	for float64(1+stop)/m1 <= cut {
+		stop++
+	}
+	return float64(1+stop) / m1
+}
+
 // sampleFromBytes decodes fuzz bytes into a bounded sample with heavy tie
 // mass: each byte maps to a quarter-integer in [-32, 31.75], so fuzzed
 // samples collide constantly — exactly the regime where rank and CDF

@@ -57,29 +57,6 @@ func setRune(i int) rune {
 	}
 }
 
-// RateMap renders a grid heat-map of a per-cell value in [0, 1], using a
-// ten-step ramp from '0' (lowest) to '9' (highest); cells where ok is false
-// draw the background.
-func RateMap(g geo.Grid, value func(idx int) (v float64, ok bool)) string {
-	return GridMap(g, func(idx int) rune {
-		v, ok := value(idx)
-		if !ok {
-			return 0
-		}
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		step := int(v * 10)
-		if step > 9 {
-			step = 9
-		}
-		return rune('0' + step)
-	})
-}
-
 // Table renders rows with aligned columns. header names the columns; each
 // row must have the same arity. Cells are left-aligned strings.
 func Table(header []string, rows [][]string) string {

@@ -60,32 +60,6 @@ func TestSetRuneRanges(t *testing.T) {
 	}
 }
 
-func TestRateMap(t *testing.T) {
-	g := grid3x2()
-	out := RateMap(g, func(idx int) (float64, bool) {
-		switch idx {
-		case 0:
-			return 0, true
-		case 1:
-			return 0.55, true
-		case 2:
-			return 1.0, true
-		case 3:
-			return -5, true // clamps to 0
-		case 4:
-			return 99, true // clamps to 9
-		}
-		return 0, false
-	})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if lines[1] != "059" {
-		t.Errorf("south row = %q, want 059", lines[1])
-	}
-	if lines[0] != "09." {
-		t.Errorf("north row = %q, want 09.", lines[0])
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	out := Table(
 		[]string{"Partitioning", "Pairs"},
