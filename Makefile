@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race vet bench bench-smoke bench-gate lint check \
-	check-nolint examples-smoke fuzz-smoke cover loadtest-smoke
+	check-nolint examples-smoke fuzz-smoke cover loadtest-smoke calibrate
 
 all: check
 
@@ -114,6 +114,15 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$p || exit 1; \
 	done
 
+# The calibration judge: for a grid of null-store keys, the Monte-Carlo
+# tail at the exact alpha = 0.05 and 0.2 critical values must lie within a
+# binomial band around the exact tail, summed over both binomial pmfs with
+# no simulator (internal/verify/calibration_test.go). It prints every key's
+# rates and z-score. Budget: about 4 s on 2 vCPUs; the timeout stops a
+# run at 60 s. It is fast enough to run in `make test` too.
+calibrate:
+	$(GO) test -count=1 -timeout 60s -run '^TestNullCalibration$$' -v ./internal/verify
+
 # Statement-coverage gate over the numerical heart of the framework. The
 # floor lives in COVERAGE.txt; ratchet it up when coverage improves, never
 # down. (Coverage of a fixed tree is deterministic, so a small safety margin
@@ -126,8 +135,8 @@ cover:
 	awk -v a="$$actual" -v f="$$floor" 'BEGIN { exit !(a+0 >= f+0) }' || \
 		{ echo "coverage $$actual% is below the $$floor% floor in COVERAGE.txt"; exit 1; }
 
-check: build vet test race loadtest-smoke bench-smoke lint examples-smoke cover fuzz-smoke
+check: build vet test race loadtest-smoke bench-smoke lint examples-smoke calibrate cover fuzz-smoke
 
 # Everything in check except lint — CI runs lint as its own job (with its own
 # cache key) so analyzer findings surface as annotations, not a buried log.
-check-nolint: build vet test race loadtest-smoke bench-smoke examples-smoke cover fuzz-smoke
+check-nolint: build vet test race loadtest-smoke bench-smoke examples-smoke calibrate cover fuzz-smoke
