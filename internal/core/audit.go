@@ -1019,7 +1019,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 //
 //lint:hotpath
 func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *Scratch) float64 {
-	p, drawn, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.buf)
+	p, drawn, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.null)
 	t.nullWorlds += int64(drawn)
 	if filled {
 		t.nullFills++

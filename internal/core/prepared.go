@@ -16,10 +16,11 @@ type PreparedRegion any
 // metrics that need a temporary buffer can reuse one allocation across the
 // whole pair sweep instead of allocating per pair. The built-in metrics score
 // directly against their caches and never touch it; the engine itself uses
-// it for Monte-Carlo null samples its null store cannot keep. A Scratch is
-// not safe for concurrent use — the audit gives each worker its own.
+// it for Monte-Carlo null fills — their samplers and log tables, and the
+// samples its null store cannot keep. A Scratch is not safe for concurrent
+// use — the audit gives each worker its own.
 type Scratch struct {
-	buf []float64
+	null stats.NullScratch
 }
 
 // PreparedMetric is an optional extension of PairMetric for metrics whose

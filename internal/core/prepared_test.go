@@ -103,7 +103,7 @@ func (ar *auditRunner) sweep(tally *pairTally, sc *Scratch) {
 // so every later lookup of a new key takes the past-bound scratch path.
 func fillNullStore(t testing.TB, s *stats.NullStore) {
 	t.Helper()
-	var scratch []float64
+	var scratch stats.NullScratch
 	for k := 1 << 20; k < 1<<20+1<<16; k++ {
 		s.PValue(0, k, 0, 0, &scratch)
 		if _, _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
@@ -193,7 +193,7 @@ func TestEveryCandidateTakesNullStoreP(t *testing.T) {
 		ref := stats.NewNullStore(cfg.Seed, cfg.MCWorlds, cfg.nullCut())
 		var sc Scratch
 		var tally pairTally
-		var buf []float64
+		var buf stats.NullScratch
 		lowTau := 0
 		for ii := range run.regions {
 			for jj := ii + 1; jj < len(run.regions); jj++ {

@@ -150,24 +150,3 @@ func TestWelchTFromMomentsMatchesRaw(t *testing.T) {
 		}
 	}
 }
-
-// TestPairMonteCarloMatchesClosure verifies the allocation-free Monte-Carlo
-// entry point consumes the identical RNG stream as the closure-based
-// original: same seed, same p-value.
-func TestPairMonteCarloMatchesClosure(t *testing.T) {
-	const n1, n2 = 180, 240
-	const pooled = 0.57
-	const m = 499
-	for trial := 0; trial < 20; trial++ {
-		seed := uint64(0xACED + trial)
-		observed := float64(trial) * 0.9
-
-		a := NewRNG(seed)
-		b := NewRNG(seed)
-		want := MonteCarloP(observed, m, PairNullSimulator(a, n1, n2, pooled))
-		got := PairMonteCarloP(b, observed, m, n1, n2, pooled)
-		if got != want {
-			t.Fatalf("trial %d: PairMonteCarloP = %v, closure %v", trial, got, want)
-		}
-	}
-}

@@ -45,7 +45,7 @@ func AdaptiveMonteCarloPStats(observed float64, m int, alpha float64, simulate f
 	for i := 0; i < m; i++ {
 		if simulate() >= observed {
 			geq++
-			if geq >= stop {
+			if geq >= stop && i+1 < m {
 				return float64(1+geq) / float64(m+1), false, MCStats{Worlds: i + 1, EarlyStopped: true}
 			}
 		}
@@ -57,11 +57,12 @@ func AdaptiveMonteCarloPStats(observed float64, m int, alpha float64, simulate f
 // RegionNullSimulator returns a closure simulating the Sacharidis et al.
 // null: the region's and the outside's positive counts are both drawn at the
 // global rate, and the region-vs-outside likelihood-ratio statistic is
-// returned.
+// returned. The two samplers are built once, here, and drawn by every world.
 func RegionNullSimulator(rng *RNG, n, N int, globalRate float64) func() float64 {
+	in, out := NewBinomialSampler(n, globalRate), NewBinomialSampler(N-n, globalRate)
 	return func() float64 {
-		k := rng.Binomial(n, globalRate)
-		rest := rng.Binomial(N-n, globalRate)
+		k := in.Draw(rng)
+		rest := out.Draw(rng)
 		return RegionVsOutsideLRT(k, n, k+rest, N)
 	}
 }

@@ -33,27 +33,29 @@ func TestMonteCarloPNeverZero(t *testing.T) {
 	}
 }
 
+// TestPairNullSimulatorCalibration checks the size of the Monte-Carlo test:
+// under the null the p-value of a null observation is uniform up to ties,
+// so the share of trials significant at alpha lies in a binomial band
+// around alpha. The observed counts come from exactBinomialCDF by
+// inversion, not from the sampler under test, so an error in that sampler
+// shows instead of cancelling out.
 func TestPairNullSimulatorCalibration(t *testing.T) {
-	// Under the null, the Monte-Carlo p-value of a null-generated observation
-	// should be approximately uniform: about alpha of trials significant.
-	rng := NewRNG(23)
-	n1, n2 := 300, 400
-	rate := 0.62
-	trials := 200
-	m := 199
+	obsRNG, simRNG := NewRNG(23), NewRNG(24)
+	const n1, n2, rate = 300, 400, 0.62
+	const trials, m, alpha = 2000, 199, 0.05
+	cdf1, cdf2 := exactBinomialCDF(n1, rate), exactBinomialCDF(n2, rate)
 	sig := 0
 	for tr := 0; tr < trials; tr++ {
-		k1 := rng.Binomial(n1, rate)
-		k2 := rng.Binomial(n2, rate)
-		obs := PairLRT(k1, n1, k2, n2)
-		p := MonteCarloP(obs, m, PairNullSimulator(rng, n1, n2, rate))
-		if p <= 0.05 {
+		k1 := invertCDF(cdf1, obsRNG.Float64())
+		k2 := invertCDF(cdf2, obsRNG.Float64())
+		if MonteCarloP(PairLRT(k1, n1, k2, n2), m, PairNullSimulator(simRNG, n1, n2, rate)) <= alpha {
 			sig++
 		}
 	}
-	frac := float64(sig) / float64(trials)
-	if frac > 0.12 {
-		t.Errorf("null rejection rate %v at alpha=0.05, want <= ~0.12", frac)
+	frac := float64(sig) / trials
+	t.Logf("null rejection rate %.4f at alpha %v over %d trials", frac, alpha, trials)
+	if se := math.Sqrt(alpha * (1 - alpha) / trials); math.Abs(frac-alpha) > 4*se {
+		t.Errorf("null rejection rate %v at alpha=%v, want within 4 standard errors (%.4f)", frac, alpha, 4*se)
 	}
 }
 

@@ -117,11 +117,12 @@ func mcStopCount(m int, cut float64) int {
 // prefix, the second lookup's completion, and zero after. filled reports
 // whether this call was the key's first lookup: true exactly once per
 // stored key, and on every lookup of a key the full store could not keep,
-// which is filled into *scratch (grown to m when shorter). The returned p
+// which is filled into sc's sample buffer (grown to m when shorter). Every
+// fill builds its samplers and log tables in sc. The returned p
 // is deterministic in (seed, worlds, cut, key, observed) either way.
 //
 //lint:hotpath
-func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, scratch *[]float64) (p float64, drawn int, filled bool) {
+func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, sc *NullScratch) (p float64, drawn int, filled bool) {
 	if s.worlds <= 0 {
 		return 1, 0, false
 	}
@@ -132,12 +133,12 @@ func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, scratc
 	sh.mu.RUnlock()
 	if e == nil {
 		if e = s.insert(sh, key); e == nil {
-			if cap(*scratch) < s.worlds {
-				*scratch = make([]float64, s.worlds) //lint:hotpathalloc-ok grows the caller's scratch once, reused by every later overflow fill
+			if cap(sc.sample) < s.worlds {
+				sc.sample = make([]float64, s.worlds) //lint:hotpathalloc-ok grows the caller's scratch once, reused by every later overflow fill
 			}
 			var rng RNG
 			rng.Seed(nullCacheSeed(s.seed, key))
-			drawn, geq := fillNull((*scratch)[:s.worlds], &rng, key, observed, s.stop)
+			drawn, geq := fillNull(sc.sample[:s.worlds], &rng, key, observed, s.stop, sc)
 			return s.estimate(geq), drawn, true
 		}
 	}
@@ -145,14 +146,14 @@ func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, scratc
 		e.sample = make([]float64, s.worlds)
 		e.rng.Seed(nullCacheSeed(s.seed, key))
 		var geq int
-		e.drawn, geq = fillNull(e.sample, &e.rng, key, observed, s.stop)
+		e.drawn, geq = fillNull(e.sample, &e.rng, key, observed, s.stop, sc)
 		p, drawn, filled = s.estimate(geq), e.drawn, true
 	})
 	if filled {
 		return p, drawn, true
 	}
 	e.completeOnce.Do(func() { //lint:hotpathalloc-ok one completion per stored key, on its second lookup; later lookups skip it
-		drawn, _ = fillNull(e.sample[e.drawn:], &e.rng, key, 0, math.MaxInt)
+		drawn, _ = fillNull(e.sample[e.drawn:], &e.rng, key, 0, math.MaxInt, sc)
 		sort.Float64s(e.sample)
 	})
 	idx := sort.SearchFloat64s(e.sample, observed) // first index with value >= observed
@@ -194,28 +195,38 @@ func newPairNullKey(n1, n2, pooledPositives int) pairNullKey {
 	return pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
 }
 
+// NullScratch is a worker's reusable memory for null fills: the sample of a
+// key the full store cannot keep, both counts' binomial samplers, and the
+// fill's logarithm tables. Each grows to the widest fill it has served and
+// is reused, so fills after warm-up allocate nothing. A NullScratch is not
+// safe for concurrent use; give each goroutine its own.
+type NullScratch struct {
+	sample     []float64
+	b1, b2     BinomialSampler
+	alt1, alt2 []float64 // MaxBernoulliLogLik of each region's count, by offset in its window
+	lp, lq     []float64 // pooledLogs of the summed count, by offset in the sum's window
+}
+
 // fillNull draws null worlds of the pairwise LRT statistic for key into dst
 // in stream order, continuing rng — the key-seeded stream, at any position —
 // and counting the worlds whose statistic is >= observed. It stops before
 // drawing a world once that count reaches stop, returning the worlds drawn
 // and the count; math.MaxInt never stops. Every world is bit-identical to a
-// direct draw on the same stream: both counts from RNG.Binomial at the
+// direct draw on the same stream: both counts from BinomialSampler at the
 // pooled rate, scored by PairLRT.
 //
 // Within one fill the region sizes are fixed, so every logarithm PairLRT
 // evaluates is a function of the drawn counts alone: the
 // alternative-hypothesis terms depend only on k1 (respectively k2), and the
-// null terms only on the pooled sum s = k1+k2. The tables memoize those
-// values lazily — each entry is computed by the exact expression PairLRT
-// uses, and the statistic is assembled with the same operations in the same
-// order, so only repeated math.Log evaluations are saved (the draws
-// concentrate around the binomial mean, so a fill of m worlds touches far
-// fewer than m distinct entries). Each table covers a window of
-// nullTableSize counts around its binomial mean — all of [0, n] when that
-// fits — and a draw outside the window is computed directly by the same
-// expression. The tables and both binomial samplers live on the stack,
-// keeping the fill allocation-free.
-func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop int) (drawn, geq int) {
+// null terms only on the pooled sum s = k1+k2. The tables in sc memoize
+// those values lazily — each entry is computed by the exact expression
+// PairLRT uses, and the statistic is assembled with the same operations in
+// the same order, so only repeated math.Log evaluations are saved (the
+// draws concentrate around the binomial mean, so a fill of m worlds touches
+// far fewer than m distinct entries). Each sampler draws only inside its
+// window, so each table covers exactly a window: k1's, k2's, and their sum
+// over both.
+func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop int, sc *NullScratch) (drawn, geq int) {
 	n1, n2 := key.n1, key.n2
 	if n1 <= 0 {
 		// PairLRT scores every world of an empty region 0, whatever is drawn.
@@ -232,19 +243,26 @@ func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop i
 	}
 	n := n1 + n2
 	pooledRate := float64(key.pooledPositives) / float64(n)
-	b1, b2 := newBinomialSampler(n1, pooledRate), newBinomialSampler(n2, pooledRate)
-	var la1, la2 altLogTable // MaxBernoulliLogLik(k, n1|n2)
-	var ls pooledLogTable    // Log(pooled), Log(1-pooled) by s
-	la1.lo = nullTableLo(n1, pooledRate)
-	la2.lo = nullTableLo(n2, pooledRate)
-	ls.lo = nullTableLo(n, pooledRate)
+	b1, b2 := &sc.b1, &sc.b2
+	b1.reset(n1, pooledRate)
+	b2.reset(n2, pooledRate)
+	lo1, hi1 := b1.Window()
+	lo2, hi2 := b2.Window()
+	alt1 := unsetTable(&sc.alt1, hi1-lo1+1)
+	alt2 := unsetTable(&sc.alt2, hi2-lo2+1)
+	lps := unsetTable(&sc.lp, hi1+hi2-lo1-lo2+1)
+	lqs := unsetTable(&sc.lq, len(lps))
 	for drawn = range dst {
 		if geq >= stop {
 			return drawn, geq
 		}
-		k1 := b1.draw(rng)
-		k2 := b2.draw(rng)
-		lp, lq := ls.at(k1+k2, n)
+		k1 := b1.Draw(rng)
+		k2 := b2.Draw(rng)
+		j := k1 + k2 - lo1 - lo2
+		if math.IsNaN(lps[j]) {
+			lps[j], lqs[j] = pooledLogs(k1+k2, n)
+		}
+		lp, lq := lps[j], lqs[j]
 		// BernoulliLogLik(k, n, rho) with rho in (0,1) guaranteed whenever a
 		// guarded term is taken: k > 0 implies s > 0 and n-k > 0 implies
 		// s < n, so the -Inf branches are unreachable and each term reduces
@@ -262,7 +280,14 @@ func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop i
 		if n2-k2 > 0 {
 			l2 += float64(n2-k2) * lq
 		}
-		v := LogLikRatio(l1+l2, la1.at(k1, n1)+la2.at(k2, n2))
+		a1, a2 := &alt1[k1-lo1], &alt2[k2-lo2]
+		if math.IsNaN(*a1) {
+			*a1 = MaxBernoulliLogLik(k1, n1)
+		}
+		if math.IsNaN(*a2) {
+			*a2 = MaxBernoulliLogLik(k2, n2)
+		}
+		v := LogLikRatio(l1+l2, *a1+*a2)
 		dst[drawn] = v
 		if v >= observed {
 			geq++
@@ -271,61 +296,18 @@ func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop i
 	return len(dst), geq
 }
 
-// nullTableSize is the entry count of each of fillNull's tables.
-const nullTableSize = 2049
-
-// nullTableLo places a table window of nullTableSize counts for draws from
-// Binomial(n, rate): at 0 when [0, n] fits, else centred on the mean and
-// kept inside [0, n].
-func nullTableLo(n int, rate float64) int {
-	if n < nullTableSize {
-		return 0
+// unsetTable returns the first n entries of *buf, grown when shorter, set
+// to NaN — the mark of an entry not yet computed, which no logarithm a
+// fill tabulates can equal.
+func unsetTable(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n) //lint:hotpathalloc-ok grows the caller's table once per width, reused by every later fill
 	}
-	lo := int(float64(n)*rate) - nullTableSize/2
-	if lo > n+1-nullTableSize {
-		lo = n + 1 - nullTableSize
+	t := (*buf)[:n]
+	for i := range t {
+		t[i] = math.NaN()
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	return lo
-}
-
-// altLogTable memoizes MaxBernoulliLogLik(k, n) for k in [lo, lo+nullTableSize).
-type altLogTable struct {
-	lo int
-	v  [nullTableSize]float64
-	ok [nullTableSize]bool
-}
-
-func (t *altLogTable) at(k, n int) float64 {
-	j := uint(k - t.lo)
-	if j >= nullTableSize {
-		return MaxBernoulliLogLik(k, n)
-	}
-	if !t.ok[j] {
-		t.v[j], t.ok[j] = MaxBernoulliLogLik(k, n), true
-	}
-	return t.v[j]
-}
-
-// pooledLogTable memoizes pooledLogs(s, n) for s in [lo, lo+nullTableSize).
-type pooledLogTable struct {
-	lo     int
-	lp, lq [nullTableSize]float64
-	ok     [nullTableSize]bool
-}
-
-func (t *pooledLogTable) at(s, n int) (lp, lq float64) {
-	j := uint(s - t.lo)
-	if j >= nullTableSize {
-		return pooledLogs(s, n)
-	}
-	if !t.ok[j] {
-		t.lp[j], t.lq[j] = pooledLogs(s, n)
-		t.ok[j] = true
-	}
-	return t.lp[j], t.lq[j]
+	return t
 }
 
 // pooledLogs returns Log(rho) and Log(1-rho) at the pooled rate rho = s/n,

@@ -25,7 +25,7 @@ var (
 func TestPairNullCachePValueMatchesEstimator(t *testing.T) {
 	const seed, worlds = 42, 499
 	s := NewNullStore(seed, worlds, 1)
-	var scratch []float64
+	var scratch NullScratch
 	for _, tc := range []struct {
 		n1, n2, pooled int
 		observed       float64
@@ -77,7 +77,7 @@ func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				var scratch []float64
+				var scratch NullScratch
 				<-start
 				for i := range nullLookupKeys {
 					ki := (i + g) % len(nullLookupKeys)
@@ -114,7 +114,7 @@ func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 func TestPairNullCacheStatsAccounting(t *testing.T) {
 	const seed, worlds = 3, 99
 	s := NewNullStore(seed, worlds, 1)
-	var scratch []float64
+	var scratch NullScratch
 	p1, n, filled := s.PValue(300, 300, 150, 1.0, &scratch)
 	if !filled || n != worlds {
 		t.Errorf("first lookup: filled=%v drew %d worlds, want a fill of all %d at cut 1", filled, n, worlds)
@@ -122,8 +122,8 @@ func TestPairNullCacheStatsAccounting(t *testing.T) {
 	if p2, n, again := s.PValue(300, 300, 150, 1.0, &scratch); again || n != 0 || p2 != p1 {
 		t.Errorf("second lookup: filled=%v drew %d p=%v, want no fill, no worlds, p=%v", again, n, p2, p1)
 	}
-	if scratch != nil {
-		t.Error("a stored fill used the caller's scratch")
+	if scratch.sample != nil {
+		t.Error("a stored fill used the caller's sample buffer")
 	}
 	// Fill the store to its bound with cheap keys (n1 = 0 draws nothing).
 	for k := 1; s.stored.Load() < nullStoreMax; k++ {
@@ -138,8 +138,8 @@ func TestPairNullCacheStatsAccounting(t *testing.T) {
 			}
 		}
 	}
-	if len(scratch) != worlds {
-		t.Errorf("past-bound fills left a %d-long scratch, want %d", len(scratch), worlds)
+	if len(scratch.sample) != worlds {
+		t.Errorf("past-bound fills left a %d-long sample buffer, want %d", len(scratch.sample), worlds)
 	}
 	if got := s.stored.Load(); got != nullStoreMax {
 		t.Errorf("store keeps %d samples past its bound of %d", got, nullStoreMax)
@@ -161,7 +161,7 @@ func TestNullStoreEarlyStop(t *testing.T) {
 	if canonical <= cut {
 		t.Fatalf("canonical above-cut value %v is not above the cut %v", canonical, cut)
 	}
-	var scratch []float64
+	var scratch NullScratch
 	const n1, n2, pos = 300, 300, 180
 	const bulk, tail = 0.5, 40.0 // inside the null bulk; beyond every world
 	s := NewNullStore(seed, worlds, cut)
@@ -225,7 +225,7 @@ func TestNullStoreLookupPathsMatchReference(t *testing.T) {
 	const seed, worlds = 0x5EA2C4, 99
 	for _, cut := range []float64{1, 0.01, 0.2} {
 		var s *NullStore
-		var scratch []float64
+		var scratch NullScratch
 		check := func(path string, k struct{ n1, n2, pos int }, obs float64, wantFilled bool) {
 			t.Helper()
 			p, _, filled := s.PValue(k.n1, k.n2, k.pos, obs, &scratch)
@@ -267,7 +267,7 @@ func TestNullStoreLookupPathsMatchReference(t *testing.T) {
 // prove nothing).
 func TestPairNullCacheSeedLiveness(t *testing.T) {
 	var ps []float64
-	var scratch []float64
+	var scratch NullScratch
 	for seed := uint64(1); seed <= 4; seed++ {
 		p, _, _ := NewNullStore(seed, 199, 1).PValue(300, 300, 180, 1.0, &scratch) // tau = 1: well inside the null bulk
 		ps = append(ps, p)
@@ -283,7 +283,7 @@ func TestPairNullCacheSeedLiveness(t *testing.T) {
 // TestPairNullCacheDisabledWorlds pins the degenerate contract: a store built
 // with zero worlds answers p = 1 and never fills.
 func TestPairNullCacheDisabledWorlds(t *testing.T) {
-	var scratch []float64
+	var scratch NullScratch
 	if p, n, filled := NewNullStore(1, 0, 1).PValue(10, 10, 5, 3.0, &scratch); p != 1 || n != 0 || filled {
 		t.Errorf("zero-world store answered (%v, %d, %v), want (1, 0, false)", p, n, filled)
 	}

@@ -2,13 +2,18 @@
 // fairness framework: a deterministic random number generator, descriptive
 // statistics, the normal distribution, the Mann–Whitney U test, the
 // two-proportion z-test, binomial likelihoods and likelihood-ratio
-// statistics, and Monte-Carlo significance testing.
+// statistics, an exact binomial sampler (CDF inversion, see
+// BinomialSampler), and Monte-Carlo significance testing.
 //
 // Everything is built from scratch on the standard library so experiments are
 // reproducible bit-for-bit from a seed.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (PCG-XSH-RR 64/32). Distinct streams are selected by the seed; the
@@ -48,9 +53,11 @@ func splitmix64(s *uint64) uint64 {
 
 // Uint32 returns the next value in the stream.
 func (r *RNG) Uint32() uint32 {
-	var x uint32
-	r.state, x = pcgStep(r.state, r.inc)
-	return x
+	old := r.state
+	r.state = old*6364136223846793005 + r.inc
+	xorshifted := uint32(((old >> 18) ^ old) >> 27)
+	rot := uint32(old >> 59)
+	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
 }
 
 // Uint64 returns a 64-bit value built from two 32-bit draws.
@@ -89,200 +96,147 @@ func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
 // NormFloat64 returns a standard normal variate (polar Box–Muller, using one
 // value per call and discarding the pair's second value for simplicity).
 func (r *RNG) NormFloat64() float64 {
-	u, s := r.polar()
-	return u * math.Sqrt(-2*math.Log(s)/s)
-}
-
-// polar draws the polar Box–Muller pair, u and v uniform on (-1, 1) until
-// s = u² + v² lies in (0, 1), and returns u and s, stepping r's PCG state in
-// locals.
-func (r *RNG) polar() (u, s float64) {
-	state := r.state
 	for {
-		var x1, x2 uint32
-		state, x1 = pcgStep(state, r.inc)
-		state, x2 = pcgStep(state, r.inc)
-		u = 2*(float64((uint64(x1)<<32|uint64(x2))>>11)/(1<<53)) - 1 // 2*Float64() - 1
-		state, x1 = pcgStep(state, r.inc)
-		state, x2 = pcgStep(state, r.inc)
-		v := 2*(float64((uint64(x1)<<32|uint64(x2))>>11)/(1<<53)) - 1
-		s = u*u + v*v
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
 		if s > 0 && s < 1 {
-			r.state = state
-			return u, s
+			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
 }
 
-// Binomial returns a draw from Binomial(n, p). Small n uses direct Bernoulli
-// summation; large n uses the normal approximation with continuity
-// correction, clamped to [0, n]. It is the one-shot form of
-// binomialSampler, which the Monte-Carlo engine builds once per (n, p) and
-// draws millions of times.
-func (r *RNG) Binomial(n int, p float64) int {
-	b := newBinomialSampler(n, p)
-	return b.draw(r)
+// BinomialSampler draws from Binomial(n, p) by inverting its CDF, tabulated
+// once per (n, p): each draw takes one 53-bit uniform u from the generator
+// and returns the least count k with u < P(K <= k). The table covers a
+// window [lo, hi] around the mode, walked outward by the pmf recurrence
+// until the mass left outside is provably below 2^-53, the resolution of
+// the uniform, so every count a draw can select with appreciable
+// probability lies inside it; a Chen–Asau guide table turns the search into
+// one probe and a short scan.
+//
+// n <= 0, p <= 0 and NaN p draw 0, and p >= 1 draws n, without consuming
+// the generator.
+type BinomialSampler struct {
+	lo    int       // the window's first count; the only count when cdf is empty
+	cdf   []float64 // cdf[j] = P(K <= lo+j), normalized over the window, last entry 1
+	guide []int32   // guide[i] = least j with cdf[j] > i/len(guide)
+	shift uint      // a 53-bit uniform x falls in guide bucket x >> shift
 }
 
-// binomialSampler draws from Binomial(n, p) with the parameters resolved
-// once: the symmetry flip (p > 0.5 draws n minus a draw at 1-p, so the
-// approximation quality is governed by min(p, 1-p)), the path, the
-// Bernoulli threshold, and the normal path's mean and sd. Every draw
-// returns the same int and consumes the same stream as the definition
-//
-//	p <= 0 or n <= 0: 0;  p >= 1: n;  p > 0.5: n - Binomial(n, 1-p)
-//	n <= 64 or mean < 30: #{i < n : r.Float64() < p}
-//	otherwise: clamp(int(math.Round(mean + sd*r.NormFloat64())), 0, n)
-//
-// with mean = n*p and sd = sqrt(mean*(1-p)). The normal path brackets the
-// polar factor instead of evaluating its logarithm (see roundBracket).
-type binomialSampler struct {
-	n    int
-	path uint8
-	flip bool   // the draw is n minus a draw at 1-p
-	thr  uint64 // Bernoulli path: a 53-bit draw x succeeds iff x < thr
-	// Normal path: the approximation's moments, and the slack that widens
-	// every bracket past the rounding error of both evaluations.
-	mean, sd, slack float64
-}
+// binomialTailEps bounds the share of the binomial mass a sampler's window
+// leaves out on each side: 2^-56, so both sides together stay below 2^-53
+// with a fourfold margin for the rounding of the bound.
+const binomialTailEps = 0x1p-56
 
-const (
-	binomialNone      = iota // no draws: 0, or n when flipped
-	binomialBernoulli        // one Float64 per trial
-	binomialNormal           // one polar normal variate
-)
-
-func newBinomialSampler(n int, p float64) binomialSampler {
-	if n <= 0 || p <= 0 {
-		return binomialSampler{}
-	}
-	if p >= 1 {
-		return binomialSampler{n: n, flip: true}
-	}
-	b := binomialSampler{n: n}
-	q := p
-	if p > 0.5 {
-		b.flip, q = true, 1-p
-	}
-	b.mean = float64(n) * q
-	if n <= 64 || b.mean < 30 {
-		b.path = binomialBernoulli
-		// Float64() < q compares x/2^53 with q, both exact, so it is the
-		// integer test x < ceil(q*2^53); NaN q succeeds never.
-		if q > 0 {
-			b.thr = uint64(math.Ceil(q * (1 << 53)))
-		}
-		return b
-	}
-	b.path = binomialNormal
-	b.sd = math.Sqrt(b.mean * (1 - q))
-	// The exact evaluation of mean + sd*u*f and each bracket end are a few
-	// roundings of at most 2^-53 relative each (and Log within one ulp)
-	// from the real value, together at most 2^-48 of mean + sd*f(1/4096),
-	// which bounds every magnitude involved; 2^-40 leaves a 256-fold
-	// margin. Once that exceeds half a count no bracket fits, so huge n
-	// always take the exact expression, and a NaN p makes the slack NaN,
-	// which no bracket check accepts.
-	b.slack = (b.mean + b.sd*polarEdges[1]) * 0x1p-40
+// NewBinomialSampler returns a sampler for Binomial(n, p).
+func NewBinomialSampler(n int, p float64) *BinomialSampler {
+	b := &BinomialSampler{}
+	b.reset(n, p)
 	return b
 }
 
-// draw returns the next Binomial(n, p) draw from r, stepping r's PCG state
-// in locals.
+// reset rebuilds b for Binomial(n, p), reusing its tables' memory; after the
+// tables have grown to a window's size, rebuilding for a window no wider
+// allocates nothing.
+//
+// The table holds the pmf relative to the mode, r_k = pmf(k)/pmf(mode). The
+// ratio of neighbours r_{k+1}/r_k = c·(n-k)/(k+1), c = p/(1-p), falls as k
+// rises, and r_{k-1}/r_k = k/(c·(n-k+1)) falls as k falls; so once the next
+// ratio s is below 1, the mass beyond the last entry r is at most the
+// geometric sum r·s/(1-s). A side stops when that bound falls below
+// binomialTailEps of the mass tabulated so far, which is at most the whole
+// mass. Each entry costs one division.
+func (b *BinomialSampler) reset(n int, p float64) {
+	b.lo, b.cdf = 0, b.cdf[:0]
+	if n <= 0 || !(p > 0) {
+		return
+	}
+	if p >= 1 {
+		b.lo = n
+		return
+	}
+	c := p / (1 - p)
+	mode := min(int(float64(n+1)*p), n)
+	// Down from the mode, stored in walk order and reversed below.
+	r, sum := 1.0, 1.0
+	k := mode
+	for k > 0 {
+		s := float64(k) / (c * float64(n-k+1))
+		if s < 1 && r*s <= binomialTailEps*sum*(1-s) {
+			break
+		}
+		r *= s
+		sum += r
+		k--
+		b.cdf = append(b.cdf, r) //lint:hotpathalloc-ok grows the caller's table once per width, reused by every later build
+	}
+	b.lo = k
+	slices.Reverse(b.cdf)
+	b.cdf = append(b.cdf, 1) //lint:hotpathalloc-ok as above
+	r, k = 1, mode
+	for k < n {
+		s := c * float64(n-k) / float64(k+1)
+		if s < 1 && r*s <= binomialTailEps*sum*(1-s) {
+			break
+		}
+		r *= s
+		sum += r
+		k++
+		b.cdf = append(b.cdf, r) //lint:hotpathalloc-ok as above
+	}
+	// Prefix sums from the low tail up, normalized by their total.
+	acc := 0.0
+	for j, v := range b.cdf {
+		acc += v
+		b.cdf[j] = acc
+	}
+	inv := 1 / acc
+	for j := range b.cdf {
+		b.cdf[j] *= inv
+	}
+	b.cdf[len(b.cdf)-1] = 1 // every uniform, 1-2^-53 included, lands in the window
+
+	// The guide table: 2^g buckets, at least one per entry, so a draw scans
+	// fewer than two entries on average.
+	g := bits.Len(uint(len(b.cdf) - 1))
+	m := 1 << g
+	if cap(b.guide) < m {
+		b.guide = make([]int32, m) //lint:hotpathalloc-ok grows the caller's guide once per width
+	}
+	b.guide = b.guide[:m]
+	b.shift = uint(53 - g)
+	step := 1 / float64(m) // a power of two, so i*step is exact
+	j := 0
+	for i := range b.guide {
+		for b.cdf[j] <= float64(i)*step {
+			j++
+		}
+		b.guide[i] = int32(j)
+	}
+}
+
+// Window returns the counts [lo, hi] the sampler can draw.
+func (b *BinomialSampler) Window() (lo, hi int) {
+	return b.lo, b.lo + max(len(b.cdf)-1, 0)
+}
+
+// Draw returns the next Binomial(n, p) draw from r.
 //
 //lint:hotpath
-func (b *binomialSampler) draw(r *RNG) int {
-	k := 0
-	switch b.path {
-	case binomialBernoulli:
-		state := r.state
-		for i := 0; i < b.n; i++ {
-			var hi, lo uint32
-			state, hi = pcgStep(state, r.inc)
-			state, lo = pcgStep(state, r.inc)
-			if (uint64(hi)<<32|uint64(lo))>>11 < b.thr {
-				k++
-			}
-		}
-		r.state = state
-	case binomialNormal:
-		k = b.normal(r)
+func (b *BinomialSampler) Draw(r *RNG) int {
+	if len(b.cdf) == 0 {
+		return b.lo
 	}
-	if b.flip {
-		return b.n - k
+	x := r.Uint64() >> 11
+	u := float64(x) / (1 << 53) // r.Float64()
+	// Every u in bucket x>>shift is at least the bucket's lower edge, so the
+	// answer is at or after the guide's entry for it.
+	j := int(b.guide[x>>b.shift])
+	for b.cdf[j] <= u {
+		j++
 	}
-	return k
-}
-
-// normal is the normal path: one polar Box–Muller variate, as NormFloat64
-// draws it, rounded and clamped.
-func (b *binomialSampler) normal(r *RNG) int {
-	u, s := r.polar()
-	k, ok := b.roundBracket(u, s)
-	if !ok {
-		// The exact expression, written as the one expression the
-		// definition evaluates, so any fused multiply-add the compiler
-		// forms is the same one.
-		k = int(math.Round(b.mean + b.sd*(u*math.Sqrt(-2*math.Log(s)/s))))
-	}
-	if k < 0 {
-		k = 0
-	}
-	if k > b.n {
-		k = b.n
-	}
-	return k
-}
-
-// polarBuckets is the number of equal-width buckets [i/N, (i+1)/N) of the
-// polar radius s in (0, 1), and polarEdges[i] = sqrt(-2 ln(i/N) / (i/N)) the
-// polar factor at each edge: +Inf at s = 0, 0 at s = 1. 4,096 buckets are a
-// 32 KiB table.
-const polarBuckets = 4096
-
-var polarEdges = func() (e [polarBuckets + 1]float64) {
-	e[0] = math.Inf(1)
-	for i := 1; i <= polarBuckets; i++ {
-		s := float64(i) / polarBuckets
-		e[i] = math.Sqrt(-2 * math.Log(s) / s)
-	}
-	return e
-}()
-
-// roundBracket returns math.Round(mean + sd*u*f(s)), before clamping, where
-// f(s) = sqrt(-2 ln s / s) is the polar factor, without evaluating f: f is
-// decreasing on (0, 1), so s's bucket brackets it between two table edges,
-// and when every bracketed value, widened by slack, rounds to one integer —
-// or lies below 0.5, where the clamp makes it 0 — that integer is the
-// answer. ok is false — the caller evaluates f — when the bracket straddles
-// a rounding boundary. The first bucket's upper edge is +Inf (f is unbounded
-// there), which makes an end of the bracket infinite or NaN, and no check
-// below accepts either.
-func (b *binomialSampler) roundBracket(u, s float64) (k int, ok bool) {
-	i := int(s*polarBuckets) & (polarBuckets - 1) // s in (0, 1)
-	f1, f0 := polarEdges[i], polarEdges[i+1]
-	// The bracket's centre and half-width, so its ends need no ordering by
-	// the sign of u.
-	a := b.sd * u
-	c := b.mean + a*(0.5*(f1+f0))
-	w := math.Abs(a)*(0.5*(f1-f0)) + b.slack
-	lo, hi := c-w, c+w
-	// r is a candidate (truncation is floor wherever the check can pass
-	// with r >= 1); every x in [r-0.5, r+0.5) rounds to r when r >= 1, and
-	// to at most 0, which the clamp makes 0, when r <= 0.
-	r := float64(int64(lo + 0.5))
-	if lo >= r-0.5 && hi < r+0.5 {
-		return int(r), true
-	}
-	return 0, false
-}
-
-// pcgStep advances a PCG-XSH-RR state by one step and returns the new state
-// with the output Uint32 would return.
-func pcgStep(state, inc uint64) (uint64, uint32) {
-	xorshifted := uint32(((state >> 18) ^ state) >> 27)
-	rot := uint32(state >> 59)
-	return state*6364136223846793005 + inc, (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	return b.lo + j
 }
 
 // Split derives a child generator on an independent stream, advancing the

@@ -91,6 +91,12 @@ func TestRNGNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// Binomial is the one-shot draw the package's tests use: a sampler built for
+// (n, p) and drawn once.
+func (r *RNG) Binomial(n int, p float64) int {
+	return NewBinomialSampler(n, p).Draw(r)
+}
+
 func TestRNGBinomialEdgeCases(t *testing.T) {
 	r := NewRNG(5)
 	if got := r.Binomial(0, 0.5); got != 0 {
@@ -105,11 +111,19 @@ func TestRNGBinomialEdgeCases(t *testing.T) {
 	if got := r.Binomial(-5, 0.5); got != 0 {
 		t.Errorf("Binomial(-5, .5) = %d", got)
 	}
+	// Degenerate draws consume nothing from the generator.
+	before := *r
+	for _, p := range []float64{0, -1, math.NaN(), 1, 2, math.Inf(1)} {
+		r.Binomial(10, p)
+	}
+	if *r != before {
+		t.Error("a degenerate Binomial draw advanced the generator")
+	}
 }
 
 func TestRNGBinomialMoments(t *testing.T) {
 	r := NewRNG(6)
-	// Exercise both the exact (small n) and approximate (large n) paths.
+	// Small and large n, skewed and central p.
 	for _, tc := range []struct {
 		n int
 		p float64
@@ -176,46 +190,4 @@ func TestRNGSplitIndependentAndDeterministic(t *testing.T) {
 	if same12 > 2 || sameP1 > 2 {
 		t.Errorf("split streams correlate: %d/%d collisions", same12, sameP1)
 	}
-}
-
-// TestBinomialBracketPaths drives the normal path's bracket over a long
-// stream of polar pairs and checks every bracketed answer against the exact
-// expression, and that both ways a bracket declines — straddling a rounding
-// boundary, and s in the first bucket where the polar factor is unbounded —
-// actually occur, so the exact fallback is exercised rather than assumed.
-func TestBinomialBracketPaths(t *testing.T) {
-	b := newBinomialSampler(4000, 0.3) // mean 1200, sd 29
-	if b.path != binomialNormal {
-		t.Fatalf("sampler path %d, want the normal path", b.path)
-	}
-	r := NewRNG(11)
-	var bracketed, straddled, belowTable int
-	for pairs := 0; pairs < 200000; {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if !(s > 0 && s < 1) {
-			continue
-		}
-		pairs++
-		k, ok := b.roundBracket(u, s)
-		switch {
-		case ok:
-			bracketed++
-			if exact := int(math.Round(b.mean + b.sd*(u*math.Sqrt(-2*math.Log(s)/s)))); k != exact {
-				t.Fatalf("u=%v s=%v: bracket rounds to %d, exact expression to %d", u, s, k, exact)
-			}
-		case int(s*polarBuckets) == 0:
-			belowTable++
-		default:
-			straddled++
-		}
-	}
-	if straddled == 0 || belowTable == 0 {
-		t.Fatalf("fallbacks: %d straddling, %d below the table; want both > 0", straddled, belowTable)
-	}
-	if bracketed < 180000 {
-		t.Errorf("only %d of 200000 draws bracketed", bracketed)
-	}
-	t.Logf("bracketed %d, straddled %d, below table %d", bracketed, straddled, belowTable)
 }

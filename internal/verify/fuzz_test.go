@@ -167,7 +167,7 @@ func FuzzPairNullCache(f *testing.F) {
 		// observed stays as fuzzed: NaN exceeds no null statistic under the
 		// first lookup's count, the later lookups' binary search and the
 		// reference's streaming >= alike, and ±Inf must agree too.
-		var scratch []float64
+		var scratch stats.NullScratch
 		lookup := func(s *stats.NullStore, round, k int) float64 {
 			kn1 := 1 + (n1+k)%200
 			kn2 := 1 + (n2+7*k)%200
@@ -220,9 +220,8 @@ func FuzzPairNullCache(f *testing.F) {
 // until the cut is proved exceeded, answered by a linear count), its second
 // (completed and sorted, answered by binary search) and a repeat must be
 // bit-identical to refNullStoreP for every (seed, worlds, key,
-// observed), NaN and ±Inf observations included — across region sizes whose
-// tables cover every count and sizes past 2048 whose tables are windows off
-// zero, with draws outside the windows on the largest keys, both key
+// observed), NaN and ±Inf observations included — across small and
+// million-individual regions, pooled rates near 0, 0.5 and 1, both key
 // orientations, and degenerate pooled counts (0 and n1+n2). The first two
 // lookups together draw exactly the m worlds, and an exact answer at or
 // below the cut is only ever given after all m.
@@ -233,7 +232,7 @@ func FuzzFillPairNull(f *testing.F) {
 	f.Add(uint64(5), 48, 300, 300, 372, -1.0, 0.2)
 	f.Add(uint64(8), 40, 2999, 4999, 40, 0.5, 0.3)             // pooled rate near 0
 	f.Add(uint64(9), 40, 2999, 4999, 7990, 0.5, 1.0)           // pooled rate near 1
-	f.Add(uint64(10), 8, 1<<20-1, 1<<20-1, 1<<20, 1.0, 0.05)   // rate 0.5: draws leave the windows
+	f.Add(uint64(10), 8, 1<<20-1, 1<<20-1, 1<<20, 1.0, 0.05)   // rate 0.5 on a million per region
 	f.Add(uint64(11), 24, 120, 80, 55, math.NaN(), 0.05)       // NaN observation
 	f.Add(uint64(12), 24, 2999, 4999, 4000, math.Inf(1), 0.01) // +Inf observation
 	f.Add(uint64(13), 24, 2999, 4999, 4000, math.Inf(-1), 0.2) // -Inf observation
@@ -241,15 +240,9 @@ func FuzzFillPairNull(f *testing.F) {
 		n1 = 1 + absRem(n1, 1<<21)
 		n2 = 1 + absRem(n2, 1<<21)
 		pooled = absRem(pooled, n1+n2+1)
-		// A binomial draw at a mean below 30 sums one Bernoulli per
-		// individual, so keys of millions of individuals get few worlds.
-		if n1+n2 > 1<<16 {
-			worlds = 1 + absRem(worlds, 8)
-		} else {
-			worlds = 1 + absRem(worlds, 96)
-		}
+		worlds = 1 + absRem(worlds, 96)
 		want := refNullStoreP(seed, worlds, n1, n2, pooled, observed, cut)
-		var scratch []float64
+		var scratch stats.NullScratch
 		for _, orient := range [][2]int{{n1, n2}, {n2, n1}} {
 			s := stats.NewNullStore(seed, worlds, cut)
 			total := 0
@@ -271,44 +264,69 @@ func FuzzFillPairNull(f *testing.F) {
 	})
 }
 
-// FuzzBinomialSampler differentially fuzzes RNG.Binomial — the binomial
-// sampler that brackets the polar factor from a table instead of taking its
-// logarithm — against refBinomial, the transcription that always takes it:
-// every draw must return the same int and leave the generator in the same
-// state, for n in [0, 2^21] and any p, 0, 1, 0.5, NaN and ±ε included, across
-// the Bernoulli/normal boundaries at n = 64/65 and mean = 30.
+// FuzzBinomialSampler differentially fuzzes stats.BinomialSampler — the
+// CDF-inversion sampler every null fill draws through — against refInvert
+// over exactBinomial's freshly summed full-support CDF. Every draw must
+// leave the generator in the same state as the reference's one Float64, and
+// return the same int unless the uniform lies within 2^-45 of every
+// reference CDF boundary between the two answers: the two CDFs are summed
+// differently, and only a uniform that close to a boundary may fall on
+// either side of it. Degenerate parameters (n <= 0, p <= 0, NaN p, p >= 1)
+// must answer 0 or n without consuming the generator. n is bounded because
+// the reference sums all n+1 terms in 128-bit arithmetic.
 func FuzzBinomialSampler(f *testing.F) {
 	eps := math.SmallestNonzeroFloat64
 	f.Add(uint64(1), 1000, 0.3, 64)
-	f.Add(uint64(2), 64, 0.6, 16)      // n = 64: Bernoulli
-	f.Add(uint64(3), 65, 0.47, 16)     // n = 65, mean 30.55: normal
-	f.Add(uint64(4), 65, 0.45, 16)     // n = 65, mean 29.25: Bernoulli
-	f.Add(uint64(5), 1000, 0.03, 16)   // mean at 30
-	f.Add(uint64(6), 300, 0.1, 16)     // mean 30.000000000000004
-	f.Add(uint64(7), 1000, 0.0299, 16) // mean just below 30
-	f.Add(uint64(8), 4000, 0.7, 64)    // flipped, normal
-	f.Add(uint64(9), 1<<21, 0.5, 8)
-	f.Add(uint64(10), 1<<21, 1e-6, 4) // mean 2.1: Bernoulli over 2^21 trials
+	f.Add(uint64(2), 64, 0.6, 16)
+	f.Add(uint64(3), 65, 0.47, 16)
+	f.Add(uint64(4), 200, 0.01, 64)   // mean 2, skewed
+	f.Add(uint64(5), 1000, 0.002, 64) // mean 2, skewed
+	f.Add(uint64(6), 8000, 0.8, 64)   // LAR-like
+	f.Add(uint64(7), 190, 0.85, 64)
+	f.Add(uint64(8), 1<<17, 0.5, 16)     // the widest window fuzzed
+	f.Add(uint64(9), 1<<17, 1e-6, 16)    // mean 0.13
+	f.Add(uint64(10), 1<<17, 1-1e-6, 16) // mass piled at n
 	f.Add(uint64(11), 500, 0.0, 4)
 	f.Add(uint64(12), 500, 1.0, 4)
 	f.Add(uint64(13), 500, math.NaN(), 4)
-	f.Add(uint64(14), 50, math.NaN(), 4)
+	f.Add(uint64(14), 1, 0.5, 32)
 	f.Add(uint64(15), 500, eps, 2)
 	f.Add(uint64(16), 500, -eps, 2)
-	f.Add(uint64(17), 500, 1-eps, 2)
+	f.Add(uint64(17), 500, 1-0x1p-53, 2) // the largest p below 1
 	f.Add(uint64(18), 0, 0.5, 2)
+	f.Add(uint64(19), 3, 0.999, 64)
+	f.Add(uint64(20), 5000, 0.03, 64) // mean 150, skewed right
 	f.Fuzz(func(t *testing.T, seed uint64, n int, p float64, draws int) {
-		n = absRem(n, 1<<21+1)
-		// Keep the Bernoulli path's one draw per trial to a few million.
-		draws = 1 + absRem(draws, max(1, min(256, (1<<22)/(n+1))))
+		n = absRem(n, 1<<17+1)
+		draws = 1 + absRem(draws, 256)
+		b := stats.NewBinomialSampler(n, p)
 		got, want := stats.NewRNG(seed), stats.NewRNG(seed)
-		for i := 0; i < draws; i++ {
-			k, ref := got.Binomial(n, p), refBinomial(want, n, p)
-			if k != ref {
-				t.Fatalf("seed %d Binomial(%d, %v) draw %d = %d, transcription %d", seed, n, p, i, k, ref)
+		if n <= 0 || !(p > 0) || p >= 1 {
+			at := 0
+			if n > 0 && p >= 1 {
+				at = n
 			}
+			for i := 0; i < draws; i++ {
+				if k := b.Draw(got); k != at || *got != *want {
+					t.Fatalf("seed %d degenerate Binomial(%d, %v) draw %d = %d (generator moved: %v), want %d without a draw",
+						seed, n, p, i, k, *got != *want, at)
+				}
+			}
+			return
+		}
+		_, cdf := exactBinomial(n, p)
+		for i := 0; i < draws; i++ {
+			k := b.Draw(got)
+			u := want.Float64()
 			if *got != *want {
-				t.Fatalf("seed %d Binomial(%d, %v) draw %d left the generator at a different state", seed, n, p, i)
+				t.Fatalf("seed %d Binomial(%d, %v) draw %d left the generator at a different state than one Float64", seed, n, p, i)
+			}
+			ref := refInvert(cdf, u)
+			for c := min(k, ref); c < max(k, ref); c++ {
+				if math.Abs(u-cdf[c]) > 0x1p-45 {
+					t.Fatalf("seed %d Binomial(%d, %v) draw %d = %d, exact inversion %d: u = %v is %.3g from the CDF boundary at %d",
+						seed, n, p, i, k, ref, u, math.Abs(u-cdf[c]), c)
+				}
 			}
 		}
 	})

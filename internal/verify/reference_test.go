@@ -232,10 +232,11 @@ func refNullStoreP(seed uint64, worlds, n1, n2, pooledPositives int, observed, c
 	h = h*0x100000001b3 ^ uint64(pooledPositives)
 	rng := stats.NewRNG(h)
 	rate := float64(pooledPositives) / float64(n1+n2)
+	b1, b2 := stats.NewBinomialSampler(n1, rate), stats.NewBinomialSampler(n2, rate)
 	geq := 0
 	for i := 0; i < worlds; i++ {
-		k1 := rng.Binomial(n1, rate)
-		k2 := rng.Binomial(n2, rate)
+		k1 := b1.Draw(rng)
+		k2 := b2.Draw(rng)
 		if stats.PairLRT(k1, n1, k2, n2) >= observed {
 			geq++
 		}
@@ -283,39 +284,11 @@ func floatEq(a, b float64) bool {
 	return a == b
 }
 
-// refBinomial transcribes the binomial draw RNG.Binomial defines, as it was
-// written before the per-(n, p) sampler: the symmetry flip by recursion,
-// Bernoulli summation through Float64 for small n or mean, and the normal
-// approximation through refNormFloat64, rounded and clamped to [0, n].
-func refBinomial(r *stats.RNG, n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if p > 0.5 {
-		return n - refBinomial(r, n, 1-p)
-	}
-	mean := float64(n) * p
-	if n <= 64 || mean < 30 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	sd := math.Sqrt(mean * (1 - p))
-	k := int(math.Round(mean + sd*refNormFloat64(r)))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
+// refInvert returns the least k with u < cdf[k] by binary search — the
+// inversion of a CDF over [0, len(cdf)-1] — or the last k when the CDF's
+// final entry rounded below u.
+func refInvert(cdf []float64, u float64) int {
+	return min(sort.Search(len(cdf), func(k int) bool { return u < cdf[k] }), len(cdf)-1)
 }
 
 // refNormFloat64 is the polar Box–Muller variate, one value per accepted

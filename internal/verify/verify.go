@@ -1,7 +1,7 @@
 // Package verify is the repository's standing correctness harness: the
 // executable form of the contracts every performance PR must preserve.
 //
-// It has three layers, each aimed at a different class of regression:
+// It has four layers, each aimed at a different class of regression:
 //
 //   - Differential fuzzing (fuzz_test.go): the stats kernels behind the
 //     audit's hot paths — the sorted-merge Mann–Whitney and
@@ -24,6 +24,12 @@
 //     full audit report — flagged pairs, p-values, schedule-independent
 //     funnel counters — is snapshotted byte-for-byte under testdata/golden
 //     and regenerated only under `go test ./internal/verify -update`.
+//
+//   - A calibration judge (calibration_test.go, `make calibrate`): the exact
+//     null distribution of the pairwise LRT, summed over both binomial pmfs
+//     with no simulator, against the Monte-Carlo null store's tails at the
+//     exact alpha = 0.05 and 0.2 critical values. The same exact pmfs back
+//     FuzzBinomialSampler's reference and the sampler's window-mass check.
 //
 // Everything in this package is deterministic: generators take an explicit
 // *stats.RNG (enforced by the nodeterminism analyzer, whose scope includes
