@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -430,6 +431,14 @@ func TestTenancyJobLimitAndBudgetHTTP(t *testing.T) {
 	reg := tenant.NewRegistry(tenant.Limits{}, nil)
 	reg.AddKey("k-acme", "acme")
 	reg.SetLimits("acme", tenant.Limits{MaxActiveJobs: 1})
+	// The terminal hook frees a job's slot and charges its budget. A job's
+	// state reads done before its hook runs, and a small audit can finish
+	// before the next request arrives, so the hook waits for gate and
+	// signals charged: the first job cannot free its slot before the
+	// over-limit submission is checked, and the test waits for each hook
+	// before relying on its effect.
+	gate := make(chan struct{})
+	charged := make(chan struct{}, 2) // one send per admitted job
 	var srv http.Handler
 	var col *obs.Collector
 	srv, _, col = newJobsServer(t, jobs.Config{Workers: 1, MaxActiveJobs: 1}, func(c *Config) {
@@ -438,11 +447,19 @@ func TestTenancyJobLimitAndBudgetHTTP(t *testing.T) {
 		jcfg := jobs.Config{
 			Workers: 1, MaxActiveJobs: 1, Collector: c.Collector,
 			OnTerminal: func(s jobs.Snapshot) {
+				<-gate
 				reg.FinishJob(s.Tenant, float64(s.Progress.PairsScanned))
+				charged <- struct{}{}
 			},
 		}
 		c.Jobs = jobs.NewManager(jcfg)
 	})
+	// Registered after the server's cleanup, so it runs first: a failure
+	// before the gate opens must not leave the manager's shutdown waiting
+	// on a blocked hook.
+	var opened sync.Once
+	openGate := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(openGate)
 	body := larBody(t, 6000, 0.2).Bytes()
 	acme := map[string]string{"X-API-Key": "k-acme"}
 
@@ -456,7 +473,9 @@ func TestTenancyJobLimitAndBudgetHTTP(t *testing.T) {
 	if got := col.Snapshot().Counters[obs.MTenantJobLimitRejections]; got != 1 {
 		t.Errorf("tenant.job_limit_rejections = %d, want 1", got)
 	}
+	openGate()
 	pollDone(t, srv, snap.ID, acme)
+	<-charged
 
 	// The finished job released its slot (via the terminal hook), so the
 	// next submission passes the job cap. Now exhaust the compute budget:
@@ -467,6 +486,7 @@ func TestTenancyJobLimitAndBudgetHTTP(t *testing.T) {
 	if final.State != jobs.StateDone {
 		t.Fatalf("budget job = %s (%s)", final.State, final.Error)
 	}
+	<-charged
 	// Post-paid charging drove the balance negative: admission is blocked.
 	rec = do(srv, "POST", "/jobs?cols=12&rows=8", bytes.NewReader(body), acme)
 	if rec.Code != http.StatusTooManyRequests {
