@@ -189,7 +189,10 @@ func EthicalConfig() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// Validate reports the first setting that makes c unusable for an audit.
+// Every engine entry point runs it; the service also runs it on a request's
+// resolved parameters, so a bad one is refused before the body is read.
+func (c Config) Validate() error {
 	if c.Similarity == nil || c.Dissimilarity == nil {
 		return fmt.Errorf("core: Config requires Similarity and Dissimilarity metrics")
 	}
@@ -331,7 +334,7 @@ func AuditContext(ctx context.Context, p *partition.Partitioning, cfg Config) (*
 // fields — the content Result.Pairs is filtered from. Only a P above the
 // flag cut is not exact: it is the null store's canonical above-cut value.
 func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hooks auditHooks) (*Result, *auditRunner, []UnfairPair, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	col := cfg.collector()

@@ -112,7 +112,7 @@ type DeltaStats struct {
 // Audit call is a full batch sweep that seeds the pair cache; subsequent
 // calls are incremental.
 func NewDeltaAuditor(dp *partition.DeltaPartitioning, cfg Config) (*DeltaAuditor, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	da := &DeltaAuditor{

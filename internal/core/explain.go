@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"lcsf/internal/partition"
 )
@@ -32,75 +33,57 @@ const DefaultExplainBins = 10
 // is rate(b) - rate(a)). bins <= 0 uses DefaultExplainBins; the bin count is
 // reduced when samples are small so every bin keeps several observations.
 // Regions without samples produce a zero Explanation.
+//
+// It reads only the regions' cached sorted views: the bin edges are order
+// statistics of the two sorted samples, and a bin's members and positives
+// are differences of binary searches at its edges, so a pair costs
+// O(bins·log n) however large its samples.
 func Explain(a, b *partition.Region, bins int) Explanation {
-	ia, oa := a.IncomeSample(), a.OutcomeSample()
-	ib, ob := b.IncomeSample(), b.OutcomeSample()
-	if len(ia) == 0 || len(ib) == 0 {
+	sa, sb := a.SortedIncomeSample(), b.SortedIncomeSample()
+	if len(sa) == 0 || len(sb) == 0 {
 		return Explanation{}
 	}
 	if bins <= 0 {
 		bins = DefaultExplainBins
 	}
 	// Keep at least ~8 pooled observations per bin.
-	if max := (len(ia) + len(ib)) / 8; bins > max {
+	if max := (len(sa) + len(sb)) / 8; bins > max {
 		bins = max
 	}
 	if bins < 1 {
 		bins = 1
 	}
 
-	// Equal-count bin edges over the pooled incomes.
+	// Equal-count bin edges over the pooled incomes. Bin k holds the
+	// incomes x with edges[k-1] <= x < edges[k] (open-ended at either end),
+	// so a sorted slice's members of bins 0..k-1 are its elements below
+	// edges[k-1].
 	edges := make([]float64, bins-1)
-	pooledOrderStats(edges, a.SortedIncomeSample(), b.SortedIncomeSample(), bins)
-	binOf := func(x float64) int {
-		// First edge strictly greater than x.
-		lo, hi := 0, len(edges)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if edges[mid] <= x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	pooledOrderStats(edges, sa, sb, bins)
+	pa, pb := a.SortedPositiveIncomeSample(), b.SortedPositiveIncomeSample()
+	below := func(s []float64, k int) int {
+		if k == bins {
+			return len(s)
 		}
-		return lo
+		return sort.SearchFloat64s(s, edges[k-1])
 	}
 
-	// Pooled per-bin positive rates and per-region bin occupancy.
-	binPos := make([]int, bins)
-	binN := make([]int, bins)
-	aShare := make([]float64, bins)
-	bShare := make([]float64, bins)
-	accumulate := func(incomes []float64, outcomes []bool, share []float64) float64 {
-		positives := 0
-		for i, x := range incomes {
-			k := binOf(x)
-			binN[k]++
-			share[k]++
-			if outcomes[i] {
-				binPos[k]++
-				positives++
-			}
-		}
-		for k := range share {
-			share[k] /= float64(len(incomes))
-		}
-		return float64(positives) / float64(len(incomes))
-	}
-	rateA := accumulate(ia, oa, aShare)
-	rateB := accumulate(ib, ob, bShare)
-
+	// Pooled per-bin positive rates, weighted by each region's bin share.
+	na, nb := float64(len(sa)), float64(len(sb))
 	var expA, expB float64
-	for k := 0; k < bins; k++ {
-		if binN[k] == 0 {
-			continue
+	var ca, cb, cpa, cpb int // members of bins 0..k-1, per slice
+	for k := 1; k <= bins; k++ {
+		ca1, cb1, cpa1, cpb1 := below(sa, k), below(sb, k), below(pa, k), below(pb, k)
+		if n := ca1 - ca + cb1 - cb; n > 0 {
+			rate := float64(cpa1-cpa+cpb1-cpb) / float64(n)
+			shareA, shareB := float64(ca1-ca)/na, float64(cb1-cb)/nb
+			expA += shareA * rate
+			expB += shareB * rate
 		}
-		rate := float64(binPos[k]) / float64(binN[k])
-		expA += aShare[k] * rate
-		expB += bShare[k] * rate
+		ca, cb, cpa, cpb = ca1, cb1, cpa1, cpb1
 	}
 
-	obs := rateB - rateA
+	obs := float64(len(pb))/nb - float64(len(pa))/na
 	explained := expB - expA
 	return Explanation{
 		ObservedGap:     obs,
@@ -110,37 +93,36 @@ func Explain(a, b *partition.Region, bins int) Explanation {
 	}
 }
 
-// pooledOrderStats sets edges[k-1] to the element at index k*n/bins of the
-// pooled sample, n = len(sa)+len(sb), read off a merge of the two ascending
-// samples instead of sorting their concatenation. The merge orders values as
-// sort.Float64s does (NaN first), so each edge is the value a sorted pooled
-// copy holds at that index, up to the ties (±0, NaN payloads) that compare
-// alike in every bin lookup.
+// pooledOrderStats sets edges[k-1] to the element at index t = k*n/bins of
+// the pooled sample, n = len(sa)+len(sb), selected from the two ascending
+// samples without merging them: the t+1 smallest pooled elements are
+// sa[:i] and sb[:t+1-i] for the first i at which sa[i] is no smaller than
+// sb's last taken element, found by bisection, and the edge is the larger
+// of the two last taken. Samples hold finite incomes only (partition drops
+// the rest), so the edge is the value a sorted pooled copy holds at that
+// index, up to ±0, which compare alike in every bin lookup.
 func pooledOrderStats(edges, sa, sb []float64, bins int) {
 	n := len(sa) + len(sb)
-	i, j := 0, 0 // merged so far: sa[:i] and sb[:j]
-	takeA := func() bool {
-		return j == len(sb) || (i < len(sa) && !float64Less(sb[j], sa[i]))
-	}
 	for k := range edges {
-		for target := (k + 1) * n / bins; i+j < target; {
-			if takeA() {
-				i++
+		take := (k+1)*n/bins + 1
+		lo, hi := max(0, take-len(sb)), min(len(sa), take)
+		for lo < hi {
+			i := int(uint(lo+hi) >> 1)
+			if sa[i] < sb[take-1-i] {
+				lo = i + 1
 			} else {
-				j++
+				hi = i
 			}
 		}
-		if takeA() {
-			edges[k] = sa[i]
-		} else {
-			edges[k] = sb[j]
+		switch j := take - lo; {
+		case lo == 0:
+			edges[k] = sb[j-1]
+		case j == 0:
+			edges[k] = sa[lo-1]
+		default:
+			edges[k] = max(sa[lo-1], sb[j-1])
 		}
 	}
-}
-
-// float64Less is sort.Float64s's order: ascending, NaN before every number.
-func float64Less(x, y float64) bool {
-	return x < y || (math.IsNaN(x) && !math.IsNaN(y))
 }
 
 // ExplainPair decomposes the gap of an UnfairPair within its partitioning,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -237,11 +239,14 @@ func explainPooledSort(a, b *partition.Region, bins int) Explanation {
 	return Explanation{ObservedGap: obs, IncomeExplained: explained, Residual: obs - explained, Bins: bins}
 }
 
-// TestExplainMatchesPooledSort asserts the merged bin edges give an
-// Explanation bit-identical to sorting the pooled incomes, and edges the
-// sorted pooled copy holds at the same indexes, across unequal region
-// sizes, heavy ties (±0 included), the bins > pooled/8 clamp, and NaN and
-// infinite incomes.
+// TestExplainMatchesPooledSort asserts the selected bin edges and searched
+// bin counts give an Explanation bit-identical to sorting the pooled
+// incomes, and edges the sorted pooled copy holds at the same indexes,
+// across unequal region sizes, heavy ties (±0 included), the bins >
+// pooled/8 clamp, and NaN and infinite incomes (which partitioning drops).
+// It runs over batch regions and over DeltaPartitioning snapshot regions
+// whose sorted views were first built before half the records arrived, so
+// a refreshed region must not serve the stale views.
 func TestExplainMatchesPooledSort(t *testing.T) {
 	incomeOf := map[string]func(rng *stats.RNG) float64{
 		"continuous": func(rng *stats.RNG) float64 { return 50000 + 15000*rng.NormFloat64() },
@@ -274,24 +279,47 @@ func TestExplainMatchesPooledSort(t *testing.T) {
 				}
 			}
 			grid := geo.NewGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(2, 1)), 2, 1)
-			p := partition.ByGrid(grid, obs, partition.Options{Seed: 9, IncomeSampleCap: 2000})
-			a, b := &p.Regions[0], &p.Regions[1]
-			for _, bins := range []int{0, 1, 2, 7, 10, 50, 1000} {
-				got, want := Explain(a, b, bins), explainPooledSort(a, b, bins)
-				if !explanationBitsEqual(got, want) {
-					t.Errorf("%s sizes %v bins %d: merged %+v, pooled sort %+v", name, sizes, bins, got, want)
+			opts := partition.Options{Seed: 9, IncomeSampleCap: 2000}
+			// Every other record reaches the delta partitioning late, so
+			// both regions change after their views were built.
+			var early, late []partition.Observation
+			for i, o := range obs {
+				if i%2 == 0 {
+					early = append(early, o)
+				} else {
+					late = append(late, o)
 				}
-				if got.Bins < 2 {
-					continue
-				}
-				pooled := append(append([]float64(nil), a.IncomeSample()...), b.IncomeSample()...)
-				sort.Float64s(pooled)
-				edges := make([]float64, got.Bins-1)
-				pooledOrderStats(edges, a.SortedIncomeSample(), b.SortedIncomeSample(), got.Bins)
-				for k, e := range edges {
-					w := pooled[(k+1)*len(pooled)/got.Bins]
-					if !(e == w || math.IsNaN(e) && math.IsNaN(w)) {
-						t.Errorf("%s sizes %v bins %d edge %d: merged %v, pooled sort %v", name, sizes, bins, k, e, w)
+			}
+			dp := partition.NewDeltaByGrid(grid, early, opts)
+			if s := dp.Snapshot(); len(s.Regions[0].IncomeSample()) > 0 && len(s.Regions[1].IncomeSample()) > 0 {
+				Explain(&s.Regions[0], &s.Regions[1], 0)
+			}
+			for _, o := range late {
+				dp.Insert(o)
+			}
+			for _, part := range []struct {
+				kind string
+				p    *partition.Partitioning
+			}{{"batch", partition.ByGrid(grid, obs, opts)}, {"delta", dp.Snapshot()}} {
+				kind, p := part.kind, part.p
+				a, b := &p.Regions[0], &p.Regions[1]
+				for _, bins := range []int{0, 1, 2, 7, 10, 50, 1000} {
+					got, want := Explain(a, b, bins), explainPooledSort(a, b, bins)
+					if !explanationBitsEqual(got, want) {
+						t.Errorf("%s %s sizes %v bins %d: selected %+v, pooled sort %+v", kind, name, sizes, bins, got, want)
+					}
+					if got.Bins < 2 {
+						continue
+					}
+					pooled := append(append([]float64(nil), a.IncomeSample()...), b.IncomeSample()...)
+					sort.Float64s(pooled)
+					edges := make([]float64, got.Bins-1)
+					pooledOrderStats(edges, a.SortedIncomeSample(), b.SortedIncomeSample(), got.Bins)
+					for k, e := range edges {
+						w := pooled[(k+1)*len(pooled)/got.Bins]
+						if !(e == w || math.IsNaN(e) && math.IsNaN(w)) {
+							t.Errorf("%s %s sizes %v bins %d edge %d: selected %v, pooled sort %v", kind, name, sizes, bins, k, e, w)
+						}
 					}
 				}
 			}
@@ -303,4 +331,38 @@ func explanationBitsEqual(x, y Explanation) bool {
 	same := func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }
 	return x.Bins == y.Bins && same(x.ObservedGap, y.ObservedGap) &&
 		same(x.IncomeExplained, y.IncomeExplained) && same(x.Residual, y.Residual)
+}
+
+// TestExplainConcurrent explains every ordered pair of shared regions from
+// 8 goroutines at once, starting with their sorted views unbuilt, and
+// holds each result to a serial run over an identical partitioning. Under
+// `make race` it checks the lazily built views are safe to share.
+func TestExplainConcurrent(t *testing.T) {
+	serial, shared := makeRegions(t, 300), makeRegions(t, 300)
+	n := len(shared.Regions)
+	want := make([]Explanation, n*n)
+	for idx := range want {
+		want[idx] = Explain(&serial.Regions[idx/n], &serial.Regions[idx%n], 0)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*n*n)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each goroutine walks the pairs from its own offset.
+			for step := range want {
+				idx := (step + g) % len(want)
+				got := Explain(&shared.Regions[idx/n], &shared.Regions[idx%n], 0)
+				if !explanationBitsEqual(got, want[idx]) {
+					errs <- fmt.Sprintf("goroutine %d pair (%d,%d): %+v, serial %+v", g, idx/n, idx%n, got, want[idx])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

@@ -87,7 +87,7 @@ func AuditShard(ctx context.Context, p *partition.Partitioning, cfg Config, shar
 // order; the set must cover every shard index of one shard count exactly
 // once.
 func MergeShards(cfg Config, shards []*ShardResult) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(shards) == 0 {

@@ -60,13 +60,16 @@ type pairedSample struct {
 	cap     int
 	rng     *stats.RNG
 
-	// Sorted-view cache behind SortedIncomeSample: rebuilt when the sample
-	// has admitted observations since it was last built (sortedSeen trails
-	// seen). The mutex only guards the cache — aggregation itself is
+	// Sorted-view caches behind SortedIncomeSample and
+	// SortedPositiveIncomeSample: each is rebuilt when the sample has
+	// admitted observations since it was last built (its *Seen trails
+	// seen). The mutex only guards the caches — aggregation itself is
 	// single-goroutine per partitioning.
-	mu         sync.Mutex
-	sorted     []float64
-	sortedSeen int
+	mu            sync.Mutex
+	sorted        []float64
+	sortedSeen    int
+	sortedPos     []float64
+	sortedPosSeen int
 }
 
 // sortedIncomes returns the sample's incomes sorted ascending, building (or
@@ -80,6 +83,32 @@ func (s *pairedSample) sortedIncomes() []float64 {
 		s.sortedSeen = s.seen
 	}
 	return s.sorted
+}
+
+// sortedPositiveIncomes returns the incomes of the sample's members with
+// the positive outcome, sorted ascending, cached like sortedIncomes. The
+// cache is never nil once built, so a sample without positives is not
+// rebuilt on every call.
+func (s *pairedSample) sortedPositiveIncomes() []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sortedPos == nil || s.sortedPosSeen != s.seen {
+		n := 0
+		for _, p := range s.pos {
+			if p {
+				n++
+			}
+		}
+		sorted := make([]float64, 0, n)
+		for i, p := range s.pos {
+			if p {
+				sorted = append(sorted, s.incomes[i])
+			}
+		}
+		sort.Float64s(sorted)
+		s.sortedPos, s.sortedPosSeen = sorted, s.seen
+	}
+	return s.sortedPos
 }
 
 func newPairedSample(capacity int, rng *stats.RNG) *pairedSample {
@@ -146,10 +175,25 @@ func (r *Region) SortedIncomeSample() []float64 {
 	return r.sample.sortedIncomes()
 }
 
+// SortedPositiveIncomeSample returns the incomes of the income sample's
+// members whose outcome was positive, sorted ascending. Like
+// SortedIncomeSample it is computed on first call and cached, shares that
+// cache's staleness rule, is owned by the region, and is safe for
+// concurrent callers once aggregation is complete. Together the two sorted
+// views let the income decomposition in the core package count a bin's
+// members and positives with two binary searches each.
+func (r *Region) SortedPositiveIncomeSample() []float64 {
+	if r.sample == nil {
+		return nil
+	}
+	return r.sample.sortedPositiveIncomes()
+}
+
 // OutcomeSample returns the outcomes paired with IncomeSample, index for
 // index: OutcomeSample()[i] is the outcome of the individual whose income is
-// IncomeSample()[i]. The income-decomposition analysis in the core package
-// consumes the pairing. The slice is owned by the region.
+// IncomeSample()[i]. The slice is owned by the region.
+//
+//lint:deadexport-ok the core package's income-decomposition tests re-bin the paired outcomes as their oracle
 func (r *Region) OutcomeSample() []bool {
 	if r.sample == nil {
 		return nil

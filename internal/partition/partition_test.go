@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -201,5 +204,37 @@ func TestAggregationConservation(t *testing.T) {
 	}
 	if p.TotalN != wantN || p.TotalPositives != wantP {
 		t.Errorf("totals: %d/%d want %d/%d", p.TotalN, p.TotalPositives, wantN, wantP)
+	}
+}
+
+// TestSortedViewsFollowTheSample checks both cached sorted views are
+// rebuilt once the reservoir admits more observations: each must then
+// hold the current sample's incomes (all, or the positive-outcome ones)
+// in ascending order.
+func TestSortedViewsFollowTheSample(t *testing.T) {
+	s := newPairedSample(50, stats.NewRNG(3))
+	rng := stats.NewRNG(4)
+	check := func(stage string) {
+		var all, pos []float64
+		for i, x := range s.incomes {
+			all = append(all, x)
+			if s.pos[i] {
+				pos = append(pos, x)
+			}
+		}
+		sort.Float64s(all)
+		sort.Float64s(pos)
+		if got := s.sortedIncomes(); !slices.Equal(got, all) {
+			t.Errorf("%s: sorted incomes %v, want %v", stage, got, all)
+		}
+		if got := s.sortedPositiveIncomes(); !slices.Equal(got, pos) {
+			t.Errorf("%s: sorted positive incomes %v, want %v", stage, got, pos)
+		}
+	}
+	for _, n := range []int{0, 20, 60, 200} {
+		for s.seen < n {
+			s.add(float64(rng.Intn(1000)), rng.Bernoulli(0.4))
+		}
+		check(fmt.Sprintf("after %d observations", n))
 	}
 }

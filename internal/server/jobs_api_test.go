@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -537,4 +538,71 @@ func TestAuditLogOverHTTP(t *testing.T) {
 // terminalState reports whether a job state is final.
 func terminalState(s jobs.State) bool {
 	return s == jobs.StateDone || s == jobs.StateFailed || s == jobs.StateCanceled
+}
+
+// TestInvalidConfigRejectedBeforeAdmission checks a parameter that fails
+// core.Config.Validate is a 400 on POST /jobs, with the text POST /audit
+// gives, before the job takes a tenant slot, enters the queue or can be
+// charged: no job exists, no terminal hook fires, and a valid submission
+// still fits under a one-job cap.
+func TestInvalidConfigRejectedBeforeAdmission(t *testing.T) {
+	reg := tenant.NewRegistry(tenant.Limits{}, nil)
+	reg.AddKey("k-acme", "acme")
+	reg.SetLimits("acme", tenant.Limits{MaxActiveJobs: 1})
+	var terminal atomic.Int64
+	var mgr *jobs.Manager
+	srv, _, col := newJobsServer(t, jobs.Config{Workers: 1}, func(c *Config) {
+		c.Tenants = reg
+		// Rebuilt with a terminal hook that frees the slot and charges
+		// the budget, as lcsf-serve wires it.
+		mgr = jobs.NewManager(jobs.Config{
+			Workers: 1, Collector: c.Collector,
+			OnTerminal: func(s jobs.Snapshot) {
+				terminal.Add(1)
+				reg.FinishJob(s.Tenant, float64(s.Progress.PairsScanned))
+			},
+		})
+		c.Jobs = mgr
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := mgr.Shutdown(ctx); err != nil {
+			t.Errorf("manager shutdown: %v", err)
+		}
+	})
+	body := larBody(t, 2000, 0.2).Bytes()
+	acme := map[string]string{"X-API-Key": "k-acme"}
+	errText := func(rec *httptest.ResponseRecorder) string {
+		var e map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("error payload: %v (%s)", err, rec.Body.String())
+		}
+		return e["error"]
+	}
+
+	syncRec := do(srv, "POST", "/audit?alpha=2", bytes.NewReader(body), acme)
+	jobRec := do(srv, "POST", "/jobs?alpha=2", bytes.NewReader(body), acme)
+	if syncRec.Code != http.StatusBadRequest || jobRec.Code != http.StatusBadRequest {
+		t.Fatalf("alpha=2: /audit %d, /jobs %d, want 400 both (%s)", syncRec.Code, jobRec.Code, jobRec.Body.String())
+	}
+	if s, j := errText(syncRec), errText(jobRec); s != j || !strings.Contains(j, "Alpha 2 outside (0,1)") {
+		t.Errorf("error texts differ or miss the cause: /audit %q, /jobs %q", s, j)
+	}
+	if jobs := mgr.List("acme"); len(jobs) != 0 {
+		t.Errorf("rejected submission left %d jobs", len(jobs))
+	}
+	if got := col.Snapshot().Counters[obs.MJobsSubmitted]; got != 0 {
+		t.Errorf("jobs.submitted = %d, want 0", got)
+	}
+	if n := terminal.Load(); n != 0 {
+		t.Errorf("terminal hook ran %d times for a rejected submission", n)
+	}
+	snap := submitJob(t, srv, "/jobs?cols=12&rows=8", body, acme)
+	if final := pollDone(t, srv, snap.ID, acme); final.State != jobs.StateDone {
+		t.Fatalf("valid job = %s (%s)", final.State, final.Error)
+	}
+	if n := len(mgr.List("acme")); n != 1 {
+		t.Errorf("tenant has %d jobs, want only the valid one", n)
+	}
 }

@@ -28,7 +28,8 @@ const maxGridCells = 1_000_000
 // eta, alpha, the integer min_region, and seed. Floats must be finite —
 // NaN and ±Inf parse as valid float64s but would poison every downstream
 // comparison, so they are rejected here with the same 400 a malformed
-// number gets.
+// number gets. The resolved configuration must pass core.Config.Validate,
+// so both LAR routes can refuse it before they read the body.
 func parseAuditParams(q url.Values, base core.Config) (auditParams, error) {
 	p := auditParams{Cols: 100, Rows: 50, Audit: base}
 	if q.Get("ethical") == "1" {
@@ -81,5 +82,5 @@ func parseAuditParams(q url.Values, base core.Config) (auditParams, error) {
 	if p.Cols*p.Rows > maxGridCells {
 		return p, fmt.Errorf("grid %dx%d too large", p.Cols, p.Rows)
 	}
-	return p, nil
+	return p, p.Audit.Validate()
 }

@@ -195,14 +195,15 @@ func recordWriteFailure(cfg Config, reqID, what string, err error) {
 
 func handleAudit(w http.ResponseWriter, r *http.Request, cfg Config, asGeoJSON bool) {
 	reqID := RequestID(r.Context())
-	obsv, ok := readLAR(w, r, cfg, reqID)
-	if !ok {
-		return
-	}
-
+	// A bad parameter is refused before the body is read: it costs a
+	// query parse, not a CSV parse.
 	p, err := parseAuditParams(r.URL.Query(), cfg.Audit)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	obsv, ok := readLAR(w, r, cfg, reqID)
+	if !ok {
 		return
 	}
 	acfg := p.Audit

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -220,5 +221,31 @@ func TestEthicalFlag(t *testing.T) {
 	}
 	if !bytes.Equal(rec.Body.Bytes(), wantBody.Bytes()) {
 		t.Errorf("ethical=1 report differs from core.Audit on the base config with the ethical thresholds:\n got %.300s\nwant %.300s", rec.Body.String(), wantBody.String())
+	}
+}
+
+// unreadBody fails the test if the server reads it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("request body read for a request its parameters already refuse")
+	return 0, io.EOF
+}
+
+// TestBadParamsRefusedUnread checks the synchronous routes refuse a bad
+// parameter, malformed or failing core.Config.Validate, before reading
+// any of the body.
+func TestBadParamsRefusedUnread(t *testing.T) {
+	srv := newTestServer()
+	for _, url := range []string{
+		"/audit?cols=0", "/audit?alpha=2", "/audit?epsilon=NaN", "/audit?min_region=0",
+		"/audit/geojson?cols=0", "/audit/geojson?alpha=2", "/audit/geojson?seed=-1",
+	} {
+		req := httptest.NewRequest("POST", url, unreadBody{t})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (%s)", url, rec.Code, rec.Body.String())
+		}
 	}
 }

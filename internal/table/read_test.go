@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"strconv"
 	"strings"
 	"testing"
+
+	"lcsf/internal/stats"
 )
 
 // readCSVReference is the plain encoding/csv + strconv reader ReadCSV
@@ -193,6 +196,18 @@ func FuzzParseNumber(f *testing.F) {
 		"1234567890123456789", "9223372036854775807", "9223372036854775808",
 		"-9223372036854775808", "00000000000000000000000001", "true", "false",
 		"True", "FALSE", "t", "0", "yes", "1.7976931348623157e308",
+		// 17-significant-digit LAR shortest forms, which take Eisel–Lemire.
+		"-97.12345678901234", "38.123456789012345", "-124.99999999999999",
+		"54321.123456789015", "0.12345678901234568",
+		// 19 and 20 digits: the last mantissa the fast path holds, and the
+		// first it hands to strconv.
+		"9999999999999999999", "999999999.9999999999", "-1.234567890123456789",
+		"99999999999999999999", "1.2345678901234567890",
+		// 2^53±1 with fraction digits, and halfway cases that Eisel–Lemire
+		// cannot decide and strconv must.
+		"9007199254740991.0", "9007199254740993.0", "9007199254740993.00",
+		"900719925474099.35", "18014398509481986.0", "9007199254740995",
+		"1.00000000000000011102230246251565404", "0.000000000000000001",
 	} {
 		f.Add(s)
 	}
@@ -215,6 +230,53 @@ func FuzzParseNumber(f *testing.F) {
 			t.Fatalf("parseBool(%q) = %v, %v; strconv: %v, %v", s, gb, gerr, wb, werr)
 		}
 	})
+}
+
+// TestParseFloatMatchesStrconv holds parseFloat to strconv on a million
+// shortest forms: floats in a LAR's lon, lat and income ranges, most of
+// them 17 significant digits, and finite random bit patterns.
+func TestParseFloatMatchesStrconv(t *testing.T) {
+	rng := stats.NewRNG(23)
+	var x float64
+	for i := 0; i < 1_000_000; i++ {
+		switch i % 4 {
+		case 0:
+			x = -125 + 59*rng.Float64()
+		case 1:
+			x = 24 + 26*rng.Float64()
+		case 2:
+			x = 1e6 * rng.Float64()
+		default:
+			if x = math.Float64frombits(rng.Uint64()); math.IsNaN(x) || math.IsInf(x, 0) {
+				x = float64(i)
+			}
+		}
+		s := strconv.FormatFloat(x, 'g', -1, 64)
+		got, err := parseFloat([]byte(s))
+		if err != nil || math.Float64bits(got) != math.Float64bits(x) {
+			t.Fatalf("parseFloat(%q) = %v (%#x), %v; strconv: %v (%#x)",
+				s, got, math.Float64bits(got), err, x, math.Float64bits(x))
+		}
+	}
+}
+
+// TestPow10Neg128 checks the generated table against its definition: for
+// each k, E has its top bit set and E·10^k ≤ 2^s < (E+1)·10^k.
+func TestPow10Neg128(t *testing.T) {
+	for k, e := range pow10Neg128 {
+		if e[0]>>63 != 1 {
+			t.Errorf("k=%d: top bit clear in %#x", k, e[0])
+		}
+		m := new(big.Int).Lsh(new(big.Int).SetUint64(e[0]), 64)
+		m.Or(m, new(big.Int).SetUint64(e[1]))
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil)
+		two := new(big.Int).Lsh(big.NewInt(1), pow10NegShift(k))
+		lo := new(big.Int).Mul(m, p)
+		hi := new(big.Int).Add(lo, p)
+		if lo.Cmp(two) > 0 || two.Cmp(hi) >= 0 {
+			t.Errorf("k=%d: %#x·10^k does not bracket 2^%d", k, m, pow10NegShift(k))
+		}
+	}
 }
 
 func sameErr(a, b error) bool {
