@@ -74,6 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if err := geo.CheckGridDims(*cols, *rows); err != nil {
+		fmt.Fprintf(stderr, "lcsf-audit: -cols/-rows: %v\n", err)
+		return 2
+	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "lcsf-audit: -top %d is negative\n", *top)
+		return 2
+	}
 
 	var observations []partition.Observation
 	switch {

@@ -49,11 +49,22 @@ func TestUsageErrors(t *testing.T) {
 		{"neither input", nil},
 		{"both inputs", []string{"-lar", "a.csv", "-places", "b.csv"}},
 		{"unknown flag", []string{"-lar", "a.csv", "-definitely-not-a-flag"}},
+		// Grid and -top bounds are checked before any input is read, so the
+		// missing a.csv never surfaces as a runtime failure.
+		{"zero cols", []string{"-lar", "a.csv", "-cols", "0"}},
+		{"zero rows", []string{"-lar", "a.csv", "-rows", "0"}},
+		{"negative rows", []string{"-lar", "a.csv", "-rows", "-3"}},
+		{"grid over the cell bound", []string{"-lar", "a.csv", "-cols", "2000", "-rows", "2000"}},
+		{"negative top", []string{"-lar", "a.csv", "-top", "-1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if code, _, stderr := runCmd(t, tc.args...); code != 2 {
+			code, _, stderr := runCmd(t, tc.args...)
+			if code != 2 {
 				t.Errorf("run(%v) = %d, want exit 2; stderr: %s", tc.args, code, stderr)
+			}
+			if stderr == "" {
+				t.Errorf("run(%v) exited 2 without a message", tc.args)
 			}
 		})
 	}

@@ -261,11 +261,10 @@ func (r *Result) UnfairRegionSet() map[int]bool {
 	return out
 }
 
-// Top returns the k most unfair pairs (fewer when the result has fewer).
+// Top returns the k most unfair pairs (fewer when the result has fewer, none
+// when k is negative).
 func (r *Result) Top(k int) []UnfairPair {
-	if k > len(r.Pairs) {
-		k = len(r.Pairs)
-	}
+	k = min(max(k, 0), len(r.Pairs))
 	return r.Pairs[:k]
 }
 
@@ -275,13 +274,13 @@ func (r *Result) Top(k int) []UnfairPair {
 // gate (the expensive one — a rank test over income samples), then the
 // Monte-Carlo likelihood-ratio test of Section 3.2 on the surviving
 // candidates. Before the pair sweep, a parallel precompute phase builds
-// per-region caches for every gate metric implementing PreparedMetric
-// (sorted income samples for the rank tests, moments and shares for the
-// rest), so the steady-state pair loop runs allocation-free merge kernels
-// instead of re-sorting samples per pair. The audit is deterministic in
-// (p, cfg): each pair's Monte-Carlo null sample is seeded from its count
-// signature and the final ordering is fixed by a total sort, so results do
-// not depend on goroutine scheduling.
+// per-region caches for every built-in gate metric (sorted income samples
+// and rank indexes for the rank tests, moments and shares for the rest), so
+// the steady-state pair loop runs allocation-free kernels instead of
+// re-sorting samples per pair; any other metric is scored per pair. The
+// audit is deterministic in (p, cfg): each pair's Monte-Carlo null sample is
+// seeded from its count signature and the final ordering is fixed by a total
+// sort, so results do not depend on goroutine scheduling.
 func Audit(p *partition.Partitioning, cfg Config) (*Result, error) {
 	return AuditContext(context.Background(), p, cfg)
 }
@@ -396,7 +395,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	run.fillLogLik()
 	col.ObserveSeconds(obs.MAuditPhaseIndexSeconds, now().Sub(indexStart))
 
-	// Phase 1: parallel precompute. Each prepared gate metric builds its
+	// Phase 1: parallel precompute. Each built-in gate metric builds its
 	// per-region cache exactly once, claimed dynamically off an atomic
 	// counter; beginPrepare fixes each region's arena segment up front, so
 	// writes land at disjoint preassigned indices and the phase needs no
@@ -404,7 +403,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	// of which worker prepared which region.
 	prepPhaseStart := now()
 	if run.sim.needsPrepare() || run.diss.needsPrepare() {
-		prepStart := now()
 		run.sim.beginPrepare(run.regions)
 		run.diss.beginPrepare(run.regions)
 		var nextRegion atomic.Int64
@@ -428,14 +426,13 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			return canceled(err)
 		}
 		preparedMetrics := 0
-		if run.sim.prepared != nil {
+		if run.sim.needsPrepare() {
 			preparedMetrics++
 		}
-		if run.diss.prepared != nil {
+		if run.diss.needsPrepare() {
 			preparedMetrics++
 		}
 		col.Count(obs.MAuditPreparedRegions, int64(preparedMetrics*len(run.regions)))
-		col.ObserveSeconds(obs.MAuditPrepareSeconds, now().Sub(prepStart))
 	}
 	col.ObserveSeconds(obs.MAuditPhasePrepareSeconds, now().Sub(prepPhaseStart))
 
@@ -482,10 +479,10 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			if col != nil {
 				shardStart = now()
 			}
-			// Per-worker reusable state: one Scratch, which also takes the
+			// Per-worker reusable state: one scratch, which also takes the
 			// null samples the full store cannot keep — the steady-state loop
 			// allocates nothing.
-			var sc Scratch
+			var sc scratch
 			sinceCheck := 0
 			probe := 0
 			// One closure per worker (not per probe): visits partner jj of
@@ -779,7 +776,6 @@ func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
 		run = &auditRunner{}
 	}
 	simSoa, dissSoa := run.sim.soa, run.diss.soa
-	simState, dissState := run.sim.state, run.diss.state
 	laLL := run.laLL[:0]
 	pairBufs := run.pairBufs[:0]
 	*run = auditRunner{
@@ -792,8 +788,7 @@ func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
 		laLL:     laLL,
 		pairBufs: pairBufs,
 	}
-	run.sim.soa, run.sim.state = simSoa, simState
-	run.diss.soa, run.diss.state = dissSoa, dissState
+	run.sim.soa, run.diss.soa = simSoa, dissSoa
 	// The null store is NOT pooled: its fill state feeds the hit/miss
 	// counters, which must not depend on what ran earlier in the process
 	// (samples are key-seeded and would be identical).
@@ -804,21 +799,16 @@ func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
 // recycleRunner returns a discarded runner's arena scratch to the pool. The
 // caller must be the runner's only owner: AuditContext recycles the engine's
 // runner after extracting the Result (which holds only values), and the
-// delta auditor recycles a replaced base runner. Boxed prepared state is
-// cleared so pooled runners never retain caller data beyond the arenas.
+// delta auditor recycles a replaced base runner.
 func recycleRunner(run *auditRunner) {
 	if run == nil {
 		return
 	}
-	clear(run.sim.state)
-	clear(run.diss.state)
 	simSoa, dissSoa := run.sim.soa, run.diss.soa
-	simState, dissState := run.sim.state[:0], run.diss.state[:0]
 	laLL := run.laLL[:0]
 	pairBufs := run.pairBufs[:0]
 	*run = auditRunner{}
-	run.sim.soa, run.sim.state = simSoa, simState
-	run.diss.soa, run.diss.state = dissSoa, dissState
+	run.sim.soa, run.diss.soa = simSoa, dissSoa
 	run.laLL = laLL
 	run.pairBufs = pairBufs
 	runnerPool.Put(run)
@@ -859,22 +849,16 @@ func (ar *auditRunner) fillLogLik() {
 
 // repairLogLik refreshes one region's cached term after an in-place repair.
 func (ar *auditRunner) repairLogLik(pos int, r *partition.Region) {
-	if len(ar.laLL) != 0 {
-		ar.laLL[pos] = stats.MaxBernoulliLogLik(r.Positives, r.N)
-	}
+	ar.laLL[pos] = stats.MaxBernoulliLogLik(r.Positives, r.N)
 }
 
 // pairLRT replays stats.PairLRT with the per-region alternative-hypothesis
 // terms read from the laLL cache: the same floats added in the same order, so
 // tau is bit-identical — only the two MaxBernoulliLogLik recomputations per
-// pair are saved. Runners that never filled the cache (direct kernel tests)
-// fall back to the full computation.
+// pair are saved. Every runner that sweeps has filled the cache.
 //
 //lint:hotpath
 func (ar *auditRunner) pairLRT(ii, jj int, a, b *partition.Region) float64 {
-	if len(ar.laLL) == 0 {
-		return stats.PairLRT(a.Positives, a.N, b.Positives, b.N)
-	}
 	if a.N <= 0 || b.N <= 0 {
 		return 0
 	}
@@ -952,12 +936,12 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 //
 // This is the audit's steady-state kernel and it must not heap-allocate:
 // p-values are counts or binary searches over stored null samples (or fills
-// into the worker's Scratch past the store's bound), and prepared metrics score
-// against caches built in the precompute phase. TestAuditPairKernelZeroAlloc
-// pins the property.
+// into the worker's scratch past the store's bound), and the built-in metrics
+// score against caches built in the precompute phase.
+// TestAuditPairKernelZeroAlloc pins the property.
 //
 //lint:hotpath
-func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScores, preGated bool) (UnfairPair, bool) {
+func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, keepScores, preGated bool) (UnfairPair, bool) {
 	a, b := ar.regions[ii], ar.regions[jj]
 	cfg := &ar.cfg
 	t.scanned++
@@ -965,7 +949,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 	dissScored := false
 	if !preGated {
 		var pass bool
-		pass, diss, dissScored = ar.diss.verdict(ii, jj, a, b, sc)
+		pass, diss, dissScored = ar.diss.verdict(ii, jj, a, b)
 		if !pass {
 			t.dissRejections++
 			return UnfairPair{}, false
@@ -975,7 +959,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 			return UnfairPair{}, false
 		}
 	}
-	pass, sim, simScored := ar.sim.verdict(ii, jj, a, b, sc)
+	pass, sim, simScored := ar.sim.verdict(ii, jj, a, b)
 	if simScored {
 		t.simExact++
 	} else {
@@ -997,10 +981,10 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 	}
 	if keepScores || pval <= cfg.Alpha {
 		if !simScored {
-			sim = ar.sim.score(ii, jj, a, b, sc)
+			sim = ar.sim.score(ii, jj, a, b)
 		}
 		if !dissScored {
-			diss = ar.diss.score(ii, jj, a, b, sc)
+			diss = ar.diss.score(ii, jj, a, b)
 		}
 		pr.SimScore, pr.DissScore = sim, diss
 	}
@@ -1021,7 +1005,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, keepScor
 // worlds it drew are added to the simulation effort.
 //
 //lint:hotpath
-func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *Scratch) float64 {
+func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *scratch) float64 {
 	p, drawn, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.null)
 	t.nullWorlds += int64(drawn)
 	if filled {

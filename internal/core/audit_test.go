@@ -280,3 +280,17 @@ func TestAuditInjectableClock(t *testing.T) {
 		}
 	}
 }
+
+// TestResultTopClamps pins Top's bounds: a k past the pair count returns
+// every pair, and a negative k returns none instead of panicking.
+func TestResultTopClamps(t *testing.T) {
+	r := &Result{Pairs: make([]UnfairPair, 3)}
+	for _, c := range []struct{ k, want int }{{-1, 0}, {0, 0}, {2, 2}, {3, 3}, {10, 3}} {
+		if got := len(r.Top(c.k)); got != c.want {
+			t.Errorf("Top(%d) returned %d pairs, want %d", c.k, got, c.want)
+		}
+	}
+	if got := (&Result{}).Top(-1); len(got) != 0 {
+		t.Errorf("empty result Top(-1) returned %d pairs", len(got))
+	}
+}

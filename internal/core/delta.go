@@ -314,7 +314,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	}
 	sort.Ints(dirtyPos)
 
-	var sc Scratch
+	var sc scratch
 	var tally pairTally
 	preGated := run.preGated()
 	var rescored []UnfairPair

@@ -94,15 +94,7 @@ func (MeanGapSimilarity) Name() string { return "mean-gap" }
 
 // Score implements PairMetric.
 func (MeanGapSimilarity) Score(a, b *partition.Region) float64 {
-	ma, mb := stats.Mean(a.IncomeSample()), stats.Mean(b.IncomeSample())
-	if math.IsNaN(ma) || math.IsNaN(mb) {
-		return math.NaN()
-	}
-	den := math.Max(ma, mb)
-	if den <= 0 {
-		return math.NaN()
-	}
-	return math.Abs(ma-mb) / den
+	return meanGapFromMeans(stats.Mean(a.IncomeSample()), stats.Mean(b.IncomeSample()))
 }
 
 // Pass implements PairMetric: similar when the relative gap is small.
@@ -164,10 +156,7 @@ func (StatParityDissimilarity) Name() string { return "statistical-parity" }
 
 // Score implements PairMetric.
 func (StatParityDissimilarity) Score(a, b *partition.Region) float64 {
-	if a.N == 0 || b.N == 0 {
-		return math.NaN()
-	}
-	return math.Abs(a.ProtectedShare() - b.ProtectedShare())
+	return math.Abs(preparedShare(a) - preparedShare(b))
 }
 
 // Pass implements PairMetric: dissimilar when the share gap is at least the
@@ -187,15 +176,7 @@ func (DisparateImpactDissimilarity) Name() string { return "disparate-impact" }
 
 // Score implements PairMetric.
 func (DisparateImpactDissimilarity) Score(a, b *partition.Region) float64 {
-	if a.N == 0 || b.N == 0 {
-		return math.NaN()
-	}
-	sa, sb := a.ProtectedShare(), b.ProtectedShare()
-	hi := math.Max(sa, sb)
-	if hi == 0 { //lint:floateq-ok zero-share-sentinel
-		return 1 // both shares zero: identical composition
-	}
-	return math.Min(sa, sb) / hi
+	return disparateImpactFromShares(preparedShare(a), preparedShare(b))
 }
 
 // Pass implements PairMetric: dissimilar when the ratio is at most the

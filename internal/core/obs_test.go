@@ -71,13 +71,13 @@ func TestAuditRecordsPhaseCounters(t *testing.T) {
 			s.Counter(obs.MAuditMCWorlds), res.Candidates*cfg.MCWorlds)
 	}
 
-	// Both default gate metrics implement PreparedMetric, so the precompute
-	// phase builds exactly two caches per eligible region and times itself.
+	// Both default gate metrics are built-in, so the precompute phase builds
+	// exactly two caches per eligible region and times itself.
 	if got := s.Counter(obs.MAuditPreparedRegions); got != 2*n {
 		t.Errorf("prepared regions = %d, want %d (two metrics x %d regions)", got, 2*n, n)
 	}
-	if h := s.Histograms[obs.MAuditPrepareSeconds]; h.Count != 1 {
-		t.Errorf("audit.prepare_seconds histogram = %+v", h)
+	if h := s.Histograms[obs.MAuditPhasePrepareSeconds]; h.Count != 1 {
+		t.Errorf("%s histogram = %+v", obs.MAuditPhasePrepareSeconds, h)
 	}
 
 	if h := s.Histograms[obs.MAuditSeconds]; h.Count != 1 || h.Sum <= 0 {

@@ -7,88 +7,20 @@ import (
 	"lcsf/internal/stats"
 )
 
-// PreparedRegion is opaque per-(metric, region) state built once per audit by
-// a PreparedMetric and handed back to its ScorePrepared for every pair the
-// region participates in. The audit engine never inspects it.
-type PreparedRegion any
-
-// Scratch is per-worker scratch space threaded through ScorePrepared so
-// metrics that need a temporary buffer can reuse one allocation across the
-// whole pair sweep instead of allocating per pair. The built-in metrics score
-// directly against their caches and never touch it; the engine itself uses
-// it for Monte-Carlo null fills — their samplers and log tables, and the
-// samples its null store cannot keep. A Scratch is not safe for concurrent
-// use — the audit gives each worker its own.
-type Scratch struct {
+// scratch is per-worker scratch space for the pair sweep: the Monte-Carlo
+// null fills' samplers and log tables, and the samples the null store cannot
+// keep. The gate scorers read only their prepared caches and never touch it.
+// A scratch is not safe for concurrent use — the audit gives each worker its
+// own.
+type scratch struct {
 	null stats.NullScratch
 }
 
-// PreparedMetric is an optional extension of PairMetric for metrics whose
-// pair score can be split into per-region precomputation and a cheap pair
-// combination. The audit engine detects it with a type assertion: when a
-// gate's metric implements PreparedMetric, the audit runs PrepareRegion once
-// per eligible region (in a parallel precompute phase, before any pair is
-// scored) and scores every pair with ScorePrepared against the two cached
-// states. Metrics that do not implement it fall back to Score per pair.
-//
-// The contract mirrors Score exactly: for every pair of regions,
-//
-//	ScorePrepared(PrepareRegion(a), PrepareRegion(b), scratch) == Score(a, b)
-//
-// bit for bit — the audit's determinism battery holds across both paths, so
-// a prepared metric that drifts from its Score would make results depend on
-// whether the cache was used. PrepareRegion may allocate (it runs O(regions)
-// times); ScorePrepared runs O(regions²) times and must not allocate — the
-// steady-state pair loop's zero-allocation guarantee
-// (TestAuditPairKernelZeroAlloc) covers it for the built-in metrics.
-// ScorePrepared must be safe for concurrent calls with distinct Scratches;
-// PrepareRegion is called once per region, each from a single goroutine.
-type PreparedMetric interface {
-	PairMetric
-	// PrepareRegion builds the per-region cache consumed by ScorePrepared.
-	PrepareRegion(r *partition.Region) PreparedRegion
-	// ScorePrepared returns the same value Score would for the pair whose
-	// prepared states are a and b.
-	ScorePrepared(a, b PreparedRegion, sc *Scratch) float64
-}
-
-// --- Rank-cache scorers for the sample-based similarity metrics ------------
-
-// PrepareRegion implements PreparedMetric: the cache is the region's income
-// sample sorted ascending (computed once per region by the partition layer),
-// letting ScorePrepared rank a pair by merging two sorted samples in
-// O(n_a+n_b) instead of concatenating and sorting per pair.
-func (MannWhitneySimilarity) PrepareRegion(r *partition.Region) PreparedRegion {
-	return r.SortedIncomeSample()
-}
-
-// ScorePrepared implements PreparedMetric via the merge-rank Mann–Whitney
-// kernel; bit-identical to Score.
-//
-//lint:hotpath
-func (MannWhitneySimilarity) ScorePrepared(a, b PreparedRegion, _ *Scratch) float64 {
-	return stats.MannWhitneyUSorted(a.([]float64), b.([]float64)).P
-}
-
-// PrepareRegion implements PreparedMetric: the cache is the sorted income
-// sample, shared in kind with MannWhitneySimilarity.
-func (KolmogorovSmirnovSimilarity) PrepareRegion(r *partition.Region) PreparedRegion {
-	return r.SortedIncomeSample()
-}
-
-// ScorePrepared implements PreparedMetric via the two-sorted-sample KS merge;
-// bit-identical to Score.
-//
-//lint:hotpath
-func (KolmogorovSmirnovSimilarity) ScorePrepared(a, b PreparedRegion, _ *Scratch) float64 {
-	return stats.KolmogorovSmirnovSorted(a.([]float64), b.([]float64)).P
-}
-
-// --- Moment-cache scorers for the parametric similarity metrics ------------
+// --- Per-region caches and the formulas shared with Score -----------------
 
 // sampleMoments caches the sufficient statistics of one region's income
-// sample for the parametric similarity metrics: size, mean, and unbiased
-// sample variance (NaN where undefined, matching the raw-sample functions).
+// sample for Welch's t-test: size, mean, and unbiased sample variance (NaN
+// where undefined, matching the raw-sample functions).
 type sampleMoments struct {
 	n        int
 	mean     float64
@@ -104,41 +36,9 @@ func sampleMomentsOf(r *partition.Region) sampleMoments {
 	}
 }
 
-func incomeMoments(r *partition.Region) *sampleMoments {
-	m := sampleMomentsOf(r)
-	return &m
-}
-
-// PrepareRegion implements PreparedMetric: the cache is the sample's size,
-// mean, and variance — all Welch's t-test consumes.
-func (WelchTSimilarity) PrepareRegion(r *partition.Region) PreparedRegion {
-	return incomeMoments(r)
-}
-
-// ScorePrepared implements PreparedMetric via WelchTFromMoments;
-// bit-identical to Score.
-//
-//lint:hotpath
-func (WelchTSimilarity) ScorePrepared(a, b PreparedRegion, _ *Scratch) float64 {
-	ma, mb := a.(*sampleMoments), b.(*sampleMoments)
-	return stats.WelchTFromMoments(ma.n, ma.mean, ma.variance, mb.n, mb.mean, mb.variance).P
-}
-
-// PrepareRegion implements PreparedMetric: the cache is the sample mean.
-func (MeanGapSimilarity) PrepareRegion(r *partition.Region) PreparedRegion {
-	return stats.Mean(r.IncomeSample())
-}
-
-// ScorePrepared implements PreparedMetric; bit-identical to Score.
-//
-//lint:hotpath
-func (MeanGapSimilarity) ScorePrepared(a, b PreparedRegion, _ *Scratch) float64 {
-	return meanGapFromMeans(a.(float64), b.(float64))
-}
-
-// meanGapFromMeans is MeanGapSimilarity's score on cached sample means — the
-// single arithmetic shared by ScorePrepared and the SoA dispatch, so the two
-// paths cannot drift.
+// meanGapFromMeans is MeanGapSimilarity's score on sample means — the single
+// arithmetic shared by Score and the SoA dispatch, so the two paths cannot
+// drift.
 //
 //lint:hotpath
 func meanGapFromMeans(ma, mb float64) float64 {
@@ -152,30 +52,15 @@ func meanGapFromMeans(ma, mb float64) float64 {
 	return math.Abs(ma-mb) / den
 }
 
-// --- Share-cache scorers for the dissimilarity metrics ---------------------
-
 // groupCounts caches one region's protected-group count and population for
 // the z-test dissimilarity gate.
 type groupCounts struct {
 	protected, n int
 }
 
-// PrepareRegion implements PreparedMetric: the cache is the protected count
-// and population the z-test consumes.
-func (ZScoreDissimilarity) PrepareRegion(r *partition.Region) PreparedRegion {
-	return groupCounts{protected: r.Protected, n: r.N}
-}
-
-// ScorePrepared implements PreparedMetric; bit-identical to Score.
-//
-//lint:hotpath
-func (ZScoreDissimilarity) ScorePrepared(a, b PreparedRegion, _ *Scratch) float64 {
-	ga, gb := a.(groupCounts), b.(groupCounts)
-	return stats.TwoProportionZ(ga.protected, ga.n, gb.protected, gb.n).P
-}
-
-// preparedShare caches a region's protected share for the share-based
-// dissimilarity metrics; NaN marks an empty (non-comparable) region.
+// preparedShare is a region's protected share for the share-based
+// dissimilarity metrics; NaN marks an empty (non-comparable) region, and it
+// propagates through both metrics' formulas.
 func preparedShare(r *partition.Region) float64 {
 	if r.N == 0 {
 		return math.NaN()
@@ -183,33 +68,8 @@ func preparedShare(r *partition.Region) float64 {
 	return r.ProtectedShare()
 }
 
-// PrepareRegion implements PreparedMetric: the cache is the protected share.
-func (StatParityDissimilarity) PrepareRegion(r *partition.Region) PreparedRegion {
-	return preparedShare(r)
-}
-
-// ScorePrepared implements PreparedMetric; bit-identical to Score (NaN
-// shares propagate through the subtraction).
-//
-//lint:hotpath
-func (StatParityDissimilarity) ScorePrepared(a, b PreparedRegion, _ *Scratch) float64 {
-	return math.Abs(a.(float64) - b.(float64))
-}
-
-// PrepareRegion implements PreparedMetric: the cache is the protected share.
-func (DisparateImpactDissimilarity) PrepareRegion(r *partition.Region) PreparedRegion {
-	return preparedShare(r)
-}
-
-// ScorePrepared implements PreparedMetric; bit-identical to Score.
-//
-//lint:hotpath
-func (DisparateImpactDissimilarity) ScorePrepared(a, b PreparedRegion, _ *Scratch) float64 {
-	return disparateImpactFromShares(a.(float64), b.(float64))
-}
-
-// disparateImpactFromShares is DisparateImpactDissimilarity's score on cached
-// protected shares, shared by ScorePrepared and the SoA dispatch.
+// disparateImpactFromShares is DisparateImpactDissimilarity's score on
+// protected shares, shared by Score and the SoA dispatch.
 //
 //lint:hotpath
 func disparateImpactFromShares(sa, sb float64) float64 {
@@ -225,18 +85,15 @@ func disparateImpactFromShares(sa, sb float64) float64 {
 
 // --- Audit-side glue -------------------------------------------------------
 
-// metricKind selects a gate metric's scoring path. The built-in metrics get
-// structure-of-arrays (SoA) fast paths: their per-region state lives in flat
+// metricKind selects a gate metric's scoring path. Each built-in metric has
+// a structure-of-arrays (SoA) kind: its per-region state lives in flat
 // parallel slices indexed by eligible position, backed by shared arenas, so
-// the row-major pair sweep walks contiguous memory instead of chasing
-// per-region boxed interface values. Custom PreparedMetric implementations
-// keep the boxed path (kindGeneric); metrics without a prepared form fall
-// back to per-pair Score (kindScoreOnly).
+// the row-major pair sweep walks contiguous memory. Every other metric is
+// scored per pair through PairMetric.Score (kindScoreOnly).
 type metricKind uint8
 
 const (
 	kindScoreOnly metricKind = iota
-	kindGeneric
 	kindMannWhitney
 	kindKolmogorovSmirnov
 	kindWelch
@@ -248,7 +105,7 @@ const (
 
 // metricKindOf classifies a gate metric. Wrapped or user-defined metrics
 // never match a built-in case, so wrappers like the tests' unpreparedMetric
-// land on the generic or score-only path as before.
+// land on the score-only path.
 func metricKindOf(m PairMetric) metricKind {
 	switch m.(type) {
 	case MannWhitneySimilarity, *MannWhitneySimilarity:
@@ -265,9 +122,6 @@ func metricKindOf(m PairMetric) metricKind {
 		return kindStatParity
 	case DisparateImpactDissimilarity, *DisparateImpactDissimilarity:
 		return kindDisparateImpact
-	}
-	if _, ok := m.(PreparedMetric); ok {
-		return kindGeneric
 	}
 	return kindScoreOnly
 }
@@ -303,7 +157,6 @@ type soaState struct {
 	// Sample-backed metrics (Mann–Whitney, Kolmogorov–Smirnov).
 	samples     [][]float64
 	sampleArena []float64
-	distinct    []bool // Kolmogorov–Smirnov: per-region strictly-increasing flag
 
 	// Mann–Whitney rank-index state (see stats/rankindex.go).
 	grid      stats.RankGrid
@@ -322,17 +175,14 @@ type soaState struct {
 }
 
 // preparedScorer binds one gate's metric and threshold to its scoring path:
-// an SoA fast path for the built-in metrics, the boxed PreparedRegion path
-// for custom PreparedMetric implementations, or the generic per-pair Score
-// fallback. All per-region state is indexed by position in the audit's
-// eligible-region list. The lifecycle is beginPrepare (layout) → prepare per
-// region (fill, concurrency-safe across distinct positions).
+// an SoA kind for a built-in metric, per-pair Score for any other. All
+// per-region state is indexed by position in the audit's eligible-region
+// list. The lifecycle is beginPrepare (layout) → prepare per region (fill,
+// concurrency-safe across distinct positions).
 type preparedScorer struct {
 	metric    PairMetric
-	prepared  PreparedMetric // non-nil on the prepared paths (generic or SoA)
 	kind      metricKind
 	threshold float64
-	state     []PreparedRegion // kindGeneric only
 	soa       soaState
 
 	// The verified |z| bands that replay Pass(score, threshold) without the
@@ -345,9 +195,6 @@ type preparedScorer struct {
 
 func newPreparedScorer(m PairMetric, threshold float64) preparedScorer {
 	ps := preparedScorer{metric: m, kind: metricKindOf(m), threshold: threshold}
-	if pm, ok := m.(PreparedMetric); ok {
-		ps.prepared = pm
-	}
 	switch ps.kind {
 	case kindZScore:
 		ps.zBand = stats.NewTwoSidedPGate(threshold)
@@ -381,8 +228,6 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 		}
 		if ps.kind == kindMannWhitney {
 			ps.soa.layoutRankIndex(regions, total)
-		} else {
-			ps.soa.distinct = growSlice(ps.soa.distinct, n)
 		}
 	case kindWelch:
 		ps.soa.moments = growSlice(ps.soa.moments, n)
@@ -392,8 +237,6 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 		ps.soa.counts = growSlice(ps.soa.counts, n)
 	case kindStatParity, kindDisparateImpact:
 		ps.soa.shares = growSlice(ps.soa.shares, n)
-	case kindGeneric:
-		ps.state = growSlice(ps.state, n)
 	}
 }
 
@@ -461,9 +304,7 @@ func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
 		}
 	case kindKolmogorovSmirnov:
-		view := ps.soa.samples[i]
-		copy(view, r.SortedIncomeSample())
-		ps.soa.distinct[i] = stats.StrictlyIncreasing(view)
+		copy(ps.soa.samples[i], r.SortedIncomeSample())
 	case kindWelch:
 		ps.soa.moments[i] = sampleMomentsOf(r)
 	case kindMeanGap:
@@ -472,8 +313,6 @@ func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 		ps.soa.counts[i] = groupCounts{protected: r.Protected, n: r.N}
 	case kindStatParity, kindDisparateImpact:
 		ps.soa.shares[i] = preparedShare(r)
-	case kindGeneric:
-		ps.state[i] = ps.prepared.PrepareRegion(r)
 	}
 }
 
@@ -492,9 +331,7 @@ func (ps *preparedScorer) repair(i int, r *partition.Region) {
 		}
 		view := ps.soa.samples[i]
 		copy(view, sorted)
-		if ps.kind == kindKolmogorovSmirnov {
-			ps.soa.distinct[i] = stats.StrictlyIncreasing(view)
-		} else if ps.soa.gridOK {
+		if ps.kind == kindMannWhitney && ps.soa.gridOK {
 			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
 		}
 	default:
@@ -510,7 +347,7 @@ func (ps *preparedScorer) repair(i int, r *partition.Region) {
 // The verdict is always Pass's, bit for bit.
 //
 //lint:hotpath
-func (ps *preparedScorer) verdict(i, j int, a, b *partition.Region, sc *Scratch) (pass bool, score float64, scored bool) {
+func (ps *preparedScorer) verdict(i, j int, a, b *partition.Region) (pass bool, score float64, scored bool) {
 	switch ps.kind {
 	case kindZScore:
 		ga, gb := ps.soa.counts[i], ps.soa.counts[j]
@@ -522,7 +359,7 @@ func (ps *preparedScorer) verdict(i, j int, a, b *partition.Region, sc *Scratch)
 			}
 		}
 	}
-	score = ps.score(i, j, a, b, sc)
+	score = ps.score(i, j, a, b)
 	return ps.metric.Pass(score, ps.threshold), score, true
 }
 
@@ -549,22 +386,17 @@ func (s *soaState) mannWhitneyBracket(i, j int, band *stats.TwoSidedPGEGate) (pa
 }
 
 // score returns the metric's value for the pair at eligible positions (i, j)
-// backed by regions (a, b). The SoA paths read only the flat slices; every
-// branch is allocation-free (TestAuditPairKernelZeroAlloc pins it).
+// backed by regions (a, b). The SoA kinds read only the flat slices and are
+// allocation-free (TestAuditPairKernelZeroAlloc pins it); each is
+// bit-identical to the metric's Score (TestFastPathMatchesExact pins it).
 //
 //lint:hotpath
-func (ps *preparedScorer) score(i, j int, a, b *partition.Region, sc *Scratch) float64 {
+func (ps *preparedScorer) score(i, j int, a, b *partition.Region) float64 {
 	switch ps.kind {
 	case kindMannWhitney:
 		return ps.soa.mannWhitneyP(i, j)
 	case kindKolmogorovSmirnov:
-		xs, ys := ps.soa.samples[i], ps.soa.samples[j]
-		if ps.soa.distinct[i] && ps.soa.distinct[j] {
-			if res, ok := stats.KolmogorovSmirnovSortedNoTies(xs, ys); ok {
-				return res.P
-			}
-		}
-		return stats.KolmogorovSmirnovSorted(xs, ys).P
+		return stats.KolmogorovSmirnovSorted(ps.soa.samples[i], ps.soa.samples[j]).P
 	case kindWelch:
 		ma, mb := &ps.soa.moments[i], &ps.soa.moments[j]
 		return stats.WelchTFromMoments(ma.n, ma.mean, ma.variance, mb.n, mb.mean, mb.variance).P
@@ -577,10 +409,8 @@ func (ps *preparedScorer) score(i, j int, a, b *partition.Region, sc *Scratch) f
 		return math.Abs(ps.soa.shares[i] - ps.soa.shares[j])
 	case kindDisparateImpact:
 		return disparateImpactFromShares(ps.soa.shares[i], ps.soa.shares[j])
-	case kindGeneric:
-		return ps.prepared.ScorePrepared(ps.state[i], ps.state[j], sc)
 	}
-	return ps.metric.Score(a, b) //lint:hotpathalloc-ok cold fallback for metrics without a prepared form
+	return ps.metric.Score(a, b) //lint:hotpathalloc-ok cold fallback for metrics without an SoA kind
 }
 
 // mannWhitneyP is the Mann–Whitney p-value of a pair: the exact bucketed

@@ -72,7 +72,8 @@ func cascadeFixture(tied bool) *partition.Partitioning {
 }
 
 // newTestRunner builds an auditRunner over the partitioning's eligible
-// regions with every prepared cache built, mirroring AuditContext's setup.
+// regions with every prepared cache and the log-likelihood cache built,
+// mirroring AuditContext's setup.
 func newTestRunner(t testing.TB, p *partition.Partitioning, cfg Config) *auditRunner {
 	t.Helper()
 	eligible := p.NonEmpty(cfg.MinRegionSize)
@@ -87,11 +88,12 @@ func newTestRunner(t testing.TB, p *partition.Partitioning, cfg Config) *auditRu
 		run.sim.prepare(i, run.regions[i])
 		run.diss.prepare(i, run.regions[i])
 	}
+	run.fillLogLik()
 	return run
 }
 
 // sweep runs the kernel over every pair, accumulating into tally.
-func (ar *auditRunner) sweep(tally *pairTally, sc *Scratch) {
+func (ar *auditRunner) sweep(tally *pairTally, sc *scratch) {
 	for ii := range ar.regions {
 		for jj := ii + 1; jj < len(ar.regions); jj++ {
 			ar.auditPair(ii, jj, tally, sc, true, false)
@@ -103,10 +105,10 @@ func (ar *auditRunner) sweep(tally *pairTally, sc *Scratch) {
 // so every later lookup of a new key takes the past-bound scratch path.
 func fillNullStore(t testing.TB, s *stats.NullStore) {
 	t.Helper()
-	var scratch stats.NullScratch
+	var ns stats.NullScratch
 	for k := 1 << 20; k < 1<<20+1<<16; k++ {
-		s.PValue(0, k, 0, 0, &scratch)
-		if _, _, filled := s.PValue(0, k, 0, 0, &scratch); filled {
+		s.PValue(0, k, 0, 0, &ns)
+		if _, _, filled := s.PValue(0, k, 0, 0, &ns); filled {
 			return // the store declined to keep k: it is full
 		}
 	}
@@ -118,7 +120,7 @@ func fillNullStore(t testing.TB, s *stats.NullStore) {
 // auditPair performs zero heap allocations on every cascade path —
 // dissimilarity rejection, Eta fast-path exit, similarity rejection, and
 // the null-store p-value, both answered from a stored
-// sample and, past the store's bound, from a fill into the worker's Scratch.
+// sample and, past the store's bound, from a fill into the worker's scratch.
 // It runs on the cascade fixture and on its tied twin, whose similarity gate
 // takes the tie-aware brackets and exact bucketed kernel.
 func TestAuditPairKernelZeroAlloc(t *testing.T) {
@@ -129,7 +131,7 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 		cfg.MCWorlds = 199
 
 		run := newTestRunner(t, p, cfg)
-		var sc Scratch
+		var sc scratch
 
 		// The fixture must actually cover every cascade exit, or the
 		// zero-alloc sweep below proves less than it claims.
@@ -151,7 +153,7 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 
 		fullRun := newTestRunner(t, p, cfg)
 		fillNullStore(t, fullRun.nulls)
-		var fullSc Scratch
+		var fullSc scratch
 		var full pairTally
 		fullRun.sweep(&full, &fullSc)
 		if full.nullHits != 0 || full.nullFills != cover.nullFills+cover.nullHits {
@@ -161,7 +163,7 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 		for _, tc := range []struct {
 			name string
 			run  *auditRunner
-			sc   *Scratch
+			sc   *scratch
 		}{
 			{"null-store-hit", run, &sc},
 			{"null-store-past-bound", fullRun, &fullSc},
@@ -191,7 +193,7 @@ func TestEveryCandidateTakesNullStoreP(t *testing.T) {
 		cfg.Alpha = 0.2
 		run := newTestRunner(t, fx.p, cfg)
 		ref := stats.NewNullStore(cfg.Seed, cfg.MCWorlds, cfg.nullCut())
-		var sc Scratch
+		var sc scratch
 		var tally pairTally
 		var buf stats.NullScratch
 		lowTau := 0
@@ -217,10 +219,10 @@ func TestEveryCandidateTakesNullStoreP(t *testing.T) {
 	}
 }
 
-// TestAuditPairMatchesUnpreparedMetrics asserts the prepared scoring path is
-// bit-identical to the generic Score fallback: auditing with the stock
-// metrics (which implement PreparedMetric) and with fallback-only wrappers
-// produces identical results.
+// TestAuditPairMatchesUnpreparedMetrics asserts the SoA scoring path is
+// bit-identical to the per-pair Score fallback: auditing with the stock
+// metrics and with wrappers that hide their concrete types produces
+// identical results.
 func TestAuditPairMatchesUnpreparedMetrics(t *testing.T) {
 	p := makeCascadeFixture(t)
 	cfg := DefaultConfig()
@@ -250,9 +252,9 @@ func TestAuditPairMatchesUnpreparedMetrics(t *testing.T) {
 	}
 }
 
-// unpreparedMetric hides a metric's PreparedMetric implementation, forcing
-// the audit onto the per-pair Score fallback. The bench harness uses the same
-// shape for its prepared-vs-fallback ablation.
+// unpreparedMetric hides a built-in metric's concrete type, so metricKindOf
+// finds no SoA kind and the audit scores every pair through Score. The bench
+// harness uses the same shape for its prepared-vs-fallback ablation.
 type unpreparedMetric struct{ PairMetric }
 
 // TestAuditCancellationMidSweep cancels an audit from within the pair sweep —
@@ -357,8 +359,8 @@ func TestAuditCancellationMidSweepIndexed(t *testing.T) {
 
 // cancelAfter is a PairMetric wrapper that cancels a context after its score
 // has been consulted a fixed number of times, counting every call. Hiding the
-// PreparedMetric interface keeps the scoring on the fallback path so Score
-// observes every pair.
+// built-in metric's concrete type keeps the scoring on the per-pair Score
+// path, so Score observes every pair.
 type cancelAfter struct {
 	PairMetric
 	cancel context.CancelFunc

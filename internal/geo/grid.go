@@ -17,6 +17,24 @@ type Grid struct {
 	Rows   int
 }
 
+// maxGridCells bounds the cell count of a grid sized from user input — a
+// query string or a command line — so one request cannot ask for an absurd
+// region roster.
+const maxGridCells = 1_000_000
+
+// CheckGridDims reports whether cols x rows is a grid NewGrid accepts with
+// at most maxGridCells cells. The bound is checked by division, so
+// dimensions whose product overflows int are refused rather than wrapped.
+func CheckGridDims(cols, rows int) error {
+	if cols <= 0 || rows <= 0 {
+		return fmt.Errorf("grid %dx%d: dimensions must be positive", cols, rows)
+	}
+	if cols > maxGridCells/rows {
+		return fmt.Errorf("grid %dx%d too large (at most %d cells)", cols, rows, maxGridCells)
+	}
+	return nil
+}
+
 // NewGrid returns a grid with the given dimensions over bounds. It panics if
 // cols or rows is not positive or bounds is empty, since a grid is always
 // constructed from static experiment parameters.

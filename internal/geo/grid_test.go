@@ -68,6 +68,37 @@ func TestGridPanicsOnBadArgs(t *testing.T) {
 	NewGrid(NewBBox(Pt(0, 0), Pt(1, 1)), 0, 5)
 }
 
+// TestCheckGridDims pins the user-input grid check: every accepted size is
+// one NewGrid takes within maxGridCells, and products that overflow int are
+// refused, not wrapped past the bound.
+func TestCheckGridDims(t *testing.T) {
+	for _, c := range []struct {
+		cols, rows int
+		ok         bool
+	}{
+		{100, 50, true},
+		{1, 1, true},
+		{maxGridCells, 1, true},
+		{1000, 1000, true},
+		{1000, 1001, false},
+		{maxGridCells + 1, 1, false},
+		{0, 50, false},
+		{100, 0, false},
+		{-1, 50, false},
+		{1 << 32, 1 << 32, false},       // product wraps to 0
+		{3037000500, 3037000500, false}, // product wraps negative
+		{math.MaxInt, math.MaxInt, false},
+	} {
+		err := CheckGridDims(c.cols, c.rows)
+		if (err == nil) != c.ok {
+			t.Errorf("CheckGridDims(%d, %d) = %v, want ok=%v", c.cols, c.rows, err, c.ok)
+		}
+		if err == nil {
+			NewGrid(NewBBox(Pt(0, 0), Pt(1, 1)), c.cols, c.rows) // must not panic
+		}
+	}
+}
+
 func TestGridCellBoundsPanicsOutOfRange(t *testing.T) {
 	g := NewGrid(NewBBox(Pt(0, 0), Pt(1, 1)), 2, 2)
 	defer func() {

@@ -11,8 +11,9 @@ import (
 // no heap allocation, closure capture, goroutine spawn, or interface boxing
 // may be reachable from them through the repo callgraph. Dynamic interface
 // calls are resolved conservatively (every program method matching the
-// interface by shape), so a new PreparedMetric implementation joins the
-// contract the moment it is written.
+// interface by shape), so a new implementation of an interface a kernel
+// calls through — a gate metric's Pass, say — joins the contract the moment
+// it is written.
 //
 // //lint:hotpathalloc-ok on a line suppresses findings on that line and acts
 // as a traversal barrier: calls made on it are not followed (the annotated

@@ -45,7 +45,7 @@ func boxer(x int, p *point) {
 	sink(3) // want:none — constants use the compiler's static boxes
 }
 
-// scorer mirrors the PreparedMetric dispatch shape: the kernel calls through
+// scorer mirrors a gate metric's dispatch shape: the kernel calls through
 // the interface, and every program implementation joins the contract.
 type scorer interface {
 	score(a, b float64) float64

@@ -25,8 +25,8 @@ const (
 	MAuditFlagged    = "audit.pairs_flagged"
 	MAuditCanceled   = "audit.canceled"
 	// MAuditPreparedRegions counts per-region metric caches built by the
-	// audit's precompute phase (one per eligible region per metric
-	// implementing core.PreparedMetric).
+	// audit's precompute phase (one per eligible region per built-in gate
+	// metric; a custom metric is scored per pair and builds none).
 	MAuditPreparedRegions = "audit.prepared_regions"
 
 	// Index-accelerated candidate generation (internal/core). Recorded only
@@ -98,10 +98,7 @@ const (
 	MAuditPhasePrewarmSeconds   = "audit.phase_seconds.prewarm"
 	MAuditPhaseSweepSeconds     = "audit.phase_seconds.sweep"
 	MAuditPhaseFDRSeconds       = "audit.phase_seconds.fdr"
-	// MAuditPrepareSeconds is the wall time of the parallel precompute phase
-	// that builds per-region metric caches before the pair sweep.
-	MAuditPrepareSeconds = "audit.prepare_seconds"
-	MAuditShardSeconds   = "audit.shard_seconds"
+	MAuditShardSeconds          = "audit.shard_seconds"
 	// MAuditDeltaSeconds is the wall time of one delta audit (incremental or
 	// fallen back to a full sweep), update application excluded.
 	MAuditDeltaSeconds = "audit.delta.seconds"

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"lcsf/internal/core"
+	"lcsf/internal/geo"
 )
 
 // auditParams is the resolved per-request audit parameterization, shared by
@@ -16,10 +17,6 @@ type auditParams struct {
 	Cols, Rows int
 	Audit      core.Config
 }
-
-// maxGridCells bounds the requested grid so a single request cannot ask for
-// an absurd region roster.
-const maxGridCells = 1_000_000
 
 // parseAuditParams resolves the audit query parameters against a base
 // configuration: cols/rows (grid resolution, default 100x50), ethical=1
@@ -79,8 +76,8 @@ func parseAuditParams(q url.Values, base core.Config) (auditParams, error) {
 	if paramErr != nil {
 		return p, paramErr
 	}
-	if p.Cols*p.Rows > maxGridCells {
-		return p, fmt.Errorf("grid %dx%d too large", p.Cols, p.Rows)
+	if err := geo.CheckGridDims(p.Cols, p.Rows); err != nil {
+		return p, err
 	}
 	return p, p.Audit.Validate()
 }

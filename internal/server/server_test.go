@@ -240,6 +240,7 @@ func TestBadParamsRefusedUnread(t *testing.T) {
 	for _, url := range []string{
 		"/audit?cols=0", "/audit?alpha=2", "/audit?epsilon=NaN", "/audit?min_region=0",
 		"/audit/geojson?cols=0", "/audit/geojson?alpha=2", "/audit/geojson?seed=-1",
+		"/audit?cols=4294967296&rows=4294967296", // cell count wraps int to 0
 	} {
 		req := httptest.NewRequest("POST", url, unreadBody{t})
 		rec := httptest.NewRecorder()

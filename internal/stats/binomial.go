@@ -64,6 +64,11 @@ func LogLikRatio(logL0, logLa float64) float64 {
 // composition, not on outcomes, so they appear identically in both hypotheses
 // and cancel in the ratio; they are accounted for separately by
 // PairCompositionLogLik for callers that need the full likelihood value.
+//
+// The audit engine replays this arithmetic with cached per-region terms
+// (core's pairLRT); PairLRT stays the reference it is checked against.
+//
+//lint:deadexport-ok the core, verify and calibration tests check the engine's cached tau against it
 func PairLRT(p1, n1, p2, n2 int) float64 {
 	if n1 <= 0 || n2 <= 0 {
 		return 0

@@ -71,50 +71,6 @@ func KolmogorovSmirnovSorted(xs, ys []float64) KSResult {
 	return KSResult{D: d, P: ksProbability(lambda)}
 }
 
-// KolmogorovSmirnovSortedNoTies is the no-ties specialization of
-// KolmogorovSmirnovSorted for samples that are each strictly increasing: the
-// tie-grouping inner loops collapse to a single-cursor advance per step. The
-// caller must guarantee neither sample contains a duplicate value;
-// cross-sample ties are detected and return ok=false with an unspecified
-// result, in which case the caller falls back to the general kernel. When ok
-// is true the result is bit-identical to KolmogorovSmirnovSorted: with both
-// samples strictly increasing and no cross ties, the general kernel's merge
-// visits exactly this sequence of (i, j) checkpoints and evaluates the same
-// division and comparison expressions.
-//
-// Empty samples and samples led by a NaN return the NaN result with ok=true,
-// matching KolmogorovSmirnovSorted.
-//
-//lint:hotpath
-func KolmogorovSmirnovSortedNoTies(xs, ys []float64) (res KSResult, ok bool) {
-	n1, n2 := len(xs), len(ys)
-	if n1 == 0 || n2 == 0 || math.IsNaN(xs[0]) || math.IsNaN(ys[0]) {
-		return KSResult{D: math.NaN(), P: math.NaN()}, true
-	}
-	var d float64
-	fn1, fn2 := float64(n1), float64(n2)
-	i, j := 0, 0
-	for i < n1 && j < n2 {
-		x, y := xs[i], ys[j]
-		if x == y { //lint:floateq-ok cross-tie-detection
-			return KSResult{}, false
-		}
-		if x < y {
-			i++
-		} else {
-			j++
-		}
-		f1 := float64(i) / fn1
-		f2 := float64(j) / fn2
-		if diff := math.Abs(f1 - f2); diff > d {
-			d = diff
-		}
-	}
-	ne := fn1 * fn2 / float64(n1+n2)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return KSResult{D: d, P: ksProbability(lambda)}, true
-}
-
 // KolmogorovSmirnovSeparatedP returns the KS p-value at the maximal statistic
 // D = 1, which two samples attain exactly when their value ranges are
 // disjoint. Because the asymptotic tail is decreasing in D, this is a lower

@@ -25,7 +25,7 @@ type MannWhitneyResult struct {
 // MannWhitneyU sorts copies of both samples and delegates to
 // MannWhitneyUSorted; a caller that tests one sample against many others
 // should sort each sample once and call MannWhitneyUSorted directly (the
-// audit engine's PreparedMetric path does exactly this).
+// audit engine's prepared Mann–Whitney scorer does exactly this).
 func MannWhitneyU(xs, ys []float64) MannWhitneyResult {
 	if len(xs) == 0 || len(ys) == 0 {
 		return mannWhitneyNaN

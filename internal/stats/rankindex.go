@@ -186,19 +186,6 @@ func runTies(t int) int64 {
 	return r*r*r - r
 }
 
-// StrictlyIncreasing reports whether a sorted sample has no duplicate values
-// — the precondition of the Kolmogorov–Smirnov no-ties kernel. (-0.0 and
-// +0.0 count as duplicates, matching the tie-grouping of the general rank
-// kernels.)
-func StrictlyIncreasing(sorted []float64) bool {
-	for i := 1; i < len(sorted); i++ {
-		if !(sorted[i-1] < sorted[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // CrossCount is the exact bucketed Mann–Whitney kernel: it returns twice the
 // U statistic of a against b, 2U = 2#{x > y} + #{x = y}, and the pair's
 // pooled tie term Σ(t³−t) over the runs of equal values in the union — the

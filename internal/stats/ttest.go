@@ -28,7 +28,7 @@ func WelchT(xs, ys []float64) WelchTResult {
 // WelchTFromMoments is WelchT computed from each sample's size, mean, and
 // unbiased sample variance instead of the raw observations. A caller that
 // compares one sample against many others can compute the moments once per
-// sample (the audit engine's PreparedMetric path); results are bit-identical
+// sample (the audit engine's prepared Welch scorer); results are bit-identical
 // to WelchT on the same data. Samples smaller than two observations return
 // P = NaN.
 func WelchTFromMoments(n1 int, m1, v1 float64, n2 int, m2, v2 float64) WelchTResult {
