@@ -83,33 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var observations []partition.Observation
-	switch {
-	case *lar != "":
-		records, err := hmda.ReadCSV(*lar)
-		if err != nil {
-			return fail("%v", err)
-		}
-		observations = hmda.ToObservations(records)
-		if len(observations) == 0 {
-			return fail("no decisioned (approved/denied) records in input")
-		}
-	default:
-		pl, err := poi.ReadCSV(*places)
-		if err != nil {
-			return fail("%v", err)
-		}
-		// Places carry only tract references; rebuild the census model the
-		// file was generated against to attach neighborhood demographics.
-		model := census.Generate(census.Config{Seed: *censusSeed, NumTracts: *tracts})
-		for _, p := range pl {
-			if p.Tract < 0 || p.Tract >= len(model.Tracts) {
-				return fail("place %d references tract %d outside the census model (wrong -census-seed or -tracts?)", p.ID, p.Tract)
-			}
-		}
-		observations = poi.ToObservations(model, pl, *censusSeed+1)
-	}
-
 	cfg := core.DefaultConfig()
 	if *ethical {
 		cfg = core.EthicalConfig()
@@ -146,6 +119,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Dissimilarity = core.DisparateImpactDissimilarity{}
 	default:
 		return fail("unknown -dissimilarity %q", *diss)
+	}
+	// The audit's settings are checked before any input is read, so a bad
+	// one is a usage error however large the file.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(stderr, "lcsf-audit: %v\n", err)
+		return 2
+	}
+
+	var observations []partition.Observation
+	switch {
+	case *lar != "":
+		records, err := hmda.ReadCSV(*lar)
+		if err != nil {
+			return fail("%v", err)
+		}
+		observations = hmda.ToObservations(records)
+		if len(observations) == 0 {
+			return fail("no decisioned (approved/denied) records in input")
+		}
+	default:
+		pl, err := poi.ReadCSV(*places)
+		if err != nil {
+			return fail("%v", err)
+		}
+		// Places carry only tract references; rebuild the census model the
+		// file was generated against to attach neighborhood demographics.
+		model := census.Generate(census.Config{Seed: *censusSeed, NumTracts: *tracts})
+		for _, p := range pl {
+			if p.Tract < 0 || p.Tract >= len(model.Tracts) {
+				return fail("place %d references tract %d outside the census model (wrong -census-seed or -tracts?)", p.ID, p.Tract)
+			}
+		}
+		observations = poi.ToObservations(model, pl, *censusSeed+1)
 	}
 
 	col := obs.NewCollector(16)

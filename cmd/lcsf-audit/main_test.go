@@ -45,17 +45,27 @@ func TestUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
+		want string // a text stderr must contain, if set
 	}{
-		{"neither input", nil},
-		{"both inputs", []string{"-lar", "a.csv", "-places", "b.csv"}},
-		{"unknown flag", []string{"-lar", "a.csv", "-definitely-not-a-flag"}},
+		{"neither input", nil, ""},
+		{"both inputs", []string{"-lar", "a.csv", "-places", "b.csv"}, ""},
+		{"unknown flag", []string{"-lar", "a.csv", "-definitely-not-a-flag"}, ""},
 		// Grid and -top bounds are checked before any input is read, so the
 		// missing a.csv never surfaces as a runtime failure.
-		{"zero cols", []string{"-lar", "a.csv", "-cols", "0"}},
-		{"zero rows", []string{"-lar", "a.csv", "-rows", "0"}},
-		{"negative rows", []string{"-lar", "a.csv", "-rows", "-3"}},
-		{"grid over the cell bound", []string{"-lar", "a.csv", "-cols", "2000", "-rows", "2000"}},
-		{"negative top", []string{"-lar", "a.csv", "-top", "-1"}},
+		{"zero cols", []string{"-lar", "a.csv", "-cols", "0"}, ""},
+		{"zero rows", []string{"-lar", "a.csv", "-rows", "0"}, ""},
+		{"negative rows", []string{"-lar", "a.csv", "-rows", "-3"}, ""},
+		{"grid over the cell bound", []string{"-lar", "a.csv", "-cols", "2000", "-rows", "2000"}, ""},
+		{"negative top", []string{"-lar", "a.csv", "-top", "-1"}, ""},
+		// So are the audit's settings: each names the Config field it sets.
+		{"zero worlds", []string{"-lar", "a.csv", "-worlds", "0"}, "MCWorlds"},
+		{"zero alpha", []string{"-lar", "a.csv", "-alpha", "0"}, "Alpha"},
+		{"NaN alpha", []string{"-lar", "a.csv", "-alpha", "NaN"}, "Alpha"},
+		{"zero min-region", []string{"-lar", "a.csv", "-min-region", "0"}, "MinRegionSize"},
+		{"NaN epsilon", []string{"-lar", "a.csv", "-epsilon", "NaN"}, "Epsilon"},
+		{"negative epsilon", []string{"-lar", "a.csv", "-epsilon", "-1"}, "Epsilon"},
+		{"delta above one", []string{"-lar", "a.csv", "-delta", "2"}, "Delta"},
+		{"infinite eta", []string{"-lar", "a.csv", "-eta", "Inf"}, "Eta"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,6 +75,9 @@ func TestUsageErrors(t *testing.T) {
 			}
 			if stderr == "" {
 				t.Errorf("run(%v) exited 2 without a message", tc.args)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("run(%v): stderr does not name %s: %s", tc.args, tc.want, stderr)
 			}
 		})
 	}

@@ -196,17 +196,25 @@ func (c Config) Validate() error {
 	if c.Similarity == nil || c.Dissimilarity == nil {
 		return fmt.Errorf("core: Config requires Similarity and Dissimilarity metrics")
 	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
+	// Negated in-range tests, so NaN fails them too.
+	if !(c.Alpha > 0 && c.Alpha < 1) {
 		return fmt.Errorf("core: Alpha %v outside (0,1)", c.Alpha)
+	}
+	// Every built-in metric scores on [0,1], so a threshold outside it (or
+	// NaN) would make its gate pass or fail every pair.
+	for _, th := range []struct {
+		name string
+		v    float64
+	}{{"Epsilon", c.Epsilon}, {"Delta", c.Delta}, {"Eta", c.Eta}, {"FDR", c.FDR}, {"DeltaDirtyFallback", c.DeltaDirtyFallback}} {
+		if !(th.v >= 0 && th.v <= 1) {
+			return fmt.Errorf("core: %s %v outside [0,1]", th.name, th.v)
+		}
 	}
 	if c.MCWorlds < 1 {
 		return fmt.Errorf("core: MCWorlds %d < 1", c.MCWorlds)
 	}
 	if c.MinRegionSize < 1 {
 		return fmt.Errorf("core: MinRegionSize %d < 1", c.MinRegionSize)
-	}
-	if c.DeltaDirtyFallback < 0 || c.DeltaDirtyFallback > 1 {
-		return fmt.Errorf("core: DeltaDirtyFallback %v outside [0,1]", c.DeltaDirtyFallback)
 	}
 	switch c.CandidateGen {
 	case CandidateAuto, CandidateDense:
@@ -321,8 +329,7 @@ const cancelCheckInterval = 256
 // cancelCheckInterval pairs within each worker; on cancellation the
 // context's error is returned and the partial result discarded.
 func AuditContext(ctx context.Context, p *partition.Partitioning, cfg Config) (*Result, error) {
-	res, run, _, err := auditEngine(ctx, p, cfg, auditHooks{})
-	recycleRunner(run)
+	res, _, _, err := auditEngine(ctx, p, cfg, auditHooks{})
 	return res, err
 }
 
@@ -369,74 +376,15 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		})
 		return nil, nil, nil, err
 	}
-
-	regions := make([]*partition.Region, len(eligible))
-	for i, idx := range eligible {
-		regions[i] = &p.Regions[idx]
-	}
-	run := newAuditRunner(cfg, regions)
-	if hooks.nulls != nil {
-		run.nulls = hooks.nulls
-	}
 	col.ObserveSeconds(obs.MAuditPhasePartitionSeconds, now().Sub(start))
 
-	// Candidate generation: under CandidateDense the plan walks the full
-	// upper triangle; otherwise the runner builds per-region summaries,
-	// sorted 1-D orders, and per-probe prune windows (see candidates.go) —
-	// summarization, the per-dimension sorts, and the window fills all
-	// parallelized with deterministic merges. Indexed and dense plans yield
-	// the identical flagged set — windows and summary bounds only skip pairs
-	// the exact gates provably reject.
-	indexStart := now()
-	if cfg.CandidateGen != CandidateDense {
-		run.buildIndexWorkers(workers)
+	run, err := newAuditRunner(ctx, cfg, p, eligible, hooks.nulls, workers, col)
+	if err != nil {
+		return canceled(err)
 	}
 	indexed := run.plan.indexed
-	run.fillLogLik()
-	col.ObserveSeconds(obs.MAuditPhaseIndexSeconds, now().Sub(indexStart))
 
-	// Phase 1: parallel precompute. Each built-in gate metric builds its
-	// per-region cache exactly once, claimed dynamically off an atomic
-	// counter; beginPrepare fixes each region's arena segment up front, so
-	// writes land at disjoint preassigned indices and the phase needs no
-	// other synchronization — its output is position-determined regardless
-	// of which worker prepared which region.
-	prepPhaseStart := now()
-	if run.sim.needsPrepare() || run.diss.needsPrepare() {
-		run.sim.beginPrepare(run.regions)
-		run.diss.beginPrepare(run.regions)
-		var nextRegion atomic.Int64
-		var pg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			pg.Add(1)
-			go func() {
-				defer pg.Done()
-				for {
-					i := int(nextRegion.Add(1)) - 1
-					if i >= len(run.regions) || ctx.Err() != nil {
-						return
-					}
-					run.sim.prepare(i, run.regions[i])
-					run.diss.prepare(i, run.regions[i])
-				}
-			}()
-		}
-		pg.Wait()
-		if err := ctx.Err(); err != nil {
-			return canceled(err)
-		}
-		preparedMetrics := 0
-		if run.sim.needsPrepare() {
-			preparedMetrics++
-		}
-		if run.diss.needsPrepare() {
-			preparedMetrics++
-		}
-		col.Count(obs.MAuditPreparedRegions, int64(preparedMetrics*len(run.regions)))
-	}
-	col.ObserveSeconds(obs.MAuditPhasePrepareSeconds, now().Sub(prepPhaseStart))
-
-	// Phase 2: the pair sweep. Workers claim outer-loop probe rows through
+	// The pair sweep. Workers claim outer-loop probe rows through
 	// the work-stealing rowScheduler — deterministic dynamic scheduling:
 	// which worker scores a pair never affects its result (null samples are
 	// key-seeded whoever fills them, per-worker state is score-neutral
@@ -453,7 +401,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		candidates int
 	}
 	shards := make([]shard, workers)
-	run.pairBufs = growSlice(run.pairBufs, workers)
 	// Under a shard hook the scheduler deals only the shard's slice of the
 	// outer-row slots; slotLo re-bases its claims into the full slot space.
 	slotLo, slotHi := 0, len(run.regions)
@@ -463,7 +410,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	}
 	sched := newRowScheduler(slotHi-slotLo, workers)
 	steals := obs.NewShardedCounter(workers)
-	keepScores := run.fdr || hooks.keepAll
+	keepScores := cfg.FDR > 0 || hooks.keepAll
 	preGated := run.preGated()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -471,10 +418,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		go func(w int) {
 			defer wg.Done()
 			sh := &shards[w]
-			// The pair buffer is pooled across audits like the SoA arenas:
-			// flagged-pair counts are stable across runs of the same shape,
-			// so steady-state sweeps append into recycled capacity.
-			sh.pairs = run.pairBufs[w][:0]
 			var shardStart time.Time
 			if col != nil {
 				shardStart = now()
@@ -534,13 +477,11 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 						ii = int(run.plan.pos[slot])
 					}
 					probe = ii
-					if !run.plan.forEachPartner(ii, len(run.regions), visit) {
-						run.pairBufs[w] = sh.pairs
+					if !run.plan.forEachPartner(ii, ii+1, len(run.regions), visit) {
 						return
 					}
 				}
 			}
-			run.pairBufs[w] = sh.pairs
 			if col != nil {
 				col.ObserveSeconds(obs.MAuditShardSeconds, now().Sub(shardStart))
 			}
@@ -552,7 +493,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	if err := ctx.Err(); err != nil {
 		return canceled(err)
 	}
-	fdr := run.fdr
 
 	fdrStart := now()
 	total := 0
@@ -574,7 +514,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		// is what the delta auditor seeds its pair cache with.
 		candidates = append([]UnfairPair(nil), res.Pairs...)
 	}
-	res.Pairs = finalizePairsWorkers(&cfg, fdr, res.Pairs, workers)
+	res.Pairs = finalizePairs(&cfg, res.Pairs, workers)
 	col.ObserveSeconds(obs.MAuditPhaseFDRSeconds, now().Sub(fdrStart))
 
 	tally.publish(col, res)
@@ -596,37 +536,29 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 }
 
 // finalizePairs turns a collected pair list into Result.Pairs: flagPairs
-// filters it in place, then the canonical sort fixes the order.
-func finalizePairs(cfg *Config, fdr bool, pairs []UnfairPair) []UnfairPair {
-	return finalizePairsWorkers(cfg, fdr, pairs, 1)
-}
-
-// finalizePairsWorkers is finalizePairs with up to workers goroutines behind
-// the two steps that scale with the candidate count — the Benjamini–Hochberg
-// threshold (BenjaminiHochbergWorkers parallelizes only the p-value sort,
-// whose sorted order is unique) and the canonical pair sort (lessUnfair is a
-// strict total order) — so the result is byte-identical at every worker
-// count.
-func finalizePairsWorkers(cfg *Config, fdr bool, pairs []UnfairPair, workers int) []UnfairPair {
-	pairs = flagPairs(cfg, fdr, pairs[:0], pairs, workers)
+// filters it in place, then the canonical sort fixes the order with up to
+// workers goroutines. lessUnfair is a strict total order, so the result is
+// byte-identical at every worker count.
+func finalizePairs(cfg *Config, pairs []UnfairPair, workers int) []UnfairPair {
+	pairs = flagPairs(cfg, pairs[:0], pairs)
 	sortUnfairPairs(pairs, workers)
 	return pairs
 }
 
-// flagPairs appends to dst the pairs of src the audit flags: under FDR the
-// Benjamini–Hochberg rejections, otherwise the pairs at or below Alpha. It
-// keeps src's order, and dst may be src[:0] to filter in place. Both filters
-// are pure value thresholds (BH's rejection mask depends only on the p-value
-// multiset), so which pairs are flagged never depends on src's order — which
-// is what lets the delta auditor flag from a pair cache filled across many
-// incremental audits.
-func flagPairs(cfg *Config, fdr bool, dst, src []UnfairPair, workers int) []UnfairPair {
-	if fdr {
+// flagPairs appends to dst the pairs of src the audit flags: under FDR
+// (cfg.FDR > 0) the Benjamini–Hochberg rejections, otherwise the pairs at or
+// below Alpha. It keeps src's order, and dst may be src[:0] to filter in
+// place. Both filters are pure value thresholds (BH's rejection mask depends
+// only on the p-value multiset), so which pairs are flagged never depends on
+// src's order — which is what lets the delta auditor flag from a pair cache
+// filled across many incremental audits.
+func flagPairs(cfg *Config, dst, src []UnfairPair) []UnfairPair {
+	if cfg.FDR > 0 {
 		pvals := make([]float64, len(src))
 		for i := range src {
 			pvals[i] = src[i].P
 		}
-		keep := stats.BenjaminiHochbergWorkers(pvals, cfg.FDR, workers)
+		keep := stats.BenjaminiHochberg(pvals, cfg.FDR)
 		for i := range src {
 			if keep[i] {
 				dst = append(dst, src[i])
@@ -717,13 +649,13 @@ func (t *pairTally) publish(col *obs.Collector, res *Result) {
 	col.Count(obs.MAuditFlagged, int64(len(res.Pairs)))
 }
 
-// auditRunner carries one audit's immutable sweep state: the configuration,
-// the eligible regions (indexed by position in the eligible list, matching
-// the prepared scorers' caches), the two gate scorers, the candidate plan,
-// and the Monte-Carlo null store.
+// auditRunner carries one run's sweep state: the configuration, the eligible
+// regions (indexed by position in the eligible list, matching the prepared
+// scorers' caches), the two gate scorers, the candidate plan, and the
+// Monte-Carlo null store. A runner lives for exactly one batch audit, shard,
+// or delta roster; its arenas are its own.
 type auditRunner struct {
 	cfg       Config
-	fdr       bool
 	regions   []*partition.Region
 	sim, diss preparedScorer
 
@@ -743,89 +675,105 @@ type auditRunner struct {
 	simB      PrunableMetric
 	plan      *candidatePlan
 
-	// pairBufs are the sweep's per-worker flagged-pair buffers, pooled with
-	// the runner so steady-state audits append into recycled capacity.
-	pairBufs [][]UnfairPair
-
 	// laLL caches each region's alternative-hypothesis log-likelihood
 	// MaxBernoulliLogLik(Positives, N) — a per-region constant that
 	// stats.PairLRT would otherwise recompute for every candidate pair.
-	// Filled by fillLogLik after prepare; refreshed by repairLogLik when the
-	// delta auditor repairs a region in place.
+	// Filled by fillLogLik; refreshed by repairLogLik when the delta auditor
+	// repairs a region in place.
 	laLL []float64
 }
 
-// runnerPool recycles discarded audit runners so their SoA arenas — tens of
-// megabytes of samples, rank keys, and prefix tables at large R — are reused
-// across audits instead of reallocated. Only arena-carrying scratch survives
-// a recycle; every per-audit field is reset by newAuditRunner, and every
-// arena byte the sweep reads is rewritten by the prepare lifecycle, so a
-// pooled runner is observationally identical to a fresh one. Runners a
-// DeltaAuditor adopts stay out of the pool until the auditor replaces them.
-var runnerPool sync.Pool
+// newAuditRunner sets up one run's sweep state over the eligible regions of p
+// (indices into p.Regions): prepared scorers for both gate metrics, the
+// candidate plan — indexed unless CandidateDense is forced — and the
+// log-likelihood cache, then every region's prepared caches, filled by up to
+// workers goroutines. A nil nulls gets a fresh null store. Batch audits,
+// shards, and the delta auditor's roster rebuilds all set up through it; the
+// index and prepare phase timings go to col. On cancellation during prepare
+// it returns the context's error.
+func newAuditRunner(ctx context.Context, cfg Config, p *partition.Partitioning, eligible []int, nulls *stats.NullStore, workers int, col *obs.Collector) (*auditRunner, error) {
+	now := cfg.clock()
+	indexStart := now()
+	regions := make([]*partition.Region, len(eligible))
+	for i, idx := range eligible {
+		regions[i] = &p.Regions[idx]
+	}
+	if nulls == nil {
+		nulls = stats.NewNullStore(cfg.Seed, cfg.MCWorlds, cfg.nullCut())
+	}
+	run := &auditRunner{
+		cfg:     cfg,
+		regions: regions,
+		sim:     newPreparedScorer(cfg.Similarity, cfg.Epsilon),
+		diss:    newPreparedScorer(cfg.Dissimilarity, cfg.Delta),
+		nulls:   nulls,
+		plan:    &candidatePlan{},
+	}
 
-// newAuditRunner assembles the sweep state shared by AuditContext and the
-// kernel tests: prepared scorers for both gate metrics and a fresh null
-// store. The candidate plan starts dense; AuditContext calls
-// buildIndex to upgrade it unless CandidateDense is forced. The runner comes
-// from runnerPool when one is available; recycled arenas are resized and
-// rewritten by beginPrepare/prepare before any read.
-func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
-	run, _ := runnerPool.Get().(*auditRunner)
-	if run == nil {
-		run = &auditRunner{}
+	// Candidate generation: under CandidateDense the plan walks the full
+	// upper triangle; otherwise the runner builds per-region summaries,
+	// sorted 1-D orders, and per-probe prune windows (see candidates.go) —
+	// summarization, the per-dimension sorts, and the window fills all
+	// parallelized with deterministic merges. Indexed and dense plans yield
+	// the identical flagged set — windows and summary bounds only skip pairs
+	// the exact gates provably reject.
+	if cfg.CandidateGen != CandidateDense {
+		run.buildIndex(workers)
 	}
-	simSoa, dissSoa := run.sim.soa, run.diss.soa
-	laLL := run.laLL[:0]
-	pairBufs := run.pairBufs[:0]
-	*run = auditRunner{
-		cfg:      cfg,
-		fdr:      cfg.FDR > 0,
-		regions:  regions,
-		sim:      newPreparedScorer(cfg.Similarity, cfg.Epsilon),
-		diss:     newPreparedScorer(cfg.Dissimilarity, cfg.Delta),
-		plan:     &candidatePlan{},
-		laLL:     laLL,
-		pairBufs: pairBufs,
-	}
-	run.sim.soa, run.diss.soa = simSoa, dissSoa
-	// The null store is NOT pooled: its fill state feeds the hit/miss
-	// counters, which must not depend on what ran earlier in the process
-	// (samples are key-seeded and would be identical).
-	run.nulls = stats.NewNullStore(cfg.Seed, cfg.MCWorlds, cfg.nullCut())
-	return run
-}
+	run.fillLogLik()
+	col.ObserveSeconds(obs.MAuditPhaseIndexSeconds, now().Sub(indexStart))
 
-// recycleRunner returns a discarded runner's arena scratch to the pool. The
-// caller must be the runner's only owner: AuditContext recycles the engine's
-// runner after extracting the Result (which holds only values), and the
-// delta auditor recycles a replaced base runner.
-func recycleRunner(run *auditRunner) {
-	if run == nil {
-		return
+	// Parallel precompute. Each built-in gate metric builds its per-region
+	// cache exactly once, claimed dynamically off an atomic counter;
+	// beginPrepare fixes each region's arena segment up front, so writes
+	// land at disjoint preassigned indices and the phase needs no other
+	// synchronization — its output is position-determined regardless of
+	// which worker prepared which region.
+	prepStart := now()
+	if run.sim.needsPrepare() || run.diss.needsPrepare() {
+		run.sim.beginPrepare(regions)
+		run.diss.beginPrepare(regions)
+		var nextRegion atomic.Int64
+		var pg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			pg.Add(1)
+			go func() {
+				defer pg.Done()
+				for {
+					i := int(nextRegion.Add(1)) - 1
+					if i >= len(regions) || ctx.Err() != nil {
+						return
+					}
+					run.sim.prepare(i, regions[i])
+					run.diss.prepare(i, regions[i])
+				}
+			}()
+		}
+		pg.Wait()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		preparedMetrics := 0
+		if run.sim.needsPrepare() {
+			preparedMetrics++
+		}
+		if run.diss.needsPrepare() {
+			preparedMetrics++
+		}
+		col.Count(obs.MAuditPreparedRegions, int64(preparedMetrics*len(regions)))
 	}
-	simSoa, dissSoa := run.sim.soa, run.diss.soa
-	laLL := run.laLL[:0]
-	pairBufs := run.pairBufs[:0]
-	*run = auditRunner{}
-	run.sim.soa, run.diss.soa = simSoa, dissSoa
-	run.laLL = laLL
-	run.pairBufs = pairBufs
-	runnerPool.Put(run)
+	col.ObserveSeconds(obs.MAuditPhasePrepareSeconds, now().Sub(prepStart))
+	return run, nil
 }
 
 // buildIndex summarizes the eligible regions and builds the candidate plan
-// sequentially; callers with a worker budget use buildIndexWorkers.
-func (ar *auditRunner) buildIndex() { ar.buildIndexWorkers(1) }
-
-// buildIndexWorkers summarizes the eligible regions and builds the candidate
-// plan with up to workers goroutines — parallel per-region summarization and
+// with up to workers goroutines — parallel per-region summarization and
 // per-dimension sorts in the index, parallel window fills and emission
 // estimates in the plan, all merged deterministically so the plan is
 // byte-identical at every worker count. When no window or bound provider is
 // available under the configured metrics the plan stays dense and the summary
 // state is released.
-func (ar *auditRunner) buildIndexWorkers(workers int) {
+func (ar *auditRunner) buildIndex(workers int) {
 	ix := partition.NewSummaryIndexWorkers(ar.regions, workers)
 	ar.plan = buildCandidatePlan(&ar.cfg, ix, workers)
 	if !ar.plan.indexed {
@@ -841,7 +789,7 @@ func (ar *auditRunner) buildIndexWorkers(workers int) {
 // fillLogLik computes every region's cached alternative-hypothesis
 // log-likelihood term. O(R) against the sweep's O(R·window) pairLRT calls.
 func (ar *auditRunner) fillLogLik() {
-	ar.laLL = growSlice(ar.laLL, len(ar.regions))
+	ar.laLL = make([]float64, len(ar.regions))
 	for i, r := range ar.regions {
 		ar.laLL[i] = stats.MaxBernoulliLogLik(r.Positives, r.N)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +153,45 @@ func TestAuditConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Audit(p, cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
+		}
+	}
+}
+
+// TestConfigValidateThresholds pins the range checks on the gate and
+// flagging thresholds: each non-finite or out-of-range value is refused with
+// an error naming the setting, and each range's closed ends are accepted.
+func TestConfigValidateThresholds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+		bad  []float64
+		good []float64
+	}{
+		{"Alpha", func(c *Config, v float64) { c.Alpha = v }, []float64{nan, inf, -inf, 0, 1, -0.1}, []float64{0.001, 0.5}},
+		{"Epsilon", func(c *Config, v float64) { c.Epsilon = v }, []float64{nan, inf, -inf, -1, 1.5}, []float64{0, 1}},
+		{"Delta", func(c *Config, v float64) { c.Delta = v }, []float64{nan, inf, -inf, -0.01, 2}, []float64{0, 1}},
+		{"Eta", func(c *Config, v float64) { c.Eta = v }, []float64{nan, inf, -inf, -0.05, 1.01}, []float64{0, 1}},
+		{"FDR", func(c *Config, v float64) { c.FDR = v }, []float64{nan, inf, -inf, -0.1, 1.1}, []float64{0, 1}},
+		{"DeltaDirtyFallback", func(c *Config, v float64) { c.DeltaDirtyFallback = v }, []float64{nan, -0.1, 1.5}, []float64{0, 1}},
+	}
+	for _, f := range fields {
+		for _, v := range f.bad {
+			c := DefaultConfig()
+			f.set(&c, v)
+			err := c.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			} else if !strings.Contains(err.Error(), f.name+" ") {
+				t.Errorf("%s = %v: error %q does not name the setting", f.name, v, err)
+			}
+		}
+		for _, v := range f.good {
+			c := DefaultConfig()
+			f.set(&c, v)
+			if err := c.Validate(); err != nil {
+				t.Errorf("%s = %v rejected: %v", f.name, v, err)
+			}
 		}
 	}
 }

@@ -232,16 +232,18 @@ func windowCount(keys []float64, w PruneWindow) int {
 	return left + (len(keys) - right)
 }
 
-// forEachPartnerAll streams every partner j != i the probe's own window
-// admits — both directions, unlike forEachPartner's j > i. The delta auditor
-// probes each dirty region with it: a pair the probe's window rejects is a
-// certified gate failure whichever endpoint the certificate came from, so
-// enumerating only the dirty endpoint's window is sound even when the cold
-// sweep would have emitted the pair through the other endpoint's (different)
-// window.
-func (pl *candidatePlan) forEachPartnerAll(i, regions int, yield func(j int) bool) bool {
+// forEachPartner streams probe i's partners j >= from, j != i, into yield,
+// stopping early (and returning false) when yield returns false. The batch
+// sweep passes from = i+1 (the upper triangle); the delta auditor passes 0 to
+// probe a dirty region in both directions, which is sound because a pair the
+// probe's window rejects is a certified gate failure whichever endpoint the
+// certificate came from. Dense plans and window-less probes walk the row;
+// windowed probes walk the sorted runs their window admits. For an Outside
+// window whose one-ulp shrink inverted the band (Lo > Hi), the runs are
+// clamped so no position is visited twice.
+func (pl *candidatePlan) forEachPartner(i, from, regions int, yield func(j int) bool) bool {
 	if !pl.indexed || !pl.hasWindow[i] {
-		for j := 0; j < regions; j++ {
+		for j := from; j < regions; j++ {
 			if j != i && !yield(j) {
 				return false
 			}
@@ -251,7 +253,7 @@ func (pl *candidatePlan) forEachPartnerAll(i, regions int, yield func(j int) boo
 	w := pl.windows[i]
 	if w.Inside {
 		for idx := sort.SearchFloat64s(pl.keys, w.Lo); idx < len(pl.keys) && pl.keys[idx] <= w.Hi; idx++ {
-			if j := int(pl.pos[idx]); j != i {
+			if j := int(pl.pos[idx]); j >= from && j != i {
 				if !yield(j) {
 					return false
 				}
@@ -265,62 +267,14 @@ func (pl *candidatePlan) forEachPartnerAll(i, regions int, yield func(j int) boo
 		right = left
 	}
 	for idx := 0; idx < left; idx++ {
-		if j := int(pl.pos[idx]); j != i {
+		if j := int(pl.pos[idx]); j >= from && j != i {
 			if !yield(j) {
 				return false
 			}
 		}
 	}
 	for idx := right; idx < len(pl.keys); idx++ {
-		if j := int(pl.pos[idx]); j != i {
-			if !yield(j) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// forEachPartner streams the plan's partners j > i for probe i into yield,
-// stopping early (and returning false) when yield returns false. Dense plans
-// and window-less probes walk the remainder of the row; windowed probes walk
-// the sorted runs their window admits. For an Outside window whose one-ulp
-// shrink inverted the band (Lo > Hi), the runs are clamped so no position is
-// visited twice.
-func (pl *candidatePlan) forEachPartner(i, regions int, yield func(j int) bool) bool {
-	if !pl.indexed || !pl.hasWindow[i] {
-		for j := i + 1; j < regions; j++ {
-			if !yield(j) {
-				return false
-			}
-		}
-		return true
-	}
-	w := pl.windows[i]
-	if w.Inside {
-		for idx := sort.SearchFloat64s(pl.keys, w.Lo); idx < len(pl.keys) && pl.keys[idx] <= w.Hi; idx++ {
-			if j := int(pl.pos[idx]); j > i {
-				if !yield(j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	left := sort.Search(len(pl.keys), func(k int) bool { return pl.keys[k] > w.Lo })
-	right := sort.SearchFloat64s(pl.keys, w.Hi)
-	if right < left {
-		right = left
-	}
-	for idx := 0; idx < left; idx++ {
-		if j := int(pl.pos[idx]); j > i {
-			if !yield(j) {
-				return false
-			}
-		}
-	}
-	for idx := right; idx < len(pl.keys); idx++ {
-		if j := int(pl.pos[idx]); j > i {
+		if j := int(pl.pos[idx]); j >= from && j != i {
 			if !yield(j) {
 				return false
 			}

@@ -13,8 +13,9 @@ import (
 // TestCandidatePlanEnumeratesWindowSets is the unit property of the sliding-
 // window join: for random sorted key sets (with duplicates) and random
 // windows — Inside, Outside, inverted, and window-less probes — forEachPartner
-// must yield exactly the positions j > i whose key the window admits, each
-// once, never aborting early when yield keeps returning true.
+// must yield exactly the positions j >= from, j != i, whose key the window
+// admits, each once, never aborting early when yield keeps returning true,
+// both for the upper triangle (from = i+1) and for both directions (from = 0).
 func TestCandidatePlanEnumeratesWindowSets(t *testing.T) {
 	rng := stats.NewRNG(6021)
 	for trial := 0; trial < 200; trial++ {
@@ -59,32 +60,36 @@ func TestCandidatePlanEnumeratesWindowSets(t *testing.T) {
 		}
 
 		for i := 0; i < n; i++ {
-			var got []int
-			if !pl.forEachPartner(i, n, func(j int) bool { got = append(got, j); return true }) {
-				t.Fatal("enumeration aborted without yield returning false")
-			}
-			want := map[int]bool{}
-			for j := i + 1; j < n; j++ {
-				if !pl.hasWindow[i] || pl.windows[i].admits(keyOf[j]) {
-					want[j] = true
+			// Both forms: the batch sweep's upper triangle (from = i+1) and
+			// the delta auditor's both-directions probe (from = 0).
+			for _, from := range []int{i + 1, 0} {
+				var got []int
+				if !pl.forEachPartner(i, from, n, func(j int) bool { got = append(got, j); return true }) {
+					t.Fatal("enumeration aborted without yield returning false")
 				}
-			}
-			seen := map[int]bool{}
-			for _, j := range got {
-				if j <= i {
-					t.Fatalf("trial %d probe %d: yielded j = %d <= i", trial, i, j)
+				want := map[int]bool{}
+				for j := from; j < n; j++ {
+					if j != i && (!pl.hasWindow[i] || pl.windows[i].admits(keyOf[j])) {
+						want[j] = true
+					}
 				}
-				if seen[j] {
-					t.Fatalf("trial %d probe %d: yielded j = %d twice (window %+v)", trial, i, j, pl.windows[i])
+				seen := map[int]bool{}
+				for _, j := range got {
+					if j < from || j == i {
+						t.Fatalf("trial %d probe %d from %d: yielded j = %d", trial, i, from, j)
+					}
+					if seen[j] {
+						t.Fatalf("trial %d probe %d from %d: yielded j = %d twice (window %+v)", trial, i, from, j, pl.windows[i])
+					}
+					seen[j] = true
+					if !want[j] {
+						t.Fatalf("trial %d probe %d from %d: yielded inadmissible j = %d", trial, i, from, j)
+					}
 				}
-				seen[j] = true
-				if !want[j] {
-					t.Fatalf("trial %d probe %d: yielded inadmissible j = %d", trial, i, j)
+				if len(seen) != len(want) {
+					t.Fatalf("trial %d probe %d from %d: yielded %d partners, want %d (window %+v)",
+						trial, i, from, len(seen), len(want), pl.windows[i])
 				}
-			}
-			if len(seen) != len(want) {
-				t.Fatalf("trial %d probe %d: yielded %d partners, want %d (window %+v)",
-					trial, i, len(seen), len(want), pl.windows[i])
 			}
 			// windowCount must agree with the admitted-key count over ALL
 			// positions (it estimates ordered emissions, probe included).
@@ -101,9 +106,9 @@ func TestCandidatePlanEnumeratesWindowSets(t *testing.T) {
 			}
 		}
 		// Early abort must propagate false.
-		if pl.forEachPartner(0, n, func(int) bool { return false }) {
+		if pl.forEachPartner(0, 1, n, func(int) bool { return false }) {
 			calls := 0
-			pl.forEachPartner(0, n, func(int) bool { calls++; return true })
+			pl.forEachPartner(0, 1, n, func(int) bool { calls++; return true })
 			if calls > 0 {
 				t.Fatalf("trial %d: abort did not return false despite %d partners", trial, calls)
 			}
@@ -191,22 +196,11 @@ func TestAuditCandidateSupersetQuick(t *testing.T) {
 		cfg.MinRegionSize = 1 + rng.Intn(60)
 		cfg.CandidateGen = CandidateIndexed
 
-		eligible := p.NonEmpty(cfg.MinRegionSize)
-		if len(eligible) < 2 {
+		if len(p.NonEmpty(cfg.MinRegionSize)) < 2 {
 			continue
 		}
-		regions := make([]*partition.Region, len(eligible))
-		for i, idx := range eligible {
-			regions[i] = &p.Regions[idx]
-		}
-		run := newAuditRunner(cfg, regions)
-		run.buildIndex()
-		run.sim.beginPrepare(run.regions)
-		run.diss.beginPrepare(run.regions)
-		for i := range run.regions {
-			run.sim.prepare(i, run.regions[i])
-			run.diss.prepare(i, run.regions[i])
-		}
+		run := newTestRunner(t, p, cfg)
+		regions := run.regions
 		if !run.plan.indexed {
 			t.Fatalf("trial %d: plan not indexed despite prunable metrics", trial)
 		}
@@ -214,7 +208,7 @@ func TestAuditCandidateSupersetQuick(t *testing.T) {
 		surviving := map[[2]int]bool{}
 		var tally pairTally
 		for i := range regions {
-			run.plan.forEachPartner(i, len(regions), func(j int) bool {
+			run.plan.forEachPartner(i, i+1, len(regions), func(j int) bool {
 				if !run.summaryReject(i, j, &tally) {
 					surviving[[2]int{i, j}] = true
 				}

@@ -29,9 +29,9 @@ import (
 //   - Certificate symmetry: the candidate index's prune windows are
 //     individually sufficient gate-failure certificates (see candidatePlan),
 //     so probing a dirty region's own window — both directions, via
-//     forEachPartnerAll — covers every pair the cold sweep could emit with a
-//     dirty endpoint; window-rejected pairs are exact-gate failures and
-//     correctly stay out of the cache.
+//     forEachPartner from position 0 — covers every pair the cold sweep
+//     could emit with a dirty endpoint; window-rejected pairs are exact-gate
+//     failures and correctly stay out of the cache.
 //   - Order-free flagging: per-pair Alpha is a value threshold and
 //     Benjamini–Hochberg's rejection mask depends only on the p-value
 //     multiset, so Result.Pairs can be reassembled from a cache filled
@@ -48,7 +48,8 @@ import (
 // (through the DeltaPartitioning) and Audit calls. The incremental pass is
 // single-goroutine — it re-scores only the dirty neighborhood, then makes one
 // linear, sort-free pass over the ordered pair cache — while fallback full
-// sweeps use the batch engine's parallelism under Config.Workers.
+// sweeps and eligible-roster rebuilds use the batch engine's parallelism
+// under Config.Workers.
 type DeltaAuditor struct {
 	cfg Config
 	dp  *partition.DeltaPartitioning
@@ -209,9 +210,7 @@ func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partition
 		InvalidatedPairs:   len(da.candidates),
 		RescoredCandidates: len(cands),
 	}
-	old := da.run
 	da.adopt(run)
-	recycleRunner(old)
 	sortUnfairPairs(cands, da.cfg.workers())
 	da.candidates, da.spare = cands, da.candidates[:0]
 	da.inited = true
@@ -231,31 +230,19 @@ func (da *DeltaAuditor) adopt(run *auditRunner) {
 	da.useIndex = run.plan.indexed
 }
 
-// rebuildState reassembles positions, prepared caches, and the summary index
-// for a changed eligible set. The pair cache is untouched: its pairs carry
-// labels, not positions, and which cached pairs must go is decided by dirty
-// labels. Region preparation here is cheap relative to a sweep — the
-// delta partition layer hands out pre-sorted samples.
-func (da *DeltaAuditor) rebuildState(snap *partition.Partitioning, newEligible []int) {
-	regions := make([]*partition.Region, len(newEligible))
-	for i, idx := range newEligible {
-		regions[i] = &snap.Regions[idx]
+// rebuildState sets up a fresh runner for a changed eligible set through the
+// batch engine's setup path (parallel index and prepare, stopped by ctx) and
+// adopts it; on error the current runner stays. The pair cache is untouched:
+// its pairs carry labels, not positions, and which cached pairs must go is
+// decided by dirty labels. It publishes nothing to the collector — the delta
+// pass reports its own funnel.
+func (da *DeltaAuditor) rebuildState(ctx context.Context, snap *partition.Partitioning, newEligible []int) error {
+	run, err := newAuditRunner(ctx, da.cfg, snap, newEligible, da.nulls, da.cfg.workers(), nil)
+	if err != nil {
+		return err
 	}
-	run := newAuditRunner(da.cfg, regions)
-	run.nulls = da.nulls
-	if da.cfg.CandidateGen != CandidateDense {
-		run.buildIndex()
-	}
-	run.sim.beginPrepare(regions)
-	run.diss.beginPrepare(regions)
-	for i, r := range regions {
-		run.sim.prepare(i, r)
-		run.diss.prepare(i, r)
-	}
-	run.fillLogLik()
-	old := da.run
 	da.adopt(run)
-	recycleRunner(old)
+	return nil
 }
 
 // incremental is the delta pass: repair the per-region state the updates
@@ -275,7 +262,9 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	// positions are re-prepared and the summary index repaired in place.
 	newEligible := snap.NonEmpty(cfg.MinRegionSize)
 	if !equalInts(newEligible, da.eligible) {
-		da.rebuildState(snap, newEligible)
+		if err := da.rebuildState(ctx, snap, newEligible); err != nil {
+			return nil, DeltaStats{}, err
+		}
 	} else {
 		for _, lbl := range dirty {
 			pos, ok := da.posOf[lbl]
@@ -322,7 +311,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	var ctxErr error
 	for _, d := range dirtyPos {
 		probe := d
-		run.plan.forEachPartnerAll(probe, len(run.regions), func(j int) bool {
+		run.plan.forEachPartner(probe, 0, len(run.regions), func(j int) bool {
 			sinceCheck++
 			if sinceCheck >= cancelCheckInterval {
 				sinceCheck = 0
@@ -372,7 +361,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 		EligibleRegions: len(da.eligible),
 		GlobalRate:      snap.GlobalRate(),
 		Candidates:      len(da.candidates),
-		Pairs:           flagPairs(cfg, cfg.FDR > 0, []UnfairPair{}, da.candidates, 1),
+		Pairs:           flagPairs(cfg, []UnfairPair{}, da.candidates),
 	}
 	return res, st, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -380,6 +381,64 @@ func TestDeltaAuditorEligibilityChurn(t *testing.T) {
 	requireSameResult(t, "after shrink", res, u.coldResult(t, cfg))
 }
 
+// lateCancel is a context whose Err reports nil for its first calls and
+// context.Canceled from then on, so a test can cancel partway into a pass
+// without racing it.
+type lateCancel struct {
+	context.Context
+	live atomic.Int64 // Err calls still to answer nil
+}
+
+func (c *lateCancel) Err() error {
+	if c.live.Add(-1) >= 0 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestDeltaRebuildStopsOnCancel cancels a delta pass inside its
+// eligible-roster rebuild — after the pass's own up-front check — and
+// requires the context error, then a retry that rebuilds from the untouched
+// state and matches the cold audit.
+func TestDeltaRebuildStopsOnCancel(t *testing.T) {
+	rng := stats.NewRNG(9120)
+	u := newDeltaUniverse(rng, 8, partition.Options{Seed: 77, IncomeSampleCap: 64})
+	newCell, minN := u.sparsestCell()
+	cfg := DefaultConfig()
+	cfg.Alpha = 0.05
+	cfg.MCWorlds = 199
+	cfg.MinRegionSize = minN + 20 // the sparsest cell sits below the floor
+	cfg.DeltaDirtyFallback = 1
+	da, err := NewDeltaAuditor(u.dp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := da.Audit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		o := randomCellObs(rng, newCell, 0.3, 0.8, 51_000)
+		u.dp.Insert(o)
+		u.live = append(u.live, o)
+	}
+
+	ctx := &lateCancel{Context: context.Background()}
+	ctx.live.Store(1)
+	if _, _, err := da.Audit(ctx); err != context.Canceled {
+		t.Fatalf("audit canceled in the rebuild returned %v, want context.Canceled", err)
+	}
+	res, st, err := da.Audit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FullSweep || res.EligibleRegions <= base.EligibleRegions {
+		t.Fatalf("retry: full sweep %v, eligible %d -> %d; want an incremental roster rebuild",
+			st.FullSweep, base.EligibleRegions, res.EligibleRegions)
+	}
+	requireSameResult(t, "retry vs cold", res, u.coldResult(t, cfg))
+}
+
 // TestDeltaAuditorCancel: a canceled audit returns the context error, leaves
 // the dirty set pending, and a retry produces the exact batch-equivalent
 // result.
@@ -532,8 +591,7 @@ func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *delt
 		}
 	}
 	cold := partition.NewDeltaByGrid(u.grid, u.live, u.opts)
-	_, run, want, err := auditEngine(context.Background(), cold.Snapshot(), da.cfg, auditHooks{keepAll: true})
-	recycleRunner(run)
+	_, _, want, err := auditEngine(context.Background(), cold.Snapshot(), da.cfg, auditHooks{keepAll: true})
 	if err != nil {
 		t.Fatalf("%s: cold sweep: %v", label, err)
 	}

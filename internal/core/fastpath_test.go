@@ -182,7 +182,6 @@ func TestFastPathPreGatedMatches(t *testing.T) {
 		cfg.MCWorlds = 199
 
 		run := newTestRunner(t, fx.p, cfg)
-		run.buildIndex()
 		if !run.preGated() {
 			t.Fatalf("%s: an indexed plan with the z-test gate must be preGated", fx.name)
 		}

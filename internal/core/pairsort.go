@@ -6,7 +6,7 @@ import (
 )
 
 // pairSortThreshold is the pair count below which sortUnfairPairs stays
-// sequential; mirrors stats.ParallelSortFloat64s's threshold rationale.
+// sequential: below it, goroutine and merge overhead outweighs the parallel win.
 const pairSortThreshold = 1 << 12
 
 // byUnfair sorts pairs in lessUnfair order, comparing and swapping them in

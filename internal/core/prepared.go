@@ -218,8 +218,8 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 		for _, r := range regions {
 			total += len(r.IncomeSample())
 		}
-		ps.soa.samples = growSlice(ps.soa.samples, n)
-		ps.soa.sampleArena = growSlice(ps.soa.sampleArena, total)
+		ps.soa.samples = make([][]float64, n)
+		ps.soa.sampleArena = make([]float64, total)
 		off := 0
 		for i, r := range regions {
 			sz := len(r.IncomeSample())
@@ -230,13 +230,13 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 			ps.soa.layoutRankIndex(regions, total)
 		}
 	case kindWelch:
-		ps.soa.moments = growSlice(ps.soa.moments, n)
+		ps.soa.moments = make([]sampleMoments, n)
 	case kindMeanGap:
-		ps.soa.means = growSlice(ps.soa.means, n)
+		ps.soa.means = make([]float64, n)
 	case kindZScore:
-		ps.soa.counts = growSlice(ps.soa.counts, n)
+		ps.soa.counts = make([]groupCounts, n)
 	case kindStatParity, kindDisparateImpact:
-		ps.soa.shares = growSlice(ps.soa.shares, n)
+		ps.soa.shares = make([]float64, n)
 	}
 }
 
@@ -263,11 +263,11 @@ func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
 		return
 	}
 	groups := stats.CoarseGroups(buckets)
-	s.ranked = growSlice(s.ranked, n)
-	s.keyArena = growSlice(s.keyArena, total+2*n)
-	s.bukArena = growSlice(s.bukArena, total)
-	s.preArena = growSlice(s.preArena, n*(buckets+1))
-	s.preCArena = growSlice(s.preCArena, n*(groups+1))
+	s.ranked = make([]stats.RankedSample, n)
+	s.keyArena = make([]uint64, total+2*n)
+	s.bukArena = make([]int32, total)
+	s.preArena = make([]int32, n*(buckets+1))
+	s.preCArena = make([]int32, n*(groups+1))
 	off, koff := 0, 0
 	for i, r := range regions {
 		sz := len(r.IncomeSample())
@@ -280,16 +280,6 @@ func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
 		off += sz
 		koff += sz + 2
 	}
-}
-
-// growSlice returns a length-n slice, reusing s's backing array when it is
-// large enough (arena pooling: a recycled runner's arenas are reused across
-// audits instead of reallocated).
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // prepare builds the cache for the eligible region at position i; a no-op on

@@ -72,23 +72,14 @@ func cascadeFixture(tied bool) *partition.Partitioning {
 }
 
 // newTestRunner builds an auditRunner over the partitioning's eligible
-// regions with every prepared cache and the log-likelihood cache built,
-// mirroring AuditContext's setup.
+// regions through AuditContext's setup path: candidate plan, every prepared
+// cache, and the log-likelihood cache, with one worker and no collector.
 func newTestRunner(t testing.TB, p *partition.Partitioning, cfg Config) *auditRunner {
 	t.Helper()
-	eligible := p.NonEmpty(cfg.MinRegionSize)
-	regions := make([]*partition.Region, len(eligible))
-	for i, idx := range eligible {
-		regions[i] = &p.Regions[idx]
+	run, err := newAuditRunner(context.Background(), cfg, p, p.NonEmpty(cfg.MinRegionSize), nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := newAuditRunner(cfg, regions)
-	run.sim.beginPrepare(run.regions)
-	run.diss.beginPrepare(run.regions)
-	for i := range run.regions {
-		run.sim.prepare(i, run.regions[i])
-		run.diss.prepare(i, run.regions[i])
-	}
-	run.fillLogLik()
 	return run
 }
 

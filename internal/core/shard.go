@@ -62,12 +62,11 @@ func AuditShard(ctx context.Context, p *partition.Partitioning, cfg Config, shar
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("core: shard %d outside [0, %d)", shard, shards)
 	}
-	res, run, candidates, err := auditEngine(ctx, p, cfg, auditHooks{
+	res, _, candidates, err := auditEngine(ctx, p, cfg, auditHooks{
 		keepAll: true,
 		shard:   shard,
 		shards:  shards,
 	})
-	recycleRunner(run)
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +118,6 @@ func MergeShards(cfg Config, shards []*ShardResult) (*Result, error) {
 	for _, sh := range sorted {
 		all = append(all, sh.Candidates...)
 	}
-	res.Pairs = finalizePairs(&cfg, cfg.FDR > 0, all)
+	res.Pairs = finalizePairs(&cfg, all, 1)
 	return res, nil
 }

@@ -589,6 +589,14 @@ func TestInvalidConfigRejectedBeforeAdmission(t *testing.T) {
 	if s, j := errText(syncRec), errText(jobRec); s != j || !strings.Contains(j, "Alpha 2 outside (0,1)") {
 		t.Errorf("error texts differ or miss the cause: /audit %q, /jobs %q", s, j)
 	}
+	// A gate threshold outside [0,1] is refused before the body is read.
+	req := httptest.NewRequest("POST", "/jobs?delta=2", unreadBody{t})
+	req.Header.Set("X-API-Key", "k-acme")
+	deltaRec := httptest.NewRecorder()
+	srv.ServeHTTP(deltaRec, req)
+	if deltaRec.Code != http.StatusBadRequest || !strings.Contains(errText(deltaRec), "Delta 2 outside [0,1]") {
+		t.Errorf("delta=2: /jobs %d (%s), want 400 naming Delta", deltaRec.Code, deltaRec.Body.String())
+	}
 	if jobs := mgr.List("acme"); len(jobs) != 0 {
 		t.Errorf("rejected submission left %d jobs", len(jobs))
 	}

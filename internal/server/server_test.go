@@ -238,7 +238,7 @@ func (b unreadBody) Read([]byte) (int, error) {
 func TestBadParamsRefusedUnread(t *testing.T) {
 	srv := newTestServer()
 	for _, url := range []string{
-		"/audit?cols=0", "/audit?alpha=2", "/audit?epsilon=NaN", "/audit?min_region=0",
+		"/audit?cols=0", "/audit?alpha=2", "/audit?epsilon=NaN", "/audit?epsilon=-1", "/audit?min_region=0",
 		"/audit/geojson?cols=0", "/audit/geojson?alpha=2", "/audit/geojson?seed=-1",
 		"/audit?cols=4294967296&rows=4294967296", // cell count wraps int to 0
 	} {

@@ -2,15 +2,39 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
+// fullSortBH is the textbook step-up procedure over an index sort of the
+// whole input, the reference the subset-sorting BenjaminiHochberg must
+// match on NaN-free input.
+func fullSortBH(pvalues []float64, q float64) []bool {
+	n := len(pvalues)
+	out := make([]bool, n)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return pvalues[order[a]] < pvalues[order[b]] })
+
+	cut := -1
+	for k := 1; k <= n; k++ {
+		if pvalues[order[k-1]] <= float64(k)/float64(n)*q {
+			cut = k
+		}
+	}
+	for k := 0; k < cut; k++ {
+		out[order[k]] = true
+	}
+	return out
+}
+
 // TestBenjaminiHochbergSubsetMatchesFullSort is the direct check of the
 // subset-reduction equivalence argument: on NaN-free inputs the p <= q
-// subset procedure must produce the identical rejection mask to the
-// historical full index sort (benjaminiHochbergNaN), including inputs with
-// heavy ties, values straddling q, and degenerate all-large / all-small
-// mixes.
+// subset procedure must produce the identical rejection mask to a full
+// index sort, including inputs with heavy ties, values straddling q, and
+// degenerate all-large / all-small mixes.
 func TestBenjaminiHochbergSubsetMatchesFullSort(t *testing.T) {
 	rng := NewRNG(0xFD4)
 	for trial := 0; trial < 200; trial++ {
@@ -29,41 +53,48 @@ func TestBenjaminiHochbergSubsetMatchesFullSort(t *testing.T) {
 			}
 		}
 		q := []float64{0.01, 0.05, 0.2}[trial%3]
-		want := benjaminiHochbergNaN(p, q)
-		for _, workers := range []int{1, 4} {
-			got := BenjaminiHochbergWorkers(p, q, workers)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d workers=%d q=%g: index %d (p=%g): subset says %v, full sort says %v",
-						trial, workers, q, i, p[i], got[i], want[i])
-				}
+		want := fullSortBH(p, q)
+		got := BenjaminiHochberg(p, q)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d q=%g: index %d (p=%g): subset says %v, full sort says %v",
+					trial, q, i, p[i], got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestBenjaminiHochbergNaNFallback pins the NaN contract: any NaN input
-// routes every worker count through the full-sort fallback, so the mask is
-// identical across worker counts and across repeated calls. (No value-level
-// assertions: an incomparable NaN makes the index sort's comparator
-// inconsistent, and reproducing that historical placement exactly is the
-// fallback's whole point.)
-func TestBenjaminiHochbergNaNFallback(t *testing.T) {
-	p := []float64{0.001, math.NaN(), 0.004, 0.9, 0.012, math.NaN(), 0.7}
-	q := 0.05
-	base := BenjaminiHochberg(p, q)
-	for _, workers := range []int{1, 2, 8} {
-		got := BenjaminiHochbergWorkers(p, q, workers)
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: index %d diverges from workers=1 on NaN input", workers, i)
+// TestBenjaminiHochbergNaNRanksAsOne pins the NaN contract: a NaN p-value
+// is never rejected, and every other index gets the mask it would get with
+// each NaN replaced by 1 — the NaN still counts in n. q = 1 is the one
+// level at which a p-value of 1 can be rejected, so there the NaN's own
+// index is the only difference.
+func TestBenjaminiHochbergNaNRanksAsOne(t *testing.T) {
+	p := []float64{0.001, math.NaN(), 0.004, 0.9, 0.02, math.NaN(), 0.7, 1}
+	ones := append([]float64(nil), p...)
+	for i := range ones {
+		if math.IsNaN(ones[i]) {
+			ones[i] = 1
+		}
+	}
+	for _, q := range []float64{0.01, 0.05, 0.2, 1} {
+		got, want := BenjaminiHochberg(p, q), BenjaminiHochberg(ones, q)
+		for i := range p {
+			if math.IsNaN(p[i]) {
+				if got[i] {
+					t.Errorf("q=%g: NaN at index %d rejected", q, i)
+				}
+			} else if got[i] != want[i] {
+				t.Errorf("q=%g: index %d (p=%g) = %v, with NaN as 1 = %v", q, i, p[i], got[i], want[i])
 			}
 		}
 	}
-	again := BenjaminiHochberg(p, q)
-	for i := range base {
-		if again[i] != base[i] {
-			t.Fatalf("repeat call diverges at index %d: NaN fallback is not deterministic", i)
+	// The NaNs count in n = 8: 0.001 <= 0.05/8 and 0.004 <= 0.1/8 are
+	// rejected, 0.02 > 0.15/8 is not (it would pass 0.15/6 with n = 6).
+	got := BenjaminiHochberg(p, 0.05)
+	for i, want := range []bool{true, false, true, false, false, false, false, false} {
+		if got[i] != want {
+			t.Errorf("q=0.05: index %d = %v, want %v", i, got[i], want)
 		}
 	}
 }

@@ -6,10 +6,9 @@ import (
 )
 
 // Test oracles: the plain Monte-Carlo estimator of Section 3.2, the pairwise
-// null simulator, the store-free null-store reference, an exact binomial
-// CDF and the sequential Benjamini–Hochberg entry point. The engine reaches
-// each of these through its optimized path (NullStore, BinomialSampler,
-// BenjaminiHochbergWorkers); the tests compare that path against them.
+// null simulator, the store-free null-store reference and an exact binomial
+// CDF. The engine reaches each of these through its optimized path
+// (NullStore, BinomialSampler); the tests compare that path against them.
 
 // MonteCarloP estimates the significance of an observed test statistic by
 // simulation, following the procedure of Section 3.2: m alternative "worlds"
@@ -94,17 +93,4 @@ func exactBinomialCDF(n int, p float64) []float64 {
 // invertCDF returns the least k with u < cdf[k], by binary search.
 func invertCDF(cdf []float64, u float64) int {
 	return min(sort.Search(len(cdf), func(k int) bool { return u < cdf[k] }), len(cdf)-1)
-}
-
-// BenjaminiHochberg applies the Benjamini–Hochberg step-up procedure to a
-// set of p-values, returning a boolean per input reporting whether that
-// hypothesis is rejected at false-discovery rate q.
-//
-// The LC-SF audit tests thousands of region pairs; the paper controls each
-// test at a fixed significance level, which bounds the per-pair error but
-// not the share of false discoveries among the flagged pairs. FDR control is
-// offered as an extension (Config.FDR in the core package) for auditors who
-// need the flagged list itself to be mostly real.
-func BenjaminiHochberg(pvalues []float64, q float64) []bool {
-	return BenjaminiHochbergWorkers(pvalues, q, 1)
 }

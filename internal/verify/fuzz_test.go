@@ -378,7 +378,7 @@ func FuzzFDR(f *testing.F) {
 		for i, b := range data {
 			pvalues[i] = float64(b) / 255
 		}
-		got := stats.BenjaminiHochbergWorkers(pvalues, q, 1)
+		got := stats.BenjaminiHochberg(pvalues, q)
 		want := refBenjaminiHochberg(pvalues, q)
 		if len(got) != len(want) {
 			t.Fatalf("BenjaminiHochberg length %d, reference %d", len(got), len(want))
