@@ -118,7 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "di":
 		cfg.Dissimilarity = core.DisparateImpactDissimilarity{}
 	default:
-		return fail("unknown -dissimilarity %q", *diss)
+		fmt.Fprintf(stderr, "lcsf-audit: unknown -dissimilarity %q\n", *diss)
+		return 2
 	}
 	// The audit's settings are checked before any input is read, so a bad
 	// one is a usage error however large the file.

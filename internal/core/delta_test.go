@@ -126,12 +126,11 @@ func (u *deltaUniverse) sparsestCell() (cell, n int) {
 	return cell, n
 }
 
-// coldResult audits a cold rebuild of the universe's current mirror — the
+// coldResult audits ByGrid over the universe's current mirror — the
 // reference every delta result must match byte-for-byte.
 func (u *deltaUniverse) coldResult(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	cold := partition.NewDeltaByGrid(u.grid, u.live, u.opts)
-	res, err := Audit(cold.Snapshot(), cfg)
+	res, err := Audit(partition.ByGrid(u.grid, u.live, u.opts), cfg)
 	if err != nil {
 		t.Fatalf("cold audit: %v", err)
 	}
@@ -590,8 +589,7 @@ func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *delt
 			t.Fatalf("%s: cache out of order at %d:\n %+v\n %+v", label, i, got[i-1], got[i])
 		}
 	}
-	cold := partition.NewDeltaByGrid(u.grid, u.live, u.opts)
-	_, _, want, err := auditEngine(context.Background(), cold.Snapshot(), da.cfg, auditHooks{keepAll: true})
+	_, _, want, err := auditEngine(context.Background(), partition.ByGrid(u.grid, u.live, u.opts), da.cfg, auditHooks{keepAll: true})
 	if err != nil {
 		t.Fatalf("%s: cold sweep: %v", label, err)
 	}

@@ -34,12 +34,12 @@ const DefaultExplainBins = 10
 // reduced when samples are small so every bin keeps several observations.
 // Regions without samples produce a zero Explanation.
 //
-// It reads only the regions' cached sorted views: the bin edges are order
+// It reads only the regions' sorted samples: the bin edges are order
 // statistics of the two sorted samples, and a bin's members and positives
 // are differences of binary searches at its edges, so a pair costs
 // O(bins·log n) however large its samples.
 func Explain(a, b *partition.Region, bins int) Explanation {
-	sa, sb := a.SortedIncomeSample(), b.SortedIncomeSample()
+	sa, sb := a.IncomeSample(), b.IncomeSample()
 	if len(sa) == 0 || len(sb) == 0 {
 		return Explanation{}
 	}
@@ -60,7 +60,7 @@ func Explain(a, b *partition.Region, bins int) Explanation {
 	// edges[k-1].
 	edges := make([]float64, bins-1)
 	pooledOrderStats(edges, sa, sb, bins)
-	pa, pb := a.SortedPositiveIncomeSample(), b.SortedPositiveIncomeSample()
+	pa, pb := a.PositiveIncomeSample(), b.PositiveIncomeSample()
 	below := func(s []float64, k int) int {
 		if k == bins {
 			return len(s)

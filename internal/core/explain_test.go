@@ -244,9 +244,8 @@ func explainPooledSort(a, b *partition.Region, bins int) Explanation {
 // incomes, and edges the sorted pooled copy holds at the same indexes,
 // across unequal region sizes, heavy ties (±0 included), the bins >
 // pooled/8 clamp, and NaN and infinite incomes (which partitioning drops).
-// It runs over batch regions and over DeltaPartitioning snapshot regions
-// whose sorted views were first built before half the records arrived, so
-// a refreshed region must not serve the stale views.
+// It runs over ByGrid regions and over the regions of a DeltaPartitioning
+// snapshot that received half the records as updates.
 func TestExplainMatchesPooledSort(t *testing.T) {
 	incomeOf := map[string]func(rng *stats.RNG) float64{
 		"continuous": func(rng *stats.RNG) float64 { return 50000 + 15000*rng.NormFloat64() },
@@ -280,21 +279,10 @@ func TestExplainMatchesPooledSort(t *testing.T) {
 			}
 			grid := geo.NewGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(2, 1)), 2, 1)
 			opts := partition.Options{Seed: 9, IncomeSampleCap: 2000}
-			// Every other record reaches the delta partitioning late, so
-			// both regions change after their views were built.
-			var early, late []partition.Observation
-			for i, o := range obs {
-				if i%2 == 0 {
-					early = append(early, o)
-				} else {
-					late = append(late, o)
-				}
-			}
-			dp := partition.NewDeltaByGrid(grid, early, opts)
-			if s := dp.Snapshot(); len(s.Regions[0].IncomeSample()) > 0 && len(s.Regions[1].IncomeSample()) > 0 {
-				Explain(&s.Regions[0], &s.Regions[1], 0)
-			}
-			for _, o := range late {
+			// The delta snapshot gets half the records as updates and is
+			// held to the same pooled sort as the batch partitioning.
+			dp := partition.NewDeltaByGrid(grid, obs[:len(obs)/2], opts)
+			for _, o := range obs[len(obs)/2:] {
 				dp.Insert(o)
 			}
 			for _, part := range []struct {
@@ -314,7 +302,7 @@ func TestExplainMatchesPooledSort(t *testing.T) {
 					pooled := append(append([]float64(nil), a.IncomeSample()...), b.IncomeSample()...)
 					sort.Float64s(pooled)
 					edges := make([]float64, got.Bins-1)
-					pooledOrderStats(edges, a.SortedIncomeSample(), b.SortedIncomeSample(), got.Bins)
+					pooledOrderStats(edges, a.IncomeSample(), b.IncomeSample(), got.Bins)
 					for k, e := range edges {
 						w := pooled[(k+1)*len(pooled)/got.Bins]
 						if !(e == w || math.IsNaN(e) && math.IsNaN(w)) {
@@ -334,9 +322,9 @@ func explanationBitsEqual(x, y Explanation) bool {
 }
 
 // TestExplainConcurrent explains every ordered pair of shared regions from
-// 8 goroutines at once, starting with their sorted views unbuilt, and
-// holds each result to a serial run over an identical partitioning. Under
-// `make race` it checks the lazily built views are safe to share.
+// 8 goroutines at once and holds each result to a serial run over an
+// identical partitioning. Under `make race` it checks that Explain only
+// reads the regions it is given.
 func TestExplainConcurrent(t *testing.T) {
 	serial, shared := makeRegions(t, 300), makeRegions(t, 300)
 	n := len(shared.Regions)

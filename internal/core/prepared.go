@@ -289,12 +289,12 @@ func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 	switch ps.kind {
 	case kindMannWhitney:
 		view := ps.soa.samples[i]
-		copy(view, r.SortedIncomeSample())
+		copy(view, r.IncomeSample())
 		if ps.soa.gridOK {
 			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
 		}
 	case kindKolmogorovSmirnov:
-		copy(ps.soa.samples[i], r.SortedIncomeSample())
+		copy(ps.soa.samples[i], r.IncomeSample())
 	case kindWelch:
 		ps.soa.moments[i] = sampleMomentsOf(r)
 	case kindMeanGap:
@@ -313,7 +313,7 @@ func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 func (ps *preparedScorer) repair(i int, r *partition.Region) {
 	switch ps.kind {
 	case kindMannWhitney, kindKolmogorovSmirnov:
-		sorted := r.SortedIncomeSample()
+		sorted := r.IncomeSample()
 		if cap(ps.soa.samples[i]) >= len(sorted) {
 			ps.soa.samples[i] = ps.soa.samples[i][:len(sorted)]
 		} else {

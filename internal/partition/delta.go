@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lcsf/internal/geo"
@@ -10,84 +11,18 @@ import (
 // This file makes the partition layer delta-capable: DeltaPartitioning
 // maintains region aggregates under individual insert/delete updates and can
 // materialize, at any point, a *Partitioning that is bit-identical to the one
-// a cold rebuild from the current observation multiset would produce.
-//
-// That equivalence is the foundation of the delta-audit engine's correctness
-// contract (delta audit ≡ cold batch audit, byte-identical), and it forces
-// one deliberate departure from the streaming aggregation in partition.go:
-// the per-region income sample cannot be a reservoir. Algorithm R's admission
-// decisions depend on arrival order and on a generator shared across regions,
-// so a deletion cannot be unwound without replaying history. DeltaPartitioning
-// instead keeps each region's full observation multiset in a canonical sorted
-// order and derives the sample with hash-priority bottom-k selection: every
-// entry gets a deterministic pseudo-random rank from (seed, region, canonical
-// position), and the cap-many smallest ranks form the sample. The selection is
-// a pure function of the multiset and the seed — insertion order, deletions,
-// and re-insertions cannot leave a trace — which is exactly the property the
-// delta-vs-batch oracle in internal/verify pins down.
-//
-// Cold-batch comparisons must therefore build their reference snapshot with
-// NewDeltaByGrid over the final observation multiset, not with
-// ByGrid/ByAssign (whose reservoirs are a different — order-sensitive —
-// sampling design for the static pipeline).
-
-// deltaEntry is one retained observation in a region's canonical multiset.
-type deltaEntry struct {
-	income    float64
-	positive  bool
-	protected bool
-	loc       geo.Point
-}
-
-// entryOf converts an observation; the location is retained so deletes can
-// match exactly.
-func entryOf(o Observation) deltaEntry {
-	return deltaEntry{income: o.Income, positive: o.Positive, protected: o.Protected, loc: o.Loc}
-}
-
-// entryLess is the canonical total order: income, then outcome, then group,
-// then location. Ties (fully identical observations) are interchangeable, so
-// any stable layout of duplicates yields the same aggregates and sample.
-func entryLess(a, b deltaEntry) bool {
-	if a.income != b.income { //lint:floateq-ok deterministic-tie-break
-		return a.income < b.income
-	}
-	if a.positive != b.positive {
-		return !a.positive
-	}
-	if a.protected != b.protected {
-		return !a.protected
-	}
-	if a.loc.X != b.loc.X { //lint:floateq-ok deterministic-tie-break
-		return a.loc.X < b.loc.X
-	}
-	return a.loc.Y < b.loc.Y
-}
-
-// entryEqual is exact-match equality for deletes.
-func entryEqual(a, b deltaEntry) bool {
-	return a == b
-}
-
-// sampleRank is the deterministic per-entry priority behind bottom-k
-// selection: a splitmix64-style mix of the partition seed, the region, and
-// the entry's canonical position. Recomputed from the current canonical state
-// on every refresh, so it is a pure function of the multiset.
-func sampleRank(seed uint64, region, pos int) uint64 {
-	z := seed ^ 0xD3177A51 ^ uint64(region)*0x9E3779B97F4A7C15 ^ uint64(pos)*0xBF58476D1CE4E5B9
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
+// ByGrid over the current observation multiset would produce. That
+// equivalence is the foundation of the delta-audit engine's correctness
+// contract (delta audit ≡ cold batch audit, byte-identical). It holds
+// because each region keeps its full observation multiset and a refresh
+// re-selects the income sample with ByGrid's own sampler, whose result
+// depends on the multiset alone (sample.go).
 
 // DeltaPartitioning maintains a Partitioning under insert/delete updates.
 // It is not safe for concurrent use; callers serialize updates and audits.
 type DeltaPartitioning struct {
 	part    Partitioning
-	entries [][]deltaEntry // canonical sorted multiset per region
+	entries [][]Observation // each region's observation multiset, in sampleOrder
 
 	seed  uint64
 	capN  int
@@ -105,7 +40,7 @@ func NewDeltaByGrid(grid geo.Grid, obs []Observation, opts Options) *DeltaPartit
 		stale: make(map[int]struct{}),
 		dirty: make(map[int]struct{}),
 	}
-	d.entries = make([][]deltaEntry, len(d.part.Regions))
+	d.entries = make([][]Observation, len(d.part.Regions))
 	for i := range d.part.Regions {
 		d.part.Regions[i].Index = i
 		d.part.Regions[i].Bounds = grid.CellBounds(i)
@@ -126,8 +61,8 @@ func (d *DeltaPartitioning) locate(p geo.Point) int {
 }
 
 // Insert adds one observation, returning the region it landed in, or -1 when
-// it falls outside the partitioned space (or carries a non-finite income,
-// which the canonical order cannot place) and was dropped.
+// it falls outside the partitioned space (or carries a non-finite income)
+// and was dropped.
 func (d *DeltaPartitioning) Insert(o Observation) int {
 	if !o.placeable() {
 		return -1
@@ -136,26 +71,9 @@ func (d *DeltaPartitioning) Insert(o Observation) int {
 	if idx < 0 {
 		return -1
 	}
-	e := entryOf(o)
 	es := d.entries[idx]
-	at := sort.Search(len(es), func(k int) bool { return !entryLess(es[k], e) })
-	es = append(es, deltaEntry{})
-	copy(es[at+1:], es[at:])
-	es[at] = e
-	d.entries[idx] = es
-
-	r := &d.part.Regions[idx]
-	r.N++
-	d.part.TotalN++
-	if o.Positive {
-		r.Positives++
-		d.part.TotalPositives++
-	}
-	if o.Protected {
-		r.Protected++
-	} else {
-		r.NonProtected++
-	}
+	d.entries[idx] = slices.Insert(es, position(es, &o), o)
+	d.part.count(idx, &o, 1)
 	d.touch(idx)
 	return idx
 }
@@ -173,26 +91,16 @@ func (d *DeltaPartitioning) Delete(o Observation) (int, error) {
 	if idx < 0 {
 		return -1, nil
 	}
-	e := entryOf(o)
 	es := d.entries[idx]
-	at := sort.Search(len(es), func(k int) bool { return !entryLess(es[k], e) })
-	if at >= len(es) || !entryEqual(es[at], e) {
+	at := position(es, &o)
+	for at < len(es) && es[at] != o && !sampleOrder(&o, &es[at]) {
+		at++
+	}
+	if at == len(es) || es[at] != o {
 		return -1, fmt.Errorf("partition: delete of absent observation %+v in region %d", o, idx)
 	}
-	d.entries[idx] = append(es[:at], es[at+1:]...)
-
-	r := &d.part.Regions[idx]
-	r.N--
-	d.part.TotalN--
-	if o.Positive {
-		r.Positives--
-		d.part.TotalPositives--
-	}
-	if o.Protected {
-		r.Protected--
-	} else {
-		r.NonProtected--
-	}
+	d.entries[idx] = slices.Delete(es, at, at+1)
+	d.part.count(idx, &o, -1)
 	d.touch(idx)
 	return idx, nil
 }
@@ -256,12 +164,11 @@ func (d *DeltaPartitioning) ClearDirty() {
 	}
 }
 
-// Snapshot refreshes every stale region's derived state (income sample and
-// sorted-sample cache) and returns the partitioning. The returned value is
-// owned by the DeltaPartitioning and is valid until the next update; the
-// snapshot is bit-identical to the one a fresh NewDeltaByGrid over the
-// current observation multiset would produce, regardless of the update
-// history that led here.
+// Snapshot refreshes every stale region's income sample and returns the
+// partitioning. The returned value is owned by the DeltaPartitioning and is
+// valid until the next update; the snapshot is bit-identical to ByGrid over
+// the current observation multiset, regardless of the update history that
+// led here.
 func (d *DeltaPartitioning) Snapshot() *Partitioning {
 	if len(d.stale) > 0 {
 		refresh := make([]int, 0, len(d.stale))
@@ -277,7 +184,22 @@ func (d *DeltaPartitioning) Snapshot() *Partitioning {
 	return &d.part
 }
 
-// refreshRegion rebuilds one region's sample from its canonical multiset.
+// sampleOrder orders a region's multiset as its sample is stored: by income,
+// negative outcome first. Kept in that order, the multiset hands the sampler
+// presorted runs, and a delete finds its record by binary search.
+func sampleOrder(a, b *Observation) bool {
+	if a.Income != b.Income { //lint:floateq-ok deterministic-tie-break
+		return a.Income < b.Income
+	}
+	return !a.Positive && b.Positive
+}
+
+// position returns the first index of es whose record does not sort before o.
+func position(es []Observation, o *Observation) int {
+	return sort.Search(len(es), func(k int) bool { return !sampleOrder(&es[k], o) })
+}
+
+// refreshRegion re-selects one region's income sample from its multiset.
 func (d *DeltaPartitioning) refreshRegion(idx int) {
 	r := &d.part.Regions[idx]
 	es := d.entries[idx]
@@ -285,51 +207,9 @@ func (d *DeltaPartitioning) refreshRegion(idx int) {
 		r.sample = nil
 		return
 	}
-
-	// Select the sample: every entry when the region fits under the cap,
-	// otherwise the cap-many smallest hash priorities. sel holds canonical
-	// positions in ascending order either way, so the sample's incomes come
-	// out already sorted and the sorted-view cache is filled for free.
-	var sel []int
-	if len(es) <= d.capN {
-		sel = make([]int, len(es))
-		for i := range es {
-			sel[i] = i
-		}
-	} else {
-		type ranked struct {
-			rank uint64
-			pos  int
-		}
-		rs := make([]ranked, len(es))
-		for i := range es {
-			rs[i] = ranked{rank: sampleRank(d.seed, idx, i), pos: i}
-		}
-		sort.Slice(rs, func(a, b int) bool {
-			if rs[a].rank != rs[b].rank {
-				return rs[a].rank < rs[b].rank
-			}
-			return rs[a].pos < rs[b].pos
-		})
-		sel = make([]int, d.capN)
-		for i := 0; i < d.capN; i++ {
-			sel[i] = rs[i].pos
-		}
-		sort.Ints(sel)
+	s := newSampler(d.seed, r.N, r.Positives, d.capN)
+	for k := range es {
+		s.offer(&es[k])
 	}
-
-	incomes := make([]float64, len(sel))
-	pos := make([]bool, len(sel))
-	for i, p := range sel {
-		incomes[i] = es[p].income
-		pos[i] = es[p].positive
-	}
-	r.sample = &pairedSample{
-		incomes:    incomes,
-		pos:        pos,
-		seen:       len(es),
-		cap:        d.capN,
-		sorted:     incomes,
-		sortedSeen: len(es),
-	}
+	r.sample = s.finish()
 }

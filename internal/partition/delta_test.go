@@ -16,8 +16,7 @@ func testGrid() geo.Grid {
 }
 
 // randomObs draws an observation inside the test grid. Incomes are drawn from
-// a small discrete set so duplicate entries (the canonical order's tie cases)
-// occur constantly.
+// a small discrete set so equal incomes occur constantly.
 func randomObs(rng *stats.RNG) Observation {
 	return Observation{
 		Loc:       geo.Pt(rng.Float64()*8, rng.Float64()*4),
@@ -28,8 +27,8 @@ func randomObs(rng *stats.RNG) Observation {
 }
 
 // requireEqualSnapshots fails unless the two partitionings are bit-identical
-// in every field the audit reads: counts, totals, bounds, raw and sorted
-// samples, outcome pairing, and summaries.
+// in every field the audit reads: counts, totals, bounds, the income sample,
+// its outcomes and positive view, and summaries.
 func requireEqualSnapshots(t *testing.T, got, want *Partitioning) {
 	t.Helper()
 	if got.TotalN != want.TotalN || got.TotalPositives != want.TotalPositives {
@@ -53,8 +52,8 @@ func requireEqualSnapshots(t *testing.T, got, want *Partitioning) {
 		if !reflect.DeepEqual(g.OutcomeSample(), w.OutcomeSample()) {
 			t.Fatalf("region %d outcome sample differs", i)
 		}
-		if !reflect.DeepEqual(g.SortedIncomeSample(), w.SortedIncomeSample()) {
-			t.Fatalf("region %d sorted sample differs", i)
+		if !reflect.DeepEqual(g.PositiveIncomeSample(), w.PositiveIncomeSample()) {
+			t.Fatalf("region %d positive income sample differs", i)
 		}
 		gs, ws := Summarize(g), Summarize(w)
 		if !summariesEqual(gs, ws) {
@@ -77,7 +76,7 @@ func summariesEqual(a, b RegionSummary) bool {
 
 // TestDeltaMatchesColdRebuild is the layer's core contract: after an
 // arbitrary applied update stream, the maintained snapshot is bit-identical
-// to a cold rebuild from the surviving observation multiset.
+// to ByGrid over the surviving observation multiset.
 func TestDeltaMatchesColdRebuild(t *testing.T) {
 	rng := stats.NewRNG(101)
 	opts := Options{Seed: 9, IncomeSampleCap: 16} // small cap: bottom-k engages
@@ -98,15 +97,13 @@ func TestDeltaMatchesColdRebuild(t *testing.T) {
 			live = append(live, o)
 		}
 		if step%67 == 0 || step == 399 {
-			cold := NewDeltaByGrid(testGrid(), live, opts)
-			requireEqualSnapshots(t, dp.Snapshot(), cold.Snapshot())
+			requireEqualSnapshots(t, dp.Snapshot(), ByGrid(testGrid(), live, opts))
 		}
 	}
 }
 
 // TestDeltaInsertionOrderIndependence: the same multiset inserted in any
-// order yields the same snapshot — the property reservoirs lack and the delta
-// design exists to provide.
+// order yields the same snapshot.
 func TestDeltaInsertionOrderIndependence(t *testing.T) {
 	rng := stats.NewRNG(55)
 	opts := Options{Seed: 3, IncomeSampleCap: 8}
@@ -178,8 +175,7 @@ func TestDeltaApplyStream(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	cold := NewDeltaByGrid(testGrid(), []Observation{o2}, opts)
-	requireEqualSnapshots(t, dp.Snapshot(), cold.Snapshot())
+	requireEqualSnapshots(t, dp.Snapshot(), ByGrid(testGrid(), []Observation{o2}, opts))
 	if err := dp.Apply([]Update{{Op: UpdateDelete, Obs: o1}}); err == nil {
 		t.Fatal("apply with absent delete succeeded")
 	}
@@ -213,8 +209,8 @@ func TestDeltaDirtyTracking(t *testing.T) {
 	}
 }
 
-// TestDeltaDropsNonFinite: non-finite incomes cannot be placed in the
-// canonical order and are dropped symmetrically by Insert and Delete.
+// TestDeltaDropsNonFinite: non-finite incomes cannot be sorted into a sample
+// and are dropped symmetrically by Insert and Delete.
 func TestDeltaDropsNonFinite(t *testing.T) {
 	opts := Options{Seed: 1, IncomeSampleCap: 8}
 	dp := NewDeltaByGrid(testGrid(), nil, opts)
@@ -230,10 +226,10 @@ func TestDeltaDropsNonFinite(t *testing.T) {
 	}
 }
 
-// TestBatchAndDeltaDropNonFinite: the batch partitioners and the delta
+// TestBatchAndDeltaDropNonFinite: the batch partitioner and the delta
 // layer share one admission rule, so on records with NaN and ±Inf incomes
-// ByGrid/ByAssign and their delta counterparts agree on every region count
-// and on the totals, and none of them keeps a non-finite income.
+// ByGrid and the delta snapshot are bit-identical, drop exactly the
+// non-finite records, and keep no non-finite income.
 func TestBatchAndDeltaDropNonFinite(t *testing.T) {
 	rng := stats.NewRNG(17)
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -247,29 +243,15 @@ func TestBatchAndDeltaDropNonFinite(t *testing.T) {
 		}
 	}
 	opts := Options{Seed: 3, IncomeSampleCap: 16}
-	grid := testGrid()
-	cases := []struct {
-		name         string
-		batch, delta *Partitioning
-	}{
-		{"grid", ByGrid(grid, obs, opts), NewDeltaByGrid(grid, obs, opts).Snapshot()},
+	batch := ByGrid(testGrid(), obs, opts)
+	if batch.TotalN != len(obs)-nonFinite {
+		t.Fatalf("batch TotalN = %d, want %d", batch.TotalN, len(obs)-nonFinite)
 	}
-	for _, c := range cases {
-		b, d := c.batch, c.delta
-		if b.TotalN != len(obs)-nonFinite || d.TotalN != b.TotalN || d.TotalPositives != b.TotalPositives {
-			t.Fatalf("%s: totals batch (%d,%d) delta (%d,%d), want N=%d",
-				c.name, b.TotalN, b.TotalPositives, d.TotalN, d.TotalPositives, len(obs)-nonFinite)
-		}
-		for i := range b.Regions {
-			g, w := &b.Regions[i], &d.Regions[i]
-			if g.N != w.N || g.Positives != w.Positives || g.Protected != w.Protected {
-				t.Fatalf("%s: region %d counts differ: batch (%d,%d,%d) delta (%d,%d,%d)",
-					c.name, i, g.N, g.Positives, g.Protected, w.N, w.Positives, w.Protected)
-			}
-			for _, v := range g.IncomeSample() {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("%s: batch region %d kept income %v", c.name, i, v)
-				}
+	requireEqualSnapshots(t, NewDeltaByGrid(testGrid(), obs, opts).Snapshot(), batch)
+	for i := range batch.Regions {
+		for _, v := range batch.Regions[i].IncomeSample() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("region %d kept income %v", i, v)
 			}
 		}
 	}

@@ -12,11 +12,8 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"lcsf/internal/geo"
-	"lcsf/internal/stats"
 )
 
 // Observation is one individual-level record: where the individual is, what
@@ -31,9 +28,9 @@ type Observation struct {
 }
 
 // placeable reports whether an observation can enter a partitioning: its
-// income must be finite, because every rank kernel and the delta layer's
-// canonical sample order need a totally ordered value. ByGrid, ByAssign and
-// the DeltaPartitioning insert and delete paths all drop what fails it, so
+// income must be finite, because every rank kernel and the income sample's
+// sort need a totally ordered value. ByGrid, ByAssign and the
+// DeltaPartitioning insert and delete paths all drop what fails it, so
 // batch and delta partitionings of the same records agree.
 func (o Observation) placeable() bool {
 	return !math.IsNaN(o.Income) && !math.IsInf(o.Income, 0)
@@ -48,89 +45,6 @@ type Region struct {
 	Protected    int      // n_G: protected-group individuals
 	NonProtected int      // n_V: non-protected-group individuals
 	sample       *pairedSample
-}
-
-// pairedSample is a uniform reservoir (Algorithm R) over (income, outcome)
-// observations, kept in parallel slices so IncomeSample returns a live slice
-// with no per-call allocation.
-type pairedSample struct {
-	incomes []float64
-	pos     []bool
-	seen    int
-	cap     int
-	rng     *stats.RNG
-
-	// Sorted-view caches behind SortedIncomeSample and
-	// SortedPositiveIncomeSample: each is rebuilt when the sample has
-	// admitted observations since it was last built (its *Seen trails
-	// seen). The mutex only guards the caches — aggregation itself is
-	// single-goroutine per partitioning.
-	mu            sync.Mutex
-	sorted        []float64
-	sortedSeen    int
-	sortedPos     []float64
-	sortedPosSeen int
-}
-
-// sortedIncomes returns the sample's incomes sorted ascending, building (or
-// rebuilding, if the reservoir admitted observations since) the cached copy.
-func (s *pairedSample) sortedIncomes() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sorted == nil || s.sortedSeen != s.seen {
-		s.sorted = append(s.sorted[:0], s.incomes...)
-		sort.Float64s(s.sorted)
-		s.sortedSeen = s.seen
-	}
-	return s.sorted
-}
-
-// sortedPositiveIncomes returns the incomes of the sample's members with
-// the positive outcome, sorted ascending, cached like sortedIncomes. The
-// cache is never nil once built, so a sample without positives is not
-// rebuilt on every call.
-func (s *pairedSample) sortedPositiveIncomes() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sortedPos == nil || s.sortedPosSeen != s.seen {
-		n := 0
-		for _, p := range s.pos {
-			if p {
-				n++
-			}
-		}
-		sorted := make([]float64, 0, n)
-		for i, p := range s.pos {
-			if p {
-				sorted = append(sorted, s.incomes[i])
-			}
-		}
-		sort.Float64s(sorted)
-		s.sortedPos, s.sortedPosSeen = sorted, s.seen
-	}
-	return s.sortedPos
-}
-
-func newPairedSample(capacity int, rng *stats.RNG) *pairedSample {
-	return &pairedSample{
-		incomes: make([]float64, 0, capacity),
-		pos:     make([]bool, 0, capacity),
-		cap:     capacity,
-		rng:     rng,
-	}
-}
-
-func (s *pairedSample) add(income float64, positive bool) {
-	s.seen++
-	if len(s.incomes) < s.cap {
-		s.incomes = append(s.incomes, income)
-		s.pos = append(s.pos, positive)
-		return
-	}
-	if j := s.rng.Intn(s.seen); j < s.cap {
-		s.incomes[j] = income
-		s.pos[j] = positive
-	}
 }
 
 // PositiveRate returns the region's local positive rate p(r)/n(r), or 0 for
@@ -151,9 +65,11 @@ func (r *Region) ProtectedShare() float64 {
 	return float64(r.Protected) / float64(r.N)
 }
 
-// IncomeSample returns a uniform sample of the region's income observations
-// (at most the sample cap configured at partition time). The slice is owned
-// by the region; callers must not modify it.
+// IncomeSample returns the region's income sample, sorted ascending (at
+// equal incomes, negative outcomes first): every income when the region
+// holds at most the sample cap configured at partition time, else the
+// cap-many chosen by the seeded rank (see sample.go). The slice is owned by
+// the region; callers must not modify it.
 func (r *Region) IncomeSample() []float64 {
 	if r.sample == nil {
 		return nil
@@ -161,32 +77,16 @@ func (r *Region) IncomeSample() []float64 {
 	return r.sample.incomes
 }
 
-// SortedIncomeSample returns the region's income sample sorted ascending —
-// the same observations as IncomeSample, reordered. The sorted copy is
-// computed on first call and cached (rebuilt if the region aggregates more
-// observations afterwards), so audits that compare each region against many
-// others sort each sample once instead of once per comparison. The slice is
-// owned by the region; callers must not modify it. Safe for concurrent
-// callers once aggregation is complete.
-func (r *Region) SortedIncomeSample() []float64 {
+// PositiveIncomeSample returns the incomes of the income sample's members
+// whose outcome was positive, sorted ascending. Together with IncomeSample
+// it lets the income decomposition in the core package count a bin's
+// members and positives with two binary searches each. The slice is owned
+// by the region.
+func (r *Region) PositiveIncomeSample() []float64 {
 	if r.sample == nil {
 		return nil
 	}
-	return r.sample.sortedIncomes()
-}
-
-// SortedPositiveIncomeSample returns the incomes of the income sample's
-// members whose outcome was positive, sorted ascending. Like
-// SortedIncomeSample it is computed on first call and cached, shares that
-// cache's staleness rule, is owned by the region, and is safe for
-// concurrent callers once aggregation is complete. Together the two sorted
-// views let the income decomposition in the core package count a bin's
-// members and positives with two binary searches each.
-func (r *Region) SortedPositiveIncomeSample() []float64 {
-	if r.sample == nil {
-		return nil
-	}
-	return r.sample.sortedPositiveIncomes()
+	return r.sample.posIncomes
 }
 
 // OutcomeSample returns the outcomes paired with IncomeSample, index for
@@ -211,10 +111,12 @@ type Partitioning struct {
 	TotalPositives int // P: positive outcomes across the whole space
 }
 
-// DefaultIncomeSampleCap bounds the per-region income reservoir so the
-// Mann–Whitney similarity test costs O(cap log cap) regardless of region
-// population. 500 gives the U test enough power that regions passing the
-// strict epsilon gate genuinely have comparable income distributions.
+// DefaultIncomeSampleCap is the most observations a region's income sample
+// keeps; a larger region keeps those with the smallest seeded rank. Samples
+// are stored sorted, so a similarity test over two of them costs O(cap)
+// whatever the regions' populations. 500 gives the U test enough power that
+// regions passing the strict epsilon gate genuinely have comparable income
+// distributions.
 const DefaultIncomeSampleCap = 500
 
 // Options tunes aggregation.
@@ -222,8 +124,8 @@ type Options struct {
 	// IncomeSampleCap bounds the per-region income sample; 0 means
 	// DefaultIncomeSampleCap.
 	IncomeSampleCap int
-	// Seed drives reservoir sampling; aggregation is deterministic given the
-	// seed and observation order.
+	// Seed drives the income sample's rank; aggregation is deterministic
+	// given the seed and the multiset of observations.
 	Seed uint64
 }
 
@@ -239,22 +141,16 @@ func (o Options) cap() int {
 // region R), and so are observations with a non-finite income.
 func ByGrid(grid geo.Grid, obs []Observation, opts Options) *Partitioning {
 	p := &Partitioning{Grid: grid, Regions: make([]Region, grid.NumCells())}
-	rng := stats.NewRNG(opts.Seed ^ 0x9A9717)
-	capN := opts.cap()
 	for i := range p.Regions {
 		p.Regions[i].Index = i
 		p.Regions[i].Bounds = grid.CellBounds(i)
 	}
-	for _, o := range obs {
-		if !o.placeable() {
-			continue
+	p.aggregate(obs, opts, func(loc geo.Point) int {
+		if idx, ok := grid.CellIndex(loc); ok {
+			return idx
 		}
-		idx, ok := grid.CellIndex(o.Loc)
-		if !ok {
-			continue
-		}
-		p.add(idx, o, capN, rng)
-	}
+		return -1
+	})
 	return p
 }
 
@@ -267,46 +163,72 @@ func ByGrid(grid geo.Grid, obs []Observation, opts Options) *Partitioning {
 // in the caller's partition definition.
 func ByAssign(numCells int, assign func(geo.Point) int, obs []Observation, opts Options) *Partitioning {
 	p := &Partitioning{Regions: make([]Region, numCells)}
-	rng := stats.NewRNG(opts.Seed ^ 0x9A9717)
-	capN := opts.cap()
 	for i := range p.Regions {
 		p.Regions[i].Index = i
 		p.Regions[i].Bounds = geo.EmptyBBox()
 	}
-	for _, o := range obs {
-		if !o.placeable() {
-			continue
-		}
-		idx := assign(o.Loc)
-		if idx < 0 {
-			continue
-		}
+	p.aggregate(obs, opts, func(loc geo.Point) int {
+		idx := assign(loc)
 		if idx >= numCells {
 			panic(fmt.Sprintf("partition: assign returned %d for %d cells", idx, numCells))
 		}
-		p.add(idx, o, capN, rng)
-		p.Regions[idx].Bounds = p.Regions[idx].Bounds.Extend(o.Loc)
-	}
+		if idx >= 0 {
+			p.Regions[idx].Bounds = p.Regions[idx].Bounds.Extend(loc)
+		}
+		return idx
+	})
 	return p
 }
 
-func (p *Partitioning) add(idx int, o Observation, capN int, rng *stats.RNG) {
+// aggregate counts every placeable observation into the region locate
+// names for it, dropping it when that is negative, then selects each
+// non-empty region's income sample in a second pass over the placed
+// observations.
+func (p *Partitioning) aggregate(obs []Observation, opts Options, locate func(geo.Point) int) {
+	cells := make([]int32, len(obs)) // obs[k]'s region, or -1
+	for k := range obs {
+		cells[k] = -1
+		if !obs[k].placeable() {
+			continue
+		}
+		if idx := locate(obs[k].Loc); idx >= 0 {
+			cells[k] = int32(idx)
+			p.count(idx, &obs[k], 1)
+		}
+	}
+	samplers := make([]sampler, len(p.Regions))
+	for i := range p.Regions {
+		if r := &p.Regions[i]; r.N > 0 {
+			samplers[i] = newSampler(opts.Seed, r.N, r.Positives, opts.cap())
+		}
+	}
+	for k, c := range cells {
+		if c >= 0 {
+			samplers[c].offer(&obs[k])
+		}
+	}
+	for i := range samplers {
+		if p.Regions[i].N > 0 {
+			p.Regions[i].sample = samplers[i].finish()
+		}
+	}
+}
+
+// count adds an observation to region idx's aggregates and the totals, or
+// with by = -1 takes it out.
+func (p *Partitioning) count(idx int, o *Observation, by int) {
 	r := &p.Regions[idx]
-	r.N++
-	p.TotalN++
+	r.N += by
+	p.TotalN += by
 	if o.Positive {
-		r.Positives++
-		p.TotalPositives++
+		r.Positives += by
+		p.TotalPositives += by
 	}
 	if o.Protected {
-		r.Protected++
+		r.Protected += by
 	} else {
-		r.NonProtected++
+		r.NonProtected += by
 	}
-	if r.sample == nil {
-		r.sample = newPairedSample(capN, rng)
-	}
-	r.sample.add(o.Income, o.Positive)
 }
 
 // GlobalRate returns the overall positive rate P/N, or 0 when empty.

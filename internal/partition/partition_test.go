@@ -1,8 +1,8 @@
 package partition
 
 import (
-	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -207,34 +207,105 @@ func TestAggregationConservation(t *testing.T) {
 	}
 }
 
-// TestSortedViewsFollowTheSample checks both cached sorted views are
-// rebuilt once the reservoir admits more observations: each must then
-// hold the current sample's incomes (all, or the positive-outcome ones)
-// in ascending order.
-func TestSortedViewsFollowTheSample(t *testing.T) {
-	s := newPairedSample(50, stats.NewRNG(3))
-	rng := stats.NewRNG(4)
-	check := func(stage string) {
-		var all, pos []float64
-		for i, x := range s.incomes {
-			all = append(all, x)
-			if s.pos[i] {
-				pos = append(pos, x)
-			}
-		}
-		sort.Float64s(all)
-		sort.Float64s(pos)
-		if got := s.sortedIncomes(); !slices.Equal(got, all) {
-			t.Errorf("%s: sorted incomes %v, want %v", stage, got, all)
-		}
-		if got := s.sortedPositiveIncomes(); !slices.Equal(got, pos) {
-			t.Errorf("%s: sorted positive incomes %v, want %v", stage, got, pos)
+// randomRegionObs draws n observations over the 2x2 grid of makeObs, with
+// incomes from a small discrete set so equal incomes, with either outcome,
+// occur constantly.
+func randomRegionObs(rng *stats.RNG, n int) []Observation {
+	obs := make([]Observation, n)
+	for i := range obs {
+		obs[i] = Observation{
+			Loc:       geo.Pt(rng.Float64()*2, rng.Float64()*2),
+			Positive:  rng.Bernoulli(0.5),
+			Protected: rng.Bernoulli(0.4),
+			Income:    1000 * float64(rng.Intn(40)),
 		}
 	}
-	for _, n := range []int{0, 20, 60, 200} {
-		for s.seen < n {
-			s.add(float64(rng.Intn(1000)), rng.Bernoulli(0.4))
+	return obs
+}
+
+// TestSampleIsOrderFree: the same records in any order give a DeepEqual
+// partitioning, through ByGrid and ByAssign alike, with every region over
+// the sample cap.
+func TestSampleIsOrderFree(t *testing.T) {
+	grid := geo.NewGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(2, 2)), 2, 2)
+	assign := func(p geo.Point) int {
+		idx, _ := grid.CellIndex(p)
+		return idx
+	}
+	rng := stats.NewRNG(12)
+	obs := randomRegionObs(rng, 800)
+	opts := Options{Seed: 5, IncomeSampleCap: 64}
+	build := map[string]func([]Observation) *Partitioning{
+		"ByGrid":   func(o []Observation) *Partitioning { return ByGrid(grid, o, opts) },
+		"ByAssign": func(o []Observation) *Partitioning { return ByAssign(grid.NumCells(), assign, o, opts) },
+	}
+	for name, f := range build {
+		want := f(obs)
+		for i := range want.Regions {
+			if want.Regions[i].N <= opts.IncomeSampleCap {
+				t.Fatalf("%s: region %d holds %d observations, want more than the cap %d",
+					name, i, want.Regions[i].N, opts.IncomeSampleCap)
+			}
 		}
-		check(fmt.Sprintf("after %d observations", n))
+		for trial := 0; trial < 3; trial++ {
+			perm := slices.Clone(obs)
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			if got := f(perm); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: permutation %d changed the partitioning", name, trial)
+			}
+		}
+	}
+}
+
+// TestSampleIsBottomKOfRank checks the sampler against a full sort: a
+// region's sample is its cap-many observations with the smallest (rank,
+// income, outcome), every observation when the region fits, held sorted by
+// income with the negative outcome first, and the positive view holds the
+// positive members' incomes in the same order.
+func TestSampleIsBottomKOfRank(t *testing.T) {
+	grid := geo.NewGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(2, 2)), 2, 2)
+	rng := stats.NewRNG(21)
+	obs := randomRegionObs(rng, 300)
+	for _, capN := range []int{1, 16, 75, 500} {
+		opts := Options{Seed: 8, IncomeSampleCap: capN}
+		p := ByGrid(grid, obs, opts)
+		for idx := range p.Regions {
+			r := &p.Regions[idx]
+			var cands []rankedIncome
+			for k := range obs {
+				if c, _ := grid.CellIndex(obs[k].Loc); c == idx {
+					cands = append(cands, rankedIncome{sampleRank(opts.Seed, &obs[k]), obs[k].Income, obs[k].Positive})
+				}
+			}
+			slices.SortFunc(cands, func(a, b rankedIncome) int {
+				if a.before(b) {
+					return -1
+				}
+				if b.before(a) {
+					return 1
+				}
+				return 0
+			})
+			cands = cands[:min(capN, len(cands))]
+			sort.SliceStable(cands, func(i, j int) bool {
+				if cands[i].income != cands[j].income {
+					return cands[i].income < cands[j].income
+				}
+				return !cands[i].positive && cands[j].positive
+			})
+			var inc, posInc []float64
+			var out []bool
+			for _, c := range cands {
+				inc, out = append(inc, c.income), append(out, c.positive)
+				if c.positive {
+					posInc = append(posInc, c.income)
+				}
+			}
+			if !slices.Equal(r.IncomeSample(), inc) || !slices.Equal(r.OutcomeSample(), out) ||
+				!slices.Equal(r.PositiveIncomeSample(), posInc) {
+				t.Fatalf("cap %d region %d: sample (%v, %v, %v), want (%v, %v, %v)", capN, idx,
+					r.IncomeSample(), r.OutcomeSample(), r.PositiveIncomeSample(), inc, out, posInc)
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"lcsf/internal/hmda"
 	"lcsf/internal/partition"
 	"lcsf/internal/report"
+	"lcsf/internal/stats"
 	"lcsf/internal/table"
 )
 
@@ -249,4 +250,60 @@ func TestBadParamsRefusedUnread(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400 (%s)", url, rec.Code, rec.Body.String())
 		}
 	}
+}
+
+// TestAuditIgnoresRowOrder posts a full-volume Loan Depot LAR and then the
+// same data rows permuted: the response bytes must be identical. Regions
+// over the income-sample cap are where row order used to leak into the
+// verdict, so the test first checks that the body has some.
+func TestAuditIgnoresRowOrder(t *testing.T) {
+	ld, err := hmda.LenderByName("Loan Depot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := hmda.Generate(census.Generate(census.Config{Seed: 2020}), ld) // lcsf-datagen's defaults
+	tbl, err := hmda.ToTable(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tbl.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	grid := geo.NewGrid(geo.ContinentalUS, 100, 50) // the route's default grid
+	over := 0
+	for _, r := range partition.ByGrid(grid, hmda.ToObservations(recs), partition.Options{}).Regions {
+		if r.N > partition.DefaultIncomeSampleCap {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatalf("no region holds more than %d records; the test is vacuous", partition.DefaultIncomeSampleCap)
+	}
+
+	body := buf.Bytes()
+	header := bytes.IndexByte(body, '\n') + 1
+	rows := bytes.SplitAfter(body[header:], []byte("\n"))
+	rows = rows[:len(rows)-1] // the empty tail after the last newline
+	stats.NewRNG(5).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	permuted := append(bytes.Clone(body[:header]), bytes.Join(rows, nil)...)
+	if len(permuted) != len(body) {
+		t.Fatalf("permuted body is %d bytes, original %d", len(permuted), len(body))
+	}
+
+	srv := newTestServer()
+	post := func(b []byte) []byte {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/audit", bytes.NewReader(b)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	want, got := post(body), post(permuted)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("permuting the %d data rows changed the response (%d regions over the cap): %d bytes vs %d",
+			len(rows), over, len(got), len(want))
+	}
+	t.Logf("%d rows, %d regions over the cap, %d response bytes", len(rows), over, len(want))
 }

@@ -268,8 +268,7 @@ func runDeltaOracle(t *testing.T, scen *Scenario) {
 					if l.reused == 0 {
 						t.Errorf("%s: no incremental pass reused any cached pair; the workload exercises nothing incremental", label)
 					}
-					cold := partition.NewDeltaByGrid(scen.Grid, final, scen.Opts)
-					want, err := core.Audit(cold.Snapshot(), l.cfg)
+					want, err := core.Audit(partition.ByGrid(scen.Grid, final, scen.Opts), l.cfg)
 					if err != nil {
 						t.Fatalf("%s: cold audit: %v", label, err)
 					}

@@ -3,6 +3,7 @@ package verify
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -393,10 +394,10 @@ func FuzzFDR(f *testing.F) {
 
 // FuzzDeltaPartition decodes fuzzer-chosen bytes into an arbitrary
 // insert/delete stream over a small grid and demands that the incrementally
-// maintained DeltaPartitioning — region aggregates, bounds, canonical income
-// samples, and a SummaryIndex repaired region-by-region through UpdateRegion
-// — is indistinguishable from rebuilding everything from scratch over the
-// surviving observation multiset. Incomes are drawn from a 16-value grid so
+// maintained DeltaPartitioning — region aggregates, bounds, income samples,
+// and a SummaryIndex repaired region-by-region through UpdateRegion — is
+// indistinguishable from ByGrid over the surviving observation multiset,
+// taken in either row order, and from a fresh index. Incomes are drawn from a 16-value grid so
 // duplicate entries (the exact-match deletion edge) are routine.
 func FuzzDeltaPartition(f *testing.F) {
 	f.Add(uint64(1), 8, []byte("insert-delete-reinsert, repeat"))
@@ -458,22 +459,32 @@ func FuzzDeltaPartition(f *testing.F) {
 		}
 		dp.ClearDirty()
 
-		cold := partition.NewDeltaByGrid(grid, live, opts).Snapshot()
-		if snap.TotalN != cold.TotalN || snap.TotalPositives != cold.TotalPositives {
-			t.Fatalf("totals diverged: incremental %d/%d, cold rebuild %d/%d",
-				snap.TotalN, snap.TotalPositives, cold.TotalN, cold.TotalPositives)
-		}
-		for i := range snap.Regions {
-			a, b := &snap.Regions[i], &cold.Regions[i]
-			if a.N != b.N || a.Positives != b.Positives || a.Protected != b.Protected ||
-				a.NonProtected != b.NonProtected || a.Bounds != b.Bounds {
-				t.Fatalf("region %d aggregates diverged:\n incremental %+v\n cold        %+v", i, a, b)
+		// The reference is the batch partitioner over the surviving
+		// multiset, in the order it survived and reversed: the sample must
+		// depend on neither the update history nor the row order.
+		reversed := slices.Clone(live)
+		slices.Reverse(reversed)
+		for _, ref := range []struct {
+			name string
+			rows []partition.Observation
+		}{{"ByGrid", live}, {"ByGrid over reversed rows", reversed}} {
+			cold := partition.ByGrid(grid, ref.rows, opts)
+			if snap.TotalN != cold.TotalN || snap.TotalPositives != cold.TotalPositives {
+				t.Fatalf("totals diverged: incremental %d/%d, %s %d/%d",
+					snap.TotalN, snap.TotalPositives, ref.name, cold.TotalN, cold.TotalPositives)
 			}
-			if !reflect.DeepEqual(a.IncomeSample(), b.IncomeSample()) ||
-				!reflect.DeepEqual(a.OutcomeSample(), b.OutcomeSample()) ||
-				!reflect.DeepEqual(a.SortedIncomeSample(), b.SortedIncomeSample()) {
-				t.Fatalf("region %d samples diverged:\n incremental %v %v\n cold        %v %v",
-					i, a.IncomeSample(), a.OutcomeSample(), b.IncomeSample(), b.OutcomeSample())
+			for i := range snap.Regions {
+				a, b := &snap.Regions[i], &cold.Regions[i]
+				if a.N != b.N || a.Positives != b.Positives || a.Protected != b.Protected ||
+					a.NonProtected != b.NonProtected || a.Bounds != b.Bounds {
+					t.Fatalf("region %d aggregates diverged:\n incremental %+v\n %s %+v", i, a, ref.name, b)
+				}
+				if !reflect.DeepEqual(a.IncomeSample(), b.IncomeSample()) ||
+					!reflect.DeepEqual(a.OutcomeSample(), b.OutcomeSample()) ||
+					!reflect.DeepEqual(a.PositiveIncomeSample(), b.PositiveIncomeSample()) {
+					t.Fatalf("region %d samples diverged:\n incremental %v %v\n %s %v %v",
+						i, a.IncomeSample(), a.OutcomeSample(), ref.name, b.IncomeSample(), b.OutcomeSample())
+				}
 			}
 		}
 

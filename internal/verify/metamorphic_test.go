@@ -129,6 +129,69 @@ func TestMetamorphic(t *testing.T) {
 	}
 }
 
+// TestMetamorphicOverCap runs the perturbations that keep every record's
+// fields on a scenario whose regions exceed the income-sample cap, so the
+// sampler selects rather than keeping everything. A region's sample is a
+// function of its records alone, so shuffling the rows or split-remerging
+// the assignment must leave the result identical field for field, and
+// relabeling or gapping the label space must leave the candidate count and
+// the relabel-normalized flagged set unchanged. (Jitter moves locations,
+// which the sample's rank hashes, so it is left to TestMetamorphic's
+// under-cap scenario.)
+func TestMetamorphicOverCap(t *testing.T) {
+	base := NewScenario(stats.NewRNG(42), deltaScenarioConfig())
+	part := base.Partition()
+	over := 0
+	for i := range part.Regions {
+		if part.Regions[i].N > base.Opts.IncomeSampleCap {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatalf("no region exceeds the sample cap %d; the oracle is vacuous", base.Opts.IncomeSampleCap)
+	}
+
+	prng := stats.NewRNG(44)
+	relabeled, relabelBack := base.Relabeled(RandomPermutation(prng, base.NumCells))
+	gapped, gapBack := base.WithEmptyGaps(3)
+	identical := []struct {
+		name string
+		scen *Scenario
+	}{
+		{"record-shuffle", base.ShuffledRecords(prng)},
+		{"split-remerge", base.SplitRemerged()},
+	}
+	relabeledCases := []struct {
+		name    string
+		scen    *Scenario
+		relabel func(int) int
+	}{
+		{"relabel", relabeled, relabelBack},
+		{"empty-gaps", gapped, gapBack},
+	}
+	for _, ec := range engineCases() {
+		t.Run(ec.name, func(t *testing.T) {
+			cfg := metamorphicConfig(ec)
+			res := runAudit(t, base, cfg)
+			if len(res.Pairs) == 0 {
+				t.Fatalf("scenario flags no pairs (candidates=%d); the oracle is vacuous", res.Candidates)
+			}
+			for _, p := range identical {
+				requireIdenticalResults(t, p.name, runAudit(t, p.scen, cfg), res)
+			}
+			flagged := FlaggedSet(res, nil)
+			for _, p := range relabeledCases {
+				pres := runAudit(t, p.scen, cfg)
+				if pf := FlaggedSet(pres, p.relabel); !EqualFlagged(flagged, pf) || pres.Candidates != res.Candidates {
+					t.Errorf("%s: result not invariant: candidates %d -> %d\n  base:      %s\n  perturbed: %s",
+						p.name, res.Candidates, pres.Candidates, describeFlagged(flagged), describeFlagged(pf))
+				}
+			}
+		})
+	}
+	t.Logf("%d of %d regions exceed the sample cap %d", over, len(part.Regions), base.Opts.IncomeSampleCap)
+}
+
 // TestDirectionalGapWidening is the monotonicity oracle: making a flagged
 // pair's disparity strictly worse — flipping negative outcomes to positive on
 // the advantaged side — must strictly raise the pair's likelihood-ratio

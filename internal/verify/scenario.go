@@ -22,10 +22,10 @@ type ScenarioConfig struct {
 	// individuals in highly segregated metros — the signal the audit is
 	// supposed to find.
 	Bias float64
-	// SampleCap bounds each region's income reservoir. The metamorphic
-	// record-shuffle oracle requires every region to stay below it (a full
-	// reservoir admits by arrival order, which the oracle deliberately
-	// perturbs), so it defaults generously relative to Individuals.
+	// SampleCap bounds each region's income sample. The default keeps
+	// every region below it, because the jitter perturbation moves
+	// locations, which the sample's rank hashes; the other perturbations
+	// hold over the cap too (TestMetamorphicOverCap).
 	SampleCap int
 }
 
@@ -56,7 +56,7 @@ type Scenario struct {
 }
 
 // NewScenario generates a scenario from an explicit generator. All
-// randomness — the census model, the individuals, the reservoir seed —
+// randomness — the census model, the individuals, the sample seed —
 // derives from rng, so (rng seed, cfg) fully determines the scenario.
 func NewScenario(rng *stats.RNG, cfg ScenarioConfig) *Scenario {
 	model := census.Generate(census.Config{Seed: rng.Uint64(), NumTracts: cfg.Tracts})
@@ -167,9 +167,9 @@ func (s *Scenario) WithEmptyGaps(gapEvery int) (*Scenario, func(int) int) {
 	return c, func(l int) int { return l - l/(gapEvery+1) }
 }
 
-// ShuffledRecords permutes the observation order. Aggregation is
-// order-sensitive only through reservoir admission, which never triggers
-// while regions stay below SampleCap, so the audit must not notice.
+// ShuffledRecords permutes the observation order. Aggregation, the income
+// sample included, depends only on the multiset of records, so the audit
+// must not notice.
 func (s *Scenario) ShuffledRecords(rng *stats.RNG) *Scenario {
 	c := s.clone()
 	c.Obs = append([]partition.Observation(nil), s.Obs...)
