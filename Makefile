@@ -43,8 +43,8 @@ bench:
 # CSV read: cheap enough for every check run, and it exercises the audit's
 # parallel precompute phase, dynamic row scheduler, zero-alloc pair kernel,
 # sorted-index window join, Monte-Carlo null store, the delta auditor's
-# rescore and ordered-cache commit, and the CSV reader's byte-level path
-# under the race detector.
+# plan repair, rescore, per-region cache commit and match against a cold
+# audit, and the CSV reader's byte-level path under the race detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'AuditDense/R=[0-9]+/(dense|indexed)|DeltaAudit|ReadCSV' -benchtime 1x -race .
 

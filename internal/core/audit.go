@@ -550,8 +550,8 @@ func finalizePairs(cfg *Config, pairs []UnfairPair, workers int) []UnfairPair {
 // below Alpha. It keeps src's order, and dst may be src[:0] to filter in
 // place. Both filters are pure value thresholds (BH's rejection mask depends
 // only on the p-value multiset), so which pairs are flagged never depends on
-// src's order — which is what lets the delta auditor flag from a pair cache
-// filled across many incremental audits.
+// src's order. The delta auditor applies the same two rules to its low set
+// (pairCache.flagged), through the same Benjamini–Hochberg cut.
 func flagPairs(cfg *Config, dst, src []UnfairPair) []UnfairPair {
 	if cfg.FDR > 0 {
 		pvals := make([]float64, len(src))

@@ -34,19 +34,23 @@ type candidatePlan struct {
 	keys []float64
 	pos  []int32
 
-	// Per-probe windows on the chosen dimension.
+	// Per-probe windows on the chosen dimension, and the chosen provider's
+	// window source, kept so repair can recompute single probes; nil when
+	// the plan has no windows.
 	windows   []PruneWindow
 	hasWindow []bool
-
-	// estimated is the chosen provider's predicted emission count (ordered,
-	// both directions), recorded for observability.
-	estimated int64
+	window    windowFunc
 }
+
+// windowFunc computes one probe's window from its summary and the envelope;
+// false means the probe cannot be bounded.
+type windowFunc func(s *partition.RegionSummary, env *partition.SummaryStats) (PruneWindow, bool)
 
 // planProvider is one window source competing to drive enumeration: a
 // prunable gate metric, or the engine's own Eta interval on positive rate.
 type planProvider struct {
 	dim       PruneDim
+	window    windowFunc
 	windows   []PruneWindow
 	hasWindow []bool
 	estimated int64
@@ -93,13 +97,13 @@ func buildCandidatePlan(cfg *Config, ix *partition.SummaryIndex, workers int) *c
 
 	var providers []*planProvider
 	if m, ok := cfg.Dissimilarity.(PrunableMetric); ok {
-		providers = append(providers, metricProvider(m, cfg.Delta, sums, env, workers))
+		providers = append(providers, newPlanProvider(0, metricWindow(m, cfg.Delta), sums, env, workers))
 	}
 	if cfg.Eta > 0 {
-		providers = append(providers, etaProvider(cfg.Eta, sums, workers))
+		providers = append(providers, newPlanProvider(PrunePositiveRate, etaWindow(cfg.Eta), sums, env, workers))
 	}
 	if m, ok := cfg.Similarity.(PrunableMetric); ok {
-		providers = append(providers, metricProvider(m, cfg.Epsilon, sums, env, workers))
+		providers = append(providers, newPlanProvider(0, metricWindow(m, cfg.Epsilon), sums, env, workers))
 	}
 
 	var best *planProvider
@@ -120,7 +124,6 @@ func buildCandidatePlan(cfg *Config, ix *partition.SummaryIndex, workers int) *c
 		return &candidatePlan{
 			indexed:   true,
 			hasWindow: make([]bool, len(sums)),
-			estimated: int64(len(sums)) * int64(len(sums)),
 		}
 	}
 	keys, pos := ix.Dim(d)
@@ -131,56 +134,81 @@ func buildCandidatePlan(cfg *Config, ix *partition.SummaryIndex, workers int) *c
 		pos:       pos,
 		windows:   best.windows,
 		hasWindow: best.hasWindow,
-		estimated: best.estimated,
+		window:    best.window,
 	}
 }
 
-// metricProvider materializes one prunable metric's per-probe windows, in
-// parallel chunks of disjoint probes. PruneWindow implementations are pure
-// functions of the summary, threshold, and envelope, so the fill is
-// position-determined; the provider's dim is read off the first windowed
-// probe afterward rather than racing chunk writes on one field.
-func metricProvider(m PrunableMetric, threshold float64, sums []partition.RegionSummary, env *partition.SummaryStats, workers int) *planProvider {
+// repair brings the plan up to date after the index re-summarized the dirty
+// positions in place (SummaryIndex.UpdateRegion) and the envelope stayed
+// unchanged: it re-reads the sorted order, which UpdateRegion may have
+// resliced, and recomputes the dirty probes' windows. A window is a pure
+// function of its probe's summary, the threshold and the envelope, so every
+// clean probe's window is already current. The provider is not re-chosen:
+// each window is an individually sufficient rejection certificate, so the
+// choice steers enumeration cost only, never which pairs pass the gates — a
+// repaired plan yields exactly the candidates a rebuilt one would.
+func (pl *candidatePlan) repair(ix *partition.SummaryIndex, dirty []int) {
+	if pl.window == nil {
+		return // dense, or indexed without windows: nothing per probe
+	}
+	d, _ := pl.dim.summaryDim()
+	pl.keys, pl.pos = ix.Dim(d)
+	for _, i := range dirty {
+		pl.windows[i], pl.hasWindow[i] = probeWindow(pl.window, &ix.Summaries[i], &ix.Stats)
+	}
+}
+
+// probeWindow is one probe's entry in a plan: its window, or the zero window
+// and false when the provider cannot bound it.
+func probeWindow(window windowFunc, s *partition.RegionSummary, env *partition.SummaryStats) (PruneWindow, bool) {
+	if w, ok := window(s, env); ok {
+		return w, true
+	}
+	return PruneWindow{}, false
+}
+
+// newPlanProvider materializes one window source's per-probe windows, in
+// parallel chunks of disjoint probes. Window sources are pure functions of
+// the summary, threshold, and envelope, so the fill is position-determined.
+// A zero dim is read off the first windowed probe afterward rather than
+// racing chunk writes on one field.
+func newPlanProvider(dim PruneDim, window windowFunc, sums []partition.RegionSummary, env *partition.SummaryStats, workers int) *planProvider {
 	pr := &planProvider{
+		dim:       dim,
+		window:    window,
 		windows:   make([]PruneWindow, len(sums)),
 		hasWindow: make([]bool, len(sums)),
 	}
 	planChunks(len(sums), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			w, ok := m.PruneWindow(&sums[i], threshold, env)
-			if ok {
-				pr.windows[i], pr.hasWindow[i] = w, true
-			}
+			pr.windows[i], pr.hasWindow[i] = probeWindow(window, &sums[i], env)
 		}
 	})
-	for i := range pr.hasWindow {
+	for i := 0; pr.dim == 0 && i < len(pr.hasWindow); i++ {
 		if pr.hasWindow[i] {
 			pr.dim = pr.windows[i].Dim
-			break
 		}
 	}
 	return pr
 }
 
-// etaProvider materializes the engine-owned Eta windows: the fast path
-// declares a pair fair when |rate_a - rate_b| <= eta, so only partners with
-// rates outside the (one-ulp-shrunk) eta band around the probe's rate can
-// survive. Exact, and available whenever Eta is positive regardless of the
-// configured metrics. Filled in parallel chunks of disjoint probes.
-func etaProvider(eta float64, sums []partition.RegionSummary, workers int) *planProvider {
-	pr := &planProvider{
-		dim:       PrunePositiveRate,
-		windows:   make([]PruneWindow, len(sums)),
-		hasWindow: make([]bool, len(sums)),
+// metricWindow is a prunable gate metric's window source at its threshold.
+func metricWindow(m PrunableMetric, threshold float64) windowFunc {
+	return func(s *partition.RegionSummary, env *partition.SummaryStats) (PruneWindow, bool) {
+		return m.PruneWindow(s, threshold, env)
 	}
-	planChunks(len(sums), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := sums[i].PositiveRate
-			pr.windows[i] = excludeBand(PrunePositiveRate, r-eta, r+eta)
-			pr.hasWindow[i] = true
-		}
-	})
-	return pr
+}
+
+// etaWindow is the engine-owned Eta window source: the fast path declares a
+// pair fair when |rate_a - rate_b| <= eta, so only partners with rates
+// outside the (one-ulp-shrunk) eta band around the probe's rate can survive.
+// Exact, and available whenever Eta is positive regardless of the
+// configured metrics.
+func etaWindow(eta float64) windowFunc {
+	return func(s *partition.RegionSummary, _ *partition.SummaryStats) (PruneWindow, bool) {
+		r := s.PositiveRate
+		return excludeBand(PrunePositiveRate, r-eta, r+eta), true
+	}
 }
 
 // estimate predicts the provider's ordered emission count by binary-searching

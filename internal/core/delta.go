@@ -33,10 +33,12 @@ import (
 //     could emit with a dirty endpoint; window-rejected pairs are exact-gate
 //     failures and correctly stay out of the cache.
 //   - Order-free flagging: per-pair Alpha is a value threshold and
-//     Benjamini–Hochberg's rejection mask depends only on the p-value
-//     multiset, so Result.Pairs can be reassembled from a cache filled
-//     across many incremental passes (flagPairs). The cache is kept in the
-//     canonical lessUnfair order, so reassembly is a filter, not a sort.
+//     Benjamini–Hochberg's cut depends only on the p-values at or below q
+//     and the candidate count, so Result.Pairs can be reassembled from a
+//     cache filled across many incremental passes. Only the cached pairs at
+//     or below the flag cut can be flagged, and the cache keeps exactly
+//     those in canonical lessUnfair order (pairCache.low), so reassembly
+//     reads the low set alone.
 //
 // The Monte-Carlo null store persists across audits (its p-values are
 // key-seeded, bit-identical whatever the store's fill state), so unchanged
@@ -46,10 +48,12 @@ import (
 //
 // A DeltaAuditor is not safe for concurrent use; callers serialize updates
 // (through the DeltaPartitioning) and Audit calls. The incremental pass is
-// single-goroutine — it re-scores only the dirty neighborhood, then makes one
-// linear, sort-free pass over the ordered pair cache — while fallback full
-// sweeps and eligible-roster rebuilds use the batch engine's parallelism
-// under Config.Workers.
+// single-goroutine, and its cost follows the change, not the universe: it
+// checks eligibility, repairs the index and the candidate plan for the dirty
+// regions only, re-scores their neighborhood, swaps their pairs in the
+// per-region cache, and copies the flagged pairs out of the low set. Fallback
+// full sweeps and eligible-roster rebuilds use the batch engine's
+// parallelism under Config.Workers.
 type DeltaAuditor struct {
 	cfg Config
 	dp  *partition.DeltaPartitioning
@@ -62,14 +66,165 @@ type DeltaAuditor struct {
 	run      *auditRunner // batch-engine state, repaired incrementally
 	eligible []int        // eligible region labels, ascending
 	posOf    map[int]int  // label -> position in run.regions
-	useIndex bool         // the plan under cfg is indexed (static per Config)
 
-	// candidates caches every pair that passed the exact gate cascade, in
-	// canonical lessUnfair order. Pairs name their regions by label, which
-	// survives eligibility churn (churn only remaps positions). spare is the
-	// buffer the next commit merges into; the two swap on every commit.
-	candidates []UnfairPair
-	spare      []UnfairPair
+	cache    pairCache
+	rescored []UnfairPair // the incremental pass's rescore buffer, reused
+}
+
+// pairCache holds every pair that passed the exact gate cascade, laid out so
+// that a pass touches only the pairs of its dirty regions and the flaggable
+// ones. Pairs name their regions by label, which survives eligibility churn
+// (churn only remaps positions).
+//
+//   - slab stores the pairs by slot; free lists the slots of dropped pairs,
+//     which the next stored pairs take first.
+//   - byLabel[l] lists, in no order, the slots of the pairs with an endpoint
+//     labeled l. Every stored pair is listed under both of its labels, so
+//     dropping a region's pairs walks that region's list alone.
+//   - low holds a copy of each stored pair with P at or below cut
+//     (Config.nullCut), in canonical lessUnfair order. Every other stored
+//     pair carries the null store's canonical above-cut p-value and can
+//     never be flagged.
+type pairCache struct {
+	slab    []UnfairPair
+	free    []int32
+	byLabel [][]int32
+	low     []UnfairPair
+	cut     float64
+}
+
+// size is the number of stored pairs.
+func (c *pairCache) size() int { return len(c.slab) - len(c.free) }
+
+// reset makes the cache hold exactly pairs, whose endpoints are labels in
+// [0, labels). It keeps pairs as its slab and sorts only the low subset.
+func (c *pairCache) reset(pairs []UnfairPair, labels int, cut float64, workers int) {
+	counts := make([]int, labels)
+	lows := 0
+	for i := range pairs {
+		counts[pairs[i].I]++
+		counts[pairs[i].J]++
+		if pairs[i].P <= cut {
+			lows++
+		}
+	}
+	slots := make([]int32, 2*len(pairs))
+	c.byLabel = make([][]int32, labels)
+	for l, n := range counts {
+		c.byLabel[l], slots = slots[:0:n], slots[n:]
+	}
+	c.slab, c.free, c.cut = pairs, nil, cut
+	c.low = make([]UnfairPair, 0, lows)
+	for i := range pairs {
+		p := &pairs[i]
+		c.byLabel[p.I] = append(c.byLabel[p.I], int32(i))
+		c.byLabel[p.J] = append(c.byLabel[p.J], int32(i))
+		if p.P <= cut {
+			c.low = append(c.low, *p)
+		}
+	}
+	sortUnfairPairs(c.low, workers)
+}
+
+// drop removes every stored pair with an endpoint among the dirty labels
+// (isDirty marks the same labels) and returns how many it removed. A pair
+// with two dirty endpoints is unlisted from its second label when the first
+// drops it, so it leaves, and is counted, once.
+func (c *pairCache) drop(dirty []int, isDirty []bool) int {
+	dropped, lowDropped := 0, false
+	for _, l := range dirty {
+		for _, s := range c.byLabel[l] {
+			p := &c.slab[s]
+			other := p.I
+			if other == l {
+				other = p.J
+			}
+			c.byLabel[other] = removeSlot(c.byLabel[other], s)
+			lowDropped = lowDropped || p.P <= c.cut
+			c.free = append(c.free, s)
+		}
+		dropped += len(c.byLabel[l])
+		c.byLabel[l] = c.byLabel[l][:0]
+	}
+	if lowDropped {
+		kept := c.low[:0]
+		for _, p := range c.low {
+			if !isDirty[p.I] && !isDirty[p.J] {
+				kept = append(kept, p)
+			}
+		}
+		c.low = kept
+	}
+	return dropped
+}
+
+// removeSlot swap-removes slot s from a label's list.
+func removeSlot(list []int32, s int32) []int32 {
+	for k, v := range list {
+		if v == s {
+			last := len(list) - 1
+			list[k] = list[last]
+			return list[:last]
+		}
+	}
+	return list
+}
+
+// add stores pairs, none of which may already be stored; the ones at or
+// below the cut join low in canonical order. It uses pairs as scratch.
+func (c *pairCache) add(pairs []UnfairPair) {
+	lows := 0
+	for _, p := range pairs {
+		var s int32
+		if n := len(c.free); n > 0 {
+			s = c.free[n-1]
+			c.free = c.free[:n-1]
+			c.slab[s] = p
+		} else {
+			s = int32(len(c.slab))
+			c.slab = append(c.slab, p)
+		}
+		c.byLabel[p.I] = append(c.byLabel[p.I], s)
+		c.byLabel[p.J] = append(c.byLabel[p.J], s)
+		if p.P <= c.cut {
+			pairs[lows] = p
+			lows++
+		}
+	}
+	sortUnfairPairs(pairs[:lows], 1)
+	c.low = insertUnfairPairs(c.low, pairs[:lows])
+}
+
+// flagged assembles Result.Pairs from the low set, one path for both rules:
+// every low pair at or below the flag cut — Alpha itself, or under FDR the
+// Benjamini–Hochberg cut of the low p-values (all the ones at or below q)
+// among all stored pairs. The copy is exact-size and never aliases the
+// cache.
+func (c *pairCache) flagged(cfg *Config) []UnfairPair {
+	cut := cfg.Alpha
+	if cfg.FDR > 0 {
+		small := make([]float64, len(c.low))
+		for i := range c.low {
+			small[i] = c.low[i].P
+		}
+		var ok bool
+		if cut, ok = stats.BenjaminiHochbergCut(small, c.size(), cfg.FDR); !ok {
+			return []UnfairPair{}
+		}
+	}
+	n := 0
+	for i := range c.low {
+		if c.low[i].P <= cut {
+			n++
+		}
+	}
+	out := make([]UnfairPair, 0, n)
+	for i := range c.low {
+		if c.low[i].P <= cut {
+			out = append(out, c.low[i])
+		}
+	}
+	return out
 }
 
 // DeltaStats is one delta audit's funnel: what the update stream dirtied,
@@ -198,7 +353,7 @@ func (da *DeltaAuditor) Audit(ctx context.Context) (*Result, DeltaStats, error) 
 
 // fullSweep runs the batch engine with the keepAll hook and adopts its state:
 // eligible positions, prepared caches, summary index, plan, and the complete
-// candidate set, sorted once into the cache's canonical order.
+// candidate set, which becomes the pair cache.
 func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partitioning, dirty []int) (*Result, DeltaStats, error) {
 	res, run, cands, err := auditEngine(ctx, snap, da.cfg, auditHooks{keepAll: true, nulls: da.nulls})
 	if err != nil {
@@ -207,12 +362,11 @@ func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partition
 	st := DeltaStats{
 		FullSweep:          true,
 		DirtyRegions:       len(dirty),
-		InvalidatedPairs:   len(da.candidates),
+		InvalidatedPairs:   da.cache.size(),
 		RescoredCandidates: len(cands),
 	}
 	da.adopt(run)
-	sortUnfairPairs(cands, da.cfg.workers())
-	da.candidates, da.spare = cands, da.candidates[:0]
+	da.cache.reset(cands, len(snap.Regions), da.cfg.nullCut(), da.cfg.workers())
 	da.inited = true
 	return res, st, nil
 }
@@ -227,7 +381,6 @@ func (da *DeltaAuditor) adopt(run *auditRunner) {
 		da.eligible[i] = r.Index
 		da.posOf[r.Index] = i
 	}
-	da.useIndex = run.plan.indexed
 }
 
 // rebuildState sets up a fresh runner for a changed eligible set through the
@@ -257,42 +410,23 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	cfg := &da.cfg
 	st := DeltaStats{DirtyRegions: len(dirty)}
 
-	// Repair region-level state. A changed eligible roster remaps every
-	// position, so caches are rebuilt wholesale; otherwise only the dirty
-	// positions are re-prepared and the summary index repaired in place.
-	newEligible := snap.NonEmpty(cfg.MinRegionSize)
-	if !equalInts(newEligible, da.eligible) {
-		if err := da.rebuildState(ctx, snap, newEligible); err != nil {
-			return nil, DeltaStats{}, err
+	// A changed eligible roster remaps every position, so caches are rebuilt
+	// wholesale. Only a dirty region can have changed size, so the roster
+	// changed exactly when a dirty region crossed the eligibility floor.
+	rebuilt := false
+	for _, lbl := range dirty {
+		if _, in := da.posOf[lbl]; in != (snap.Regions[lbl].N >= cfg.MinRegionSize) {
+			rebuilt = true
+			break
 		}
-	} else {
-		for _, lbl := range dirty {
-			pos, ok := da.posOf[lbl]
-			if !ok {
-				continue // dirty but ineligible: nothing cached to repair
-			}
-			r := da.run.regions[pos]
-			da.run.sim.repair(pos, r)
-			da.run.diss.repair(pos, r)
-			da.run.repairLogLik(pos, r)
-			if da.run.ix != nil {
-				da.run.ix.UpdateRegion(pos, r)
-			}
+	}
+	if rebuilt {
+		if err := da.rebuildState(ctx, snap, snap.NonEmpty(cfg.MinRegionSize)); err != nil {
+			return nil, DeltaStats{}, err
 		}
 	}
 	run := da.run
-	if da.useIndex {
-		// Windows derive from summaries and the envelope, both just updated;
-		// rebuild the plan so dirty probes enumerate against current state.
-		run.plan = buildCandidatePlan(cfg, run.ix, 1)
-	}
 
-	// Re-score the dirty neighborhood. Each dirty position probes its own
-	// window in both directions; a pair with two dirty endpoints is scored
-	// once, at the smaller position (skipping it at the larger is sound —
-	// either window is an individually sufficient rejection certificate).
-	// Positions are normalized ascending before scoring so every pair is
-	// scored in the cold sweep's orientation.
 	isDirty := make([]bool, len(snap.Regions)) // by region label
 	dirtyPos := make([]int, 0, len(dirty))
 	for _, lbl := range dirty {
@@ -302,11 +436,20 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 		}
 	}
 	sort.Ints(dirtyPos)
+	if !rebuilt {
+		da.repairRegions(dirtyPos)
+	}
 
+	// Re-score the dirty neighborhood. Each dirty position probes its own
+	// window in both directions; a pair with two dirty endpoints is scored
+	// once, at the smaller position (skipping it at the larger is sound —
+	// either window is an individually sufficient rejection certificate).
+	// Positions are normalized ascending before scoring so every pair is
+	// scored in the cold sweep's orientation.
 	var sc scratch
 	var tally pairTally
 	preGated := run.preGated()
-	var rescored []UnfairPair
+	rescored := da.rescored[:0]
 	sinceCheck := 0
 	var ctxErr error
 	for _, d := range dirtyPos {
@@ -342,38 +485,52 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 			return nil, DeltaStats{}, ctxErr
 		}
 	}
+	da.rescored = rescored
 
-	// Commit: one merge pass drops every cached pair touching a dirty region
-	// (by label) and splices in the rescored candidates, keeping the cache
-	// in canonical order. Every rescored pair has a dirty endpoint, so the
-	// two steps cannot collide.
-	sortUnfairPairs(rescored, 1)
-	merged, dropped := spliceUnfairPairs(da.spare[:0], da.candidates, rescored, isDirty)
-	st.InvalidatedPairs = dropped
-	st.ReusedPairs = len(da.candidates) - dropped
+	// Commit: drop every cached pair touching a dirty region (by label) and
+	// store the rescored candidates. Every rescored pair has a dirty
+	// endpoint, so the two steps cannot collide.
+	reused := da.cache.size()
+	st.InvalidatedPairs = da.cache.drop(dirty, isDirty)
+	st.ReusedPairs = reused - st.InvalidatedPairs
 	st.RescoredCandidates = len(rescored)
-	da.candidates, da.spare = merged, da.candidates
+	da.cache.add(rescored)
 
-	// Reassemble the result: the same order-free flagging as the batch
-	// engine (Alpha or Benjamini–Hochberg), filtered out of the ordered
-	// cache into a fresh slice the caller owns.
 	res := &Result{
 		EligibleRegions: len(da.eligible),
 		GlobalRate:      snap.GlobalRate(),
-		Candidates:      len(da.candidates),
-		Pairs:           flagPairs(cfg, []UnfairPair{}, da.candidates),
+		Candidates:      da.cache.size(),
+		Pairs:           da.cache.flagged(cfg),
 	}
 	return res, st, nil
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// repairRegions re-prepares the regions at the dirty positions (ascending)
+// in place and repairs the summary index and the candidate plan around
+// them. While the envelope holds, only the dirty probes' windows can have
+// moved, so the plan is repaired; a moved envelope can shift every window,
+// so the plan is rebuilt, its provider chosen afresh.
+func (da *DeltaAuditor) repairRegions(dirtyPos []int) {
+	run := da.run
+	var env partition.SummaryStats
+	if run.ix != nil {
+		env = run.ix.Stats
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for _, pos := range dirtyPos {
+		r := run.regions[pos]
+		run.sim.repair(pos, r)
+		run.diss.repair(pos, r)
+		run.repairLogLik(pos, r)
+		if run.ix != nil {
+			run.ix.UpdateRegion(pos, r)
 		}
 	}
-	return true
+	if run.ix == nil {
+		return
+	}
+	if run.ix.Stats != env { //lint:floateq-ok exact envelope identity
+		run.plan = buildCandidatePlan(&da.cfg, run.ix, 1)
+		return
+	}
+	run.plan.repair(run.ix, dirtyPos)
 }

@@ -578,36 +578,128 @@ func TestDeltaConfigValidation(t *testing.T) {
 }
 
 // requireCacheInvariant checks the delta auditor's pair cache against its
-// definition: strictly lessUnfair-ordered, and equal pair for pair to the
-// canonically sorted complete candidate set of a cold batch sweep of the
-// universe — every candidate, not only the flagged ones.
+// definition: every stored pair is listed under both of its endpoint labels
+// exactly once and nothing else is listed; the stored pairs equal, pair for
+// pair after a canonical sort, the complete candidate set of a cold batch
+// sweep of the universe — every candidate, not only the flagged ones; and
+// the low set is strictly lessUnfair-ordered and holds exactly the cold
+// candidates at or below the flag cut.
 func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *deltaUniverse) {
 	t.Helper()
-	got := da.candidates
-	for i := 1; i < len(got); i++ {
-		if !lessUnfair(&got[i-1], &got[i]) {
-			t.Fatalf("%s: cache out of order at %d:\n %+v\n %+v", label, i, got[i-1], got[i])
+	c := &da.cache
+	free := make(map[int32]bool, len(c.free))
+	for _, s := range c.free {
+		if free[s] {
+			t.Fatalf("%s: slot %d freed twice", label, s)
+		}
+		free[s] = true
+	}
+	listed := make([]int, len(c.slab)) // bit 0: under I, bit 1: under J
+	for l, slots := range c.byLabel {
+		for _, s := range slots {
+			p := c.slab[s]
+			bit := 0
+			switch {
+			case free[s]:
+				t.Fatalf("%s: label %d lists free slot %d", label, l, s)
+			case p.I == l:
+				bit = 1
+			case p.J == l:
+				bit = 2
+			default:
+				t.Fatalf("%s: label %d lists pair (%d, %d)", label, l, p.I, p.J)
+			}
+			if listed[s]&bit != 0 {
+				t.Fatalf("%s: label %d lists pair (%d, %d) twice", label, l, p.I, p.J)
+			}
+			listed[s] |= bit
 		}
 	}
+	var got []UnfairPair
+	for s, p := range c.slab {
+		if free[int32(s)] {
+			continue
+		}
+		if listed[s] != 3 {
+			t.Fatalf("%s: pair (%d, %d) listed under labels %b, want both", label, p.I, p.J, listed[s])
+		}
+		got = append(got, p)
+	}
+	if c.size() != len(got) {
+		t.Fatalf("%s: cache size %d, %d pairs stored", label, c.size(), len(got))
+	}
+
 	_, _, want, err := auditEngine(context.Background(), partition.ByGrid(u.grid, u.live, u.opts), da.cfg, auditHooks{keepAll: true})
 	if err != nil {
 		t.Fatalf("%s: cold sweep: %v", label, err)
 	}
+	sortUnfairPairs(got, 1)
 	sortUnfairPairs(want, 1)
 	if len(got) != len(want) {
 		t.Fatalf("%s: cache holds %d pairs, cold sweep has %d candidates", label, len(got), len(want))
 	}
+	var wantLow []UnfairPair
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s: cache pair %d differs:\n got %+v\nwant %+v", label, i, got[i], want[i])
+		}
+		if want[i].P <= da.cfg.nullCut() {
+			wantLow = append(wantLow, want[i])
+		}
+	}
+	for i := 1; i < len(c.low); i++ {
+		if !lessUnfair(&c.low[i-1], &c.low[i]) {
+			t.Fatalf("%s: low set out of order at %d:\n %+v\n %+v", label, i, c.low[i-1], c.low[i])
+		}
+	}
+	if len(c.low) != len(wantLow) {
+		t.Fatalf("%s: low set holds %d pairs, cold sweep has %d at or below the cut", label, len(c.low), len(wantLow))
+	}
+	for i := range wantLow {
+		if c.low[i] != wantLow[i] {
+			t.Fatalf("%s: low pair %d differs:\n got %+v\nwant %+v", label, i, c.low[i], wantLow[i])
+		}
+	}
+}
+
+// requirePlanCurrent checks the auditor's candidate plan against what its
+// own provider computes from the current summary index: the sorted order of
+// the plan's dimension, and every probe's window.
+func requirePlanCurrent(t *testing.T, label string, da *DeltaAuditor) {
+	t.Helper()
+	run := da.run
+	pl := run.plan
+	if run.ix == nil || pl.window == nil {
+		t.Fatalf("%s: plan has no window source; the check would be vacuous", label)
+	}
+	d, _ := pl.dim.summaryDim()
+	keys, pos := run.ix.Dim(d)
+	if len(pl.keys) != len(keys) || len(pl.pos) != len(pos) {
+		t.Fatalf("%s: plan order has %d keys, %d positions; index has %d, %d", label, len(pl.keys), len(pl.pos), len(keys), len(pos))
+	}
+	for k := range keys {
+		if pl.keys[k] != keys[k] || pl.pos[k] != pos[k] {
+			t.Fatalf("%s: plan order entry %d is (%v, %d), index has (%v, %d)", label, k, pl.keys[k], pl.pos[k], keys[k], pos[k])
+		}
+	}
+	if len(pl.windows) != len(run.regions) || len(pl.hasWindow) != len(run.regions) {
+		t.Fatalf("%s: plan has %d windows for %d regions", label, len(pl.windows), len(run.regions))
+	}
+	for i := range run.regions {
+		w, ok := probeWindow(pl.window, &run.ix.Summaries[i], &run.ix.Stats)
+		if pl.windows[i] != w || pl.hasWindow[i] != ok {
+			t.Fatalf("%s: probe %d window %+v (%v), provider computes %+v (%v)", label, i, pl.windows[i], pl.hasWindow[i], w, ok)
 		}
 	}
 }
 
 // TestDeltaCandidateCacheInvariant drives a seeded update stream — localized
 // churn, a region crossing MinRegionSize both ways, and a widespread batch
-// that trips the dirty-fraction fallback — under both flagging rules, and
-// checks the ordered cache after every pass. Each result's Pairs is then
+// that trips the dirty-fraction fallback, then growth of the largest region,
+// which moves the index envelope — under both flagging rules, and checks the
+// pair cache and the candidate plan after every pass. A pass that keeps the
+// roster must repair the plan when the envelope holds and rebuild it when
+// the envelope moves; the stream must see both. Each result's Pairs is then
 // scribbled over, and a pass with no updates must still match the cold
 // audit: the result must not alias the cache.
 func TestDeltaCandidateCacheInvariant(t *testing.T) {
@@ -657,11 +749,31 @@ func TestDeltaCandidateCacheInvariant(t *testing.T) {
 			}},
 			{"widespread", func() { u.mutate(t, rng, 120) }},
 			{"churn", func() { u.mutateCell(t, rng, 1, 9) }},
+			{"grow the largest region", func() {
+				sums := da.run.ix.Summaries
+				largest := 0
+				for i := range sums {
+					if sums[i].N > sums[largest].N {
+						largest = i
+					}
+				}
+				for i := 0; i < 5; i++ {
+					o := randomCellObs(rng, da.run.regions[largest].Index, 0.5, 0.5, 51_000)
+					u.dp.Insert(o)
+					u.live = append(u.live, o)
+				}
+			}},
 		}
-		sawFull, sawChurn := false, false
+		sawFull, sawChurn, sawRepair, sawRebuild := false, false, false, false
 		for si, step := range steps {
 			label := fmt.Sprintf("fdr=%v step %d (%s)", fdr, si, step.name)
 			before := len(da.eligible)
+			run := da.run
+			var plan *candidatePlan
+			var env partition.SummaryStats
+			if run != nil {
+				plan, env = run.plan, run.ix.Stats
+			}
 			step.apply()
 			res, st, err := da.Audit(context.Background())
 			if err != nil {
@@ -673,8 +785,20 @@ func TestDeltaCandidateCacheInvariant(t *testing.T) {
 			if si > 0 && !st.FullSweep && len(da.eligible) != before {
 				sawChurn = true
 			}
+			if si > 0 && !st.FullSweep && da.run == run {
+				moved, rebuilt := da.run.ix.Stats != env, da.run.plan != plan
+				if moved != rebuilt {
+					t.Fatalf("%s: envelope moved %v, plan rebuilt %v", label, moved, rebuilt)
+				}
+				sawRepair = sawRepair || !rebuilt
+				sawRebuild = sawRebuild || rebuilt
+				if step.name == "grow the largest region" && !rebuilt {
+					t.Fatalf("%s: growing the largest region left the envelope %+v", label, env)
+				}
+			}
 			requireFunnel(t, label, res, st)
 			requireCacheInvariant(t, label, da, u)
+			requirePlanCurrent(t, label, da)
 			want := u.coldResult(t, cfg)
 			requireSameResult(t, label, res, want)
 
@@ -688,8 +812,9 @@ func TestDeltaCandidateCacheInvariant(t *testing.T) {
 			}
 			requireSameResult(t, label+" after scribbling the result", again, want)
 		}
-		if !sawFull || !sawChurn {
-			t.Fatalf("fdr=%v: stream exercised fallback=%v eligibility churn=%v; want both", fdr, sawFull, sawChurn)
+		if !sawFull || !sawChurn || !sawRepair || !sawRebuild {
+			t.Fatalf("fdr=%v: stream exercised fallback=%v eligibility churn=%v plan repair=%v plan rebuild=%v; want all",
+				fdr, sawFull, sawChurn, sawRepair, sawRebuild)
 		}
 	}
 }

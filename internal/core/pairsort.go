@@ -100,37 +100,22 @@ func mergeUnfairPairs(dst, a, b []UnfairPair) {
 	copy(dst[k+len(a)-i:], b[j:])
 }
 
-// spliceUnfairPairs is the delta auditor's cache commit: it appends to dst
-// the lessUnfair-ordered cache minus every pair with an endpoint label
-// marked in dirty, merged with the lessUnfair-ordered add, and returns the
-// result with the number of cache pairs dropped. One pass: each added pair's
-// place in the cache is a binary search, and the runs of clean cache pairs
-// between those places are copied in bulk. Every added pair must have a
-// dirty endpoint, so no cache pair it could equal survives the drop.
-func spliceUnfairPairs(dst, cache, add []UnfairPair, dirty []bool) ([]UnfairPair, int) {
-	dropped := 0
-	i := 0
-	for k := 0; k <= len(add); k++ {
-		end := len(cache)
-		if k < len(add) {
-			a := &add[k]
-			end = i + sort.Search(len(cache)-i, func(n int) bool { return lessUnfair(a, &cache[i+n]) })
-		}
-		for i < end {
-			j := i
-			for j < end && !dirty[cache[j].I] && !dirty[cache[j].J] {
-				j++
-			}
-			dst = append(dst, cache[i:j]...)
-			for j < end && (dirty[cache[j].I] || dirty[cache[j].J]) {
-				j++
-				dropped++
-			}
-			i = j
-		}
-		if k < len(add) {
-			dst = append(dst, add[k])
+// insertUnfairPairs merges the lessUnfair-sorted add into the
+// lessUnfair-sorted s in place and returns s grown by len(add): one backward
+// pass that moves only the pairs behind the first insertion point. The delta
+// auditor's low set takes its rescored pairs this way.
+func insertUnfairPairs(s, add []UnfairPair) []UnfairPair {
+	n := len(s)
+	s = append(s, add...)
+	i, j := n-1, len(add)-1
+	for k := len(s) - 1; j >= 0; k-- {
+		if i >= 0 && lessUnfair(&add[j], &s[i]) {
+			s[k] = s[i]
+			i--
+		} else {
+			s[k] = add[j]
+			j--
 		}
 	}
-	return dst, dropped
+	return s
 }

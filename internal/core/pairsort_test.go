@@ -73,48 +73,24 @@ func TestMergeUnfairPairs(t *testing.T) {
 	}
 }
 
-// TestSpliceUnfairPairs checks the delta cache commit against its
-// definition — drop every pair with a dirty endpoint, append the added
-// pairs, sort — over random caches, dirty masks (none, some, all) and added
-// runs that land before, between and after the cache's pairs.
-func TestSpliceUnfairPairs(t *testing.T) {
+// TestInsertUnfairPairs checks the low set's in-place insert against
+// sorting the concatenation: added runs land before, between and after the
+// existing pairs, and either run may be empty.
+func TestInsertUnfairPairs(t *testing.T) {
 	rng := stats.NewRNG(0x5B11CE)
-	const labels = 500
+	sortRun := func(run []UnfairPair) {
+		sort.Slice(run, func(i, j int) bool { return lessUnfair(&run[i], &run[j]) })
+	}
 	for trial := 0; trial < 200; trial++ {
-		cache := randomUnfairPairs(rng, int(rng.Uint64()%300))
-		sort.Slice(cache, func(i, j int) bool { return lessUnfair(&cache[i], &cache[j]) })
-		dirty := make([]bool, labels)
-		var dirtyLabels []int
-		for l := range dirty {
-			if trial%10 != 9 && rng.Uint64()%uint64(1+trial%40) == 0 {
-				dirty[l] = true
-				dirtyLabels = append(dirtyLabels, l)
-			}
-		}
-		var add []UnfairPair
-		if len(dirtyLabels) > 0 {
-			add = randomUnfairPairs(rng, int(rng.Uint64()%40))
-			for i := range add {
-				add[i].I = dirtyLabels[rng.Intn(len(dirtyLabels))]
-			}
-			sort.Slice(add, func(i, j int) bool { return lessUnfair(&add[i], &add[j]) })
-		}
-		var want []UnfairPair
-		wantDropped := 0
-		for _, pr := range cache {
-			if dirty[pr.I] || dirty[pr.J] {
-				wantDropped++
-				continue
-			}
-			want = append(want, pr)
-		}
-		want = append(want, add...)
-		sort.Slice(want, func(i, j int) bool { return lessUnfair(&want[i], &want[j]) })
-
-		got, dropped := spliceUnfairPairs(nil, cache, add, dirty)
-		if dropped != wantDropped || len(got) != len(want) {
-			t.Fatalf("trial %d: got %d pairs (%d dropped), want %d (%d dropped)",
-				trial, len(got), dropped, len(want), wantDropped)
+		s := randomUnfairPairs(rng, int(rng.Uint64()%300))
+		add := randomUnfairPairs(rng, int(rng.Uint64()%40))
+		sortRun(s)
+		sortRun(add)
+		want := append(append([]UnfairPair(nil), s...), add...)
+		sortRun(want)
+		got := insertUnfairPairs(s, add)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: got %d pairs, want %d", trial, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {

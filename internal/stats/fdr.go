@@ -47,8 +47,26 @@ func BenjaminiHochberg(pvalues []float64, q float64) []bool {
 			small = append(small, p)
 		}
 	}
-	if len(small) == 0 {
+	pstar, ok := BenjaminiHochbergCut(small, n, q)
+	if !ok {
 		return out
+	}
+	for i, p := range pvalues {
+		out[i] = p <= pstar // false for NaN
+	}
+	return out
+}
+
+// BenjaminiHochbergCut is the step-up procedure over a family of n p-values
+// given only small, the family's p-values at or below q (a NaN counted as
+// 1); by the two facts above, the values left out cannot move the cut. It
+// sorts small in place and returns p*, the largest p-value the procedure
+// rejects — the family's rejections are exactly its p-values <= p* — with
+// ok false when nothing is rejected. Callers that keep the p <= q subset
+// apart, like the delta auditor's low set, pay for that subset only.
+func BenjaminiHochbergCut(small []float64, n int, q float64) (pstar float64, ok bool) {
+	if len(small) == 0 || q <= 0 {
+		return 0, false
 	}
 	sort.Float64s(small)
 
@@ -61,11 +79,7 @@ func BenjaminiHochberg(pvalues []float64, q float64) []bool {
 		}
 	}
 	if cut < 0 {
-		return out
+		return 0, false
 	}
-	pstar := small[cut-1]
-	for i, p := range pvalues {
-		out[i] = p <= pstar // false for NaN
-	}
-	return out
+	return small[cut-1], true
 }

@@ -98,3 +98,57 @@ func TestBenjaminiHochbergNaNRanksAsOne(t *testing.T) {
 		}
 	}
 }
+
+// TestBenjaminiHochbergCutMatchesMask checks the cut helper against the
+// full procedure: given only the p <= q subset (NaN counted as 1) and the
+// family size n, the cut must reject exactly the indices BenjaminiHochberg
+// rejects over the whole slice. The cases cover ties at the cut, NaN, a
+// family far larger than its subset, and an empty subset.
+func TestBenjaminiHochbergCutMatchesMask(t *testing.T) {
+	nan := math.NaN()
+	many := make([]float64, 5000)
+	for i := range many {
+		many[i] = 0.5 + float64(i%100)/200
+	}
+	many[17], many[4000], many[4001] = 1e-6, 2e-6, 2e-6
+	rng := NewRNG(0xC07)
+	random := make([]float64, 400)
+	for i := range random {
+		random[i] = float64(rng.Uint64()%64) / 256 // dense ties
+	}
+	cases := []struct {
+		name string
+		p    []float64
+	}{
+		{"ties at the cut", []float64{0.01, 0.02, 0.02, 0.02, 0.03, 0.5}},
+		{"NaN", []float64{0.001, nan, 0.004, nan, 0.02, 1}},
+		{"n much larger than the subset", many},
+		{"empty subset", []float64{0.5, 0.7, nan, 1}},
+		{"empty family", nil},
+		{"random ties", random},
+	}
+	for _, c := range cases {
+		for _, q := range []float64{0.01, 0.05, 0.2, 1} {
+			var small []float64
+			for _, p := range c.p {
+				if math.IsNaN(p) {
+					p = 1
+				}
+				if p <= q {
+					small = append(small, p)
+				}
+			}
+			pstar, ok := BenjaminiHochbergCut(small, len(c.p), q)
+			want := BenjaminiHochberg(c.p, q)
+			for i, p := range c.p {
+				if got := ok && p <= pstar; got != want[i] {
+					t.Fatalf("%s, q=%g: index %d (p=%g): cut %g (ok %v) rejects %v, BenjaminiHochberg %v",
+						c.name, q, i, p, pstar, ok, got, want[i])
+				}
+			}
+			if c.name == "empty subset" && q < 1 && ok {
+				t.Fatalf("%s, q=%g: cut %g reported for an empty subset", c.name, q, pstar)
+			}
+		}
+	}
+}

@@ -362,7 +362,8 @@ func FuzzNormalRoundTrip(f *testing.F) {
 
 // FuzzFDR decodes bytes into p-values on the grid k/255 — dense enough that
 // ties and threshold collisions are routine — and checks BenjaminiHochberg
-// against the textbook step-up definition.
+// against the textbook step-up definition, and BenjaminiHochbergCut, given
+// only the p <= q subset and the family size, against that same mask.
 func FuzzFDR(f *testing.F) {
 	f.Add([]byte{1, 5, 5, 32, 128, 255}, 0.1)
 	f.Add([]byte{0, 0, 255}, 0.05)
@@ -387,6 +388,19 @@ func FuzzFDR(f *testing.F) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("BenjaminiHochberg(%v, %v)[%d] = %v, reference = %v", pvalues, q, i, got[i], want[i])
+			}
+		}
+		var small []float64
+		for _, p := range pvalues {
+			if p <= q {
+				small = append(small, p)
+			}
+		}
+		pstar, ok := stats.BenjaminiHochbergCut(small, len(pvalues), q)
+		for i, p := range pvalues {
+			if cut := ok && p <= pstar; cut != want[i] {
+				t.Fatalf("BenjaminiHochbergCut over the p <= %v subset of %v: p* = %v (ok %v) gives %v at %d, reference = %v",
+					q, pvalues, pstar, ok, cut, i, want[i])
 			}
 		}
 	})
