@@ -16,7 +16,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race-verify the concurrent collector and everything that records into it,
-# plus internal/stats for the sharded null store's lock discipline,
+# plus internal/stats for the lock-free null store's publish discipline,
 # and the job service's manager/tenancy layers. The big concurrent load test
 # is skipped here because loadtest-smoke runs it race-enabled on its own.
 race:
@@ -99,7 +99,8 @@ examples-smoke:
 # corpus, then mutates for FUZZTIME. FUZZ_TARGETS pairs each target with its
 # package, because the go tool accepts one -fuzz pattern and one package per
 # invocation. internal/verify's targets are differential checks of the
-# audit kernels and the binomial sampler; internal/table's pin the CSV reader and its number parsers
+# audit kernels and the binomial sampler; FuzzSampleSort pins the income
+# sample's radix sort to slices.Sort; internal/table's pin the CSV reader and its number parsers
 # to encoding/csv and strconv; FuzzIngestAudit takes arbitrary CSV bytes
 # through the service's ingest into an audit under a wall-time bound.
 FUZZTIME ?= 4s
@@ -114,6 +115,7 @@ FUZZ_TARGETS = \
 	FuzzNormalRoundTrip:./internal/verify \
 	FuzzFDR:./internal/verify \
 	FuzzDeltaPartition:./internal/verify \
+	FuzzSampleSort:./internal/partition \
 	FuzzReadCSV:./internal/table \
 	FuzzParseNumber:./internal/table \
 	FuzzIngestAudit:./internal/server

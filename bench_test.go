@@ -533,12 +533,33 @@ func BenchmarkPairLRT(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionByGrid(b *testing.B) {
-	f := getFixture(b)
-	grid := geo.NewGrid(geo.ContinentalUS, 100, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		partition.ByGrid(grid, f.obs, partition.Options{Seed: 1})
+// BenchmarkByGrid measures the partition layer on its two shapes: "dense"
+// is the R=3000 dense audit universe (900k records, 300 to a region, every
+// sample sorted in full), and "lar" a full-volume Loan Depot LAR at the
+// service's 100x50 grid (a few thousand non-empty regions, most of them
+// small, and a few over the sample cap).
+func BenchmarkByGrid(b *testing.B) {
+	denseObs, denseGrid := experiments.DenseAuditObservations(3000, 1)
+	ld, err := hmda.LenderByName("Loan Depot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := census.Generate(census.Config{Seed: experiments.DefaultSeed})
+	larObs := hmda.ToObservations(hmda.Generate(model, ld))
+	for _, tc := range []struct {
+		name string
+		grid geo.Grid
+		obs  []partition.Observation
+	}{
+		{"dense", denseGrid, denseObs},
+		{"lar", geo.NewGrid(geo.ContinentalUS, 100, 50), larObs},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				partition.ByGrid(tc.grid, tc.obs, partition.Options{Seed: 1})
+			}
+		})
 	}
 }
 

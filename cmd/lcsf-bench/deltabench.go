@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -187,26 +188,29 @@ func equalResults(a, b *core.Result) error {
 	return nil
 }
 
-// writeDeltaBench runs the delta benchmark at every tracked size and appends
+// writeDeltaBench runs the delta benchmark at every tracked size and writes
 // the rows to the perf-trajectory file at path: an existing BENCH_audit.json
-// keeps its cold-audit rows and metadata, and only the delta_benchmarks
-// section is replaced.
+// keeps every other member — the cold-audit rows with all their fields, the
+// metadata, and fields this writer does not know — byte for byte in place,
+// and only the delta_benchmarks section is replaced.
 func writeDeltaBench(path string) error {
-	out := auditBenchFile{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-		Config:    "DefaultConfig",
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		data, err = json.Marshal(auditBenchFile{
+			GoVersion: runtime.Version(),
+			GOOS:      runtime.GOOS,
+			GOARCH:    runtime.GOARCH,
+			CPUs:      runtime.NumCPU(),
+			Config:    "DefaultConfig",
+		})
 	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &out); err != nil {
-			return fmt.Errorf("existing %s is not a bench file: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
+	if err != nil {
 		return err
 	}
-	out.DeltaBenchmarks = nil
+	if err := json.Unmarshal(data, new(auditBenchFile)); err != nil {
+		return fmt.Errorf("existing %s is not a bench file: %w", path, err)
+	}
+	var rows []deltaBenchResult
 	for _, r := range deltaBenchSizes {
 		res, err := runDeltaBench(r)
 		if err != nil {
@@ -215,11 +219,62 @@ func writeDeltaBench(path string) error {
 		fmt.Printf("delta-bench R=%d: %.0f updates/sec, re-audit %.4fs vs cold %.3fs (%.1f%%), reused %d / rescored %d pairs\n",
 			r, res.UpdatesPerSec, float64(res.DeltaNsPerOp)/1e9, float64(res.ColdNsPerOp)/1e9,
 			100*res.DeltaOverCold, res.ReusedPairs, res.RescoredPairs)
-		out.DeltaBenchmarks = append(out.DeltaBenchmarks, res)
+		rows = append(rows, res)
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	out, err := setJSONMember(data, "delta_benchmarks", rows)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, out, 0o644)
+}
+
+// setJSONMember returns the JSON object in data with member key set to
+// value's encoding, appended when absent, and every other member kept as it
+// is, in its place. The result is indented as json.MarshalIndent(v, "", "  ")
+// indents, with a final newline, so a file those writers made changes only
+// in key's value.
+func setJSONMember(data []byte, key string, value any) ([]byte, error) {
+	enc, err := json.Marshal(value)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil, fmt.Errorf("bench file is not a JSON object")
+	}
+	var obj bytes.Buffer
+	member := func(k string, v []byte) {
+		if obj.Len() > 0 {
+			obj.WriteByte(',')
+		}
+		kb, _ := json.Marshal(k) // a string always encodes
+		obj.Write(kb)
+		obj.WriteByte(':')
+		obj.Write(v)
+	}
+	set := false
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		k, _ := t.(string) // an object's keys are strings
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			return nil, err
+		}
+		if k == key {
+			raw, set = enc, true
+		}
+		member(k, raw)
+	}
+	if !set {
+		member(key, enc)
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, append(append([]byte{'{'}, obj.Bytes()...), '}'), "", "  "); err != nil {
+		return nil, err
+	}
+	out.WriteByte('\n')
+	return out.Bytes(), nil
 }

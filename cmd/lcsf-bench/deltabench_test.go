@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -77,5 +78,54 @@ func TestBenchFileMerge(t *testing.T) {
 	f = read()
 	if len(f.Benchmarks) != 1 || len(f.DeltaBenchmarks) != 1 {
 		t.Fatalf("audit-bench rerun dropped a section: %d cold rows, %d delta rows", len(f.Benchmarks), len(f.DeltaBenchmarks))
+	}
+}
+
+// TestDeltaBenchKeepsOtherMembers runs -delta-bench over a copy of a fixture
+// bench file and diffs the result against the fixture: with its
+// delta_benchmarks section put back, the rewritten file must equal the
+// fixture byte for byte, so the cold rows keep every field — the null-store
+// prewarm counts included — and a member neither writer knows stays in
+// place.
+func TestDeltaBenchKeepsOtherMembers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark driver run")
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "bench_audit.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_audit.json")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer func(d []int) { deltaBenchSizes = d }(deltaBenchSizes)
+	deltaBenchSizes = []int{40}
+	if err := writeDeltaBench(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows struct {
+		Delta []deltaBenchResult `json:"delta_benchmarks"`
+	}
+	if err := json.Unmarshal(got, &rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Delta) != 1 || rows.Delta[0].Regions != 40 {
+		t.Fatalf("delta section holds %+v, want the one R=40 row", rows.Delta)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(fixture, &members); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := setJSONMember(got, "delta_benchmarks", members["delta_benchmarks"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(restored, fixture) {
+		t.Errorf("-delta-bench changed more than its section; with it restored the file reads\n%s\nwant\n%s", restored, fixture)
 	}
 }

@@ -801,17 +801,19 @@ func (ar *auditRunner) repairLogLik(pos int, r *partition.Region) {
 }
 
 // pairLRT replays stats.PairLRT with the per-region alternative-hypothesis
-// terms read from the laLL cache: the same floats added in the same order, so
-// tau is bit-identical — only the two MaxBernoulliLogLik recomputations per
-// pair are saved. Every runner that sweeps has filled the cache.
+// terms read from the laLL cache and the pooled rate's two logarithms taken
+// once for the pair: the same floats added in the same order, so tau is
+// bit-identical — only the two MaxBernoulliLogLik recomputations and up to
+// two math.Log calls per pair are saved. Every runner that sweeps has
+// filled the cache.
 //
 //lint:hotpath
 func (ar *auditRunner) pairLRT(ii, jj int, a, b *partition.Region) float64 {
 	if a.N <= 0 || b.N <= 0 {
 		return 0
 	}
-	pooled := float64(a.Positives+b.Positives) / float64(a.N+b.N)
-	l0 := stats.BernoulliLogLik(a.Positives, a.N, pooled) + stats.BernoulliLogLik(b.Positives, b.N, pooled)
+	lp, lq := stats.PooledLogs(a.Positives+b.Positives, a.N+b.N)
+	l0 := stats.PooledLogLik(a.Positives, a.N, lp, lq) + stats.PooledLogLik(b.Positives, b.N, lp, lq)
 	return stats.LogLikRatio(l0, ar.laLL[ii]+ar.laLL[jj])
 }
 

@@ -208,3 +208,29 @@ func TestFastPathPreGatedMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestPairLRTMatchesPairLRT pins the sweep's cached-logarithm pairLRT to
+// stats.PairLRT bit for bit over every count pair of small regions —
+// so the k = 0 and k = n edges, pooled rates of exactly 0 and 1, and one
+// region at an edge while the other is not — and over a few large ones.
+func TestPairLRTMatchesPairLRT(t *testing.T) {
+	var regs []*partition.Region
+	for n := 1; n <= 9; n++ {
+		for k := 0; k <= n; k++ {
+			regs = append(regs, &partition.Region{N: n, Positives: k})
+		}
+	}
+	for _, r := range [][2]int{{0, 5000}, {5000, 5000}, {1, 5000}, {4999, 5000}, {2500, 5000}, {0, 1 << 20}, {1 << 20, 1 << 20}} {
+		regs = append(regs, &partition.Region{Positives: r[0], N: r[1]})
+	}
+	ar := &auditRunner{regions: regs}
+	ar.fillLogLik()
+	for ii, a := range regs {
+		for jj, b := range regs {
+			got := ar.pairLRT(ii, jj, a, b)
+			if want := stats.PairLRT(a.Positives, a.N, b.Positives, b.N); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("(k=%d,n=%d) vs (k=%d,n=%d): tau = %v, stats.PairLRT has %v", a.Positives, a.N, b.Positives, b.N, got, want)
+			}
+		}
+	}
+}

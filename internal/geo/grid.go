@@ -60,12 +60,30 @@ func (g Grid) CellHeight() float64 { return g.Bounds.Height() / float64(g.Rows) 
 // CellIndex returns the row-major index of the cell containing p and true,
 // or -1 and false when p is outside the grid. Points on the far north/east
 // boundary are clamped into the adjacent cell.
-func (g Grid) CellIndex(p Point) (int, bool) {
+func (g Grid) CellIndex(p Point) (int, bool) { return g.Locator().CellIndex(p) }
+
+// Locator is a grid's cell lookup with the cell width and height computed
+// once, for callers that place many points in one grid. Its CellIndex is
+// the grid's: the sizes are the same float64 values CellWidth and
+// CellHeight return, so every index is too.
+type Locator struct {
+	g    Grid
+	w, h float64
+}
+
+// Locator returns the grid's cell lookup.
+func (g Grid) Locator() Locator {
+	return Locator{g: g, w: g.CellWidth(), h: g.CellHeight()}
+}
+
+// CellIndex is Grid.CellIndex.
+func (l Locator) CellIndex(p Point) (int, bool) {
+	g := &l.g
 	if !g.Bounds.ContainsClosed(p) {
 		return -1, false
 	}
-	col := int((p.X - g.Bounds.Min.X) / g.CellWidth())
-	row := int((p.Y - g.Bounds.Min.Y) / g.CellHeight())
+	col := int((p.X - g.Bounds.Min.X) / l.w)
+	row := int((p.Y - g.Bounds.Min.Y) / l.h)
 	if col >= g.Cols {
 		col = g.Cols - 1
 	}

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -141,5 +142,66 @@ func TestGridTilesArea(t *testing.T) {
 	}
 	if math.Abs(sum-g.Bounds.Area()) > 1e-9 {
 		t.Errorf("cell areas sum %v, grid area %v", sum, g.Bounds.Area())
+	}
+}
+
+// cellIndexPerPoint is the reference cell lookup: both cell sizes divided
+// out again for every point.
+func cellIndexPerPoint(g Grid, p Point) (int, bool) {
+	if !g.Bounds.ContainsClosed(p) {
+		return -1, false
+	}
+	col := int((p.X - g.Bounds.Min.X) / g.CellWidth())
+	row := int((p.Y - g.Bounds.Min.Y) / g.CellHeight())
+	if col >= g.Cols {
+		col = g.Cols - 1
+	}
+	if row >= g.Rows {
+		row = g.Rows - 1
+	}
+	return row*g.Cols + col, true
+}
+
+// TestLocatorMatchesPerPointLookup pins Locator, and Grid.CellIndex through
+// it, to the per-point arithmetic on interior points, on cell boundaries,
+// on the Min edges, on the Max edges (clamped into the last row and
+// column), and one float step outside each edge.
+func TestLocatorMatchesPerPointLookup(t *testing.T) {
+	grids := []Grid{
+		NewGrid(ContinentalUS, 100, 50),
+		NewGrid(ContinentalUS, 7, 3),
+		NewGrid(NewBBox(Pt(0, 0), Pt(3000, 1)), 3000, 1),
+		NewGrid(NewBBox(Pt(-0.3, -17.1), Pt(0.7, 2.9)), 13, 29),
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, g := range grids {
+		b := g.Bounds
+		xs := []float64{b.Min.X, b.Max.X, math.Nextafter(b.Min.X, math.Inf(-1)), math.Nextafter(b.Max.X, math.Inf(1))}
+		ys := []float64{b.Min.Y, b.Max.Y, math.Nextafter(b.Min.Y, math.Inf(-1)), math.Nextafter(b.Max.Y, math.Inf(1))}
+		for c := 1; c < g.Cols; c++ {
+			x := b.Min.X + float64(c)*g.CellWidth()
+			xs = append(xs, x, math.Nextafter(x, math.Inf(-1)))
+		}
+		for r := 1; r < g.Rows; r++ {
+			y := b.Min.Y + float64(r)*g.CellHeight()
+			ys = append(ys, y, math.Nextafter(y, math.Inf(-1)))
+		}
+		for i := 0; i < 50; i++ {
+			xs = append(xs, b.Min.X+rng.Float64()*b.Width())
+			ys = append(ys, b.Min.Y+rng.Float64()*b.Height())
+		}
+		loc := g.Locator()
+		for _, x := range xs {
+			for _, y := range ys {
+				p := Pt(x, y)
+				wi, wok := cellIndexPerPoint(g, p)
+				if i, ok := loc.CellIndex(p); i != wi || ok != wok {
+					t.Fatalf("grid %v point %v: Locator says (%d, %v), the per-point lookup (%d, %v)", g, p, i, ok, wi, wok)
+				}
+				if i, ok := g.CellIndex(p); i != wi || ok != wok {
+					t.Fatalf("grid %v point %v: CellIndex says (%d, %v), the per-point lookup (%d, %v)", g, p, i, ok, wi, wok)
+				}
+			}
+		}
 	}
 }

@@ -22,7 +22,9 @@ import (
 // It is not safe for concurrent use; callers serialize updates and audits.
 type DeltaPartitioning struct {
 	part    Partitioning
+	cells   geo.Locator
 	entries [][]Observation // each region's observation multiset, in sampleOrder
+	keys    sortKeys        // the refreshes' sort buffer
 
 	seed  uint64
 	capN  int
@@ -35,6 +37,7 @@ type DeltaPartitioning struct {
 func NewDeltaByGrid(grid geo.Grid, obs []Observation, opts Options) *DeltaPartitioning {
 	d := &DeltaPartitioning{
 		part:  Partitioning{Grid: grid, Regions: make([]Region, grid.NumCells())},
+		cells: grid.Locator(),
 		seed:  opts.Seed,
 		capN:  opts.cap(),
 		stale: make(map[int]struct{}),
@@ -53,7 +56,7 @@ func NewDeltaByGrid(grid geo.Grid, obs []Observation, opts Options) *DeltaPartit
 
 // locate maps a location to its grid cell, or -1 outside the grid.
 func (d *DeltaPartitioning) locate(p geo.Point) int {
-	idx, ok := d.part.Grid.CellIndex(p)
+	idx, ok := d.cells.CellIndex(p)
 	if !ok {
 		return -1
 	}
@@ -211,5 +214,5 @@ func (d *DeltaPartitioning) refreshRegion(idx int) {
 	for k := range es {
 		s.offer(&es[k])
 	}
-	r.sample = s.finish()
+	r.sample = s.finish(&d.keys)
 }

@@ -145,8 +145,9 @@ func ByGrid(grid geo.Grid, obs []Observation, opts Options) *Partitioning {
 		p.Regions[i].Index = i
 		p.Regions[i].Bounds = grid.CellBounds(i)
 	}
+	cells := grid.Locator()
 	p.aggregate(obs, opts, func(loc geo.Point) int {
-		if idx, ok := grid.CellIndex(loc); ok {
+		if idx, ok := cells.CellIndex(loc); ok {
 			return idx
 		}
 		return -1
@@ -196,6 +197,7 @@ func (p *Partitioning) aggregate(obs []Observation, opts Options, locate func(ge
 			p.count(idx, &obs[k], 1)
 		}
 	}
+	var ks sortKeys
 	samplers := make([]sampler, len(p.Regions))
 	for i := range p.Regions {
 		if r := &p.Regions[i]; r.N > 0 {
@@ -209,7 +211,7 @@ func (p *Partitioning) aggregate(obs []Observation, opts Options, locate func(ge
 	}
 	for i := range samplers {
 		if p.Regions[i].N > 0 {
-			p.Regions[i].sample = samplers[i].finish()
+			p.Regions[i].sample = samplers[i].finish(&ks)
 		}
 	}
 }

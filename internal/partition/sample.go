@@ -146,8 +146,9 @@ func (s *sampler) siftDown(i int) {
 	}
 }
 
-// finish sorts the kept incomes and returns the sample.
-func (s *sampler) finish() *pairedSample {
+// finish sorts the kept incomes, with ks as the sort's key buffer, and
+// returns the sample.
+func (s *sampler) finish(ks *sortKeys) *pairedSample {
 	if s.heap != nil {
 		positives := 0
 		for _, c := range s.heap {
@@ -165,8 +166,8 @@ func (s *sampler) finish() *pairedSample {
 			}
 		}
 	}
-	slices.Sort(s.neg)
-	slices.Sort(s.pos)
+	ks.sort(s.neg)
+	ks.sort(s.pos)
 	// Merge from the back, so the negatives, which share the incomes'
 	// array, are read before they are overwritten; at equal incomes the
 	// positive goes last. Once the positives run out, the negatives left
@@ -184,4 +185,118 @@ func (s *sampler) finish() *pairedSample {
 		}
 	}
 	return &pairedSample{incomes: incomes, pos: outcomes, posIncomes: s.pos}
+}
+
+// radixMinLen is the shortest sample half the radix sort takes; shorter
+// ones go to slices.Sort, which costs less than the radix sort's fixed
+// histogram work there (BenchmarkSampleSort puts the crossing near 45 on
+// normal incomes).
+const radixMinLen = 48
+
+// sortKeys is the income sort's key buffer: twice the longest half it has
+// sorted, grown once and reused for every region of an aggregation pass or
+// of a DeltaPartitioning's refreshes. It is not safe for concurrent use.
+type sortKeys struct {
+	buf    []uint64
+	counts [8][256]uint32 // digit histograms, one per byte of the key
+}
+
+// sort sorts xs ascending in place. The result equals slices.Sort's under
+// ==, and is a permutation of xs's bits: -0 and +0 keep their signs, with
+// every -0 before every +0. A run already in order, which a delta refresh
+// hands over, is left as it is after one linear check.
+func (ks *sortKeys) sort(xs []float64) {
+	if len(xs) < radixMinLen {
+		slices.Sort(xs)
+		return
+	}
+	if !isSorted(xs) {
+		ks.radix(xs)
+	}
+}
+
+// radix is an LSD radix sort of xs over orderKey's bytes. xs must hold two
+// distinct values, as an unsorted slice does.
+func (ks *sortKeys) radix(xs []float64) {
+	n := len(xs)
+	if cap(ks.buf) < 2*n {
+		ks.buf = make([]uint64, 2*n)
+	}
+	keys, tmp := ks.buf[:n], ks.buf[n:2*n]
+	c := &ks.counts
+	*c = [8][256]uint32{}
+	for i, x := range xs {
+		k := orderKey(x)
+		keys[i] = k
+		c[0][byte(k)]++
+		c[1][byte(k>>8)]++
+		c[2][byte(k>>16)]++
+		c[3][byte(k>>24)]++
+		c[4][byte(k>>32)]++
+		c[5][byte(k>>40)]++
+		c[6][byte(k>>48)]++
+		c[7][byte(k>>56)]++
+	}
+	// One stable counting pass per byte, least significant first. A byte
+	// every key shares leaves the order as it is and is skipped; the last
+	// pass writes the floats back into xs.
+	last := 7
+	for c[last][byte(keys[0]>>(8*last))] == uint32(n) {
+		last--
+	}
+	for d := 0; d <= last; d++ {
+		shift := uint(8 * d)
+		h := &c[d]
+		if h[byte(keys[0]>>shift)] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for b, v := range h {
+			h[b], sum = sum, sum+v
+		}
+		if d == last {
+			for _, k := range keys {
+				b := byte(k >> shift)
+				xs[h[b]] = keyFloat(k)
+				h[b]++
+			}
+			return
+		}
+		for _, k := range keys {
+			b := byte(k >> shift)
+			tmp[h[b]] = k
+			h[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+}
+
+// isSorted reports whether xs is ascending under <.
+func isSorted(xs []float64) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] < xs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// orderKey maps a non-NaN float64 to a uint64 whose unsigned order is the
+// float order, with -0 just below +0: a negative number's bits are all
+// flipped, a positive number's sign bit is set. The map is a bijection,
+// undone by keyFloat.
+func orderKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// keyFloat is orderKey's inverse.
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }

@@ -241,14 +241,15 @@ func (o *dimOrder) Swap(i, j int) {
 // UpdateRegion replaces the summary at position pos with a fresh digest of r
 // and repairs every sorted order and the envelope stats, leaving the index
 // bit-identical to a fresh NewSummaryIndexWorkers over the updated region
-// set. The repair is
-// O(R) per call (linear removal plus an envelope rescan) — cheap against the
-// audit work a dirty region triggers, and idempotent, so a retried delta
-// audit can re-apply it safely.
+// set. Each order finds the region's old and new slots by binary search and
+// shifts only the entries between them; the envelope is rescanned, O(R).
+// The repair is idempotent, so a retried delta audit can re-apply it
+// safely.
 func (ix *SummaryIndex) UpdateRegion(pos int, r *Region) {
+	old := ix.Summaries[pos]
 	ix.Summaries[pos] = Summarize(r)
 	for d := SummaryDim(0); d < numSummaryDims; d++ {
-		ix.dims[d].update(pos, summaryKey(&ix.Summaries[pos], d))
+		ix.dims[d].update(pos, summaryKey(&old, d), summaryKey(&ix.Summaries[pos], d))
 	}
 	ix.Stats = SummaryStats{}
 	for i := range ix.Summaries {
@@ -267,32 +268,51 @@ func (ix *SummaryIndex) UpdateRegion(pos int, r *Region) {
 	}
 }
 
-// update removes position pos from the order (if present) and re-inserts it
-// under key, preserving the ascending-by-key, ties-by-position invariant. A
-// NaN key leaves the position absent, matching buildDimOrder.
-func (o *dimOrder) update(pos int, key float64) {
-	for i := range o.pos {
-		if int(o.pos[i]) == pos {
-			o.keys = append(o.keys[:i], o.keys[i+1:]...)
-			o.pos = append(o.pos[:i], o.pos[i+1:]...)
-			break
-		}
+// update moves position pos from its slot under key old to its slot under
+// key, preserving the ascending-by-key, ties-by-position invariant. A NaN
+// key means absent, matching buildDimOrder: a NaN old key inserts, a NaN
+// new key removes.
+func (o *dimOrder) update(pos int, old, key float64) {
+	from, to := -1, -1
+	if !math.IsNaN(old) {
+		from = o.search(pos, old)
 	}
-	if math.IsNaN(key) {
+	if !math.IsNaN(key) {
+		to = o.search(pos, key)
+	}
+	switch {
+	case from < 0 && to < 0:
 		return
+	case from < 0:
+		o.keys = append(o.keys, 0)
+		o.pos = append(o.pos, 0)
+		copy(o.keys[to+1:], o.keys[to:])
+		copy(o.pos[to+1:], o.pos[to:])
+	case to < 0:
+		o.keys = append(o.keys[:from], o.keys[from+1:]...)
+		o.pos = append(o.pos[:from], o.pos[from+1:]...)
+		return
+	case to > from:
+		// The entry moves up; search counted it below its new slot.
+		to--
+		copy(o.keys[from:to], o.keys[from+1:to+1])
+		copy(o.pos[from:to], o.pos[from+1:to+1])
+	default:
+		copy(o.keys[to+1:from+1], o.keys[to:from])
+		copy(o.pos[to+1:from+1], o.pos[to:from])
 	}
-	at := sort.Search(len(o.keys), func(k int) bool {
+	o.keys[to] = key
+	o.pos[to] = int32(pos)
+}
+
+// search returns the first slot whose entry does not sort before (key, pos).
+func (o *dimOrder) search(pos int, key float64) int {
+	return sort.Search(len(o.keys), func(k int) bool {
 		if o.keys[k] != key { //lint:floateq-ok deterministic-tie-break
 			return o.keys[k] > key
 		}
-		return int(o.pos[k]) > pos
+		return int(o.pos[k]) >= pos
 	})
-	o.keys = append(o.keys, 0)
-	o.pos = append(o.pos, 0)
-	copy(o.keys[at+1:], o.keys[at:])
-	copy(o.pos[at+1:], o.pos[at:])
-	o.keys[at] = key
-	o.pos[at] = int32(pos)
 }
 
 // Dim returns the sorted keys and their region positions for one dimension.

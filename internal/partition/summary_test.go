@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -173,5 +175,53 @@ func TestSummaryStatsEnvelope(t *testing.T) {
 	// no variance and the Welch bound never consults it.
 	if ix.Stats.MinSampleN == 1 {
 		t.Error("MinSampleN counted a variance-free region")
+	}
+}
+
+// TestSummaryIndexRandomUpdates drives UpdateRegion through random update
+// sequences over regions whose keys collide often (few distinct counts and
+// incomes, so ties break by position) and often vanish (an empty sample has
+// a NaN mean, absent from that order), and requires the index to equal a
+// fresh build after every step.
+func TestSummaryIndexRandomUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randomize := func(r *Region) {
+		r.N = rng.Intn(4)
+		r.Positives = rng.Intn(r.N + 1)
+		r.Protected = rng.Intn(r.N + 1)
+		r.sample = nil
+		if k := rng.Intn(3); k > 0 {
+			r.sample = &pairedSample{}
+			for i := 0; i < k; i++ {
+				r.sample.incomes = append(r.sample.incomes, float64(1+rng.Intn(3)))
+			}
+		}
+	}
+	for seq := 0; seq < 20; seq++ {
+		regions := make([]*Region, 1+rng.Intn(40))
+		for i := range regions {
+			regions[i] = &Region{}
+			randomize(regions[i])
+		}
+		ix := NewSummaryIndexWorkers(regions, 1)
+		for step := 0; step < 60; step++ {
+			pos := rng.Intn(len(regions))
+			if rng.Intn(4) > 0 { // else re-apply the region unchanged
+				randomize(regions[pos])
+			}
+			ix.UpdateRegion(pos, regions[pos])
+			fresh := NewSummaryIndexWorkers(regions, 1)
+			if ix.Stats != fresh.Stats {
+				t.Fatalf("sequence %d step %d: stats %+v, a fresh build has %+v", seq, step, ix.Stats, fresh.Stats)
+			}
+			for d := SummaryDim(0); d < numSummaryDims; d++ {
+				gk, gp := ix.Dim(d)
+				wk, wp := fresh.Dim(d)
+				if !slices.Equal(gp, wp) || !slices.EqualFunc(gk, wk, func(a, b float64) bool { return a == b }) { //lint:floateq-ok exact comparison with a rebuild
+					t.Fatalf("sequence %d step %d: dim %d order keys=%v pos=%v, a fresh build has keys=%v pos=%v",
+						seq, step, d, gk, gp, wk, wp)
+				}
+			}
+		}
 	}
 }

@@ -32,15 +32,20 @@ import (
 // Samples are never evicted. The store keeps at most nullStoreMax samples;
 // past that bound a lookup of a new key fills the caller's scratch buffer,
 // answers from it by count (stopping at the cut as a first lookup does), and
-// keeps nothing. The store is safe for concurrent use: lookups of stored
-// keys take one shard read lock and touch no shared counters.
+// keeps nothing. The store is safe for concurrent use: a lookup of a
+// stored key is a probe of atomic loads in an open-addressed table, with no
+// lock and no write to shared memory. Inserts serialize on one mutex and
+// publish an entry only once its key is set; entries are never removed, so
+// a probe that meets an empty slot has proved its key absent at that
+// moment.
 type NullStore struct {
 	seed   uint64
 	worlds int
 	stop   int          // exceedances proving p > cut: mcStopCount(worlds, cut)
-	stored atomic.Int64 // samples kept, at most nullStoreMax
+	stored atomic.Int64 // samples kept, at most nullStoreMax; written under mu
 
-	shards [nullStoreShards]nullStoreShard
+	mu    sync.Mutex // serializes inserts
+	slots [nullStoreSlots]atomic.Pointer[nullEntry]
 }
 
 // nullStoreMax bounds the samples a store keeps: 2048 samples at the
@@ -48,13 +53,10 @@ type NullStore struct {
 // LAR audit needs and bounded for audits whose regions never repeat one.
 const nullStoreMax = 2048
 
-// nullStoreShards spreads lock contention; must be a power of two.
-const nullStoreShards = 16
-
-type nullStoreShard struct {
-	mu      sync.RWMutex
-	entries map[pairNullKey]*nullEntry //lint:guardedby mu
-}
+// nullStoreSlots is the table's size: a power of two at least twice
+// nullStoreMax, so the table is never more than half full and every probe
+// meets an empty slot soon.
+const nullStoreSlots = 2 * nullStoreMax
 
 // pairNullKey is the normalized store key: n1 <= n2 (the null is symmetric in
 // the two regions' sizes given the pooled count).
@@ -64,6 +66,7 @@ type pairNullKey struct {
 }
 
 type nullEntry struct {
+	key          pairNullKey
 	fillOnce     sync.Once // draws the first lookup's prefix and answers it by count
 	completeOnce sync.Once // draws the remaining worlds and sorts, for the second lookup on
 	rng          RNG       // the key's stream, positioned after the prefix
@@ -75,11 +78,7 @@ type nullEntry struct {
 // seeded from seed, answering exactly only the p-values at or below cut
 // (a cut of 1 or more answers every p-value exactly).
 func NewNullStore(seed uint64, worlds int, cut float64) *NullStore {
-	s := &NullStore{seed: seed, worlds: worlds, stop: mcStopCount(worlds, cut)}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[pairNullKey]*nullEntry) //lint:locksafe-ok constructor: no concurrent access before the store is returned
-	}
-	return s
+	return &NullStore{seed: seed, worlds: worlds, stop: mcStopCount(worlds, cut)}
 }
 
 // mcStopCount returns the least exceedance count g in [0, m] whose add-one
@@ -127,12 +126,10 @@ func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, sc *Nu
 		return 1, 0, false
 	}
 	key := newPairNullKey(n1, n2, pooledPositives)
-	sh := &s.shards[nullKeyHash(key)&(nullStoreShards-1)]
-	sh.mu.RLock()
-	e := sh.entries[key]
-	sh.mu.RUnlock()
+	h := nullKeyHash(key)
+	e, _ := s.find(key, h)
 	if e == nil {
-		if e = s.insert(sh, key); e == nil {
+		if e = s.insert(key, h); e == nil {
 			if cap(sc.sample) < s.worlds {
 				sc.sample = make([]float64, s.worlds) //lint:hotpathalloc-ok grows the caller's scratch once, reused by every later overflow fill
 			}
@@ -170,20 +167,36 @@ func (s *NullStore) estimate(geq int) float64 {
 	return float64(1+geq) / float64(s.worlds+1)
 }
 
+// find probes the table for key, whose hash is h. It returns the key's
+// entry, or nil and the empty slot where the probe stopped.
+func (s *NullStore) find(key pairNullKey, h uint64) (*nullEntry, uint64) {
+	for i := h; ; i++ {
+		i &= nullStoreSlots - 1
+		e := s.slots[i].Load()
+		if e == nil || e.key == key {
+			return e, i
+		}
+	}
+}
+
 // insert adds an empty entry for key unless another goroutine already did,
-// returning nil when the store is full.
-func (s *NullStore) insert(sh *nullStoreShard, key pairNullKey) *nullEntry { //lint:hotpathalloc-ok once per stored key, amortized
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e := sh.entries[key]; e != nil {
+// returning nil when the store is full. Once full the store never changes
+// again, and every entry was published before the count reached the bound,
+// so a full store answers by a probe without the lock.
+func (s *NullStore) insert(key pairNullKey, h uint64) *nullEntry { //lint:hotpathalloc-ok once per stored key, amortized
+	if s.stored.Load() >= nullStoreMax {
+		e, _ := s.find(key, h)
 		return e
 	}
-	if s.stored.Add(1) > nullStoreMax {
-		s.stored.Add(-1)
-		return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, i := s.find(key, h)
+	if e != nil || s.stored.Load() >= nullStoreMax {
+		return e
 	}
-	e := &nullEntry{}
-	sh.entries[key] = e
+	e = &nullEntry{key: key}
+	s.slots[i].Store(e)
+	s.stored.Add(1)
 	return e
 }
 
@@ -204,7 +217,7 @@ type NullScratch struct {
 	sample     []float64
 	b1, b2     BinomialSampler
 	alt1, alt2 []float64 // MaxBernoulliLogLik of each region's count, by offset in its window
-	lp, lq     []float64 // pooledLogs of the summed count, by offset in the sum's window
+	lp, lq     []float64 // PooledLogs of the summed count, by offset in the sum's window
 }
 
 // fillNull draws null worlds of the pairwise LRT statistic for key into dst
@@ -260,26 +273,10 @@ func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop i
 		k2 := b2.Draw(rng)
 		j := k1 + k2 - lo1 - lo2
 		if math.IsNaN(lps[j]) {
-			lps[j], lqs[j] = pooledLogs(k1+k2, n)
+			lps[j], lqs[j] = PooledLogs(k1+k2, n)
 		}
-		lp, lq := lps[j], lqs[j]
-		// BernoulliLogLik(k, n, rho) with rho in (0,1) guaranteed whenever a
-		// guarded term is taken: k > 0 implies s > 0 and n-k > 0 implies
-		// s < n, so the -Inf branches are unreachable and each term reduces
-		// to the same guarded multiply-adds, from the same zero value.
-		var l1, l2 float64
-		if k1 > 0 {
-			l1 = float64(k1) * lp
-		}
-		if n1-k1 > 0 {
-			l1 += float64(n1-k1) * lq
-		}
-		if k2 > 0 {
-			l2 = float64(k2) * lp
-		}
-		if n2-k2 > 0 {
-			l2 += float64(n2-k2) * lq
-		}
+		l1 := PooledLogLik(k1, n1, lps[j], lqs[j])
+		l2 := PooledLogLik(k2, n2, lps[j], lqs[j])
 		a1, a2 := &alt1[k1-lo1], &alt2[k2-lo2]
 		if math.IsNaN(*a1) {
 			*a1 = MaxBernoulliLogLik(k1, n1)
@@ -310,11 +307,27 @@ func unsetTable(buf *[]float64, n int) []float64 {
 	return t
 }
 
-// pooledLogs returns Log(rho) and Log(1-rho) at the pooled rate rho = s/n,
+// PooledLogs returns Log(rho) and Log(1-rho) at the pooled rate rho = s/n,
 // the two logarithms BernoulliLogLik takes under PairLRT's null.
-func pooledLogs(s, n int) (lp, lq float64) {
+func PooledLogs(s, n int) (lp, lq float64) {
 	rho := float64(s) / float64(n)
 	return math.Log(rho), math.Log(1 - rho)
+}
+
+// PooledLogLik is BernoulliLogLik(k, n, rho) for one of the two regions
+// under PairLRT's null, from lp, lq = PooledLogs(s, n1+n2): the same
+// guarded multiply-adds from the same zero value, so bit-identical. There
+// rho is in (0,1) whenever a term is taken — k > 0 implies s > 0 and n-k > 0
+// implies s < n1+n2 — so BernoulliLogLik's -Inf branches are unreachable.
+func PooledLogLik(k, n int, lp, lq float64) float64 {
+	var l float64
+	if k > 0 {
+		l = float64(k) * lp
+	}
+	if n-k > 0 {
+		l += float64(n-k) * lq
+	}
+	return l
 }
 
 // nullCacheSeed derives a sample's RNG seed from the store seed and the
@@ -327,8 +340,8 @@ func nullCacheSeed(seed uint64, key pairNullKey) uint64 {
 	return h
 }
 
-// nullKeyHash spreads keys across shards (distinct from nullCacheSeed so
-// shard placement and stream seeding are uncorrelated).
+// nullKeyHash places keys in the store's table (distinct from nullCacheSeed
+// so placement and stream seeding are uncorrelated).
 func nullKeyHash(key pairNullKey) uint64 {
 	h := uint64(0x517cc1b727220a95)
 	h = (h ^ uint64(key.n1)) * 0x2545F4914F6CDD1D

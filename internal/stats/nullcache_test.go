@@ -358,3 +358,83 @@ func TestKolmogorovSmirnovSeparatedPExact(t *testing.T) {
 		t.Error("empty sample must yield NaN")
 	}
 }
+
+// TestNullStoreConcurrentPastBound runs 8 goroutines over overlapping key
+// sets that together exceed nullStoreMax, so inserts race with hits, with
+// each other, and with the overflow path once the table is full. Every
+// p-value must equal a sequential store's, the store must keep at most
+// nullStoreMax samples, each kept key must fill exactly once, and each key
+// left out must fill on every lookup. Run under -race it pins the table's
+// publish-after-key-set discipline.
+func TestNullStoreConcurrentPastBound(t *testing.T) {
+	const seed, worlds, goroutines, cut = 11, 19, 8, 0.3
+	type key struct{ n1, n2, pos int }
+	var keys []key
+	for n2 := 1; len(keys) < nullStoreMax+nullStoreMax/4; n2++ {
+		for n1 := 1; n1 <= n2 && n1 <= 6; n1++ {
+			keys = append(keys, key{n1, n2, (n1 + n2) / 3})
+		}
+	}
+	observed := []float64{0, 0.5, 2}
+	seq := NewNullStore(seed, worlds, cut)
+	var scratch NullScratch
+	want := make([][]float64, len(keys))
+	for ki, k := range keys {
+		for _, o := range observed {
+			p, _, _ := seq.PValue(k.n1, k.n2, k.pos, o, &scratch)
+			want[ki] = append(want[ki], p)
+		}
+	}
+
+	s := NewNullStore(seed, worlds, cut)
+	fills := make([]atomic.Int64, len(keys))
+	lookups := make([]atomic.Int64, len(keys))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var scratch NullScratch
+			<-start
+			// Each goroutine takes three quarters of the keys, starting at
+			// its own offset, so every key is shared by several of them.
+			for i := 0; i < 3*len(keys)/4; i++ {
+				ki := (i + g*len(keys)/goroutines) % len(keys)
+				k := keys[ki]
+				for oi, o := range observed {
+					p, _, filled := s.PValue(k.n1, k.n2, k.pos, o, &scratch)
+					lookups[ki].Add(1)
+					if filled {
+						fills[ki].Add(1)
+					}
+					if p != want[ki][oi] {
+						t.Errorf("goroutine %d key %v observed %v: p=%v, want %v", g, k, o, p, want[ki][oi])
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	if got := s.stored.Load(); got != nullStoreMax {
+		t.Fatalf("store keeps %d samples, want exactly its bound %d", got, nullStoreMax)
+	}
+	kept := 0
+	for ki, k := range keys {
+		e, _ := s.find(newPairNullKey(k.n1, k.n2, k.pos), nullKeyHash(newPairNullKey(k.n1, k.n2, k.pos)))
+		switch n, l := fills[ki].Load(), lookups[ki].Load(); {
+		case e != nil:
+			kept++
+			if n != 1 {
+				t.Errorf("kept key %v filled %d times, want once", k, n)
+			}
+		case n != l:
+			t.Errorf("key %v left out of the store filled %d of %d lookups, want all", k, n, l)
+		}
+	}
+	if kept != nullStoreMax {
+		t.Errorf("%d keys found in the table, want %d", kept, nullStoreMax)
+	}
+}
