@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,12 +295,13 @@ func Audit(p *partition.Partitioning, cfg Config) (*Result, error) {
 }
 
 // auditHooks are the engine extension points the delta auditor drives:
-// keepAll retains every candidate (not just flagged pairs) so the caller can
-// seed its pair cache, and nulls substitutes a caller-owned Monte-Carlo null
-// store so filled samples survive across audits. Both are result-neutral:
-// keepAll only widens what is returned alongside the result, and a
-// NullStore's p-values are bit-identical regardless of which store instance
-// (or prior fill state) serves them.
+// keepAll retains every candidate (not just the reportable ones, at or
+// below the flag cut) so the caller can seed its pair cache, and nulls
+// substitutes a caller-owned Monte-Carlo null store so filled entries
+// survive across audits. Both are result-neutral: keepAll only widens what
+// is returned alongside the result, and a NullStore's p-values are
+// bit-identical regardless of which store instance (or prior fill state)
+// serves them.
 type auditHooks struct {
 	keepAll bool
 	nulls   *stats.NullStore
@@ -329,16 +331,19 @@ const cancelCheckInterval = 256
 // cancelCheckInterval pairs within each worker; on cancellation the
 // context's error is returned and the partial result discarded.
 func AuditContext(ctx context.Context, p *partition.Partitioning, cfg Config) (*Result, error) {
-	res, _, _, err := auditEngine(ctx, p, cfg, auditHooks{})
+	res, run, _, err := auditEngine(ctx, p, cfg, auditHooks{})
+	run.release()
 	return res, err
 }
 
 // auditEngine is the full batch sweep behind AuditContext and the delta
 // auditor's cold start. It additionally returns the assembled runner (so an
 // incremental caller can adopt its prepared caches and summary index) and,
-// under hooks.keepAll, the complete candidate list with exact per-pair
-// fields — the content Result.Pairs is filtered from. Only a P above the
-// flag cut is not exact: it is the null store's canonical above-cut value.
+// under hooks.keepAll, the complete candidate list — the content
+// Result.Pairs is filtered from. A candidate at or below the flag cut
+// (Config.nullCut) carries exact fields. One above it can never be flagged:
+// its P is the null store's canonical above-cut value and its scores are
+// zero, while its regions, rates and Tau are exact.
 func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hooks auditHooks) (*Result, *auditRunner, []UnfairPair, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -410,7 +415,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	}
 	sched := newRowScheduler(slotHi-slotLo, workers)
 	steals := obs.NewShardedCounter(workers)
-	keepScores := cfg.FDR > 0 || hooks.keepAll
 	preGated := run.preGated()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -422,9 +426,9 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			if col != nil {
 				shardStart = now()
 			}
-			// Per-worker reusable state: one scratch, which also takes the
-			// null samples the full store cannot keep — the steady-state loop
-			// allocates nothing.
+			// Per-worker reusable state: one scratch for the null fills, and
+			// the worker's pair slice — the steady-state loop allocates
+			// nothing beyond that slice's amortized growth.
 			var sc scratch
 			sinceCheck := 0
 			probe := 0
@@ -446,11 +450,9 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 						return true
 					}
 				}
-				if pr, ok := run.auditPair(probe, jj, &sh.tally, &sc, keepScores, preGated); ok {
+				var ok bool
+				if sh.pairs, ok = run.auditPair(probe, jj, &sh.tally, &sc, sh.pairs, hooks.keepAll, preGated); ok {
 					sh.candidates++
-					if keepScores || pr.P <= cfg.Alpha {
-						sh.pairs = append(sh.pairs, pr)
-					}
 				}
 				return true
 			}
@@ -514,7 +516,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		// is what the delta auditor seeds its pair cache with.
 		candidates = append([]UnfairPair(nil), res.Pairs...)
 	}
-	res.Pairs = finalizePairs(&cfg, res.Pairs, workers)
+	res.Pairs = finalizePairs(&cfg, res.Pairs, res.Candidates, workers)
 	col.ObserveSeconds(obs.MAuditPhaseFDRSeconds, now().Sub(fdrStart))
 
 	tally.publish(col, res)
@@ -536,38 +538,47 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 }
 
 // finalizePairs turns a collected pair list into Result.Pairs: flagPairs
-// filters it in place, then the canonical sort fixes the order with up to
-// workers goroutines. lessUnfair is a strict total order, so the result is
-// byte-identical at every worker count.
-func finalizePairs(cfg *Config, pairs []UnfairPair, workers int) []UnfairPair {
-	pairs = flagPairs(cfg, pairs[:0], pairs)
+// filters it in place over a family of n candidates, then the canonical sort
+// fixes the order with up to workers goroutines. lessUnfair is a strict
+// total order, so the result is byte-identical at every worker count.
+func finalizePairs(cfg *Config, pairs []UnfairPair, n, workers int) []UnfairPair {
+	pairs = flagPairs(cfg, pairs[:0], pairs, n)
 	sortUnfairPairs(pairs, workers)
 	return pairs
 }
 
-// flagPairs appends to dst the pairs of src the audit flags: under FDR
-// (cfg.FDR > 0) the Benjamini–Hochberg rejections, otherwise the pairs at or
+// flagPairs appends to dst the pairs of src the audit flags, src holding at
+// least every pair at or below the flag cut (Config.nullCut) of a family of
+// n candidates: under FDR (cfg.FDR > 0) the Benjamini–Hochberg rejections,
+// through the cut of src's p-values at or below q, otherwise the pairs at or
 // below Alpha. It keeps src's order, and dst may be src[:0] to filter in
-// place. Both filters are pure value thresholds (BH's rejection mask depends
-// only on the p-value multiset), so which pairs are flagged never depends on
-// src's order. The delta auditor applies the same two rules to its low set
-// (pairCache.flagged), through the same Benjamini–Hochberg cut.
-func flagPairs(cfg *Config, dst, src []UnfairPair) []UnfairPair {
+// place; otherwise dst grows once, to exactly the flagged pairs. Both rules
+// are value thresholds over the p-value multiset, so which pairs are flagged
+// never depends on src's order, and the batch sweep, the shard merge and the
+// delta auditor's low set (pairCache.flagged) all flag through it.
+func flagPairs(cfg *Config, dst, src []UnfairPair, n int) []UnfairPair {
+	cut := cfg.Alpha
 	if cfg.FDR > 0 {
-		pvals := make([]float64, len(src))
+		small := make([]float64, 0, len(src))
 		for i := range src {
-			pvals[i] = src[i].P
-		}
-		keep := stats.BenjaminiHochberg(pvals, cfg.FDR)
-		for i := range src {
-			if keep[i] {
-				dst = append(dst, src[i])
+			if src[i].P <= cfg.FDR {
+				small = append(small, src[i].P)
 			}
 		}
-		return dst
+		var ok bool
+		if cut, ok = stats.BenjaminiHochbergCut(small, n, cfg.FDR); !ok {
+			return dst
+		}
 	}
+	k := 0
 	for i := range src {
-		if src[i].P <= cfg.Alpha {
+		if src[i].P <= cut {
+			k++
+		}
+	}
+	dst = slices.Grow(dst, k)
+	for i := range src {
+		if src[i].P <= cut {
 			dst = append(dst, src[i])
 		}
 	}
@@ -677,9 +688,10 @@ type auditRunner struct {
 
 	// laLL caches each region's alternative-hypothesis log-likelihood
 	// MaxBernoulliLogLik(Positives, N) — a per-region constant that
-	// stats.PairLRT would otherwise recompute for every candidate pair.
-	// Filled by fillLogLik; refreshed by repairLogLik when the delta auditor
-	// repairs a region in place.
+	// stats.PairLRT would otherwise recompute for every candidate pair; the
+	// null store's PairTest takes a pair's sum of the two. Filled by
+	// fillLogLik; refreshed by repairLogLik when the delta auditor repairs a
+	// region in place.
 	laLL []float64
 }
 
@@ -787,7 +799,7 @@ func (ar *auditRunner) buildIndex(workers int) {
 }
 
 // fillLogLik computes every region's cached alternative-hypothesis
-// log-likelihood term. O(R) against the sweep's O(R·window) pairLRT calls.
+// log-likelihood term. O(R) against the sweep's O(R·window) candidates.
 func (ar *auditRunner) fillLogLik() {
 	ar.laLL = make([]float64, len(ar.regions))
 	for i, r := range ar.regions {
@@ -795,26 +807,23 @@ func (ar *auditRunner) fillLogLik() {
 	}
 }
 
+// release drops every reference the runner holds once its audit is over and
+// nothing will read it again (a nil runner is a no-op). The runtime scans
+// the innermost frame of an asynchronously preempted goroutine
+// conservatively, so a stale word that one audit's worker left in reused
+// stack memory can keep its runner reachable through a later audit's
+// sweep. Cleared, such a runner pins one small struct instead of its
+// prepared arenas and index: in a loop of R=3000 dense audits an uncleared
+// one kept some 55 MB alive, and the GC doubled that into its heap goal.
+func (ar *auditRunner) release() {
+	if ar != nil {
+		*ar = auditRunner{}
+	}
+}
+
 // repairLogLik refreshes one region's cached term after an in-place repair.
 func (ar *auditRunner) repairLogLik(pos int, r *partition.Region) {
 	ar.laLL[pos] = stats.MaxBernoulliLogLik(r.Positives, r.N)
-}
-
-// pairLRT replays stats.PairLRT with the per-region alternative-hypothesis
-// terms read from the laLL cache and the pooled rate's two logarithms taken
-// once for the pair: the same floats added in the same order, so tau is
-// bit-identical — only the two MaxBernoulliLogLik recomputations and up to
-// two math.Log calls per pair are saved. Every runner that sweeps has
-// filled the cache.
-//
-//lint:hotpath
-func (ar *auditRunner) pairLRT(ii, jj int, a, b *partition.Region) float64 {
-	if a.N <= 0 || b.N <= 0 {
-		return 0
-	}
-	lp, lq := stats.PooledLogs(a.Positives+b.Positives, a.N+b.N)
-	l0 := stats.PooledLogLik(a.Positives, a.N, lp, lq) + stats.PooledLogLik(b.Positives, b.N, lp, lq)
-	return stats.LogLikRatio(l0, ar.laLL[ii]+ar.laLL[jj])
 }
 
 // preGated reports whether summaryReject replays the dissimilarity and Eta
@@ -859,7 +868,9 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // auditPair applies the gate cascade — dissimilarity, the Eta outcome fast
 // path, similarity — and, for candidates, the Monte-Carlo LRT. ii and jj are
 // positions in the eligible list. ok reports whether the pair was a candidate
-// (passed every gate). Each phase's outcome is tallied into t for the
+// (passed every gate). A candidate is appended to dst when it is reportable
+// — its P at or below the flag cut, Config.nullCut — or when keepAll asks
+// for every candidate. Each phase's outcome is tallied into t for the
 // observability layer. Batch sweeps, shards, and delta rescoring all run it.
 //
 // The Eta check runs before the similarity test because it is O(1) on
@@ -873,10 +884,9 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // Each gate decides its verdict before any score (preparedScorer.verdict):
 // the z-test through its verified |z| band, Mann–Whitney through bracketed
 // |z| intervals, with the exact kernel only for pairs the brackets leave
-// open. SimScore and DissScore are materialized only for retained pairs —
-// keepScores, or a p-value at or below Alpha — which is the caller's append
-// filter; other returned candidates carry zero scores and must not be
-// published.
+// open. SimScore and DissScore are materialized only for reportable
+// candidates: only they can be flagged (a Benjamini–Hochberg rejection needs
+// p <= q), so every other candidate keepAll appends carries zero scores.
 //
 // preGated asserts the caller already ran summaryReject on this pair and
 // that it replays the dissimilarity and Eta gates exactly (see
@@ -884,14 +894,15 @@ func (ar *auditRunner) summaryReject(ii, jj int, t *pairTally) bool {
 // so the cascade skips them — no decision or tally can change, the
 // increments it skips are provably zero.
 //
-// This is the audit's steady-state kernel and it must not heap-allocate:
-// p-values are counts or binary searches over stored null samples (or fills
-// into the worker's scratch past the store's bound), and the built-in metrics
-// score against caches built in the precompute phase.
+// This is the audit's steady-state kernel and it must not heap-allocate
+// beyond dst's amortized growth: tau and p come from one null-store lookup
+// (a count or binary search over an entry's kept statistics, or a fill that
+// keeps nothing past the store's bound), and the built-in metrics score
+// against caches built in the precompute phase.
 // TestAuditPairKernelZeroAlloc pins the property.
 //
 //lint:hotpath
-func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, keepScores, preGated bool) (UnfairPair, bool) {
+func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, dst []UnfairPair, keepAll, preGated bool) ([]UnfairPair, bool) {
 	a, b := ar.regions[ii], ar.regions[jj]
 	cfg := &ar.cfg
 	t.scanned++
@@ -902,11 +913,11 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, keepScor
 		pass, diss, dissScored = ar.diss.verdict(ii, jj, a, b)
 		if !pass {
 			t.dissRejections++
-			return UnfairPair{}, false
+			return dst, false
 		}
 		if cfg.Eta > 0 && math.Abs(a.PositiveRate()-b.PositiveRate()) <= cfg.Eta {
 			t.etaFastPath++
-			return UnfairPair{}, false
+			return dst, false
 		}
 	}
 	pass, sim, simScored := ar.sim.verdict(ii, jj, a, b)
@@ -917,19 +928,28 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, keepScor
 	}
 	if !pass {
 		t.simRejections++
-		return UnfairPair{}, false
+		return dst, false
 	}
 
-	tau := ar.pairLRT(ii, jj, a, b)
-	pval := ar.pairPValue(a, b, tau, t, sc)
-
-	pr := UnfairPair{
+	tau, pval, drawn, filled := ar.nulls.PairTest(a.Positives, a.N, b.Positives, b.N, ar.laLL[ii]+ar.laLL[jj], &sc.null)
+	t.nullWorlds += int64(drawn)
+	if filled {
+		t.nullFills++
+	} else {
+		t.nullHits++
+	}
+	reportable := pval <= cfg.nullCut()
+	if !reportable && !keepAll {
+		return dst, true
+	}
+	dst = append(dst, UnfairPair{ //lint:hotpathalloc-ok grows the worker's candidate slice, amortized over the sweep
 		I: a.Index, J: b.Index,
 		RateI: a.PositiveRate(), RateJ: b.PositiveRate(),
 		SharedI: a.ProtectedShare(), SharedJ: b.ProtectedShare(),
 		Tau: tau, P: pval,
-	}
-	if keepScores || pval <= cfg.Alpha {
+	})
+	pr := &dst[len(dst)-1]
+	if reportable {
 		if !simScored {
 			sim = ar.sim.score(ii, jj, a, b)
 		}
@@ -944,24 +964,5 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, keepScor
 		pr.RateI, pr.RateJ = pr.RateJ, pr.RateI
 		pr.SharedI, pr.SharedJ = pr.SharedJ, pr.SharedI
 	}
-	return pr, true
-}
-
-// pairPValue resolves a candidate pair's p-value — the cascade's final step.
-// Every candidate is answered from the null store, which keeps one
-// key-seeded sample per count signature (drawn on its first lookup only
-// until the verdict is forced, completed and sorted for binary search on its
-// second); a lookup is tallied as a fill (a key's first) or a hit, and the
-// worlds it drew are added to the simulation effort.
-//
-//lint:hotpath
-func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *scratch) float64 {
-	p, drawn, filled := ar.nulls.PValue(a.N, b.N, a.Positives+b.Positives, tau, &sc.null)
-	t.nullWorlds += int64(drawn)
-	if filled {
-		t.nullFills++
-	} else {
-		t.nullHits++
-	}
-	return p
+	return dst, true
 }

@@ -42,9 +42,10 @@ import (
 //
 // The Monte-Carlo null store persists across audits (its p-values are
 // key-seeded, bit-identical whatever the store's fill state), so unchanged
-// count signatures keep their filled samples across deltas. Cached
-// unflagged candidates carry the store's canonical above-cut p-value, which
-// no later pass can flag, exactly as the cold sweep's would.
+// count signatures keep their filled entries across deltas. Cached
+// candidates above the flag cut carry the store's canonical above-cut
+// p-value and zero scores, and no later pass can flag them, exactly as the
+// cold sweep's would.
 //
 // A DeltaAuditor is not safe for concurrent use; callers serialize updates
 // (through the DeltaPartitioning) and Audit calls. The incremental pass is
@@ -195,36 +196,13 @@ func (c *pairCache) add(pairs []UnfairPair) {
 	c.low = insertUnfairPairs(c.low, pairs[:lows])
 }
 
-// flagged assembles Result.Pairs from the low set, one path for both rules:
-// every low pair at or below the flag cut — Alpha itself, or under FDR the
-// Benjamini–Hochberg cut of the low p-values (all the ones at or below q)
-// among all stored pairs. The copy is exact-size and never aliases the
-// cache.
+// flagged assembles Result.Pairs from the low set through flagPairs, the
+// batch engine's flagging path, over a family of every stored pair: the low
+// set holds every stored pair at or below the flag cut, all that either
+// rule can flag. The low set's canonical order carries over, and the copy
+// is exact-size and never aliases the cache.
 func (c *pairCache) flagged(cfg *Config) []UnfairPair {
-	cut := cfg.Alpha
-	if cfg.FDR > 0 {
-		small := make([]float64, len(c.low))
-		for i := range c.low {
-			small[i] = c.low[i].P
-		}
-		var ok bool
-		if cut, ok = stats.BenjaminiHochbergCut(small, c.size(), cfg.FDR); !ok {
-			return []UnfairPair{}
-		}
-	}
-	n := 0
-	for i := range c.low {
-		if c.low[i].P <= cut {
-			n++
-		}
-	}
-	out := make([]UnfairPair, 0, n)
-	for i := range c.low {
-		if c.low[i].P <= cut {
-			out = append(out, c.low[i])
-		}
-	}
-	return out
+	return flagPairs(cfg, []UnfairPair{}, c.low, c.size())
 }
 
 // DeltaStats is one delta audit's funnel: what the update stream dirtied,
@@ -476,9 +454,7 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 				return true
 			}
 			st.RescoredPairs++
-			if pr, isCand := run.auditPair(ii, jj, &tally, &sc, true, preGated); isCand {
-				rescored = append(rescored, pr)
-			}
+			rescored, _ = run.auditPair(ii, jj, &tally, &sc, rescored, true, preGated)
 			return true
 		})
 		if ctxErr != nil {

@@ -75,13 +75,17 @@ func builtinPairings() []gatePairing {
 func TestFastPathMatchesExact(t *testing.T) {
 	fixtures := kernelFixtures(t)
 	for _, tc := range []struct {
-		name       string
-		keepScores bool
-		fullStore  bool // null store filled to its bound: every sample lands in scratch
+		name      string
+		keepAll   bool // append every candidate, not only the reportable ones
+		fullStore bool // null store filled to its bound: every lookup is a fill that keeps nothing
+		fdr       float64
 	}{
-		{"keepScores", true, false},
-		{"lazyScores", false, false},
-		{"nullCache", true, true},
+		// At FDR 1 the cut is 1, so every candidate is reportable and its
+		// scores are compared with the reference's; at the default Alpha
+		// most candidates sit above the cut and carry none.
+		{"keepScores", true, false, 1},
+		{"lazyScores", false, false, 0},
+		{"nullCache", true, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, gp := range builtinPairings() {
@@ -92,10 +96,11 @@ func TestFastPathMatchesExact(t *testing.T) {
 							cfg := DefaultConfig()
 							cfg.MinRegionSize = 10
 							cfg.MCWorlds = 199
+							cfg.FDR = tc.fdr
 							cfg.Similarity, cfg.Epsilon = gp.sim, eps
 							cfg.Dissimilarity, cfg.Delta = gp.diss, delta
 							name := fmt.Sprintf("%s/%s/%s@%v/%s@%v", fx.name, tc.name, gp.sim.Name(), eps, gp.diss.Name(), delta)
-							candidates += checkFastPath(t, name, fx.p, cfg, tc.keepScores, tc.fullStore)
+							candidates += checkFastPath(t, name, fx.p, cfg, tc.keepAll, tc.fullStore)
 						}
 					}
 				}
@@ -110,7 +115,7 @@ func TestFastPathMatchesExact(t *testing.T) {
 
 // checkFastPath runs one TestFastPathMatchesExact case and returns its
 // candidate count.
-func checkFastPath(t *testing.T, name string, p *partition.Partitioning, cfg Config, keepScores, fullStore bool) int {
+func checkFastPath(t *testing.T, name string, p *partition.Partitioning, cfg Config, keepAll, fullStore bool) int {
 	t.Helper()
 	ref := cfg
 	ref.Similarity = unpreparedMetric{cfg.Similarity}
@@ -133,13 +138,20 @@ func checkFastPath(t *testing.T, name string, p *partition.Partitioning, cfg Con
 	candidates := 0
 	for ii := range run.regions {
 		for jj := ii + 1; jj < len(run.regions); jj++ {
-			got, ok := run.auditPair(ii, jj, &tally, &sc, keepScores, false)
-			want, wantOK := refRun.auditPair(ii, jj, &refTally, &refSc, true, false)
-			if !keepScores && ok && want.P > cfg.Alpha {
-				// The lazy kernel only materializes scores for pairs its
-				// caller would append; mirror the engine's filter before
-				// comparing score fields.
-				want.SimScore, want.DissScore = 0, 0
+			out, ok := run.auditPair(ii, jj, &tally, &sc, nil, keepAll, false)
+			want, wantOK := refRun.pairOf(ii, jj, &refTally, &refSc, false)
+			if ok && len(out) == 0 {
+				// Without keepAll the kernel appends only reportable
+				// candidates.
+				if keepAll || want.P <= cfg.nullCut() {
+					t.Fatalf("%s: candidate (%d,%d) with p %v not appended (keepAll %v)", name, ii, jj, want.P, keepAll)
+				}
+				candidates++
+				continue
+			}
+			var got UnfairPair
+			if ok {
+				got = out[0]
 			}
 			comparePair(t, name, got, want, ok, wantOK)
 			if !ok {
@@ -193,8 +205,8 @@ func TestFastPathPreGatedMatches(t *testing.T) {
 				if run.summaryReject(ii, jj, &rejectTally) {
 					continue
 				}
-				full, fok := run.auditPair(ii, jj, &ungatedTally, &sc, true, false)
-				pre, pok := run.auditPair(ii, jj, &preTally, &sc, true, true)
+				full, fok := run.pairOf(ii, jj, &ungatedTally, &sc, false)
+				pre, pok := run.pairOf(ii, jj, &preTally, &sc, true)
 				comparePair(t, fx.name+"/preGated", pre, full, pok, fok)
 				checked++
 			}
@@ -209,10 +221,12 @@ func TestFastPathPreGatedMatches(t *testing.T) {
 	}
 }
 
-// TestPairLRTMatchesPairLRT pins the sweep's cached-logarithm pairLRT to
-// stats.PairLRT bit for bit over every count pair of small regions —
-// so the k = 0 and k = n edges, pooled rates of exactly 0 and 1, and one
-// region at an edge while the other is not — and over a few large ones.
+// TestPairLRTMatchesPairLRT pins the null store's PairTest, fed the
+// sweep's cached per-region terms, to stats.PairLRT bit for bit over every
+// count pair of small regions — so the k = 0 and k = n edges, pooled rates
+// of exactly 0 and 1, and one region at an edge while the other is not —
+// and over a few large ones, with the pooled logarithms read from a stored
+// entry and, past the store's bound, taken directly.
 func TestPairLRTMatchesPairLRT(t *testing.T) {
 	var regs []*partition.Region
 	for n := 1; n <= 9; n++ {
@@ -225,11 +239,17 @@ func TestPairLRTMatchesPairLRT(t *testing.T) {
 	}
 	ar := &auditRunner{regions: regs}
 	ar.fillLogLik()
-	for ii, a := range regs {
-		for jj, b := range regs {
-			got := ar.pairLRT(ii, jj, a, b)
-			if want := stats.PairLRT(a.Positives, a.N, b.Positives, b.N); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("(k=%d,n=%d) vs (k=%d,n=%d): tau = %v, stats.PairLRT has %v", a.Positives, a.N, b.Positives, b.N, got, want)
+	stored := stats.NewNullStore(1, 1, 1)
+	full := stats.NewNullStore(1, 1, 1)
+	fillNullStore(t, full)
+	var sc stats.NullScratch
+	for _, s := range []*stats.NullStore{stored, full} {
+		for ii, a := range regs {
+			for jj, b := range regs {
+				got, _, _, _ := s.PairTest(a.Positives, a.N, b.Positives, b.N, ar.laLL[ii]+ar.laLL[jj], &sc)
+				if want := stats.PairLRT(a.Positives, a.N, b.Positives, b.N); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("(k=%d,n=%d) vs (k=%d,n=%d), full store %v: tau = %v, stats.PairLRT has %v", a.Positives, a.N, b.Positives, b.N, s == full, got, want)
+				}
 			}
 		}
 	}

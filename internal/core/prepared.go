@@ -8,8 +8,8 @@ import (
 )
 
 // scratch is per-worker scratch space for the pair sweep: the Monte-Carlo
-// null fills' samplers and log tables, and the samples the null store cannot
-// keep. The gate scorers read only their prepared caches and never touch it.
+// null fills' samplers and log tables. The gate scorers read only their
+// prepared caches and never touch it.
 // A scratch is not safe for concurrent use — the audit gives each worker its
 // own.
 type scratch struct {

@@ -83,23 +83,45 @@ func newTestRunner(t testing.TB, p *partition.Partitioning, cfg Config) *auditRu
 	return run
 }
 
-// sweep runs the kernel over every pair, accumulating into tally.
-func (ar *auditRunner) sweep(tally *pairTally, sc *scratch) {
+// sweep runs the kernel over every pair with keepAll, accumulating into
+// tally; each candidate is appended to buf[:0], so a buf with room for one
+// pair keeps the sweep from growing a slice. It returns the candidates and
+// how many of them were reportable, so had their scores computed.
+func (ar *auditRunner) sweep(tally *pairTally, sc *scratch, buf []UnfairPair) (candidates, scored int) {
 	for ii := range ar.regions {
 		for jj := ii + 1; jj < len(ar.regions); jj++ {
-			ar.auditPair(ii, jj, tally, sc, true, false)
+			out, ok := ar.auditPair(ii, jj, tally, sc, buf[:0], true, false)
+			if !ok {
+				continue
+			}
+			candidates++
+			if out[0].P <= ar.cfg.nullCut() {
+				scored++
+			}
 		}
 	}
+	return candidates, scored
+}
+
+// pairOf runs the kernel on one pair with keepAll and returns the candidate
+// it appended, if the pair is one.
+func (ar *auditRunner) pairOf(ii, jj int, t *pairTally, sc *scratch, preGated bool) (UnfairPair, bool) {
+	out, ok := ar.auditPair(ii, jj, t, sc, nil, true, preGated)
+	if !ok {
+		return UnfairPair{}, false
+	}
+	return out[0], true
 }
 
 // fillNullStore fills s to its bound with cheap keys (n1 = 0 draws nothing),
-// so every later lookup of a new key takes the past-bound scratch path.
+// so every later lookup of a new key takes the past-bound path, which keeps
+// nothing and takes the pooled logarithms directly.
 func fillNullStore(t testing.TB, s *stats.NullStore) {
 	t.Helper()
 	var ns stats.NullScratch
 	for k := 1 << 20; k < 1<<20+1<<16; k++ {
-		s.PValue(0, k, 0, 0, &ns)
-		if _, _, filled := s.PValue(0, k, 0, 0, &ns); filled {
+		s.PairTest(0, 0, 0, k, 0, &ns)
+		if _, _, _, filled := s.PairTest(0, 0, 0, k, 0, &ns); filled {
 			return // the store declined to keep k: it is full
 		}
 	}
@@ -110,24 +132,31 @@ func fillNullStore(t testing.TB, s *stats.NullStore) {
 // pair loop: once the precompute phase has built the per-region caches,
 // auditPair performs zero heap allocations on every cascade path —
 // dissimilarity rejection, Eta fast-path exit, similarity rejection, and
-// the null-store p-value, both answered from a stored
-// sample and, past the store's bound, from a fill into the worker's scratch.
-// It runs on the cascade fixture and on its tied twin, whose similarity gate
-// takes the tie-aware brackets and exact bucketed kernel.
+// the null-store test, answered both from a stored entry and, past the
+// store's bound, from a fill that keeps nothing — while it appends every
+// candidate to a slice with room and scores it. It runs at FDR 1, whose cut
+// of 1 makes every candidate reportable, so the sweep computes every
+// candidate's deferred scores. It runs on the cascade fixture and on its
+// tied twin, whose similarity gate takes the tie-aware brackets and exact
+// bucketed kernel.
 func TestAuditPairKernelZeroAlloc(t *testing.T) {
 	for _, fx := range kernelFixtures(t) {
 		p := fx.p
 		cfg := DefaultConfig()
 		cfg.MinRegionSize = 10
 		cfg.MCWorlds = 199
+		cfg.FDR = 1
 
 		run := newTestRunner(t, p, cfg)
 		var sc scratch
+		buf := make([]UnfairPair, 0, 1)
 
 		// The fixture must actually cover every cascade exit, or the
 		// zero-alloc sweep below proves less than it claims.
 		var cover pairTally
-		run.sweep(&cover, &sc)
+		if candidates, scored := run.sweep(&cover, &sc, buf); candidates == 0 || scored != candidates {
+			t.Fatalf("%s fixture: %d of %d candidates scored; want every candidate, and at least one", fx.name, scored, candidates)
+		}
 		for _, c := range []struct {
 			name string
 			n    int64
@@ -146,7 +175,7 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 		fillNullStore(t, fullRun.nulls)
 		var fullSc scratch
 		var full pairTally
-		fullRun.sweep(&full, &fullSc)
+		fullRun.sweep(&full, &fullSc, buf)
 		if full.nullHits != 0 || full.nullFills != cover.nullFills+cover.nullHits {
 			t.Fatalf("%s full store: %d hits, %d fills; want every lookup filled into scratch", fx.name, full.nullHits, full.nullFills)
 		}
@@ -161,7 +190,7 @@ func TestAuditPairKernelZeroAlloc(t *testing.T) {
 		} {
 			allocs := testing.AllocsPerRun(5, func() {
 				var tally pairTally
-				tc.run.sweep(&tally, tc.sc)
+				tc.run.sweep(&tally, tc.sc, buf)
 			})
 			if allocs != 0 {
 				t.Errorf("%s %s: auditPair sweep allocates %.1f times per run, want 0", fx.name, tc.name, allocs)
@@ -190,12 +219,13 @@ func TestEveryCandidateTakesNullStoreP(t *testing.T) {
 		lowTau := 0
 		for ii := range run.regions {
 			for jj := ii + 1; jj < len(run.regions); jj++ {
-				pr, ok := run.auditPair(ii, jj, &tally, &sc, true, false)
+				pr, ok := run.pairOf(ii, jj, &tally, &sc, false)
 				if !ok {
 					continue
 				}
 				a, b := run.regions[ii], run.regions[jj]
-				want, _, _ := ref.PValue(a.N, b.N, a.Positives+b.Positives, pr.Tau, &buf)
+				la := stats.MaxBernoulliLogLik(a.Positives, a.N) + stats.MaxBernoulliLogLik(b.Positives, b.N)
+				_, want, _, _ := ref.PairTest(a.Positives, a.N, b.Positives, b.N, la, &buf)
 				if math.Float64bits(pr.P) != math.Float64bits(want) {
 					t.Errorf("%s pair (%d,%d) tau %v: p = %v, want the null store's %v", fx.name, a.Index, b.Index, pr.Tau, pr.P, want)
 				}

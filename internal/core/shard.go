@@ -31,10 +31,11 @@ import (
 // candidate-generation modes, and FDR settings.
 
 // ShardResult is one shard's share of an audit: every candidate pair whose
-// probe row falls in the shard's slice of the outer-row space, with exact
-// scores, plus the result-level fields every shard agrees on. A candidate's
-// P is exact when it is at or below the flag cut (Alpha, or FDR's q) and the
-// null store's canonical above-cut value otherwise, which flags alike.
+// probe row falls in the shard's slice of the outer-row space, plus the
+// result-level fields every shard agrees on. A candidate at or below the
+// flag cut (Alpha, or FDR's q) carries exact fields. One above it can never
+// be flagged: its P is the null store's canonical above-cut value, which
+// flags alike, and its scores are zero.
 type ShardResult struct {
 	// Shard and Shards identify the slice: this result covers outer-row
 	// slots [Shard*n/Shards, (Shard+1)*n/Shards) of an n-row audit.
@@ -44,8 +45,8 @@ type ShardResult struct {
 	EligibleRegions int
 	GlobalRate      float64
 	// Candidates holds every pair that passed the gate cascade in this
-	// shard's rows, with exact Tau, P, and score fields — the unfiltered
-	// material finalizePairs flags from.
+	// shard's rows — the unfiltered material finalizePairs flags from, its
+	// length the shard's share of the candidate count.
 	Candidates []UnfairPair
 }
 
@@ -62,11 +63,12 @@ func AuditShard(ctx context.Context, p *partition.Partitioning, cfg Config, shar
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("core: shard %d outside [0, %d)", shard, shards)
 	}
-	res, _, candidates, err := auditEngine(ctx, p, cfg, auditHooks{
+	res, run, candidates, err := auditEngine(ctx, p, cfg, auditHooks{
 		keepAll: true,
 		shard:   shard,
 		shards:  shards,
 	})
+	run.release()
 	if err != nil {
 		return nil, err
 	}
@@ -118,6 +120,6 @@ func MergeShards(cfg Config, shards []*ShardResult) (*Result, error) {
 	for _, sh := range sorted {
 		all = append(all, sh.Candidates...)
 	}
-	res.Pairs = finalizePairs(&cfg, all, 1)
+	res.Pairs = finalizePairs(&cfg, all, total, 1)
 	return res, nil
 }

@@ -84,9 +84,8 @@ func TestHotPathAllocAgreesWithZeroAllocTest(t *testing.T) {
 	for _, key := range []string{
 		"lcsf/internal/core.(auditRunner).auditPair",
 		"lcsf/internal/stats.CrossCount",
-		"lcsf/internal/core.(auditRunner).pairPValue",
 		"lcsf/internal/core.(auditRunner).summaryReject",
-		"lcsf/internal/stats.(NullStore).PValue",
+		"lcsf/internal/stats.(NullStore).PairTest",
 		"lcsf/internal/stats.CrossBoundsCoarse",
 		"lcsf/internal/obs.(ShardedCounter).Add",
 	} {

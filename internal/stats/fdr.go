@@ -1,13 +1,13 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
-// BenjaminiHochberg applies the Benjamini–Hochberg step-up procedure to a
-// set of p-values, returning a boolean per input reporting whether that
-// hypothesis is rejected at false-discovery rate q.
+// BenjaminiHochbergCut applies the Benjamini–Hochberg step-up procedure to a
+// family of n p-values at false-discovery rate q, given only small, the
+// family's p-values at or below q (a NaN counted as 1). It sorts small in
+// place and returns p*, the largest p-value the procedure rejects — the
+// family's rejections are exactly its p-values <= p* — with ok false when
+// nothing is rejected.
 //
 // The LC-SF audit tests thousands of region pairs; the paper controls each
 // test at a fixed significance level, which bounds the per-pair error but
@@ -15,8 +15,7 @@ import (
 // offered as an extension (Config.FDR in the core package) for auditors who
 // need the flagged list itself to be mostly real.
 //
-// Two structural facts keep it to one sort of a small subset and one
-// compare per input:
+// Two structural facts let the procedure read the p <= q subset alone:
 //
 //   - The step-up rejection set is a pure value threshold: the cut k* is a
 //     function of the sorted p-value multiset alone, and a tie group can
@@ -30,40 +29,8 @@ import (
 //     workloads a small fraction of the candidate set — while comparing
 //     against the same k/n*q lines.
 //
-// A NaN p-value (which no LC-SF pipeline produces) ranks as if it were 1 and
-// is never rejected.
-func BenjaminiHochberg(pvalues []float64, q float64) []bool {
-	n := len(pvalues)
-	out := make([]bool, n)
-	if n == 0 || q <= 0 {
-		return out
-	}
-	small := make([]float64, 0, n)
-	for _, p := range pvalues {
-		if math.IsNaN(p) {
-			p = 1
-		}
-		if p <= q {
-			small = append(small, p)
-		}
-	}
-	pstar, ok := BenjaminiHochbergCut(small, n, q)
-	if !ok {
-		return out
-	}
-	for i, p := range pvalues {
-		out[i] = p <= pstar // false for NaN
-	}
-	return out
-}
-
-// BenjaminiHochbergCut is the step-up procedure over a family of n p-values
-// given only small, the family's p-values at or below q (a NaN counted as
-// 1); by the two facts above, the values left out cannot move the cut. It
-// sorts small in place and returns p*, the largest p-value the procedure
-// rejects — the family's rejections are exactly its p-values <= p* — with
-// ok false when nothing is rejected. Callers that keep the p <= q subset
-// apart, like the delta auditor's low set, pay for that subset only.
+// Callers that keep the p <= q subset apart, like the audit's sweep and the
+// delta auditor's low set, pay for that subset only.
 func BenjaminiHochbergCut(small []float64, n int, q float64) (pstar float64, ok bool) {
 	if len(small) == 0 || q <= 0 {
 		return 0, false

@@ -7,8 +7,8 @@ import (
 )
 
 // fullSortBH is the textbook step-up procedure over an index sort of the
-// whole input, the reference the subset-sorting BenjaminiHochberg must
-// match on NaN-free input.
+// whole input, the reference the subset-sorting cut must match on NaN-free
+// input.
 func fullSortBH(pvalues []float64, q float64) []bool {
 	n := len(pvalues)
 	out := make([]bool, n)
@@ -54,7 +54,7 @@ func TestBenjaminiHochbergSubsetMatchesFullSort(t *testing.T) {
 		}
 		q := []float64{0.01, 0.05, 0.2}[trial%3]
 		want := fullSortBH(p, q)
-		got := BenjaminiHochberg(p, q)
+		got := bhMask(p, q)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d q=%g: index %d (p=%g): subset says %v, full sort says %v",
@@ -78,7 +78,7 @@ func TestBenjaminiHochbergNaNRanksAsOne(t *testing.T) {
 		}
 	}
 	for _, q := range []float64{0.01, 0.05, 0.2, 1} {
-		got, want := BenjaminiHochberg(p, q), BenjaminiHochberg(ones, q)
+		got, want := bhMask(p, q), bhMask(ones, q)
 		for i := range p {
 			if math.IsNaN(p[i]) {
 				if got[i] {
@@ -91,7 +91,7 @@ func TestBenjaminiHochbergNaNRanksAsOne(t *testing.T) {
 	}
 	// The NaNs count in n = 8: 0.001 <= 0.05/8 and 0.004 <= 0.1/8 are
 	// rejected, 0.02 > 0.15/8 is not (it would pass 0.15/6 with n = 6).
-	got := BenjaminiHochberg(p, 0.05)
+	got := bhMask(p, 0.05)
 	for i, want := range []bool{true, false, true, false, false, false, false, false} {
 		if got[i] != want {
 			t.Errorf("q=0.05: index %d = %v, want %v", i, got[i], want)
@@ -99,10 +99,11 @@ func TestBenjaminiHochbergNaNRanksAsOne(t *testing.T) {
 	}
 }
 
-// TestBenjaminiHochbergCutMatchesMask checks the cut helper against the
-// full procedure: given only the p <= q subset (NaN counted as 1) and the
-// family size n, the cut must reject exactly the indices BenjaminiHochberg
-// rejects over the whole slice. The cases cover ties at the cut, NaN, a
+// TestBenjaminiHochbergCutMatchesMask checks the cut against the full
+// procedure: given only the p <= q subset (NaN counted as 1) and the family
+// size n, the cut must reject exactly the indices the textbook full sort
+// rejects over the whole slice with each NaN replaced by 1, and never a
+// NaN. The cases cover ties at the cut, NaN, a
 // family far larger than its subset, and an empty subset.
 func TestBenjaminiHochbergCutMatchesMask(t *testing.T) {
 	nan := math.NaN()
@@ -139,10 +140,19 @@ func TestBenjaminiHochbergCutMatchesMask(t *testing.T) {
 				}
 			}
 			pstar, ok := BenjaminiHochbergCut(small, len(c.p), q)
-			want := BenjaminiHochberg(c.p, q)
+			ones := append([]float64(nil), c.p...)
+			for i := range ones {
+				if math.IsNaN(ones[i]) {
+					ones[i] = 1
+				}
+			}
+			want := fullSortBH(ones, q)
 			for i, p := range c.p {
+				if math.IsNaN(p) {
+					want[i] = false
+				}
 				if got := ok && p <= pstar; got != want[i] {
-					t.Fatalf("%s, q=%g: index %d (p=%g): cut %g (ok %v) rejects %v, BenjaminiHochberg %v",
+					t.Fatalf("%s, q=%g: index %d (p=%g): cut %g (ok %v) rejects %v, full sort %v",
 						c.name, q, i, p, pstar, ok, got, want[i])
 				}
 			}

@@ -1,11 +1,36 @@
 package stats
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
+
+// bhMask is the procedure's rejection mask built from the cut:
+// the p <= q subset (a NaN counted as 1) through BenjaminiHochbergCut, then
+// p <= p* per input. The audit flags through the cut alone; the tests state
+// the procedure's properties as a mask.
+func bhMask(pvalues []float64, q float64) []bool {
+	out := make([]bool, len(pvalues))
+	var small []float64
+	for _, p := range pvalues {
+		if math.IsNaN(p) {
+			p = 1
+		}
+		if p <= q {
+			small = append(small, p)
+		}
+	}
+	pstar, ok := BenjaminiHochbergCut(small, len(pvalues), q)
+	for i, p := range pvalues {
+		out[i] = ok && p <= pstar // false for NaN
+	}
+	return out
+}
 
 func TestBenjaminiHochbergKnownExample(t *testing.T) {
 	// Classic worked example: n=6, q=0.25.
 	p := []float64{0.009, 0.011, 0.039, 0.041, 0.042, 0.06}
-	rej := BenjaminiHochberg(p, 0.25)
+	rej := bhMask(p, 0.25)
 	// Thresholds k/6*0.25: 0.0417, 0.0833, 0.125, 0.1667, 0.2083, 0.25.
 	// Largest k with p_(k) <= threshold: k=5 (0.042 <= 0.2083); k=6 fails
 	// (0.06 <= 0.25 holds!). So all six are rejected.
@@ -18,7 +43,7 @@ func TestBenjaminiHochbergKnownExample(t *testing.T) {
 
 func TestBenjaminiHochbergPartialRejection(t *testing.T) {
 	p := []float64{0.001, 0.008, 0.039, 0.041, 0.2, 0.9}
-	rej := BenjaminiHochberg(p, 0.05)
+	rej := bhMask(p, 0.05)
 	// Thresholds k/6*0.05: .0083, .0167, .025, .0333, .0417, .05.
 	// k=1: .001<=.0083 ok; k=2: .008<=.0167 ok; k=3: .039>.025; k=4:
 	// .041>.0333; rest fail. Cut = 2.
@@ -32,7 +57,7 @@ func TestBenjaminiHochbergPartialRejection(t *testing.T) {
 
 func TestBenjaminiHochbergOrderIndependent(t *testing.T) {
 	p := []float64{0.9, 0.001, 0.2, 0.008}
-	rej := BenjaminiHochberg(p, 0.05)
+	rej := bhMask(p, 0.05)
 	if !rej[1] || !rej[3] {
 		t.Errorf("small p-values should be rejected regardless of position: %v", rej)
 	}
@@ -42,16 +67,16 @@ func TestBenjaminiHochbergOrderIndependent(t *testing.T) {
 }
 
 func TestBenjaminiHochbergEdgeCases(t *testing.T) {
-	if got := BenjaminiHochberg(nil, 0.05); len(got) != 0 {
+	if got := bhMask(nil, 0.05); len(got) != 0 {
 		t.Error("empty input should give empty output")
 	}
-	if got := BenjaminiHochberg([]float64{0.01}, 0); got[0] {
+	if got := bhMask([]float64{0.01}, 0); got[0] {
 		t.Error("q=0 rejects nothing")
 	}
-	if got := BenjaminiHochberg([]float64{0.04}, 0.05); !got[0] {
+	if got := bhMask([]float64{0.04}, 0.05); !got[0] {
 		t.Error("single p below q should be rejected")
 	}
-	all := BenjaminiHochberg([]float64{1, 1, 1}, 0.05)
+	all := bhMask([]float64{1, 1, 1}, 0.05)
 	for _, r := range all {
 		if r {
 			t.Error("p=1 must never be rejected")
@@ -70,7 +95,7 @@ func TestBenjaminiHochbergControlsFDRUnderNull(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Float64()
 		}
-		for _, r := range BenjaminiHochberg(p, 0.05) {
+		for _, r := range bhMask(p, 0.05) {
 			if r {
 				rejections++
 			}

@@ -7,50 +7,65 @@ import (
 	"sync/atomic"
 )
 
-// NullStore holds Monte-Carlo null samples of the pairwise likelihood-ratio
-// statistic, one per count signature. The null distribution of PairLRT
-// depends only on the integer triple (n1, n2, pooledPositives) — both
-// regions' counts are drawn from Binomial(n, pooledPositives/(n1+n2)) — so
-// every candidate pair sharing a signature shares one simulation, and each
-// pair's p-value is a count over one stored sample instead of m fresh worlds.
+// NullStore holds Monte-Carlo null statistics of the pairwise
+// likelihood-ratio test, one entry per count signature. The null
+// distribution of PairLRT depends only on the integer triple (n1, n2,
+// pooledPositives) — both regions' counts are drawn from Binomial(n,
+// pooledPositives/(n1+n2)) — so every candidate pair sharing a signature
+// shares one simulation, and each pair's p-value is a count over one stored
+// entry instead of m fresh worlds.
 //
 // Only p-values at or below the store's cut — the audit's flag threshold —
 // are ever observable, so the store simulates only the worlds a verdict
-// needs. A key's first lookup draws worlds in stream order until its
-// exceedance count proves p > cut, and answers either the exact p or the
-// one canonical above-cut value (1+stop)/(m+1). The entry keeps its stream
-// position; the key's second lookup draws the remaining worlds and sorts
-// the sample, and that lookup and every later one binary-search it. Every
-// lookup, whatever its order, answers the exact add-one p-value when it is
-// at most cut and the canonical value otherwise.
+// needs and keeps only the statistics a verdict can read. A key's first
+// lookup draws worlds in stream order until its exceedance count proves
+// p > cut, and answers either the exact p or the one canonical above-cut
+// value (1+stop)/(m+1). The entry keeps its stream position; the key's
+// second lookup draws the remaining worlds, and that lookup and every later
+// one binary-search the entry's kept statistics. Every lookup, whatever its
+// order, answers the exact add-one p-value when it is at most cut and the
+// canonical value otherwise.
 //
-// Determinism: each sample is seeded purely from the store seed and the
-// normalized key, so the sample — and every p-value derived from it — is a
+// An entry keeps the k = min(stop, m) largest statistics of its m worlds,
+// not all m: a count of stop exceedances already proves p > cut, and every
+// world left out is at most the least one kept, so the kept statistics
+// answer every count below stop exactly and every larger one as stop. They
+// are a bounded min-heap while the worlds are drawn and sorted once, k
+// values, when the key completes; at the paper's α = 0.01 over m = 999
+// worlds an entry keeps 10 statistics.
+//
+// Each entry also holds the pooled rate's two logarithms, PooledLogs of its
+// key, taken once when the entry is made: PairTest assembles a pair's tau
+// from them, so the same lookup that finds the null answers the statistic.
+//
+// Determinism: each entry's stream is seeded purely from the store seed and
+// the normalized key, so the null — and every p-value derived from it — is a
 // function of (seed, worlds, cut, key) alone, independent of which goroutine
 // fills it, of arrival order, and of whether the store kept it.
 //
-// Samples are never evicted. The store keeps at most nullStoreMax samples;
-// past that bound a lookup of a new key fills the caller's scratch buffer,
-// answers from it by count (stopping at the cut as a first lookup does), and
-// keeps nothing. The store is safe for concurrent use: a lookup of a
-// stored key is a probe of atomic loads in an open-addressed table, with no
-// lock and no write to shared memory. Inserts serialize on one mutex and
-// publish an entry only once its key is set; entries are never removed, so
-// a probe that meets an empty slot has proved its key absent at that
-// moment.
+// Entries are never evicted. The store keeps at most nullStoreMax of them;
+// past that bound a lookup of a new key draws its worlds, answers by count
+// (stopping at the cut as a first lookup does), and keeps nothing. The store
+// is safe for concurrent use: a lookup of a stored key is a probe of atomic
+// loads in an open-addressed table, with no lock and no write to shared
+// memory. Inserts serialize on one mutex and publish an entry only once its
+// key and logarithms are set; entries are never removed, so a probe that
+// meets an empty slot has proved its key absent at that moment.
 type NullStore struct {
 	seed   uint64
 	worlds int
 	stop   int          // exceedances proving p > cut: mcStopCount(worlds, cut)
-	stored atomic.Int64 // samples kept, at most nullStoreMax; written under mu
+	stored atomic.Int64 // entries kept, at most nullStoreMax; written under mu
 
 	mu    sync.Mutex // serializes inserts
 	slots [nullStoreSlots]atomic.Pointer[nullEntry]
 }
 
-// nullStoreMax bounds the samples a store keeps: 2048 samples at the
-// paper's m = 999 is ~16 MiB, above the distinct signatures a full-volume
-// LAR audit needs and bounded for audits whose regions never repeat one.
+// nullStoreMax bounds the entries a store keeps: above the distinct
+// signatures a full-volume LAR audit needs, and bounded for audits whose
+// regions never repeat one. An entry's kept statistics are 80 B at the
+// paper's α = 0.01 over m = 999 worlds; the bound matters at cut 1 (FDR 1),
+// where each entry keeps all m, 16 MiB over 2048 entries at m = 999.
 const nullStoreMax = 2048
 
 // nullStoreSlots is the table's size: a power of two at least twice
@@ -67,14 +82,15 @@ type pairNullKey struct {
 
 type nullEntry struct {
 	key          pairNullKey
+	lp, lq       float64   // PooledLogs(key.pooledPositives, key.n1+key.n2), set before the entry is published
 	fillOnce     sync.Once // draws the first lookup's prefix and answers it by count
-	completeOnce sync.Once // draws the remaining worlds and sorts, for the second lookup on
+	completeOnce sync.Once // draws the remaining worlds and sorts the kept statistics, for the second lookup on
 	rng          RNG       // the key's stream, positioned after the prefix
 	drawn        int       // worlds the first lookup drew
-	sample       []float64 // length worlds; [:drawn] in stream order, all of it ascending once completeOnce ran
+	top          nullTop   // the largest statistics drawn, capacity min(stop, worlds); ascending once completeOnce ran
 }
 
-// NewNullStore returns an empty store producing worlds-long null samples
+// NewNullStore returns an empty store simulating worlds null worlds per key,
 // seeded from seed, answering exactly only the p-values at or below cut
 // (a cut of 1 or more answers every p-value exactly).
 func NewNullStore(seed uint64, worlds int, cut float64) *NullStore {
@@ -99,71 +115,112 @@ func mcStopCount(m int, cut float64) int {
 	return lo
 }
 
-// PValue returns the add-one Monte-Carlo p-value of an observed statistic
-// against the null sample for (n1, n2, pooledPositives):
+// PairTest runs the pairwise likelihood-ratio test of Section 3.2 on two
+// regions with k1 of n1 and k2 of n2 positives. tau is stats.PairLRT's
+// statistic, bit for bit: the null log-likelihood is assembled from the
+// pooled rate's two logarithms, which the key's entry holds, and la is the
+// alternative's, MaxBernoulliLogLik(k1, n1) + MaxBernoulliLogLik(k2, n2),
+// which callers cache per region. p is tau's add-one Monte-Carlo p-value
+// against the null of the key (n1, n2, k1+k2):
 //
-//	p = (1 + #{tau_null >= observed}) / (m + 1)
+//	p = (1 + #{tau_null >= tau}) / (m + 1)
 //
 // — the paper's add-one estimator — when that p is at most the store's
 // cut, and the canonical above-cut value (1+stop)/(m+1) otherwise. The
 // first lookup of a key answers by a linear count over the worlds it draws;
-// later lookups answer by binary search over the completed sample. Both
-// count the same elements for every observed value, NaN and ±Inf included
-// (NaN exceeds nothing, and sort.Float64s places NaN statistics first,
-// where no search lands), so p does not depend on which lookup came first.
+// later lookups answer by binary search over the kept statistics. Both
+// count the same elements for every tau, NaN and ±Inf included (NaN exceeds
+// nothing, and sort.Float64s places NaN statistics first, where no search
+// lands), so p does not depend on which lookup came first.
 //
 // drawn is the number of worlds this call simulated: the first lookup's
 // prefix, the second lookup's completion, and zero after. filled reports
 // whether this call was the key's first lookup: true exactly once per
 // stored key, and on every lookup of a key the full store could not keep,
-// which is filled into sc's sample buffer (grown to m when shorter). Every
-// fill builds its samplers and log tables in sc. The returned p
-// is deterministic in (seed, worlds, cut, key, observed) either way.
+// whose logarithms are then taken directly. Every fill builds its samplers
+// and log tables in sc. tau and p are deterministic in (seed, worlds, cut,
+// counts, la) either way.
 //
 //lint:hotpath
+func (s *NullStore) PairTest(k1, n1, k2, n2 int, la float64, sc *NullScratch) (tau, p float64, drawn int, filled bool) {
+	key := newPairNullKey(n1, n2, k1+k2)
+	e := s.entry(key)
+	if n1 > 0 && n2 > 0 {
+		var lp, lq float64
+		if e != nil {
+			lp, lq = e.lp, e.lq
+		} else {
+			lp, lq = PooledLogs(k1+k2, n1+n2)
+		}
+		tau = LogLikRatio(PooledLogLik(k1, n1, lp, lq)+PooledLogLik(k2, n2, lp, lq), la)
+	}
+	p, drawn, filled = s.pValue(e, key, tau, sc)
+	return tau, p, drawn, filled
+}
+
+// PValue answers the p-value PairTest gives a pair of the key (n1, n2,
+// pooledPositives) whose statistic is observed, through the same entry and
+// lookup paths, and draws and fills alike. It serves lookups at chosen
+// statistics that no count pair of the key need produce, such as an exact
+// critical value of the null.
+//
+//lint:deadexport-ok the verify package's calibration judge and differential fuzzers look up p at chosen statistics
 func (s *NullStore) PValue(n1, n2, pooledPositives int, observed float64, sc *NullScratch) (p float64, drawn int, filled bool) {
+	key := newPairNullKey(n1, n2, pooledPositives)
+	return s.pValue(s.entry(key), key, observed, sc)
+}
+
+// entry returns key's entry, inserting it when the store has room, or nil
+// when the store is full or simulates no worlds.
+func (s *NullStore) entry(key pairNullKey) *nullEntry {
+	if s.worlds <= 0 {
+		return nil
+	}
+	h := nullKeyHash(key)
+	if e, _ := s.find(key, h); e != nil {
+		return e
+	}
+	return s.insert(key, h)
+}
+
+// pValue answers PairTest's p for the observed statistic from e, key's
+// entry, or, when e is nil, from a fill that keeps nothing.
+func (s *NullStore) pValue(e *nullEntry, key pairNullKey, observed float64, sc *NullScratch) (p float64, drawn int, filled bool) {
 	if s.worlds <= 0 {
 		return 1, 0, false
 	}
-	key := newPairNullKey(n1, n2, pooledPositives)
-	h := nullKeyHash(key)
-	e, _ := s.find(key, h)
 	if e == nil {
-		if e = s.insert(key, h); e == nil {
-			if cap(sc.sample) < s.worlds {
-				sc.sample = make([]float64, s.worlds) //lint:hotpathalloc-ok grows the caller's scratch once, reused by every later overflow fill
-			}
-			var rng RNG
-			rng.Seed(nullCacheSeed(s.seed, key))
-			drawn, geq := fillNull(sc.sample[:s.worlds], &rng, key, observed, s.stop, sc)
-			return s.estimate(geq), drawn, true
-		}
+		var rng RNG
+		rng.Seed(nullCacheSeed(s.seed, key))
+		drawn, geq := fillNull(s.worlds, &rng, key, observed, s.stop, nil, sc)
+		return s.estimate(geq), drawn, true
 	}
 	e.fillOnce.Do(func() { //lint:hotpathalloc-ok one prefix per stored key, amortized over all later lookups
-		e.sample = make([]float64, s.worlds)
+		e.top.h = make([]float64, 0, min(s.stop, s.worlds))
 		e.rng.Seed(nullCacheSeed(s.seed, key))
 		var geq int
-		e.drawn, geq = fillNull(e.sample, &e.rng, key, observed, s.stop, sc)
+		e.drawn, geq = fillNull(s.worlds, &e.rng, key, observed, s.stop, &e.top, sc)
 		p, drawn, filled = s.estimate(geq), e.drawn, true
 	})
 	if filled {
 		return p, drawn, true
 	}
 	e.completeOnce.Do(func() { //lint:hotpathalloc-ok one completion per stored key, on its second lookup; later lookups skip it
-		drawn, _ = fillNull(e.sample[e.drawn:], &e.rng, key, 0, math.MaxInt, sc)
-		sort.Float64s(e.sample)
+		drawn, _ = fillNull(s.worlds-e.drawn, &e.rng, key, 0, math.MaxInt, &e.top, sc)
+		sort.Float64s(e.top.h)
 	})
-	idx := sort.SearchFloat64s(e.sample, observed) // first index with value >= observed
-	return s.estimate(s.worlds - idx), drawn, false
+	// Every world left out of the kept statistics is at most the least kept
+	// one, so the count below is exact while it is under keep, and keep —
+	// stop, or all m — otherwise.
+	idx := sort.SearchFloat64s(e.top.h, observed) // first index with value >= observed
+	return s.estimate(len(e.top.h) - idx), drawn, false
 }
 
 // estimate is the add-one estimator for geq exceedances among the store's
-// worlds, with every count that proves p > cut answered by the canonical
-// value.
+// worlds. No count exceeds stop — a fill stops at stop exceedances and an
+// entry keeps at most stop statistics — so a count that proves p > cut is
+// stop itself and answers the canonical value.
 func (s *NullStore) estimate(geq int) float64 {
-	if geq > s.stop {
-		geq = s.stop
-	}
 	return float64(1+geq) / float64(s.worlds+1)
 }
 
@@ -195,6 +252,7 @@ func (s *NullStore) insert(key pairNullKey, h uint64) *nullEntry { //lint:hotpat
 		return e
 	}
 	e = &nullEntry{key: key}
+	e.lp, e.lq = PooledLogs(key.pooledPositives, key.n1+key.n2)
 	s.slots[i].Store(e)
 	s.stored.Add(1)
 	return e
@@ -208,25 +266,80 @@ func newPairNullKey(n1, n2, pooledPositives int) pairNullKey {
 	return pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
 }
 
-// NullScratch is a worker's reusable memory for null fills: the sample of a
-// key the full store cannot keep, both counts' binomial samplers, and the
-// fill's logarithm tables. Each grows to the widest fill it has served and
-// is reused, so fills after warm-up allocate nothing. A NullScratch is not
-// safe for concurrent use; give each goroutine its own.
+// NullScratch is a worker's reusable memory for null fills: both counts'
+// binomial samplers and the fill's logarithm tables. Each grows to the
+// widest fill it has served and is reused, so fills after warm-up allocate
+// nothing. A NullScratch is not safe for concurrent use; give each
+// goroutine its own.
 type NullScratch struct {
-	sample     []float64
 	b1, b2     BinomialSampler
 	alt1, alt2 []float64 // MaxBernoulliLogLik of each region's count, by offset in its window
 	lp, lq     []float64 // PooledLogs of the summed count, by offset in the sum's window
 }
 
-// fillNull draws null worlds of the pairwise LRT statistic for key into dst
-// in stream order, continuing rng — the key-seeded stream, at any position —
-// and counting the worlds whose statistic is >= observed. It stops before
-// drawing a world once that count reaches stop, returning the worlds drawn
-// and the count; math.MaxInt never stops. Every world is bit-identical to a
-// direct draw on the same stream: both counts from BinomialSampler at the
-// pooled rate, scored by PairLRT.
+// nullTop keeps the cap(h) largest statistics offered to it, ordered as
+// sort.Float64s orders them (NaN least): a min-heap, so its least kept value
+// is h[0] and an offer that cannot enter costs one compare. A statistic is
+// offered by `if t.admits(v) { t.enter(v) }`.
+type nullTop struct{ h []float64 }
+
+// floatLess is sort.Float64s' order: ascending, NaN before every number.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// admits is false when v certainly cannot enter the kept statistics: they
+// are full and v is at or below the least of them. It is small enough to
+// inline into the fill loop, where most worlds fail it; enter settles the
+// rest.
+func (t *nullTop) admits(v float64) bool {
+	return len(t.h) < cap(t.h) || len(t.h) > 0 && !(v <= t.h[0])
+}
+
+// enter adds v, replacing the least kept value when the heap is full and v
+// orders after it.
+func (t *nullTop) enter(v float64) {
+	h := t.h
+	if len(h) < cap(h) {
+		h = h[:len(h)+1] // within the capacity the heap was made with
+		h[len(h)-1] = v
+		for i := len(h) - 1; i > 0; {
+			up := (i - 1) / 2
+			if !floatLess(h[i], h[up]) {
+				break
+			}
+			h[i], h[up] = h[up], h[i]
+			i = up
+		}
+		t.h = h
+		return
+	}
+	if !floatLess(h[0], v) {
+		return
+	}
+	h[0] = v
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && floatLess(h[c+1], h[c]) {
+			c++
+		}
+		if !floatLess(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// fillNull draws up to n null worlds of the pairwise LRT statistic for key,
+// continuing rng — the key-seeded stream, at any position — offering each
+// world's statistic to top (nil keeps nothing) and counting the worlds
+// whose statistic is >= observed. It stops before drawing a world once that
+// count reaches stop, returning the worlds drawn and the count; math.MaxInt
+// never stops. Every world is bit-identical to a direct draw on the same
+// stream: both counts from BinomialSampler at the pooled rate, scored by
+// PairLRT.
 //
 // Within one fill the region sizes are fixed, so every logarithm PairLRT
 // evaluates is a function of the drawn counts alone: the
@@ -239,23 +352,25 @@ type NullScratch struct {
 // far fewer than m distinct entries). Each sampler draws only inside its
 // window, so each table covers exactly a window: k1's, k2's, and their sum
 // over both.
-func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop int, sc *NullScratch) (drawn, geq int) {
+func fillNull(n int, rng *RNG, key pairNullKey, observed float64, stop int, top *nullTop, sc *NullScratch) (drawn, geq int) {
 	n1, n2 := key.n1, key.n2
 	if n1 <= 0 {
 		// PairLRT scores every world of an empty region 0, whatever is drawn.
-		for drawn = range dst {
+		for ; drawn < n; drawn++ {
 			if geq >= stop {
 				return drawn, geq
 			}
-			dst[drawn] = 0
+			if top != nil && top.admits(0) {
+				top.enter(0)
+			}
 			if 0 >= observed {
 				geq++
 			}
 		}
-		return len(dst), geq
+		return n, geq
 	}
-	n := n1 + n2
-	pooledRate := float64(key.pooledPositives) / float64(n)
+	nn := n1 + n2
+	pooledRate := float64(key.pooledPositives) / float64(nn)
 	b1, b2 := &sc.b1, &sc.b2
 	b1.reset(n1, pooledRate)
 	b2.reset(n2, pooledRate)
@@ -265,7 +380,7 @@ func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop i
 	alt2 := unsetTable(&sc.alt2, hi2-lo2+1)
 	lps := unsetTable(&sc.lp, hi1+hi2-lo1-lo2+1)
 	lqs := unsetTable(&sc.lq, len(lps))
-	for drawn = range dst {
+	for ; drawn < n; drawn++ {
 		if geq >= stop {
 			return drawn, geq
 		}
@@ -273,7 +388,7 @@ func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop i
 		k2 := b2.Draw(rng)
 		j := k1 + k2 - lo1 - lo2
 		if math.IsNaN(lps[j]) {
-			lps[j], lqs[j] = PooledLogs(k1+k2, n)
+			lps[j], lqs[j] = PooledLogs(k1+k2, nn)
 		}
 		l1 := PooledLogLik(k1, n1, lps[j], lqs[j])
 		l2 := PooledLogLik(k2, n2, lps[j], lqs[j])
@@ -285,12 +400,14 @@ func fillNull(dst []float64, rng *RNG, key pairNullKey, observed float64, stop i
 			*a2 = MaxBernoulliLogLik(k2, n2)
 		}
 		v := LogLikRatio(l1+l2, *a1+*a2)
-		dst[drawn] = v
+		if top != nil && top.admits(v) {
+			top.enter(v)
+		}
 		if v >= observed {
 			geq++
 		}
 	}
-	return len(dst), geq
+	return n, geq
 }
 
 // unsetTable returns the first n entries of *buf, grown when shorter, set
@@ -330,7 +447,7 @@ func PooledLogLik(k, n int, lp, lq float64) float64 {
 	return l
 }
 
-// nullCacheSeed derives a sample's RNG seed from the store seed and the
+// nullCacheSeed derives a key's RNG seed from the store seed and the
 // normalized key — an FNV-style mix over the three key integers.
 func nullCacheSeed(seed uint64, key pairNullKey) uint64 {
 	h := seed ^ 0x9E2AC4F1D7

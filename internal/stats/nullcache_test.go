@@ -104,13 +104,14 @@ func TestPairNullCacheDeterministicConcurrent(t *testing.T) {
 		if got := drawn.Load(); got != int64(len(nullLookupKeys)*worlds) {
 			t.Errorf("cut %v: %d worlds drawn for %d keys looked up repeatedly, want %d each", cut, got, len(nullLookupKeys), worlds)
 		}
+		checkEntrySizes(t, s, true)
 	}
 }
 
 // TestPairNullCacheStatsAccounting checks the fill contract: one fill per
 // stored key, none on later lookups, and past the store's bound a fill on
-// every lookup of an unkept key — into the caller's scratch, with the value
-// the reference computes — while kept keys still answer without a fill.
+// every lookup of an unkept key — keeping nothing, with the value the
+// reference computes — while kept keys still answer without a fill.
 func TestPairNullCacheStatsAccounting(t *testing.T) {
 	const seed, worlds = 3, 99
 	s := NewNullStore(seed, worlds, 1)
@@ -121,9 +122,6 @@ func TestPairNullCacheStatsAccounting(t *testing.T) {
 	}
 	if p2, n, again := s.PValue(300, 300, 150, 1.0, &scratch); again || n != 0 || p2 != p1 {
 		t.Errorf("second lookup: filled=%v drew %d p=%v, want no fill, no worlds, p=%v", again, n, p2, p1)
-	}
-	if scratch.sample != nil {
-		t.Error("a stored fill used the caller's sample buffer")
 	}
 	// Fill the store to its bound with cheap keys (n1 = 0 draws nothing).
 	for k := 1; s.stored.Load() < nullStoreMax; k++ {
@@ -137,9 +135,6 @@ func TestPairNullCacheStatsAccounting(t *testing.T) {
 				t.Errorf("past-bound key %d lookup %d: (p=%v, filled=%v, drew %d), want (%v, true, %d)", k, rep, p, filled, n, want, worlds)
 			}
 		}
-	}
-	if len(scratch.sample) != worlds {
-		t.Errorf("past-bound fills left a %d-long sample buffer, want %d", len(scratch.sample), worlds)
 	}
 	if got := s.stored.Load(); got != nullStoreMax {
 		t.Errorf("store keeps %d samples past its bound of %d", got, nullStoreMax)
@@ -217,10 +212,12 @@ func TestMCStopCountIsFlagPredicate(t *testing.T) {
 
 // TestNullStoreLookupPathsMatchReference drives every key through each of
 // the store's answers — the first lookup's (possibly stopped) linear count,
-// the completing lookup's sort-then-search, later searches, and past-bound
-// fills into the caller's scratch — and asserts each is bit-identical to the
-// uncached NullCacheReferenceP at the store's cut, for every observed value
-// including NaN and ±Inf.
+// the completing lookup's search over the kept top statistics, later
+// searches, and past-bound fills that keep nothing — and asserts each is
+// bit-identical to the uncached NullCacheReferenceP at the store's cut, for
+// every observed value including NaN and ±Inf, at a cut that keeps every
+// world (1) and at cuts that keep a few (0.01, 0.2). No entry may keep more
+// than min(stop, m) statistics.
 func TestNullStoreLookupPathsMatchReference(t *testing.T) {
 	const seed, worlds = 0x5EA2C4, 99
 	for _, cut := range []float64{1, 0.01, 0.2} {
@@ -246,6 +243,7 @@ func TestNullStoreLookupPathsMatchReference(t *testing.T) {
 				check("later", k, obs, false)
 			}
 		}
+		checkEntrySizes(t, s, true)
 
 		// Fill the store to its bound with cheap keys (n1 = 0 draws
 		// nothing): every lookup of a new key now fills the caller's scratch.
@@ -256,6 +254,38 @@ func TestNullStoreLookupPathsMatchReference(t *testing.T) {
 			k.pos++
 			for _, obs := range nullLookupObserved {
 				check("past-bound", k, obs, true)
+			}
+		}
+		checkEntrySizes(t, s, false)
+	}
+}
+
+// TestPairTestMatchesPairLRT asserts the fused lookup's tau is PairLRT's,
+// bit for bit, given the regions' MaxBernoulliLogLik terms, and its p is the
+// store's p-value of that tau — through a stored entry's logarithms, past
+// the store's bound where they are taken directly, and with an empty region
+// (tau 0). A store simulating no worlds still answers tau, with p = 1.
+func TestPairTestMatchesPairLRT(t *testing.T) {
+	const seed, worlds, cut = 0x7E57, 99, 0.2
+	stored := NewNullStore(seed, worlds, cut)
+	full := NewNullStore(seed, worlds, cut)
+	var scratch NullScratch
+	for k := 1; full.stored.Load() < nullStoreMax; k++ {
+		full.PValue(0, k, 0, 0, &scratch)
+	}
+	type region struct{ k, n int }
+	regions := []region{{0, 0}, {0, 7}, {7, 7}, {3, 7}, {1, 2}, {40, 300}, {180, 300}, {299, 300}, {0, 5000}, {2500, 5000}}
+	for _, s := range []*NullStore{stored, full, NewNullStore(seed, 0, cut)} {
+		for _, a := range regions {
+			for _, b := range regions {
+				la := MaxBernoulliLogLik(a.k, a.n) + MaxBernoulliLogLik(b.k, b.n)
+				tau, p, _, _ := s.PairTest(a.k, a.n, b.k, b.n, la, &scratch)
+				if want := PairLRT(a.k, a.n, b.k, b.n); math.Float64bits(tau) != math.Float64bits(want) {
+					t.Fatalf("store of %d worlds, %d stored: (%d/%d, %d/%d) tau = %v, PairLRT %v", s.worlds, s.stored.Load(), a.k, a.n, b.k, b.n, tau, want)
+				}
+				if want := NullCacheReferenceP(seed, s.worlds, a.n, b.n, a.k+b.k, tau, cut); p != want {
+					t.Fatalf("store of %d worlds, %d stored: (%d/%d, %d/%d) tau %v: p = %v, reference %v", s.worlds, s.stored.Load(), a.k, a.n, b.k, b.n, tau, p, want)
+				}
 			}
 		}
 	}

@@ -219,13 +219,16 @@ func FuzzPairNullCache(f *testing.F) {
 // FuzzFillPairNull differentially fuzzes the store's resumable fill against
 // the uncached oracle at a fuzzed cut: a fresh store's first lookup (drawn
 // until the cut is proved exceeded, answered by a linear count), its second
-// (completed and sorted, answered by binary search) and a repeat must be
-// bit-identical to refNullStoreP for every (seed, worlds, key,
-// observed), NaN and ±Inf observations included — across small and
+// (completed, answered by binary search over the kept top statistics) and a
+// repeat must be bit-identical to refNullStoreP for every (seed, worlds,
+// key, observed), NaN and ±Inf observations included — across small and
 // million-individual regions, pooled rates near 0, 0.5 and 1, both key
 // orientations, and degenerate pooled counts (0 and n1+n2). The first two
 // lookups together draw exactly the m worlds, and an exact answer at or
-// below the cut is only ever given after all m.
+// below the cut is only ever given after all m. The completed entry is then
+// asked at every one of the direct draws, the boundaries of its kept
+// statistics: each answer must be the reference's, so the entry keeps the
+// top min(stop, m) of the direct draws.
 func FuzzFillPairNull(f *testing.F) {
 	f.Add(uint64(7), 33, 40, 25, 12, 1.5, 1.0)
 	f.Add(uint64(0xF111ED), 64, 1, 1, 0, 0.0, 0.05)
@@ -242,7 +245,8 @@ func FuzzFillPairNull(f *testing.F) {
 		n2 = 1 + absRem(n2, 1<<21)
 		pooled = absRem(pooled, n1+n2+1)
 		worlds = 1 + absRem(worlds, 96)
-		want := refNullStoreP(seed, worlds, n1, n2, pooled, observed, cut)
+		draws := refNullDraws(seed, worlds, n1, n2, pooled)
+		want := refNullP(draws, observed, cut)
 		var scratch stats.NullScratch
 		for _, orient := range [][2]int{{n1, n2}, {n2, n1}} {
 			s := stats.NewNullStore(seed, worlds, cut)
@@ -260,6 +264,13 @@ func FuzzFillPairNull(f *testing.F) {
 			}
 			if total != worlds {
 				t.Fatalf("cut %v key (%d,%d,%d): lookups drew %d worlds in total, want %d", cut, orient[0], orient[1], pooled, total, worlds)
+			}
+			for _, v := range draws {
+				got, _, _ := s.PValue(orient[0], orient[1], pooled, v, &scratch)
+				if want := refNullP(draws, v, cut); got != want {
+					t.Fatalf("cut %v key (%d,%d,%d) worlds=%d: completed entry answers p = %v at the direct draw %v, reference %v",
+						cut, orient[0], orient[1], pooled, worlds, got, v, want)
+				}
 			}
 		}
 	})
@@ -361,9 +372,9 @@ func FuzzNormalRoundTrip(f *testing.F) {
 }
 
 // FuzzFDR decodes bytes into p-values on the grid k/255 — dense enough that
-// ties and threshold collisions are routine — and checks BenjaminiHochberg
-// against the textbook step-up definition, and BenjaminiHochbergCut, given
-// only the p <= q subset and the family size, against that same mask.
+// ties and threshold collisions are routine — and checks
+// BenjaminiHochbergCut, given only the p <= q subset and the family size,
+// against the textbook step-up definition's rejection mask.
 func FuzzFDR(f *testing.F) {
 	f.Add([]byte{1, 5, 5, 32, 128, 255}, 0.1)
 	f.Add([]byte{0, 0, 255}, 0.05)
@@ -380,16 +391,7 @@ func FuzzFDR(f *testing.F) {
 		for i, b := range data {
 			pvalues[i] = float64(b) / 255
 		}
-		got := stats.BenjaminiHochberg(pvalues, q)
 		want := refBenjaminiHochberg(pvalues, q)
-		if len(got) != len(want) {
-			t.Fatalf("BenjaminiHochberg length %d, reference %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("BenjaminiHochberg(%v, %v)[%d] = %v, reference = %v", pvalues, q, i, got[i], want[i])
-			}
-		}
 		var small []float64
 		for _, p := range pvalues {
 			if p <= q {

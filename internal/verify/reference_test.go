@@ -212,17 +212,23 @@ func refBenjaminiHochberg(pvalues []float64, q float64) []bool {
 
 // refNullStoreP re-derives, with no store at all, the p-value a
 // stats.NullStore built with the same seed, worlds and cut returns for the
-// key (n1, n2, pooledPositives) at the observed statistic: it orders the
-// key's sizes, seeds the key's stream by the store's documented FNV-style
-// mix, streams all m worlds of the pairwise null (both counts drawn at the
-// pooled rate, scored by PairLRT) counting those at or above observed, and
-// replaces a p above cut by the canonical (1+stop)/(m+1), stop being the
-// least count whose add-one p exceeds cut. First, completing, stored and
-// past-bound lookups must all be bit-identical to it.
+// key (n1, n2, pooledPositives) at the observed statistic: the add-one
+// p-value over refNullDraws' worlds, counting those at or above observed,
+// with a p above cut replaced by the canonical (1+stop)/(m+1), stop being
+// the least count whose add-one p exceeds cut. First, completing, stored
+// and past-bound lookups must all be bit-identical to it.
 func refNullStoreP(seed uint64, worlds, n1, n2, pooledPositives int, observed, cut float64) float64 {
 	if worlds <= 0 {
 		return 1
 	}
+	return refNullP(refNullDraws(seed, worlds, n1, n2, pooledPositives), observed, cut)
+}
+
+// refNullDraws returns the key's m null statistics in stream order: it
+// orders the key's sizes, seeds the key's stream by the store's documented
+// FNV-style mix, and draws both counts at the pooled rate per world, scored
+// by PairLRT.
+func refNullDraws(seed uint64, worlds, n1, n2, pooledPositives int) []float64 {
 	if n1 > n2 {
 		n1, n2 = n2, n1
 	}
@@ -233,15 +239,25 @@ func refNullStoreP(seed uint64, worlds, n1, n2, pooledPositives int, observed, c
 	rng := stats.NewRNG(h)
 	rate := float64(pooledPositives) / float64(n1+n2)
 	b1, b2 := stats.NewBinomialSampler(n1, rate), stats.NewBinomialSampler(n2, rate)
-	geq := 0
-	for i := 0; i < worlds; i++ {
+	draws := make([]float64, worlds)
+	for i := range draws {
 		k1 := b1.Draw(rng)
 		k2 := b2.Draw(rng)
-		if stats.PairLRT(k1, n1, k2, n2) >= observed {
+		draws[i] = stats.PairLRT(k1, n1, k2, n2)
+	}
+	return draws
+}
+
+// refNullP is the store's answer over a key's null statistics draws at the
+// observed statistic and the given cut.
+func refNullP(draws []float64, observed, cut float64) float64 {
+	geq := 0
+	for _, v := range draws {
+		if v >= observed {
 			geq++
 		}
 	}
-	m1 := float64(worlds + 1)
+	m1 := float64(len(draws) + 1)
 	if p := float64(1+geq) / m1; p <= cut {
 		return p
 	}
