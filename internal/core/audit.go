@@ -66,7 +66,10 @@ type Config struct {
 	// Seed drives Monte-Carlo simulation. Audits are deterministic in
 	// (input, Config) regardless of parallelism.
 	Seed uint64
-	// Workers bounds audit parallelism; 0 means GOMAXPROCS.
+	// Workers bounds the audit's two goroutine fan-outs, the per-region
+	// prepare phase and the pair sweep; 0 means GOMAXPROCS. The summary
+	// index, the candidate plan and the result sort run on the calling
+	// goroutine.
 	Workers int
 	// Clock supplies the wall-clock readings behind the audit's timing
 	// metrics and events; nil means time.Now. It exists so audits are
@@ -516,7 +519,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		// is what the delta auditor seeds its pair cache with.
 		candidates = append([]UnfairPair(nil), res.Pairs...)
 	}
-	res.Pairs = finalizePairs(&cfg, res.Pairs, res.Candidates, workers)
+	res.Pairs = finalizePairs(&cfg, res.Pairs, res.Candidates)
 	col.ObserveSeconds(obs.MAuditPhaseFDRSeconds, now().Sub(fdrStart))
 
 	tally.publish(col, res)
@@ -539,11 +542,11 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 
 // finalizePairs turns a collected pair list into Result.Pairs: flagPairs
 // filters it in place over a family of n candidates, then the canonical sort
-// fixes the order with up to workers goroutines. lessUnfair is a strict
-// total order, so the result is byte-identical at every worker count.
-func finalizePairs(cfg *Config, pairs []UnfairPair, n, workers int) []UnfairPair {
+// fixes the order. lessUnfair is a strict total order, so the result is
+// byte-identical at every worker count.
+func finalizePairs(cfg *Config, pairs []UnfairPair, n int) []UnfairPair {
 	pairs = flagPairs(cfg, pairs[:0], pairs, n)
-	sortUnfairPairs(pairs, workers)
+	sortUnfairPairs(pairs)
 	return pairs
 }
 
@@ -724,13 +727,11 @@ func newAuditRunner(ctx context.Context, cfg Config, p *partition.Partitioning, 
 
 	// Candidate generation: under CandidateDense the plan walks the full
 	// upper triangle; otherwise the runner builds per-region summaries,
-	// sorted 1-D orders, and per-probe prune windows (see candidates.go) —
-	// summarization, the per-dimension sorts, and the window fills all
-	// parallelized with deterministic merges. Indexed and dense plans yield
-	// the identical flagged set — windows and summary bounds only skip pairs
-	// the exact gates provably reject.
+	// sorted 1-D orders, and per-probe prune windows (see candidates.go).
+	// Indexed and dense plans yield the identical flagged set — windows and
+	// summary bounds only skip pairs the exact gates provably reject.
 	if cfg.CandidateGen != CandidateDense {
-		run.buildIndex(workers)
+		run.buildIndex()
 	}
 	run.fillLogLik()
 	col.ObserveSeconds(obs.MAuditPhaseIndexSeconds, now().Sub(indexStart))
@@ -778,16 +779,12 @@ func newAuditRunner(ctx context.Context, cfg Config, p *partition.Partitioning, 
 	return run, nil
 }
 
-// buildIndex summarizes the eligible regions and builds the candidate plan
-// with up to workers goroutines — parallel per-region summarization and
-// per-dimension sorts in the index, parallel window fills and emission
-// estimates in the plan, all merged deterministically so the plan is
-// byte-identical at every worker count. When no window or bound provider is
-// available under the configured metrics the plan stays dense and the summary
-// state is released.
-func (ar *auditRunner) buildIndex(workers int) {
-	ix := partition.NewSummaryIndexWorkers(ar.regions, workers)
-	ar.plan = buildCandidatePlan(&ar.cfg, ix, workers)
+// buildIndex summarizes the eligible regions and builds the candidate plan.
+// When no window or bound provider is available under the configured metrics
+// the plan stays dense and the summary state is released.
+func (ar *auditRunner) buildIndex() {
+	ix := partition.NewSummaryIndex(ar.regions)
+	ar.plan = buildCandidatePlan(&ar.cfg, ix)
 	if !ar.plan.indexed {
 		return
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"lcsf/internal/partition"
 )
@@ -56,39 +55,12 @@ type planProvider struct {
 	estimated int64
 }
 
-// planChunks runs fn over [0, n) cut into near-equal per-worker chunks, one
-// goroutine each. Chunk boundaries are a pure function of (n, workers) and
-// each chunk writes disjoint indices, so any per-index output is identical to
-// a sequential fill; order-sensitive reductions must fold per-chunk partials
-// in chunk order (see planProvider.estimate).
-func planChunks(n, workers int, fn func(chunk, lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < workers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			fn(c, c*n/workers, (c+1)*n/workers)
-		}(c)
-	}
-	wg.Wait()
-}
-
 // buildCandidatePlan assembles the providers available under cfg, estimates
 // each one's emission count with per-probe binary searches, and picks the
-// cheapest, using up to workers goroutines for the per-probe window fills and
-// estimates. Every parallel piece merges deterministically (disjoint index
-// writes; partial sums folded in chunk order), so the plan is byte-identical
-// at any worker count. The provider order (dissimilarity window, Eta window,
-// similarity window) is fixed, so ties break deterministically. A nil index
-// or an empty provider set yields a dense plan.
-func buildCandidatePlan(cfg *Config, ix *partition.SummaryIndex, workers int) *candidatePlan {
+// cheapest. The provider order (dissimilarity window, Eta window, similarity
+// window) is fixed, so ties break deterministically. A nil index or an empty
+// provider set yields a dense plan.
+func buildCandidatePlan(cfg *Config, ix *partition.SummaryIndex) *candidatePlan {
 	if ix == nil {
 		return &candidatePlan{}
 	}
@@ -97,18 +69,18 @@ func buildCandidatePlan(cfg *Config, ix *partition.SummaryIndex, workers int) *c
 
 	var providers []*planProvider
 	if m, ok := cfg.Dissimilarity.(PrunableMetric); ok {
-		providers = append(providers, newPlanProvider(0, metricWindow(m, cfg.Delta), sums, env, workers))
+		providers = append(providers, newPlanProvider(0, metricWindow(m, cfg.Delta), sums, env))
 	}
 	if cfg.Eta > 0 {
-		providers = append(providers, newPlanProvider(PrunePositiveRate, etaWindow(cfg.Eta), sums, env, workers))
+		providers = append(providers, newPlanProvider(PrunePositiveRate, etaWindow(cfg.Eta), sums, env))
 	}
 	if m, ok := cfg.Similarity.(PrunableMetric); ok {
-		providers = append(providers, newPlanProvider(0, metricWindow(m, cfg.Epsilon), sums, env, workers))
+		providers = append(providers, newPlanProvider(0, metricWindow(m, cfg.Epsilon), sums, env))
 	}
 
 	var best *planProvider
 	for _, pr := range providers {
-		pr.estimate(ix, len(sums), workers)
+		pr.estimate(ix, len(sums))
 		if best == nil || pr.estimated < best.estimated {
 			best = pr
 		}
@@ -167,25 +139,18 @@ func probeWindow(window windowFunc, s *partition.RegionSummary, env *partition.S
 	return PruneWindow{}, false
 }
 
-// newPlanProvider materializes one window source's per-probe windows, in
-// parallel chunks of disjoint probes. Window sources are pure functions of
-// the summary, threshold, and envelope, so the fill is position-determined.
-// A zero dim is read off the first windowed probe afterward rather than
-// racing chunk writes on one field.
-func newPlanProvider(dim PruneDim, window windowFunc, sums []partition.RegionSummary, env *partition.SummaryStats, workers int) *planProvider {
+// newPlanProvider materializes one window source's per-probe windows. A
+// zero dim is read off the first windowed probe.
+func newPlanProvider(dim PruneDim, window windowFunc, sums []partition.RegionSummary, env *partition.SummaryStats) *planProvider {
 	pr := &planProvider{
 		dim:       dim,
 		window:    window,
 		windows:   make([]PruneWindow, len(sums)),
 		hasWindow: make([]bool, len(sums)),
 	}
-	planChunks(len(sums), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pr.windows[i], pr.hasWindow[i] = probeWindow(window, &sums[i], env)
-		}
-	})
-	for i := 0; pr.dim == 0 && i < len(pr.hasWindow); i++ {
-		if pr.hasWindow[i] {
+	for i := range sums {
+		pr.windows[i], pr.hasWindow[i] = probeWindow(window, &sums[i], env)
+		if pr.dim == 0 && pr.hasWindow[i] {
 			pr.dim = pr.windows[i].Dim
 		}
 	}
@@ -213,32 +178,20 @@ func etaWindow(eta float64) windowFunc {
 
 // estimate predicts the provider's ordered emission count by binary-searching
 // each probe's window against the sorted keys; probes without a window charge
-// a full row. Chunks accumulate disjoint partial sums that fold in chunk
-// order — integer addition, so the total equals the sequential sum exactly.
-func (pr *planProvider) estimate(ix *partition.SummaryIndex, regions, workers int) {
+// a full row.
+func (pr *planProvider) estimate(ix *partition.SummaryIndex, regions int) {
 	d, ok := pr.dim.summaryDim()
 	if !ok {
 		pr.estimated = int64(regions) * int64(regions)
 		return
 	}
 	keys, _ := ix.Dim(d)
-	partial := make([]int64, workers)
-	if workers < 1 {
-		partial = make([]int64, 1)
-	}
-	planChunks(len(pr.windows), workers, func(c, lo, hi int) {
-		var sum int64
-		for i := lo; i < hi; i++ {
-			if !pr.hasWindow[i] {
-				sum += int64(regions)
-				continue
-			}
-			sum += int64(windowCount(keys, pr.windows[i]))
+	for i, w := range pr.windows {
+		if !pr.hasWindow[i] {
+			pr.estimated += int64(regions)
+			continue
 		}
-		partial[c] = sum
-	})
-	for _, s := range partial {
-		pr.estimated += s
+		pr.estimated += int64(windowCount(keys, w))
 	}
 }
 

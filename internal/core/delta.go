@@ -99,7 +99,7 @@ func (c *pairCache) size() int { return len(c.slab) - len(c.free) }
 
 // reset makes the cache hold exactly pairs, whose endpoints are labels in
 // [0, labels). It keeps pairs as its slab and sorts only the low subset.
-func (c *pairCache) reset(pairs []UnfairPair, labels int, cut float64, workers int) {
+func (c *pairCache) reset(pairs []UnfairPair, labels int, cut float64) {
 	counts := make([]int, labels)
 	lows := 0
 	for i := range pairs {
@@ -124,7 +124,7 @@ func (c *pairCache) reset(pairs []UnfairPair, labels int, cut float64, workers i
 			c.low = append(c.low, *p)
 		}
 	}
-	sortUnfairPairs(c.low, workers)
+	sortUnfairPairs(c.low)
 }
 
 // drop removes every stored pair with an endpoint among the dirty labels
@@ -192,7 +192,7 @@ func (c *pairCache) add(pairs []UnfairPair) {
 			lows++
 		}
 	}
-	sortUnfairPairs(pairs[:lows], 1)
+	sortUnfairPairs(pairs[:lows])
 	c.low = insertUnfairPairs(c.low, pairs[:lows])
 }
 
@@ -344,7 +344,7 @@ func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partition
 		RescoredCandidates: len(cands),
 	}
 	da.adopt(run)
-	da.cache.reset(cands, len(snap.Regions), da.cfg.nullCut(), da.cfg.workers())
+	da.cache.reset(cands, len(snap.Regions), da.cfg.nullCut())
 	da.inited = true
 	return res, st, nil
 }
@@ -362,11 +362,11 @@ func (da *DeltaAuditor) adopt(run *auditRunner) {
 }
 
 // rebuildState sets up a fresh runner for a changed eligible set through the
-// batch engine's setup path (parallel index and prepare, stopped by ctx) and
-// adopts it; on error the current runner stays. The pair cache is untouched:
-// its pairs carry labels, not positions, and which cached pairs must go is
-// decided by dirty labels. It publishes nothing to the collector — the delta
-// pass reports its own funnel.
+// batch engine's setup path (index, plan, then the parallel prepare, stopped
+// by ctx) and adopts it; on error the current runner stays. The pair cache
+// is untouched: its pairs carry labels, not positions, and which cached
+// pairs must go is decided by dirty labels. It publishes nothing to the
+// collector — the delta pass reports its own funnel.
 func (da *DeltaAuditor) rebuildState(ctx context.Context, snap *partition.Partitioning, newEligible []int) error {
 	run, err := newAuditRunner(ctx, da.cfg, snap, newEligible, da.nulls, da.cfg.workers(), nil)
 	if err != nil {
@@ -505,7 +505,7 @@ func (da *DeltaAuditor) repairRegions(dirtyPos []int) {
 		return
 	}
 	if run.ix.Stats != env { //lint:floateq-ok exact envelope identity
-		run.plan = buildCandidatePlan(&da.cfg, run.ix, 1)
+		run.plan = buildCandidatePlan(&da.cfg, run.ix)
 		return
 	}
 	run.plan.repair(run.ix, dirtyPos)

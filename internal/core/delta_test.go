@@ -633,8 +633,8 @@ func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *delt
 	if err != nil {
 		t.Fatalf("%s: cold sweep: %v", label, err)
 	}
-	sortUnfairPairs(got, 1)
-	sortUnfairPairs(want, 1)
+	sortUnfairPairs(got)
+	sortUnfairPairs(want)
 	if len(got) != len(want) {
 		t.Fatalf("%s: cache holds %d pairs, cold sweep has %d candidates", label, len(got), len(want))
 	}

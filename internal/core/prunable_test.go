@@ -75,7 +75,7 @@ func TestPrunableSoundness(t *testing.T) {
 		for i := range p.Regions {
 			regions[i] = &p.Regions[i]
 		}
-		ix := partition.NewSummaryIndexWorkers(regions, 1)
+		ix := partition.NewSummaryIndex(regions)
 		env := &ix.Stats
 
 		for _, tc := range prunableCases() {

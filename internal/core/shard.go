@@ -120,6 +120,6 @@ func MergeShards(cfg Config, shards []*ShardResult) (*Result, error) {
 	for _, sh := range sorted {
 		all = append(all, sh.Candidates...)
 	}
-	res.Pairs = finalizePairs(&cfg, all, total, 1)
+	res.Pairs = finalizePairs(&cfg, all, total)
 	return res, nil
 }

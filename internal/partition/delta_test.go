@@ -275,7 +275,7 @@ func TestSummaryIndexUpdateRegion(t *testing.T) {
 	for i := range snap.Regions {
 		regions[i] = &snap.Regions[i]
 	}
-	ix := NewSummaryIndexWorkers(regions, 1)
+	ix := NewSummaryIndex(regions)
 
 	// Mutate a few regions through the delta layer, then repair.
 	for step := 0; step < 40; step++ {
@@ -298,7 +298,7 @@ func TestSummaryIndexUpdateRegion(t *testing.T) {
 		ix.UpdateRegion(pos, &snap.Regions[pos])
 	}
 
-	fresh := NewSummaryIndexWorkers(regions, 1)
+	fresh := NewSummaryIndex(regions)
 	if ix.Stats != fresh.Stats {
 		t.Fatalf("stats differ after UpdateRegion: got %+v want %+v", ix.Stats, fresh.Stats)
 	}

@@ -3,7 +3,6 @@ package partition
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"lcsf/internal/stats"
 )
@@ -94,7 +93,7 @@ type SummaryStats struct {
 // SummaryIndex holds the summaries of a region set together with sorted 1-D
 // orders over each SummaryDim, ready for the audit's sliding-window interval
 // joins. The orders are deterministic: ascending by key with ties broken by
-// region position, independent of construction concurrency.
+// region position.
 type SummaryIndex struct {
 	// Summaries holds one summary per input region, position-aligned with
 	// the input slice.
@@ -124,87 +123,37 @@ func summaryKey(s *RegionSummary, d SummaryDim) float64 {
 	}
 }
 
-// NewSummaryIndexWorkers summarizes every region and builds the sorted
-// orders, with the per-region summarize pass and the per-dimension sort
-// construction spread across up to workers goroutines. The result is
-// identical to the sequential build for any worker
-// count: summaries land at their region's position regardless of which worker
-// computed them, the envelope merges per-chunk partial envelopes with
-// order-independent max/min folds, and each dimension's order is sorted by a
-// total comparator (key, then position), so no schedule is observable in the
-// index. Workers <= 1 runs fully sequentially.
-func NewSummaryIndexWorkers(regions []*Region, workers int) *SummaryIndex {
-	n := len(regions)
-	ix := &SummaryIndex{Summaries: make([]RegionSummary, n)}
-	if workers > n {
-		workers = n
+// NewSummaryIndex summarizes every region, folds the envelope, and builds
+// the sorted orders.
+func NewSummaryIndex(regions []*Region) *SummaryIndex {
+	ix := &SummaryIndex{Summaries: make([]RegionSummary, len(regions))}
+	for i, r := range regions {
+		ix.Summaries[i] = Summarize(r)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	summarizeChunk := func(lo, hi int) SummaryStats {
-		var st SummaryStats
-		for i := lo; i < hi; i++ {
-			s := Summarize(regions[i])
-			ix.Summaries[i] = s
-			if s.N > st.MaxN {
-				st.MaxN = s.N
-			}
-			if s.SampleN >= 2 {
-				if st.MinSampleN == 0 || s.SampleN < st.MinSampleN {
-					st.MinSampleN = s.SampleN
-				}
-				if se2 := s.IncomeVariance / float64(s.SampleN); se2 > st.MaxMeanSE2 {
-					st.MaxMeanSE2 = se2
-				}
-			}
-		}
-		return st
-	}
-
-	if workers == 1 {
-		ix.Stats = summarizeChunk(0, n)
-		for d := SummaryDim(0); d < numSummaryDims; d++ {
-			ix.dims[d] = buildDimOrder(ix.Summaries, d)
-		}
-		return ix
-	}
-
-	partials := make([]SummaryStats, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partials[w] = summarizeChunk(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, st := range partials {
-		if st.MaxN > ix.Stats.MaxN {
-			ix.Stats.MaxN = st.MaxN
-		}
-		if st.MinSampleN > 0 && (ix.Stats.MinSampleN == 0 || st.MinSampleN < ix.Stats.MinSampleN) {
-			ix.Stats.MinSampleN = st.MinSampleN
-		}
-		if st.MaxMeanSE2 > ix.Stats.MaxMeanSE2 {
-			ix.Stats.MaxMeanSE2 = st.MaxMeanSE2
-		}
-	}
-
-	// The three dimension orders are independent; sort them concurrently.
-	var dg sync.WaitGroup
+	ix.refreshStats()
 	for d := SummaryDim(0); d < numSummaryDims; d++ {
-		dg.Add(1)
-		go func(d SummaryDim) {
-			defer dg.Done()
-			ix.dims[d] = buildDimOrder(ix.Summaries, d)
-		}(d)
+		ix.dims[d] = buildDimOrder(ix.Summaries, d)
 	}
-	dg.Wait()
 	return ix
+}
+
+// refreshStats recomputes the envelope over every summary.
+func (ix *SummaryIndex) refreshStats() {
+	ix.Stats = SummaryStats{}
+	for i := range ix.Summaries {
+		s := &ix.Summaries[i]
+		if s.N > ix.Stats.MaxN {
+			ix.Stats.MaxN = s.N
+		}
+		if s.SampleN >= 2 {
+			if ix.Stats.MinSampleN == 0 || s.SampleN < ix.Stats.MinSampleN {
+				ix.Stats.MinSampleN = s.SampleN
+			}
+			if se2 := s.IncomeVariance / float64(s.SampleN); se2 > ix.Stats.MaxMeanSE2 {
+				ix.Stats.MaxMeanSE2 = se2
+			}
+		}
+	}
 }
 
 func buildDimOrder(sums []RegionSummary, d SummaryDim) dimOrder {
@@ -240,8 +189,8 @@ func (o *dimOrder) Swap(i, j int) {
 
 // UpdateRegion replaces the summary at position pos with a fresh digest of r
 // and repairs every sorted order and the envelope stats, leaving the index
-// bit-identical to a fresh NewSummaryIndexWorkers over the updated region
-// set. Each order finds the region's old and new slots by binary search and
+// bit-identical to a fresh NewSummaryIndex over the updated region set.
+// Each order finds the region's old and new slots by binary search and
 // shifts only the entries between them; the envelope is rescanned, O(R).
 // The repair is idempotent, so a retried delta audit can re-apply it
 // safely.
@@ -251,21 +200,7 @@ func (ix *SummaryIndex) UpdateRegion(pos int, r *Region) {
 	for d := SummaryDim(0); d < numSummaryDims; d++ {
 		ix.dims[d].update(pos, summaryKey(&old, d), summaryKey(&ix.Summaries[pos], d))
 	}
-	ix.Stats = SummaryStats{}
-	for i := range ix.Summaries {
-		s := &ix.Summaries[i]
-		if s.N > ix.Stats.MaxN {
-			ix.Stats.MaxN = s.N
-		}
-		if s.SampleN >= 2 {
-			if ix.Stats.MinSampleN == 0 || s.SampleN < ix.Stats.MinSampleN {
-				ix.Stats.MinSampleN = s.SampleN
-			}
-			if se2 := s.IncomeVariance / float64(s.SampleN); se2 > ix.Stats.MaxMeanSE2 {
-				ix.Stats.MaxMeanSE2 = se2
-			}
-		}
-	}
+	ix.refreshStats()
 }
 
 // update moves position pos from its slot under key old to its slot under

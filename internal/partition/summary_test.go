@@ -94,7 +94,7 @@ func TestSummaryIndexOrders(t *testing.T) {
 	for i := range p.Regions {
 		regions[i] = &p.Regions[i]
 	}
-	ix := NewSummaryIndexWorkers(regions, 1)
+	ix := NewSummaryIndex(regions)
 	if len(ix.Summaries) != len(regions) {
 		t.Fatalf("summaries = %d, want %d", len(ix.Summaries), len(regions))
 	}
@@ -149,7 +149,7 @@ func TestSummaryStatsEnvelope(t *testing.T) {
 	for i := range p.Regions {
 		regions[i] = &p.Regions[i]
 	}
-	ix := NewSummaryIndexWorkers(regions, 1)
+	ix := NewSummaryIndex(regions)
 
 	wantMaxN, wantMinSample, wantSE2 := 0, 0, 0.0
 	for i := range ix.Summaries {
@@ -203,14 +203,14 @@ func TestSummaryIndexRandomUpdates(t *testing.T) {
 			regions[i] = &Region{}
 			randomize(regions[i])
 		}
-		ix := NewSummaryIndexWorkers(regions, 1)
+		ix := NewSummaryIndex(regions)
 		for step := 0; step < 60; step++ {
 			pos := rng.Intn(len(regions))
 			if rng.Intn(4) > 0 { // else re-apply the region unchanged
 				randomize(regions[pos])
 			}
 			ix.UpdateRegion(pos, regions[pos])
-			fresh := NewSummaryIndexWorkers(regions, 1)
+			fresh := NewSummaryIndex(regions)
 			if ix.Stats != fresh.Stats {
 				t.Fatalf("sequence %d step %d: stats %+v, a fresh build has %+v", seq, step, ix.Stats, fresh.Stats)
 			}

@@ -431,7 +431,7 @@ func FuzzDeltaPartition(f *testing.F) {
 		for i := range snap.Regions {
 			ptrs[i] = &snap.Regions[i]
 		}
-		ix := partition.NewSummaryIndexWorkers(ptrs, 1)
+		ix := partition.NewSummaryIndex(ptrs)
 
 		// live mirrors the surviving multiset; deletes pick a live entry, so
 		// every delete targets an observation that is actually present.
@@ -504,7 +504,7 @@ func FuzzDeltaPartition(f *testing.F) {
 			}
 		}
 
-		fresh := partition.NewSummaryIndexWorkers(ptrs, 1)
+		fresh := partition.NewSummaryIndex(ptrs)
 		for i := range fresh.Summaries {
 			if !summaryBitsEqual(&ix.Summaries[i], &fresh.Summaries[i]) {
 				t.Fatalf("summary %d diverged:\n incremental %+v\n fresh       %+v",
