@@ -557,8 +557,9 @@ func finalizePairs(cfg *Config, pairs []UnfairPair, n int) []UnfairPair {
 // below Alpha. It keeps src's order, and dst may be src[:0] to filter in
 // place; otherwise dst grows once, to exactly the flagged pairs. Both rules
 // are value thresholds over the p-value multiset, so which pairs are flagged
-// never depends on src's order, and the batch sweep, the shard merge and the
-// delta auditor's low set (pairCache.flagged) all flag through it.
+// never depends on src's order, and the batch sweep and the shard merge
+// flag through it; the delta auditor's pairCache.flagged applies the same
+// two rules to its low set, whose p-values it keeps sorted.
 func flagPairs(cfg *Config, dst, src []UnfairPair, n int) []UnfairPair {
 	cut := cfg.Alpha
 	if cfg.FDR > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"lcsf/internal/obs"
@@ -70,6 +71,7 @@ type DeltaAuditor struct {
 
 	cache    pairCache
 	rescored []UnfairPair // the incremental pass's rescore buffer, reused
+	isDirty  []bool       // by region label; set for one pass's dirty labels only
 }
 
 // pairCache holds every pair that passed the exact gate cascade, laid out so
@@ -79,27 +81,44 @@ type DeltaAuditor struct {
 //
 //   - slab stores the pairs by slot; free lists the slots of dropped pairs,
 //     which the next stored pairs take first.
-//   - byLabel[l] lists, in no order, the slots of the pairs with an endpoint
-//     labeled l. Every stored pair is listed under both of its labels, so
-//     dropping a region's pairs walks that region's list alone.
+//   - byLabel[l] lists, in no order, the pairs with an endpoint labeled l,
+//     each as slot<<1 | side, side 0 for the pair's I and 1 for its J.
+//     Every stored pair is listed under both of its labels, so dropping a
+//     region's pairs walks that region's list alone, and at[slot][side] is
+//     the entry's position in its list, so unlisting the partner's entry is
+//     one swap-remove that fixes the moved entry's back-index from the
+//     entry alone.
 //   - low holds a copy of each stored pair with P at or below cut
 //     (Config.nullCut), in canonical lessUnfair order. Every other stored
 //     pair carries the null store's canonical above-cut p-value and can
-//     never be flagged.
+//     never be flagged. A commit rebuilds it in one merge into spare and
+//     swaps the two.
+//   - Under FDR, lowP holds the low set's p-values ascending, kept by the
+//     same merge, so the Benjamini–Hochberg cut reads it without a sort.
 type pairCache struct {
 	slab    []UnfairPair
+	at      [][2]int32
 	free    []int32
 	byLabel [][]int32
 	low     []UnfairPair
+	spare   []UnfairPair
 	cut     float64
+
+	gone []UnfairPair // the commit's dropped low pairs
+
+	fdr          bool
+	lowP, spareP []float64
+	goneP        []float64 // gone's p-values, then the added ones
 }
 
 // size is the number of stored pairs.
 func (c *pairCache) size() int { return len(c.slab) - len(c.free) }
 
 // reset makes the cache hold exactly pairs, whose endpoints are labels in
-// [0, labels). It keeps pairs as its slab and sorts only the low subset.
-func (c *pairCache) reset(pairs []UnfairPair, labels int, cut float64) {
+// [0, labels), for cfg's flagging rule. It keeps pairs as its slab and
+// sorts only the low subset.
+func (c *pairCache) reset(pairs []UnfairPair, labels int, cfg *Config) {
+	cut := cfg.nullCut()
 	counts := make([]int, labels)
 	lows := 0
 	for i := range pairs {
@@ -109,73 +128,77 @@ func (c *pairCache) reset(pairs []UnfairPair, labels int, cut float64) {
 			lows++
 		}
 	}
-	slots := make([]int32, 2*len(pairs))
+	entries := make([]int32, 2*len(pairs))
 	c.byLabel = make([][]int32, labels)
 	for l, n := range counts {
-		c.byLabel[l], slots = slots[:0:n], slots[n:]
+		c.byLabel[l], entries = entries[:0:n], entries[n:]
 	}
-	c.slab, c.free, c.cut = pairs, nil, cut
-	c.low = make([]UnfairPair, 0, lows)
+	c.slab, c.free, c.cut, c.fdr = pairs, nil, cut, cfg.FDR > 0
+	c.at = make([][2]int32, len(pairs))
+	c.low, c.spare = make([]UnfairPair, 0, lows), nil
 	for i := range pairs {
-		p := &pairs[i]
-		c.byLabel[p.I] = append(c.byLabel[p.I], int32(i))
-		c.byLabel[p.J] = append(c.byLabel[p.J], int32(i))
-		if p.P <= cut {
+		c.list(int32(i))
+		if p := &pairs[i]; p.P <= cut {
 			c.low = append(c.low, *p)
 		}
 	}
 	sortUnfairPairs(c.low)
+	c.lowP, c.spareP = nil, nil
+	if c.fdr {
+		c.lowP = make([]float64, len(c.low))
+		for i := range c.low {
+			c.lowP[i] = c.low[i].P
+		}
+		sort.Float64s(c.lowP)
+	}
 }
 
-// drop removes every stored pair with an endpoint among the dirty labels
-// (isDirty marks the same labels) and returns how many it removed. A pair
-// with two dirty endpoints is unlisted from its second label when the first
-// drops it, so it leaves, and is counted, once.
-func (c *pairCache) drop(dirty []int, isDirty []bool) int {
-	dropped, lowDropped := 0, false
+// list enters slot s under both of its pair's labels.
+func (c *pairCache) list(s int32) {
+	p := &c.slab[s]
+	c.at[s] = [2]int32{int32(len(c.byLabel[p.I])), int32(len(c.byLabel[p.J]))}
+	c.byLabel[p.I] = append(c.byLabel[p.I], s<<1)
+	c.byLabel[p.J] = append(c.byLabel[p.J], s<<1|1)
+}
+
+// unlist swap-removes the entry at position k of label l's list.
+func (c *pairCache) unlist(l int, k int32) {
+	list := c.byLabel[l]
+	last := len(list) - 1
+	e := list[last]
+	list[k] = e
+	c.at[e>>1][e&1] = k
+	c.byLabel[l] = list[:last]
+}
+
+// commit drops every stored pair with an endpoint among the dirty labels,
+// stores rescored, none of which may have two clean endpoints, and returns
+// how many pairs it dropped. A pair with two dirty endpoints is unlisted
+// from its second label when the first drops it, so it leaves, and is
+// counted, once. It uses rescored as scratch.
+func (c *pairCache) commit(dirty []int, rescored []UnfairPair) int {
+	dropped := 0
+	c.gone = c.gone[:0]
 	for _, l := range dirty {
-		for _, s := range c.byLabel[l] {
+		for _, e := range c.byLabel[l] {
+			s, side := e>>1, e&1
 			p := &c.slab[s]
-			other := p.I
-			if other == l {
-				other = p.J
+			other := p.J
+			if side == 1 {
+				other = p.I
 			}
-			c.byLabel[other] = removeSlot(c.byLabel[other], s)
-			lowDropped = lowDropped || p.P <= c.cut
+			c.unlist(other, c.at[s][1-side])
+			if p.P <= c.cut {
+				c.gone = append(c.gone, *p)
+			}
 			c.free = append(c.free, s)
 		}
 		dropped += len(c.byLabel[l])
 		c.byLabel[l] = c.byLabel[l][:0]
 	}
-	if lowDropped {
-		kept := c.low[:0]
-		for _, p := range c.low {
-			if !isDirty[p.I] && !isDirty[p.J] {
-				kept = append(kept, p)
-			}
-		}
-		c.low = kept
-	}
-	return dropped
-}
 
-// removeSlot swap-removes slot s from a label's list.
-func removeSlot(list []int32, s int32) []int32 {
-	for k, v := range list {
-		if v == s {
-			last := len(list) - 1
-			list[k] = list[last]
-			return list[:last]
-		}
-	}
-	return list
-}
-
-// add stores pairs, none of which may already be stored; the ones at or
-// below the cut join low in canonical order. It uses pairs as scratch.
-func (c *pairCache) add(pairs []UnfairPair) {
 	lows := 0
-	for _, p := range pairs {
+	for _, p := range rescored {
 		var s int32
 		if n := len(c.free); n > 0 {
 			s = c.free[n-1]
@@ -184,25 +207,66 @@ func (c *pairCache) add(pairs []UnfairPair) {
 		} else {
 			s = int32(len(c.slab))
 			c.slab = append(c.slab, p)
+			c.at = append(c.at, [2]int32{})
 		}
-		c.byLabel[p.I] = append(c.byLabel[p.I], s)
-		c.byLabel[p.J] = append(c.byLabel[p.J], s)
+		c.list(s)
 		if p.P <= c.cut {
-			pairs[lows] = p
+			rescored[lows] = p
 			lows++
 		}
 	}
-	sortUnfairPairs(pairs[:lows])
-	c.low = insertUnfairPairs(c.low, pairs[:lows])
+	if len(c.gone) > 0 || lows > 0 {
+		c.mergeLow(rescored[:lows])
+	}
+	return dropped
 }
 
-// flagged assembles Result.Pairs from the low set through flagPairs, the
-// batch engine's flagging path, over a family of every stored pair: the low
-// set holds every stored pair at or below the flag cut, all that either
-// rule can flag. The low set's canonical order carries over, and the copy
-// is exact-size and never aliases the cache.
+// mergeLow rebuilds the low set in one merge into spare: without the
+// dropped low pairs (c.gone) and with adds. Under FDR it rebuilds lowP
+// alike. It sorts c.gone and adds.
+func (c *pairCache) mergeLow(adds []UnfairPair) {
+	sortUnfairPairs(c.gone)
+	sortUnfairPairs(adds)
+	out := slices.Grow(c.spare[:0], len(c.low)-len(c.gone)+len(adds))
+	c.low, c.spare = splice(out, c.low, c.gone, adds, lessUnfair), c.low[:0]
+	if !c.fdr {
+		return
+	}
+	gone := c.goneP[:0]
+	for k := range c.gone {
+		gone = append(gone, c.gone[k].P)
+	}
+	added := gone[len(gone):] // the added p-values, in gone's buffer after it
+	for k := range adds {
+		added = append(added, adds[k].P)
+	}
+	c.goneP = gone
+	sort.Float64s(gone)
+	sort.Float64s(added)
+	ps := slices.Grow(c.spareP[:0], len(c.lowP)-len(gone)+len(added))
+	c.lowP, c.spareP = splice(ps, c.lowP, gone, added, lessFloat), c.lowP[:0]
+}
+
+// flagged copies out Result.Pairs. Under Alpha every low pair is flagged,
+// since the low set's cut is Alpha, so it is one copy of the low set.
+// Under FDR the Benjamini–Hochberg cut over every stored pair reads the
+// sorted lowP, and the low pairs at or below it are copied in order. The
+// copy is exact-size and never aliases the cache.
 func (c *pairCache) flagged(cfg *Config) []UnfairPair {
-	return flagPairs(cfg, []UnfairPair{}, c.low, c.size())
+	if cfg.FDR == 0 { //lint:floateq-ok zero-value-config-default
+		return slices.Clip(append([]UnfairPair{}, c.low...))
+	}
+	pstar, ok := stats.BenjaminiHochbergCutSorted(c.lowP, c.size(), cfg.FDR)
+	if !ok {
+		return []UnfairPair{}
+	}
+	out := make([]UnfairPair, 0, sort.Search(len(c.lowP), func(i int) bool { return c.lowP[i] > pstar }))
+	for i := range c.low {
+		if c.low[i].P <= pstar {
+			out = append(out, c.low[i])
+		}
+	}
+	return out
 }
 
 // DeltaStats is one delta audit's funnel: what the update stream dirtied,
@@ -317,15 +381,17 @@ func (da *DeltaAuditor) Audit(ctx context.Context) (*Result, DeltaStats, error) 
 	col.Count(obs.MAuditDeltaRescored, int64(st.RescoredPairs))
 	col.Count(obs.MAuditDeltaRescoredCands, int64(st.RescoredCandidates))
 	col.ObserveSeconds(obs.MAuditDeltaSeconds, elapsed)
-	col.Event("audit.delta.finish", "", "delta audit finished", map[string]any{
-		"full_sweep":    st.FullSweep,
-		"dirty_regions": st.DirtyRegions,
-		"invalidated":   st.InvalidatedPairs,
-		"reused":        st.ReusedPairs,
-		"rescored":      st.RescoredPairs,
-		"pairs_flagged": len(res.Pairs),
-		"seconds":       elapsed.Seconds(),
-	})
+	if col != nil {
+		col.Event("audit.delta.finish", "", "delta audit finished", map[string]any{
+			"full_sweep":    st.FullSweep,
+			"dirty_regions": st.DirtyRegions,
+			"invalidated":   st.InvalidatedPairs,
+			"reused":        st.ReusedPairs,
+			"rescored":      st.RescoredPairs,
+			"pairs_flagged": len(res.Pairs),
+			"seconds":       elapsed.Seconds(),
+		})
+	}
 	return res, st, nil
 }
 
@@ -344,7 +410,7 @@ func (da *DeltaAuditor) fullSweep(ctx context.Context, snap *partition.Partition
 		RescoredCandidates: len(cands),
 	}
 	da.adopt(run)
-	da.cache.reset(cands, len(snap.Regions), da.cfg.nullCut())
+	da.cache.reset(cands, len(snap.Regions), &da.cfg)
 	da.inited = true
 	return res, st, nil
 }
@@ -405,7 +471,11 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	}
 	run := da.run
 
-	isDirty := make([]bool, len(snap.Regions)) // by region label
+	if len(da.isDirty) < len(snap.Regions) {
+		da.isDirty = make([]bool, len(snap.Regions))
+	}
+	isDirty := da.isDirty
+	defer clearLabels(isDirty, dirty)
 	dirtyPos := make([]int, 0, len(dirty))
 	for _, lbl := range dirty {
 		isDirty[lbl] = true
@@ -467,10 +537,9 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	// store the rescored candidates. Every rescored pair has a dirty
 	// endpoint, so the two steps cannot collide.
 	reused := da.cache.size()
-	st.InvalidatedPairs = da.cache.drop(dirty, isDirty)
-	st.ReusedPairs = reused - st.InvalidatedPairs
 	st.RescoredCandidates = len(rescored)
-	da.cache.add(rescored)
+	st.InvalidatedPairs = da.cache.commit(dirty, rescored)
+	st.ReusedPairs = reused - st.InvalidatedPairs
 
 	res := &Result{
 		EligibleRegions: len(da.eligible),
@@ -479,6 +548,13 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 		Pairs:           da.cache.flagged(cfg),
 	}
 	return res, st, nil
+}
+
+// clearLabels unsets the given labels' flags.
+func clearLabels(flags []bool, labels []int) {
+	for _, l := range labels {
+		flags[l] = false
+	}
 }
 
 // repairRegions re-prepares the regions at the dirty positions (ascending)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -579,11 +581,14 @@ func TestDeltaConfigValidation(t *testing.T) {
 
 // requireCacheInvariant checks the delta auditor's pair cache against its
 // definition: every stored pair is listed under both of its endpoint labels
-// exactly once and nothing else is listed; the stored pairs equal, pair for
-// pair after a canonical sort, the complete candidate set of a cold batch
-// sweep of the universe — every candidate, not only the flagged ones; and
-// the low set is strictly lessUnfair-ordered and holds exactly the cold
-// candidates at or below the flag cut.
+// exactly once, each entry naming the right side, and nothing else is
+// listed, no free slot included; every entry's back-index points at its own
+// position in its list; the stored pairs equal, pair for pair after a
+// canonical sort, the complete candidate set of a cold batch sweep of the
+// universe — every candidate, not only the flagged ones; the low set is
+// strictly lessUnfair-ordered and holds exactly the cold candidates at or
+// below the flag cut; and under FDR lowP holds the low set's p-values in
+// ascending order.
 func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *deltaUniverse) {
 	t.Helper()
 	c := &da.cache
@@ -594,21 +599,23 @@ func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *delt
 		}
 		free[s] = true
 	}
+	if len(c.at) != len(c.slab) {
+		t.Fatalf("%s: %d back-indexes for %d slots", label, len(c.at), len(c.slab))
+	}
 	listed := make([]int, len(c.slab)) // bit 0: under I, bit 1: under J
-	for l, slots := range c.byLabel {
-		for _, s := range slots {
+	for l, entries := range c.byLabel {
+		for k, e := range entries {
+			s, side := e>>1, e&1
 			p := c.slab[s]
-			bit := 0
 			switch {
 			case free[s]:
 				t.Fatalf("%s: label %d lists free slot %d", label, l, s)
-			case p.I == l:
-				bit = 1
-			case p.J == l:
-				bit = 2
-			default:
-				t.Fatalf("%s: label %d lists pair (%d, %d)", label, l, p.I, p.J)
+			case side == 0 && p.I != l, side == 1 && p.J != l:
+				t.Fatalf("%s: label %d lists pair (%d, %d) as side %d", label, l, p.I, p.J, side)
+			case c.at[s][side] != int32(k):
+				t.Fatalf("%s: label %d lists pair (%d, %d) at %d, its back-index says %d", label, l, p.I, p.J, k, c.at[s][side])
 			}
+			bit := 1 << side
 			if listed[s]&bit != 0 {
 				t.Fatalf("%s: label %d lists pair (%d, %d) twice", label, l, p.I, p.J)
 			}
@@ -659,6 +666,20 @@ func requireCacheInvariant(t *testing.T, label string, da *DeltaAuditor, u *delt
 		if c.low[i] != wantLow[i] {
 			t.Fatalf("%s: low pair %d differs:\n got %+v\nwant %+v", label, i, c.low[i], wantLow[i])
 		}
+	}
+	if !c.fdr {
+		if c.lowP != nil {
+			t.Fatalf("%s: lowP holds %d p-values without FDR", label, len(c.lowP))
+		}
+		return
+	}
+	wantP := make([]float64, len(c.low))
+	for i := range c.low {
+		wantP[i] = c.low[i].P
+	}
+	sort.Float64s(wantP)
+	if !slices.Equal(c.lowP, wantP) {
+		t.Fatalf("%s: lowP = %v, want the low set's p-values sorted, %v", label, c.lowP, wantP)
 	}
 }
 

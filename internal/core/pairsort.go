@@ -19,22 +19,44 @@ func sortUnfairPairs(pairs []UnfairPair) {
 	sort.Sort(byUnfair(pairs))
 }
 
-// insertUnfairPairs merges the lessUnfair-sorted add into the
-// lessUnfair-sorted s in place and returns s grown by len(add): one backward
-// pass that moves only the pairs behind the first insertion point. The delta
-// auditor's low set takes its rescored pairs this way.
-func insertUnfairPairs(s, add []UnfairPair) []UnfairPair {
-	n := len(s)
-	s = append(s, add...)
-	i, j := n-1, len(add)-1
-	for k := len(s) - 1; j >= 0; k-- {
-		if i >= 0 && lessUnfair(&add[j], &s[i]) {
-			s[k] = s[i]
-			i--
+// splice appends to dst the sorted s without the elements of drop and with
+// those of add, and returns dst. drop and add are sorted by less, and s
+// holds every element of drop. It moves s in runs, and finds each run's end
+// by binary search, so it compares O((len(drop)+len(add)) log len(s))
+// times.
+func splice[E any](dst, s, drop, add []E, less func(a, b *E) bool) []E {
+	i, d, a := 0, 0, 0
+	for d < len(drop) || a < len(add) {
+		if a == len(add) || d < len(drop) && !less(&add[a], &drop[d]) {
+			at := i + lowerBound(s[i:], &drop[d], less)
+			dst = append(dst, s[i:at]...)
+			i = at + 1
+			d++
+			continue
+		}
+		at := i + lowerBound(s[i:], &add[a], less)
+		dst = append(dst, s[i:at]...)
+		dst = append(dst, add[a])
+		i = at
+		a++
+	}
+	return append(dst, s[i:]...)
+}
+
+// lowerBound returns the first index of the less-sorted s whose element
+// does not sort before x.
+func lowerBound[E any](s []E, x *E, less func(a, b *E) bool) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if less(&s[m], x) {
+			lo = m + 1
 		} else {
-			s[k] = add[j]
-			j--
+			hi = m
 		}
 	}
-	return s
+	return lo
 }
+
+// lessFloat orders p-values for splice.
+func lessFloat(a, b *float64) bool { return *a < *b }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -43,10 +44,12 @@ func TestSortUnfairPairsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInsertUnfairPairs checks the low set's in-place insert against
-// sorting the concatenation: added runs land before, between and after the
-// existing pairs, and either run may be empty.
-func TestInsertUnfairPairs(t *testing.T) {
+// TestSpliceUnfairPairs checks the low set's merge against sorting the
+// survivors and the additions together: runs are dropped and added before,
+// between and after the kept pairs, ties are heavy, and any of the three
+// inputs may be empty. The low set's p-values go through the same splice
+// with lessFloat.
+func TestSpliceUnfairPairs(t *testing.T) {
 	rng := stats.NewRNG(0x5B11CE)
 	sortRun := func(run []UnfairPair) {
 		sort.Slice(run, func(i, j int) bool { return lessUnfair(&run[i], &run[j]) })
@@ -56,9 +59,17 @@ func TestInsertUnfairPairs(t *testing.T) {
 		add := randomUnfairPairs(rng, int(rng.Uint64()%40))
 		sortRun(s)
 		sortRun(add)
-		want := append(append([]UnfairPair(nil), s...), add...)
+		var drop, want []UnfairPair
+		for _, p := range s {
+			if rng.Uint64()%4 == 0 {
+				drop = append(drop, p)
+			} else {
+				want = append(want, p)
+			}
+		}
+		want = append(want, add...)
 		sortRun(want)
-		got := insertUnfairPairs(s, add)
+		got := splice(nil, s, drop, add, lessUnfair)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d pairs, want %d", trial, len(got), len(want))
 		}
@@ -66,6 +77,26 @@ func TestInsertUnfairPairs(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: index %d: got %+v want %+v", trial, i, got[i], want[i])
 			}
+		}
+
+		ps, dropP, addP, wantP := make([]float64, len(s)), make([]float64, len(drop)), make([]float64, len(add)), make([]float64, len(want))
+		for i := range s {
+			ps[i] = s[i].P
+		}
+		for i := range drop {
+			dropP[i] = drop[i].P
+		}
+		for i := range add {
+			addP[i] = add[i].P
+		}
+		for i := range want {
+			wantP[i] = want[i].P
+		}
+		for _, xs := range [][]float64{ps, dropP, addP, wantP} {
+			sort.Float64s(xs)
+		}
+		if gotP := splice(nil, ps, dropP, addP, lessFloat); !slices.Equal(gotP, wantP) {
+			t.Fatalf("trial %d: p-values spliced to %v, want %v", trial, gotP, wantP)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lcsf/internal/geo"
@@ -162,7 +163,10 @@ func TestDeltaDeleteAbsent(t *testing.T) {
 }
 
 // TestDeltaApplyStream exercises the batched Apply entry point, including its
-// error position reporting.
+// error position reporting: a batch stops at its first absent delete, the
+// error names that update's index and carries Delete's own text, and the
+// updates before it, a delete of a record the batch itself inserted among
+// them, are applied and dirty their regions while the ones after it are not.
 func TestDeltaApplyStream(t *testing.T) {
 	rng := stats.NewRNG(13)
 	opts := Options{Seed: 2, IncomeSampleCap: 8}
@@ -176,8 +180,129 @@ func TestDeltaApplyStream(t *testing.T) {
 		t.Fatalf("apply: %v", err)
 	}
 	requireEqualSnapshots(t, dp.Snapshot(), ByGrid(testGrid(), []Observation{o2}, opts))
-	if err := dp.Apply([]Update{{Op: UpdateDelete, Obs: o1}}); err == nil {
-		t.Fatal("apply with absent delete succeeded")
+	dp.ClearDirty()
+
+	a := Observation{Loc: geo.Pt(0.5, 0.5), Income: 20000}
+	b := Observation{Loc: geo.Pt(7.5, 3.5), Income: 21000}
+	late := Observation{Loc: geo.Pt(3.5, 0.5), Income: 22000}
+	absent := o2
+	absent.Income++
+	_, deleteErr := NewDeltaByGrid(testGrid(), []Observation{o2}, opts).Delete(absent)
+	if deleteErr == nil {
+		t.Fatal("delete of an absent observation succeeded")
+	}
+	err := dp.Apply([]Update{
+		{Op: UpdateInsert, Obs: a},
+		{Op: UpdateInsert, Obs: b},
+		{Op: UpdateDelete, Obs: b},
+		{Op: UpdateDelete, Obs: o2},
+		{Op: UpdateDelete, Obs: absent},
+		{Op: UpdateInsert, Obs: late},
+	})
+	if want := "partition: apply[4]: " + deleteErr.Error(); err == nil || err.Error() != want {
+		t.Fatalf("apply error = %v, want %q", err, want)
+	}
+	requireEqualSnapshots(t, dp.Snapshot(), ByGrid(testGrid(), []Observation{a}, opts))
+	var want []int
+	for _, o := range []Observation{a, b, o2} {
+		idx, _ := testGrid().CellIndex(o.Loc)
+		if !slices.Contains(want, idx) {
+			want = append(want, idx)
+		}
+	}
+	slices.Sort(want)
+	if got := dp.Dirty(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dirty after a failed batch = %v, want %v", got, want)
+	}
+}
+
+// TestDeltaApplyMatchesSequential checks Apply's batch fold against the
+// sequential semantics it must keep: every batch leaves the snapshot that
+// applying its updates one at a time through Insert and Delete leaves, and
+// that ByGrid over a plainly kept mirror of the surviving records gives,
+// and dirties exactly the regions its placed updates name. The batches mix
+// deletes of records inserted earlier in the same batch, exact duplicate
+// records, records outside the grid and records with a non-finite income.
+func TestDeltaApplyMatchesSequential(t *testing.T) {
+	rng := stats.NewRNG(404)
+	grid := testGrid()
+	opts := Options{Seed: 5, IncomeSampleCap: 8}
+	batched := NewDeltaByGrid(grid, nil, opts)
+	seq := NewDeltaByGrid(grid, nil, opts)
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	var live []Observation
+	sawInBatch, sawDup, sawDropped := false, false, false
+	for round := 0; round < 80; round++ {
+		var batch []Update
+		staged := map[Observation]bool{}
+		dirty := map[int]bool{}
+		place := func(o Observation) {
+			if idx, ok := grid.CellIndex(o.Loc); ok && o.placeable() {
+				dirty[idx] = true
+			}
+		}
+		for n := rng.Intn(30); n >= 0; n-- {
+			switch u := rng.Float64(); {
+			case u < 0.35 && len(live) > 0:
+				k := rng.Intn(len(live))
+				o := live[k]
+				sawInBatch = sawInBatch || staged[o]
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				batch = append(batch, Update{Op: UpdateDelete, Obs: o})
+				place(o)
+			case u < 0.5 && len(live) > 0:
+				o := live[rng.Intn(len(live))]
+				sawDup = true
+				live = append(live, o)
+				staged[o] = true
+				batch = append(batch, Update{Op: UpdateInsert, Obs: o})
+				place(o)
+			case u < 0.6:
+				o := randomObs(rng)
+				if rng.Bernoulli(0.5) {
+					o.Loc = geo.Pt(-1, 2)
+				} else {
+					o.Income = bad[rng.Intn(len(bad))]
+				}
+				sawDropped = true
+				op := UpdateInsert
+				if rng.Bernoulli(0.5) {
+					op = UpdateDelete
+				}
+				batch = append(batch, Update{Op: op, Obs: o})
+			default:
+				o := randomObs(rng)
+				live = append(live, o)
+				staged[o] = true
+				batch = append(batch, Update{Op: UpdateInsert, Obs: o})
+				place(o)
+			}
+		}
+		if err := batched.Apply(batch); err != nil {
+			t.Fatalf("round %d: apply: %v", round, err)
+		}
+		for i, u := range batch {
+			if u.Op == UpdateInsert {
+				seq.Insert(u.Obs)
+			} else if _, err := seq.Delete(u.Obs); err != nil {
+				t.Fatalf("round %d: sequential update %d: %v", round, i, err)
+			}
+		}
+		var want []int
+		for idx := range dirty {
+			want = append(want, idx)
+		}
+		slices.Sort(want)
+		if got := batched.Dirty(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: dirty = %v, want %v", round, got, want)
+		}
+		batched.ClearDirty()
+		requireEqualSnapshots(t, batched.Snapshot(), seq.Snapshot())
+		requireEqualSnapshots(t, batched.Snapshot(), ByGrid(grid, live, opts))
+	}
+	if !sawInBatch || !sawDup || !sawDropped {
+		t.Fatalf("stream exercised in-batch deletes=%v duplicates=%v dropped records=%v; want all", sawInBatch, sawDup, sawDropped)
 	}
 }
 

@@ -32,10 +32,17 @@ import "sort"
 // Callers that keep the p <= q subset apart, like the audit's sweep and the
 // delta auditor's low set, pay for that subset only.
 func BenjaminiHochbergCut(small []float64, n int, q float64) (pstar float64, ok bool) {
+	sort.Float64s(small)
+	return BenjaminiHochbergCutSorted(small, n, q)
+}
+
+// BenjaminiHochbergCutSorted is BenjaminiHochbergCut over a subset already
+// sorted ascending, which it leaves as it is. The delta auditor keeps its
+// low set's p-values sorted across passes and cuts them here.
+func BenjaminiHochbergCutSorted(small []float64, n int, q float64) (pstar float64, ok bool) {
 	if len(small) == 0 || q <= 0 {
 		return 0, false
 	}
-	sort.Float64s(small)
 
 	// Find the largest k with p_(k) <= k/n * q; k is a global rank (see
 	// above), while only the subset's prefix can satisfy the inequality.

@@ -409,12 +409,14 @@ func FuzzFDR(f *testing.F) {
 }
 
 // FuzzDeltaPartition decodes fuzzer-chosen bytes into an arbitrary
-// insert/delete stream over a small grid and demands that the incrementally
-// maintained DeltaPartitioning — region aggregates, bounds, income samples,
-// and a SummaryIndex repaired region-by-region through UpdateRegion — is
+// insert/delete stream over a small grid, cut into batches that go through
+// Apply's batch fold, and demands that the incrementally maintained
+// DeltaPartitioning — region aggregates, bounds, income samples, and a
+// SummaryIndex repaired region-by-region through UpdateRegion — is
 // indistinguishable from ByGrid over the surviving observation multiset,
-// taken in either row order, and from a fresh index. Incomes are drawn from a 16-value grid so
-// duplicate entries (the exact-match deletion edge) are routine.
+// taken in either row order, and from a fresh index. A delete may pick a
+// record its own batch inserted, and incomes are drawn from a 16-value grid
+// so duplicate entries (the exact-match deletion edge) are routine.
 func FuzzDeltaPartition(f *testing.F) {
 	f.Add(uint64(1), 8, []byte("insert-delete-reinsert, repeat"))
 	f.Add(uint64(42), 3, []byte{0x00, 0x10, 0x21, 0x81, 0x10, 0x02, 0x06, 0x10, 0x03})
@@ -433,18 +435,28 @@ func FuzzDeltaPartition(f *testing.F) {
 		}
 		ix := partition.NewSummaryIndex(ptrs)
 
-		// live mirrors the surviving multiset; deletes pick a live entry, so
-		// every delete targets an observation that is actually present.
+		// live mirrors the surviving multiset as of the last decoded
+		// update, so every delete targets an observation that is present
+		// when its turn in the batch comes. A delete whose third byte is odd
+		// closes the batch; the rest of the stream is the last batch.
 		var live []partition.Observation
+		var batch []partition.Update
+		flush := func() {
+			if err := dp.Apply(batch); err != nil {
+				t.Fatalf("apply of a batch of present-record deletes and inserts failed: %v", err)
+			}
+			batch = batch[:0]
+		}
 		for i := 0; i+2 < len(ops) && i < 3*192; i += 3 {
 			b0, b1, b2 := ops[i], ops[i+1], ops[i+2]
 			if b0&1 == 1 && len(live) > 0 {
 				k := absRem(int(b1), len(live))
-				if _, err := dp.Delete(live[k]); err != nil {
-					t.Fatalf("delete of live observation %+v failed: %v", live[k], err)
-				}
+				batch = append(batch, partition.Update{Op: partition.UpdateDelete, Obs: live[k]})
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
+				if b2&1 == 1 {
+					flush()
+				}
 				continue
 			}
 			cell := absRem(int(b0>>1), grid.NumCells()+1)
@@ -461,10 +473,12 @@ func FuzzDeltaPartition(f *testing.F) {
 				Protected: b2&2 != 0,
 				Income:    20000 + 1000*float64(b1%16),
 			}
-			if dp.Insert(o) >= 0 {
+			batch = append(batch, partition.Update{Op: partition.UpdateInsert, Obs: o})
+			if cell < grid.NumCells() {
 				live = append(live, o)
 			}
 		}
+		flush()
 
 		// Repair the summary index from the dirty set, then refresh the
 		// snapshot (same backing array, so ptrs stay valid).
