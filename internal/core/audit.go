@@ -429,9 +429,12 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			if col != nil {
 				shardStart = now()
 			}
-			// Per-worker reusable state: one scratch for the null fills, and
-			// the worker's pair slice — the steady-state loop allocates
-			// nothing beyond that slice's amortized growth.
+			// Per-worker reusable state: one scratch for the null fills and
+			// the Mann–Whitney probe's prefix table (built on a row's first
+			// fine bracket, reused for the rest of the row: auditPair always
+			// takes the probe first, and a row never spans workers), and the
+			// worker's pair slice — the steady-state loop allocates nothing
+			// beyond that slice's and the table's one-time growth.
 			var sc scratch
 			sinceCheck := 0
 			probe := 0
@@ -908,7 +911,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, dst []Un
 	dissScored := false
 	if !preGated {
 		var pass bool
-		pass, diss, dissScored = ar.diss.verdict(ii, jj, a, b)
+		pass, diss, dissScored = ar.diss.verdict(ii, jj, a, b, sc)
 		if !pass {
 			t.dissRejections++
 			return dst, false
@@ -918,7 +921,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, dst []Un
 			return dst, false
 		}
 	}
-	pass, sim, simScored := ar.sim.verdict(ii, jj, a, b)
+	pass, sim, simScored := ar.sim.verdict(ii, jj, a, b, sc)
 	if simScored {
 		t.simExact++
 	} else {
@@ -949,10 +952,10 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *scratch, dst []Un
 	pr := &dst[len(dst)-1]
 	if reportable {
 		if !simScored {
-			sim = ar.sim.score(ii, jj, a, b)
+			sim = ar.sim.score(ii, jj, a, b, sc)
 		}
 		if !dissScored {
-			diss = ar.diss.score(ii, jj, a, b)
+			diss = ar.diss.score(ii, jj, a, b, sc)
 		}
 		pr.SimScore, pr.DissScore = sim, diss
 	}

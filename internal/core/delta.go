@@ -72,6 +72,7 @@ type DeltaAuditor struct {
 	cache    pairCache
 	rescored []UnfairPair // the incremental pass's rescore buffer, reused
 	isDirty  []bool       // by region label; set for one pass's dirty labels only
+	sc       scratch      // the rescore's scratch; its table is dropped per pass
 }
 
 // pairCache holds every pair that passed the exact gate cascade, laid out so
@@ -493,8 +494,14 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 	// once, at the smaller position (skipping it at the larger is sound —
 	// either window is an individually sufficient rejection certificate).
 	// Positions are normalized ascending before scoring so every pair is
-	// scored in the cold sweep's orientation.
-	var sc scratch
+	// scored in the cold sweep's orientation; when that makes the probe the
+	// pair's second position, sc.probeSecond has the Mann–Whitney kernels
+	// run from the probe's prefix table and mirror the result in integers,
+	// so one table per probe serves its whole window. The table is dropped
+	// at the start of every pass: one built before a repair would describe
+	// the old sample.
+	sc := &da.sc
+	sc.dropTable()
 	var tally pairTally
 	preGated := run.preGated()
 	rescored := da.rescored[:0]
@@ -524,7 +531,8 @@ func (da *DeltaAuditor) incremental(ctx context.Context, snap *partition.Partiti
 				return true
 			}
 			st.RescoredPairs++
-			rescored, _ = run.auditPair(ii, jj, &tally, &sc, rescored, true, preGated)
+			sc.probeSecond = jj == probe
+			rescored, _ = run.auditPair(ii, jj, &tally, sc, rescored, true, preGated)
 			return true
 		})
 		if ctxErr != nil {
@@ -570,8 +578,8 @@ func (da *DeltaAuditor) repairRegions(dirtyPos []int) {
 	}
 	for _, pos := range dirtyPos {
 		r := run.regions[pos]
-		run.sim.repair(pos, r)
-		run.diss.repair(pos, r)
+		run.sim.prepare(pos, r)
+		run.diss.prepare(pos, r)
 		run.repairLogLik(pos, r)
 		if run.ix != nil {
 			run.ix.UpdateRegion(pos, r)

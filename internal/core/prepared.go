@@ -8,13 +8,42 @@ import (
 )
 
 // scratch is per-worker scratch space for the pair sweep: the Monte-Carlo
-// null fills' samplers and log tables. The gate scorers read only their
-// prepared caches and never touch it.
-// A scratch is not safe for concurrent use — the audit gives each worker its
-// own.
+// null fills' samplers and log tables, and the Mann–Whitney probe's fine
+// prefix table. A scratch is not safe for concurrent use — the audit gives
+// each worker its own — and its table must not outlive a repair of the
+// region it describes: the delta auditor drops it at every pass.
 type scratch struct {
 	null stats.NullScratch
+
+	// probeSecond reports that the caller pairs its probe row as the second
+	// position of auditPair, as delta rescoring does for a partner below
+	// the probe; the Mann–Whitney kernels then run from the probe's side and
+	// mirror the result (see soaState.crossBounds).
+	probeSecond bool
+
+	// table holds the fine prefix table of region tablePos under the
+	// scorer state tableOwner: built on the first pair of a probe row that
+	// needs the fine bracket or the exact kernel, reused for the rest of it.
+	table      []int32
+	tableOwner *soaState
+	tablePos   int
 }
+
+// prefixTable returns the fine prefix table of the region at position pos
+// of s, building it into the scratch's buffer unless the buffer holds it
+// already.
+//
+//lint:hotpath
+func (sc *scratch) prefixTable(s *soaState, pos int) []int32 {
+	if sc.tableOwner != s || sc.tablePos != pos {
+		sc.table = stats.FillPrefixTable(s.grid, &s.ranked[pos], sc.table)
+		sc.tableOwner, sc.tablePos = s, pos
+	}
+	return sc.table
+}
+
+// dropTable forgets which region the table describes, keeping its buffer.
+func (sc *scratch) dropTable() { sc.tableOwner = nil }
 
 // --- Per-region caches and the formulas shared with Score -----------------
 
@@ -126,37 +155,28 @@ func metricKindOf(m PairMetric) metricKind {
 	return kindScoreOnly
 }
 
-// rankPreBudgetBytes caps the total size of the Mann–Whitney prefix-count
-// arena: the grid's bucket count halves until R*(buckets+1) int32s fit, so
-// very large region universes trade probe sharpness for bounded memory
-// (correctness is grid-independent; only the spill-loop rate changes).
-const rankPreBudgetBytes = 64 << 20
-
-func rankBucketsFor(regions int) int {
-	b := stats.RankGridBuckets
-	for b > 64 && regions*(b+1)*4 > rankPreBudgetBytes {
-		b >>= 1
-	}
-	return b
-}
-
 // soaState is the flat per-region state behind the built-in metrics' SoA
 // scoring paths. Exactly one family of fields is populated, per the owning
-// scorer's kind. Slices are indexed by eligible position; the sample-backed
-// families view into shared arenas laid out by beginPrepare.
+// scorer's kind. Slices are indexed by eligible position; the Mann–Whitney
+// rank index views into shared arenas laid out by beginPrepare, O(total
+// sample + R·65) in all: the fine prefix table is built per probe row, in
+// the sweep worker's scratch.
 //
-// Layout invariants the delta auditor relies on (see repair):
-//   - samples[i] always holds region i's CURRENT sorted income sample; after
-//     a same-length repair it stays an arena view, after a length-changing
-//     repair it may become a standalone slice (views are three-index sliced,
-//     so regrowing one region can never clobber a neighbor's segment).
+// Layout invariants the delta auditor relies on (see prepare):
+//   - samples[i] is region i's CURRENT sorted income sample itself, not a
+//     copy: a region's sample is never written in place, only replaced (by
+//     partition's aggregation and DeltaPartitioning's refresh), so the alias
+//     stays valid until prepare re-reads it.
+//   - ranked[i] stays an arena view while a repair does not lengthen its
+//     sample; a longer one gets standalone slices (views are three-index
+//     sliced, so regrowing one region can never clobber a neighbor's
+//     segment).
 //   - The rank grid is fixed for the scorer's lifetime. Repaired values
 //     outside its span clamp into the edge buckets, which keeps the bucket
 //     map monotone — the only property the cross-rank kernels need.
 type soaState struct {
 	// Sample-backed metrics (Mann–Whitney, Kolmogorov–Smirnov).
-	samples     [][]float64
-	sampleArena []float64
+	samples [][]float64
 
 	// Mann–Whitney rank-index state (see stats/rankindex.go).
 	grid      stats.RankGrid
@@ -164,7 +184,6 @@ type soaState struct {
 	ranked    []stats.RankedSample
 	keyArena  []uint64
 	bukArena  []int32
-	preArena  []int32
 	preCArena []int32
 
 	// Scalar-state metrics.
@@ -178,7 +197,8 @@ type soaState struct {
 // an SoA kind for a built-in metric, per-pair Score for any other. All
 // per-region state is indexed by position in the audit's eligible-region
 // list. The lifecycle is beginPrepare (layout) → prepare per region (fill,
-// concurrency-safe across distinct positions).
+// concurrency-safe across distinct positions), and prepare again for a
+// region the delta auditor repaired.
 type preparedScorer struct {
 	metric    PairMetric
 	kind      metricKind
@@ -214,20 +234,9 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 	n := len(regions)
 	switch ps.kind {
 	case kindMannWhitney, kindKolmogorovSmirnov:
-		total := 0
-		for _, r := range regions {
-			total += len(r.IncomeSample())
-		}
 		ps.soa.samples = make([][]float64, n)
-		ps.soa.sampleArena = make([]float64, total)
-		off := 0
-		for i, r := range regions {
-			sz := len(r.IncomeSample())
-			ps.soa.samples[i] = ps.soa.sampleArena[off : off+sz : off+sz]
-			off += sz
-		}
 		if ps.kind == kindMannWhitney {
-			ps.soa.layoutRankIndex(regions, total)
+			ps.soa.layoutRankIndex(regions)
 		}
 	case kindWelch:
 		ps.soa.moments = make([]sampleMoments, n)
@@ -244,11 +253,14 @@ func (ps *preparedScorer) beginPrepare(regions []*partition.Region) {
 // sample and carves the rank-index arenas into per-region views. A degenerate
 // span (all values equal, or non-finite) leaves gridOK false and the scorer
 // on the merge kernel.
-func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
+func (s *soaState) layoutRankIndex(regions []*partition.Region) {
 	n := len(regions)
+	total := 0
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, r := range regions {
-		for _, v := range r.IncomeSample() {
+		sample := r.IncomeSample()
+		total += len(sample)
+		for _, v := range sample {
 			if v < lo {
 				lo = v
 			}
@@ -257,16 +269,14 @@ func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
 			}
 		}
 	}
-	buckets := rankBucketsFor(n)
-	s.grid, s.gridOK = stats.NewRankGrid(lo, hi, buckets)
+	s.grid, s.gridOK = stats.NewRankGrid(lo, hi, stats.RankGridBuckets)
 	if !s.gridOK {
 		return
 	}
-	groups := stats.CoarseGroups(buckets)
+	groups := stats.CoarseGroups(stats.RankGridBuckets)
 	s.ranked = make([]stats.RankedSample, n)
 	s.keyArena = make([]uint64, total+2*n)
 	s.bukArena = make([]int32, total)
-	s.preArena = make([]int32, n*(buckets+1))
 	s.preCArena = make([]int32, n*(groups+1))
 	off, koff := 0, 0
 	for i, r := range regions {
@@ -274,7 +284,6 @@ func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
 		s.ranked[i] = stats.RankedSample{
 			Keys: s.keyArena[koff : koff+sz+2 : koff+sz+2],
 			Buk:  s.bukArena[off : off+sz : off+sz],
-			Pre:  s.preArena[i*(buckets+1) : (i+1)*(buckets+1) : (i+1)*(buckets+1)],
 			PreC: s.preCArena[i*(groups+1) : (i+1)*(groups+1) : (i+1)*(groups+1)],
 		}
 		off += sz
@@ -284,17 +293,17 @@ func (s *soaState) layoutRankIndex(regions []*partition.Region, total int) {
 
 // prepare builds the cache for the eligible region at position i; a no-op on
 // the fallback path. Distinct positions may be prepared concurrently, after
-// beginPrepare has fixed the layout.
+// beginPrepare has fixed the layout. The delta auditor calls it again to
+// repair a position whose region it replaced or mutated in place.
 func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 	switch ps.kind {
 	case kindMannWhitney:
-		view := ps.soa.samples[i]
-		copy(view, r.IncomeSample())
+		ps.soa.samples[i] = r.IncomeSample()
 		if ps.soa.gridOK {
-			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
+			stats.FillRankedSample(ps.soa.grid, ps.soa.samples[i], &ps.soa.ranked[i])
 		}
 	case kindKolmogorovSmirnov:
-		copy(ps.soa.samples[i], r.IncomeSample())
+		ps.soa.samples[i] = r.IncomeSample()
 	case kindWelch:
 		ps.soa.moments[i] = sampleMomentsOf(r)
 	case kindMeanGap:
@@ -306,29 +315,6 @@ func (ps *preparedScorer) prepare(i int, r *partition.Region) {
 	}
 }
 
-// repair rebuilds position i's state after the delta auditor replaced or
-// mutated its region in place. Same-length samples refill the arena views;
-// length changes fall back to standalone slices for that region (three-index
-// views make this safe).
-func (ps *preparedScorer) repair(i int, r *partition.Region) {
-	switch ps.kind {
-	case kindMannWhitney, kindKolmogorovSmirnov:
-		sorted := r.IncomeSample()
-		if cap(ps.soa.samples[i]) >= len(sorted) {
-			ps.soa.samples[i] = ps.soa.samples[i][:len(sorted)]
-		} else {
-			ps.soa.samples[i] = make([]float64, len(sorted))
-		}
-		view := ps.soa.samples[i]
-		copy(view, sorted)
-		if ps.kind == kindMannWhitney && ps.soa.gridOK {
-			stats.FillRankedSample(ps.soa.grid, view, &ps.soa.ranked[i])
-		}
-	default:
-		ps.prepare(i, r)
-	}
-}
-
 // verdict decides the gate for the pair at eligible positions (i, j):
 // whether Pass(score, threshold) holds, and the score itself when deciding
 // needed it (scored). The z-test replays its threshold through the verified
@@ -337,19 +323,19 @@ func (ps *preparedScorer) repair(i int, r *partition.Region) {
 // The verdict is always Pass's, bit for bit.
 //
 //lint:hotpath
-func (ps *preparedScorer) verdict(i, j int, a, b *partition.Region) (pass bool, score float64, scored bool) {
+func (ps *preparedScorer) verdict(i, j int, a, b *partition.Region, sc *scratch) (pass bool, score float64, scored bool) {
 	switch ps.kind {
 	case kindZScore:
 		ga, gb := ps.soa.counts[i], ps.soa.counts[j]
 		return ps.zBand.LE(stats.TwoProportionZStat(ga.protected, ga.n, gb.protected, gb.n)), 0, false
 	case kindMannWhitney:
 		if ps.soa.gridOK {
-			if pass, decided := ps.soa.mannWhitneyBracket(i, j, &ps.pBand); decided {
+			if pass, decided := ps.soa.mannWhitneyBracket(i, j, sc, &ps.pBand); decided {
 				return pass, 0, false
 			}
 		}
 	}
-	score = ps.score(i, j, a, b)
+	score = ps.score(i, j, a, b, sc)
 	return ps.metric.Pass(score, ps.threshold), score, true
 }
 
@@ -360,7 +346,7 @@ func (ps *preparedScorer) verdict(i, j int, a, b *partition.Region) (pass bool, 
 // false when neither interval settles the comparison.
 //
 //lint:hotpath
-func (s *soaState) mannWhitneyBracket(i, j int, band *stats.TwoSidedPGEGate) (pass, decided bool) {
+func (s *soaState) mannWhitneyBracket(i, j int, sc *scratch, band *stats.TwoSidedPGEGate) (pass, decided bool) {
 	ra, rb := &s.ranked[i], &s.ranked[j]
 	lo, hi := stats.CrossBoundsCoarse(ra, rb)
 	if azMin, azMax, ok := stats.MannWhitneyAbsZRange(lo, hi, ra, rb); ok {
@@ -368,7 +354,7 @@ func (s *soaState) mannWhitneyBracket(i, j int, band *stats.TwoSidedPGEGate) (pa
 			return pass, true
 		}
 	}
-	lo, hi = stats.CrossBounds(ra, rb)
+	lo, hi = s.crossBounds(i, j, sc)
 	if azMin, azMax, ok := stats.MannWhitneyAbsZRange(lo, hi, ra, rb); ok {
 		return band.DecideRange(azMin, azMax)
 	}
@@ -376,15 +362,16 @@ func (s *soaState) mannWhitneyBracket(i, j int, band *stats.TwoSidedPGEGate) (pa
 }
 
 // score returns the metric's value for the pair at eligible positions (i, j)
-// backed by regions (a, b). The SoA kinds read only the flat slices and are
-// allocation-free (TestAuditPairKernelZeroAlloc pins it); each is
-// bit-identical to the metric's Score (TestFastPathMatchesExact pins it).
+// backed by regions (a, b). The SoA kinds read only the flat slices and the
+// probe's table in sc, and are allocation-free once that table has grown
+// (TestAuditPairKernelZeroAlloc pins it); each is bit-identical to the
+// metric's Score (TestFastPathMatchesExact pins it).
 //
 //lint:hotpath
-func (ps *preparedScorer) score(i, j int, a, b *partition.Region) float64 {
+func (ps *preparedScorer) score(i, j int, a, b *partition.Region, sc *scratch) float64 {
 	switch ps.kind {
 	case kindMannWhitney:
-		return ps.soa.mannWhitneyP(i, j)
+		return ps.soa.mannWhitneyP(i, j, sc)
 	case kindKolmogorovSmirnov:
 		return stats.KolmogorovSmirnovSorted(ps.soa.samples[i], ps.soa.samples[j]).P
 	case kindWelch:
@@ -408,13 +395,43 @@ func (ps *preparedScorer) score(i, j int, a, b *partition.Region) float64 {
 // otherwise — bit-identical either way.
 //
 //lint:hotpath
-func (s *soaState) mannWhitneyP(i, j int) float64 {
+func (s *soaState) mannWhitneyP(i, j int, sc *scratch) float64 {
 	if s.gridOK {
-		ra, rb := &s.ranked[i], &s.ranked[j]
-		twoU, ties := stats.CrossCount(ra, rb)
-		if res, ok := stats.MannWhitneyFromCross(twoU, ties, ra.N, rb.N); ok {
+		twoU, ties := s.crossCount(i, j, sc)
+		if res, ok := stats.MannWhitneyFromCross(twoU, ties, s.ranked[i].N, s.ranked[j].N); ok {
 			return res.P
 		}
 	}
 	return stats.MannWhitneyUSorted(s.samples[i], s.samples[j]).P
+}
+
+// crossBounds is stats.CrossBounds of the pair (i, j) from the probe's
+// table: i's by default, j's when the caller pairs its probe second, with
+// the swapped pair's bracket [lo, hi] mirrored to [n1·n2 − hi, n1·n2 − lo]
+// — the same integers either way (see stats.CrossBounds).
+//
+//lint:hotpath
+func (s *soaState) crossBounds(i, j int, sc *scratch) (lo, hi int) {
+	ra, rb := &s.ranked[i], &s.ranked[j]
+	if !sc.probeSecond {
+		return stats.CrossBounds(sc.prefixTable(s, i), ra, rb)
+	}
+	lo, hi = stats.CrossBounds(sc.prefixTable(s, j), rb, ra)
+	total := ra.N * rb.N
+	return total - hi, total - lo
+}
+
+// crossCount is stats.CrossCount of the pair (i, j) from the probe's table,
+// mirrored like crossBounds: 2U(i, j) = 2·n1·n2 − 2U(j, i), and the pooled
+// tie term is the union's either way. MannWhitneyFromCross thus receives
+// the same integers whichever side the table is built for.
+//
+//lint:hotpath
+func (s *soaState) crossCount(i, j int, sc *scratch) (twoU, ties int64) {
+	ra, rb := &s.ranked[i], &s.ranked[j]
+	if !sc.probeSecond {
+		return stats.CrossCount(sc.prefixTable(s, i), ra, rb)
+	}
+	twoU, ties = stats.CrossCount(sc.prefixTable(s, j), rb, ra)
+	return 2*int64(ra.N)*int64(rb.N) - twoU, ties
 }

@@ -40,9 +40,19 @@ type DeltaPartitioning struct {
 
 	seed  uint64
 	capN  int
-	stale map[int]struct{} // regions whose sample needs a refresh
-	dirty map[int]struct{} // regions updated since the last ClearDirty
+	flags []regionFlags // per region: listed in stale, listed in dirty
+	stale []int         // regions whose sample needs a refresh, unordered
+	dirty []int         // regions updated since the last ClearDirty, unordered
 }
+
+// regionFlags marks a region's membership in the stale and dirty lists, so
+// each list holds a region at most once and clears in O(its length).
+type regionFlags uint8
+
+const (
+	flagStale regionFlags = 1 << iota
+	flagDirty
+)
 
 // pendingRegion is one region's share of the open batch: the inserts it
 // staged, unsorted, and how many of its records the batch's deletes marked.
@@ -60,11 +70,10 @@ func NewDeltaByGrid(grid geo.Grid, obs []Observation, opts Options) *DeltaPartit
 		cells: grid.Locator(),
 		seed:  opts.Seed,
 		capN:  opts.cap(),
-		stale: make(map[int]struct{}),
-		dirty: make(map[int]struct{}),
 	}
 	d.entries = make([][]Observation, len(d.part.Regions))
 	d.slot = make([]int32, len(d.part.Regions))
+	d.flags = make([]regionFlags, len(d.part.Regions))
 	for i := range d.part.Regions {
 		d.part.Regions[i].Index = i
 		d.part.Regions[i].Bounds = grid.CellBounds(i)
@@ -256,11 +265,29 @@ func (d *DeltaPartitioning) fold() {
 	for k := range d.pending {
 		p := &d.pending[k]
 		d.slot[p.idx] = 0
-		d.stale[p.idx] = struct{}{}
-		d.dirty[p.idx] = struct{}{}
+		d.stale = d.list(d.stale, p.idx, flagStale)
+		d.dirty = d.list(d.dirty, p.idx, flagDirty)
 		d.merge(p)
 	}
 	d.pending = d.pending[:0]
+}
+
+// list appends region idx to the list its flag f tracks, unless already
+// listed.
+func (d *DeltaPartitioning) list(l []int, idx int, f regionFlags) []int {
+	if d.flags[idx]&f != 0 {
+		return l
+	}
+	d.flags[idx] |= f
+	return append(l, idx)
+}
+
+// unlist empties the list flag f tracks, clearing its regions' flags.
+func (d *DeltaPartitioning) unlist(l []int, f regionFlags) []int {
+	for _, idx := range l {
+		d.flags[idx] &^= f
+	}
+	return l[:0]
 }
 
 // merge folds one region's share into its multiset. An empty region adopts
@@ -271,7 +298,7 @@ func (d *DeltaPartitioning) merge(p *pendingRegion) {
 	if len(adds) == 0 && p.marked == 0 {
 		return
 	}
-	slices.SortFunc(adds, cmpSampleOrder)
+	d.keys.sortRecords(adds)
 	if len(es) == 0 {
 		d.entries[p.idx], p.adds = adds, nil
 		return
@@ -306,19 +333,14 @@ func isMarked(o *Observation) bool { return math.IsNaN(o.Loc.X) }
 // it is cleared explicitly (not by Snapshot) so a canceled audit can retry
 // against the same dirty set.
 func (d *DeltaPartitioning) Dirty() []int {
-	out := make([]int, 0, len(d.dirty))
-	for idx := range d.dirty {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
+	out := slices.Clone(d.dirty)
+	slices.Sort(out)
 	return out
 }
 
 // ClearDirty forgets the dirty set, typically after a successful delta audit.
 func (d *DeltaPartitioning) ClearDirty() {
-	for idx := range d.dirty {
-		delete(d.dirty, idx)
-	}
+	d.dirty = d.unlist(d.dirty, flagDirty)
 }
 
 // Snapshot refreshes every stale region's income sample and returns the
@@ -327,17 +349,10 @@ func (d *DeltaPartitioning) ClearDirty() {
 // the current observation multiset, regardless of the update history that
 // led here.
 func (d *DeltaPartitioning) Snapshot() *Partitioning {
-	if len(d.stale) > 0 {
-		refresh := make([]int, 0, len(d.stale))
-		for idx := range d.stale {
-			refresh = append(refresh, idx)
-			delete(d.stale, idx)
-		}
-		sort.Ints(refresh)
-		for _, idx := range refresh {
-			d.refreshRegion(idx)
-		}
+	for _, idx := range d.stale {
+		d.refreshRegion(idx)
 	}
+	d.stale = d.unlist(d.stale, flagStale)
 	return &d.part
 }
 
@@ -349,17 +364,6 @@ func sampleOrder(a, b *Observation) bool {
 		return a.Income < b.Income
 	}
 	return !a.Positive && b.Positive
-}
-
-// cmpSampleOrder is sampleOrder as a three-way comparison, for sorting.
-func cmpSampleOrder(a, b Observation) int {
-	switch {
-	case sampleOrder(&a, &b):
-		return -1
-	case sampleOrder(&b, &a):
-		return 1
-	}
-	return 0
 }
 
 // position returns the first index of es whose record does not sort before o.

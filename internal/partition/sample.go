@@ -199,6 +199,11 @@ const radixMinLen = 48
 type sortKeys struct {
 	buf    []uint64
 	counts [8][256]uint32 // digit histograms, one per byte of the key
+
+	// sortRecords' buffers: record indices carried through the digit
+	// passes (twice the records), and the gather's output.
+	idx  []uint32
+	recs []Observation
 }
 
 // sort sorts xs ascending in place. The result equals slices.Sort's under
@@ -269,6 +274,81 @@ func (ks *sortKeys) radix(xs []float64) {
 		}
 		keys, tmp = tmp, keys
 	}
+}
+
+// sortRecords sorts os in sampleOrder — by income, -0 and +0 alike, and at
+// equal incomes negative outcomes first — without a comparison sort's
+// by-value record copies. It radix-sorts the incomes' keys, each carrying
+// its record's index, from an index order that lists the negatives ahead of
+// the positives; the stable digit passes keep that order among equal
+// incomes, so the outcome acts as the tie bit. One gather then moves each
+// record once. Records sampleOrder ranks equal keep their input order.
+func (ks *sortKeys) sortRecords(os []Observation) {
+	n := len(os)
+	if n < radixMinLen {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && sampleOrder(&os[j], &os[j-1]); j-- {
+				os[j], os[j-1] = os[j-1], os[j]
+			}
+		}
+		return
+	}
+	if cap(ks.buf) < 2*n {
+		ks.buf = make([]uint64, 2*n)
+	}
+	if cap(ks.idx) < 2*n {
+		ks.idx = make([]uint32, 2*n)
+	}
+	keys, tmp := ks.buf[:n], ks.buf[n:2*n]
+	idx, tmpIdx := ks.idx[:n], ks.idx[n:2*n]
+	j := 0
+	for _, positive := range [2]bool{false, true} {
+		for i := range os {
+			if os[i].Positive == positive {
+				idx[j] = uint32(i)
+				j++
+			}
+		}
+	}
+	c := &ks.counts
+	*c = [8][256]uint32{}
+	for j, i := range idx {
+		income := os[i].Income
+		if income == 0 { //lint:floateq-ok -0 and +0 are one income to sampleOrder
+			income = 0
+		}
+		k := orderKey(income)
+		keys[j] = k
+		for d := range c {
+			c[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range c {
+		shift := uint(8 * d)
+		h := &c[d]
+		if h[byte(keys[0]>>shift)] == uint32(n) {
+			continue // every key shares this byte
+		}
+		var sum uint32
+		for b, v := range h {
+			h[b], sum = sum, sum+v
+		}
+		for j, k := range keys {
+			b := byte(k >> shift)
+			tmp[h[b]], tmpIdx[h[b]] = k, idx[j]
+			h[b]++
+		}
+		keys, tmp = tmp, keys
+		idx, tmpIdx = tmpIdx, idx
+	}
+	if cap(ks.recs) < n {
+		ks.recs = make([]Observation, n)
+	}
+	out := ks.recs[:n]
+	for j, i := range idx {
+		out[j] = os[i]
+	}
+	copy(os, out)
 }
 
 // isSorted reports whether xs is ascending under <.

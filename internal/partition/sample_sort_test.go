@@ -171,3 +171,36 @@ func BenchmarkSampleSort(b *testing.B) {
 		})
 	}
 }
+
+// TestSortRecordsSampleOrder pins the staged-record sort a delta batch's
+// fold runs: on every income shape sortInputs makes, at lengths on both
+// sides of radixMinLen, with both outcomes, the output must be in
+// sampleOrder (-0 and +0 one income, negatives first among equal incomes)
+// and a permutation of the input records.
+func TestSortRecordsSampleOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ks sortKeys
+	for _, n := range []int{0, 1, 2, 7, radixMinLen - 1, radixMinLen, 300, 1000} {
+		for name, xs := range sortInputs(rng, n) {
+			os := make([]Observation, n)
+			for i, x := range xs {
+				os[i] = Observation{Income: x, Positive: rng.Intn(2) == 0, Protected: rng.Intn(2) == 0}
+				os[i].Loc.X = float64(i) // tells equal-income records apart
+			}
+			got := slices.Clone(os)
+			ks.sortRecords(got)
+			for i := 1; i < n; i++ {
+				if sampleOrder(&got[i], &got[i-1]) {
+					t.Fatalf("%s n=%d: record %d %+v sorts before its predecessor %+v", name, n, i, got[i], got[i-1])
+				}
+			}
+			byX := func(a, b Observation) int { return int(a.Loc.X - b.Loc.X) }
+			slices.SortFunc(got, byX)
+			for i := range got {
+				if got[i] != os[i] {
+					t.Fatalf("%s n=%d: sorted records are not a permutation of the input", name, n)
+				}
+			}
+		}
+	}
+}

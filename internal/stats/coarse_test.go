@@ -29,9 +29,10 @@ func TestCrossBoundsCoarseContainsExact(t *testing.T) {
 		FillRankedSample(grid, xs, &a)
 		FillRankedSample(grid, ys, &b)
 
+		pre := FillPrefixTable(grid, &a, nil)
 		cLo, cHi := CrossBoundsCoarse(&a, &b)
-		fLo, fHi := CrossBounds(&a, &b)
-		twoU, _ := CrossCount(&a, &b)
+		fLo, fHi := CrossBounds(pre, &a, &b)
+		twoU, _ := CrossCount(pre, &a, &b)
 		if !(cLo <= fLo && 2*int64(fLo) <= twoU && twoU <= 2*int64(fHi) && fHi <= cHi) {
 			t.Fatalf("trial %d (buckets=%d): want coarse [%d,%d] ⊇ fine [%d,%d] ∋ exact U %g",
 				trial, buckets, cLo, cHi, fLo, fHi, float64(twoU)/2)
@@ -140,8 +141,9 @@ func TestCrossBounds(t *testing.T) {
 		var a, b RankedSample
 		FillRankedSample(grid, xs, &a)
 		FillRankedSample(grid, ys, &b)
-		lo, hi := CrossBounds(&a, &b)
-		if twoU, _ := CrossCount(&a, &b); twoU < 2*int64(lo) || twoU > 2*int64(hi) {
+		pre := FillPrefixTable(grid, &a, nil)
+		lo, hi := CrossBounds(pre, &a, &b)
+		if twoU, _ := CrossCount(pre, &a, &b); twoU < 2*int64(lo) || twoU > 2*int64(hi) {
 			t.Fatalf("trial %d: U %g outside bounds [%d,%d]", trial, float64(twoU)/2, lo, hi)
 		}
 		if lo < 0 || hi > n1*n2 {

@@ -115,7 +115,7 @@ func TestMannWhitneyAbsZRangeContainsExact(t *testing.T) {
 		FillRankedSample(grid, xs, &a)
 		FillRankedSample(grid, ys, &b)
 		az := math.Abs(MannWhitneyUSorted(xs, ys).Z)
-		for _, br := range [][2]int{pair(CrossBoundsCoarse(&a, &b)), pair(CrossBounds(&a, &b))} {
+		for _, br := range [][2]int{pair(CrossBoundsCoarse(&a, &b)), pair(CrossBounds(FillPrefixTable(grid, &a, nil), &a, &b))} {
 			azMin, azMax, ok := MannWhitneyAbsZRange(br[0], br[1], &a, &b)
 			if !ok {
 				continue
@@ -140,7 +140,7 @@ func TestMannWhitneyAbsZRangeContainsExact(t *testing.T) {
 	if _, _, ok := MannWhitneyAbsZRange(0, 0, &a, &empty); ok {
 		t.Fatal("empty sample certified")
 	}
-	lo, hi := CrossBounds(&a, &b)
+	lo, hi := CrossBounds(FillPrefixTable(grid, &a, nil), &a, &b)
 	if _, _, ok := MannWhitneyAbsZRange(lo, hi, &a, &b); ok {
 		t.Fatal("all-tied pair certified")
 	}

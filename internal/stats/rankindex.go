@@ -8,9 +8,9 @@ import "math"
 // waits on the previous step's loads — which caps it near ten cycles per
 // element on data the branch predictor cannot memorize. The bucket kernel
 // removes the dependency: values become order-preserving integer keys at
-// prepare time, every region is summarized by per-bucket prefix counts on a
-// shared equi-width grid, and a pair's rank statistic becomes an independent
-// per-element lookup
+// prepare time, every element gets its bucket on a shared equi-width grid,
+// the first sample is summarized by per-bucket prefix counts Pre, and a
+// pair's rank statistic becomes an independent per-element lookup
 //
 //	#{x < y}  =  Pre[bucket(y)]  +  #{x in bucket(y) : x < y}
 //
@@ -27,6 +27,10 @@ import "math"
 // ties are found by inspecting exactly the candidate bucket. The same two
 // facts make the prefix tables alone bracket U = #{x > y} + ½#{x = y} (see
 // CrossBounds) and the pooled tie term (see MannWhitneyAbsZRange).
+//
+// Only the first sample's Pre is read, so a RankedSample keeps just a
+// 65-entry coarse digest of it; the caller builds the full table of its
+// probe once (FillPrefixTable) and passes it to every pair of the probe.
 
 // OrderedKey maps a float64 to a uint64 that preserves <, ==, and > for all
 // finite and infinite values: the IEEE-754 bit pattern with the sign bit
@@ -93,24 +97,23 @@ func (g RankGrid) Bucket(v float64) int {
 }
 
 // RankedSample is one sorted sample prepared for the bucketed cross-rank
-// kernels: ordered keys (sentinel-padded), per-element bucket ids, the
-// grid's prefix counts, and the sample's own tie structure. The audit engine
-// backs these slices with shared flat arenas indexed by region ordinal (see
-// core's SoA layout).
+// kernels: ordered keys (sentinel-padded), per-element bucket ids, a coarse
+// prefix digest, and the sample's own tie structure. The audit engine backs
+// these slices with shared flat arenas indexed by region ordinal (see core's
+// SoA layout). The grid-wide prefix table the fine kernels read is built per
+// probe, on demand, by FillPrefixTable.
 type RankedSample struct {
 	// Keys holds the N ordered keys ascending, padded with two ^uint64(0)
 	// sentinels so the kernels' fixed two-slot probes never read out of
 	// bounds. No finite or infinite float maps to the sentinel key, so
 	// sentinels can never produce a spurious tie.
 	Keys []uint64
-	// Buk[i] is the grid bucket of element i.
+	// Buk[i] is the grid bucket of element i; ascending, since the sample
+	// is sorted and the bucket map monotone.
 	Buk []int32
-	// Pre[b] counts elements in buckets < b; len(Pre) == Buckets+1. Elements
-	// of bucket b occupy Keys[Pre[b]:Pre[b+1]].
-	Pre []int32
-	// PreC is Pre subsampled at group boundaries — PreC[g] == Pre[g*Buckets/
-	// groups] for groups == CoarseGroups(Buckets) — the cache-line-sized
-	// digest CrossBoundsCoarse products against instead of streaming Pre.
+	// PreC[g] counts elements in buckets < g*Buckets/groups, for groups ==
+	// CoarseGroups(Buckets) — the cache-line-sized digest CrossBoundsCoarse
+	// products against instead of streaming a full prefix table.
 	PreC []int32
 	// N is the sample size.
 	N int
@@ -134,22 +137,15 @@ func FillRankedSample(g RankGrid, sorted []float64, rs *RankedSample) {
 	if cap(rs.Buk) < n {
 		rs.Buk = make([]int32, n)
 	}
-	if cap(rs.Pre) < g.Buckets+1 {
-		rs.Pre = make([]int32, g.Buckets+1)
-	}
 	groups := CoarseGroups(g.Buckets)
 	if cap(rs.PreC) < groups+1 {
 		rs.PreC = make([]int32, groups+1)
 	}
 	rs.Keys = rs.Keys[:n+2]
 	rs.Buk = rs.Buk[:n]
-	rs.Pre = rs.Pre[:g.Buckets+1]
 	rs.PreC = rs.PreC[:groups+1]
 	rs.N = n
 
-	for i := range rs.Pre {
-		rs.Pre[i] = 0
-	}
 	var ties int64
 	maxRun, run := 0, 0
 	var prev uint64
@@ -164,20 +160,51 @@ func FillRankedSample(g RankGrid, sorted []float64, rs *RankedSample) {
 		maxRun = max(maxRun, run)
 		prev = k
 		rs.Keys[i] = k
-		b := g.Bucket(v)
-		rs.Buk[i] = int32(b)
-		rs.Pre[b+1]++
+		rs.Buk[i] = int32(g.Bucket(v))
 	}
 	rs.Ties = ties + runTies(run)
 	rs.MaxRun = maxRun
 	rs.Keys[n] = ^uint64(0)
 	rs.Keys[n+1] = ^uint64(0)
-	for b := 0; b < g.Buckets; b++ {
-		rs.Pre[b+1] += rs.Pre[b]
+	i := 0
+	for gi := range rs.PreC {
+		e := int32(gi * g.Buckets / groups)
+		for i < n && rs.Buk[i] < e {
+			i++
+		}
+		rs.PreC[gi] = int32(i)
 	}
-	for gi := 0; gi <= groups; gi++ {
-		rs.PreC[gi] = rs.Pre[gi*g.Buckets/groups]
+}
+
+// FillPrefixTable fills pre with rs's per-bucket prefix counts on grid g —
+// pre[b] counts the elements in buckets < b, so the elements of bucket b
+// occupy Keys[pre[b]:pre[b+1]] — and returns it, grown to g.Buckets+1
+// entries when it is shorter. rs must be built on g. The table is what the
+// fine kernels (CrossBounds, CrossCount) read of their first sample; a
+// caller comparing one probe against many partners builds it once and
+// reuses it for every pair.
+//
+//lint:hotpath
+func FillPrefixTable(g RankGrid, rs *RankedSample, pre []int32) []int32 {
+	if cap(pre) < g.Buckets+1 {
+		pre = make([]int32, g.Buckets+1) //lint:hotpathalloc-ok grows the caller's table once, reused for every later probe
 	}
+	pre = pre[:g.Buckets+1]
+	// Count each bucket's elements one slot up, then sum in a register.
+	// BenchmarkFillPrefixTable measured two alternatives at about 4x the
+	// time: an in-place pre[b] += pre[b-1] waits on the store it just made,
+	// and a walk filling each run of empty buckets mispredicts a branch per
+	// element.
+	clear(pre)
+	for _, bk := range rs.Buk {
+		pre[bk+1]++
+	}
+	var sum int32
+	for b, c := range pre {
+		sum += c
+		pre[b] = sum
+	}
+	return pre
 }
 
 // runTies is one run's contribution t³−t to a tie term.
@@ -190,7 +217,12 @@ func runTies(t int) int64 {
 // U statistic of a against b, 2U = 2#{x > y} + #{x = y}, and the pair's
 // pooled tie term Σ(t³−t) over the runs of equal values in the union — the
 // two integers MannWhitneyUSorted accumulates as floats. Both samples must
-// be built on the same grid.
+// be built on the same grid, and pre must be a's prefix table on it (see
+// FillPrefixTable).
+//
+// Swapping the samples mirrors the result exactly: U(b, a) = n1·n2 − U(a, b)
+// and the tie term is the union's either way, so a caller holding only b's
+// table gets a's integers as 2·n1·n2 − twoU and the same ties.
 //
 // Per partner element y the kernel counts #{x < y} and #{x = y} inside y's
 // bucket: two branchless slot probes plus a spill loop whose guard is false
@@ -201,14 +233,13 @@ func runTies(t int) int64 {
 // parts are the samples' own Ties, and the run adds the third.
 //
 //lint:hotpath
-func CrossCount(a, b *RankedSample) (twoU, ties int64) {
+func CrossCount(pre []int32, a, b *RankedSample) (twoU, ties int64) {
 	n1, n2 := a.N, b.N
 	ties = a.Ties + b.Ties
 	if n1 == 0 || n2 == 0 {
 		return 0, ties
 	}
 	xk := a.Keys
-	pre := a.Pre
 	yb := b.Buk
 	yk := b.Keys
 	twoLess, cross := 0, 0 // Σ_y 2#{x<y} + #{x=y}; Σ cx·cy·(cx+cy)
@@ -260,9 +291,9 @@ func CrossCount(a, b *RankedSample) (twoU, ties int64) {
 
 // CrossBounds returns a certain interval [lo, hi] containing the pair's
 // U = #{x > y} + ½#{x = y}, from prefix loads alone: for a partner element y
-// in bucket b, the probe's elements in earlier buckets (Pre[b]) are
+// in bucket b, the probe's elements in earlier buckets (pre[b]) are
 // certainly below y and those in later buckets certainly above it, so
-// #{x < y} + ½#{x = y} lies between Pre[b] and Pre[b+1] without touching the
+// #{x < y} + ½#{x = y} lies between pre[b] and pre[b+1] without touching the
 // keys (equal values share a bucket). The interval's width is the number of
 // colocated (same bucket) element pairs — a bound on the tied pairs, and a
 // few buckets' worth on a healthy grid — and the pass streams only the
@@ -270,15 +301,18 @@ func CrossCount(a, b *RankedSample) (twoU, ties int64) {
 // caller that can decide its predicate from the interval (see
 // MannWhitneyAbsZRange and TwoSidedPGEGate.DecideRange) skips the exact
 // kernel and most of its memory traffic. Valid for any samples on a shared
-// grid, ties or not.
+// grid, ties or not; pre must be a's prefix table (see FillPrefixTable).
+//
+// The bracket counts pairs in distinct buckets, which does not depend on
+// which side holds the table: [n1·n2 − hi, n1·n2 − lo] of the swapped pair
+// is exactly [lo, hi].
 //
 //lint:hotpath
-func CrossBounds(a, b *RankedSample) (lo, hi int) {
+func CrossBounds(pre []int32, a, b *RankedSample) (lo, hi int) {
 	n1, n2 := a.N, b.N
 	if n1 == 0 || n2 == 0 {
 		return 0, 0
 	}
-	pre := a.Pre
 	yb := b.Buk
 	// Two independent accumulator pairs so the adds overlap; the loads are
 	// from one hot prefix table plus the partner's sequential bucket ids.

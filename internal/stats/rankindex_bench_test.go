@@ -5,7 +5,7 @@ import "testing"
 // benchRankedSet builds many distinct ranked samples on one grid so kernel
 // benchmarks cycle through varying inputs — a fixed input pair lets the
 // branch predictor memorize the comparison stream and understates cost ~3x.
-func benchRankedSet(b *testing.B, samples, n int) ([]RankedSample, []*RankedSample) {
+func benchRankedSet(b *testing.B, samples, n int) (RankGrid, []*RankedSample) {
 	b.Helper()
 	rng := NewRNG(0xBE7C4)
 	g, ok := NewRankGrid(-5, 5, RankGridBuckets)
@@ -23,7 +23,7 @@ func benchRankedSet(b *testing.B, samples, n int) ([]RankedSample, []*RankedSamp
 		FillRankedSample(g, xs, &rs[s])
 		ptr[s] = &rs[s]
 	}
-	return rs, ptr
+	return g, ptr
 }
 
 func sortFloats(xs []float64) {
@@ -35,16 +35,34 @@ func sortFloats(xs []float64) {
 }
 
 func BenchmarkCrossCount(b *testing.B) {
-	_, ptr := benchRankedSet(b, 64, 300)
+	g, ptr := benchRankedSet(b, 64, 300)
+	pres := make([][]int32, len(ptr))
+	for s, a := range ptr {
+		pres[s] = FillPrefixTable(g, a, nil)
+	}
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
 		a := ptr[i%64]
 		c := ptr[(i*7+3)%64]
-		twoU, ties := CrossCount(a, c)
+		twoU, ties := CrossCount(pres[i%64], a, c)
 		sink += twoU + ties
 	}
 	if sink == -1 {
 		b.Fatal("sink")
+	}
+}
+
+// BenchmarkFillPrefixTable is the per-probe-row cost the audit pays before
+// a row's first fine bracket or exact kernel.
+func BenchmarkFillPrefixTable(b *testing.B) {
+	g, ptr := benchRankedSet(b, 64, 300)
+	pre := FillPrefixTable(g, ptr[0], nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pre = FillPrefixTable(g, ptr[i%64], pre)
+	}
+	if pre[len(pre)-1] != 300 {
+		b.Fatal("table")
 	}
 }

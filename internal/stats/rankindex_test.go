@@ -178,9 +178,68 @@ func TestCrossCountMatchesBruteForce(t *testing.T) {
 		if n1 == 0 || n2 == 0 {
 			wantTwoU = 0
 		}
-		if twoU, ties := CrossCount(&ra, &rb); twoU != wantTwoU || ties != wantTies {
+		if twoU, ties := CrossCount(FillPrefixTable(grid, &ra, nil), &ra, &rb); twoU != wantTwoU || ties != wantTies {
 			t.Fatalf("trial %d: CrossCount = (%d, %d), want (%d, %d) (n1=%d n2=%d)",
 				trial, twoU, ties, wantTwoU, wantTies, n1, n2)
+		}
+	}
+}
+
+// TestCrossKernelsMirror pins the identities that let a caller holding only
+// the second sample's prefix table evaluate a pair: with the samples
+// swapped, CrossCount gives 2·n1·n2 − 2U and the same tie term, both
+// brackets mirror to [n1·n2 − hi, n1·n2 − lo], and the finish from the
+// mirrored integers is the unswapped one bit for bit. The cases cover
+// tie-heavy samples, -0 against +0, and empty and one-element samples.
+func TestCrossKernelsMirror(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := NewRNG(0xC20553)
+	cases := [][2][]float64{
+		{nil, nil},
+		{nil, {1, 2, 3}},
+		{{4}, nil},
+		{{4}, {4}},
+		{{4}, {-1}},
+		{{negZero}, {0, 0, 1}},
+		{{negZero, negZero, 0}, {negZero, 0}},
+		{{1, 1, 1, 1}, {1, 1}},
+		{{-3, 1, 1, 2, 2, 2}, {1, 2, 2, 9}},
+	}
+	for trial := 0; trial < 60; trial++ {
+		q := []float64{0.25, 2, 8}[trial%3]
+		cases = append(cases, [2][]float64{rankTestSample(rng, rng.Intn(40), q), rankTestSample(rng, rng.Intn(40), q)})
+	}
+	for _, buckets := range []int{1, 64, RankGridBuckets} {
+		grid, _ := NewRankGrid(-30, 30, buckets)
+		for k, c := range cases {
+			var a, b RankedSample
+			FillRankedSample(grid, c[0], &a)
+			FillRankedSample(grid, c[1], &b)
+			preA := FillPrefixTable(grid, &a, nil)
+			preB := FillPrefixTable(grid, &b, nil)
+			total := a.N * b.N
+
+			twoU, ties := CrossCount(preA, &a, &b)
+			mTwoU, mTies := CrossCount(preB, &b, &a)
+			if mTwoU = 2*int64(total) - mTwoU; mTwoU != twoU || mTies != ties {
+				t.Fatalf("buckets %d case %d: mirrored CrossCount (%d, %d), want (%d, %d)", buckets, k, mTwoU, mTies, twoU, ties)
+			}
+			lo, hi := CrossBounds(preA, &a, &b)
+			if mLo, mHi := CrossBounds(preB, &b, &a); total-mHi != lo || total-mLo != hi {
+				t.Fatalf("buckets %d case %d: mirrored fine bracket [%d, %d], want [%d, %d]", buckets, k, total-mHi, total-mLo, lo, hi)
+			}
+			lo, hi = CrossBoundsCoarse(&a, &b)
+			if mLo, mHi := CrossBoundsCoarse(&b, &a); total-mHi != lo || total-mLo != hi {
+				t.Fatalf("buckets %d case %d: mirrored coarse bracket [%d, %d], want [%d, %d]", buckets, k, total-mHi, total-mLo, lo, hi)
+			}
+			got, _ := MannWhitneyFromCross(twoU, ties, a.N, b.N)
+			mir, _ := MannWhitneyFromCross(mTwoU, mTies, a.N, b.N)
+			if math.Float64bits(mir.P) != math.Float64bits(got.P) || math.Float64bits(mir.Z) != math.Float64bits(got.Z) {
+				t.Fatalf("buckets %d case %d: mirrored finish %+v, want %+v", buckets, k, mir, got)
+			}
+			if want := MannWhitneyUSorted(c[0], c[1]); math.Float64bits(got.P) != math.Float64bits(want.P) {
+				t.Fatalf("buckets %d case %d: P = %v, MannWhitneyUSorted %v", buckets, k, got.P, want.P)
+			}
 		}
 	}
 }
@@ -200,7 +259,7 @@ func TestMannWhitneyFromCrossBitMatches(t *testing.T) {
 		var ra, rb RankedSample
 		FillRankedSample(grid, xs, &ra)
 		FillRankedSample(grid, ys, &rb)
-		twoU, ties := CrossCount(&ra, &rb)
+		twoU, ties := CrossCount(FillPrefixTable(grid, &ra, nil), &ra, &rb)
 		got, ok := MannWhitneyFromCross(twoU, ties, n1, n2)
 		if !ok {
 			t.Fatalf("trial %d: small sums reported inexact", trial)
@@ -225,15 +284,17 @@ func TestRankKernelsZeroAlloc(t *testing.T) {
 	var ra, rb RankedSample
 	FillRankedSample(grid, xs, &ra)
 	FillRankedSample(grid, ys, &rb)
+	pre := FillPrefixTable(grid, &ra, nil)
 
 	if n := testing.AllocsPerRun(100, func() {
-		twoU, ties := CrossCount(&ra, &rb)
+		pre = FillPrefixTable(grid, &ra, pre)
+		twoU, ties := CrossCount(pre, &ra, &rb)
 		if _, ok := MannWhitneyFromCross(twoU, ties, ra.N, rb.N); !ok {
 			t.Fatal("small sums reported inexact")
 		}
 		lo, hi := CrossBoundsCoarse(&ra, &rb)
 		_, _, _ = MannWhitneyAbsZRange(lo, hi, &ra, &rb)
-		lo, hi = CrossBounds(&ra, &rb)
+		lo, hi = CrossBounds(pre, &ra, &rb)
 		_, _, _ = MannWhitneyAbsZRange(lo, hi, &ra, &rb)
 	}); n != 0 {
 		t.Fatalf("bucket kernels allocate %.1f per run, want 0", n)
@@ -257,7 +318,7 @@ func TestFillRankedSampleReusesBuffers(t *testing.T) {
 	rs := RankedSample{
 		Keys: make([]uint64, 34),
 		Buk:  make([]int32, 32),
-		Pre:  make([]int32, 65),
+		PreC: make([]int32, 65),
 	}
 	keysPtr := &rs.Keys[0]
 	sample := rankTestSample(rng, 32, 0)

@@ -55,7 +55,11 @@ func FuzzMannWhitneySorted(f *testing.F) {
 // buckets). The exact bucketed kernel — CrossCount finished by
 // MannWhitneyFromCross — must equal MannWhitneyUSorted bit for bit, and the
 // |z| intervals MannWhitneyAbsZRange certifies from the coarse and the fine
-// bracket must contain the exact |Z|.
+// bracket must contain the exact |Z|. Run from the second sample's prefix
+// table, as delta rescoring runs a pair whose probe is its second region,
+// the kernels must mirror: CrossCount gives 2·n1·n2 − 2U and the same tie
+// term, both brackets give [n1·n2 − hi, n1·n2 − lo], and the mirrored
+// integers finish to the same result bit for bit.
 func FuzzMannWhitneyBucketed(f *testing.F) {
 	f.Add([]byte("AAABBBCCC"), []byte("ABCABC"), uint16(2048), false)
 	f.Add([]byte("aaaa"), []byte("zzzz"), uint16(64), false)
@@ -77,8 +81,11 @@ func FuzzMannWhitneyBucketed(f *testing.F) {
 		stats.FillRankedSample(grid, xs, &ra)
 		stats.FillRankedSample(grid, ys, &rb)
 
+		preA := stats.FillPrefixTable(grid, &ra, nil)
+		preB := stats.FillPrefixTable(grid, &rb, nil)
+
 		want := stats.MannWhitneyUSorted(xs, ys)
-		twoU, ties := stats.CrossCount(&ra, &rb)
+		twoU, ties := stats.CrossCount(preA, &ra, &rb)
 		got, exact := stats.MannWhitneyFromCross(twoU, ties, ra.N, rb.N)
 		if !exact {
 			t.Fatalf("sums of %d+%d elements reported past 2^53", ra.N, rb.N)
@@ -87,11 +94,29 @@ func FuzzMannWhitneyBucketed(f *testing.F) {
 			t.Fatalf("bucketed kernel(%v, %v) = %+v, MannWhitneyUSorted = %+v", xs, ys, got, want)
 		}
 		az := math.Abs(want.Z)
-		for _, bracket := range [][2]int{coarseBracket(&ra, &rb), fineBracket(&ra, &rb)} {
+		coarse, fine := coarseBracket(&ra, &rb), fineBracket(preA, &ra, &rb)
+		for _, bracket := range [][2]int{coarse, fine} {
 			azMin, azMax, ok := stats.MannWhitneyAbsZRange(bracket[0], bracket[1], &ra, &rb)
 			if ok && !(azMin <= az && az <= azMax) {
 				t.Fatalf("|Z| = %v outside certified [%v, %v] from bracket %v (xs=%v ys=%v)", az, azMin, azMax, bracket, xs, ys)
 			}
+		}
+
+		total := ra.N * rb.N
+		mirTwoU, mirTies := stats.CrossCount(preB, &rb, &ra)
+		mirTwoU = 2*int64(total) - mirTwoU
+		if mirTwoU != twoU || mirTies != ties {
+			t.Fatalf("mirrored CrossCount gives (2U, ties) = (%d, %d), want (%d, %d) (xs=%v ys=%v)", mirTwoU, mirTies, twoU, ties, xs, ys)
+		}
+		mirror := func(b [2]int) [2]int { return [2]int{total - b[1], total - b[0]} }
+		if got := mirror(coarseBracket(&rb, &ra)); got != coarse {
+			t.Fatalf("mirrored coarse bracket %v, want %v (xs=%v ys=%v)", got, coarse, xs, ys)
+		}
+		if got := mirror(fineBracket(preB, &rb, &ra)); got != fine {
+			t.Fatalf("mirrored fine bracket %v, want %v (xs=%v ys=%v)", got, fine, xs, ys)
+		}
+		if mir, _ := stats.MannWhitneyFromCross(mirTwoU, mirTies, ra.N, rb.N); math.Float64bits(mir.P) != math.Float64bits(got.P) {
+			t.Fatalf("mirrored P = %v, want %v bit for bit (xs=%v ys=%v)", mir.P, got.P, xs, ys)
 		}
 	})
 }
@@ -101,8 +126,8 @@ func coarseBracket(a, b *stats.RankedSample) [2]int {
 	return [2]int{lo, hi}
 }
 
-func fineBracket(a, b *stats.RankedSample) [2]int {
-	lo, hi := stats.CrossBounds(a, b)
+func fineBracket(pre []int32, a, b *stats.RankedSample) [2]int {
+	lo, hi := stats.CrossBounds(pre, a, b)
 	return [2]int{lo, hi}
 }
 
